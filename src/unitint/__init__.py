@@ -28,7 +28,6 @@ from .factorization import (
     effective_hamiltonian_tilde,
     gauge_unitarize,
     hierarchical_solve,
-    reconstruct_full,
     recursion_hamiltonian,
     solve_factored,
     unitarity_closure,

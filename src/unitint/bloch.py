@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .factorization import base_coordinate, solve_factored
-from .hamiltonian import SO5Coefficients, build_so5, spin_half
-from .riccati import DEFAULT_Z_MAX, rk4_step, so5_z_params
+from .hamiltonian import SO5Coefficients, build_so5, so5_from_params, spin_half
+from .riccati import DEFAULT_Z_MAX, _drive, rk4_step, so5_z_params
 
 
 def project2(z: complex) -> np.ndarray:
@@ -46,29 +46,25 @@ def bloch5_rhs(F: np.ndarray, m: np.ndarray) -> np.ndarray:
     return 2.0 * F @ m
 
 
+def _integrate_linear(f, m0: np.ndarray, t_end: float, steps: int) -> np.ndarray:
+    """RK4 trajectory of a linear picture; the unit vector has no pole, so no restarts."""
+    _, states, _ = _drive(
+        lambda t, dt, m: (rk4_step(f, t, m, dt), 0.0, None), None, m0, t_end, steps, np.inf
+    )
+    return np.array(states)
+
+
 def integrate_bloch3(B, t_end: float, steps: int, m0=None, kappa: float = 1.0) -> np.ndarray:
     """RK4 trajectory of the linear 3-vector equation on a uniform grid."""
     Bfun = B if callable(B) else (lambda t, b=np.asarray(B, float): b)
     m = np.array([0.0, 0.0, 1.0]) if m0 is None else np.asarray(m0, float)
-    dt = t_end / steps
-    out = np.zeros((steps + 1, 3))
-    out[0] = m
-    for k in range(steps):
-        m = rk4_step(lambda t, y: bloch3_rhs(Bfun(t), y, kappa), k * dt, m, dt)
-        out[k + 1] = m
-    return out
+    return _integrate_linear(lambda t, y: bloch3_rhs(Bfun(t), y, kappa), m, t_end, steps)
 
 
 def integrate_bloch5(coeffs: SO5Coefficients, t_end: float, steps: int, m0=None) -> np.ndarray:
     """RK4 trajectory of the linear 5-vector equation on a uniform grid."""
     m = np.array([0.0, 0.0, 0.0, 0.0, 1.0]) if m0 is None else np.asarray(m0, float)
-    dt = t_end / steps
-    out = np.zeros((steps + 1, 5))
-    out[0] = m
-    for k in range(steps):
-        m = rk4_step(lambda t, y: bloch5_rhs(coeffs.at(t), y), k * dt, m, dt)
-        out[k + 1] = m
-    return out
+    return _integrate_linear(lambda t, y: bloch5_rhs(coeffs.at(t), y), m, t_end, steps)
 
 
 @dataclass
@@ -162,22 +158,14 @@ def crosscheck_so5(
 
 def crosscheck_pictures(h_config: dict, t_end: float, steps: int, Z_max: float = DEFAULT_Z_MAX):
     """Dispatch on the scenario family (spin_half or so5)."""
-    from .hamiltonian import from_config, so5_coefficients
+    from .hamiltonian import from_config
 
     family = h_config.get("family")
-    params = h_config.get("params", {})
     if family == "spin_half":
         h = from_config(h_config)
         return crosscheck_su2(lambda t: _spin_field_of(h, t), t_end, steps, Z_max)
     if family == "so5":
-        F0 = np.asarray(params["F"], dtype=float)
-        if "F_cos" in params or "F_sin" in params:
-            Fc = np.asarray(params.get("F_cos", np.zeros((5, 5))), float)
-            Fs = np.asarray(params.get("F_sin", np.zeros((5, 5))), float)
-            w = float(params.get("omega", 1.0))
-            coeffs = so5_coefficients(lambda t: F0 + Fc * np.cos(w * t) + Fs * np.sin(w * t))
-        else:
-            coeffs = so5_coefficients(F0)
+        coeffs = so5_from_params(h_config.get("params", {}))
         return crosscheck_so5(coeffs, t_end, steps, Z_max)
     raise ValueError(f"cross-check supports spin_half and so5, not {family!r}")
 

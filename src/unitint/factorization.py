@@ -17,7 +17,6 @@ import numpy as np
 
 from .hamiltonian import BlockedHamiltonian
 from .linalg import (
-    ContractViolationError,
     blockdiag,
     dagger,
     frobenius,
@@ -26,14 +25,7 @@ from .linalg import (
     sqrt_hpd,
     unitary_step,
 )
-from .riccati import (
-    DEFAULT_Z_MAX,
-    MIN_STEPS_BETWEEN_RESTARTS,
-    RiccatiTrajectory,
-    StiffnessError,
-    riccati_rhs,
-    rk4_step,
-)
+from .riccati import DEFAULT_Z_MAX, RiccatiTrajectory, _drive, riccati_rhs, rk4_step
 
 
 class UnsupportedConfigurationError(ValueError):
@@ -92,11 +84,31 @@ def gauge_unitarize(
 
 
 def unitarized_U1(z: np.ndarray) -> np.ndarray:
-    """U1 as a function of z alone (any block size)."""
+    """U1 as a function of z alone (any block size), in closed form.
+
+    U1 = [[gamma1^{-1/2}, z gamma2^{-1/2}], [-gamma2^{-1/2} z^H, gamma2^{-1/2}]]
+    with gamma1^{-1/2} = I - z f(gamma2) z^H, f(x) = 1/(sqrt(x)(sqrt(x)+1)).
+    It equals gauge_unitarize(assemble_tilde_U1(z), gamma1, gamma2)[0].  For a
+    column z, gamma2 is the scalar g; otherwise every block follows from one
+    SVD z = A diag(s) B^H, on which gamma2 = B diag(1 + s^2) B^H.
+    """
     z = np.atleast_2d(np.asarray(z, dtype=complex))
-    _, gamma1, gamma2 = unitarity_closure(z)
-    U1, _ = gauge_unitarize(assemble_tilde_U1(z), gamma1, gamma2)
-    return U1
+    m, n = z.shape
+    out = np.empty((m + n, m + n), dtype=complex)
+    if n == 1:
+        sg = np.sqrt(1.0 + (dagger(z) @ z)[0, 0].real)
+        out[:m, :m] = np.eye(m) - (z @ dagger(z)) / (sg * (sg + 1.0))
+        out[:m, m:] = z / sg
+        out[m:, :m] = -dagger(z) / sg
+        out[m:, m:] = 1.0 / sg
+        return out
+    A, s, Bh = np.linalg.svd(z, full_matrices=False)
+    c = np.sqrt(1.0 + s**2)
+    out[:m, :m] = np.eye(m) - (A * (s**2 / (c * (c + 1.0)))) @ dagger(A)
+    out[:m, m:] = (A * (s / c)) @ Bh
+    out[m:, :m] = -dagger(out[:m, m:])
+    out[m:, m:] = (dagger(Bh) / c) @ Bh
+    return out
 
 
 def gamma1_sqrt_closed(z: np.ndarray) -> np.ndarray:
@@ -115,24 +127,6 @@ def gamma1_inv_sqrt_closed(z: np.ndarray) -> np.ndarray:
         raise UnsupportedConfigurationError("closed form requires a column z (n=1)")
     g = 1.0 + (dagger(z) @ z)[0, 0].real
     return np.eye(z.shape[0], dtype=complex) - (z @ dagger(z)) / (np.sqrt(g) + g)
-
-
-def _unitarized_U1_column(z: np.ndarray) -> np.ndarray:
-    """Cheap closed-form U1 for a column z, avoiding eigendecompositions.
-
-    U1 = [[I - z z^H / (sqrt(g)(sqrt(g)+1)), z/sqrt(g)],
-          [-z^H / sqrt(g),                   1/sqrt(g)]].
-    """
-    z = np.atleast_2d(np.asarray(z, dtype=complex))
-    m = z.shape[0]
-    g = 1.0 + (dagger(z) @ z)[0, 0].real
-    sg = np.sqrt(g)
-    out = np.empty((m + 1, m + 1), dtype=complex)
-    out[:m, :m] = np.eye(m) - (z @ dagger(z)) / (sg * (sg + 1.0))
-    out[:m, m:] = z / sg
-    out[m:, :m] = -dagger(z) / sg
-    out[m, m] = 1.0 / sg
-    return out
 
 
 def base_coordinate(U: np.ndarray, N: int, n: int) -> np.ndarray:
@@ -299,13 +293,12 @@ class FactoredResult:
     def evolution(self, index: int = -1) -> FactoredEvolution:
         z = self.z_samples[index]
         w, gamma1, gamma2 = unitarity_closure(z)
-        U1, _ = gauge_unitarize(assemble_tilde_U1(z), gamma1, gamma2)
         return FactoredEvolution(
             z=z,
             w=w,
             gamma1=gamma1,
             gamma2=gamma2,
-            U1=U1,
+            U1=unitarized_U1(z),
             U2=self.U2_samples[index],
             U=self.U_samples[index],
             mu_total=None if self.mu_total is None else float(self.mu_total[index]),
@@ -318,6 +311,15 @@ class FactoredResult:
         )
 
 
+def _phase_rates(h_blocks, z: np.ndarray) -> np.ndarray:
+    """Integrands of (mu_total, geometric phase, Im mu) at one node (n=1)."""
+    return np.array([
+        _corner_bracket(h_blocks, z),
+        _geometric_integrand(h_blocks, z),
+        (dagger(h_blocks[1]) @ z)[0, 0].imag,
+    ])
+
+
 def solve_factored(
     h: BlockedHamiltonian,
     t_end: float,
@@ -328,114 +330,73 @@ def solve_factored(
 
     z advances with two half RK4 steps per grid step (the intermediate value
     feeds the fiber); the fiber factor U2 advances with the midpoint
-    exponential of the Hermitian effective Hamiltonian.  Restarts reset
-    z = 0 and fold the current factors into the accumulated evolution.
+    exponential of the Hermitian effective Hamiltonian, and a full-step RK4
+    copy of z gives the step-doubling error estimate.  Restarts reset z = 0
+    and fold the current factors into the accumulated evolution; at a
+    restart node z_samples holds the fresh zero while U_samples and
+    U2_samples keep the values the old segment reached there.
     """
     m, n = h.N - h.n, h.n
-    dt = t_end / steps
-    times = np.linspace(0.0, t_end, steps + 1)
-    z_samples = np.zeros((steps + 1, m, n), dtype=complex)
-    U_samples = np.zeros((steps + 1, h.N, h.N), dtype=complex)
-    U2_samples = np.zeros((steps + 1, h.N, h.N), dtype=complex)
-
     track_phases = n == 1
-    if track_phases:
-        mu = np.zeros(steps + 1)
-        geo = np.zeros(steps + 1)
-        imu = np.zeros(steps + 1)
-
-    z = np.zeros((m, n), dtype=complex)
-    z_coarse = np.zeros((m, n), dtype=complex)
-    U2 = np.eye(h.N, dtype=complex)
     U_accum = np.eye(h.N, dtype=complex)
     restarts: list = []
-    last_restart_step = -(MIN_STEPS_BETWEEN_RESTARTS + 1)
 
     def f(t, y):
         return riccati_rhs(h.blocks_unchecked(t), y)
 
-    def full_U(z_now, U2_now):
-        return unitarized_U1(z_now) @ U2_now @ U_accum
+    def zero_state(phases):
+        z0 = np.zeros((m, n), dtype=complex)
+        return z0, z0, np.eye(h.N, dtype=complex), phases
 
-    U_samples[0] = np.eye(h.N)
-    U2_samples[0] = np.eye(h.N)
-
-    for k in range(steps):
-        t = times[k]
+    def advance(t, dt, y):
+        z, z_coarse, U2, phases = y
         z_half = rk4_step(f, t, z, dt / 2.0)
         z_new = rk4_step(f, t + dt / 2.0, z_half, dt / 2.0)
-
-        if max(frobenius(z_half), frobenius(z_new)) >= Z_max:
-            if k - last_restart_step < MIN_STEPS_BETWEEN_RESTARTS:
-                raise StiffnessError(
-                    f"restart requested again after {k - last_restart_step} steps "
-                    f"at t={t:.6g}: trajectory passes too near the coordinate "
-                    "singularity"
-                )
-            last_restart_step = k
-            U_accum = full_U(z, U2)
-            restarts.append((t, U_accum))
-            z = np.zeros((m, n), dtype=complex)
-            z_coarse = z.copy()
-            z_samples[k] = z
-            U2 = np.eye(h.N, dtype=complex)
-            z_half = rk4_step(f, t, z, dt / 2.0)
-            z_new = rk4_step(f, t + dt / 2.0, z_half, dt / 2.0)
-
+        peak = np.maximum(frobenius(z_half), frobenius(z_new))  # max() could drop a NaN
+        if not peak < Z_max:  # the driver folds or raises; a runaway z breaks the fiber
+            return None, peak, None
         # fiber: midpoint exponential of the Hermitian effective Hamiltonian
-        t_mid = t + dt / 2.0
-        blocks_mid = h.blocks_unchecked(t_mid)
+        blocks_mid = h.blocks_unchecked(t + dt / 2.0)
         z_dot_mid = riccati_rhs(blocks_mid, z_half)
         upper, lower = effective_hamiltonian_hermitian(blocks_mid, z_half, z_dot_mid)
         U2 = blockdiag(unitary_step(upper, dt), unitary_step(lower, dt)) @ U2
-
         if track_phases:
             # trapezoid on the half grid, cumulative across restarts
-            blocks_a = h.blocks_unchecked(t)
-            blocks_b = h.blocks_unchecked(t + dt)
-            za, zb = z, z_new
-            for (ba, ya), (bb, yb), wgt in (
-                ((blocks_a, za), (blocks_mid, z_half), dt / 4.0),
-                ((blocks_mid, z_half), (blocks_b, zb), dt / 4.0),
-            ):
-                mu[k + 1] += -wgt * (_corner_bracket(ba, ya) + _corner_bracket(bb, yb))
-                geo[k + 1] += -wgt * (
-                    _geometric_integrand(ba, ya) + _geometric_integrand(bb, yb)
-                )
-                imu[k + 1] += -2.0 * wgt * (
-                    (dagger(ba[1]) @ ya)[0, 0].imag + (dagger(bb[1]) @ yb)[0, 0].imag
-                )
-            mu[k + 1] += mu[k]
-            geo[k + 1] += geo[k]
-            imu[k + 1] += imu[k]
+            r_a = _phase_rates(h.blocks_unchecked(t), z)
+            r_mid = _phase_rates(blocks_mid, z_half)
+            r_b = _phase_rates(h.blocks_unchecked(t + dt), z_new)
+            wgt = np.array([-dt / 4.0, -dt / 4.0, -dt / 2.0])
+            phases = (wgt * (r_a + r_mid) + wgt * (r_mid + r_b)) + phases
+        y_new = (z_new, rk4_step(f, t, z_coarse, dt), U2, phases)
+        return y_new, peak, (U2, unitarized_U1(z_new) @ U2 @ U_accum)
 
-        z = z_new
-        z_coarse = rk4_step(f, t, z_coarse, dt)
-        z_samples[k + 1] = z
-        U2_samples[k + 1] = U2
-        U_samples[k + 1] = full_U(z, U2)
+    def fold(t, y):
+        nonlocal U_accum
+        z, _, U2, phases = y
+        U_accum = unitarized_U1(z) @ U2 @ U_accum
+        restarts.append((t, U_accum))
+        return zero_state(phases)
 
-    est_error = frobenius(z - z_coarse)
+    y0 = zero_state(np.zeros(3) if track_phases else None)
+    times, states, extras = _drive(advance, fold, y0, t_end, steps, Z_max)
+    identity = np.eye(h.N, dtype=complex)
+    z_final, z_coarse_final = states[-1][:2]
     result = FactoredResult(
         h=h,
         times=times,
-        z_samples=z_samples,
-        U_samples=U_samples,
-        U2_samples=U2_samples,
+        z_samples=np.array([y[0] for y in states]),
+        U_samples=np.array([identity] + [e[1] for e in extras]),
+        U2_samples=np.array([identity] + [e[0] for e in extras]),
         restarts=restarts,
-        est_error=est_error,
+        est_error=frobenius(z_final - z_coarse_final),
     )
     if track_phases:
+        mu, geo, imu = np.array([y[3] for y in states]).T
         result.mu_total = mu
         result.phase_geometric = geo
         result.phase_dynamical = mu - geo
         result.imag_mu = imu
     return result
-
-
-def reconstruct_full(result: FactoredResult, index: int = -1) -> FactoredEvolution:
-    """Final factored evolution snapshot with all factors materialized."""
-    return result.evolution(index)
 
 
 def corner_phase(
@@ -513,14 +474,13 @@ class _HierState:
     def set_z(self, y: np.ndarray, k: int, val: np.ndarray) -> None:
         y[self.z_offsets[k] : self.z_offsets[k + 1]] = val.ravel()
 
-    def mu(self, y: np.ndarray) -> np.ndarray:
-        return y[self.nz : self.nz + self.N - 1].real
+    def levels(self, y: np.ndarray) -> np.ndarray:
+        """Rows mu, geo, phi of the per-level phases, as a (3, N-1) view."""
+        return y[self.nz :].real.reshape(3, self.N - 1)
 
-    def geo(self, y: np.ndarray) -> np.ndarray:
-        return y[self.nz + self.N - 1 : self.nz + 2 * (self.N - 1)].real
-
-    def phi(self, y: np.ndarray) -> np.ndarray:
-        return y[self.nz + 2 * (self.N - 1) :].real
+    def peak(self, y: np.ndarray) -> float:
+        """Largest per-level ||z||_F; a NaN in any level propagates."""
+        return np.sqrt(np.add.reduceat(np.abs(y[: self.nz]) ** 2, self.z_offsets[:-1]).max())
 
 
 def _hier_rhs(h: BlockedHamiltonian, packing: _HierState, t: float, y: np.ndarray) -> np.ndarray:
@@ -550,15 +510,14 @@ def _hier_rhs(h: BlockedHamiltonian, packing: _HierState, t: float, y: np.ndarra
 def _hier_assemble(packing: _HierState, y: np.ndarray) -> np.ndarray:
     """Nested product of unitarized factors and phase factors for one state."""
     N = packing.N
-    mu = packing.mu(y)
-    phi = packing.phi(y)
+    mu, _, phi = packing.levels(y)
     U = np.ones((1, 1), dtype=complex)
     for k in range(N - 2, -1, -1):
         d = N - k
         U2 = np.zeros((d, d), dtype=complex)
         U2[: d - 1, : d - 1] = np.exp(1j * phi[k]) * U
         U2[d - 1, d - 1] = np.exp(1j * mu[k])
-        U = _unitarized_U1_column(packing.z(y, k)) @ U2
+        U = unitarized_U1(packing.z(y, k)) @ U2
     return U
 
 
@@ -578,58 +537,34 @@ def hierarchical_solve(
         raise UnsupportedConfigurationError("hierarchical solve peels with n=1")
     N = h.N
     packing = _HierState(N)
-    dt = t_end / steps
-    times = np.linspace(0.0, t_end, steps + 1)
-
-    y = packing.zeros()
     U_accum = np.eye(N, dtype=complex)
     phase_offsets = np.zeros((3, N - 1))  # mu, geo, phi accumulated at restarts
     restarts: list = []
-    last_restart_step = -(MIN_STEPS_BETWEEN_RESTARTS + 1)
-
-    z_samples = np.zeros((steps + 1, N - 1, 1), dtype=complex)
-    U_samples = np.zeros((steps + 1, N, N), dtype=complex)
-    level_mu = np.zeros((steps + 1, N - 1))
-    level_geo = np.zeros((steps + 1, N - 1))
-    trace_phases = np.zeros((steps + 1, N - 1))
-    U_samples[0] = np.eye(N)
 
     def f(t, yy):
         return _hier_rhs(h, packing, t, yy)
 
-    for k in range(steps):
-        t = times[k]
+    def advance(t, dt, y):
         y_new = rk4_step(f, t, y, dt)
-        if any(
-            np.linalg.norm(packing.z(y_new, lvl)) >= Z_max for lvl in range(N - 1)
-        ):
-            if k - last_restart_step < MIN_STEPS_BETWEEN_RESTARTS:
-                raise StiffnessError(
-                    f"hierarchical restart requested again after "
-                    f"{k - last_restart_step} steps at t={t:.6g} "
-                    "(level trajectory near the coordinate singularity)"
-                )
-            last_restart_step = k
-            U_accum = _hier_assemble(packing, y) @ U_accum
-            restarts.append((t, U_accum))
-            phase_offsets[0] += packing.mu(y)
-            phase_offsets[1] += packing.geo(y)
-            phase_offsets[2] += packing.phi(y)
-            y = packing.zeros()
-            z_samples[k] = packing.z(y, 0)
-            y_new = rk4_step(f, t, y, dt)
-        y = y_new
-        z_samples[k + 1] = packing.z(y, 0)
-        level_mu[k + 1] = packing.mu(y) + phase_offsets[0]
-        level_geo[k + 1] = packing.geo(y) + phase_offsets[1]
-        trace_phases[k + 1] = packing.phi(y) + phase_offsets[2]
-        U_samples[k + 1] = _hier_assemble(packing, y) @ U_accum
+        U_new = _hier_assemble(packing, y_new) @ U_accum
+        return y_new, packing.peak(y_new), (packing.levels(y_new) + phase_offsets, U_new)
 
+    def fold(t, y):
+        nonlocal U_accum
+        U_accum = _hier_assemble(packing, y) @ U_accum
+        restarts.append((t, U_accum))
+        phase_offsets[:] += packing.levels(y)
+        return packing.zeros()
+
+    times, states, extras = _drive(advance, fold, packing.zeros(), t_end, steps, Z_max)
+    phases = np.zeros((steps + 1, 3, N - 1))
+    phases[1:] = [e[0] for e in extras]
+    level_mu, level_geo, trace_phases = phases.transpose(1, 0, 2)
     return HierarchicalResult(
         h=h,
         times=times,
-        z_samples=z_samples,
-        U_samples=U_samples,
+        z_samples=np.array([packing.z(y, 0) for y in states]),
+        U_samples=np.array([np.eye(N, dtype=complex)] + [e[1] for e in extras]),
         level_mu=level_mu,
         level_geo=level_geo,
         level_dyn=level_mu - level_geo,

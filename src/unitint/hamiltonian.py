@@ -126,6 +126,17 @@ def so5_coefficients(F) -> SO5Coefficients:
     return SO5Coefficients(F=lambda t: Fc)
 
 
+def so5_from_params(params: dict) -> SO5Coefficients:
+    """SO5Coefficients from scenario params: F, or F + F_cos cos(wt) + F_sin sin(wt)."""
+    F0 = np.asarray(params["F"], dtype=float)
+    if "F_cos" not in params and "F_sin" not in params:
+        return so5_coefficients(F0)
+    Fc = np.asarray(params.get("F_cos", np.zeros((5, 5))), dtype=float)
+    Fs = np.asarray(params.get("F_sin", np.zeros((5, 5))), dtype=float)
+    w = float(params.get("omega", 1.0))
+    return so5_coefficients(lambda t: F0 + Fc * np.cos(w * t) + Fs * np.sin(w * t))
+
+
 def so5_matrix(F: np.ndarray) -> np.ndarray:
     """The 4x4 two-qubit Hamiltonian for one antisymmetric F sample.
 
@@ -251,17 +262,7 @@ def from_config(config: dict) -> BlockedHamiltonian:
             )
         return spin_half(np.asarray(params["B"], dtype=float))
     if family == "so5":
-        F0 = np.asarray(params["F"], dtype=float)
-        if "F_cos" in params or "F_sin" in params:
-            Fc = np.asarray(params.get("F_cos", np.zeros((5, 5))), dtype=float)
-            Fs = np.asarray(params.get("F_sin", np.zeros((5, 5))), dtype=float)
-            w = float(params.get("omega", 1.0))
-            coeffs = so5_coefficients(
-                lambda t: F0 + Fc * np.cos(w * t) + Fs * np.sin(w * t)
-            )
-        else:
-            coeffs = so5_coefficients(F0)
-        return build_so5(coeffs)
+        return build_so5(so5_from_params(params))
     if family == "trig_random":
         return trig_random(
             int(config["N"]),

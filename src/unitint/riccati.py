@@ -4,11 +4,13 @@ The (N-n) x n coordinate z obeys
 
     i dz/dt = Htop z + V - z (V^H z + Hbot),
 
-integrated with classical fixed-step RK4 from z(0) = 0.  When ||z||_F would
-exceed the restart threshold the accumulated evolution is materialized and
-integration resumes from z = 0; the product structure U = U_segment U_accum
-makes that exact.  The SO(5) two-qubit case reduces to four real parameters
-and gets its own right-hand side.
+integrated with classical fixed-step RK4 from z(0) = 0.  Every solver path
+steps through one driver, ``_drive``, which is the only place restarts
+happen: when ||z||_F would exceed the restart threshold the path folds its
+current factors into the accumulated evolution and integration resumes from
+z = 0; the product structure U = U_segment U_accum makes that exact.  The
+SO(5) two-qubit case reduces to four real parameters and gets its own
+right-hand side.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .hamiltonian import BlockedHamiltonian, SO5Coefficients
-from .linalg import PAULI, dagger, frobenius
+from .linalg import PAULI, dagger
 
 DEFAULT_Z_MAX = 10.0
 # Restarts closer together than this many grid steps indicate the trajectory
@@ -64,6 +66,53 @@ def rk4_step(f, t: float, y: np.ndarray, dt: float) -> np.ndarray:
     k3 = f(t + dt / 2.0, y + dt / 2.0 * k2)
     k4 = f(t + dt, y + dt * k3)
     return y + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _drive(advance, fold, y0, t_end: float, steps: int, Z_max: float):
+    """Fixed-step driver shared by every solver path; restarts happen here only.
+
+    A path supplies a chart of two functions.  ``advance(t, dt, y)`` returns
+    ``(y_new, peak, extra)``: the state one grid step later, the coordinate
+    norm compared with Z_max, and the path's record of that step.
+    ``fold(t, y)`` folds the current segment into the path's accumulated
+    evolution and returns the zero state.  When a step's peak reaches Z_max
+    the segment is folded, the stored state at that grid node becomes the
+    zero state, and the step is retaken from it.
+
+    Returns (times, states, extras): states[k] is the state at times[k] and
+    extras[k] the record of the step from times[k] to times[k + 1].
+    Raises StiffnessError when a peak is not finite, when restarts come
+    fewer than MIN_STEPS_BETWEEN_RESTARTS steps apart, or when the step
+    retaken from the zero state reaches Z_max again.
+    """
+    dt = t_end / steps
+    times = np.linspace(0.0, t_end, steps + 1)
+    states, extras = [y0], []
+    y, last_restart = y0, None
+    for k in range(steps):
+        t = times[k]
+        y_new, peak, extra = advance(t, dt, y)
+        if not peak < Z_max:
+            if not np.isfinite(peak):
+                problem = f"coordinate norm is {peak}"
+            elif last_restart is not None and k - last_restart < MIN_STEPS_BETWEEN_RESTARTS:
+                problem = f"restart requested again after {k - last_restart} steps"
+            else:
+                last_restart = k
+                y = states[k] = fold(t, y)
+                y_new, peak, extra = advance(t, dt, y)
+                problem = None if peak < Z_max else (
+                    f"coordinate norm reaches {peak:.3g} within one step of a restart"
+                )
+            if problem:
+                raise StiffnessError(
+                    f"{problem} at t={t:.6g} (step {k}): trajectory passes too near "
+                    "the coordinate singularity"
+                )
+        y = y_new
+        states.append(y)
+        extras.append(extra)
+    return times, states, extras
 
 
 def integrate_riccati(
@@ -119,35 +168,21 @@ def integrate_so5(
 
     Returns (times, z samples of shape (steps+1, 4), restart times).  The
     restart rule matches the matrix form: the quaternionic rendering has
-    ||z||_F^2 = 2 z.z, so restarts trigger at the same trajectory points.
+    ||z||_F = sqrt(2 z.z), so restarts trigger at the same trajectory points.
     """
-    dt = t_end / steps
-    times = np.linspace(0.0, t_end, steps + 1)
-    samples = np.zeros((steps + 1, 4))
-    restarts = []
-    z = np.zeros(4)
-    last_restart_step = -(MIN_STEPS_BETWEEN_RESTARTS + 1)
+    restarts: list = []
 
     def f(t, y):
         return so5_rhs(coeffs.at(t), y)
 
-    for k in range(steps):
-        t = times[k]
+    def advance(t, dt, z):
         z_half = rk4_step(f, t, z, dt / 2.0)
         z_new = rk4_step(f, t + dt / 2.0, z_half, dt / 2.0)
-        if 2.0 * max(z_half @ z_half, z_new @ z_new) >= Z_max**2:
-            if k - last_restart_step < MIN_STEPS_BETWEEN_RESTARTS:
-                raise StiffnessError(
-                    f"restart requested again after {k - last_restart_step} steps "
-                    f"at t={t:.6g}: trajectory passes too near the coordinate "
-                    "singularity"
-                )
-            last_restart_step = k
-            restarts.append(t)
-            z = np.zeros(4)
-            samples[k] = z
-            z_half = rk4_step(f, t, z, dt / 2.0)
-            z_new = rk4_step(f, t + dt / 2.0, z_half, dt / 2.0)
-        z = z_new
-        samples[k + 1] = z
-    return times, samples, restarts
+        return z_new, np.sqrt(2.0 * np.maximum(z_half @ z_half, z_new @ z_new)), None
+
+    def fold(t, z):
+        restarts.append(t)
+        return np.zeros(4)
+
+    times, states, _ = _drive(advance, fold, np.zeros(4), t_end, steps, Z_max)
+    return times, np.array(states), restarts

@@ -119,5 +119,15 @@ def test_crosscheck_pictures_dispatch():
         {"family": "spin_half", "params": {"B": [0.0, 0.0, 1.0]}}, 1.0, 200
     )
     assert rep.max_deviation < 1e-9
+    F0 = np.zeros((5, 5))
+    F0[4, 3], F0[3, 4] = 0.5, -0.5
+    Fc = np.zeros((5, 5))
+    Fc[4, 0], Fc[0, 4] = 0.3, -0.3
+    params = {"F": F0.tolist(), "F_cos": Fc.tolist(), "omega": 2.0}
+    rep5 = crosscheck_pictures({"family": "so5", "params": params}, 1.0, 200)
+    assert rep5.max_deviation < 1e-9
+    # the driving term reaches the Riccati picture: F_cos couples z1 to the pole
+    static = crosscheck_pictures({"family": "so5", "params": {"F": params["F"]}}, 1.0, 200)
+    assert np.max(np.abs(rep5.m_riccati - static.m_riccati)) > 1e-3
     with pytest.raises(ValueError):
         crosscheck_pictures({"family": "constant"}, 1.0, 10)

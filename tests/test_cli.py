@@ -167,6 +167,15 @@ def test_main_exit_codes(tmp_path):
     assert main(["run", str(stiff), "--out", str(tmp_path / "out")]) == 3
 
 
+def test_main_runaway_is_solver_error(tmp_path, capsys):
+    # 12 steps cannot resolve a field of 60: the step retaken after the first
+    # restart runs away, which is a solver error, not a tolerance failure
+    p = _write(tmp_path, "runaway.json", _spin_half_scenario(
+        id="runaway", params={"B": [60.0, 0.0, 0.0]}, t_end=2.0, steps=12))
+    assert main(["run", str(p), "--out", str(tmp_path / "out")]) == 3
+    assert "solver error in runaway" in capsys.readouterr().err
+
+
 def test_main_overrides(tmp_path):
     p = _write(tmp_path, "s.json", _spin_half_scenario(id="ovr"))
     assert main(["run", str(p), "--out", str(tmp_path / "o"),

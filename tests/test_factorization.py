@@ -12,7 +12,6 @@ from unitint.factorization import (
     gamma1_sqrt_closed,
     gauge_unitarize,
     hierarchical_solve,
-    reconstruct_full,
     recursion_hamiltonian,
     schrodinger_residual,
     solve_factored,
@@ -105,6 +104,18 @@ def test_closed_form_sqrt_matches_eigendecomposition():
         assert frobenius(gamma1_sqrt_closed(z) @ gamma1_sqrt_closed(z) - g1) < 1e-12
 
 
+@pytest.mark.parametrize("m,n", [(1, 1), (3, 1), (7, 1), (2, 2), (4, 2), (3, 3)])
+def test_unitarized_U1_matches_gauge_chain(m, n):
+    # the closed form against the paper-level factors, out to |z| ~ 30
+    rng = np.random.default_rng(10 * m + n)
+    for scale in (0.3, 1.0, 3.0, 10.0, 20.0, 30.0):
+        for _ in range(5):
+            z = _random_z(rng, m, n) * scale / np.sqrt(2.0 * m * n)
+            _, gamma1, gamma2 = unitarity_closure(z)
+            chain, _ = gauge_unitarize(assemble_tilde_U1(z), gamma1, gamma2)
+            assert frobenius(unitarized_U1(z) - chain) < 1e-12
+
+
 def test_closed_form_requires_column():
     with pytest.raises(UnsupportedConfigurationError):
         gamma1_sqrt_closed(np.zeros((4, 2), dtype=complex))
@@ -188,7 +199,7 @@ def test_recursion_requires_n1():
 def test_solve_zero_hamiltonian():
     h = constant_hamiltonian(np.zeros((3, 3), dtype=complex))
     res = solve_factored(h, 1.0, 50)
-    ev = reconstruct_full(res)
+    ev = res.evolution()
     assert frobenius(ev.U - np.eye(3)) < 1e-13
     assert abs(ev.mu_total) < 1e-13 and abs(ev.phase_geometric) < 1e-13
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from unitint.factorization import hierarchical_solve, solve_factored
 from unitint.hamiltonian import so5_coefficients, spin_half, trig_random
 from unitint.linalg import frobenius
 from unitint.riccati import (
@@ -82,6 +83,48 @@ def test_stiffness_error_when_threshold_tiny():
     h = spin_half([1.0, 0.0, 0.0])
     with pytest.raises(StiffnessError):
         integrate_riccati(h, 3.0, 60, Z_max=0.05)
+
+
+def _so5_coupling(index, c):
+    F = np.zeros((5, 5))
+    F[4, index], F[index, 4] = c, -c
+    return so5_coefficients(F)
+
+
+# Each path restarts about every second step: spin-1/2 has |z| = tan(t/2) and
+# the F54 = 1/2 coupling gives ||z||_F = sqrt(2) tan(t/2), both against Z_max 0.05.
+GUARD_PATHS = {
+    "factored": lambda: solve_factored(spin_half([1.0, 0.0, 0.0]), 3.0, 60, Z_max=0.05),
+    "hierarchical": lambda: hierarchical_solve(spin_half([1.0, 0.0, 0.0]), 3.0, 60, Z_max=0.05),
+    "so5": lambda: integrate_so5(_so5_coupling(3, 0.5), 3.0, 60, Z_max=0.05),
+}
+
+
+@pytest.mark.parametrize("path", sorted(GUARD_PATHS))
+def test_restart_guard_on_every_path(path):
+    with pytest.raises(StiffnessError, match=r"restart requested again after \d steps at t=\S+ \(step \d+\)"):
+        GUARD_PATHS[path]()
+
+
+# Twelve steps to t = 3 are far too coarse for these couplings: the step
+# retaken from z = 0 after the first restart already runs away.
+RUNAWAY_PATHS = {
+    "factored": lambda: solve_factored(trig_random(4, seed=1, scale=80), 3.0, 12),
+    "hierarchical": lambda: hierarchical_solve(trig_random(4, seed=1, scale=80), 3.0, 12),
+    "so5": lambda: integrate_so5(_so5_coupling(0, 50.0), 3.0, 12),
+}
+
+
+@pytest.mark.parametrize("path", sorted(RUNAWAY_PATHS))
+def test_runaway_after_restart_raises(path):
+    with pytest.raises(StiffnessError, match=r"within one step of a restart at t=0 \(step 0\)"):
+        RUNAWAY_PATHS[path]()
+
+
+def test_non_finite_coordinate_raises():
+    # one 1-unit step of a coupling of 1000 overflows to NaN inside RK4
+    with np.errstate(all="ignore"), pytest.raises(StiffnessError, match=r"is nan at t=0 \(step 0\)"):
+        integrate_so5(_so5_coupling(0, 1e3), 12.0, 12)
 
 
 def test_step_doubling_error_estimate_scales():
