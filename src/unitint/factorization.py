@@ -17,13 +17,13 @@ import numpy as np
 
 from .hamiltonian import BlockedHamiltonian
 from .linalg import (
+    _unitary_step,
     blockdiag,
     dagger,
     frobenius,
     hermitian_eigendecomposition,
     inv_sqrt_hpd,
     sqrt_hpd,
-    unitary_step,
 )
 from .riccati import DEFAULT_Z_MAX, RiccatiTrajectory, _drive, riccati_rhs, rk4_step
 
@@ -168,6 +168,22 @@ def sqrt_derivative(gamma: np.ndarray, gamma_dot: np.ndarray) -> np.ndarray:
     return Q @ X @ dagger(Q)
 
 
+def _hermitian_block(Q, r, gamma_dot, core) -> np.ndarray:
+    """(i/2)[d/dt g^{-1/2}, g^{1/2}] + (1/2){g^{-1/2} core g^{1/2} + h.c.}.
+
+    g = Q diag(r^2) Q^H.  In that eigenbasis, with G = Q^H g_dot Q and
+    C = Q^H core Q, the block is He_ij = -(i/2) G_ij (r_j - r_i) /
+    ((r_i + r_j) r_i r_j) + (1/2)(C_ij r_j / r_i + conj(C_ji) r_i / r_j).
+    """
+    Qh = dagger(Q)
+    G = Qh @ gamma_dot @ Q
+    C = Qh @ core @ Q
+    ri, rj = r[:, None], r[None, :]
+    He = -0.5j * G * (rj - ri) / ((ri + rj) * ri * rj)
+    He += 0.5 * (C * (rj / ri) + dagger(C) * (ri / rj))
+    return Q @ He @ Qh
+
+
 def effective_hamiltonian_hermitian(
     h_blocks, z: np.ndarray, z_dot: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -176,25 +192,24 @@ def effective_hamiltonian_hermitian(
     upper = (i/2)[d/dt g1^{-1/2}, g1^{1/2}]
             + (1/2){g1^{-1/2} (Htop - z V^H) g1^{1/2} + h.c.}
     and the analogous expression with g2 and Hbot + z^H V for the lower
-    block.  z_dot must be the analytic Riccati right-hand side.
+    block.  z_dot must be the analytic Riccati right-hand side.  Both
+    gammas are diagonalised by one SVD z = A diag(s) B^H:
+    g1 = A diag(1 + s^2, 1, ...) A^H and g2 = B diag(1 + s^2, 1, ...) B^H.
     """
     Htop, V, Hbot = h_blocks
     z = np.atleast_2d(z)
     z_dot = np.atleast_2d(z_dot)
-    _, gamma1, gamma2 = unitarity_closure(z)
+    m, n = z.shape
+    A, s, Bh = np.linalg.svd(z)
+    c = np.sqrt(1.0 + s**2)
+    r1 = np.ones(m)
+    r1[: len(s)] = c
+    r2 = np.ones(n)
+    r2[: len(s)] = c
     g1_dot = z_dot @ dagger(z) + z @ dagger(z_dot)
     g2_dot = dagger(z_dot) @ z + dagger(z) @ z_dot
-
-    def block(gamma, gamma_dot, core):
-        s = sqrt_hpd(gamma)
-        s_inv = inv_sqrt_hpd(gamma)
-        ds = sqrt_derivative(gamma, gamma_dot)
-        ds_inv = -s_inv @ ds @ s_inv
-        A = s_inv @ core @ s
-        return 0.5j * (ds_inv @ s - s @ ds_inv) + 0.5 * (A + dagger(A))
-
-    upper = block(gamma1, g1_dot, Htop - z @ dagger(V))
-    lower = block(gamma2, g2_dot, Hbot + dagger(z) @ V)
+    upper = _hermitian_block(A, r1, g1_dot, Htop - z @ dagger(V))
+    lower = _hermitian_block(dagger(Bh), r2, g2_dot, Hbot + dagger(z) @ V)
     return upper, lower
 
 
@@ -331,18 +346,33 @@ def solve_factored(
     z advances with two half RK4 steps per grid step (the intermediate value
     feeds the fiber); the fiber factor U2 advances with the midpoint
     exponential of the Hermitian effective Hamiltonian, and a full-step RK4
-    copy of z gives the step-doubling error estimate.  Restarts reset z = 0
+    copy of z gives the step-doubling error estimate.  Every consumer reads
+    H at the step's five quarter nodes, each evaluated once and validated
+    (ModelError for a non-Hermitian or non-traceless model); H(t + dt)
+    carries over as the next step's H(t).  Restarts reset z = 0 and U2 = I
     and fold the current factors into the accumulated evolution; at a
-    restart node z_samples holds the fresh zero while U_samples and
-    U2_samples keep the values the old segment reached there.
+    restart node U_samples keeps the value the old segment reached there.
     """
     m, n = h.N - h.n, h.n
     track_phases = n == 1
     U_accum = np.eye(h.N, dtype=complex)
     restarts: list = []
+    step_t, quarter, H_nodes = None, None, []
+
+    def load_nodes(t, dt):
+        """H at t, t + dt/4, t + dt/2, t + 3dt/4, t + dt; a retaken step keeps them."""
+        nonlocal step_t, quarter, H_nodes
+        if t == step_t:
+            return
+        half = dt / 2.0
+        start = H_nodes[4] if H_nodes else h.blocks_at(t)
+        step_t, quarter = t, half / 2.0
+        rest = (t + quarter, t + half, t + half + quarter, t + dt)
+        H_nodes = [start] + [h.blocks_at(s) for s in rest]
 
     def f(t, y):
-        return riccati_rhs(h.blocks_unchecked(t), y)
+        # rk4_step only asks for quarter nodes of the current step
+        return riccati_rhs(H_nodes[round((t - step_t) / quarter)], y)
 
     def zero_state(phases):
         z0 = np.zeros((m, n), dtype=complex)
@@ -350,25 +380,26 @@ def solve_factored(
 
     def advance(t, dt, y):
         z, z_coarse, U2, phases = y
+        load_nodes(t, dt)
         z_half = rk4_step(f, t, z, dt / 2.0)
         z_new = rk4_step(f, t + dt / 2.0, z_half, dt / 2.0)
         peak = np.maximum(frobenius(z_half), frobenius(z_new))  # max() could drop a NaN
         if not peak < Z_max:  # the driver folds or raises; a runaway z breaks the fiber
             return None, peak, None
         # fiber: midpoint exponential of the Hermitian effective Hamiltonian
-        blocks_mid = h.blocks_unchecked(t + dt / 2.0)
-        z_dot_mid = riccati_rhs(blocks_mid, z_half)
-        upper, lower = effective_hamiltonian_hermitian(blocks_mid, z_half, z_dot_mid)
-        U2 = blockdiag(unitary_step(upper, dt), unitary_step(lower, dt)) @ U2
+        H_a, _, H_mid, _, H_b = H_nodes
+        upper, lower = effective_hamiltonian_hermitian(H_mid, z_half, riccati_rhs(H_mid, z_half))
+        lower_step = np.exp(-1j * lower.real * dt) if n == 1 else _unitary_step(lower, dt)
+        U2 = blockdiag(_unitary_step(upper, dt), lower_step) @ U2
         if track_phases:
             # trapezoid on the half grid, cumulative across restarts
-            r_a = _phase_rates(h.blocks_unchecked(t), z)
-            r_mid = _phase_rates(blocks_mid, z_half)
-            r_b = _phase_rates(h.blocks_unchecked(t + dt), z_new)
+            r_a = _phase_rates(H_a, z)
+            r_mid = _phase_rates(H_mid, z_half)
+            r_b = _phase_rates(H_b, z_new)
             wgt = np.array([-dt / 4.0, -dt / 4.0, -dt / 2.0])
             phases = (wgt * (r_a + r_mid) + wgt * (r_mid + r_b)) + phases
         y_new = (z_new, rk4_step(f, t, z_coarse, dt), U2, phases)
-        return y_new, peak, (U2, unitarized_U1(z_new) @ U2 @ U_accum)
+        return y_new, peak, unitarized_U1(z_new) @ U2 @ U_accum
 
     def fold(t, y):
         nonlocal U_accum
@@ -379,14 +410,13 @@ def solve_factored(
 
     y0 = zero_state(np.zeros(3) if track_phases else None)
     times, states, extras = _drive(advance, fold, y0, t_end, steps, Z_max)
-    identity = np.eye(h.N, dtype=complex)
     z_final, z_coarse_final = states[-1][:2]
     result = FactoredResult(
         h=h,
         times=times,
         z_samples=np.array([y[0] for y in states]),
-        U_samples=np.array([identity] + [e[1] for e in extras]),
-        U2_samples=np.array([identity] + [e[0] for e in extras]),
+        U_samples=np.array([np.eye(h.N, dtype=complex)] + extras),
+        U2_samples=np.array([y[2] for y in states]),
         restarts=restarts,
         est_error=frobenius(z_final - z_coarse_final),
     )

@@ -137,17 +137,12 @@ def so5_from_params(params: dict) -> SO5Coefficients:
     return so5_coefficients(lambda t: F0 + Fc * np.cos(w * t) + Fs * np.sin(w * t))
 
 
-def so5_matrix(F: np.ndarray) -> np.ndarray:
-    """The 4x4 two-qubit Hamiltonian for one antisymmetric F sample.
-
-    Tensor-product form, qubit 1 = leftmost factor:
+def _so5_kron_form(F: np.ndarray) -> np.ndarray:
+    """The two-qubit Hamiltonian of F in tensor-product form, qubit 1 = leftmost:
     F21 s2z - F31 s2y + F32 s2x - F4i s1z s2i + F5i s1x s2i - F54 s1y.
     """
     I2 = np.eye(2, dtype=complex)
-
-    def kron(a, b):
-        return np.kron(a, b)
-
+    kron = np.kron
     H = (
         F[1, 0] * kron(I2, SIGMA_Z)
         - F[2, 0] * kron(I2, SIGMA_Y)
@@ -157,6 +152,21 @@ def so5_matrix(F: np.ndarray) -> np.ndarray:
     for i in range(3):
         H = H - F[3, i] * kron(SIGMA_Z, PAULI[i]) + F[4, i] * kron(SIGMA_X, PAULI[i])
     return H
+
+
+# so5_matrix is linear in F: generator [a, b] is the kron form at the unit F e_a e_b^T.
+_SO5_GENERATORS = np.array([_so5_kron_form(E) for E in np.eye(25).reshape(25, 5, 5)]).reshape(
+    5, 5, 4, 4
+)
+
+
+def so5_matrix(F: np.ndarray) -> np.ndarray:
+    """The 4x4 two-qubit Hamiltonian for one antisymmetric F sample.
+
+    Equals ``_so5_kron_form(F)``, computed as one contraction of F with the
+    precomputed (5, 5, 4, 4) generator tensor.
+    """
+    return np.tensordot(F, _SO5_GENERATORS, axes=2)
 
 
 def so5_blocks_from_formula(F: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

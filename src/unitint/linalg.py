@@ -67,6 +67,16 @@ def unitarity_defect(M: np.ndarray) -> float:
     return frobenius(dagger(M) @ M - np.eye(M.shape[0]))
 
 
+def _require_hermitian(M: np.ndarray, tol: float = PREDICATE_TOL) -> np.ndarray:
+    M = _require_square(M)
+    if not is_hermitian(M, tol):
+        raise ContractViolationError(
+            f"matrix is not Hermitian within {tol:g}: defect "
+            f"{frobenius(M - dagger(M)):.3e}"
+        )
+    return M
+
+
 def hermitian_eigendecomposition(
     M: np.ndarray, tol: float = PREDICATE_TOL
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -74,12 +84,7 @@ def hermitian_eigendecomposition(
 
     Raises ContractViolationError for non-square or non-Hermitian input.
     """
-    M = _require_square(M)
-    if not is_hermitian(M, tol):
-        raise ContractViolationError(
-            f"matrix is not Hermitian within {tol:g}: defect "
-            f"{frobenius(M - dagger(M)):.3e}"
-        )
+    M = _require_hermitian(M, tol)
     w, Q = np.linalg.eigh(M)
     return w, Q
 
@@ -117,7 +122,12 @@ def unitary_step(H: np.ndarray, dt: float) -> np.ndarray:
     Exactly unitary up to roundoff, which keeps unitarity drift out of
     propagators built from it.
     """
-    w, Q = hermitian_eigendecomposition(H)
+    return _unitary_step(_require_hermitian(H), dt)
+
+
+def _unitary_step(H: np.ndarray, dt: float) -> np.ndarray:
+    """exp(-i H dt) without the Hermiticity check, for H Hermitian by construction."""
+    w, Q = np.linalg.eigh(H)
     return (Q * np.exp(-1j * w * dt)) @ dagger(Q)
 
 

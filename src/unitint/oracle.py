@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hamiltonian import BlockedHamiltonian, ModelError
-from .linalg import dagger, frobenius, is_hermitian, unitary_step
+from .linalg import _unitary_step, dagger, frobenius, is_hermitian
 
 
 @dataclass
@@ -51,7 +51,7 @@ def _propagate_once(evaluate, t_end: float, steps: int) -> np.ndarray:
         H = evaluate(t_mid)
         if not is_hermitian(H, 1e-10):
             raise ModelError(f"H(t={t_mid}) is not Hermitian within 1e-10")
-        U_samples[k + 1] = unitary_step(H, dt) @ U_samples[k]
+        U_samples[k + 1] = _unitary_step(H, dt) @ U_samples[k]
     return U_samples
 
 

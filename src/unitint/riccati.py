@@ -68,6 +68,7 @@ def rk4_step(f, t: float, y: np.ndarray, dt: float) -> np.ndarray:
     return y + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite peak raises StiffnessError
 def _drive(advance, fold, y0, t_end: float, steps: int, Z_max: float):
     """Fixed-step driver shared by every solver path; restarts happen here only.
 

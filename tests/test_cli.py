@@ -176,6 +176,21 @@ def test_main_runaway_is_solver_error(tmp_path, capsys):
     assert "solver error in runaway" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "matrix",
+    [[[1.0, 2.0], [0.0, -1.0]], [[1.0, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 3.0]]],
+    ids=["non_hermitian", "traceful"],
+)
+def test_main_invalid_model_is_solver_error(tmp_path, capsys, matrix):
+    p = _write(tmp_path, "invalid.json", {
+        "id": "invalid", "family": "constant", "N": len(matrix),
+        "params": {"matrix": [[[v, 0.0] for v in row] for row in matrix]},
+        "t_end": 1.0, "steps": 10,
+    })
+    assert main(["run", str(p), "--out", str(tmp_path / "out")]) == 3
+    assert "solver error in invalid" in capsys.readouterr().err
+
+
 def test_main_overrides(tmp_path):
     p = _write(tmp_path, "s.json", _spin_half_scenario(id="ovr"))
     assert main(["run", str(p), "--out", str(tmp_path / "o"),

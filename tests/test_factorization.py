@@ -19,7 +19,13 @@ from unitint.factorization import (
     unitarity_closure,
     unitarized_U1,
 )
-from unitint.hamiltonian import constant_hamiltonian, spin_half, trig_random
+from unitint.hamiltonian import (
+    BlockedHamiltonian,
+    ModelError,
+    constant_hamiltonian,
+    spin_half,
+    trig_random,
+)
 from unitint.linalg import (
     dagger,
     expm,
@@ -27,6 +33,7 @@ from unitint.linalg import (
     inv_sqrt_hpd,
     is_hermitian,
     is_unitary,
+    random_traceless_hermitian,
     sqrt_hpd,
 )
 from unitint.oracle import compare, propagate
@@ -160,6 +167,38 @@ def test_hermitian_effective_is_hermitian():
         assert is_hermitian(lo, 1e-9)
 
 
+def _effective_hamiltonian_by_eigh(h_blocks, z, z_dot):
+    # the fiber blocks composed from sqrt_hpd, inv_sqrt_hpd and sqrt_derivative
+    Htop, V, Hbot = h_blocks
+    _, gamma1, gamma2 = unitarity_closure(z)
+
+    def block(gamma, gamma_dot, core):
+        s, s_inv = sqrt_hpd(gamma), inv_sqrt_hpd(gamma)
+        ds_inv = -s_inv @ sqrt_derivative(gamma, gamma_dot) @ s_inv
+        A = s_inv @ core @ s
+        return 0.5j * (ds_inv @ s - s @ ds_inv) + 0.5 * (A + dagger(A))
+
+    return (
+        block(gamma1, z_dot @ dagger(z) + z @ dagger(z_dot), Htop - z @ dagger(V)),
+        block(gamma2, dagger(z_dot) @ z + dagger(z) @ z_dot, Hbot + dagger(z) @ V),
+    )
+
+
+@pytest.mark.parametrize("m,n", [(1, 1), (3, 1), (5, 1), (2, 2), (4, 2), (3, 3)])
+def test_hermitian_effective_matches_eigh_composition(m, n):
+    # the one-SVD form against three eigendecompositions per gamma, out to |z| ~ 30
+    rng = np.random.default_rng(20 * m + n)
+    for scale in (0.0, 0.3, 1.0, 3.0, 10.0, 30.0):
+        for _ in range(5):
+            H = random_traceless_hermitian(rng, m + n)
+            blocks = (H[:m, :m], H[:m, m:], H[m:, m:])
+            z = _random_z(rng, m, n) * scale / np.sqrt(2.0 * m * n)
+            z_dot = riccati_rhs(blocks, z)
+            got = effective_hamiltonian_hermitian(blocks, z, z_dot)
+            for a, b in zip(got, _effective_hamiltonian_by_eigh(blocks, z, z_dot)):
+                assert frobenius(a - b) < 1e-12
+
+
 def test_sqrt_derivative_vs_finite_differences():
     rng = np.random.default_rng(11)
     z0 = _random_z(rng, 3)
@@ -260,6 +299,52 @@ def test_solve_through_pole():
     assert len(res.restarts) >= 1
     expected = expm(0.5j * t_end * np.array([[0, 1], [1, 0]], dtype=complex))
     assert frobenius(res.U_samples[-1] - expected) < 1e-9
+
+
+def _counted(h):
+    times = []
+
+    def evaluate(t):
+        times.append(t)
+        return h.evaluator(t)
+
+    return BlockedHamiltonian(N=h.N, n=h.n, evaluator=evaluate), times
+
+
+@pytest.mark.parametrize("N,n,scale,folds", [(3, 1, 0.5, False), (4, 2, 0.5, False), (3, 1, 2.0, True)])
+def test_solve_evaluates_each_node_once(N, n, scale, folds):
+    # five quarter nodes per step, the first carried over from the step before;
+    # a step retaken after a fold reuses its nodes
+    counted, times = _counted(trig_random(N, n=n, seed=1, scale=scale))
+    steps = 230
+    res = solve_factored(counted, 3.0, steps, Z_max=2.0)
+    assert bool(res.restarts) == folds
+    assert len(times) <= 4 * steps + 1
+    assert len(set(times)) == len(times)
+
+
+@pytest.mark.parametrize(
+    "M",
+    [np.array([[1.0, 2.0], [0.0, -1.0]]), np.diag([1.0, 2.0, 3.0]).astype(complex)],
+    ids=["non_hermitian", "traceful"],
+)
+def test_solve_rejects_invalid_model(M):
+    with pytest.raises(ModelError):
+        solve_factored(constant_hamiltonian(M), 1.0, 10)
+
+
+def test_factors_reassemble_at_every_node():
+    # U = U1(z) U2 U_accum at every node, restart nodes included, where z = 0 and U2 = I
+    res = solve_factored(trig_random(3, seed=1, scale=2), 3.0, 230, Z_max=2.0)
+    restart_ops = dict(res.restarts)
+    assert restart_ops
+    U_accum = np.eye(3)
+    for k, t in enumerate(res.times):
+        U_accum = restart_ops.get(t, U_accum)
+        U = unitarized_U1(res.z_samples[k]) @ res.U2_samples[k] @ U_accum
+        assert frobenius(U - res.U_samples[k]) < 1e-12
+        if t in restart_ops:
+            assert np.array_equal(res.U2_samples[k], np.eye(3))
 
 
 # ---------------------------------------------------------------- corner phases

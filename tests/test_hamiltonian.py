@@ -3,6 +3,7 @@ import pytest
 
 from unitint.hamiltonian import (
     ModelError,
+    _so5_kron_form,
     build_so5,
     constant_hamiltonian,
     from_config,
@@ -114,6 +115,13 @@ def test_so5_formula_matches_tensor_form():
         rebuilt = np.block([[Htop, V], [dagger(V), Hbot]])
         assert frobenius(rebuilt - M) < 1e-12
         assert is_hermitian(M, 1e-12) and is_traceless(M, 1e-12)
+
+
+def test_so5_contraction_matches_kron_form():
+    rng = np.random.default_rng(13)
+    for _ in range(200):
+        F = _random_F(rng)
+        assert np.max(np.abs(so5_matrix(F) - _so5_kron_form(F))) <= 1e-15
 
 
 def test_so5_block_sum_property():

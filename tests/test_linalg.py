@@ -18,6 +18,7 @@ from unitint.linalg import (
     is_unitary,
     random_traceless_hermitian,
     sqrt_hpd,
+    unitary_step,
 )
 
 
@@ -90,6 +91,13 @@ def test_expm_zero_and_pauli():
     # exp(i theta sigma_x) = cos(theta) I + i sin(theta) sigma_x
     theta = np.pi / 2
     assert np.allclose(expm(1j * theta * SIGMA_X), 1j * SIGMA_X, atol=1e-14)
+
+
+def test_unitary_step_matches_expm_and_checks_input():
+    H = random_traceless_hermitian(np.random.default_rng(5), 4)
+    assert frobenius(unitary_step(H, 0.7) - expm(-0.7j * H)) < 1e-13
+    with pytest.raises(ContractViolationError, match="not Hermitian"):
+        unitary_step(np.array([[1.0, 2.0], [0.0, -1.0]]), 0.1)
 
 
 def test_expm_nilpotent_truncates():

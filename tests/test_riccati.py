@@ -121,10 +121,14 @@ def test_runaway_after_restart_raises(path):
         RUNAWAY_PATHS[path]()
 
 
+@pytest.mark.filterwarnings("error")  # numpy must not warn before the driver names the divergence
 def test_non_finite_coordinate_raises():
     # one 1-unit step of a coupling of 1000 overflows to NaN inside RK4
-    with np.errstate(all="ignore"), pytest.raises(StiffnessError, match=r"is nan at t=0 \(step 0\)"):
+    with pytest.raises(StiffnessError, match=r"is nan at t=0 \(step 0\)"):
         integrate_so5(_so5_coupling(0, 1e3), 12.0, 12)
+    # so does the first step of the factored solve at field scale 200
+    with pytest.raises(StiffnessError, match=r"is (nan|inf) at t=0 \(step 0\)"):
+        solve_factored(trig_random(4, seed=1, scale=200), 3.0, 12)
 
 
 def test_step_doubling_error_estimate_scales():
