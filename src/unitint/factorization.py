@@ -219,17 +219,45 @@ def recursion_hamiltonian(h_blocks, z: np.ndarray) -> np.ndarray:
     H' = Htop - (z V^H + V z^H)/(sqrt(g)+1)
          - z (z^H V + V^H z) z^H / (2 (sqrt(g)+1)^2),
     whose trace equals -(H_NN + Re(V^H z)); the peeled corner phase restores
-    it.
+    it.  The formula lives in the peel's level kernel, _peel_level.
     """
     Htop, V, Hbot = h_blocks
     z = np.atleast_2d(np.asarray(z, dtype=complex))
     if z.shape[1] != 1 or V.shape[1] != 1:
         raise UnsupportedConfigurationError("recursion requires block size 1")
-    g = 1.0 + (dagger(z) @ z)[0, 0].real
-    sg = np.sqrt(g)
-    cross = z @ dagger(V) + V @ dagger(z)
-    scalar = 2.0 * (dagger(V) @ z)[0, 0].real
-    return Htop - cross / (sg + 1.0) - (z @ dagger(z)) * scalar / (2.0 * (sg + 1.0) ** 2)
+    _, (_, _, phi_rate), H_next = _peel_level(Htop, V[:, 0], Hbot[0, 0], z[:, 0])
+    H_next.ravel()[:: len(H_next) + 1] -= phi_rate  # undo the trace shift tau/m = -phi_rate
+    return H_next
+
+
+def _peel_level(Htop: np.ndarray, v: np.ndarray, h, z: np.ndarray):
+    """Everything one level of the n=1 peel needs, from V^H z, |z|^2 and Htop z.
+
+    Htop (m x m), the column v and the corner h partition a traceless
+    (m+1)-level H; z is the level's coordinate as a 1-D array.  Returns
+    (dz/dt, (mu rate, geometric rate, trace-phase rate), H_next): dz/dt is
+    riccati_rhs, the first two rates are -_corner_bracket and
+    -_geometric_integrand, and H_next is recursion_hamiltonian's H' with its
+    trace removed, the rank-2 update H' = Htop - z u^H - u z^H, u =
+    a v + (Re(V^H z) a^2 / 2) z, a = 1/(sqrt(g)+1).  Its trace tau = -h -
+    2 Re(u^H z) relies on tr Htop = -h; the trace phase advances at -tau/m.
+    """
+    m = len(z)
+    hnn = h.real
+    vz = np.vdot(v, z)
+    zz = np.vdot(z, z).real
+    Hz = Htop @ z
+    re_vz = vz.real
+    g = 1.0 + zz
+    dz = -1j * (Hz + v - z * (vz + h))
+    quad = np.vdot(z, Hz).real - hnn * zz
+    geo_rate = (quad + 2.0 * re_vz * (1.0 - g / 2.0)) / g
+    a = 1.0 / (np.sqrt(g) + 1.0)
+    u = a * v + (0.5 * re_vz * a * a) * z
+    tau = -hnn - 2.0 * np.vdot(u, z).real
+    H_next = Htop - z[:, None] * u.conj() - u[:, None] * z.conj()
+    H_next.ravel()[:: m + 1] -= tau / m
+    return dz, (-(hnn + re_vz), geo_rate, -tau / m), H_next
 
 
 def _corner_bracket(h_blocks, z: np.ndarray) -> float:
@@ -326,6 +354,30 @@ class FactoredResult:
         )
 
 
+class _StepNodes:
+    """H at the nodes t + j dt/parts, j = 0..parts, of one grid step, each read once.
+
+    ``read`` is a validating evaluator such as BlockedHamiltonian.blocks_at.
+    The end node carries over as the next step's start node, and a step the
+    driver retakes after a fold keeps its nodes.  ``at`` serves the RK4 stage
+    times, which are all nodes of the current step.
+    """
+
+    def __init__(self, read, parts: int):
+        self.read, self.parts = read, parts
+        self.t, self.spacing, self.H = None, None, []
+
+    def load(self, t: float, dt: float) -> None:
+        if t == self.t:
+            return
+        start = self.H[-1] if self.H else self.read(t)
+        self.t, self.spacing = t, dt / self.parts
+        self.H = [start] + [self.read(t + j * self.spacing) for j in range(1, self.parts + 1)]
+
+    def at(self, s: float):
+        return self.H[round((s - self.t) / self.spacing)]
+
+
 def _phase_rates(h_blocks, z: np.ndarray) -> np.ndarray:
     """Integrands of (mu_total, geometric phase, Im mu) at one node (n=1)."""
     return np.array([
@@ -357,22 +409,10 @@ def solve_factored(
     track_phases = n == 1
     U_accum = np.eye(h.N, dtype=complex)
     restarts: list = []
-    step_t, quarter, H_nodes = None, None, []
-
-    def load_nodes(t, dt):
-        """H at t, t + dt/4, t + dt/2, t + 3dt/4, t + dt; a retaken step keeps them."""
-        nonlocal step_t, quarter, H_nodes
-        if t == step_t:
-            return
-        half = dt / 2.0
-        start = H_nodes[4] if H_nodes else h.blocks_at(t)
-        step_t, quarter = t, half / 2.0
-        rest = (t + quarter, t + half, t + half + quarter, t + dt)
-        H_nodes = [start] + [h.blocks_at(s) for s in rest]
+    nodes = _StepNodes(h.blocks_at, 4)
 
     def f(t, y):
-        # rk4_step only asks for quarter nodes of the current step
-        return riccati_rhs(H_nodes[round((t - step_t) / quarter)], y)
+        return riccati_rhs(nodes.at(t), y)
 
     def zero_state(phases):
         z0 = np.zeros((m, n), dtype=complex)
@@ -380,14 +420,14 @@ def solve_factored(
 
     def advance(t, dt, y):
         z, z_coarse, U2, phases = y
-        load_nodes(t, dt)
+        nodes.load(t, dt)
         z_half = rk4_step(f, t, z, dt / 2.0)
         z_new = rk4_step(f, t + dt / 2.0, z_half, dt / 2.0)
         peak = np.maximum(frobenius(z_half), frobenius(z_new))  # max() could drop a NaN
         if not peak < Z_max:  # the driver folds or raises; a runaway z breaks the fiber
             return None, peak, None
         # fiber: midpoint exponential of the Hermitian effective Hamiltonian
-        H_a, _, H_mid, _, H_b = H_nodes
+        H_a, _, H_mid, _, H_b = nodes.H
         upper, lower = effective_hamiltonian_hermitian(H_mid, z_half, riccati_rhs(H_mid, z_half))
         lower_step = np.exp(-1j * lower.real * dt) if n == 1 else _unitary_step(lower, dt)
         U2 = blockdiag(_unitary_step(upper, dt), lower_step) @ U2
@@ -490,19 +530,14 @@ class _HierState:
 
     def __init__(self, N: int):
         self.N = N
-        self.z_sizes = [N - 1 - k for k in range(N - 1)]
-        self.z_offsets = np.concatenate(([0], np.cumsum(self.z_sizes)))
+        sizes = [N - 1 - k for k in range(N - 1)]
+        self.z_offsets = np.concatenate(([0], np.cumsum(sizes)))
+        self.z_slices = [slice(lo, hi) for lo, hi in zip(self.z_offsets[:-1], self.z_offsets[1:])]
         self.nz = int(self.z_offsets[-1])
         self.size = self.nz + 3 * (N - 1)  # z blocks, mu, geo, phi
 
     def zeros(self) -> np.ndarray:
         return np.zeros(self.size, dtype=complex)
-
-    def z(self, y: np.ndarray, k: int) -> np.ndarray:
-        return y[self.z_offsets[k] : self.z_offsets[k + 1]].reshape(-1, 1)
-
-    def set_z(self, y: np.ndarray, k: int, val: np.ndarray) -> None:
-        y[self.z_offsets[k] : self.z_offsets[k + 1]] = val.ravel()
 
     def levels(self, y: np.ndarray) -> np.ndarray:
         """Rows mu, geo, phi of the per-level phases, as a (3, N-1) view."""
@@ -513,41 +548,27 @@ class _HierState:
         return np.sqrt(np.add.reduceat(np.abs(y[: self.nz]) ** 2, self.z_offsets[:-1]).max())
 
 
-def _hier_rhs(h: BlockedHamiltonian, packing: _HierState, t: float, y: np.ndarray) -> np.ndarray:
-    N = packing.N
-    dy = np.zeros_like(y)
-    Hk = h.matrix(t)
-    mu_dot = np.zeros(N - 1)
-    geo_dot = np.zeros(N - 1)
-    phi_dot = np.zeros(N - 1)
-    for k in range(N - 1):
-        d = N - k
-        blocks = (Hk[: d - 1, : d - 1], Hk[: d - 1, d - 1 :], Hk[d - 1 :, d - 1 :])
-        z = packing.z(y, k)
-        packing.set_z(dy, k, riccati_rhs(blocks, z))
-        mu_dot[k] = -_corner_bracket(blocks, z)
-        geo_dot[k] = -_geometric_integrand(blocks, z)
-        Hnext = recursion_hamiltonian(blocks, z)
-        tau = float(np.real(np.trace(Hnext)))
-        phi_dot[k] = -tau / (d - 1)
-        Hk = Hnext - (tau / (d - 1)) * np.eye(d - 1)
-    dy[packing.nz : packing.nz + N - 1] = mu_dot
-    dy[packing.nz + N - 1 : packing.nz + 2 * (N - 1)] = geo_dot
-    dy[packing.nz + 2 * (N - 1) :] = phi_dot
-    return dy
-
-
 def _hier_assemble(packing: _HierState, y: np.ndarray) -> np.ndarray:
-    """Nested product of unitarized factors and phase factors for one state."""
-    N = packing.N
+    """U1(z_0) blockdiag(e^{i phi_0} U1(z_1) blockdiag(...), e^{i mu_0}) for one state.
+
+    Level by level, innermost first, the columns of U1(z) blockdiag(e^{i phi} U,
+    e^{i mu}) in closed form, with s = sqrt(1 + |z|^2):
+    [[e^{i phi}(U - z (z^H U)/(s(s+1))), e^{i mu} z/s], [-e^{i phi} z^H U/s, e^{i mu}/s]].
+    """
     mu, _, phi = packing.levels(y)
     U = np.ones((1, 1), dtype=complex)
-    for k in range(N - 2, -1, -1):
-        d = N - k
-        U2 = np.zeros((d, d), dtype=complex)
-        U2[: d - 1, : d - 1] = np.exp(1j * phi[k]) * U
-        U2[d - 1, d - 1] = np.exp(1j * mu[k])
-        U = unitarized_U1(packing.z(y, k)) @ U2
+    for k in range(packing.N - 2, -1, -1):
+        z = y[packing.z_slices[k]]
+        m = len(z)
+        s = np.sqrt(1.0 + np.vdot(z, z).real)
+        e_phi, e_mu = np.exp(1j * phi[k]), np.exp(1j * mu[k]) / s
+        zhU = z.conj() @ U
+        out = np.empty((m + 1, m + 1), dtype=complex)
+        out[:m, :m] = e_phi * (U - z[:, None] * (zhU / (s * (s + 1.0))))
+        out[:m, m] = e_mu * z
+        out[m, :m] = (-e_phi / s) * zhU
+        out[m, m] = e_mu
+        U = out
     return U
 
 
@@ -561,20 +582,31 @@ def hierarchical_solve(
 
     Every level's Riccati coordinate, corner phase and trace phase advance
     jointly in a single RK4 state, so all quadrature inherits the
-    integrator's fourth-order accuracy.
+    integrator's fourth-order accuracy.  H is read once per distinct node of
+    a step (t, t + dt/2, t + dt) and validated there (ModelError for a
+    non-Hermitian or non-traceless model); H(t + dt) carries over as the next
+    step's H(t), and a step retaken after a restart reuses its nodes.
     """
     if h.n != 1:
         raise UnsupportedConfigurationError("hierarchical solve peels with n=1")
     N = h.N
     packing = _HierState(N)
+    nodes = _StepNodes(h.checked_matrix, 2)
     U_accum = np.eye(N, dtype=complex)
     phase_offsets = np.zeros((3, N - 1))  # mu, geo, phi accumulated at restarts
     restarts: list = []
 
-    def f(t, yy):
-        return _hier_rhs(h, packing, t, yy)
+    def f(t, y):
+        Hk = nodes.at(t)
+        dy = np.empty_like(y)
+        rates = dy[packing.nz :].reshape(3, N - 1)
+        for k, level in enumerate(packing.z_slices):
+            m = N - 1 - k
+            dy[level], rates[:, k], Hk = _peel_level(Hk[:m, :m], Hk[:m, m], Hk[m, m], y[level])
+        return dy
 
     def advance(t, dt, y):
+        nodes.load(t, dt)
         y_new = rk4_step(f, t, y, dt)
         U_new = _hier_assemble(packing, y_new) @ U_accum
         return y_new, packing.peak(y_new), (packing.levels(y_new) + phase_offsets, U_new)
@@ -593,7 +625,7 @@ def hierarchical_solve(
     return HierarchicalResult(
         h=h,
         times=times,
-        z_samples=np.array([packing.z(y, 0) for y in states]),
+        z_samples=np.array([y[: N - 1] for y in states])[:, :, None],
         U_samples=np.array([np.eye(N, dtype=complex)] + [e[1] for e in extras]),
         level_mu=level_mu,
         level_geo=level_geo,

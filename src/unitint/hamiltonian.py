@@ -57,13 +57,18 @@ class BlockedHamiltonian:
             raise ModelError(f"evaluator returned shape {M.shape}, expected {(self.N, self.N)}")
         return M
 
-    def blocks_at(self, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(Htop, V, Hbot) at time t, validating Hermiticity and tracelessness."""
+    def checked_matrix(self, t: float) -> np.ndarray:
+        """H(t), validated: the right shape, Hermitian and traceless within MODEL_TOL."""
         M = self.matrix(t)
         if not is_hermitian(M, MODEL_TOL):
             raise ModelError(f"H(t={t}) is not Hermitian within {MODEL_TOL:g}")
         if not is_traceless(M, MODEL_TOL):
             raise ModelError(f"H(t={t}) is not traceless within {MODEL_TOL:g}")
+        return M
+
+    def blocks_at(self, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(Htop, V, Hbot) at time t, validating Hermiticity and tracelessness."""
+        M = self.checked_matrix(t)
         m = self.N - self.n
         return M[:m, :m], M[:m, m:], M[m:, m:]
 

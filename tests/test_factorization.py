@@ -1,8 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from unitint import factorization, riccati
 from unitint.factorization import (
     UnsupportedConfigurationError,
+    _corner_bracket,
+    _geometric_integrand,
+    _hier_assemble,
+    _HierState,
+    _peel_level,
     assemble_tilde_U1,
     base_coordinate,
     corner_phase,
@@ -27,6 +35,7 @@ from unitint.hamiltonian import (
     trig_random,
 )
 from unitint.linalg import (
+    blockdiag,
     dagger,
     expm,
     frobenius,
@@ -232,6 +241,37 @@ def test_recursion_requires_n1():
         recursion_hamiltonian(h.blocks_at(0.0), np.zeros((2, 2), dtype=complex))
 
 
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), N=st.integers(2, 8), radius=st.floats(0.0, 30.0))
+def test_peel_level_matches_public_composition(seed, N, radius):
+    rng = np.random.default_rng(seed)
+    H = random_traceless_hermitian(rng, N, 3.0)
+    m = N - 1
+    blocks = Htop, V, _ = (H[:m, :m], H[:m, m:], H[m:, m:])
+    z = _random_z(rng, m)
+    z *= radius / frobenius(z)
+    dz, rates, H_next = _peel_level(Htop, V[:, 0], H[m, m], z[:, 0])
+    # the peel formula written out, then the trace shift
+    sg = np.sqrt(1.0 + frobenius(z) ** 2)
+    Hp = (
+        Htop
+        - (z @ dagger(V) + V @ dagger(z)) / (sg + 1.0)
+        - (z @ dagger(z)) * (dagger(V) @ z)[0, 0].real / (sg + 1.0) ** 2
+    )
+    tau = np.trace(Hp).real
+    pairs = [
+        (dz, riccati_rhs(blocks, z)[:, 0]),
+        (
+            np.array(rates),
+            np.array([-_corner_bracket(blocks, z), -_geometric_integrand(blocks, z), -tau / m]),
+        ),
+        (H_next, Hp - (tau / m) * np.eye(m)),
+        (recursion_hamiltonian(blocks, z), Hp),
+    ]
+    for got, want in pairs:
+        assert frobenius(got - want) <= 1e-12 * max(frobenius(want), frobenius(H))
+
+
 # ----------------------------------------------------------------- direct solve
 
 
@@ -323,11 +363,14 @@ def test_solve_evaluates_each_node_once(N, n, scale, folds):
     assert len(set(times)) == len(times)
 
 
-@pytest.mark.parametrize(
+_invalid_models = pytest.mark.parametrize(
     "M",
     [np.array([[1.0, 2.0], [0.0, -1.0]]), np.diag([1.0, 2.0, 3.0]).astype(complex)],
     ids=["non_hermitian", "traceful"],
 )
+
+
+@_invalid_models
 def test_solve_rejects_invalid_model(M):
     with pytest.raises(ModelError):
         solve_factored(constant_hamiltonian(M), 1.0, 10)
@@ -432,6 +475,60 @@ def test_gamma_dot_identity():
 def test_hierarchical_requires_n1():
     with pytest.raises(UnsupportedConfigurationError):
         hierarchical_solve(trig_random(4, n=2, seed=0), 1.0, 10)
+
+
+@_invalid_models
+def test_hierarchical_rejects_invalid_model(M):
+    with pytest.raises(ModelError):
+        hierarchical_solve(constant_hamiltonian(M), 1.0, 10)
+
+
+@pytest.mark.parametrize("N,scale,folds", [(3, 0.5, False), (5, 0.5, False), (3, 2.0, True)])
+def test_hierarchical_evaluates_each_node_once(N, scale, folds):
+    # nodes t, t + dt/2 and t + dt per step, the first carried over from the
+    # step before; a step retaken after a fold reuses its nodes
+    counted, times = _counted(trig_random(N, seed=1, scale=scale))
+    steps = 230
+    res = hierarchical_solve(counted, 3.0, steps, Z_max=2.0)
+    assert bool(res.restarts) == folds
+    assert len(times) <= 2 * steps + 1
+    assert len(set(times)) == len(times)
+
+
+def _nested_assembly(packing, y):
+    """U1(z_k) blockdiag(e^{i phi_k} U, e^{i mu_k}), innermost level first."""
+    mu, _, phi = packing.levels(y)
+    U = np.ones((1, 1), dtype=complex)
+    for k in range(packing.N - 2, -1, -1):
+        z = y[packing.z_slices[k]].reshape(-1, 1)
+        U = unitarized_U1(z) @ blockdiag(np.exp(1j * phi[k]) * U, np.exp(1j * mu[k]))
+    return U
+
+
+@pytest.mark.parametrize("N", range(2, 9))
+def test_hier_assemble_matches_nested_product(N, monkeypatch):
+    rng = np.random.default_rng(N)
+    packing = _HierState(N)
+    y = packing.zeros()
+    for level in packing.z_slices:
+        z = _random_z(rng, level.stop - level.start)[:, 0]
+        y[level] = z * (rng.uniform(0.0, 10.0) / frobenius(z))
+    y[packing.nz :] = rng.uniform(-np.pi, np.pi, 3 * (N - 1))
+    states = [y]
+
+    # and every state a solve folds, i.e. the last state before a restart
+    def drive(advance, fold, *args):
+        def keep(t, state):
+            states.append(state.copy())
+            return fold(t, state)
+
+        return riccati._drive(advance, keep, *args)
+
+    monkeypatch.setattr(factorization, "_drive", drive)
+    res = hierarchical_solve(trig_random(N, seed=1, scale=2.0), 3.0, 200, Z_max=2.0)
+    assert len(states) == 1 + len(res.restarts) > 1
+    for y in states:
+        assert frobenius(_hier_assemble(packing, y) - _nested_assembly(packing, y)) < 1e-13
 
 
 def test_hierarchical_constant_su3():
