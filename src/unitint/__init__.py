@@ -23,7 +23,6 @@ from .factorization import (
     HierarchicalResult,
     assemble_tilde_U1,
     base_coordinate,
-    corner_phase,
     effective_hamiltonian_hermitian,
     effective_hamiltonian_tilde,
     gauge_unitarize,
@@ -62,9 +61,7 @@ from .linalg import (
 )
 from .oracle import compare, propagate
 from .riccati import (
-    RiccatiTrajectory,
     StiffnessError,
-    integrate_riccati,
     integrate_so5,
     riccati_rhs,
     so5_rhs,

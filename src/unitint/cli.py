@@ -30,6 +30,7 @@ from .factorization import (
     recursion_hamiltonian,
     solve_factored,
     unitarity_closure,
+    unitarized_U1,
 )
 from .hamiltonian import ModelError, from_config, so5_coefficients, trig_random
 from .linalg import (
@@ -53,45 +54,97 @@ def _matrix_to_pairs(M: np.ndarray):
     return [[[float(v.real), float(v.imag)] for v in row] for row in np.asarray(M, complex)]
 
 
+PATHS = ("factorized", "hierarchical", "bloch", "oracle")
+BLOCH_FAMILIES = ("spin_half", "so5")
+TOLERANCE_NAMES = ("oracle_distance", "unitarity", "bloch_deviation", "est_error")
+
+
 def load_scenario(path: Path) -> dict:
+    """Read a scenario file, fill in the defaults and check every field but the model."""
     try:
         raw = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
-        raise ScenarioError(f"{path}: invalid JSON at line {exc.lineno}, col {exc.colno}: {exc.msg}")
-    for key in ("id", "family", "t_end", "steps"):
-        if key not in raw:
-            raise ScenarioError(f"{path}: missing required field {key!r}")
-    raw.setdefault("N", 2)
-    raw.setdefault("n", 1)
-    raw.setdefault("Z_max", 10.0)
-    raw.setdefault("paths", ["factorized", "oracle"])
-    raw.setdefault("tolerances", {})
-    N, n = int(raw["N"]), int(raw["n"])
-    if N < 2 or not (1 <= n <= N // 2):
-        raise ScenarioError(f"{path}: need N >= 2 and 1 <= n <= N/2, got N={N}, n={n}")
-    if float(raw["t_end"]) <= 0 or int(raw["steps"]) < 1:
-        raise ScenarioError(f"{path}: need t_end > 0 and steps >= 1")
-    unknown = set(raw["paths"]) - {"factorized", "hierarchical", "bloch", "oracle"}
-    if unknown:
-        raise ScenarioError(f"{path}: unknown paths {sorted(unknown)}")
+        raise ScenarioError(f"invalid JSON at line {exc.lineno}, col {exc.colno}: {exc.msg}")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ScenarioError(f"cannot read the file: {exc}") from None
+    if not isinstance(raw, dict):
+        raise ScenarioError("a scenario is a JSON object")
+    raw = _with_defaults(raw)
+    _check_fields(raw)
     return raw
 
 
+def parse_scenario(scenario: dict):
+    """The parse step: (scenario with defaults, model); raises ScenarioError."""
+    scenario = _with_defaults(scenario)
+    _check_fields(scenario)
+    try:
+        return scenario, from_config(scenario)
+    except KeyError as exc:
+        raise ScenarioError(f"family {scenario['family']!r} needs parameter {exc}") from None
+    except (TypeError, ValueError) as exc:  # ModelError included
+        raise ScenarioError(str(exc)) from None
+
+
+def _with_defaults(scenario: dict) -> dict:
+    defaults = {"N": 2, "n": 1, "Z_max": 10.0, "paths": ["factorized", "oracle"], "tolerances": {}}
+    return {**defaults, **scenario}
+
+
+def _number(table: dict, key: str, kind=float):
+    try:
+        return kind(table[key])
+    except (TypeError, ValueError):
+        raise ScenarioError(f"{key} must be a number, got {table[key]!r}") from None
+
+
+def _check_fields(scenario: dict) -> None:
+    for key in ("id", "family", "t_end", "steps"):
+        if key not in scenario:
+            raise ScenarioError(f"missing required field {key!r}")
+    sid = scenario["id"]
+    if not isinstance(sid, str) or sid in ("", ".", "..") or any(c in sid for c in "/\\\0"):
+        raise ScenarioError(f"id must be a plain file name, got {sid!r}")
+    N, n = _number(scenario, "N", int), _number(scenario, "n", int)
+    if N < 2 or not (1 <= n <= N // 2):
+        raise ScenarioError(f"need N >= 2 and 1 <= n <= N/2, got N={N}, n={n}")
+    t_end, steps = _number(scenario, "t_end"), _number(scenario, "steps", int)
+    if not (np.isfinite(t_end) and t_end > 0) or steps < 1:
+        raise ScenarioError(f"need a finite t_end > 0 and steps >= 1, got {t_end} and {steps}")
+    if not _number(scenario, "Z_max") > 0:
+        raise ScenarioError(f"need Z_max > 0, got {scenario['Z_max']!r}")
+    paths, tolerances = scenario["paths"], scenario["tolerances"]
+    if not isinstance(paths, list) or not isinstance(tolerances, dict):
+        raise ScenarioError("paths must be a list and tolerances an object")
+    unknown = [p for p in paths if p not in PATHS]
+    if unknown:
+        raise ScenarioError(f"unknown paths {unknown}")
+    if "bloch" in paths and scenario["family"] not in BLOCH_FAMILIES:
+        raise ScenarioError(
+            f"path bloch needs a family in {BLOCH_FAMILIES}, not {scenario['family']!r}"
+        )
+    for name in tolerances:
+        if name not in TOLERANCE_NAMES:
+            raise ScenarioError(f"unknown tolerance name {name!r}")
+        if not _number(tolerances, name) >= 0:
+            raise ScenarioError(f"tolerance {name} must be >= 0, got {tolerances[name]!r}")
+
+
 def run_scenario(scenario: dict, out_dir: Path) -> dict:
-    """Execute one scenario; returns the report dict (also written to disk)."""
-    h = from_config(scenario)
+    """Execute one scenario; returns the report dict (also written to disk).
+
+    A malformed scenario raises ScenarioError before any solve.
+    """
+    scenario, h = parse_scenario(scenario)
     t_end = float(scenario["t_end"])
     steps = int(scenario["steps"])
-    z_max = float(scenario.get("Z_max", 10.0))
-    paths = scenario.get("paths", ["factorized", "oracle"])
+    z_max = float(scenario["Z_max"])
+    paths = scenario["paths"]
 
     endpoint_U: dict[str, np.ndarray] = {}
     unitarity: dict[str, float] = {}
-    restart_log = []
     phases = {}
     bloch_report = None
-    factored = None
-    hier = None
 
     # the factorized solve always runs: it provides the trajectory CSV
     factored = solve_factored(h, t_end, steps, Z_max=z_max)
@@ -145,23 +198,19 @@ def run_scenario(scenario: dict, out_dir: Path) -> dict:
             }
 
     # verdicts for every named tolerance
+    measured = {
+        "oracle_distance": max(
+            (d["phase_insensitive"] for key, d in distances.items() if "oracle" in key),
+            default=0.0,
+        ),
+        "unitarity": max(unitarity.values(), default=0.0),
+        "bloch_deviation": bloch_report.max_deviation if bloch_report else 0.0,
+        "est_error": factored.est_error,
+    }
     verdicts = {}
-    for name, tol in scenario.get("tolerances", {}).items():
-        tol = float(tol)
-        if name == "oracle_distance":
-            measured = max(
-                (d["phase_insensitive"] for key, d in distances.items() if "oracle" in key),
-                default=0.0,
-            )
-        elif name == "unitarity":
-            measured = max(unitarity.values(), default=0.0)
-        elif name == "bloch_deviation":
-            measured = bloch_report.max_deviation if bloch_report else 0.0
-        elif name == "est_error":
-            measured = factored.est_error if factored else 0.0
-        else:
-            raise ScenarioError(f"unknown tolerance name {name!r}")
-        verdicts[name] = {"tolerance": tol, "measured": float(measured), "pass": bool(measured <= tol)}
+    for name, tol in scenario["tolerances"].items():
+        tol, value = float(tol), float(measured[name])
+        verdicts[name] = {"tolerance": tol, "measured": value, "pass": bool(value <= tol)}
 
     report = {
         "id": scenario["id"],
@@ -301,25 +350,22 @@ def run_property_suite(seed: int = 42, count: int = 50, max_dim: int = 6) -> dic
         inst_seed = seed + 1000 + i
         h = trig_random(3, n=1, seed=inst_seed, scale=0.5)
         res = solve_factored(h, 1.0, 2000)
-        traj = res.trajectory
         worst = 0.0
-        for k in range(1, len(traj.times) - 1, 11):
-            z0, z1_, z2 = traj.z_samples[k - 1], traj.z_samples[k], traj.z_samples[k + 1]
+        for k in range(1, len(res.times) - 1, 11):
+            z0, z1_, z2 = res.z_samples[k - 1], res.z_samples[k], res.z_samples[k + 1]
             g = lambda zz: 1.0 + (dagger(zz) @ zz)[0, 0].real
-            fd = (g(z2) - g(z0)) / (traj.times[k + 1] - traj.times[k - 1])
-            _, V, _ = h.blocks_at(traj.times[k])
+            fd = (g(z2) - g(z0)) / (res.times[k + 1] - res.times[k - 1])
+            _, V, _ = h.blocks_at(res.times[k])
             an = (1j * g(z1_) * ((dagger(V) @ z1_) - (dagger(z1_) @ V)))[0, 0].real
             worst = max(worst, abs(fd - an))
         record("gamma_dot_identity", worst, inst_seed)
-        record(
-            "phase_split",
-            float(
-                np.max(
-                    np.abs(res.mu_total - res.phase_geometric - res.phase_dynamical)
-                )
-            ),
-            inst_seed,
-        )
+        # dynamical phase = -integral of (U1^H H U1)_NN, by trapezoid on the stored grid
+        corner = [
+            (dagger(U1) @ h.matrix(t) @ U1)[-1, -1].real
+            for t, U1 in zip(res.times, map(unitarized_U1, res.z_samples))
+        ]
+        dyn = -np.trapezoid(corner, res.times)
+        record("phase_split", abs(dyn - res.phase_dynamical[-1]), inst_seed)
 
     rep = bloch_mod.crosscheck_su2(np.array([1.0, 0.0, 0.5]), 2.0, 2000)
     record("picture_crosscheck", rep.max_deviation, seed)
@@ -340,11 +386,10 @@ def _cmd_run(args) -> int:
                 scenario["steps"] = args.steps
             if args.paths is not None:
                 scenario["paths"] = args.paths.split(",")
-        except ScenarioError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        try:
             report = run_scenario(scenario, Path(args.out))
+        except ScenarioError as exc:
+            print(f"error: {file_path}: {exc}", file=sys.stderr)
+            return 2
         except (StiffnessError, SingularMatrixError, ModelError, UnsupportedConfigurationError) as exc:
             print(f"solver error in {scenario['id']}: {exc}", file=sys.stderr)
             return 3

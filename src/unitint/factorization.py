@@ -25,7 +25,7 @@ from .linalg import (
     inv_sqrt_hpd,
     sqrt_hpd,
 )
-from .riccati import DEFAULT_Z_MAX, RiccatiTrajectory, _drive, riccati_rhs, rk4_step
+from .riccati import DEFAULT_Z_MAX, _drive, riccati_rhs, rk4_step
 
 
 class UnsupportedConfigurationError(ValueError):
@@ -236,11 +236,18 @@ def _peel_level(Htop: np.ndarray, v: np.ndarray, h, z: np.ndarray):
     Htop (m x m), the column v and the corner h partition a traceless
     (m+1)-level H; z is the level's coordinate as a 1-D array.  Returns
     (dz/dt, (mu rate, geometric rate, trace-phase rate), H_next): dz/dt is
-    riccati_rhs, the first two rates are -_corner_bracket and
-    -_geometric_integrand, and H_next is recursion_hamiltonian's H' with its
-    trace removed, the rank-2 update H' = Htop - z u^H - u z^H, u =
+    riccati_rhs, and H_next is recursion_hamiltonian's H' with its trace
+    removed, the rank-2 update H' = Htop - z u^H - u z^H, u =
     a v + (Re(V^H z) a^2 / 2) z, a = 1/(sqrt(g)+1).  Its trace tau = -h -
     2 Re(u^H z) relies on tr Htop = -h; the trace phase advances at -tau/m.
+
+    This is the one definition of the n=1 corner-phase rates, read by both
+    solve_factored and hierarchical_solve:
+    d(mu)/dt = -(H_NN + Re(V^H z)) and d(geometric)/dt =
+    -(-i U1^H dU1/dt)_NN = [z^H (Htop - H_NN I) z + 2 Re(V^H z)(1 - g/2)] / g.
+    The sign of the latter is fixed by the split-sum identity
+    H_NN + Re(V^H z) = (U1^H H U1)_NN + (-i U1^H dU1/dt)_NN, checked against
+    finite differences of U1 in the test suite.
     """
     m = len(z)
     hnn = h.real
@@ -258,28 +265,6 @@ def _peel_level(Htop: np.ndarray, v: np.ndarray, h, z: np.ndarray):
     H_next = Htop - z[:, None] * u.conj() - u[:, None] * z.conj()
     H_next.ravel()[:: m + 1] -= tau / m
     return dz, (-(hnn + re_vz), geo_rate, -tau / m), H_next
-
-
-def _corner_bracket(h_blocks, z: np.ndarray) -> float:
-    """H_NN + (1/2)(V^H z + z^H V) for n=1; real by construction."""
-    _, V, Hbot = h_blocks
-    return Hbot[0, 0].real + (dagger(V) @ z)[0, 0].real
-
-
-def _geometric_integrand(h_blocks, z: np.ndarray) -> float:
-    """NN element of the geometric generator, i.e. of -i U1^{-1} dU1/dt.
-
-    Equals -(1/g)[z^H (Htop - H_NN I) z + (z^H V + V^H z)(1 - g/2)]; the
-    overall sign is fixed by the split-sum identity
-    bracket = (U1^H H U1)_NN + (-i U1^H dU1/dt)_NN, verified against finite
-    differences of U1 in the test suite.
-    """
-    Htop, V, Hbot = h_blocks
-    g = 1.0 + (dagger(z) @ z)[0, 0].real
-    hnn = Hbot[0, 0].real
-    quad = (dagger(z) @ (Htop - hnn * np.eye(Htop.shape[0])) @ z)[0, 0].real
-    lin = 2.0 * (dagger(V) @ z)[0, 0].real
-    return -(quad + lin * (1.0 - g / 2.0)) / g
 
 
 # ---------------------------------------------------------------------------
@@ -323,15 +308,6 @@ class FactoredResult:
     phase_geometric: np.ndarray | None = None
     phase_dynamical: np.ndarray | None = None
     imag_mu: np.ndarray | None = None
-
-    @property
-    def trajectory(self) -> RiccatiTrajectory:
-        return RiccatiTrajectory(
-            times=self.times,
-            z_samples=self.z_samples,
-            restarts=list(self.restarts),
-            est_error=self.est_error,
-        )
 
     def evolution(self, index: int = -1) -> FactoredEvolution:
         z = self.z_samples[index]
@@ -378,15 +354,6 @@ class _StepNodes:
         return self.H[round((s - self.t) / self.spacing)]
 
 
-def _phase_rates(h_blocks, z: np.ndarray) -> np.ndarray:
-    """Integrands of (mu_total, geometric phase, Im mu) at one node (n=1)."""
-    return np.array([
-        _corner_bracket(h_blocks, z),
-        _geometric_integrand(h_blocks, z),
-        (dagger(h_blocks[1]) @ z)[0, 0].imag,
-    ])
-
-
 def solve_factored(
     h: BlockedHamiltonian,
     t_end: float,
@@ -404,6 +371,12 @@ def solve_factored(
     carries over as the next step's H(t).  Restarts reset z = 0 and U2 = I
     and fold the current factors into the accumulated evolution; at a
     restart node U_samples keeps the value the old segment reached there.
+
+    For n = 1 the corner phases (mu_total, phase_geometric, imag_mu, and
+    phase_dynamical = mu_total - phase_geometric) accumulate across restarts
+    by the trapezoid rule on the half grid t, t + dt/2, t + dt, the
+    package's one phase quadrature.  Its mu and geometric rates come from
+    _peel_level, the level kernel hierarchical_solve integrates.
     """
     m, n = h.N - h.n, h.n
     track_phases = n == 1
@@ -413,6 +386,12 @@ def solve_factored(
 
     def f(t, y):
         return riccati_rhs(nodes.at(t), y)
+
+    def phase_rates(H, z):
+        # d/dt of (mu, geometric phase, Im mu); Im mu = ln(1 + |z|^2)
+        Htop, V, Hbot = H
+        _, (mu_rate, geo_rate, _), _ = _peel_level(Htop, V[:, 0], Hbot[0, 0], z[:, 0])
+        return np.array([mu_rate, geo_rate, -2.0 * np.vdot(V[:, 0], z[:, 0]).imag])
 
     def zero_state(phases):
         z0 = np.zeros((m, n), dtype=complex)
@@ -433,11 +412,10 @@ def solve_factored(
         U2 = blockdiag(_unitary_step(upper, dt), lower_step) @ U2
         if track_phases:
             # trapezoid on the half grid, cumulative across restarts
-            r_a = _phase_rates(H_a, z)
-            r_mid = _phase_rates(H_mid, z_half)
-            r_b = _phase_rates(H_b, z_new)
-            wgt = np.array([-dt / 4.0, -dt / 4.0, -dt / 2.0])
-            phases = (wgt * (r_a + r_mid) + wgt * (r_mid + r_b)) + phases
+            r_a = phase_rates(H_a, z)
+            r_mid = phase_rates(H_mid, z_half)
+            r_b = phase_rates(H_b, z_new)
+            phases = (dt / 4.0) * (r_a + r_mid) + (dt / 4.0) * (r_mid + r_b) + phases
         y_new = (z_new, rk4_step(f, t, z_coarse, dt), U2, phases)
         return y_new, peak, unitarized_U1(z_new) @ U2 @ U_accum
 
@@ -469,31 +447,6 @@ def solve_factored(
     return result
 
 
-def corner_phase(
-    h: BlockedHamiltonian, traj: RiccatiTrajectory
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Corner-phase arrays (mu_total, geometric, dynamical) on the stored grid.
-
-    mu_total(t) = -integral of [H_NN + (1/2)(V^H z + z^H V)]; the geometric
-    part integrates the base-manifold contribution and the dynamical part is
-    the remainder.  Quadrature: cumulative trapezoid on the trajectory grid.
-    Requires block size 1.
-    """
-    if traj.z_samples.shape[2] != 1:
-        raise UnsupportedConfigurationError("corner phase requires block size 1")
-    from scipy.integrate import cumulative_trapezoid
-
-    brackets = np.empty(len(traj.times))
-    geos = np.empty(len(traj.times))
-    for i, t in enumerate(traj.times):
-        blocks = h.blocks_unchecked(t)
-        brackets[i] = _corner_bracket(blocks, traj.z_samples[i])
-        geos[i] = _geometric_integrand(blocks, traj.z_samples[i])
-    mu = -cumulative_trapezoid(brackets, traj.times, initial=0.0)
-    geo = -cumulative_trapezoid(geos, traj.times, initial=0.0)
-    return mu, geo, mu - geo
-
-
 # ---------------------------------------------------------------------------
 # hierarchical n=1 peel
 # ---------------------------------------------------------------------------
@@ -517,12 +470,6 @@ class HierarchicalResult:
     level_dyn: np.ndarray
     trace_phases: np.ndarray  # (steps+1, N-1)
     restarts: list = field(default_factory=list)
-
-    @property
-    def trajectory(self) -> RiccatiTrajectory:
-        return RiccatiTrajectory(
-            times=self.times, z_samples=self.z_samples, restarts=list(self.restarts)
-        )
 
 
 class _HierState:

@@ -9,7 +9,7 @@ lower block is the interface every solver consumes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -69,12 +69,6 @@ class BlockedHamiltonian:
     def blocks_at(self, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(Htop, V, Hbot) at time t, validating Hermiticity and tracelessness."""
         M = self.checked_matrix(t)
-        m = self.N - self.n
-        return M[:m, :m], M[:m, m:], M[m:, m:]
-
-    def blocks_unchecked(self, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Same partition without validation; for use inside hot loops."""
-        M = self.matrix(t)
         m = self.N - self.n
         return M[:m, :m], M[:m, m:], M[m:, m:]
 

@@ -15,11 +15,9 @@ right-hand side.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from .hamiltonian import BlockedHamiltonian, SO5Coefficients
+from .hamiltonian import SO5Coefficients
 from .linalg import PAULI, dagger
 
 DEFAULT_Z_MAX = 10.0
@@ -30,25 +28,6 @@ MIN_STEPS_BETWEEN_RESTARTS = 4
 
 class StiffnessError(RuntimeError):
     """Restarts requested too frequently near the coordinate singularity."""
-
-
-@dataclass
-class RiccatiTrajectory:
-    """Uniform time grid with z samples and evolution-restart records.
-
-    ``restarts`` holds (time, accumulated evolution operator) pairs; z is
-    reset to zero at each restart time, so the stored sample there is the
-    start of a fresh segment.
-    """
-
-    times: np.ndarray
-    z_samples: np.ndarray  # (len(times), N-n, n) complex
-    restarts: list = field(default_factory=list)
-    est_error: float = 0.0
-
-    @property
-    def restart_times(self) -> np.ndarray:
-        return np.array([t for t, _ in self.restarts])
 
 
 def riccati_rhs(h_blocks, z: np.ndarray) -> np.ndarray:
@@ -114,23 +93,6 @@ def _drive(advance, fold, y0, t_end: float, steps: int, Z_max: float):
         states.append(y)
         extras.append(extra)
     return times, states, extras
-
-
-def integrate_riccati(
-    h: BlockedHamiltonian,
-    t_end: float,
-    steps: int,
-    Z_max: float = DEFAULT_Z_MAX,
-) -> RiccatiTrajectory:
-    """Integrate z(t) on a uniform grid of `steps` RK4 steps.
-
-    Returns the trajectory produced by the full factored solve, so restart
-    records carry genuinely accumulated (unitary) evolution operators and the
-    step-doubling error estimate of the z integration.
-    """
-    from .factorization import solve_factored  # deferred: factorization builds on us
-
-    return solve_factored(h, t_end, steps, Z_max=Z_max).trajectory
 
 
 def so5_rhs(F: np.ndarray, z: np.ndarray) -> np.ndarray:

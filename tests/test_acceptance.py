@@ -184,7 +184,7 @@ def test_criterion_05_hermiticity_and_trace_identities():
         h = trig_random(3, seed=9000 + i, scale=0.5)
 
         def f(t, y, h=h):
-            return riccati_rhs(h.blocks_unchecked(t), y)
+            return riccati_rhs(h.blocks_at(t), y)
 
         zs = np.zeros((steps + 1, 2, 1), dtype=complex)
         for k in range(steps):
@@ -192,7 +192,7 @@ def test_criterion_05_hermiticity_and_trace_identities():
         gamma = 1.0 + np.einsum("kij,kij->k", zs.conj(), zs).real
         for k in range(50, steps - 1, 100):
             dg = (gamma[k + 1] - gamma[k - 1]) / (2.0 * dt)
-            _, V, _ = h.blocks_unchecked(k * dt)
+            _, V, _ = h.blocks_at(k * dt)
             vz = (dagger(V) @ zs[k])[0, 0]
             worst_gd = max(worst_gd, abs(dg - (1j * gamma[k] * (vz - np.conj(vz))).real))
     _verdict(5, "Hermiticity, trace and gamma-dot identities", worst_gd, 1e-7)
@@ -301,7 +301,7 @@ def test_criterion_09_convergence_orders():
     h = trig_random(3, seed=91, scale=0.5)
 
     def f(t, y):
-        return riccati_rhs(h.blocks_unchecked(t), y)
+        return riccati_rhs(h.blocks_at(t), y)
 
     def z_end(steps):
         dt = 1.0 / steps

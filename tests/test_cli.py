@@ -191,6 +191,39 @@ def test_main_invalid_model_is_solver_error(tmp_path, capsys, matrix):
     assert "solver error in invalid" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "overrides, args",
+    [
+        ({"params": {}}, []),
+        ({"family": "no_such_family"}, []),
+        ({"tolerances": {"unitarity": "abc"}}, []),
+        ({"tolerances": {"no_such_tolerance": 1e-3}}, []),
+        ({"family": "trig_random", "N": 3, "params": {}, "paths": ["bloch"]}, []),
+        ({"t_end": "nan"}, []),
+        ({"family": "trig_random", "N": 3, "params": {}}, ["--paths", "bloch"]),
+    ],
+    ids=["no_B", "unknown_family", "tolerance_abc", "unknown_tolerance", "bloch_on_trig",
+         "t_end_nan", "bloch_override"],
+)
+def test_main_malformed_scenario_is_parse_error(tmp_path, capsys, overrides, args):
+    p = _write(tmp_path, "bad.json", _spin_half_scenario(id="bad", **overrides))
+    assert main(["run", str(p), "--out", str(tmp_path / "out"), *args]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("sid", ["../escaped", "", ".", "..", "a/b", "a\\b"])
+def test_main_id_must_be_plain_file_name(tmp_path, capsys, sid):
+    out = tmp_path / "run" / "out"
+    out.mkdir(parents=True)
+    p = _write(tmp_path, "s.json", _spin_half_scenario(id=sid))
+    assert main(["run", str(p), "--out", str(out)]) == 2
+    assert "id must be a plain file name" in capsys.readouterr().err
+    written = sorted(q.relative_to(tmp_path) for q in tmp_path.rglob("*") if q.is_file())
+    assert [str(q) for q in written] == ["s.json"]
+
+
 def test_main_overrides(tmp_path):
     p = _write(tmp_path, "s.json", _spin_half_scenario(id="ovr"))
     assert main(["run", str(p), "--out", str(tmp_path / "o"),

@@ -6,14 +6,11 @@ from hypothesis import strategies as st
 from unitint import factorization, riccati
 from unitint.factorization import (
     UnsupportedConfigurationError,
-    _corner_bracket,
-    _geometric_integrand,
     _hier_assemble,
     _HierState,
     _peel_level,
     assemble_tilde_U1,
     base_coordinate,
-    corner_phase,
     effective_hamiltonian_hermitian,
     effective_hamiltonian_tilde,
     gamma1_inv_sqrt_closed,
@@ -259,12 +256,14 @@ def test_peel_level_matches_public_composition(seed, N, radius):
         - (z @ dagger(z)) * (dagger(V) @ z)[0, 0].real / (sg + 1.0) ** 2
     )
     tau = np.trace(Hp).real
+    # the corner bracket and the NN element of -i U1^H dU1/dt, written out
+    hnn, re_vz, g = H[m, m].real, (dagger(V) @ z)[0, 0].real, sg**2
+    bracket = hnn + re_vz
+    quad = (dagger(z) @ (Htop - hnn * np.eye(m)) @ z)[0, 0].real
+    geometric = -(quad + 2.0 * re_vz * (1.0 - g / 2.0)) / g
     pairs = [
         (dz, riccati_rhs(blocks, z)[:, 0]),
-        (
-            np.array(rates),
-            np.array([-_corner_bracket(blocks, z), -_geometric_integrand(blocks, z), -tau / m]),
-        ),
+        (np.array(rates), np.array([-bracket, -geometric, -tau / m])),
         (H_next, Hp - (tau / m) * np.eye(m)),
         (recursion_hamiltonian(blocks, z), Hp),
     ]
@@ -393,32 +392,35 @@ def test_factors_reassemble_at_every_node():
 # ---------------------------------------------------------------- corner phases
 
 
-def test_corner_phase_static_z():
+def test_mu_static_z():
     # mu = -H_NN t = -B3 t / 2, geometric part zero
-    h = spin_half([0.0, 0.0, 1.0])
-    res = solve_factored(h, 3.0, 300)
-    mu, geo, dyn = corner_phase(h, res.trajectory)
+    res = solve_factored(spin_half([0.0, 0.0, 1.0]), 3.0, 300)
+    mu, geo, dyn = res.mu_total, res.phase_geometric, res.phase_dynamical
     assert np.max(np.abs(mu + res.times / 2.0)) < 1e-12
     assert np.max(np.abs(geo)) < 1e-13
     assert np.max(np.abs(dyn - mu)) < 1e-12
 
 
-def test_corner_phase_transverse_vanishes():
+def test_mu_transverse_vanishes():
     # B = (1, 0, 0): V^H z is purely imaginary and H_NN = 0, so mu stays 0
-    h = spin_half([1.0, 0.0, 0.0])
-    res = solve_factored(h, 2.0, 500)
-    mu, geo, _ = corner_phase(h, res.trajectory)
-    assert np.max(np.abs(mu)) < 1e-12
-    assert np.max(np.abs(geo)) < 1e-12
+    res = solve_factored(spin_half([1.0, 0.0, 0.0]), 2.0, 500)
+    assert np.max(np.abs(res.mu_total)) < 1e-12
+    assert np.max(np.abs(res.phase_geometric)) < 1e-12
 
 
-def test_corner_phase_matches_driver():
-    h = trig_random(3, seed=8)
-    res = solve_factored(h, 1.5, 2000)
-    mu, geo, dyn = corner_phase(h, res.trajectory)
-    assert abs(mu[-1] - res.mu_total[-1]) < 1e-7
-    assert abs(geo[-1] - res.phase_geometric[-1]) < 1e-7
-    assert abs(dyn[-1] - res.phase_dynamical[-1]) < 1e-7
+@pytest.mark.parametrize("N", [3, 4, 5])
+def test_phases_match_hierarchical_level0(N):
+    # both solvers read the rates from _peel_level but integrate them differently
+    h = trig_random(N, seed=8)
+    direct = solve_factored(h, 1.5, 1000)
+    hier = hierarchical_solve(h, 1.5, 1000)
+    assert not direct.restarts and not hier.restarts
+    for got, want in (
+        (direct.mu_total, hier.level_mu[:, 0]),
+        (direct.phase_geometric, hier.level_geo[:, 0]),
+        (direct.phase_dynamical, hier.level_dyn[:, 0]),
+    ):
+        assert np.max(np.abs(got - want)) < 1e-7
 
 
 def test_dynamical_phase_independent_expression():

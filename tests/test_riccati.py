@@ -6,7 +6,6 @@ from unitint.hamiltonian import so5_coefficients, spin_half, trig_random
 from unitint.linalg import frobenius
 from unitint.riccati import (
     StiffnessError,
-    integrate_riccati,
     integrate_so5,
     riccati_rhs,
     rk4_step,
@@ -59,30 +58,30 @@ def test_rk4_exponential_decay():
 def test_su2_transverse_closed_form():
     # B = (1, 0, 0): z(t) = i tan(t/2)
     h = spin_half([1.0, 0.0, 0.0])
-    traj = integrate_riccati(h, 1.0, 2000)
-    z = traj.z_samples[:, 0, 0]
-    expected = 1j * np.tan(traj.times / 2.0)
+    res = solve_factored(h, 1.0, 2000)
+    z = res.z_samples[:, 0, 0]
+    expected = 1j * np.tan(res.times / 2.0)
     assert np.max(np.abs(z - expected)) < 1e-12
-    assert len(traj.restarts) == 0
+    assert len(res.restarts) == 0
 
 
 def test_su2_restart_near_pole():
     # |z| = tan(t/2) passes the threshold before t = pi; the restart record
     # must carry a unitary accumulated evolution and z resets to zero there.
     h = spin_half([1.0, 0.0, 0.0])
-    traj = integrate_riccati(h, 4.0, 2000, Z_max=10.0)
-    assert len(traj.restarts) >= 1
-    t_r, U_accum = traj.restarts[0]
+    res = solve_factored(h, 4.0, 2000, Z_max=10.0)
+    assert len(res.restarts) >= 1
+    t_r, U_accum = res.restarts[0]
     assert abs(t_r - 2.0 * np.arctan(10.0)) < 0.02
     assert frobenius(U_accum @ U_accum.conj().T - np.eye(2)) < 1e-10
-    k = np.searchsorted(traj.times, t_r)
-    assert np.allclose(traj.z_samples[k], 0.0)
+    k = np.searchsorted(res.times, t_r)
+    assert np.allclose(res.z_samples[k], 0.0)
 
 
 def test_stiffness_error_when_threshold_tiny():
     h = spin_half([1.0, 0.0, 0.0])
     with pytest.raises(StiffnessError):
-        integrate_riccati(h, 3.0, 60, Z_max=0.05)
+        solve_factored(h, 3.0, 60, Z_max=0.05)
 
 
 def _so5_coupling(index, c):
@@ -133,8 +132,8 @@ def test_non_finite_coordinate_raises():
 
 def test_step_doubling_error_estimate_scales():
     h = trig_random(3, seed=4)
-    e_coarse = integrate_riccati(h, 1.0, 250).est_error
-    e_fine = integrate_riccati(h, 1.0, 500).est_error
+    e_coarse = solve_factored(h, 1.0, 250).est_error
+    e_fine = solve_factored(h, 1.0, 500).est_error
     ratio = e_coarse / e_fine
     # RK4: halving dt cuts the estimate by ~2^4
     assert 8.0 < ratio < 32.0
@@ -200,9 +199,9 @@ def test_so5_trajectory_matches_matrix_form():
     F = _random_F(rng, 0.6)
     coeffs = so5_coefficients(F)
     times, zs, restarts = integrate_so5(coeffs, 1.0, 800)
-    traj = integrate_riccati(build_so5(coeffs), 1.0, 800)
-    assert not restarts and not traj.restarts
+    res = solve_factored(build_so5(coeffs), 1.0, 800)
+    assert not restarts and not res.restarts
     worst = max(
-        frobenius(so5_z_matrix(zs[k]) - traj.z_samples[k]) for k in range(0, 801, 40)
+        frobenius(so5_z_matrix(zs[k]) - res.z_samples[k]) for k in range(0, 801, 40)
     )
     assert worst < 1e-9
