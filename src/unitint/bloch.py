@@ -14,7 +14,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .factorization import base_coordinate, solve_factored
-from .hamiltonian import SO5Coefficients, build_so5, so5_from_params, spin_half
+from .hamiltonian import (
+    _SO5_GENERATORS,
+    MODEL_TOL,
+    ModelError,
+    SO5Coefficients,
+    build_so5,
+    from_config,
+    so5_matrix,
+    spin_half,
+)
+from .linalg import PAULI, frobenius
 from .riccati import DEFAULT_Z_MAX, _drive, rk4_step, so5_z_params
 
 
@@ -156,23 +166,41 @@ def crosscheck_so5(
     )
 
 
-def crosscheck_pictures(h_config: dict, t_end: float, steps: int, Z_max: float = DEFAULT_Z_MAX):
-    """Dispatch on the scenario family (spin_half or so5)."""
-    from .hamiltonian import from_config
+def crosscheck_pictures(model, t_end: float, steps: int, Z_max: float = DEFAULT_Z_MAX):
+    """Cross-check the pictures of a spin-1/2 or SO(5) two-qubit model.
 
-    family = h_config.get("family")
-    if family == "spin_half":
-        h = from_config(h_config)
-        return crosscheck_su2(lambda t: _spin_field_of(h, t), t_end, steps, Z_max)
-    if family == "so5":
-        coeffs = so5_from_params(h_config.get("params", {}))
+    ``model`` is a BlockedHamiltonian (N = 2, or N = 4 with n = 2 and H in
+    the SO(5) span) or a scenario config of family spin_half or so5, which
+    is built once here.  B(t) or F(t) is read back from H(t).
+    """
+    if isinstance(model, dict):
+        family = model.get("family")
+        if family not in ("spin_half", "so5"):
+            raise ValueError(f"cross-check supports spin_half and so5, not {family!r}")
+        model = from_config(model)
+    if model.N == 2:
+        return crosscheck_su2(lambda t: _spin_field_of(model, t), t_end, steps, Z_max)
+    if (model.N, model.n) == (4, 2):
+        coeffs = SO5Coefficients(F=lambda t: _so5_field_of(model, t))
         return crosscheck_so5(coeffs, t_end, steps, Z_max)
-    raise ValueError(f"cross-check supports spin_half and so5, not {family!r}")
+    raise ValueError(f"cross-check supports N = 2 and SO(5) models, not N={model.N}, n={model.n}")
 
 
 def _spin_field_of(h, t: float) -> np.ndarray:
     """Recover B(t) from a spin-1/2 Hamiltonian H = -(1/2) sigma.B."""
-    from .linalg import PAULI
-
     H = h.matrix(t)
     return np.array([-2.0 * np.real(np.trace(H @ s)) / 2.0 for s in PAULI])
+
+
+def _so5_field_of(h, t: float) -> np.ndarray:
+    """Recover the antisymmetric F(t) from an SO(5) two-qubit H(t) = so5_matrix(F).
+
+    Each F[a, b], a > b, multiplies a distinct two-qubit Pauli product, so it is
+    Re tr(G_ab^H H) / 4; ModelError when H leaves the SO(5) span.
+    """
+    H = h.matrix(t)
+    lower = np.tensordot(_SO5_GENERATORS.conj(), H, axes=([2, 3], [0, 1])).real / 4.0
+    F = lower - lower.T
+    if not frobenius(so5_matrix(F) - H) <= MODEL_TOL:
+        raise ModelError(f"H(t={t}) is not an SO(5) two-qubit Hamiltonian")
+    return F

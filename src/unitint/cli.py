@@ -3,7 +3,9 @@
 ``unitint run scenario.json`` integrates one or more scenario files along the
 requested solver paths (factorized, hierarchical, bloch, oracle), writes a
 trajectory CSV and a JSON report per scenario, and exits nonzero when a
-named tolerance fails.  ``unitint verify`` runs the seeded invariant suite
+named tolerance fails.  The ``est_error`` tolerance gates on the factorized
+path's estimate of its own error in the final U, the summed Simpson defect
+of z (solve_factored).  ``unitint verify`` runs the seeded invariant suite
 across random instances and prints worst-case residuals.
 
 Exit codes: 0 all verdicts pass, 1 tolerance failure, 2 parse error,
@@ -185,7 +187,7 @@ def run_scenario(scenario: dict, out_dir: Path) -> dict:
             unitarity_defect(U) for U in oracle_res.U_samples[:: max(1, steps // 50)]
         )
     if "bloch" in paths:
-        bloch_report = bloch_mod.crosscheck_pictures(scenario, t_end, steps, Z_max=z_max)
+        bloch_report = bloch_mod.crosscheck_pictures(h, t_end, steps, Z_max=z_max)
 
     distances = {}
     names = sorted(endpoint_U)
@@ -420,7 +422,12 @@ def main(argv=None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="run scenario JSON files")
+    p_run = sub.add_parser(
+        "run",
+        help="run scenario JSON files",
+        description="Tolerances: oracle_distance, unitarity, bloch_deviation and est_error, "
+        "the factorized path's estimate of its own error in the final U.",
+    )
     p_run.add_argument("files", nargs="+", help="scenario JSON files")
     p_run.add_argument("--out", default=".", help="output directory")
     p_run.add_argument("--steps", type=int, default=None, help="override step count")

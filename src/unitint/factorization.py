@@ -90,24 +90,27 @@ def unitarized_U1(z: np.ndarray) -> np.ndarray:
     with gamma1^{-1/2} = I - z f(gamma2) z^H, f(x) = 1/(sqrt(x)(sqrt(x)+1)).
     It equals gauge_unitarize(assemble_tilde_U1(z), gamma1, gamma2)[0].  For a
     column z, gamma2 is the scalar g; otherwise every block follows from one
-    SVD z = A diag(s) B^H, on which gamma2 = B diag(1 + s^2) B^H.
+    SVD z = A diag(s) B^H, on which gamma2 = B diag(1 + s^2) B^H.  A stack of
+    coordinates (leading axes before the m x n ones) gives a stack of U1.
     """
     z = np.atleast_2d(np.asarray(z, dtype=complex))
-    m, n = z.shape
-    out = np.empty((m + n, m + n), dtype=complex)
+    m, n = z.shape[-2:]
+    zh = dagger(z)
+    out = np.empty(z.shape[:-2] + (m + n, m + n), dtype=complex)
     if n == 1:
-        sg = np.sqrt(1.0 + (dagger(z) @ z)[0, 0].real)
-        out[:m, :m] = np.eye(m) - (z @ dagger(z)) / (sg * (sg + 1.0))
-        out[:m, m:] = z / sg
-        out[m:, :m] = -dagger(z) / sg
-        out[m:, m:] = 1.0 / sg
+        sg = np.sqrt(1.0 + (zh @ z).real)
+        out[..., :m, :m] = np.eye(m) - (z @ zh) / (sg * (sg + 1.0))
+        out[..., :m, m:] = z / sg
+        out[..., m:, :m] = -zh / sg
+        out[..., m:, m:] = 1.0 / sg
         return out
     A, s, Bh = np.linalg.svd(z, full_matrices=False)
-    c = np.sqrt(1.0 + s**2)
-    out[:m, :m] = np.eye(m) - (A * (s**2 / (c * (c + 1.0)))) @ dagger(A)
-    out[:m, m:] = (A * (s / c)) @ Bh
-    out[m:, :m] = -dagger(out[:m, m:])
-    out[m:, m:] = (dagger(Bh) / c) @ Bh
+    c = np.sqrt(1.0 + s**2)[..., None, :]
+    s = s[..., None, :]
+    out[..., :m, :m] = np.eye(m) - (A * (s**2 / (c * (c + 1.0)))) @ dagger(A)
+    out[..., :m, m:] = (A * (s / c)) @ Bh
+    out[..., m:, :m] = -dagger(out[..., :m, m:])
+    out[..., m:, m:] = (dagger(Bh) / c) @ Bh
     return out
 
 
@@ -219,15 +222,31 @@ def recursion_hamiltonian(h_blocks, z: np.ndarray) -> np.ndarray:
     H' = Htop - (z V^H + V z^H)/(sqrt(g)+1)
          - z (z^H V + V^H z) z^H / (2 (sqrt(g)+1)^2),
     whose trace equals -(H_NN + Re(V^H z)); the peeled corner phase restores
-    it.  The formula lives in the peel's level kernel, _peel_level.
+    it.  H' is also the upper block of the n=1 Hermitian effective
+    Hamiltonian; the formula lives in the peel's level kernel, _peel_level.
     """
     Htop, V, Hbot = h_blocks
     z = np.atleast_2d(np.asarray(z, dtype=complex))
     if z.shape[1] != 1 or V.shape[1] != 1:
         raise UnsupportedConfigurationError("recursion requires block size 1")
-    _, (_, _, phi_rate), H_next = _peel_level(Htop, V[:, 0], Hbot[0, 0], z[:, 0])
-    H_next.ravel()[:: len(H_next) + 1] -= phi_rate  # undo the trace shift tau/m = -phi_rate
-    return H_next
+    return _corner_node(h_blocks, z)[1][0]
+
+
+def _corner_node(h_blocks, z: np.ndarray):
+    """(dz/dt, (upper, lower) fiber blocks, phase rates) at one node, for n=1.
+
+    All three come from one _peel_level call.  The upper block is
+    recursion_hamiltonian's H' = H_next - phi_rate I and the lower block the
+    1 x 1 -mu_rate; together they are effective_hamiltonian_hermitian(h_blocks,
+    z, dz/dt).  The rates are d/dt of (mu, geometric phase, Im mu), with
+    Im mu = ln(1 + |z|^2) advancing at -2 Im(V^H z).
+    """
+    Htop, V, Hbot = h_blocks
+    v, zc = V[:, 0], z[:, 0]
+    dz, (mu_rate, geo_rate, phi_rate), upper = _peel_level(Htop, v, Hbot[0, 0], zc)
+    upper.ravel()[:: len(zc) + 1] -= phi_rate  # undo the trace shift tau/m = -phi_rate
+    rates = np.array([mu_rate, geo_rate, -2.0 * np.vdot(v, zc).imag])
+    return dz[:, None], (upper, np.array([[-mu_rate]])), rates
 
 
 def _peel_level(Htop: np.ndarray, v: np.ndarray, h, z: np.ndarray):
@@ -337,21 +356,54 @@ class _StepNodes:
     The end node carries over as the next step's start node, and a step the
     driver retakes after a fold keeps its nodes.  ``at`` serves the RK4 stage
     times, which are all nodes of the current step.
+
+    At a breakpoint of a piecewise model H jumps.  A node within 1e-12
+    relative of a breakpoint snaps to it; a step that ends on one reads its
+    end node as the left limit and sets ``jump``, and the next step reads its
+    start node afresh, so nothing evaluated at the end node may carry over.
     """
 
-    def __init__(self, read, parts: int):
+    def __init__(self, read, parts: int, breakpoints=()):
         self.read, self.parts = read, parts
-        self.t, self.spacing, self.H = None, None, []
+        self.breakpoints = np.asarray(breakpoints, dtype=float)
+        self.t, self.spacing, self.H, self.jump = None, None, [], False
 
     def load(self, t: float, dt: float) -> None:
         if t == self.t:
             return
-        start = self.H[-1] if self.H else self.read(t)
         self.t, self.spacing = t, dt / self.parts
-        self.H = [start] + [self.read(t + j * self.spacing) for j in range(1, self.parts + 1)]
+        times = [t + j * self.spacing for j in range(self.parts + 1)]
+        jump = False
+        if self.breakpoints.size:
+            times = [self._snap(s) for s in times]
+            jump = times[-1] in self.breakpoints
+            if jump:
+                times[-1] = np.nextafter(times[-1], -np.inf)
+        start = self.H[-1] if self.H and not self.jump else self.read(times[0])
+        self.jump = jump
+        self.H = [start] + [self.read(s) for s in times[1:]]
+
+    def _snap(self, s: float) -> float:
+        near = self.breakpoints[np.argmin(np.abs(self.breakpoints - s))]
+        return float(near) if abs(near - s) <= 1e-12 * abs(near) else s
 
     def at(self, s: float):
         return self.H[round((s - self.t) / self.spacing)]
+
+
+def _magnus4(He_a: np.ndarray, He_m: np.ndarray, He_b: np.ndarray, dt: float) -> np.ndarray:
+    """Fourth-order Magnus step exp(-i dt [S + (i dt/12)[He_a, He_b]]) for i dU/dt = He U.
+
+    He_a, He_m and He_b are the Hermitian He at t, t + dt/2 and t + dt, and
+    S = (He_a + 4 He_m + He_b)/6 their Simpson mean; the exponent is
+    Hermitian, so the step is unitary to roundoff.  A 1 x 1 block has no
+    commutator and is a scalar phase.  (Blanes, Casas, Oteo & Ros, Phys. Rep.
+    470 (2009) 151.)
+    """
+    S = (He_a + 4.0 * He_m + He_b) / 6.0
+    if len(S) == 1:
+        return np.exp(-1j * dt * S.real)
+    return _unitary_step(S + (1j * dt / 12.0) * (He_a @ He_b - He_b @ He_a), dt)
 
 
 def solve_factored(
@@ -362,81 +414,95 @@ def solve_factored(
 ) -> FactoredResult:
     """Solve i dU/dt = H U through the base/fiber factorization.
 
-    z advances with two half RK4 steps per grid step (the intermediate value
-    feeds the fiber); the fiber factor U2 advances with the midpoint
-    exponential of the Hermitian effective Hamiltonian, and a full-step RK4
-    copy of z gives the step-doubling error estimate.  Every consumer reads
-    H at the step's five quarter nodes, each evaluated once and validated
+    Each grid step reads H once at t, t + dt/2 and t + dt, validated there
     (ModelError for a non-Hermitian or non-traceless model); H(t + dt)
-    carries over as the next step's H(t).  Restarts reset z = 0 and U2 = I
-    and fold the current factors into the accumulated evolution; at a
-    restart node U_samples keeps the value the old segment reached there.
+    carries over as the next step's H(t), except across a breakpoint of a
+    piecewise model, where the step ending there reads the left limit.
 
-    For n = 1 the corner phases (mu_total, phase_geometric, imag_mu, and
-    phase_dynamical = mu_total - phase_geometric) accumulate across restarts
-    by the trapezoid rule on the half grid t, t + dt/2, t + dt, the
-    package's one phase quadrature.  Its mu and geometric rates come from
-    _peel_level, the level kernel hierarchical_solve integrates.
+    - z takes one classical RK4 step; its first stage is f(t, z) carried
+      over from the step before.
+    - z(t + dt/2) for the fiber is the cubic Hermite midpoint
+      (z + z_new)/2 + dt/8 (f(t, z) - f(t + dt, z_new)).
+    - Each block of the fiber factor U2 takes one fourth-order Magnus step
+      (_magnus4) on the Hermitian effective Hamiltonians He at the three
+      nodes; He(t + dt) carries over as the next step's He(t).  For n = 1,
+      He, dz/dt and the phase rates come from _peel_level, the level kernel
+      hierarchical_solve integrates; for n > 1 from
+      effective_hamiltonian_hermitian.
+    - For n = 1 the corner phases (mu_total, phase_geometric, imag_mu, and
+      phase_dynamical = mu_total - phase_geometric) integrate the three rate
+      evaluations by Simpson's rule, cumulative across restarts.
+    - est_error sums the per-step Simpson defect
+      ||z_new - z - dt/6 (f(t) + 4 f(t + dt/2) + f(t + dt))||_F, an estimate
+      of the fourth-order error that costs no extra evaluation.
+
+    Restarts reset z = 0 and U2 = I and fold the current factors into the
+    accumulated evolution; at a restart node U_samples keeps the value the
+    old segment reached there.  U_samples are built once after the solve
+    from the stacked U1(z), the U2 samples and each segment's accumulator.
     """
     m, n = h.N - h.n, h.n
     track_phases = n == 1
     U_accum = np.eye(h.N, dtype=complex)
     restarts: list = []
-    nodes = _StepNodes(h.blocks_at, 4)
+    nodes = _StepNodes(h.blocks_at, 2, h.breakpoints)
 
-    def f(t, y):
-        return riccati_rhs(nodes.at(t), y)
-
-    def phase_rates(H, z):
-        # d/dt of (mu, geometric phase, Im mu); Im mu = ln(1 + |z|^2)
-        Htop, V, Hbot = H
-        _, (mu_rate, geo_rate, _), _ = _peel_level(Htop, V[:, 0], Hbot[0, 0], z[:, 0])
-        return np.array([mu_rate, geo_rate, -2.0 * np.vdot(V[:, 0], z[:, 0]).imag])
+    if n == 1:
+        node = _corner_node
+    else:
+        def node(H, z):
+            dz = riccati_rhs(H, z)
+            return dz, effective_hamiltonian_hermitian(H, z, dz), None
 
     def zero_state(phases):
         z0 = np.zeros((m, n), dtype=complex)
-        return z0, z0, np.eye(h.N, dtype=complex), phases
+        return z0, np.eye(m, dtype=complex), np.eye(n, dtype=complex), phases, None
 
     def advance(t, dt, y):
-        z, z_coarse, U2, phases = y
+        z, U2_up, U2_lo, phases, start = y
         nodes.load(t, dt)
-        z_half = rk4_step(f, t, z, dt / 2.0)
-        z_new = rk4_step(f, t + dt / 2.0, z_half, dt / 2.0)
-        peak = np.maximum(frobenius(z_half), frobenius(z_new))  # max() could drop a NaN
+        H_a, H_m, H_b = nodes.H
+        f_a, He_a, r_a = start or node(H_a, z)
+        k2 = riccati_rhs(H_m, z + (dt / 2.0) * f_a)
+        k3 = riccati_rhs(H_m, z + (dt / 2.0) * k2)
+        k4 = riccati_rhs(H_b, z + dt * k3)
+        z_new = z + (dt / 6.0) * (f_a + 2.0 * (k2 + k3) + k4)
+        peak = frobenius(z_new)
         if not peak < Z_max:  # the driver folds or raises; a runaway z breaks the fiber
             return None, peak, None
-        # fiber: midpoint exponential of the Hermitian effective Hamiltonian
-        H_a, _, H_mid, _, H_b = nodes.H
-        upper, lower = effective_hamiltonian_hermitian(H_mid, z_half, riccati_rhs(H_mid, z_half))
-        lower_step = np.exp(-1j * lower.real * dt) if n == 1 else _unitary_step(lower, dt)
-        U2 = blockdiag(_unitary_step(upper, dt), lower_step) @ U2
+        end = f_b, He_b, r_b = node(H_b, z_new)
+        f_m, He_m, r_m = node(H_m, 0.5 * (z + z_new) + (dt / 8.0) * (f_a - f_b))
+        U2_up = _magnus4(He_a[0], He_m[0], He_b[0], dt) @ U2_up
+        U2_lo = _magnus4(He_a[1], He_m[1], He_b[1], dt) @ U2_lo
         if track_phases:
-            # trapezoid on the half grid, cumulative across restarts
-            r_a = phase_rates(H_a, z)
-            r_mid = phase_rates(H_mid, z_half)
-            r_b = phase_rates(H_b, z_new)
-            phases = (dt / 4.0) * (r_a + r_mid) + (dt / 4.0) * (r_mid + r_b) + phases
-        y_new = (z_new, rk4_step(f, t, z_coarse, dt), U2, phases)
-        return y_new, peak, unitarized_U1(z_new) @ U2 @ U_accum
+            phases = (dt / 6.0) * (r_a + 4.0 * r_m + r_b) + phases
+        defect = frobenius(z_new - z - (dt / 6.0) * (f_a + 4.0 * f_m + f_b))
+        return (z_new, U2_up, U2_lo, phases, None if nodes.jump else end), peak, defect
 
     def fold(t, y):
         nonlocal U_accum
-        z, _, U2, phases = y
-        U_accum = unitarized_U1(z) @ U2 @ U_accum
+        z, U2_up, U2_lo, phases, _ = y
+        U_accum = unitarized_U1(z) @ blockdiag(U2_up, U2_lo) @ U_accum
         restarts.append((t, U_accum))
         return zero_state(phases)
 
     y0 = zero_state(np.zeros(3) if track_phases else None)
-    times, states, extras = _drive(advance, fold, y0, t_end, steps, Z_max)
-    z_final, z_coarse_final = states[-1][:2]
+    times, states, defects = _drive(advance, fold, y0, t_end, steps, Z_max)
+    z_samples = np.array([y[0] for y in states])
+    U2_samples = np.zeros((steps + 1, h.N, h.N), dtype=complex)
+    U2_samples[:, :m, :m] = [y[1] for y in states]
+    U2_samples[:, m:, m:] = [y[2] for y in states]
+    # each node's segment accumulator: the identity, then one per restart from its node on
+    segment = np.searchsorted([t for t, _ in restarts], times, side="right")
+    accums = np.array([np.eye(h.N, dtype=complex)] + [U for _, U in restarts])[segment]
     result = FactoredResult(
         h=h,
         times=times,
-        z_samples=np.array([y[0] for y in states]),
-        U_samples=np.array([np.eye(h.N, dtype=complex)] + extras),
-        U2_samples=np.array([y[2] for y in states]),
+        z_samples=z_samples,
+        U_samples=unitarized_U1(z_samples) @ U2_samples @ accums,
+        U2_samples=U2_samples,
         restarts=restarts,
-        est_error=frobenius(z_final - z_coarse_final),
+        est_error=float(sum(defects)),
     )
     if track_phases:
         mu, geo, imu = np.array([y[3] for y in states]).T
@@ -532,13 +598,15 @@ def hierarchical_solve(
     integrator's fourth-order accuracy.  H is read once per distinct node of
     a step (t, t + dt/2, t + dt) and validated there (ModelError for a
     non-Hermitian or non-traceless model); H(t + dt) carries over as the next
-    step's H(t), and a step retaken after a restart reuses its nodes.
+    step's H(t), except across a breakpoint of a piecewise model, where the
+    step ending there reads the left limit, and a step retaken after a
+    restart reuses its nodes.
     """
     if h.n != 1:
         raise UnsupportedConfigurationError("hierarchical solve peels with n=1")
     N = h.N
     packing = _HierState(N)
-    nodes = _StepNodes(h.checked_matrix, 2)
+    nodes = _StepNodes(h.checked_matrix, 2, h.breakpoints)
     U_accum = np.eye(N, dtype=complex)
     phase_offsets = np.zeros((3, N - 1))  # mu, geo, phi accumulated at restarts
     restarts: list = []

@@ -41,11 +41,17 @@ class ModelError(ValueError):
 
 @dataclass(frozen=True)
 class BlockedHamiltonian:
-    """H(t) of dimension N with the (N-n, n) block partition."""
+    """H(t) of dimension N with the (N-n, n) block partition.
+
+    ``breakpoints`` lists the times where H jumps (piecewise models); the
+    solvers read H there as the left limit for the step that ends there and
+    afresh for the step that starts there.
+    """
 
     N: int
     n: int
     evaluator: Callable[[float], np.ndarray]
+    breakpoints: tuple = ()
 
     def __post_init__(self):
         if not (1 <= self.n <= self.N // 2):
@@ -229,7 +235,10 @@ def trig_random(
 
 
 def piecewise_constant(times, matrices, n: int = 1) -> BlockedHamiltonian:
-    """Piecewise-constant schedule; each piece samples from the left edge."""
+    """Piecewise-constant schedule; each piece samples from the left edge.
+
+    Piece k holds on [times[k], times[k + 1]); times[1:] are the breakpoints.
+    """
     times = np.asarray(times, dtype=float)
     matrices = [np.asarray(M, dtype=complex) for M in matrices]
     if len(matrices) != len(times):
@@ -241,7 +250,9 @@ def piecewise_constant(times, matrices, n: int = 1) -> BlockedHamiltonian:
         idx = max(0, min(idx, len(matrices) - 1))
         return matrices[idx]
 
-    return BlockedHamiltonian(N=N, n=n, evaluator=evaluate)
+    return BlockedHamiltonian(
+        N=N, n=n, evaluator=evaluate, breakpoints=tuple(float(t) for t in times[1:])
+    )
 
 
 def _matrix_from_pairs(entries) -> np.ndarray:

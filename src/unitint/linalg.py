@@ -34,7 +34,8 @@ class SingularMatrixError(ValueError):
 
 
 def dagger(M: np.ndarray) -> np.ndarray:
-    return M.conj().T
+    """Conjugate transpose; a stack of matrices is transposed matrix by matrix."""
+    return M.conj().mT
 
 
 def frobenius(M: np.ndarray) -> float:

@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import solve_ivp
 
 from unitint import factorization, riccati
 from unitint.factorization import (
     UnsupportedConfigurationError,
     _hier_assemble,
+    _corner_node,
     _HierState,
     _peel_level,
     assemble_tilde_U1,
@@ -28,6 +30,7 @@ from unitint.hamiltonian import (
     BlockedHamiltonian,
     ModelError,
     constant_hamiltonian,
+    piecewise_constant,
     spin_half,
     trig_random,
 )
@@ -98,6 +101,17 @@ def test_gauge_unitarize_scalar_example():
     assert np.allclose(b, np.diag([np.sqrt(2.0), s]))
     assert np.allclose(U1, [[s, 1j * s], [1j * s, s]])
     assert is_unitary(U1, 1e-12)
+
+
+@pytest.mark.parametrize("m,n", [(1, 1), (3, 1), (2, 2), (4, 3)])
+def test_unitarized_U1_stacks_over_leading_axes(m, n):
+    rng = np.random.default_rng(10 * m + n)
+    zs = np.array([_random_z(rng, m, n) * r for r in (0.0, 0.01, 0.3, 1.0, 7.0, 40.0)])
+    zs = zs.reshape(2, 3, m, n)
+    stacked = unitarized_U1(zs)
+    assert stacked.shape == (2, 3, m + n, m + n)
+    for z, U in zip(zs.reshape(-1, m, n), stacked.reshape(-1, m + n, m + n)):
+        assert frobenius(U - unitarized_U1(z)) <= 1e-14
 
 
 def test_unitarized_U1_is_unitary_any_block():
@@ -271,6 +285,23 @@ def test_peel_level_matches_public_composition(seed, N, radius):
         assert frobenius(got - want) <= 1e-12 * max(frobenius(want), frobenius(H))
 
 
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), N=st.integers(2, 8), radius=st.floats(0.0, 30.0))
+def test_corner_node_fiber_matches_effective_hamiltonian(seed, N, radius):
+    # the n = 1 fiber blocks solve_factored reads from _peel_level
+    rng = np.random.default_rng(seed)
+    H = random_traceless_hermitian(rng, N, 3.0)
+    m = N - 1
+    blocks = (H[:m, :m], H[:m, m:], H[m:, m:])
+    z = _random_z(rng, m)
+    z *= radius / frobenius(z)
+    dz, (upper, lower), _ = _corner_node(blocks, z)
+    z_dot = riccati_rhs(blocks, z)
+    want_upper, want_lower = effective_hamiltonian_hermitian(blocks, z, z_dot)
+    for got, want in ((dz, z_dot), (upper, want_upper), (lower, want_lower)):
+        assert frobenius(got - want) <= 1e-12 * max(frobenius(want), frobenius(H))
+
+
 # ----------------------------------------------------------------- direct solve
 
 
@@ -352,14 +383,64 @@ def _counted(h):
 
 @pytest.mark.parametrize("N,n,scale,folds", [(3, 1, 0.5, False), (4, 2, 0.5, False), (3, 1, 2.0, True)])
 def test_solve_evaluates_each_node_once(N, n, scale, folds):
-    # five quarter nodes per step, the first carried over from the step before;
-    # a step retaken after a fold reuses its nodes
+    # nodes t, t + dt/2 and t + dt per step, the first carried over from the
+    # step before; a step retaken after a fold reuses its nodes
     counted, times = _counted(trig_random(N, n=n, seed=1, scale=scale))
     steps = 230
     res = solve_factored(counted, 3.0, steps, Z_max=2.0)
     assert bool(res.restarts) == folds
-    assert len(times) <= 4 * steps + 1
+    assert len(times) <= 2 * steps + 1
     assert len(set(times)) == len(times)
+
+
+def _dop853(h, t_end):
+    N = h.N
+    sol = solve_ivp(
+        lambda t, y: (-1j * (h.matrix(t) @ y.reshape(N, N))).ravel(),
+        (0.0, t_end),
+        np.eye(N, dtype=complex).ravel(),
+        method="DOP853",
+        rtol=1e-13,
+        atol=1e-13,
+    )
+    return sol.y[:, -1].reshape(N, N)
+
+
+@pytest.mark.parametrize("N,n", [(3, 1), (4, 1), (4, 2), (6, 3)])
+def test_solve_is_fourth_order_and_estimates_its_error(N, n):
+    # RK4 base, Magnus fiber, restarts included: halving dt cuts the U error
+    # by ~2^4, and est_error stays within 10x of it
+    h = trig_random(N, n=n, seed=3, scale=2.0)
+    ref = _dop853(h, 3.0)
+    errors = []
+    for steps in (115, 230, 460):
+        res = solve_factored(h, 3.0, steps, Z_max=2.0)
+        assert res.restarts
+        err = compare(res.U_samples[-1], ref).phase_insensitive
+        assert err / 10.0 < res.est_error < 10.0 * err
+        errors.append(err)
+    for coarse, fine in zip(errors, errors[1:]):
+        assert 8.0 < coarse / fine < 32.0
+
+
+@pytest.mark.parametrize("solver", [solve_factored, hierarchical_solve])
+def test_breakpoints_on_the_grid_keep_fourth_order(solver):
+    # the step that ends on a breakpoint reads the piece it leaves, the next
+    # step the piece it enters; at 176 steps the grid misses t = 1.5 by an ulp
+    rng = np.random.default_rng(5)
+    t_end, starts = 2.0, [0.0, 0.5, 1.0, 1.5]
+    mats = [random_traceless_hermitian(rng, 4, 2.0) for _ in starts]
+    h = piecewise_constant(starts, mats)
+    assert h.breakpoints == (0.5, 1.0, 1.5)
+    ref = np.eye(4, dtype=complex)
+    for M in mats:
+        ref = expm(-0.5j * M) @ ref
+    errors = [
+        compare(solver(h, t_end, steps).U_samples[-1], ref).phase_insensitive
+        for steps in (88, 176, 352)
+    ]
+    for coarse, fine in zip(errors, errors[1:]):
+        assert 8.0 < coarse / fine < 32.0
 
 
 _invalid_models = pytest.mark.parametrize(

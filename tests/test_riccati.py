@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from unitint.factorization import hierarchical_solve, solve_factored
-from unitint.hamiltonian import so5_coefficients, spin_half, trig_random
+from unitint.hamiltonian import constant_hamiltonian, so5_coefficients, spin_half, trig_random
 from unitint.linalg import frobenius
 from unitint.riccati import (
     StiffnessError,
@@ -125,8 +125,11 @@ def test_non_finite_coordinate_raises():
     # one 1-unit step of a coupling of 1000 overflows to NaN inside RK4
     with pytest.raises(StiffnessError, match=r"is nan at t=0 \(step 0\)"):
         integrate_so5(_so5_coupling(0, 1e3), 12.0, 12)
-    # so does the first step of the factored solve at field scale 200
+    # so does the first RK4 step of the factored solve for a coupling of 1e30
     with pytest.raises(StiffnessError, match=r"is (nan|inf) at t=0 \(step 0\)"):
+        solve_factored(constant_hamiltonian(1e30 * (np.ones((4, 4)) - np.eye(4))), 3.0, 12)
+    # at field scale 200 that step stays finite (about 1e16) and the retaken step runs away
+    with pytest.raises(StiffnessError, match=r"within one step of a restart at t=0 \(step 0\)"):
         solve_factored(trig_random(4, seed=1, scale=200), 3.0, 12)
 
 
