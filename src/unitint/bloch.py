@@ -29,17 +29,24 @@ from .riccati import DEFAULT_Z_MAX, _drive, rk4_step, so5_z_params
 
 
 def project2(z: complex) -> np.ndarray:
-    """Unit 3-vector from a complex scalar: m+ = -2 z*/(1+|z|^2), m3 = (1-|z|^2)/(1+|z|^2)."""
-    g = 1.0 + abs(z) ** 2
+    """Unit 3-vector from a complex scalar: m+ = -2 z*/(1+|z|^2), m3 = (1-|z|^2)/(1+|z|^2).
+
+    An array of scalars gives a stack of vectors along a new last axis.
+    """
+    z = np.asarray(z)
+    g = 1.0 + np.abs(z) ** 2
     m_plus = -2.0 * np.conj(z) / g
-    return np.array([m_plus.real, m_plus.imag, (2.0 - g) / g])
+    return np.stack((m_plus.real, m_plus.imag, (2.0 - g) / g), axis=-1)
 
 
 def project5(z: np.ndarray) -> np.ndarray:
-    """Unit 5-vector from four reals: m_mu = -2 z_mu/(1+z.z), m5 = (1-z.z)/(1+z.z)."""
+    """Unit 5-vector from four reals: m_mu = -2 z_mu/(1+z.z), m5 = (1-z.z)/(1+z.z).
+
+    A stack of parameter rows (leading axes before the last) gives a stack of vectors.
+    """
     z = np.asarray(z, dtype=float)
-    g = 1.0 + float(z @ z)
-    return np.concatenate((-2.0 * z / g, [(2.0 - g) / g]))
+    g = 1.0 + (z[..., None, :] @ z[..., :, None])[..., 0]
+    return np.concatenate((-2.0 * z / g, (2.0 - g) / g), axis=-1)
 
 
 def bloch3_rhs(B: np.ndarray, m: np.ndarray, kappa: float = 1.0) -> np.ndarray:
@@ -58,8 +65,8 @@ def bloch5_rhs(F: np.ndarray, m: np.ndarray) -> np.ndarray:
 
 def _integrate_linear(f, m0: np.ndarray, t_end: float, steps: int) -> np.ndarray:
     """RK4 trajectory of a linear picture; the unit vector has no pole, so no restarts."""
-    _, states, _ = _drive(
-        lambda t, dt, m: (rk4_step(f, t, m, dt), 0.0, None), None, m0, t_end, steps, np.inf
+    _, states, _, _ = _drive(
+        lambda t, dt, m: (rk4_step(f, t, m, dt), 0.0, None), m0, t_end, steps, np.inf
     )
     return np.array(states)
 
@@ -91,22 +98,6 @@ class CrosscheckReport:
     fd_residual: float | None = None  # max |dm/dt - 2 F m| by centered differences
 
 
-def _mapped_su2(U_samples: np.ndarray) -> np.ndarray:
-    out = np.zeros((len(U_samples), 3))
-    for i, U in enumerate(U_samples):
-        z = base_coordinate(U, 2, 1)[0, 0]
-        out[i] = project2(z)
-    return out
-
-
-def _mapped_so5(U_samples: np.ndarray) -> np.ndarray:
-    out = np.zeros((len(U_samples), 5))
-    for i, U in enumerate(U_samples):
-        zmat = base_coordinate(U, 4, 2)
-        out[i] = project5(so5_z_params(zmat))
-    return out
-
-
 def _fit_kappa(times: np.ndarray, m: np.ndarray, Bfun) -> float:
     """Least-squares kappa in dm/dt = -kappa B x m from centered differences."""
     num = 0.0
@@ -126,7 +117,7 @@ def crosscheck_su2(
     Bfun = B if callable(B) else (lambda t, b=np.asarray(B, float): b)
     h = spin_half(Bfun)
     result = solve_factored(h, t_end, steps, Z_max=Z_max)
-    m_ric = _mapped_su2(result.U_samples)
+    m_ric = project2(base_coordinate(result.U_samples, 2, 1)[:, 0, 0])
     m_lin = integrate_bloch3(Bfun, t_end, steps)
     dev = float(np.max(np.linalg.norm(m_ric - m_lin, axis=1)))
     drift = float(np.max(np.abs(np.linalg.norm(m_lin, axis=1) - 1.0)))
@@ -147,7 +138,7 @@ def crosscheck_so5(
     """Compare the Riccati picture with the linear 5-vector equation."""
     h = build_so5(coeffs)
     result = solve_factored(h, t_end, steps, Z_max=Z_max)
-    m_ric = _mapped_so5(result.U_samples)
+    m_ric = project5(so5_z_params(base_coordinate(result.U_samples, 4, 2)))
     m_lin = integrate_bloch5(coeffs, t_end, steps)
     dev = float(np.max(np.linalg.norm(m_ric - m_lin, axis=1)))
     drift = float(np.max(np.abs(np.linalg.norm(m_lin, axis=1) - 1.0)))
@@ -187,8 +178,8 @@ def crosscheck_pictures(model, t_end: float, steps: int, Z_max: float = DEFAULT_
 
 
 def _spin_field_of(h, t: float) -> np.ndarray:
-    """Recover B(t) from a spin-1/2 Hamiltonian H = -(1/2) sigma.B."""
-    H = h.matrix(t)
+    """Recover B(t) from a spin-1/2 Hamiltonian H = -(1/2) sigma.B; ModelError for an invalid H."""
+    H = h.checked_matrix(t)
     return np.array([-2.0 * np.real(np.trace(H @ s)) / 2.0 for s in PAULI])
 
 

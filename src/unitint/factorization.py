@@ -136,10 +136,10 @@ def base_coordinate(U: np.ndarray, N: int, n: int) -> np.ndarray:
     """Extract z from a full evolution operator: z = U_topright U_botright^{-1}.
 
     Valid away from the stereographic pole, where the lower-right block of U
-    becomes singular.
+    becomes singular.  A stack of operators gives a stack of coordinates.
     """
     m = N - n
-    return U[:m, m:] @ np.linalg.inv(U[m:, m:])
+    return U[..., :m, m:] @ np.linalg.inv(U[..., m:, m:])
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +350,7 @@ class FactoredResult:
 
 
 class _StepNodes:
-    """H at the nodes t + j dt/parts, j = 0..parts, of one grid step, each read once.
+    """H at the nodes t, t + dt/2 and t + dt of one grid step, each read once.
 
     ``read`` is a validating evaluator such as BlockedHamiltonian.blocks_at.
     The end node carries over as the next step's start node, and a step the
@@ -363,16 +363,16 @@ class _StepNodes:
     start node afresh, so nothing evaluated at the end node may carry over.
     """
 
-    def __init__(self, read, parts: int, breakpoints=()):
-        self.read, self.parts = read, parts
+    def __init__(self, read, breakpoints=()):
+        self.read = read
         self.breakpoints = np.asarray(breakpoints, dtype=float)
         self.t, self.spacing, self.H, self.jump = None, None, [], False
 
     def load(self, t: float, dt: float) -> None:
         if t == self.t:
             return
-        self.t, self.spacing = t, dt / self.parts
-        times = [t + j * self.spacing for j in range(self.parts + 1)]
+        self.t, self.spacing = t, dt / 2.0
+        times = [t, t + self.spacing, t + dt]
         jump = False
         if self.breakpoints.size:
             times = [self._snap(s) for s in times]
@@ -436,16 +436,14 @@ def solve_factored(
       ||z_new - z - dt/6 (f(t) + 4 f(t + dt/2) + f(t + dt))||_F, an estimate
       of the fourth-order error that costs no extra evaluation.
 
-    Restarts reset z = 0 and U2 = I and fold the current factors into the
-    accumulated evolution; at a restart node U_samples keeps the value the
-    old segment reached there.  U_samples are built once after the solve
-    from the stacked U1(z), the U2 samples and each segment's accumulator.
+    A restart resets z = 0, U2 = I and the phases, and _drive records the
+    fold.  After the solve, _segments turns the folds into the restart records
+    and each node's accumulator; U_samples are the stacked U1(z) U2 times
+    those accumulators, and the phases add up the segments.
     """
     m, n = h.N - h.n, h.n
     track_phases = n == 1
-    U_accum = np.eye(h.N, dtype=complex)
-    restarts: list = []
-    nodes = _StepNodes(h.blocks_at, 2, h.breakpoints)
+    nodes = _StepNodes(h.blocks_at, h.breakpoints)
 
     if n == 1:
         node = _corner_node
@@ -453,10 +451,6 @@ def solve_factored(
         def node(H, z):
             dz = riccati_rhs(H, z)
             return dz, effective_hamiltonian_hermitian(H, z, dz), None
-
-    def zero_state(phases):
-        z0 = np.zeros((m, n), dtype=complex)
-        return z0, np.eye(m, dtype=complex), np.eye(n, dtype=complex), phases, None
 
     def advance(t, dt, y):
         z, U2_up, U2_lo, phases, start = y
@@ -479,22 +473,14 @@ def solve_factored(
         defect = frobenius(z_new - z - (dt / 6.0) * (f_a + 4.0 * f_m + f_b))
         return (z_new, U2_up, U2_lo, phases, None if nodes.jump else end), peak, defect
 
-    def fold(t, y):
-        nonlocal U_accum
-        z, U2_up, U2_lo, phases, _ = y
-        U_accum = unitarized_U1(z) @ blockdiag(U2_up, U2_lo) @ U_accum
-        restarts.append((t, U_accum))
-        return zero_state(phases)
-
-    y0 = zero_state(np.zeros(3) if track_phases else None)
-    times, states, defects = _drive(advance, fold, y0, t_end, steps, Z_max)
+    z0, phases0 = np.zeros((m, n), dtype=complex), np.zeros(3) if track_phases else None
+    y0 = z0, np.eye(m, dtype=complex), np.eye(n, dtype=complex), phases0, None
+    times, states, defects, folds = _drive(advance, y0, t_end, steps, Z_max)
+    restarts, accums, segment = _segments(
+        h.N, times, folds, lambda y: unitarized_U1(y[0]) @ blockdiag(y[1], y[2])
+    )
     z_samples = np.array([y[0] for y in states])
-    U2_samples = np.zeros((steps + 1, h.N, h.N), dtype=complex)
-    U2_samples[:, :m, :m] = [y[1] for y in states]
-    U2_samples[:, m:, m:] = [y[2] for y in states]
-    # each node's segment accumulator: the identity, then one per restart from its node on
-    segment = np.searchsorted([t for t, _ in restarts], times, side="right")
-    accums = np.array([np.eye(h.N, dtype=complex)] + [U for _, U in restarts])[segment]
+    U2_samples = blockdiag(np.array([y[1] for y in states]), np.array([y[2] for y in states]))
     result = FactoredResult(
         h=h,
         times=times,
@@ -505,12 +491,29 @@ def solve_factored(
         est_error=float(sum(defects)),
     )
     if track_phases:
-        mu, geo, imu = np.array([y[3] for y in states]).T
+        reached = np.cumsum([np.zeros(3)] + [y[3] for _, y in folds], axis=0)
+        mu, geo, imu = (np.array([y[3] for y in states]) + reached[segment]).T
         result.mu_total = mu
         result.phase_geometric = geo
         result.phase_dynamical = mu - geo
         result.imag_mu = imu
     return result
+
+
+def _segments(N: int, times: np.ndarray, folds: list, segment_U):
+    """Restart records, each node's accumulator and each node's segment index.
+
+    ``folds`` are _drive's (k, y) pairs and ``segment_U(y)`` the evolution a
+    segment reached in state y.  Each fold multiplies the accumulator by it
+    from the left; the restart record is (times[k], the new accumulator), and
+    node k starts the new segment.
+    """
+    accums = [np.eye(N, dtype=complex)]
+    for _, y in folds:
+        accums.append(segment_U(y) @ accums[-1])
+    restarts = [(times[k], U) for (k, _), U in zip(folds, accums[1:])]
+    segment = np.searchsorted([k for k, _ in folds], np.arange(len(times)), side="right")
+    return restarts, np.array(accums)[segment], segment
 
 
 # ---------------------------------------------------------------------------
@@ -553,8 +556,8 @@ class _HierState:
         return np.zeros(self.size, dtype=complex)
 
     def levels(self, y: np.ndarray) -> np.ndarray:
-        """Rows mu, geo, phi of the per-level phases, as a (3, N-1) view."""
-        return y[self.nz :].real.reshape(3, self.N - 1)
+        """Rows mu, geo, phi of the per-level phases: shape (..., 3, N-1) for y of (..., size)."""
+        return y[..., self.nz :].real.reshape(y.shape[:-1] + (3, self.N - 1))
 
     def peak(self, y: np.ndarray) -> float:
         """Largest per-level ||z||_F; a NaN in any level propagates."""
@@ -562,26 +565,17 @@ class _HierState:
 
 
 def _hier_assemble(packing: _HierState, y: np.ndarray) -> np.ndarray:
-    """U1(z_0) blockdiag(e^{i phi_0} U1(z_1) blockdiag(...), e^{i mu_0}) for one state.
+    """U1(z_0) blockdiag(e^{i phi_0} U1(z_1) blockdiag(...), e^{i mu_0}) for a state.
 
-    Level by level, innermost first, the columns of U1(z) blockdiag(e^{i phi} U,
-    e^{i mu}) in closed form, with s = sqrt(1 + |z|^2):
-    [[e^{i phi}(U - z (z^H U)/(s(s+1))), e^{i mu} z/s], [-e^{i phi} z^H U/s, e^{i mu}/s]].
+    Level by level, innermost first, U <- unitarized_U1(z_k) blockdiag(e^{i
+    phi_k} U, e^{i mu_k}).  A stack of states (leading axes of y) gives a
+    stack of operators.
     """
-    mu, _, phi = packing.levels(y)
-    U = np.ones((1, 1), dtype=complex)
+    phases = np.exp(1j * packing.levels(y))[..., None, None]  # rows e^{i mu}, e^{i geo}, e^{i phi}
+    U = np.ones(y.shape[:-1] + (1, 1), dtype=complex)
     for k in range(packing.N - 2, -1, -1):
-        z = y[packing.z_slices[k]]
-        m = len(z)
-        s = np.sqrt(1.0 + np.vdot(z, z).real)
-        e_phi, e_mu = np.exp(1j * phi[k]), np.exp(1j * mu[k]) / s
-        zhU = z.conj() @ U
-        out = np.empty((m + 1, m + 1), dtype=complex)
-        out[:m, :m] = e_phi * (U - z[:, None] * (zhU / (s * (s + 1.0))))
-        out[:m, m] = e_mu * z
-        out[m, :m] = (-e_phi / s) * zhU
-        out[m, m] = e_mu
-        U = out
+        e_mu, e_phi = phases[..., 0, k, :, :], phases[..., 2, k, :, :]
+        U = unitarized_U1(y[..., packing.z_slices[k], None]) @ blockdiag(e_phi * U, e_mu)
     return U
 
 
@@ -601,15 +595,17 @@ def hierarchical_solve(
     step's H(t), except across a breakpoint of a piecewise model, where the
     step ending there reads the left limit, and a step retaken after a
     restart reuses its nodes.
+
+    A restart resets every level's coordinate and phases, and _drive records
+    the fold.  After the solve, _segments turns the folds into the restart
+    records and each node's accumulator; U_samples are assembled once over
+    the stacked states, and the phases add up the segments.
     """
     if h.n != 1:
         raise UnsupportedConfigurationError("hierarchical solve peels with n=1")
     N = h.N
     packing = _HierState(N)
-    nodes = _StepNodes(h.checked_matrix, 2, h.breakpoints)
-    U_accum = np.eye(N, dtype=complex)
-    phase_offsets = np.zeros((3, N - 1))  # mu, geo, phi accumulated at restarts
-    restarts: list = []
+    nodes = _StepNodes(h.checked_matrix, h.breakpoints)
 
     def f(t, y):
         Hk = nodes.at(t)
@@ -623,25 +619,18 @@ def hierarchical_solve(
     def advance(t, dt, y):
         nodes.load(t, dt)
         y_new = rk4_step(f, t, y, dt)
-        U_new = _hier_assemble(packing, y_new) @ U_accum
-        return y_new, packing.peak(y_new), (packing.levels(y_new) + phase_offsets, U_new)
+        return y_new, packing.peak(y_new), None
 
-    def fold(t, y):
-        nonlocal U_accum
-        U_accum = _hier_assemble(packing, y) @ U_accum
-        restarts.append((t, U_accum))
-        phase_offsets[:] += packing.levels(y)
-        return packing.zeros()
-
-    times, states, extras = _drive(advance, fold, packing.zeros(), t_end, steps, Z_max)
-    phases = np.zeros((steps + 1, 3, N - 1))
-    phases[1:] = [e[0] for e in extras]
-    level_mu, level_geo, trace_phases = phases.transpose(1, 0, 2)
+    times, states, _, folds = _drive(advance, packing.zeros(), t_end, steps, Z_max)
+    restarts, accums, segment = _segments(N, times, folds, lambda y: _hier_assemble(packing, y))
+    states = np.array(states)
+    reached = np.cumsum([np.zeros((3, N - 1))] + [packing.levels(y) for _, y in folds], axis=0)
+    level_mu, level_geo, trace_phases = np.moveaxis(packing.levels(states) + reached[segment], 1, 0)
     return HierarchicalResult(
         h=h,
         times=times,
-        z_samples=np.array([y[: N - 1] for y in states])[:, :, None],
-        U_samples=np.array([np.eye(N, dtype=complex)] + [e[1] for e in extras]),
+        z_samples=states[:, : N - 1, None],
+        U_samples=_hier_assemble(packing, states) @ accums,
         level_mu=level_mu,
         level_geo=level_geo,
         level_dyn=level_mu - level_geo,

@@ -133,11 +133,14 @@ def _unitary_step(H: np.ndarray, dt: float) -> np.ndarray:
 
 
 def blockdiag(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """[[A, 0], [0, B]]; stacks (leading axes before the matrix ones) broadcast."""
     A = np.atleast_2d(np.asarray(A, dtype=complex))
     B = np.atleast_2d(np.asarray(B, dtype=complex))
-    out = np.zeros((A.shape[0] + B.shape[0], A.shape[1] + B.shape[1]), dtype=complex)
-    out[: A.shape[0], : A.shape[1]] = A
-    out[A.shape[0] :, A.shape[1] :] = B
+    (a0, a1), (b0, b1) = A.shape[-2:], B.shape[-2:]
+    lead = np.broadcast_shapes(A.shape[:-2], B.shape[:-2])
+    out = np.zeros(lead + (a0 + b0, a1 + b1), dtype=complex)
+    out[..., :a0, :a1] = A
+    out[..., a0:, a1:] = B
     return out
 
 

@@ -6,11 +6,12 @@ The (N-n) x n coordinate z obeys
 
 integrated with classical fixed-step RK4 from z(0) = 0.  Every solver path
 steps through one driver, ``_drive``, which is the only place restarts
-happen: when ||z||_F would exceed the restart threshold the path folds its
-current factors into the accumulated evolution and integration resumes from
-z = 0; the product structure U = U_segment U_accum makes that exact.  The
-SO(5) two-qubit case reduces to four real parameters and gets its own
-right-hand side.
+happen: when ||z||_F would exceed the restart threshold the driver records a
+fold, the state the segment reached, and integration resumes from z = 0.
+The product structure U = U_segment U_accum makes that exact; each path
+assembles U, its phases and its restart records from the folds once, after
+the solve.  The SO(5) two-qubit case reduces to four real parameters and
+gets its own right-hand side.
 """
 
 from __future__ import annotations
@@ -48,38 +49,40 @@ def rk4_step(f, t: float, y: np.ndarray, dt: float) -> np.ndarray:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite peak raises StiffnessError
-def _drive(advance, fold, y0, t_end: float, steps: int, Z_max: float):
+def _drive(advance, y0, t_end: float, steps: int, Z_max: float):
     """Fixed-step driver shared by every solver path; restarts happen here only.
 
-    A path supplies a chart of two functions.  ``advance(t, dt, y)`` returns
+    A path supplies one function, ``advance(t, dt, y)``, which returns
     ``(y_new, peak, extra)``: the state one grid step later, the coordinate
-    norm compared with Z_max, and the path's record of that step.
-    ``fold(t, y)`` folds the current segment into the path's accumulated
-    evolution and returns the zero state.  When a step's peak reaches Z_max
-    the segment is folded, the stored state at that grid node becomes the
-    zero state, and the step is retaken from it.
+    norm compared with Z_max, and the path's record of that step.  When a
+    step's peak reaches Z_max the driver records the fold ``(k, y)``, with y
+    the state the segment reached at grid node k; the stored state at that
+    node becomes y0, which starts the next segment, and the step is retaken
+    from it.  The path assembles U, phases and restart records from the
+    folds after the solve.
 
-    Returns (times, states, extras): states[k] is the state at times[k] and
-    extras[k] the record of the step from times[k] to times[k + 1].
-    Raises StiffnessError when a peak is not finite, when restarts come
-    fewer than MIN_STEPS_BETWEEN_RESTARTS steps apart, or when the step
-    retaken from the zero state reaches Z_max again.
+    Returns (times, states, extras, folds): states[k] is the state at
+    times[k], extras[k] the record of the step from times[k] to
+    times[k + 1], and folds the (k, y) pairs in order.  Raises
+    StiffnessError when a peak is not finite, when restarts come fewer than
+    MIN_STEPS_BETWEEN_RESTARTS steps apart, or when the step retaken from y0
+    reaches Z_max again.
     """
     dt = t_end / steps
     times = np.linspace(0.0, t_end, steps + 1)
-    states, extras = [y0], []
-    y, last_restart = y0, None
+    states, extras, folds = [y0], [], []
+    y = y0
     for k in range(steps):
         t = times[k]
         y_new, peak, extra = advance(t, dt, y)
         if not peak < Z_max:
             if not np.isfinite(peak):
                 problem = f"coordinate norm is {peak}"
-            elif last_restart is not None and k - last_restart < MIN_STEPS_BETWEEN_RESTARTS:
-                problem = f"restart requested again after {k - last_restart} steps"
+            elif folds and k - folds[-1][0] < MIN_STEPS_BETWEEN_RESTARTS:
+                problem = f"restart requested again after {k - folds[-1][0]} steps"
             else:
-                last_restart = k
-                y = states[k] = fold(t, y)
+                folds.append((k, y))
+                y = states[k] = y0
                 y_new, peak, extra = advance(t, dt, y)
                 problem = None if peak < Z_max else (
                     f"coordinate norm reaches {peak:.3g} within one step of a restart"
@@ -92,7 +95,7 @@ def _drive(advance, fold, y0, t_end: float, steps: int, Z_max: float):
         y = y_new
         states.append(y)
         extras.append(extra)
-    return times, states, extras
+    return times, states, extras, folds
 
 
 def so5_rhs(F: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -115,10 +118,15 @@ def so5_z_matrix(z: np.ndarray) -> np.ndarray:
 
 
 def so5_z_params(zmat: np.ndarray) -> np.ndarray:
-    """Inverse of so5_z_matrix; valid for matrices in the quaternionic span."""
-    z4 = complex(np.trace(zmat)) / 2.0
-    zi = [complex(np.trace(zmat @ PAULI[i])) * 0.5j for i in range(3)]
-    return np.array([zi[0].real, zi[1].real, zi[2].real, z4.real])
+    """Inverse of so5_z_matrix; valid for matrices in the quaternionic span.
+
+    z_i = Re(i tr(zmat sigma_i)/2) and z4 = Re tr(zmat)/2; a stack of
+    matrices (leading axes before the 2 x 2 ones) gives a stack of parameters.
+    """
+    zmat = np.asarray(zmat, dtype=complex)
+    zi = (0.5j * np.einsum("...ab,iba->...i", zmat, np.array(PAULI))).real
+    z4 = np.trace(zmat, axis1=-2, axis2=-1).real / 2.0
+    return np.concatenate((zi, z4[..., None]), axis=-1)
 
 
 def integrate_so5(
@@ -133,7 +141,6 @@ def integrate_so5(
     restart rule matches the matrix form: the quaternionic rendering has
     ||z||_F = sqrt(2 z.z), so restarts trigger at the same trajectory points.
     """
-    restarts: list = []
 
     def f(t, y):
         return so5_rhs(coeffs.at(t), y)
@@ -143,9 +150,5 @@ def integrate_so5(
         z_new = rk4_step(f, t + dt / 2.0, z_half, dt / 2.0)
         return z_new, np.sqrt(2.0 * np.maximum(z_half @ z_half, z_new @ z_new)), None
 
-    def fold(t, z):
-        restarts.append(t)
-        return np.zeros(4)
-
-    times, states, _ = _drive(advance, fold, np.zeros(4), t_end, steps, Z_max)
-    return times, np.array(states), restarts
+    times, states, _, folds = _drive(advance, np.zeros(4), t_end, steps, Z_max)
+    return times, np.array(states), [times[k] for k, _ in folds]

@@ -14,7 +14,15 @@ from unitint.bloch import (
     project2,
     project5,
 )
-from unitint.hamiltonian import so5_coefficients
+from unitint.factorization import base_coordinate, solve_factored
+from unitint.hamiltonian import (
+    ModelError,
+    build_so5,
+    constant_hamiltonian,
+    so5_coefficients,
+    spin_half,
+)
+from unitint.riccati import so5_z_params
 
 
 def _random_F(rng, scale=0.5):
@@ -131,3 +139,31 @@ def test_crosscheck_pictures_dispatch():
     assert np.max(np.abs(rep5.m_riccati - static.m_riccati)) > 1e-3
     with pytest.raises(ValueError):
         crosscheck_pictures({"family": "constant"}, 1.0, 10)
+
+
+@pytest.mark.parametrize(
+    "M",
+    [[[0.3, 1.0], [0.2j, -0.3]], [[1.3, 0.5], [0.5, 0.7]]],
+    ids=["not_hermitian", "trace_2"],
+)
+def test_crosscheck_pictures_rejects_invalid_spin_model(M):
+    # read through the model contract, not projected onto -(1/2) sigma.B
+    with pytest.raises(ModelError):
+        crosscheck_pictures(constant_hamiltonian(M), 1.0, 50)
+
+
+def test_bloch_maps_stack_over_samples():
+    # the cross-checks map all U_samples in one expression; it equals the
+    # per-sample maps, across restarts included
+    su2 = solve_factored(spin_half([0.8, 0.5, 0.3]), 4.0, 300, Z_max=3.0)
+    F = _random_F(np.random.default_rng(4), 1.0)
+    so5 = solve_factored(build_so5(so5_coefficients(F)), 2.0, 300, Z_max=1.5)
+    assert su2.restarts and so5.restarts
+    stacked = project2(base_coordinate(su2.U_samples, 2, 1)[:, 0, 0])
+    single = np.array([project2(base_coordinate(U, 2, 1)[0, 0]) for U in su2.U_samples])
+    assert stacked.shape == single.shape == (301, 3)
+    assert np.max(np.abs(stacked - single)) < 1e-14
+    stacked = project5(so5_z_params(base_coordinate(so5.U_samples, 4, 2)))
+    single = np.array([project5(so5_z_params(base_coordinate(U, 4, 2))) for U in so5.U_samples])
+    assert stacked.shape == single.shape == (301, 5)
+    assert np.max(np.abs(stacked - single)) < 1e-14

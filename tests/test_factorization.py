@@ -361,6 +361,53 @@ def test_restart_preserves_evolution():
     assert frobenius(res_none.U_samples[-1] - res_many.U_samples[-1]) < 1e-10
 
 
+_RESTART_SOLVES = [
+    (N, n, solver)
+    for N, n in [(3, 1), (4, 1), (4, 2), (6, 3)]
+    for solver in (solve_factored, hierarchical_solve)
+    if n == 1 or solver is solve_factored
+]
+
+
+@pytest.mark.parametrize("N,n,solver", _RESTART_SOLVES)
+def test_restarts_are_exact_at_every_sample(N, n, solver):
+    # Z_max 2 folds several times; Z_max 50 folds rarely.  U agrees at every
+    # sample within the fourth-order error (16x per halving), each restart
+    # record is U_samples at its node, and the cumulative phases carry over:
+    # a step moves them by under 0.1 here, while a lost segment offset jumps
+    # by the phase that segment reached (Im mu alone gains ln(1 + 2^2) = 1.6).
+    h = trig_random(N, n=n, seed=2, scale=2.0)
+    phase_names = {
+        solve_factored: ("mu_total", "phase_geometric", "imag_mu"),
+        hierarchical_solve: ("level_mu", "level_geo", "trace_phases"),
+    }[solver]
+    errors = []
+    for steps in (230, 460):
+        folded = solver(h, 3.0, steps, Z_max=2.0)
+        assert folded.restarts
+        for t, U in folded.restarts:
+            assert frobenius(U - folded.U_samples[np.searchsorted(folded.times, t)]) < 1e-14
+        if n == 1:
+            phases = np.column_stack([getattr(folded, name) for name in phase_names])
+            assert np.max(np.abs(np.diff(phases, axis=0))) < 0.2
+        plain = solver(h, 3.0, steps, Z_max=50.0)
+        errors.append(np.linalg.norm(folded.U_samples - plain.U_samples, axis=(1, 2)).max())
+    assert errors[1] < 2e-6
+    assert errors[0] / errors[1] > 8.0
+
+
+@pytest.mark.parametrize("N", [3, 4])
+def test_imaginary_mu_closure_per_segment(N):
+    # each segment starts from z = 0, so Im mu gains ln(1 + |z|^2) from the
+    # value it had at the segment's first node
+    res = solve_factored(trig_random(N, seed=2, scale=2.0), 3.0, 230, Z_max=2.0)
+    assert len(res.restarts) >= 2
+    starts = np.concatenate(([0], np.searchsorted(res.times, [t for t, _ in res.restarts])))
+    start = starts[np.searchsorted(starts, np.arange(len(res.times)), side="right") - 1]
+    gained = np.log1p(np.sum(np.abs(res.z_samples) ** 2, axis=(1, 2)))
+    assert np.max(np.abs(res.imag_mu - res.imag_mu[start] - gained)) < 1e-6
+
+
 def test_solve_through_pole():
     # B = (1, 0, 0) beyond t = pi: |z| = tan(t/2) diverges, restart carries on
     h = spin_half([1.0, 0.0, 0.0])
@@ -600,12 +647,10 @@ def test_hier_assemble_matches_nested_product(N, monkeypatch):
     states = [y]
 
     # and every state a solve folds, i.e. the last state before a restart
-    def drive(advance, fold, *args):
-        def keep(t, state):
-            states.append(state.copy())
-            return fold(t, state)
-
-        return riccati._drive(advance, keep, *args)
+    def drive(*args):
+        out = riccati._drive(*args)
+        states.extend(state.copy() for _, state in out[3])
+        return out
 
     monkeypatch.setattr(factorization, "_drive", drive)
     res = hierarchical_solve(trig_random(N, seed=1, scale=2.0), 3.0, 200, Z_max=2.0)
