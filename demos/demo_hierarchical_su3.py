@@ -16,7 +16,7 @@ h = trig_random(3, seed=42, scale=0.6)
 t_end, steps = 2.0, 2000
 
 res = hierarchical_solve(h, t_end, steps)
-oracle = propagate(h, t_end, 4 * steps, estimate_error=False)
+oracle = propagate(h, t_end, 4 * steps)
 
 cmp = compare(res.U_samples[-1], oracle.U_final)
 print(f"endpoint distance to oracle     : {cmp.plain:.3e}")

@@ -7,13 +7,10 @@ for verification.
 """
 
 from .bloch import (
-    bloch3_rhs,
-    bloch5_rhs,
     crosscheck_pictures,
     crosscheck_so5,
     crosscheck_su2,
-    integrate_bloch3,
-    integrate_bloch5,
+    precess,
     project2,
     project5,
 )

@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import numbers
 import sys
 from pathlib import Path
 
@@ -45,7 +46,7 @@ from .linalg import (
     unitarity_defect,
 )
 from .oracle import compare, propagate
-from .riccati import StiffnessError, riccati_rhs
+from .riccati import DEFAULT_Z_MAX, StiffnessError, riccati_rhs
 
 
 class ScenarioError(ValueError):
@@ -89,15 +90,22 @@ def parse_scenario(scenario: dict):
 
 
 def _with_defaults(scenario: dict) -> dict:
-    defaults = {"N": 2, "n": 1, "Z_max": 10.0, "paths": ["factorized", "oracle"], "tolerances": {}}
+    defaults = {
+        "N": 2, "n": 1, "Z_max": DEFAULT_Z_MAX, "paths": ["factorized", "oracle"], "tolerances": {}
+    }
     return {**defaults, **scenario}
 
 
-def _number(table: dict, key: str, kind=float):
-    try:
-        return kind(table[key])
-    except (TypeError, ValueError):
-        raise ScenarioError(f"{key} must be a number, got {table[key]!r}") from None
+def _number(table: dict, key: str, integral: bool = False):
+    """table[key] as a float, or as an int when integral; booleans and strings are no numbers."""
+    value = table[key]
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ScenarioError(f"{key} must be a number, got {value!r}")
+    if integral:
+        if not float(value).is_integer():
+            raise ScenarioError(f"{key} must be an integer, got {value!r}")
+        return int(value)
+    return float(value)
 
 
 def _check_fields(scenario: dict) -> None:
@@ -107,10 +115,10 @@ def _check_fields(scenario: dict) -> None:
     sid = scenario["id"]
     if not isinstance(sid, str) or sid in ("", ".", "..") or any(c in sid for c in "/\\\0"):
         raise ScenarioError(f"id must be a plain file name, got {sid!r}")
-    N, n = _number(scenario, "N", int), _number(scenario, "n", int)
+    N, n = _number(scenario, "N", integral=True), _number(scenario, "n", integral=True)
     if N < 2 or not (1 <= n <= N // 2):
         raise ScenarioError(f"need N >= 2 and 1 <= n <= N/2, got N={N}, n={n}")
-    t_end, steps = _number(scenario, "t_end"), _number(scenario, "steps", int)
+    t_end, steps = _number(scenario, "t_end"), _number(scenario, "steps", integral=True)
     if not (np.isfinite(t_end) and t_end > 0) or steps < 1:
         raise ScenarioError(f"need a finite t_end > 0 and steps >= 1, got {t_end} and {steps}")
     if not _number(scenario, "Z_max") > 0:
@@ -153,9 +161,7 @@ def run_scenario(scenario: dict, out_dir: Path) -> dict:
     restart_log = [{"path": "factorized", "t": float(t)} for t, _ in factored.restarts]
     if "factorized" in paths:
         endpoint_U["factorized"] = factored.U_samples[-1]
-        unitarity["factorized"] = max(
-            unitarity_defect(U) for U in factored.U_samples[:: max(1, steps // 50)]
-        )
+        unitarity["factorized"] = _worst_unitarity(factored.U_samples)
         if factored.mu_total is not None:
             phases["factorized"] = {
                 "mu_total": float(factored.mu_total[-1]),
@@ -165,9 +171,7 @@ def run_scenario(scenario: dict, out_dir: Path) -> dict:
     if "hierarchical" in paths:
         hier = hierarchical_solve(h, t_end, steps, Z_max=z_max)
         endpoint_U["hierarchical"] = hier.U_samples[-1]
-        unitarity["hierarchical"] = max(
-            unitarity_defect(U) for U in hier.U_samples[:: max(1, steps // 50)]
-        )
+        unitarity["hierarchical"] = _worst_unitarity(hier.U_samples)
         restart_log += [
             {"path": "hierarchical", "t": float(t)} for t, _ in hier.restarts
         ]
@@ -183,11 +187,9 @@ def run_scenario(scenario: dict, out_dir: Path) -> dict:
     if "oracle" in paths:
         oracle_res = propagate(h, t_end, steps)
         endpoint_U["oracle"] = oracle_res.U_final
-        unitarity["oracle"] = max(
-            unitarity_defect(U) for U in oracle_res.U_samples[:: max(1, steps // 50)]
-        )
+        unitarity["oracle"] = _worst_unitarity(oracle_res.U_samples)
     if "bloch" in paths:
-        bloch_report = bloch_mod.crosscheck_pictures(h, t_end, steps, Z_max=z_max)
+        bloch_report = bloch_mod.crosscheck_pictures(factored)
 
     distances = {}
     names = sorted(endpoint_U)
@@ -238,6 +240,12 @@ def run_scenario(scenario: dict, out_dir: Path) -> dict:
     )
     _write_trajectory_csv(out_dir / f"{scenario['id']}_trajectory.csv", h, factored, bloch_report)
     return report
+
+
+def _worst_unitarity(U_samples: np.ndarray) -> float:
+    """Largest ||U^H U - I||_F over about 50 evenly spaced samples and U(T)."""
+    stride = max(1, (len(U_samples) - 1) // 50)
+    return max(unitarity_defect(U) for U in (*U_samples[::stride], U_samples[-1]))
 
 
 def _write_trajectory_csv(path: Path, h, factored, bloch_report) -> None:

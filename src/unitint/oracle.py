@@ -20,7 +20,6 @@ from .linalg import _unitary_step, dagger, frobenius, is_hermitian
 class PropagationResult:
     times: np.ndarray
     U_samples: np.ndarray
-    est_error: float
 
     @property
     def U_final(self) -> np.ndarray:
@@ -41,39 +40,27 @@ def _evaluator(h):
     return lambda t: np.asarray(h(t), dtype=complex)
 
 
-def _propagate_once(evaluate, t_end: float, steps: int) -> np.ndarray:
+def propagate(h, t_end: float, steps: int) -> PropagationResult:
+    """Propagate i dU/dt = H(t) U from U(0) = I.
+
+    `h` is a BlockedHamiltonian or a plain evaluator t -> matrix.  H is read
+    once per step, at the step midpoint; the first read fixes N.
+    """
+    if steps < 1:
+        raise ValueError("steps must be >= 1")
+    evaluate = _evaluator(h)
     dt = t_end / steps
-    N = evaluate(0.0).shape[0]
-    U_samples = np.zeros((steps + 1, N, N), dtype=complex)
-    U_samples[0] = np.eye(N)
+    U_samples = None
     for k in range(steps):
         t_mid = (k + 0.5) * dt
         H = evaluate(t_mid)
         if not is_hermitian(H, 1e-10):
             raise ModelError(f"H(t={t_mid}) is not Hermitian within 1e-10")
+        if U_samples is None:
+            U_samples = np.zeros((steps + 1, *H.shape), dtype=complex)
+            U_samples[0] = np.eye(len(H))
         U_samples[k + 1] = _unitary_step(H, dt) @ U_samples[k]
-    return U_samples
-
-
-def propagate(h, t_end: float, steps: int, estimate_error: bool = True) -> PropagationResult:
-    """Propagate i dU/dt = H(t) U from U(0) = I.
-
-    `h` is a BlockedHamiltonian or a plain evaluator t -> matrix.  The error
-    estimate compares the endpoint against a run with doubled step count.
-    """
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-    evaluate = _evaluator(h)
-    U_samples = _propagate_once(evaluate, t_end, steps)
-    est_error = 0.0
-    if estimate_error:
-        U_fine = _propagate_once(evaluate, t_end, 2 * steps)
-        est_error = frobenius(U_fine[-1] - U_samples[-1])
-    return PropagationResult(
-        times=np.linspace(0.0, t_end, steps + 1),
-        U_samples=U_samples,
-        est_error=est_error,
-    )
+    return PropagationResult(times=np.linspace(0.0, t_end, steps + 1), U_samples=U_samples)
 
 
 def compare(U_a: np.ndarray, U_b: np.ndarray) -> ComparisonResult:

@@ -4,10 +4,11 @@ The (N-n) x n coordinate z obeys
 
     i dz/dt = Htop z + V - z (V^H z + Hbot),
 
-integrated with classical fixed-step RK4 from z(0) = 0.  Every solver path
-steps through one driver, ``_drive``, which is the only place restarts
-happen: when ||z||_F would exceed the restart threshold the driver records a
-fold, the state the segment reached, and integration resumes from z = 0.
+integrated with classical fixed-step RK4 from z(0) = 0.  Every Riccati
+solver path steps through one driver, ``_drive``, which is the only place
+restarts happen: when ||z||_F would exceed the restart threshold the driver
+records a fold, the state the segment reached, and integration resumes from
+z = 0.
 The product structure U = U_segment U_accum makes that exact; each path
 assembles U, its phases and its restart records from the folds once, after
 the solve.  The SO(5) two-qubit case reduces to four real parameters and

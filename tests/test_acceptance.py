@@ -8,7 +8,7 @@ behind it enforce the stated tolerances.  Shared expensive artifacts (the
 import numpy as np
 import pytest
 
-from unitint.bloch import crosscheck_so5, integrate_bloch5, project5
+from unitint.bloch import crosscheck_so5, project5
 from unitint.factorization import (
     gamma1_inv_sqrt_closed,
     gamma1_sqrt_closed,
@@ -101,7 +101,7 @@ def sweep_results():
         if frobenius(h.matrix(0.37) - H0) < 1e-14:
             U_ref = expm(-1j * H0)
         else:
-            U_ref = propagate(h, 1.0, 3000, estimate_error=False).U_final
+            U_ref = propagate(h, 1.0, 3000).U_final
         dist = compare(res.U_samples[-1], U_ref).phase_insensitive
         defect = max(unitarity_defect(U) for U in res.U_samples)
         out.append((label, dist, defect))
@@ -316,9 +316,9 @@ def test_criterion_09_convergence_orders():
     rk4_ratio = e1 / e2
     assert 8.0 < rk4_ratio < 32.0
 
-    U_ref = propagate(h, 1.0, 25600, estimate_error=False).U_final
-    o1 = frobenius(propagate(h, 1.0, 200, estimate_error=False).U_final - U_ref)
-    o2 = frobenius(propagate(h, 1.0, 400, estimate_error=False).U_final - U_ref)
+    U_ref = propagate(h, 1.0, 25600).U_final
+    o1 = frobenius(propagate(h, 1.0, 200).U_final - U_ref)
+    o2 = frobenius(propagate(h, 1.0, 400).U_final - U_ref)
     oracle_ratio = o1 / o2
     ok = 2.0 < oracle_ratio < 8.0
     print(f"criterion  9 [convergence orders]: {'PASS' if ok else 'FAIL'} "

@@ -1,16 +1,16 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from unitint.bloch import (
-    bloch3_rhs,
-    bloch5_rhs,
+    _spin_generator,
     crosscheck_pictures,
     crosscheck_so5,
     crosscheck_su2,
-    integrate_bloch3,
-    integrate_bloch5,
+    precess,
     project2,
     project5,
 )
@@ -19,8 +19,10 @@ from unitint.hamiltonian import (
     ModelError,
     build_so5,
     constant_hamiltonian,
+    from_config,
     so5_coefficients,
     spin_half,
+    trig_random,
 )
 from unitint.riccati import so5_z_params
 
@@ -62,12 +64,15 @@ def test_project5_unit_norm(zs):
 
 def test_bloch3_rhs_example():
     # B along z, m along x: dm/dt = -B x m = (0, -1, 0) for unit fields
-    out = bloch3_rhs([0.0, 0.0, 1.0], np.array([1.0, 0.0, 0.0]))
+    out = _spin_generator([0.0, 0.0, 1.0]) @ np.array([1.0, 0.0, 0.0])
     assert np.allclose(out, [0.0, -1.0, 0.0])
+    B, m = np.array([0.4, -0.3, 0.9]), np.array([0.2, 0.7, -0.5])
+    assert np.max(np.abs(_spin_generator(B) @ m + np.cross(B, m))) < 1e-15
 
 
 def test_bloch3_norm_conserved():
-    m = integrate_bloch3([0.4, -0.3, 0.9], 5.0, 2000)
+    Omega = _spin_generator([0.4, -0.3, 0.9])
+    m = precess(lambda t: Omega, 5.0, 2000)
     assert np.max(np.abs(np.linalg.norm(m, axis=1) - 1.0)) < 1e-12
 
 
@@ -75,19 +80,30 @@ def test_bloch5_rhs_antisymmetry_conserves_norm():
     rng = np.random.default_rng(3)
     F = _random_F(rng)
     m = rng.standard_normal(5)
-    assert abs(m @ bloch5_rhs(F, m)) < 1e-12
-    traj = integrate_bloch5(so5_coefficients(F), 3.0, 1500)
+    assert abs(m @ (2.0 * F @ m)) < 1e-12
+    traj = precess(lambda t: 2.0 * F, 3.0, 1500)
     assert np.max(np.abs(np.linalg.norm(traj, axis=1) - 1.0)) < 1e-11
 
 
 def test_bloch3_precession_closed_form():
-    # constant B = (0, 0, b): m+ rotates at rate b around z (m3 fixed)
+    # constant B = (b, 0, 0): from the pole, m = (0, sin bt, cos bt)
     b = 1.7
-    m0 = np.array([1.0, 0.0, 0.0])
-    traj = integrate_bloch3([0.0, 0.0, b], 2.0, 1000, m0=m0)
+    traj = precess(lambda t: _spin_generator([b, 0.0, 0.0]), 2.0, 1000)
     t = np.linspace(0.0, 2.0, 1001)
-    assert np.max(np.abs(traj[:, 0] - np.cos(b * t))) < 1e-9
-    assert np.max(np.abs(traj[:, 1] + np.sin(b * t))) < 1e-9
+    assert np.max(np.abs(traj[:, 1] - np.sin(b * t))) < 1e-9
+    assert np.max(np.abs(traj[:, 2] - np.cos(b * t))) < 1e-9
+
+
+def test_precess_reads_each_node_once():
+    reads = []
+
+    def omega(t):
+        reads.append(t)
+        return _spin_generator([0.3, np.cos(t), 0.5])
+
+    precess(omega, 1.0, 8)
+    assert len(reads) == len(set(reads)) == 17
+    assert sorted(reads) == sorted([*np.linspace(0.0, 1.0, 9), *(np.arange(8) + 0.5) / 8])
 
 
 def test_crosscheck_su2_pictures_agree():
@@ -96,6 +112,8 @@ def test_crosscheck_su2_pictures_agree():
     assert rep.norm_drift < 1e-9
     # measured precession constant in dm/dt = -kappa B x m
     assert abs(rep.kappa - 1.0) < 1e-4
+    # centered-difference residual of dm/dt = -B x m along the mapped trajectory
+    assert rep.fd_residual < 1e-5
 
 
 def test_crosscheck_su2_across_restart():
@@ -112,6 +130,8 @@ def test_crosscheck_so5_pictures_agree():
     assert rep.norm_drift < 1e-9
     # centered-difference residual of dm/dt = 2 F m along the mapped trajectory
     assert rep.fd_residual < 1e-5
+    # measured precession constant in dm/dt = kappa 2 F m
+    assert abs(rep.kappa - 1.0) < 1e-4
 
 
 def test_crosscheck_so5_across_restart():
@@ -122,9 +142,13 @@ def test_crosscheck_so5_across_restart():
     assert rep.max_deviation < 1e-6
 
 
+def _solved(config, t_end, steps):
+    return solve_factored(from_config(config), t_end, steps)
+
+
 def test_crosscheck_pictures_dispatch():
     rep = crosscheck_pictures(
-        {"family": "spin_half", "params": {"B": [0.0, 0.0, 1.0]}}, 1.0, 200
+        _solved({"family": "spin_half", "params": {"B": [0.0, 0.0, 1.0]}}, 1.0, 200)
     )
     assert rep.max_deviation < 1e-9
     F0 = np.zeros((5, 5))
@@ -132,13 +156,24 @@ def test_crosscheck_pictures_dispatch():
     Fc = np.zeros((5, 5))
     Fc[4, 0], Fc[0, 4] = 0.3, -0.3
     params = {"F": F0.tolist(), "F_cos": Fc.tolist(), "omega": 2.0}
-    rep5 = crosscheck_pictures({"family": "so5", "params": params}, 1.0, 200)
+    rep5 = crosscheck_pictures(_solved({"family": "so5", "params": params}, 1.0, 200))
     assert rep5.max_deviation < 1e-9
     # the driving term reaches the Riccati picture: F_cos couples z1 to the pole
-    static = crosscheck_pictures({"family": "so5", "params": {"F": params["F"]}}, 1.0, 200)
+    static = crosscheck_pictures(
+        _solved({"family": "so5", "params": {"F": params["F"]}}, 1.0, 200)
+    )
     assert np.max(np.abs(rep5.m_riccati - static.m_riccati)) > 1e-3
     with pytest.raises(ValueError):
-        crosscheck_pictures({"family": "constant"}, 1.0, 10)
+        crosscheck_pictures(solve_factored(trig_random(3), 1.0, 10))
+
+
+def test_crosscheck_pictures_on_any_spin_model():
+    # B(t) is read back from H(t), so an N = 2 trig_random model cross-checks too
+    rep = crosscheck_pictures(solve_factored(trig_random(2, seed=5), 2.0, 800))
+    assert rep.max_deviation < 1e-8
+    assert rep.norm_drift < 1e-9
+    assert abs(rep.kappa - 1.0) < 1e-4
+    assert rep.fd_residual < 1e-5
 
 
 @pytest.mark.parametrize(
@@ -148,8 +183,9 @@ def test_crosscheck_pictures_dispatch():
 )
 def test_crosscheck_pictures_rejects_invalid_spin_model(M):
     # read through the model contract, not projected onto -(1/2) sigma.B
+    valid = solve_factored(spin_half([0.3, 0.0, 1.0]), 1.0, 50)
     with pytest.raises(ModelError):
-        crosscheck_pictures(constant_hamiltonian(M), 1.0, 50)
+        crosscheck_pictures(replace(valid, h=constant_hamiltonian(M)))
 
 
 def test_bloch_maps_stack_over_samples():

@@ -3,7 +3,18 @@ import json
 import numpy as np
 import pytest
 
-from unitint.cli import ScenarioError, load_scenario, main, run_property_suite, run_scenario
+import unitint.bloch
+import unitint.cli
+from unitint.cli import (
+    ScenarioError,
+    _worst_unitarity,
+    load_scenario,
+    main,
+    run_property_suite,
+    run_scenario,
+)
+from unitint.hamiltonian import BlockedHamiltonian
+from unitint.linalg import unitarity_defect
 
 
 def _write(tmp_path, name, payload):
@@ -35,6 +46,14 @@ def test_load_scenario_defaults(tmp_path):
     assert s["N"] == 2 and s["n"] == 1
     assert s["Z_max"] == 10.0
     assert s["paths"] == ["factorized", "oracle"]
+
+
+def test_load_scenario_accepts_integral_floats(tmp_path):
+    p = _write(tmp_path, "s.json", {"id": "a", "family": "spin_half", "N": 2.0,
+                                    "params": {"B": [0, 0, 1]}, "t_end": 1, "steps": 10.0})
+    s = load_scenario(p)
+    report = run_scenario(s, tmp_path / "out")
+    assert len(report["endpoint_U"]["factorized"]) == 2
 
 
 def test_load_scenario_rejects_bad_json(tmp_path):
@@ -76,6 +95,43 @@ def test_run_scenario_spin_half(tmp_path):
     assert report["distances"]["factorized_vs_oracle"]["phase_insensitive"] < 1e-8
     assert (tmp_path / "spin-z_report.json").exists()
     assert (tmp_path / "spin-z_trajectory.csv").exists()
+
+
+def test_run_scenario_solves_each_path_once(tmp_path, monkeypatch):
+    # all four paths: one factored solve, shared by the bloch path, and each
+    # path reads H once per node: 3 (2S + 1) for the RK4 paths, S for the oracle
+    solves, reads = [], []
+    solve, matrix = unitint.cli.solve_factored, BlockedHamiltonian.matrix
+
+    def counting_solve(*args, **kwargs):
+        solves.append(args)
+        return solve(*args, **kwargs)
+
+    def counting_matrix(self, t):
+        reads.append(t)
+        return matrix(self, t)
+
+    monkeypatch.setattr(unitint.cli, "solve_factored", counting_solve)
+    monkeypatch.setattr(unitint.bloch, "solve_factored", counting_solve)
+    monkeypatch.setattr(BlockedHamiltonian, "matrix", counting_matrix)
+    steps = 52
+    s = _spin_half_scenario(
+        params={"B0": 1.2, "B1": 0.8, "omega": 1.7}, t_end=2.0, steps=steps,
+        paths=["factorized", "hierarchical", "bloch", "oracle"],
+        tolerances={"oracle_distance": 5e-2, "unitarity": 1e-8, "bloch_deviation": 5e-2},
+    )
+    report = run_scenario(s, tmp_path)
+    assert all(v["pass"] for v in report["verdicts"].values())
+    assert len(solves) == 1
+    assert len(reads) == 3 * (2 * steps + 1) + steps
+
+
+def test_unitarity_verdict_includes_the_endpoint():
+    # at 125 steps the stride of 2 skips U(T), which the report prints
+    U = np.tile(np.eye(2, dtype=complex), (126, 1, 1))
+    U[-1] *= 1.0 + 1e-6
+    U[123] *= 1.0 + 1e-3  # off the stride: not sampled
+    assert _worst_unitarity(U) == unitarity_defect(U[-1]) > 0.0
 
 
 def test_run_scenario_hierarchical_phases(tmp_path):
@@ -201,9 +257,15 @@ def test_main_invalid_model_is_solver_error(tmp_path, capsys, matrix):
         ({"family": "trig_random", "N": 3, "params": {}, "paths": ["bloch"]}, []),
         ({"t_end": "nan"}, []),
         ({"family": "trig_random", "N": 3, "params": {}}, ["--paths", "bloch"]),
+        ({"steps": 20.7}, []),
+        ({"steps": True}, []),
+        ({"N": 2.9}, []),
+        ({"n": 1.5}, []),
+        ({"Z_max": True}, []),
     ],
     ids=["no_B", "unknown_family", "tolerance_abc", "unknown_tolerance", "bloch_on_trig",
-         "t_end_nan", "bloch_override"],
+         "t_end_nan", "bloch_override", "steps_fraction", "steps_bool", "N_fraction",
+         "n_fraction", "Z_max_bool"],
 )
 def test_main_malformed_scenario_is_parse_error(tmp_path, capsys, overrides, args):
     p = _write(tmp_path, "bad.json", _spin_half_scenario(id="bad", **overrides))

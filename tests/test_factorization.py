@@ -341,7 +341,7 @@ def test_solve_unitary_along_trajectory():
 def test_solve_matches_oracle_general_block():
     h = trig_random(4, n=2, seed=6)
     res = solve_factored(h, 1.0, 2000)
-    ora = propagate(h, 1.0, 4000, estimate_error=False)
+    ora = propagate(h, 1.0, 4000)
     assert compare(res.U_samples[-1], ora.U_final).plain < 1e-6
 
 
@@ -681,7 +681,7 @@ def test_hierarchical_matches_direct_su2():
 def test_hierarchical_su5_vs_oracle():
     h = trig_random(5, seed=14)
     res = hierarchical_solve(h, 1.0, 800)
-    ora = propagate(h, 1.0, 3000, estimate_error=False)
+    ora = propagate(h, 1.0, 3000)
     assert compare(res.U_samples[-1], ora.U_final).phase_insensitive < 1e-6
     for U in res.U_samples[::80]:
         assert is_unitary(U, 1e-9)

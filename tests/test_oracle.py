@@ -10,32 +10,42 @@ def test_constant_hamiltonian_is_exact():
     # midpoint exponential reproduces exp(-i H t) exactly for constant H
     rng = np.random.default_rng(1)
     H = random_traceless_hermitian(rng, 4, 1.5)
-    res = propagate(constant_hamiltonian(H), 2.0, 64, estimate_error=False)
+    res = propagate(constant_hamiltonian(H), 2.0, 64)
     assert frobenius(res.U_final - expm(-2j * H)) < 1e-12
 
 
 def test_propagate_accepts_callable():
-    res = propagate(lambda t: -0.5 * SIGMA_X, 1.0, 32, estimate_error=False)
+    res = propagate(lambda t: -0.5 * SIGMA_X, 1.0, 32)
     assert frobenius(res.U_final - expm(0.5j * SIGMA_X)) < 1e-12
 
 
 def test_unitary_along_trajectory():
-    res = propagate(trig_random(5, seed=2), 1.0, 200, estimate_error=False)
+    res = propagate(trig_random(5, seed=2), 1.0, 200)
     for U in res.U_samples[::20]:
         assert is_unitary(U, 1e-12)
 
 
 def test_second_order_convergence():
     h = trig_random(3, seed=3)
-    ref = propagate(h, 1.0, 20000, estimate_error=False).U_final
-    e1 = frobenius(propagate(h, 1.0, 100, estimate_error=False).U_final - ref)
-    e2 = frobenius(propagate(h, 1.0, 200, estimate_error=False).U_final - ref)
+    ref = propagate(h, 1.0, 20000).U_final
+    e1 = frobenius(propagate(h, 1.0, 100).U_final - ref)
+    e2 = frobenius(propagate(h, 1.0, 200).U_final - ref)
     assert 3.0 < e1 / e2 < 5.5
 
 
-def test_error_estimate_present_and_small():
-    res = propagate(trig_random(3, seed=4), 1.0, 500)
-    assert 0.0 < res.est_error < 1e-4
+def test_one_read_per_step_at_the_midpoints():
+    # S steps read H exactly S times, at (k + 1/2) dt; N comes from the first read
+    h = trig_random(3, seed=4)
+    reads = []
+
+    def evaluate(t):
+        reads.append(t)
+        return h.matrix(t)
+
+    res = propagate(evaluate, 1.0, 40)
+    assert reads == [(k + 0.5) * (1.0 / 40) for k in range(40)]
+    assert res.U_samples.shape == (41, 3, 3)
+    assert frobenius(res.U_final - propagate(h, 1.0, 40).U_final) == 0.0
 
 
 def test_rejects_nonhermitian():
@@ -71,6 +81,6 @@ def test_oracle_self_consistent_rotating_field():
     from unitint.hamiltonian import rotating_spin_half
 
     h = rotating_spin_half(1.0, 0.3, 1.0)
-    res = propagate(h, 2.0, 4000, estimate_error=False)
-    ref = propagate(h, 2.0, 16000, estimate_error=False)
+    res = propagate(h, 2.0, 4000)
+    ref = propagate(h, 2.0, 16000)
     assert compare(res.U_final, ref.U_final).plain < 1e-7
