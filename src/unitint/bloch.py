@@ -57,6 +57,8 @@ def precess(omega, t_end: float, steps: int) -> np.ndarray:
     and t + dt of the uniform grid.  The unit vector has no pole, so there
     are no restarts.
     """
+    if steps < 1:
+        raise ValueError("steps must be >= 1")
     times = np.linspace(0.0, t_end, steps + 1)
     return _precess(times, *_generators(omega, times))
 
@@ -73,9 +75,8 @@ def _precess(times: np.ndarray, W: np.ndarray, W_mid: np.ndarray) -> np.ndarray:
     m = np.zeros((len(times), W.shape[-1]))
     m[0, -1] = 1.0
     dt = times[-1] / (len(times) - 1)
-    for k, t in enumerate(times[:-1]):
-        at = {t: W[k], t + dt / 2.0: W_mid[k], t + dt: W[k + 1]}  # rk4_step's stage times
-        m[k + 1] = rk4_step(lambda s, y: at[s] @ y, t, m[k], dt)
+    for k in range(len(times) - 1):
+        m[k + 1] = rk4_step(np.matmul, m[k], dt, W[k] @ m[k], W_mid[k], W[k + 1])
     return m
 
 

@@ -238,7 +238,7 @@ def run_scenario(scenario: dict, out_dir: Path) -> dict:
     (out_dir / f"{scenario['id']}_report.json").write_text(
         json.dumps(report, indent=2, sort_keys=True) + "\n"
     )
-    _write_trajectory_csv(out_dir / f"{scenario['id']}_trajectory.csv", h, factored, bloch_report)
+    _write_trajectory_csv(out_dir / f"{scenario['id']}_trajectory.csv", factored, bloch_report)
     return report
 
 
@@ -248,34 +248,24 @@ def _worst_unitarity(U_samples: np.ndarray) -> float:
     return max(unitarity_defect(U) for U in (*U_samples[::stride], U_samples[-1]))
 
 
-def _write_trajectory_csv(path: Path, h, factored, bloch_report) -> None:
-    m, n = h.N - h.n, h.n
-    header = ["t"]
-    for i in range(m):
-        for j in range(n):
-            header += [f"z{i}{j}_re", f"z{i}{j}_im"]
+def _write_trajectory_csv(path: Path, factored, bloch_report) -> None:
+    """One row per sample: t, z as re/im pairs, the n = 1 corner phases and m (bloch)."""
+    z = factored.z_samples
+    m, n = z.shape[1:]
+    header = ["t"] + [f"z{i}{j}_{part}" for i in range(m) for j in range(n) for part in ("re", "im")]
+    columns = [factored.times[:, None], np.stack((z.real, z.imag), axis=-1).reshape(len(z), -1)]
     if factored.mu_total is not None:
         header += ["mu_total", "phase_geometric", "phase_dynamical"]
+        columns.append(
+            np.column_stack((factored.mu_total, factored.phase_geometric, factored.phase_dynamical))
+        )
     if bloch_report is not None:
         header += [f"m{k + 1}" for k in range(bloch_report.m_riccati.shape[1])]
+        columns.append(bloch_report.m_riccati)
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for idx, t in enumerate(factored.times):
-            row = [repr(float(t))]
-            z = factored.z_samples[idx]
-            for i in range(m):
-                for j in range(n):
-                    row += [repr(float(z[i, j].real)), repr(float(z[i, j].imag))]
-            if factored.mu_total is not None:
-                row += [
-                    repr(float(factored.mu_total[idx])),
-                    repr(float(factored.phase_geometric[idx])),
-                    repr(float(factored.phase_dynamical[idx])),
-                ]
-            if bloch_report is not None:
-                row += [repr(float(v)) for v in bloch_report.m_riccati[idx]]
-            writer.writerow(row)
+        writer.writerows(np.hstack(columns).tolist())
 
 
 # ---------------------------------------------------------------------------

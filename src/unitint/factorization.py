@@ -25,7 +25,7 @@ from .linalg import (
     inv_sqrt_hpd,
     sqrt_hpd,
 )
-from .riccati import DEFAULT_Z_MAX, _drive, riccati_rhs, rk4_step
+from .riccati import DEFAULT_Z_MAX, _drive, _StepNodes, riccati_rhs, rk4_step
 
 
 class UnsupportedConfigurationError(ValueError):
@@ -349,48 +349,6 @@ class FactoredResult:
         )
 
 
-class _StepNodes:
-    """H at the nodes t, t + dt/2 and t + dt of one grid step, each read once.
-
-    ``read`` is a validating evaluator such as BlockedHamiltonian.blocks_at.
-    The end node carries over as the next step's start node, and a step the
-    driver retakes after a fold keeps its nodes.  ``at`` serves the RK4 stage
-    times, which are all nodes of the current step.
-
-    At a breakpoint of a piecewise model H jumps.  A node within 1e-12
-    relative of a breakpoint snaps to it; a step that ends on one reads its
-    end node as the left limit and sets ``jump``, and the next step reads its
-    start node afresh, so nothing evaluated at the end node may carry over.
-    """
-
-    def __init__(self, read, breakpoints=()):
-        self.read = read
-        self.breakpoints = np.asarray(breakpoints, dtype=float)
-        self.t, self.spacing, self.H, self.jump = None, None, [], False
-
-    def load(self, t: float, dt: float) -> None:
-        if t == self.t:
-            return
-        self.t, self.spacing = t, dt / 2.0
-        times = [t, t + self.spacing, t + dt]
-        jump = False
-        if self.breakpoints.size:
-            times = [self._snap(s) for s in times]
-            jump = times[-1] in self.breakpoints
-            if jump:
-                times[-1] = np.nextafter(times[-1], -np.inf)
-        start = self.H[-1] if self.H and not self.jump else self.read(times[0])
-        self.jump = jump
-        self.H = [start] + [self.read(s) for s in times[1:]]
-
-    def _snap(self, s: float) -> float:
-        near = self.breakpoints[np.argmin(np.abs(self.breakpoints - s))]
-        return float(near) if abs(near - s) <= 1e-12 * abs(near) else s
-
-    def at(self, s: float):
-        return self.H[round((s - self.t) / self.spacing)]
-
-
 def _magnus4(He_a: np.ndarray, He_m: np.ndarray, He_b: np.ndarray, dt: float) -> np.ndarray:
     """Fourth-order Magnus step exp(-i dt [S + (i dt/12)[He_a, He_b]]) for i dU/dt = He U.
 
@@ -419,8 +377,8 @@ def solve_factored(
     carries over as the next step's H(t), except across a breakpoint of a
     piecewise model, where the step ending there reads the left limit.
 
-    - z takes one classical RK4 step; its first stage is f(t, z) carried
-      over from the step before.
+    - z takes one rk4_step on the three H nodes; its first stage is
+      f(t, z) carried over from the step before.
     - z(t + dt/2) for the fiber is the cubic Hermite midpoint
       (z + z_new)/2 + dt/8 (f(t, z) - f(t + dt, z_new)).
     - Each block of the fiber factor U2 takes one fourth-order Magnus step
@@ -455,12 +413,9 @@ def solve_factored(
     def advance(t, dt, y):
         z, U2_up, U2_lo, phases, start = y
         nodes.load(t, dt)
-        H_a, H_m, H_b = nodes.H
+        H_a, H_m, H_b = nodes.values
         f_a, He_a, r_a = start or node(H_a, z)
-        k2 = riccati_rhs(H_m, z + (dt / 2.0) * f_a)
-        k3 = riccati_rhs(H_m, z + (dt / 2.0) * k2)
-        k4 = riccati_rhs(H_b, z + dt * k3)
-        z_new = z + (dt / 6.0) * (f_a + 2.0 * (k2 + k3) + k4)
+        z_new = rk4_step(riccati_rhs, z, dt, f_a, H_m, H_b)
         peak = frobenius(z_new)
         if not peak < Z_max:  # the driver folds or raises; a runaway z breaks the fiber
             return None, peak, None
@@ -607,8 +562,7 @@ def hierarchical_solve(
     packing = _HierState(N)
     nodes = _StepNodes(h.checked_matrix, h.breakpoints)
 
-    def f(t, y):
-        Hk = nodes.at(t)
+    def f(Hk, y):
         dy = np.empty_like(y)
         rates = dy[packing.nz :].reshape(3, N - 1)
         for k, level in enumerate(packing.z_slices):
@@ -618,7 +572,8 @@ def hierarchical_solve(
 
     def advance(t, dt, y):
         nodes.load(t, dt)
-        y_new = rk4_step(f, t, y, dt)
+        H_a, H_m, H_b = nodes.values
+        y_new = rk4_step(f, y, dt, f(H_a, y), H_m, H_b)
         return y_new, packing.peak(y_new), None
 
     times, states, _, folds = _drive(advance, packing.zeros(), t_end, steps, Z_max)

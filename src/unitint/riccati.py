@@ -5,14 +5,17 @@ The (N-n) x n coordinate z obeys
     i dz/dt = Htop z + V - z (V^H z + Hbot),
 
 integrated with classical fixed-step RK4 from z(0) = 0.  Every Riccati
-solver path steps through one driver, ``_drive``, which is the only place
+solver path takes the same step: the model is read once at t, t + dt/2 and
+t + dt (``_StepNodes``) and one ``rk4_step`` advances on those node values.
+Every path steps through one driver, ``_drive``, which is the only place
 restarts happen: when ||z||_F would exceed the restart threshold the driver
 records a fold, the state the segment reached, and integration resumes from
 z = 0.
 The product structure U = U_segment U_accum makes that exact; each path
 assembles U, its phases and its restart records from the folds once, after
 the solve.  The SO(5) two-qubit case reduces to four real parameters and
-gets its own right-hand side.
+gets its own right-hand side; on the shared step that reduction holds step
+for step, restarts included.
 """
 
 from __future__ import annotations
@@ -40,13 +43,56 @@ def riccati_rhs(h_blocks, z: np.ndarray) -> np.ndarray:
     return -1j * (Htop @ z + V - z @ (dagger(V) @ z + Hbot))
 
 
-def rk4_step(f, t: float, y: np.ndarray, dt: float) -> np.ndarray:
-    """One classical Runge-Kutta 4 step for dy/dt = f(t, y)."""
-    k1 = f(t, y)
-    k2 = f(t + dt / 2.0, y + dt / 2.0 * k1)
-    k3 = f(t + dt / 2.0, y + dt / 2.0 * k2)
-    k4 = f(t + dt, y + dt * k3)
+def rk4_step(f, y: np.ndarray, dt: float, k1: np.ndarray, x_mid, x_end) -> np.ndarray:
+    """One classical Runge-Kutta 4 step for dy/dt = f(x(t), y).
+
+    f takes the model value x at a node, not a time: x_mid and x_end are x at
+    t + dt/2 and t + dt, and the caller supplies the first stage k1 =
+    f(x(t), y), which a path may carry over from the step before.
+    """
+    k2 = f(x_mid, y + dt / 2.0 * k1)
+    k3 = f(x_mid, y + dt / 2.0 * k2)
+    k4 = f(x_end, y + dt * k3)
     return y + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+class _StepNodes:
+    """The model at the nodes t, t + dt/2 and t + dt of one grid step, each read once.
+
+    ``read`` is a validating evaluator such as BlockedHamiltonian.blocks_at or
+    SO5Coefficients.at; ``values`` holds its three results for the loaded
+    step.  The end node carries over as the next step's start node, and a
+    step the driver retakes after a fold keeps its nodes.
+
+    At a breakpoint of a piecewise model H jumps.  A node within 1e-12
+    relative of a breakpoint snaps to it; a step that ends on one reads its
+    end node as the left limit and sets ``jump``, and the next step reads its
+    start node afresh, so nothing evaluated at the end node may carry over.
+    """
+
+    def __init__(self, read, breakpoints=()):
+        self.read = read
+        self.breakpoints = np.asarray(breakpoints, dtype=float)
+        self.t, self.values, self.jump = None, [], False
+
+    def load(self, t: float, dt: float) -> None:
+        if t == self.t:
+            return
+        self.t = t
+        times = [t, t + dt / 2.0, t + dt]
+        jump = False
+        if self.breakpoints.size:
+            times = [self._snap(s) for s in times]
+            jump = times[-1] in self.breakpoints
+            if jump:
+                times[-1] = np.nextafter(times[-1], -np.inf)
+        start = self.values[-1] if self.values and not self.jump else self.read(times[0])
+        self.jump = jump
+        self.values = [start] + [self.read(s) for s in times[1:]]
+
+    def _snap(self, s: float) -> float:
+        near = self.breakpoints[np.argmin(np.abs(self.breakpoints - s))]
+        return float(near) if abs(near - s) <= 1e-12 * abs(near) else s
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite peak raises StiffnessError
@@ -67,8 +113,10 @@ def _drive(advance, y0, t_end: float, steps: int, Z_max: float):
     times[k + 1], and folds the (k, y) pairs in order.  Raises
     StiffnessError when a peak is not finite, when restarts come fewer than
     MIN_STEPS_BETWEEN_RESTARTS steps apart, or when the step retaken from y0
-    reaches Z_max again.
+    reaches Z_max again; ValueError when steps < 1.
     """
+    if steps < 1:
+        raise ValueError("steps must be >= 1")
     dt = t_end / steps
     times = np.linspace(0.0, t_end, steps + 1)
     states, extras, folds = [y0], [], []
@@ -138,18 +186,21 @@ def integrate_so5(
 ) -> tuple[np.ndarray, np.ndarray, list]:
     """Integrate the four-real-parameter SO(5) Riccati form.
 
-    Returns (times, z samples of shape (steps+1, 4), restart times).  The
-    restart rule matches the matrix form: the quaternionic rendering has
-    ||z||_F = sqrt(2 z.z), so restarts trigger at the same trajectory points.
+    Returns (times, z samples of shape (steps+1, 4), restart times).  It
+    takes the matrix form's step: F is read once at t, t + dt/2 and t + dt
+    (the end node carried over as the next step's start), z takes one
+    classical RK4 step, and the restart rule compares sqrt(2 z.z), which is
+    ||z||_F of the quaternionic rendering, with Z_max at the grid node.  So
+    z agrees with so5_z_params of solve_factored(build_so5(coeffs)) to
+    roundoff at every node, restarts included.
     """
-
-    def f(t, y):
-        return so5_rhs(coeffs.at(t), y)
+    nodes = _StepNodes(coeffs.at)
 
     def advance(t, dt, z):
-        z_half = rk4_step(f, t, z, dt / 2.0)
-        z_new = rk4_step(f, t + dt / 2.0, z_half, dt / 2.0)
-        return z_new, np.sqrt(2.0 * np.maximum(z_half @ z_half, z_new @ z_new)), None
+        nodes.load(t, dt)
+        F_a, F_m, F_b = nodes.values
+        z_new = rk4_step(so5_rhs, z, dt, so5_rhs(F_a, z), F_m, F_b)
+        return z_new, np.sqrt(2.0 * (z_new @ z_new)), None
 
     times, states, _, folds = _drive(advance, np.zeros(4), t_end, steps, Z_max)
     return times, np.array(states), [times[k] for k, _ in folds]

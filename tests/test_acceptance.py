@@ -182,13 +182,13 @@ def test_criterion_05_hermiticity_and_trace_identities():
     dt = t_end / steps
     for i in range(100):
         h = trig_random(3, seed=9000 + i, scale=0.5)
-
-        def f(t, y, h=h):
-            return riccati_rhs(h.blocks_at(t), y)
-
         zs = np.zeros((steps + 1, 2, 1), dtype=complex)
         for k in range(steps):
-            zs[k + 1] = rk4_step(f, k * dt, zs[k], dt)
+            t = k * dt
+            k1 = riccati_rhs(h.blocks_at(t), zs[k])
+            zs[k + 1] = rk4_step(
+                riccati_rhs, zs[k], dt, k1, h.blocks_at(t + dt / 2.0), h.blocks_at(t + dt)
+            )
         gamma = 1.0 + np.einsum("kij,kij->k", zs.conj(), zs).real
         for k in range(50, steps - 1, 100):
             dg = (gamma[k + 1] - gamma[k - 1]) / (2.0 * dt)
@@ -300,14 +300,13 @@ def test_criterion_08_picture_equivalence():
 def test_criterion_09_convergence_orders():
     h = trig_random(3, seed=91, scale=0.5)
 
-    def f(t, y):
-        return riccati_rhs(h.blocks_at(t), y)
-
     def z_end(steps):
         dt = 1.0 / steps
         z = np.zeros((2, 1), dtype=complex)
         for k in range(steps):
-            z = rk4_step(f, k * dt, z, dt)
+            t = k * dt
+            k1 = riccati_rhs(h.blocks_at(t), z)
+            z = rk4_step(riccati_rhs, z, dt, k1, h.blocks_at(t + dt / 2.0), h.blocks_at(t + dt))
         return z
 
     z_ref = z_end(6400)

@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -314,15 +315,46 @@ def test_outputs_deterministic(tmp_path):
         ).read_bytes()
 
 
-def test_trajectory_csv_contents(tmp_path):
-    run_scenario(_spin_half_scenario(id="csv"), tmp_path)
-    lines = (tmp_path / "csv_trajectory.csv").read_text().splitlines()
-    header = lines[0].split(",")
-    assert header[:3] == ["t", "z00_re", "z00_im"]
-    assert "mu_total" in header and "phase_dynamical" in header
-    assert len(lines) == 402  # header + steps + 1 samples
-    first = lines[1].split(",")
-    assert float(first[0]) == 0.0 and float(first[1]) == 0.0
+def test_trajectory_csv_contents(tmp_path, monkeypatch):
+    # every cell parses back to the solve's own value, bit for bit
+    solved = []
+    solve, pictures = unitint.cli.solve_factored, unitint.bloch.crosscheck_pictures
+
+    def keep(fn):
+        def wrapped(*args, **kwargs):
+            solved.append(fn(*args, **kwargs))
+            return solved[-1]
+        return wrapped
+
+    monkeypatch.setattr(unitint.cli, "solve_factored", keep(solve))
+    monkeypatch.setattr(unitint.bloch, "crosscheck_pictures", keep(pictures))
+    scenarios = [
+        _spin_half_scenario(id="csv"),
+        _spin_half_scenario(id="csv_bloch", params={"B0": 1.2, "B1": 0.8, "omega": 1.7},
+                            t_end=2.0, steps=52, paths=["factorized", "bloch"]),
+        {"id": "csv_n2", "family": "trig_random", "N": 4, "n": 2, "seed": 3, "t_end": 1.0,
+         "steps": 30, "paths": ["factorized"]},
+    ]
+    for scenario in scenarios:
+        solved.clear()
+        run_scenario(load_scenario(_write(tmp_path, "s.json", scenario)), tmp_path)
+        factored, bloch_report = solved if len(solved) == 2 else (solved[0], None)
+        with (tmp_path / f"{scenario['id']}_trajectory.csv").open(newline="") as fh:
+            header, *rows = list(csv.reader(fh))
+        m, n = factored.z_samples.shape[1:]
+        assert header[:3] == ["t", "z00_re", "z00_im"]
+        assert len(header) == 1 + 2 * m * n + 3 * (n == 1) + 3 * (bloch_report is not None)
+        assert len(rows) == scenario["steps"] + 1
+        for k, row in enumerate(rows):
+            expected = [factored.times[k]]
+            for z in factored.z_samples[k].ravel():
+                expected += [z.real, z.imag]
+            if n == 1:
+                expected += [factored.mu_total[k], factored.phase_geometric[k],
+                             factored.phase_dynamical[k]]
+            if bloch_report is not None:
+                expected += list(bloch_report.m_riccati[k])
+            assert [float(cell) for cell in row] == expected
 
 
 def test_verify_suite_passes():

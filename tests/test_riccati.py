@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from unitint.bloch import crosscheck_so5, crosscheck_su2, precess
 from unitint.factorization import hierarchical_solve, solve_factored
 from unitint.hamiltonian import constant_hamiltonian, so5_coefficients, spin_half, trig_random
 from unitint.linalg import frobenius
+from unitint.oracle import propagate
 from unitint.riccati import (
     StiffnessError,
     integrate_so5,
@@ -51,7 +53,7 @@ def test_rk4_exponential_decay():
     y = np.array([1.0])
     dt = 0.1
     for k in range(10):
-        y = rk4_step(lambda t, v: -v, k * dt, y, dt)
+        y = rk4_step(lambda x, v: -v, y, dt, -y, None, None)
     assert abs(y[0] - np.exp(-1.0)) < 1e-6
 
 
@@ -122,10 +124,9 @@ def test_runaway_after_restart_raises(path):
 
 @pytest.mark.filterwarnings("error")  # numpy must not warn before the driver names the divergence
 def test_non_finite_coordinate_raises():
-    # one 1-unit step of a coupling of 1000 overflows to NaN inside RK4
+    # a coupling of 1e30 overflows the first 1-unit RK4 step to NaN, here and in the factored solve
     with pytest.raises(StiffnessError, match=r"is nan at t=0 \(step 0\)"):
-        integrate_so5(_so5_coupling(0, 1e3), 12.0, 12)
-    # so does the first RK4 step of the factored solve for a coupling of 1e30
+        integrate_so5(_so5_coupling(0, 1e30), 12.0, 12)
     with pytest.raises(StiffnessError, match=r"is (nan|inf) at t=0 \(step 0\)"):
         solve_factored(constant_hamiltonian(1e30 * (np.ones((4, 4)) - np.eye(4))), 3.0, 12)
     # at field scale 200 that step stays finite (about 1e16) and the retaken step runs away
@@ -195,16 +196,69 @@ def test_so5_restart_matches_matrix_threshold():
     assert np.allclose(zs[k], 0.0)
 
 
+def _so5_cos_coupling():
+    # F + F_cos cos(1.3 t) with F54 dominant: three restarts by t = 2 at Z_max = 2
+    rng = np.random.default_rng(34)
+    F0, Fc = _random_F(rng, 0.3), _random_F(rng, 0.3)
+    F0[4, 3], F0[3, 4], Fc[4, 3], Fc[3, 4] = 1.6, -1.6, 0.4, -0.4
+    return so5_coefficients(lambda t: F0 + Fc * np.cos(1.3 * t))
+
+
+def _so5_constant():
+    return so5_coefficients(_random_F(np.random.default_rng(33), 0.6))
+
+
+# coefficients, t_end, steps, Z_max, restarts
+SO5_RUNS = {
+    "constant": (_so5_constant, 1.0, 800, 10.0, 0),
+    "cos_restarts": (_so5_cos_coupling, 2.0, 400, 2.0, 3),
+}
+
+
 def test_so5_trajectory_matches_matrix_form():
+    # the four-parameter form takes the matrix form's step, so the two agree
+    # at every node to roundoff and restart at the same grid times
     from unitint.hamiltonian import build_so5
 
-    rng = np.random.default_rng(33)
-    F = _random_F(rng, 0.6)
-    coeffs = so5_coefficients(F)
-    times, zs, restarts = integrate_so5(coeffs, 1.0, 800)
-    res = solve_factored(build_so5(coeffs), 1.0, 800)
-    assert not restarts and not res.restarts
-    worst = max(
-        frobenius(so5_z_matrix(zs[k]) - res.z_samples[k]) for k in range(0, 801, 40)
-    )
-    assert worst < 1e-9
+    for make, t_end, steps, Z_max, folds in SO5_RUNS.values():
+        coeffs = make()
+        times, zs, restarts = integrate_so5(coeffs, t_end, steps, Z_max=Z_max)
+        res = solve_factored(build_so5(coeffs), t_end, steps, Z_max=Z_max)
+        assert len(restarts) == folds
+        assert restarts == [t for t, _ in res.restarts]
+        assert np.max(np.abs(zs - so5_z_params(res.z_samples))) < 1e-13
+
+
+@pytest.mark.parametrize("run", sorted(SO5_RUNS))
+def test_so5_reads_each_node_once(run):
+    # F at t, t + dt/2 and t + dt per step, the first carried over from the
+    # step before; a step retaken after a fold reuses its nodes
+    make, t_end, steps, Z_max, folds = SO5_RUNS[run]
+    coeffs, reads = make(), []
+
+    def counted(t):
+        reads.append(t)
+        return coeffs.F(t)
+
+    _, _, restarts = integrate_so5(so5_coefficients(counted), t_end, steps, Z_max=Z_max)
+    assert len(restarts) == folds
+    assert len(reads) <= 2 * steps + 1
+    assert len(set(reads)) == len(reads)
+
+
+STEP_PATHS = {
+    "factored": lambda steps: solve_factored(spin_half([1.0, 0.0, 0.0]), 1.0, steps),
+    "hierarchical": lambda steps: hierarchical_solve(spin_half([1.0, 0.0, 0.0]), 1.0, steps),
+    "so5": lambda steps: integrate_so5(_so5_coupling(3, 0.5), 1.0, steps),
+    "crosscheck_su2": lambda steps: crosscheck_su2([1.0, 0.0, 0.0], 1.0, steps),
+    "crosscheck_so5": lambda steps: crosscheck_so5(_so5_coupling(3, 0.5), 1.0, steps),
+    "precess": lambda steps: precess(lambda t: np.zeros((3, 3)), 1.0, steps),
+    "oracle": lambda steps: propagate(spin_half([1.0, 0.0, 0.0]), 1.0, steps),
+}
+
+
+@pytest.mark.parametrize("steps", [0, -2])
+@pytest.mark.parametrize("path", sorted(STEP_PATHS))
+def test_every_grid_rejects_fewer_than_one_step(path, steps):
+    with pytest.raises(ValueError, match="steps must be >= 1"):
+        STEP_PATHS[path](steps)
