@@ -328,22 +328,24 @@ def test_trajectory_csv_contents(tmp_path, monkeypatch):
 
     monkeypatch.setattr(unitint.cli, "solve_factored", keep(solve))
     monkeypatch.setattr(unitint.bloch, "crosscheck_pictures", keep(pictures))
+    spin_z = ["t", "z00_re", "z00_im", "mu_total", "phase_geometric", "phase_dynamical"]
     scenarios = [
-        _spin_half_scenario(id="csv"),
-        _spin_half_scenario(id="csv_bloch", params={"B0": 1.2, "B1": 0.8, "omega": 1.7},
-                            t_end=2.0, steps=52, paths=["factorized", "bloch"]),
-        {"id": "csv_n2", "family": "trig_random", "N": 4, "n": 2, "seed": 3, "t_end": 1.0,
-         "steps": 30, "paths": ["factorized"]},
+        (_spin_half_scenario(id="csv"), spin_z),
+        (_spin_half_scenario(id="csv_bloch", params={"B0": 1.2, "B1": 0.8, "omega": 1.7},
+                             t_end=2.0, steps=52, paths=["factorized", "bloch"]),
+         spin_z + ["m1", "m2", "m3"]),
+        ({"id": "csv_n2", "family": "trig_random", "N": 4, "n": 2, "seed": 3, "t_end": 1.0,
+          "steps": 30, "paths": ["factorized"]},
+         ["t"] + [f"z{ij}_{part}" for ij in ("00", "01", "10", "11") for part in ("re", "im")]),
     ]
-    for scenario in scenarios:
+    for scenario, expected_header in scenarios:
         solved.clear()
         run_scenario(load_scenario(_write(tmp_path, "s.json", scenario)), tmp_path)
         factored, bloch_report = solved if len(solved) == 2 else (solved[0], None)
         with (tmp_path / f"{scenario['id']}_trajectory.csv").open(newline="") as fh:
             header, *rows = list(csv.reader(fh))
-        m, n = factored.z_samples.shape[1:]
-        assert header[:3] == ["t", "z00_re", "z00_im"]
-        assert len(header) == 1 + 2 * m * n + 3 * (n == 1) + 3 * (bloch_report is not None)
+        n = factored.z_samples.shape[2]
+        assert header == expected_header
         assert len(rows) == scenario["steps"] + 1
         for k, row in enumerate(rows):
             expected = [factored.times[k]]

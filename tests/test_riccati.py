@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from unitint.bloch import crosscheck_so5, crosscheck_su2, precess
 from unitint.factorization import hierarchical_solve, solve_factored
@@ -227,6 +228,39 @@ def test_so5_trajectory_matches_matrix_form():
         assert len(restarts) == folds
         assert restarts == [t for t, _ in res.restarts]
         assert np.max(np.abs(zs - so5_z_params(res.z_samples))) < 1e-13
+        # the full 2x2 z too, so a matrix solve leaving the quaternionic span fails
+        rendered = np.array([so5_z_matrix(z) for z in zs])
+        assert np.max(np.abs(rendered - res.z_samples)) < 1e-13
+
+
+def _so5_reference(coeffs, times, restarts):
+    # DOP853 on so5_rhs, started again from z = 0 at each restart node
+    ks = [0, *np.searchsorted(times, restarts), len(times) - 1]
+    ref = np.empty((len(times), 4))
+    for a, b in zip(ks[:-1], ks[1:]):
+        sol = solve_ivp(lambda t, z: so5_rhs(coeffs.at(t), z), (times[a], times[b]),
+                        np.zeros(4), method="DOP853", rtol=1e-13, atol=1e-13,
+                        t_eval=times[a:b + 1])
+        ref[a:b + 1] = sol.y.T
+    return ref
+
+
+# run, steps, bound on the every-node error at those steps
+SO5_ACCURACY = [("constant", 400, 1e-9), ("cos_restarts", 400, 5e-9)]
+
+
+@pytest.mark.parametrize("run,steps,bound", SO5_ACCURACY)
+def test_so5_accuracy_against_reference(run, steps, bound):
+    # one RK4 step per grid step: fourth order at every node, restarts
+    # included, with the error pinned at a fixed step count
+    make, t_end, _, Z_max, folds = SO5_RUNS[run]
+    coeffs, errors = make(), []
+    for s in (steps // 2, steps):
+        times, zs, restarts = integrate_so5(coeffs, t_end, s, Z_max=Z_max)
+        assert len(restarts) == folds
+        errors.append(np.max(np.abs(zs - _so5_reference(coeffs, times, restarts))))
+    assert errors[1] < bound
+    assert errors[0] / errors[1] > 12.0
 
 
 @pytest.mark.parametrize("run", sorted(SO5_RUNS))
