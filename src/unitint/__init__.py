@@ -15,7 +15,6 @@ from .bloch import (
     project5,
 )
 from .factorization import (
-    FactoredEvolution,
     FactoredResult,
     HierarchicalResult,
     assemble_tilde_U1,

@@ -25,7 +25,7 @@ from .linalg import (
     inv_sqrt_hpd,
     sqrt_hpd,
 )
-from .riccati import DEFAULT_Z_MAX, _drive, _StepNodes, riccati_rhs, rk4_step
+from .riccati import DEFAULT_Z_MAX, _drive, riccati_rhs, rk4_step
 
 
 class UnsupportedConfigurationError(ValueError):
@@ -66,20 +66,16 @@ def assemble_tilde_U1(z: np.ndarray) -> np.ndarray:
     return upper @ lower
 
 
-def gauge_factor(gamma1: np.ndarray, gamma2: np.ndarray) -> np.ndarray:
-    """Block-diagonal positive factor (tildeU1^H tildeU1)^{-1/2}.
-
-    tildeU1^H tildeU1 = blockdiag(gamma1^{-1}, gamma2), so the inverse square
-    root is blockdiag(gamma1^{1/2}, gamma2^{-1/2}).
-    """
-    return blockdiag(sqrt_hpd(gamma1), inv_sqrt_hpd(gamma2))
-
-
 def gauge_unitarize(
     tilde_U1: np.ndarray, gamma1: np.ndarray, gamma2: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Unitarize the nilpotent product: U1 = tildeU1 b with b the gauge factor."""
-    b = gauge_factor(gamma1, gamma2)
+    """Unitarize the nilpotent product: U1 = tildeU1 b with b the gauge factor.
+
+    b = (tildeU1^H tildeU1)^{-1/2} is block-diagonal and positive:
+    tildeU1^H tildeU1 = blockdiag(gamma1^{-1}, gamma2), so b =
+    blockdiag(gamma1^{1/2}, gamma2^{-1/2}).
+    """
+    b = blockdiag(sqrt_hpd(gamma1), inv_sqrt_hpd(gamma2))
     return tilde_U1 @ b, b
 
 
@@ -292,22 +288,6 @@ def _peel_level(Htop: np.ndarray, v: np.ndarray, h, z: np.ndarray):
 
 
 @dataclass
-class FactoredEvolution:
-    """Snapshot of the factored evolution at one time."""
-
-    z: np.ndarray
-    w: np.ndarray
-    gamma1: np.ndarray
-    gamma2: np.ndarray
-    U1: np.ndarray
-    U2: np.ndarray
-    U: np.ndarray
-    mu_total: float | None = None
-    phase_geometric: float | None = None
-    phase_dynamical: float | None = None
-
-
-@dataclass
 class FactoredResult:
     """Full time series produced by solve_factored.
 
@@ -327,26 +307,6 @@ class FactoredResult:
     phase_geometric: np.ndarray | None = None
     phase_dynamical: np.ndarray | None = None
     imag_mu: np.ndarray | None = None
-
-    def evolution(self, index: int = -1) -> FactoredEvolution:
-        z = self.z_samples[index]
-        w, gamma1, gamma2 = unitarity_closure(z)
-        return FactoredEvolution(
-            z=z,
-            w=w,
-            gamma1=gamma1,
-            gamma2=gamma2,
-            U1=unitarized_U1(z),
-            U2=self.U2_samples[index],
-            U=self.U_samples[index],
-            mu_total=None if self.mu_total is None else float(self.mu_total[index]),
-            phase_geometric=(
-                None if self.phase_geometric is None else float(self.phase_geometric[index])
-            ),
-            phase_dynamical=(
-                None if self.phase_dynamical is None else float(self.phase_dynamical[index])
-            ),
-        )
 
 
 def _magnus4(He_a: np.ndarray, He_m: np.ndarray, He_b: np.ndarray, dt: float) -> np.ndarray:
@@ -372,18 +332,18 @@ def solve_factored(
 ) -> FactoredResult:
     """Solve i dU/dt = H U through the base/fiber factorization.
 
-    Each grid step reads H once at t, t + dt/2 and t + dt, validated there
-    (ModelError for a non-Hermitian or non-traceless model); H(t + dt)
-    carries over as the next step's H(t), except across a breakpoint of a
-    piecewise model, where the step ending there reads the left limit.
+    H is read on _drive's node schedule (t, t + dt/2 and t + dt per step,
+    breakpoints of a piecewise model included) and validated there
+    (ModelError for a non-Hermitian, non-traceless or non-finite model).
 
     - z takes one rk4_step on the three H nodes; its first stage is
-      f(t, z) carried over from the step before.
+      f(t, z), the start _drive hands back from the step before.
     - z(t + dt/2) for the fiber is the cubic Hermite midpoint
       (z + z_new)/2 + dt/8 (f(t, z) - f(t + dt, z_new)).
     - Each block of the fiber factor U2 takes one fourth-order Magnus step
       (_magnus4) on the Hermitian effective Hamiltonians He at the three
-      nodes; He(t + dt) carries over as the next step's He(t).  For n = 1,
+      nodes; He(t + dt), with f(t + dt, z_new) and the phase rates there,
+      returns from _drive as the next step's start.  For n = 1,
       He, dz/dt and the phase rates come from _peel_level, the level kernel
       hierarchical_solve integrates; for n > 1 from
       effective_hamiltonian_hermitian.
@@ -401,7 +361,6 @@ def solve_factored(
     """
     m, n = h.N - h.n, h.n
     track_phases = n == 1
-    nodes = _StepNodes(h.blocks_at, h.breakpoints)
 
     if n == 1:
         node = _corner_node
@@ -410,15 +369,14 @@ def solve_factored(
             dz = riccati_rhs(H, z)
             return dz, effective_hamiltonian_hermitian(H, z, dz), None
 
-    def advance(t, dt, y):
-        z, U2_up, U2_lo, phases, start = y
-        nodes.load(t, dt)
-        H_a, H_m, H_b = nodes.values
+    def advance(dt, y, x, start):
+        z, U2_up, U2_lo, phases = y
+        H_a, H_m, H_b = x
         f_a, He_a, r_a = start or node(H_a, z)
         z_new = rk4_step(riccati_rhs, z, dt, f_a, H_m, H_b)
         peak = frobenius(z_new)
         if not peak < Z_max:  # the driver folds or raises; a runaway z breaks the fiber
-            return None, peak, None
+            return None, peak, None, None
         end = f_b, He_b, r_b = node(H_b, z_new)
         f_m, He_m, r_m = node(H_m, 0.5 * (z + z_new) + (dt / 8.0) * (f_a - f_b))
         U2_up = _magnus4(He_a[0], He_m[0], He_b[0], dt) @ U2_up
@@ -426,11 +384,13 @@ def solve_factored(
         if track_phases:
             phases = (dt / 6.0) * (r_a + 4.0 * r_m + r_b) + phases
         defect = frobenius(z_new - z - (dt / 6.0) * (f_a + 4.0 * f_m + f_b))
-        return (z_new, U2_up, U2_lo, phases, None if nodes.jump else end), peak, defect
+        return (z_new, U2_up, U2_lo, phases), peak, defect, end
 
     z0, phases0 = np.zeros((m, n), dtype=complex), np.zeros(3) if track_phases else None
-    y0 = z0, np.eye(m, dtype=complex), np.eye(n, dtype=complex), phases0, None
-    times, states, defects, folds = _drive(advance, y0, t_end, steps, Z_max)
+    y0 = z0, np.eye(m, dtype=complex), np.eye(n, dtype=complex), phases0
+    times, states, defects, folds = _drive(
+        advance, h.blocks_at, y0, t_end, steps, Z_max, h.breakpoints
+    )
     restarts, accums, segment = _segments(
         h.N, times, folds, lambda y: unitarized_U1(y[0]) @ blockdiag(y[1], y[2])
     )
@@ -544,12 +504,9 @@ def hierarchical_solve(
 
     Every level's Riccati coordinate, corner phase and trace phase advance
     jointly in a single RK4 state, so all quadrature inherits the
-    integrator's fourth-order accuracy.  H is read once per distinct node of
-    a step (t, t + dt/2, t + dt) and validated there (ModelError for a
-    non-Hermitian or non-traceless model); H(t + dt) carries over as the next
-    step's H(t), except across a breakpoint of a piecewise model, where the
-    step ending there reads the left limit, and a step retaken after a
-    restart reuses its nodes.
+    integrator's fourth-order accuracy.  H is read on _drive's node schedule
+    and validated there (ModelError for a non-Hermitian, non-traceless or
+    non-finite model).
 
     A restart resets every level's coordinate and phases, and _drive records
     the fold.  After the solve, _segments turns the folds into the restart
@@ -560,7 +517,6 @@ def hierarchical_solve(
         raise UnsupportedConfigurationError("hierarchical solve peels with n=1")
     N = h.N
     packing = _HierState(N)
-    nodes = _StepNodes(h.checked_matrix, h.breakpoints)
 
     def f(Hk, y):
         dy = np.empty_like(y)
@@ -570,13 +526,14 @@ def hierarchical_solve(
             dy[level], rates[:, k], Hk = _peel_level(Hk[:m, :m], Hk[:m, m], Hk[m, m], y[level])
         return dy
 
-    def advance(t, dt, y):
-        nodes.load(t, dt)
-        H_a, H_m, H_b = nodes.values
+    def advance(dt, y, x, _):
+        H_a, H_m, H_b = x
         y_new = rk4_step(f, y, dt, f(H_a, y), H_m, H_b)
-        return y_new, packing.peak(y_new), None
+        return y_new, packing.peak(y_new), None, None
 
-    times, states, _, folds = _drive(advance, packing.zeros(), t_end, steps, Z_max)
+    times, states, _, folds = _drive(
+        advance, h.checked_matrix, packing.zeros(), t_end, steps, Z_max, h.breakpoints
+    )
     restarts, accums, segment = _segments(N, times, folds, lambda y: _hier_assemble(packing, y))
     states = np.array(states)
     reached = np.cumsum([np.zeros((3, N - 1))] + [packing.levels(y) for _, y in folds], axis=0)

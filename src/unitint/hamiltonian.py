@@ -64,9 +64,11 @@ class BlockedHamiltonian:
         return M
 
     def checked_matrix(self, t: float) -> np.ndarray:
-        """H(t), validated: the right shape, Hermitian and traceless within MODEL_TOL."""
+        """H(t), validated: the right shape, finite, Hermitian and traceless within MODEL_TOL."""
         M = self.matrix(t)
-        if not is_hermitian(M, MODEL_TOL):
+        if not is_hermitian(M, MODEL_TOL):  # every non-finite M fails this test too
+            if not np.isfinite(M).all():
+                raise ModelError(f"H(t={t}) is not finite")
             raise ModelError(f"H(t={t}) is not Hermitian within {MODEL_TOL:g}")
         if not is_traceless(M, MODEL_TOL):
             raise ModelError(f"H(t={t}) is not traceless within {MODEL_TOL:g}")
@@ -118,7 +120,9 @@ class SO5Coefficients:
         F = np.asarray(self.F(t), dtype=float)
         if F.shape != (5, 5):
             raise ModelError(f"F(t) has shape {F.shape}, expected (5, 5)")
-        if frobenius(F + F.T) > 1e-12:
+        if not frobenius(F + F.T) <= 1e-12:  # every non-finite F fails this test too
+            if not np.isfinite(F).all():
+                raise ModelError(f"F(t={t}) is not finite")
             raise ModelError(f"F(t={t}) is not antisymmetric within 1e-12")
         return F
 

@@ -54,7 +54,9 @@ def propagate(h, t_end: float, steps: int) -> PropagationResult:
     for k in range(steps):
         t_mid = (k + 0.5) * dt
         H = evaluate(t_mid)
-        if not is_hermitian(H, 1e-10):
+        if not is_hermitian(H, 1e-10):  # every non-finite H fails this test too
+            if not np.isfinite(H).all():
+                raise ModelError(f"H(t={t_mid}) is not finite")
             raise ModelError(f"H(t={t_mid}) is not Hermitian within 1e-10")
         if U_samples is None:
             U_samples = np.zeros((steps + 1, *H.shape), dtype=complex)

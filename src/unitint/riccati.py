@@ -5,12 +5,12 @@ The (N-n) x n coordinate z obeys
     i dz/dt = Htop z + V - z (V^H z + Hbot),
 
 integrated with classical fixed-step RK4 from z(0) = 0.  Every Riccati
-solver path takes the same step: the model is read once at t, t + dt/2 and
-t + dt (``_StepNodes``) and one ``rk4_step`` advances on those node values.
-Every path steps through one driver, ``_drive``, which is the only place
-restarts happen: when ||z||_F would exceed the restart threshold the driver
-records a fold, the state the segment reached, and integration resumes from
-z = 0.
+solver path steps through one driver, ``_drive``, whose docstring is the one
+description of the node schedule: the driver reads the model at t,
+t + dt/2 and t + dt, and the path takes one ``rk4_step`` on those node
+values.  The driver is also the only place restarts happen: when ||z||_F
+would exceed the restart threshold it records a fold, the state the
+segment reached, and integration resumes from z = 0.
 The product structure U = U_segment U_accum makes that exact; each path
 assembles U, its phases and its restart records from the folds once, after
 the solve.  The SO(5) two-qubit case reduces to four real parameters and
@@ -32,7 +32,15 @@ MIN_STEPS_BETWEEN_RESTARTS = 4
 
 
 class StiffnessError(RuntimeError):
-    """Restarts requested too frequently near the coordinate singularity."""
+    """The coordinate diverged, or restarts come too often near its singularity.
+
+    ``t`` and ``step`` name the grid step the driver gave up on and ``peak``
+    the coordinate norm that step reached.
+    """
+
+    def __init__(self, message: str, t: float, step: int, peak: float):
+        super().__init__(message)
+        self.t, self.step, self.peak = t, step, peak
 
 
 def riccati_rhs(h_blocks, z: np.ndarray) -> np.ndarray:
@@ -56,57 +64,33 @@ def rk4_step(f, y: np.ndarray, dt: float, k1: np.ndarray, x_mid, x_end) -> np.nd
     return y + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-class _StepNodes:
-    """The model at the nodes t, t + dt/2 and t + dt of one grid step, each read once.
-
-    ``read`` is a validating evaluator such as BlockedHamiltonian.blocks_at or
-    SO5Coefficients.at; ``values`` holds its three results for the loaded
-    step.  The end node carries over as the next step's start node, and a
-    step the driver retakes after a fold keeps its nodes.
-
-    At a breakpoint of a piecewise model H jumps.  A node within 1e-12
-    relative of a breakpoint snaps to it; a step that ends on one reads its
-    end node as the left limit and sets ``jump``, and the next step reads its
-    start node afresh, so nothing evaluated at the end node may carry over.
-    """
-
-    def __init__(self, read, breakpoints=()):
-        self.read = read
-        self.breakpoints = np.asarray(breakpoints, dtype=float)
-        self.t, self.values, self.jump = None, [], False
-
-    def load(self, t: float, dt: float) -> None:
-        if t == self.t:
-            return
-        self.t = t
-        times = [t, t + dt / 2.0, t + dt]
-        jump = False
-        if self.breakpoints.size:
-            times = [self._snap(s) for s in times]
-            jump = times[-1] in self.breakpoints
-            if jump:
-                times[-1] = np.nextafter(times[-1], -np.inf)
-        start = self.values[-1] if self.values and not self.jump else self.read(times[0])
-        self.jump = jump
-        self.values = [start] + [self.read(s) for s in times[1:]]
-
-    def _snap(self, s: float) -> float:
-        near = self.breakpoints[np.argmin(np.abs(self.breakpoints - s))]
-        return float(near) if abs(near - s) <= 1e-12 * abs(near) else s
-
-
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite peak raises StiffnessError
-def _drive(advance, y0, t_end: float, steps: int, Z_max: float):
-    """Fixed-step driver shared by every solver path; restarts happen here only.
+def _drive(advance, read, y0, t_end: float, steps: int, Z_max: float, breakpoints=()):
+    """Fixed-step driver shared by every Riccati path: it alone reads the model and restarts.
 
-    A path supplies one function, ``advance(t, dt, y)``, which returns
-    ``(y_new, peak, extra)``: the state one grid step later, the coordinate
-    norm compared with Z_max, and the path's record of that step.  When a
-    step's peak reaches Z_max the driver records the fold ``(k, y)``, with y
-    the state the segment reached at grid node k; the stored state at that
-    node becomes y0, which starts the next segment, and the step is retaken
-    from it.  The path assembles U, phases and restart records from the
-    folds after the solve.
+    Node schedule.  The step from t to t + dt reads the model through
+    ``read`` (a validating evaluator such as BlockedHamiltonian.blocks_at or
+    SO5Coefficients.at) at the nodes t, t + dt/2 and t + dt.  The end node
+    carries over as the next step's start node, so a solve makes 2 steps + 1
+    reads, and a step retaken after a fold keeps its nodes.  A piecewise model
+    jumps at its ``breakpoints``: a node within 1e-12 relative of one snaps
+    to it, a step that ends on one reads its end node as the left limit (the
+    float just below it), and the next step reads its start node afresh, one
+    more read per breakpoint on the grid.
+
+    A path supplies ``advance(dt, y, x, start)``, with x the model's values
+    at the three nodes, and returns ``(y_new, peak, extra, end)``: the state
+    one grid step later, the coordinate norm compared with Z_max, the path's
+    record of the step, and what the path derived at x[2] from y_new.  That
+    ``end`` comes back as the next step's ``start``, what the path would
+    derive at x[0] from y, so the path need not recompute it; ``start`` is
+    None at the first step, for a retaken step and after a breakpoint.
+
+    When a step's peak reaches Z_max the driver records the fold ``(k, y)``,
+    with y the state the segment reached at grid node k; the stored state at
+    that node becomes y0, which starts the next segment, and the step is
+    retaken from it.  The path assembles U, phases and restart records from
+    the folds after the solve.
 
     Returns (times, states, extras, folds): states[k] is the state at
     times[k], extras[k] the record of the step from times[k] to
@@ -119,11 +103,21 @@ def _drive(advance, y0, t_end: float, steps: int, Z_max: float):
         raise ValueError("steps must be >= 1")
     dt = t_end / steps
     times = np.linspace(0.0, t_end, steps + 1)
+    breakpoints = np.asarray(breakpoints, dtype=float)
     states, extras, folds = [y0], [], []
-    y = y0
+    y, x_end, start = y0, None, None
     for k in range(steps):
         t = times[k]
-        y_new, peak, extra = advance(t, dt, y)
+        nodes = np.array([t, t + dt / 2.0, t + dt])
+        jump = False
+        if breakpoints.size:
+            near = breakpoints[np.abs(breakpoints[:, None] - nodes).argmin(axis=0)]
+            nodes = np.where(np.abs(near - nodes) <= 1e-12 * np.abs(near), near, nodes)
+            jump = nodes[-1] in breakpoints
+            if jump:
+                nodes[-1] = np.nextafter(nodes[-1], -np.inf)
+        x = (read(nodes[0]) if x_end is None else x_end, read(nodes[1]), read(nodes[2]))
+        y_new, peak, extra, end = advance(dt, y, x, start)
         if not peak < Z_max:
             if not np.isfinite(peak):
                 problem = f"coordinate norm is {peak}"
@@ -132,18 +126,20 @@ def _drive(advance, y0, t_end: float, steps: int, Z_max: float):
             else:
                 folds.append((k, y))
                 y = states[k] = y0
-                y_new, peak, extra = advance(t, dt, y)
+                y_new, peak, extra, end = advance(dt, y, x, None)
                 problem = None if peak < Z_max else (
                     f"coordinate norm reaches {peak:.3g} within one step of a restart"
                 )
             if problem:
                 raise StiffnessError(
                     f"{problem} at t={t:.6g} (step {k}): trajectory passes too near "
-                    "the coordinate singularity"
+                    "the coordinate singularity",
+                    t=float(t), step=k, peak=float(peak),
                 )
         y = y_new
         states.append(y)
         extras.append(extra)
+        x_end, start = (None, None) if jump else (x[2], end)
     return times, states, extras, folds
 
 
@@ -187,22 +183,19 @@ def integrate_so5(
     """Integrate the four-real-parameter SO(5) Riccati form.
 
     Returns (times, z samples of shape (steps+1, 4), restart times).  It
-    takes the matrix form's step: F is read once at t, t + dt/2 and t + dt
-    (the end node carried over as the next step's start), z takes one
-    classical RK4 step, and the restart rule compares sqrt(2 z.z), which is
-    ||z||_F of the quaternionic rendering, with Z_max at the grid node.  So
+    takes the matrix form's step: F is read on _drive's node schedule, z
+    takes one classical RK4 step on the three node values, and the restart
+    rule compares sqrt(2 z.z), which is ||z||_F of the quaternionic
+    rendering, with Z_max at the grid node.  So
     z agrees with so5_z_params of solve_factored(build_so5(coeffs)) to
     roundoff at every node, restarts included.  The error is that of one
     RK4 step per grid step: fourth order in dt, about 16x that of two half
     steps, so twice the steps buy it back.
     """
-    nodes = _StepNodes(coeffs.at)
-
-    def advance(t, dt, z):
-        nodes.load(t, dt)
-        F_a, F_m, F_b = nodes.values
+    def advance(dt, z, x, _):
+        F_a, F_m, F_b = x
         z_new = rk4_step(so5_rhs, z, dt, so5_rhs(F_a, z), F_m, F_b)
-        return z_new, np.sqrt(2.0 * (z_new @ z_new)), None
+        return z_new, np.sqrt(2.0 * (z_new @ z_new)), None, None
 
-    times, states, _, folds = _drive(advance, np.zeros(4), t_end, steps, Z_max)
+    times, states, _, folds = _drive(advance, coeffs.at, np.zeros(4), t_end, steps, Z_max)
     return times, np.array(states), [times[k] for k, _ in folds]

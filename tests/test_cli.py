@@ -233,19 +233,30 @@ def test_main_runaway_is_solver_error(tmp_path, capsys):
     assert "solver error in runaway" in capsys.readouterr().err
 
 
+def _constant_model(matrix):
+    return {"family": "constant", "N": len(matrix),
+            "params": {"matrix": [[[v, 0.0] for v in row] for row in matrix]}}
+
+
+_NAN_F = np.zeros((5, 5))
+_NAN_F[4, 3], _NAN_F[3, 4] = np.nan, np.nan
+
+
 @pytest.mark.parametrize(
-    "matrix",
-    [[[1.0, 2.0], [0.0, -1.0]], [[1.0, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 3.0]]],
-    ids=["non_hermitian", "traceful"],
+    "model, message",
+    [
+        (_constant_model([[1.0, 2.0], [0.0, -1.0]]), "Hermitian"),
+        (_constant_model([[1.0, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 3.0]]), "traceless"),
+        ({"family": "so5", "N": 4, "n": 2, "params": {"F": _NAN_F.tolist()}}, "finite"),
+    ],
+    ids=["non_hermitian", "traceful", "so5_nan_F"],
 )
-def test_main_invalid_model_is_solver_error(tmp_path, capsys, matrix):
-    p = _write(tmp_path, "invalid.json", {
-        "id": "invalid", "family": "constant", "N": len(matrix),
-        "params": {"matrix": [[[v, 0.0] for v in row] for row in matrix]},
-        "t_end": 1.0, "steps": 10,
-    })
+def test_main_invalid_model_is_solver_error(tmp_path, capsys, model, message):
+    p = _write(tmp_path, "invalid.json", {"id": "invalid", **model, "t_end": 1.0, "steps": 10})
     assert main(["run", str(p), "--out", str(tmp_path / "out")]) == 3
-    assert "solver error in invalid" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "solver error in invalid" in err
+    assert message in err
 
 
 @pytest.mark.parametrize(

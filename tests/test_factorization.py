@@ -308,9 +308,8 @@ def test_corner_node_fiber_matches_effective_hamiltonian(seed, N, radius):
 def test_solve_zero_hamiltonian():
     h = constant_hamiltonian(np.zeros((3, 3), dtype=complex))
     res = solve_factored(h, 1.0, 50)
-    ev = res.evolution()
-    assert frobenius(ev.U - np.eye(3)) < 1e-13
-    assert abs(ev.mu_total) < 1e-13 and abs(ev.phase_geometric) < 1e-13
+    assert frobenius(res.U_samples[-1] - np.eye(3)) < 1e-13
+    assert abs(res.mu_total[-1]) < 1e-13 and abs(res.phase_geometric[-1]) < 1e-13
 
 
 def test_solve_static_z_field():
@@ -425,7 +424,7 @@ def _counted(h):
         times.append(t)
         return h.evaluator(t)
 
-    return BlockedHamiltonian(N=h.N, n=h.n, evaluator=evaluate), times
+    return BlockedHamiltonian(N=h.N, n=h.n, evaluator=evaluate, breakpoints=h.breakpoints), times
 
 
 @pytest.mark.parametrize("N,n,scale,folds", [(3, 1, 0.5, False), (4, 2, 0.5, False), (3, 1, 2.0, True)])
@@ -436,7 +435,7 @@ def test_solve_evaluates_each_node_once(N, n, scale, folds):
     steps = 230
     res = solve_factored(counted, 3.0, steps, Z_max=2.0)
     assert bool(res.restarts) == folds
-    assert len(times) <= 2 * steps + 1
+    assert len(times) == 2 * steps + 1
     assert len(set(times)) == len(times)
 
 
@@ -470,14 +469,20 @@ def test_solve_is_fourth_order_and_estimates_its_error(N, n):
         assert 8.0 < coarse / fine < 32.0
 
 
+def _three_pieces():
+    """Four pieces of a piecewise-constant N = 4 model with breakpoints 0.5, 1.0 and 1.5."""
+    rng = np.random.default_rng(5)
+    starts = [0.0, 0.5, 1.0, 1.5]
+    mats = [random_traceless_hermitian(rng, 4, 2.0) for _ in starts]
+    return piecewise_constant(starts, mats), mats
+
+
 @pytest.mark.parametrize("solver", [solve_factored, hierarchical_solve])
 def test_breakpoints_on_the_grid_keep_fourth_order(solver):
     # the step that ends on a breakpoint reads the piece it leaves, the next
     # step the piece it enters; at 176 steps the grid misses t = 1.5 by an ulp
-    rng = np.random.default_rng(5)
-    t_end, starts = 2.0, [0.0, 0.5, 1.0, 1.5]
-    mats = [random_traceless_hermitian(rng, 4, 2.0) for _ in starts]
-    h = piecewise_constant(starts, mats)
+    t_end = 2.0
+    h, mats = _three_pieces()
     assert h.breakpoints == (0.5, 1.0, 1.5)
     ref = np.eye(4, dtype=complex)
     for M in mats:
@@ -488,6 +493,21 @@ def test_breakpoints_on_the_grid_keep_fourth_order(solver):
     ]
     for coarse, fine in zip(errors, errors[1:]):
         assert 8.0 < coarse / fine < 32.0
+
+
+@pytest.mark.parametrize("steps", [88, 176])
+@pytest.mark.parametrize("solver", [solve_factored, hierarchical_solve])
+def test_breakpoints_on_the_grid_read_each_node_once(solver, steps):
+    # 2S + 1 nodes plus one fresh start node after each of the three
+    # breakpoints; the step ending on a breakpoint reads the float below it,
+    # and the next read is the breakpoint itself
+    h, _ = _three_pieces()
+    counted, times = _counted(h)
+    solver(counted, 2.0, steps)
+    assert len(times) == len(set(times)) == 2 * steps + 4
+    for b in h.breakpoints:
+        k = times.index(b)
+        assert times[k - 1] == np.nextafter(b, -np.inf)
 
 
 _invalid_models = pytest.mark.parametrize(
@@ -621,7 +641,7 @@ def test_hierarchical_evaluates_each_node_once(N, scale, folds):
     steps = 230
     res = hierarchical_solve(counted, 3.0, steps, Z_max=2.0)
     assert bool(res.restarts) == folds
-    assert len(times) <= 2 * steps + 1
+    assert len(times) == 2 * steps + 1
     assert len(set(times)) == len(times)
 
 

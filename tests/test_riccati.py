@@ -4,7 +4,13 @@ from scipy.integrate import solve_ivp
 
 from unitint.bloch import crosscheck_so5, crosscheck_su2, precess
 from unitint.factorization import hierarchical_solve, solve_factored
-from unitint.hamiltonian import constant_hamiltonian, so5_coefficients, spin_half, trig_random
+from unitint.hamiltonian import (
+    ModelError,
+    constant_hamiltonian,
+    so5_coefficients,
+    spin_half,
+    trig_random,
+)
 from unitint.linalg import frobenius
 from unitint.oracle import propagate
 from unitint.riccati import (
@@ -104,8 +110,12 @@ GUARD_PATHS = {
 
 @pytest.mark.parametrize("path", sorted(GUARD_PATHS))
 def test_restart_guard_on_every_path(path):
-    with pytest.raises(StiffnessError, match=r"restart requested again after \d steps at t=\S+ \(step \d+\)"):
+    with pytest.raises(StiffnessError, match=r"restart requested again after \d steps at t=\S+ \(step \d+\)") as info:
         GUARD_PATHS[path]()
+    err = info.value
+    assert f"at t={err.t:.6g} (step {err.step})" in str(err)
+    assert err.t == pytest.approx(err.step * 3.0 / 60, abs=1e-12)
+    assert err.peak >= 0.05
 
 
 # Twelve steps to t = 3 are far too coarse for these couplings: the step
@@ -119,20 +129,47 @@ RUNAWAY_PATHS = {
 
 @pytest.mark.parametrize("path", sorted(RUNAWAY_PATHS))
 def test_runaway_after_restart_raises(path):
-    with pytest.raises(StiffnessError, match=r"within one step of a restart at t=0 \(step 0\)"):
+    with pytest.raises(StiffnessError, match=r"within one step of a restart at t=0 \(step 0\)") as info:
         RUNAWAY_PATHS[path]()
+    assert (info.value.t, info.value.step) == (0.0, 0)
+    assert f"reaches {info.value.peak:.3g} within" in str(info.value)
 
 
 @pytest.mark.filterwarnings("error")  # numpy must not warn before the driver names the divergence
 def test_non_finite_coordinate_raises():
     # a coupling of 1e30 overflows the first 1-unit RK4 step to NaN, here and in the factored solve
-    with pytest.raises(StiffnessError, match=r"is nan at t=0 \(step 0\)"):
+    with pytest.raises(StiffnessError, match=r"is nan at t=0 \(step 0\)") as info:
         integrate_so5(_so5_coupling(0, 1e30), 12.0, 12)
-    with pytest.raises(StiffnessError, match=r"is (nan|inf) at t=0 \(step 0\)"):
+    assert (info.value.t, info.value.step) == (0.0, 0) and np.isnan(info.value.peak)
+    with pytest.raises(StiffnessError, match=r"is (nan|inf) at t=0 \(step 0\)") as info:
         solve_factored(constant_hamiltonian(1e30 * (np.ones((4, 4)) - np.eye(4))), 3.0, 12)
+    assert (info.value.t, info.value.step) == (0.0, 0) and not np.isfinite(info.value.peak)
     # at field scale 200 that step stays finite (about 1e16) and the retaken step runs away
     with pytest.raises(StiffnessError, match=r"within one step of a restart at t=0 \(step 0\)"):
         solve_factored(trig_random(4, seed=1, scale=200), 3.0, 12)
+
+
+def _with_entry(n, value):
+    M = np.zeros((n, n))
+    M[0, 1] = value
+    return M
+
+
+# A non-finite model is rejected where it is read, before any step is taken.
+NON_FINITE_PATHS = {
+    "factored": lambda v: solve_factored(constant_hamiltonian(_with_entry(3, v)), 1.0, 10),
+    "hierarchical": lambda v: hierarchical_solve(constant_hamiltonian(_with_entry(3, v)), 1.0, 10),
+    "so5": lambda v: integrate_so5(so5_coefficients(_with_entry(5, v)), 1.0, 10),
+    "crosscheck_so5": lambda v: crosscheck_so5(so5_coefficients(_with_entry(5, v)), 1.0, 10),
+    "oracle": lambda v: propagate(constant_hamiltonian(_with_entry(3, v)), 1.0, 10),
+}
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("path", sorted(NON_FINITE_PATHS))
+def test_non_finite_model_is_a_model_error(path, value):
+    with pytest.raises(ModelError, match=r"\(t=\S+\) is not finite"):
+        NON_FINITE_PATHS[path](value)
 
 
 def test_step_doubling_error_estimate_scales():
@@ -276,7 +313,7 @@ def test_so5_reads_each_node_once(run):
 
     _, _, restarts = integrate_so5(so5_coefficients(counted), t_end, steps, Z_max=Z_max)
     assert len(restarts) == folds
-    assert len(reads) <= 2 * steps + 1
+    assert len(reads) == 2 * steps + 1
     assert len(set(reads)) == len(reads)
 
 
