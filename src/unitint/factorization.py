@@ -21,7 +21,6 @@ from .linalg import (
     blockdiag,
     dagger,
     frobenius,
-    hermitian_eigendecomposition,
     inv_sqrt_hpd,
     sqrt_hpd,
 )
@@ -153,36 +152,6 @@ def effective_hamiltonian_tilde(h_blocks, z: np.ndarray) -> tuple[np.ndarray, np
     return Htop - z @ dagger(V), Hbot + dagger(V) @ z
 
 
-def sqrt_derivative(gamma: np.ndarray, gamma_dot: np.ndarray) -> np.ndarray:
-    """d/dt gamma^{1/2} from gamma and its time derivative.
-
-    Solves X g^{1/2} + g^{1/2} X = g_dot in the eigenbasis of gamma; exact to
-    machine precision, so no finite-difference noise enters the commutator
-    terms of the Hermitian effective Hamiltonians.
-    """
-    w, Q = hermitian_eigendecomposition(gamma)
-    sq = np.sqrt(w)
-    Gd = dagger(Q) @ gamma_dot @ Q
-    X = Gd / (sq[:, None] + sq[None, :])
-    return Q @ X @ dagger(Q)
-
-
-def _hermitian_block(Q, r, gamma_dot, core) -> np.ndarray:
-    """(i/2)[d/dt g^{-1/2}, g^{1/2}] + (1/2){g^{-1/2} core g^{1/2} + h.c.}.
-
-    g = Q diag(r^2) Q^H.  In that eigenbasis, with G = Q^H g_dot Q and
-    C = Q^H core Q, the block is He_ij = -(i/2) G_ij (r_j - r_i) /
-    ((r_i + r_j) r_i r_j) + (1/2)(C_ij r_j / r_i + conj(C_ji) r_i / r_j).
-    """
-    Qh = dagger(Q)
-    G = Qh @ gamma_dot @ Q
-    C = Qh @ core @ Q
-    ri, rj = r[:, None], r[None, :]
-    He = -0.5j * G * (rj - ri) / ((ri + rj) * ri * rj)
-    He += 0.5 * (C * (rj / ri) + dagger(C) * (ri / rj))
-    return Q @ He @ Qh
-
-
 def effective_hamiltonian_hermitian(
     h_blocks, z: np.ndarray, z_dot: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -191,25 +160,45 @@ def effective_hamiltonian_hermitian(
     upper = (i/2)[d/dt g1^{-1/2}, g1^{1/2}]
             + (1/2){g1^{-1/2} (Htop - z V^H) g1^{1/2} + h.c.}
     and the analogous expression with g2 and Hbot + z^H V for the lower
-    block.  z_dot must be the analytic Riccati right-hand side.  Both
-    gammas are diagonalised by one SVD z = A diag(s) B^H:
-    g1 = A diag(1 + s^2, 1, ...) A^H and g2 = B diag(1 + s^2, 1, ...) B^H.
+    block.  z_dot must be the analytic Riccati right-hand side.  This is
+    _fiber_node given z_dot: one SVD of z, and stacks (leading axes) of
+    h_blocks, z and z_dot give stacks of blocks from one batched SVD.
+    """
+    He = _fiber_node(h_blocks, z, z_dot)[1]
+    return tuple(He[0]) if len(He) == 1 else He
+
+
+def _fiber_node(h_blocks, z: np.ndarray, z_dot=None):
+    """(dz/dt, He) at one node or a stack of nodes, from one SVD z = A S B^H.
+
+    S = diag(s) above zeros (n <= m), so g1 = A diag(r1^2) A^H and g2 =
+    B diag(r2^2) B^H.  With Ht = A^H Htop A, Hb = B^H Hbot B, W = A^H V B,
+    C1 = Ht - S W^H, C2 = Hb + S^H W and R = A^H (dz/dt) B =
+    -i (C1 S + W - S Hb) (or A^H z_dot B for a given z_dot), dz/dt = A R B^H
+    and each block is Q (Y + Y^H) Q^H with
+        Y_ij = -(i/2) P_ij (r_j - r_i) / ((r_i + r_j) r_i r_j) + (1/2) C_ij r_j / r_i
+    for (Q, r, P, C) = (A, r1, R S^H, C1) and (B, r2, S^H R, C2), where
+    P + P^H = Q^H (d/dt g) Q.  He is the tuple (upper, lower), or for m = n
+    (one (2, ..., n, n) stack,), so both blocks take one pass of the formula
+    (and one batched eigh in _magnus4).
     """
     Htop, V, Hbot = h_blocks
-    z = np.atleast_2d(z)
-    z_dot = np.atleast_2d(z_dot)
-    m, n = z.shape
+    m, n = z.shape[-2:]
     A, s, Bh = np.linalg.svd(z)
-    c = np.sqrt(1.0 + s**2)
-    r1 = np.ones(m)
-    r1[: len(s)] = c
-    r2 = np.ones(n)
-    r2[: len(s)] = c
-    g1_dot = z_dot @ dagger(z) + z @ dagger(z_dot)
-    g2_dot = dagger(z_dot) @ z + dagger(z) @ z_dot
-    upper = _hermitian_block(A, r1, g1_dot, Htop - z @ dagger(V))
-    lower = _hermitian_block(dagger(Bh), r2, g2_dot, Hbot + dagger(z) @ V)
-    return upper, lower
+    Ah, B = dagger(A), dagger(Bh)
+    S = s[..., None, :] * np.eye(m, n, dtype=complex)
+    Ht, Hb, W = Ah @ Htop @ A, Bh @ Hbot @ B, Ah @ V @ B
+    C1, C2 = Ht - S @ dagger(W), Hb + S.mT @ W
+    R = -1j * (C1 @ S + W - S @ Hb) if z_dot is None else Ah @ z_dot @ B
+    r2 = np.sqrt(1.0 + s**2)[..., None]  # r as columns: r_i = r, r_j = r.mT
+    r1 = np.concatenate((r2, np.ones(r2.shape[:-2] + (m - n, 1))), axis=-2)
+    blocks = [(A, r1, R @ S.mT, C1), (B, r2, S.mT @ R, C2)]
+    He = []
+    for Q, ri, P, C in [tuple(map(np.array, zip(*blocks)))] if m == n else blocks:
+        rj = ri.mT
+        Y = P * ((0.5j * (ri - rj)) / ((ri + rj) * ri * rj)) + C * (0.5 * rj / ri)
+        He.append(Q @ (Y + dagger(Y)) @ dagger(Q))
+    return A @ R @ Bh, tuple(He)
 
 
 def recursion_hamiltonian(h_blocks, z: np.ndarray) -> np.ndarray:
@@ -315,11 +304,11 @@ def _magnus4(He_a: np.ndarray, He_m: np.ndarray, He_b: np.ndarray, dt: float) ->
     He_a, He_m and He_b are the Hermitian He at t, t + dt/2 and t + dt, and
     S = (He_a + 4 He_m + He_b)/6 their Simpson mean; the exponent is
     Hermitian, so the step is unitary to roundoff.  A 1 x 1 block has no
-    commutator and is a scalar phase.  (Blanes, Casas, Oteo & Ros, Phys. Rep.
-    470 (2009) 151.)
+    commutator and is a scalar phase; a stack of blocks takes one batched
+    eigh.  (Blanes, Casas, Oteo & Ros, Phys. Rep. 470 (2009) 151.)
     """
     S = (He_a + 4.0 * He_m + He_b) / 6.0
-    if len(S) == 1:
+    if S.shape[-1] == 1:
         return np.exp(-1j * dt * S.real)
     return _unitary_step(S + (1j * dt / 12.0) * (He_a @ He_b - He_b @ He_a), dt)
 
@@ -340,19 +329,22 @@ def solve_factored(
       f(t, z), the start _drive hands back from the step before.
     - z(t + dt/2) for the fiber is the cubic Hermite midpoint
       (z + z_new)/2 + dt/8 (f(t, z) - f(t + dt, z_new)).
-    - Each block of the fiber factor U2 takes one fourth-order Magnus step
-      (_magnus4) on the Hermitian effective Hamiltonians He at the three
-      nodes; He(t + dt), with f(t + dt, z_new) and the phase rates there,
-      returns from _drive as the next step's start.  For n = 1,
-      He, dz/dt and the phase rates come from _peel_level, the level kernel
-      hierarchical_solve integrates; for n > 1 from
-      effective_hamiltonian_hermitian.
+    - The fiber factor U2 takes one fourth-order Magnus step (_magnus4) on
+      the Hermitian effective Hamiltonians He at the three nodes; He(t + dt),
+      with f(t + dt, z_new) and the phase rates there, returns from _drive
+      as the next step's start.  For n = 1, He, dz/dt and the phase rates
+      come from _peel_level, the level kernel hierarchical_solve integrates.
+      For n > 1, one _fiber_node call gives He at both new nodes, t + dt/2
+      and t + dt, from one stacked SVD, and for m = n both blocks take one
+      Magnus step together, so a step makes one eigh.
     - For n = 1 the corner phases (mu_total, phase_geometric, imag_mu, and
       phase_dynamical = mu_total - phase_geometric) integrate the three rate
       evaluations by Simpson's rule, cumulative across restarts.
     - est_error sums the per-step Simpson defect
       ||z_new - z - dt/6 (f(t) + 4 f(t + dt/2) + f(t + dt))||_F, an estimate
-      of the fourth-order error that costs no extra evaluation.
+      of the fourth-order error that costs no extra evaluation.  It leaves
+      out the fiber's Magnus error, so it can read below the error in U
+      (0.8 to 9 times it on smooth models).
 
     A restart resets z = 0, U2 = I and the phases, and _drive records the
     fold.  After the solve, _segments turns the folds into the restart records
@@ -361,41 +353,48 @@ def solve_factored(
     """
     m, n = h.N - h.n, h.n
     track_phases = n == 1
+    stacked = 1 < n == m  # the fiber as block stacks, as _fiber_node returns He
 
-    if n == 1:
-        node = _corner_node
-    else:
-        def node(H, z):
-            dz = riccati_rhs(H, z)
-            return dz, effective_hamiltonian_hermitian(H, z, dz), None
+    def first(H, z):  # f, He and the phase rates at a start node not carried over
+        return _corner_node(H, z) if n == 1 else (riccati_rhs(H, z), _fiber_node(H, z)[1], None)
+
+    def fiber(U2):  # blockdiag(upper, lower), over any leading axes
+        return blockdiag(*(np.moveaxis(U2[0], -3, 0) if stacked else U2))
 
     def advance(dt, y, x, start):
-        z, U2_up, U2_lo, phases = y
+        z, U2, phases = y
         H_a, H_m, H_b = x
-        f_a, He_a, r_a = start or node(H_a, z)
+        f_a, He_a, r_a = start or first(H_a, z)
         z_new = rk4_step(riccati_rhs, z, dt, f_a, H_m, H_b)
         peak = frobenius(z_new)
         if not peak < Z_max:  # the driver folds or raises; a runaway z breaks the fiber
             return None, peak, None, None
-        end = f_b, He_b, r_b = node(H_b, z_new)
-        f_m, He_m, r_m = node(H_m, 0.5 * (z + z_new) + (dt / 8.0) * (f_a - f_b))
-        U2_up = _magnus4(He_a[0], He_m[0], He_b[0], dt) @ U2_up
-        U2_lo = _magnus4(He_a[1], He_m[1], He_b[1], dt) @ U2_lo
+        if n == 1:
+            end = f_b, He_b, r_b = _corner_node(H_b, z_new)
+            f_m, He_m, r_m = _corner_node(H_m, 0.5 * (z + z_new) + (dt / 8.0) * (f_a - f_b))
+        else:  # f(t + dt) for the midpoint, then He there and at t + dt from one call
+            f_b = riccati_rhs(H_b, z_new)
+            z_m = 0.5 * (z + z_new) + (dt / 8.0) * (f_a - f_b)
+            (f_m, _), He = _fiber_node(tuple(map(np.array, zip(H_m, H_b))), np.array((z_m, z_new)))
+            He_m, He_b = ([g[..., k, :, :] for g in He] for k in (0, 1))
+            end = f_b, He_b, None
+        U2 = [_magnus4(a, mid, b, dt) @ u for a, mid, b, u in zip(He_a, He_m, He_b, U2)]
         if track_phases:
             phases = (dt / 6.0) * (r_a + 4.0 * r_m + r_b) + phases
         defect = frobenius(z_new - z - (dt / 6.0) * (f_a + 4.0 * f_m + f_b))
-        return (z_new, U2_up, U2_lo, phases), peak, defect, end
+        return (z_new, U2, phases), peak, defect, end
 
     z0, phases0 = np.zeros((m, n), dtype=complex), np.zeros(3) if track_phases else None
-    y0 = z0, np.eye(m, dtype=complex), np.eye(n, dtype=complex), phases0
+    U2 = np.eye(m, dtype=complex), np.eye(n, dtype=complex)
+    y0 = z0, (np.array(U2),) if stacked else U2, phases0
     times, states, defects, folds = _drive(
         advance, h.blocks_at, y0, t_end, steps, Z_max, h.breakpoints
     )
     restarts, accums, segment = _segments(
-        h.N, times, folds, lambda y: unitarized_U1(y[0]) @ blockdiag(y[1], y[2])
+        h.N, times, folds, lambda y: unitarized_U1(y[0]) @ fiber(y[1])
     )
     z_samples = np.array([y[0] for y in states])
-    U2_samples = blockdiag(np.array([y[1] for y in states]), np.array([y[2] for y in states]))
+    U2_samples = fiber([np.array(g) for g in zip(*(y[1] for y in states))])
     result = FactoredResult(
         h=h,
         times=times,
@@ -406,8 +405,8 @@ def solve_factored(
         est_error=float(sum(defects)),
     )
     if track_phases:
-        reached = np.cumsum([np.zeros(3)] + [y[3] for _, y in folds], axis=0)
-        mu, geo, imu = (np.array([y[3] for y in states]) + reached[segment]).T
+        reached = np.cumsum([np.zeros(3)] + [y[2] for _, y in folds], axis=0)
+        mu, geo, imu = (np.array([y[2] for y in states]) + reached[segment]).T
         result.mu_total = mu
         result.phase_geometric = geo
         result.phase_dynamical = mu - geo

@@ -127,9 +127,9 @@ def unitary_step(H: np.ndarray, dt: float) -> np.ndarray:
 
 
 def _unitary_step(H: np.ndarray, dt: float) -> np.ndarray:
-    """exp(-i H dt) without the Hermiticity check, for H Hermitian by construction."""
+    """exp(-i H dt), or a stack of them, without the check, for H Hermitian by construction."""
     w, Q = np.linalg.eigh(H)
-    return (Q * np.exp(-1j * w * dt)) @ dagger(Q)
+    return (Q * np.exp(-1j * w * dt)[..., None, :]) @ dagger(Q)
 
 
 def blockdiag(A: np.ndarray, B: np.ndarray) -> np.ndarray:

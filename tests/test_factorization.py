@@ -9,7 +9,9 @@ from unitint.factorization import (
     UnsupportedConfigurationError,
     _hier_assemble,
     _corner_node,
+    _fiber_node,
     _HierState,
+    _magnus4,
     _peel_level,
     assemble_tilde_U1,
     base_coordinate,
@@ -22,7 +24,6 @@ from unitint.factorization import (
     recursion_hamiltonian,
     schrodinger_residual,
     solve_factored,
-    sqrt_derivative,
     unitarity_closure,
     unitarized_U1,
 )
@@ -35,10 +36,12 @@ from unitint.hamiltonian import (
     trig_random,
 )
 from unitint.linalg import (
+    _unitary_step,
     blockdiag,
     dagger,
     expm,
     frobenius,
+    hermitian_eigendecomposition,
     inv_sqrt_hpd,
     is_hermitian,
     is_unitary,
@@ -187,6 +190,14 @@ def test_hermitian_effective_is_hermitian():
         assert is_hermitian(lo, 1e-9)
 
 
+def sqrt_derivative(gamma, gamma_dot):
+    """d/dt gamma^{1/2}: X g^{1/2} + g^{1/2} X = g_dot solved in the eigenbasis of gamma."""
+    w, Q = hermitian_eigendecomposition(gamma)
+    sq = np.sqrt(w)
+    X = (dagger(Q) @ gamma_dot @ Q) / (sq[:, None] + sq[None, :])
+    return Q @ X @ dagger(Q)
+
+
 def _effective_hamiltonian_by_eigh(h_blocks, z, z_dot):
     # the fiber blocks composed from sqrt_hpd, inv_sqrt_hpd and sqrt_derivative
     Htop, V, Hbot = h_blocks
@@ -217,6 +228,73 @@ def test_hermitian_effective_matches_eigh_composition(m, n):
             got = effective_hamiltonian_hermitian(blocks, z, z_dot)
             for a, b in zip(got, _effective_hamiltonian_by_eigh(blocks, z, z_dot)):
                 assert frobenius(a - b) < 1e-12
+
+
+def _z_with_singular_values(rng, m, n, kind, radius):
+    # z = A diag(s) B^H with s random, repeated, partly zero or all zero
+    s = np.sort(rng.uniform(0.1, 1.0, n))[::-1]
+    if kind == "repeated":
+        s[:] = s[0]
+    elif kind == "partly_zero":
+        s[n // 2 :] = 0.0
+    elif kind == "zero":
+        s[:] = 0.0
+    A = np.linalg.qr(_random_z(rng, m, m))[0]
+    B = np.linalg.qr(_random_z(rng, n, n))[0]
+    z = (A[:, :n] * s) @ dagger(B)
+    return z * (radius / frobenius(z)) if kind != "zero" else z
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    shape=st.sampled_from([(2, 2), (3, 3), (4, 2), (5, 2), (4, 3)]),
+    kinds=st.lists(st.sampled_from(["random", "repeated", "partly_zero", "zero"]), min_size=3, max_size=3),
+    radius=st.floats(0.0, 30.0),
+)
+def test_fiber_node_stacks_and_matches_eigh_composition(seed, shape, kinds, radius):
+    # the SVD-basis kernel at three nodes at once (z = 0, repeated and zero
+    # singular values included): the stacked call equals the per-node calls,
+    # both equal the eigendecomposition composition, and dz/dt is riccati_rhs
+    rng = np.random.default_rng(seed)
+    m, n = shape
+    Hs = [random_traceless_hermitian(rng, m + n) for _ in kinds]
+    blocks = [(H[:m, :m], H[:m, m:], H[m:, m:]) for H in Hs]
+    zs = [_z_with_singular_values(rng, m, n, kind, radius) for kind in kinds]
+    z_dots = [riccati_rhs(b, z) for b, z in zip(blocks, zs)]
+    stacked_blocks = tuple(map(np.array, zip(*blocks)))
+    dz, He = _fiber_node(stacked_blocks, np.array(zs))
+    assert len(He) == (1 if m == n else 2)
+    upper, lower = He[0] if m == n else He
+    public = effective_hamiltonian_hermitian(stacked_blocks, np.array(zs), np.array(z_dots))
+    for k, (b, z, z_dot) in enumerate(zip(blocks, zs, z_dots)):
+        dz_k, He_k = _fiber_node(b, z)
+        per_node = He_k[0] if m == n else He_k
+        assert frobenius(dz[k] - dz_k) <= 1e-14 * max(frobenius(dz_k), 1.0)
+        for a, c in zip((upper[k], lower[k]), per_node):
+            assert frobenius(a - c) <= 1e-14 * max(frobenius(c), 1.0)
+        assert frobenius(dz_k - z_dot) <= 1e-12 * max(frobenius(z_dot), 1.0)
+        want = _effective_hamiltonian_by_eigh(b, z, z_dot)
+        for got in (per_node, effective_hamiltonian_hermitian(b, z, z_dot), (public[0][k], public[1][k])):
+            for a, w in zip(got, want):
+                assert frobenius(a - w) < 1e-12
+
+
+@pytest.mark.parametrize("n,count", [(1, 1), (1, 2), (3, 1), (3, 2)])
+def test_magnus_and_unitary_step_stack_over_blocks(n, count):
+    # a stack of blocks (a stack of one included) takes one batched eigh and
+    # equals the block-by-block steps
+    rng = np.random.default_rng(10 * n + count)
+    G = rng.standard_normal((3, count, n, n)) + 1j * rng.standard_normal((3, count, n, n))
+    He = (G + dagger(G)) / 2.0  # He at t, t + dt/2 and t + dt for each block
+    dt = 0.3
+    stacked = _magnus4(*He, dt)
+    unitary = _unitary_step(He[0], dt)
+    assert stacked.shape == unitary.shape == (count, n, n)
+    for k in range(count):
+        assert np.max(np.abs(stacked[k] - _magnus4(*He[:, k], dt))) <= 1e-15
+        assert np.max(np.abs(unitary[k] - _unitary_step(He[0, k], dt))) <= 1e-15
+        assert frobenius(unitary[k] - expm(-1j * dt * He[0, k])) < 1e-13
 
 
 def test_sqrt_derivative_vs_finite_differences():
@@ -724,3 +802,47 @@ def test_gauge_covariance_of_full_evolution():
     if a.restarts and b.restarts:
         assert a.restarts[0][0] != b.restarts[0][0]
     assert frobenius(a.U_samples[-1] - b.U_samples[-1]) < 1e-6
+
+
+@settings(max_examples=4, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+@pytest.mark.parametrize("N,n", [(4, 1), (4, 2), (6, 1), (6, 3)])
+def test_solve_factored_covariant_under_block_diagonal_unitary(N, n, seed):
+    # a constant W = blockdiag(W1, W2) maps H to W H W^H, z to W1 z W2^H and U
+    # to W U W^H, and keeps ||z||_F, so the folds land on the same steps.  The
+    # SVD-basis fiber must not depend on the basis: 48 fixed cases at 115 steps
+    # deviated by at most 3.8e-14, a slip in a basis rotation by O(1)
+    rng = np.random.default_rng(seed)
+    h = trig_random(N, n=n, seed=seed % 1000, scale=2.0)
+    W = blockdiag(*(np.linalg.qr(_random_z(rng, k, k))[0] for k in (N - n, n)))
+    hw = BlockedHamiltonian(N=N, n=n, evaluator=lambda t: W @ h.matrix(t) @ dagger(W))
+    a = solve_factored(h, 3.0, 115, Z_max=2.0)
+    b = solve_factored(hw, 3.0, 115, Z_max=2.0)
+    assert [t for t, _ in a.restarts] == [t for t, _ in b.restarts]
+    assert np.max(np.linalg.norm(W @ a.U_samples @ dagger(W) - b.U_samples, axis=(-2, -1))) < 1e-12
+
+
+@pytest.mark.parametrize("N,steps", [(4, 115), (6, 230)])
+def test_solve_decompositions_per_step_for_half_split(N, steps, monkeypatch):
+    # n = N/2: one batched SVD (midpoint and end node) and one batched eigh
+    # (both fiber blocks) per grid step; one more SVD for each fresh start
+    # node (the first step and each fold's retake), one for each fold's
+    # segment U1 and one for the U1 of all samples at once
+    calls = {"svd": [], "eigh": []}
+    for name in calls:
+        original = getattr(np.linalg, name)
+
+        def counted(a, *args, _original=original, _name=name, **kwargs):
+            calls[_name].append(np.shape(a))
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    n = N // 2
+    res = solve_factored(trig_random(N, n=n, seed=3, scale=2.0), 3.0, steps, Z_max=2.0)
+    folds = len(res.restarts)
+    assert folds >= 1
+    assert calls["eigh"] == [(2, n, n)] * steps
+    assert calls["svd"].count((2, n, n)) == steps
+    assert calls["svd"].count((n, n)) == (1 + folds) + folds
+    assert calls["svd"].count((steps + 1, n, n)) == 1
+    assert len(calls["svd"]) == steps + (1 + folds) + folds + 1
