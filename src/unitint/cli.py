@@ -25,7 +25,6 @@ import numpy as np
 
 from . import bloch as bloch_mod
 from .factorization import (
-    UnsupportedConfigurationError,
     effective_hamiltonian_hermitian,
     gamma1_inv_sqrt_closed,
     gamma1_sqrt_closed,
@@ -82,11 +81,14 @@ def parse_scenario(scenario: dict):
     scenario = _with_defaults(scenario)
     _check_fields(scenario)
     try:
-        return scenario, from_config(scenario)
+        h = from_config(scenario)
     except KeyError as exc:
         raise ScenarioError(f"family {scenario['family']!r} needs parameter {exc}") from None
     except (TypeError, ValueError) as exc:  # ModelError included
         raise ScenarioError(str(exc)) from None
+    if "hierarchical" in scenario["paths"] and h.n != 1:
+        raise ScenarioError(f"path hierarchical peels with block size 1, not n={h.n}")
+    return scenario, h
 
 
 def _with_defaults(scenario: dict) -> dict:
@@ -390,7 +392,7 @@ def _cmd_run(args) -> int:
         except ScenarioError as exc:
             print(f"error: {file_path}: {exc}", file=sys.stderr)
             return 2
-        except (StiffnessError, SingularMatrixError, ModelError, UnsupportedConfigurationError) as exc:
+        except (StiffnessError, SingularMatrixError, ModelError) as exc:
             print(f"solver error in {scenario['id']}: {exc}", file=sys.stderr)
             return 3
         failed = [k for k, v in report["verdicts"].items() if not v["pass"]]

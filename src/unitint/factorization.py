@@ -24,7 +24,7 @@ from .linalg import (
     inv_sqrt_hpd,
     sqrt_hpd,
 )
-from .riccati import DEFAULT_Z_MAX, _drive, riccati_rhs, rk4_step
+from .riccati import DEFAULT_Z_MAX, _drive, _level_rhs, _sweep, riccati_rhs
 
 
 class UnsupportedConfigurationError(ValueError):
@@ -218,27 +218,28 @@ def recursion_hamiltonian(h_blocks, z: np.ndarray) -> np.ndarray:
 
 
 def _corner_node(h_blocks, z: np.ndarray):
-    """(dz/dt, (upper, lower) fiber blocks, phase rates) at one node, for n=1.
+    """(dz/dt, (upper, lower) fiber blocks, phase rates) for n=1, over any leading axes.
 
     All three come from one _peel_level call.  The upper block is
     recursion_hamiltonian's H' = H_next - phi_rate I and the lower block the
     1 x 1 -mu_rate; together they are effective_hamiltonian_hermitian(h_blocks,
-    z, dz/dt).  The rates are d/dt of (mu, geometric phase, Im mu), with
-    Im mu = ln(1 + |z|^2) advancing at -2 Im(V^H z).
+    z, dz/dt).  The rates, stacked on a last axis, are d/dt of (mu, geometric
+    phase, Im mu), with Im mu = ln(1 + |z|^2) advancing at -2 Im(V^H z).
     """
     Htop, V, Hbot = h_blocks
-    v, zc = V[:, 0], z[:, 0]
-    dz, (mu_rate, geo_rate, phi_rate), upper = _peel_level(Htop, v, Hbot[0, 0], zc)
-    upper.ravel()[:: len(zc) + 1] -= phi_rate  # undo the trace shift tau/m = -phi_rate
-    rates = np.array([mu_rate, geo_rate, -2.0 * np.vdot(v, zc).imag])
-    return dz[:, None], (upper, np.array([[-mu_rate]])), rates
+    v, zc = V[..., 0], z[..., 0]
+    dz, (mu_rate, geo_rate, phi_rate), H_next = _peel_level(Htop, v, Hbot[..., 0, 0], zc)
+    upper = H_next - phi_rate[..., None, None] * np.eye(zc.shape[-1])  # undo tau/m = -phi_rate
+    rates = np.stack((mu_rate, geo_rate, -2.0 * np.sum(v.conj() * zc, axis=-1).imag), axis=-1)
+    return dz[..., None], (upper, -mu_rate[..., None, None]), rates
 
 
 def _peel_level(Htop: np.ndarray, v: np.ndarray, h, z: np.ndarray):
     """Everything one level of the n=1 peel needs, from V^H z, |z|^2 and Htop z.
 
     Htop (m x m), the column v and the corner h partition a traceless
-    (m+1)-level H; z is the level's coordinate as a 1-D array.  Returns
+    (m+1)-level H; z is the level's coordinate as a 1-D array.  Leading axes
+    broadcast, so one call serves every node of a fold window.  Returns
     (dz/dt, (mu rate, geometric rate, trace-phase rate), H_next): dz/dt is
     riccati_rhs, and H_next is recursion_hamiltonian's H' with its trace
     removed, the rank-2 update H' = Htop - z u^H - u z^H, u =
@@ -253,21 +254,21 @@ def _peel_level(Htop: np.ndarray, v: np.ndarray, h, z: np.ndarray):
     H_NN + Re(V^H z) = (U1^H H U1)_NN + (-i U1^H dU1/dt)_NN, checked against
     finite differences of U1 in the test suite.
     """
-    m = len(z)
-    hnn = h.real
-    vz = np.vdot(v, z)
-    zz = np.vdot(z, z).real
-    Hz = Htop @ z
+    m = z.shape[-1]
+    hnn = np.real(h)
+    vz = np.sum(v.conj() * z, axis=-1)
+    zz = np.sum(z.real**2 + z.imag**2, axis=-1)
+    Hz = (Htop @ z[..., None])[..., 0]
     re_vz = vz.real
     g = 1.0 + zz
-    dz = -1j * (Hz + v - z * (vz + h))
-    quad = np.vdot(z, Hz).real - hnn * zz
+    dz = -1j * (Hz + v - z * (vz + h)[..., None])
+    quad = np.sum(z.conj() * Hz, axis=-1).real - hnn * zz
     geo_rate = (quad + 2.0 * re_vz * (1.0 - g / 2.0)) / g
     a = 1.0 / (np.sqrt(g) + 1.0)
-    u = a * v + (0.5 * re_vz * a * a) * z
-    tau = -hnn - 2.0 * np.vdot(u, z).real
-    H_next = Htop - z[:, None] * u.conj() - u[:, None] * z.conj()
-    H_next.ravel()[:: m + 1] -= tau / m
+    u = a[..., None] * v + (0.5 * re_vz * a * a)[..., None] * z
+    tau = -hnn - 2.0 * np.sum(u.conj() * z, axis=-1).real
+    zu = z[..., :, None] * u[..., None, :].conj()
+    H_next = Htop - zu - dagger(zu) - (tau / m)[..., None, None] * np.eye(m)
     return dz, (-(hnn + re_vz), geo_rate, -tau / m), H_next
 
 
@@ -322,21 +323,22 @@ def solve_factored(
     """Solve i dU/dt = H U through the base/fiber factorization.
 
     H is read on _drive's node schedule (t, t + dt/2 and t + dt per step,
-    breakpoints of a piecewise model included) and validated there
-    (ModelError for a non-Hermitian, non-traceless or non-finite model).
+    breakpoints of a piecewise model included), all before the first step,
+    and validated there (ModelError for a non-Hermitian, non-traceless or
+    non-finite model).  Each fold window is one sweep and one batched pass.
 
-    - z takes one rk4_step on the three H nodes; its first stage is
-      f(t, z), the start _drive hands back from the step before.
-    - z(t + dt/2) for the fiber is the cubic Hermite midpoint
-      (z + z_new)/2 + dt/8 (f(t, z) - f(t + dt, z_new)).
-    - The fiber factor U2 takes one fourth-order Magnus step (_magnus4) on
-      the Hermitian effective Hamiltonians He at the three nodes; He(t + dt),
-      with f(t + dt, z_new) and the phase rates there, returns from _drive
-      as the next step's start.  For n = 1, He, dz/dt and the phase rates
-      come from _peel_level, the level kernel hierarchical_solve integrates.
-      For n > 1, one _fiber_node call gives He at both new nodes, t + dt/2
-      and t + dt, from one stacked SVD, and for m = n both blocks take one
-      Magnus step together, so a step makes one eigh.
+    - The sweep: z takes one rk4_step per grid step on the three H nodes,
+      with _level_rhs for n = 1 and riccati_rhs for n > 1, up to the first
+      step that reaches Z_max.
+    - The batched pass, over the window's steps at once: f(t, z) and
+      f(t + dt, z_new), the cubic Hermite midpoint z(t + dt/2) =
+      (z + z_new)/2 + dt/8 (f(t) - f(t + dt)), and the fiber kernel at the
+      three node sets: _corner_node (the level kernel _peel_level that
+      hierarchical_solve cascades) for n = 1, _fiber_node with one SVD for
+      n > 1.  The Hermitian effective Hamiltonians He at the three nodes
+      give one fourth-order Magnus step per block and grid step
+      (_magnus4, one batched eigh for all steps, and for m = n both blocks
+      in one stack); U2 is their running product.
     - For n = 1 the corner phases (mu_total, phase_geometric, imag_mu, and
       phase_dynamical = mu_total - phase_geometric) integrate the three rate
       evaluations by Simpson's rule, cumulative across restarts.
@@ -349,52 +351,33 @@ def solve_factored(
     A restart resets z = 0, U2 = I and the phases, and _drive records the
     fold.  After the solve, _segments turns the folds into the restart records
     and each node's accumulator; U_samples are the stacked U1(z) U2 times
-    those accumulators, and the phases add up the segments.
+    those accumulators, and the phases and est_error add up the segments.
     """
     m, n = h.N - h.n, h.n
-    track_phases = n == 1
     stacked = 1 < n == m  # the fiber as block stacks, as _fiber_node returns He
-
-    def first(H, z):  # f, He and the phase rates at a start node not carried over
-        return _corner_node(H, z) if n == 1 else (riccati_rhs(H, z), _fiber_node(H, z)[1], None)
 
     def fiber(U2):  # blockdiag(upper, lower), over any leading axes
         return blockdiag(*(np.moveaxis(U2[0], -3, 0) if stacked else U2))
 
-    def advance(dt, y, x, start):
-        z, U2, phases = y
-        H_a, H_m, H_b = x
-        f_a, He_a, r_a = start or first(H_a, z)
-        z_new = rk4_step(riccati_rhs, z, dt, f_a, H_m, H_b)
-        peak = frobenius(z_new)
-        if not peak < Z_max:  # the driver folds or raises; a runaway z breaks the fiber
-            return None, peak, None, None
-        if n == 1:
-            end = f_b, He_b, r_b = _corner_node(H_b, z_new)
-            f_m, He_m, r_m = _corner_node(H_m, 0.5 * (z + z_new) + (dt / 8.0) * (f_a - f_b))
-        else:  # f(t + dt) for the midpoint, then He there and at t + dt from one call
-            f_b = riccati_rhs(H_b, z_new)
-            z_m = 0.5 * (z + z_new) + (dt / 8.0) * (f_a - f_b)
-            (f_m, _), He = _fiber_node(tuple(map(np.array, zip(H_m, H_b))), np.array((z_m, z_new)))
-            He_m, He_b = ([g[..., k, :, :] for g in He] for k in (0, 1))
-            end = f_b, He_b, None
-        U2 = [_magnus4(a, mid, b, dt) @ u for a, mid, b, u in zip(He_a, He_m, He_b, U2)]
-        if track_phases:
-            phases = (dt / 6.0) * (r_a + 4.0 * r_m + r_b) + phases
-        defect = frobenius(z_new - z - (dt / 6.0) * (f_a + 4.0 * f_m + f_b))
-        return (z_new, U2, phases), peak, defect, end
+    def window(dt, X):
+        z, done, peak, H3, z3, (f_a, f_b) = _sweep_window(X, n, dt, Z_max)
+        dz, He, rates = _corner_node(H3, z3) if n == 1 else (*_fiber_node(H3, z3), None)
+        U2 = [_running_product(_magnus4(*np.moveaxis(g, -4, 0), dt)) for g in He]
+        defect = z[1:] - z[:-1] - (dt / 6.0) * (f_a + 4.0 * dz[1] + f_b)
+        inc = np.linalg.norm(defect, axis=(-2, -1))[:, None]
+        if n == 1:  # the phases by Simpson's rule, then the defect
+            inc = np.hstack(((dt / 6.0) * (rates[0] + 4.0 * rates[1] + rates[2]), inc))
+        sums = np.cumsum(np.vstack((np.zeros(inc.shape[1]), inc)), axis=0)
+        return (z, sums, *U2), done, peak
 
-    z0, phases0 = np.zeros((m, n), dtype=complex), np.zeros(3) if track_phases else None
-    U2 = np.eye(m, dtype=complex), np.eye(n, dtype=complex)
-    y0 = z0, (np.array(U2),) if stacked else U2, phases0
-    times, states, defects, folds = _drive(
-        advance, h.blocks_at, y0, t_end, steps, Z_max, h.breakpoints
+    times, (z_samples, sums, *U2), folds = _drive(
+        window, h.checked_matrix, t_end, steps, Z_max, h.breakpoints
     )
     restarts, accums, segment = _segments(
-        h.N, times, folds, lambda y: unitarized_U1(y[0]) @ fiber(y[1])
+        h.N, times, folds, lambda y: unitarized_U1(y[0]) @ fiber(y[2:])
     )
-    z_samples = np.array([y[0] for y in states])
-    U2_samples = fiber([np.array(g) for g in zip(*(y[1] for y in states))])
+    sums = sums + np.cumsum([np.zeros(sums.shape[1])] + [y[1] for _, y in folds], axis=0)[segment]
+    U2_samples = fiber(U2)
     result = FactoredResult(
         h=h,
         times=times,
@@ -402,16 +385,55 @@ def solve_factored(
         U_samples=unitarized_U1(z_samples) @ U2_samples @ accums,
         U2_samples=U2_samples,
         restarts=restarts,
-        est_error=float(sum(defects)),
+        est_error=float(sums[-1, -1]),
     )
-    if track_phases:
-        reached = np.cumsum([np.zeros(3)] + [y[2] for _, y in folds], axis=0)
-        mu, geo, imu = (np.array([y[2] for y in states]) + reached[segment]).T
-        result.mu_total = mu
-        result.phase_geometric = geo
-        result.phase_dynamical = mu - geo
-        result.imag_mu = imu
+    if n == 1:
+        mu, geo, imu = sums[:, :3].T
+        result.mu_total, result.phase_geometric, result.phase_dynamical, result.imag_mu = (
+            mu, geo, mu - geo, imu
+        )
     return result
+
+
+def _sweep_window(X: np.ndarray, n: int, dt: float, Z_max: float):
+    """Sweep z over one fold window's node values X, (3, W, N, N), and place its three node sets.
+
+    z takes rk4_step on _level_rhs (n = 1) or riccati_rhs (n > 1) from zero.
+    Returns (z, done, peak, H3, z3, (f_a, f_b)): the sweep's done + 1 nodes as
+    (m, n) matrices, done and peak; and over the completed steps, the blocks
+    H3 of X, z3 = z at the start node, the cubic Hermite midpoint
+    (z + z_new)/2 + dt/8 (f_a - f_b) and the end node, and riccati_rhs f_a
+    and f_b at the start and end node.
+    """
+    m = X.shape[-1] - n
+
+    def blocks(H):
+        return H[..., :m, :m], H[..., :m, m:], H[..., m:, m:]
+
+    Htop, V, Hbot = blocks(X)
+    if n == 1:  # the level sweep, on 1-D z
+        f, x = _level_rhs, (Htop, V[..., 0], Hbot[..., 0, 0])
+    else:  # riccati_rhs is slower on strided views
+        f, x = riccati_rhs, [np.ascontiguousarray(a) for a in (Htop, V, Hbot)]
+    nodes = [zip(*(a[i] for a in x)) for i in range(3)]
+    zs, done, peak = _sweep(f, nodes, np.zeros(x[1].shape[2:], complex), dt, Z_max)
+    z, H3 = zs.reshape(-1, m, n), blocks(X[:, :done])
+    f_a, f_b = riccati_rhs(tuple(a[::2] for a in H3), np.array((z[:-1], z[1:])))
+    z_m = 0.5 * (z[:-1] + z[1:]) + (dt / 8.0) * (f_a - f_b)
+    return z, done, peak, H3, np.array((z[:-1], z_m, z[1:])), (f_a, f_b)
+
+
+def _running_product(M: np.ndarray) -> np.ndarray:
+    """U with U[0] = I and U[j + 1] = M[j] U[j], over the step axis -3 of M; U has it first."""
+    M = np.moveaxis(M, -3, 0)
+    U = np.empty((len(M) + 1,) + M.shape[1:], dtype=complex)
+    U[0] = np.eye(M.shape[-1])
+    if M.shape[-1] == 1:
+        np.cumprod(M, axis=0, out=U[1:])
+    else:
+        for j, step in enumerate(M):
+            np.matmul(step, U[j], out=U[j + 1])
+    return U
 
 
 def _segments(N: int, times: np.ndarray, folds: list, segment_U):
@@ -460,10 +482,9 @@ class _HierState:
 
     def __init__(self, N: int):
         self.N = N
-        sizes = [N - 1 - k for k in range(N - 1)]
-        self.z_offsets = np.concatenate(([0], np.cumsum(sizes)))
-        self.z_slices = [slice(lo, hi) for lo, hi in zip(self.z_offsets[:-1], self.z_offsets[1:])]
-        self.nz = int(self.z_offsets[-1])
+        offsets = np.cumsum([0] + list(range(N - 1, 0, -1)))  # level k holds N - 1 - k
+        self.z_slices = [slice(lo, hi) for lo, hi in zip(offsets[:-1], offsets[1:])]
+        self.nz = int(offsets[-1])
         self.size = self.nz + 3 * (N - 1)  # z blocks, mu, geo, phi
 
     def zeros(self) -> np.ndarray:
@@ -472,10 +493,6 @@ class _HierState:
     def levels(self, y: np.ndarray) -> np.ndarray:
         """Rows mu, geo, phi of the per-level phases: shape (..., 3, N-1) for y of (..., size)."""
         return y[..., self.nz :].real.reshape(y.shape[:-1] + (3, self.N - 1))
-
-    def peak(self, y: np.ndarray) -> float:
-        """Largest per-level ||z||_F; a NaN in any level propagates."""
-        return np.sqrt(np.add.reduceat(np.abs(y[: self.nz]) ** 2, self.z_offsets[:-1]).max())
 
 
 def _hier_assemble(packing: _HierState, y: np.ndarray) -> np.ndarray:
@@ -501,41 +518,46 @@ def hierarchical_solve(
 ) -> HierarchicalResult:
     """Solve by peeling one level at a time with block size 1.
 
-    Every level's Riccati coordinate, corner phase and trace phase advance
-    jointly in a single RK4 state, so all quadrature inherits the
-    integrator's fourth-order accuracy.  H is read on _drive's node schedule
-    and validated there (ModelError for a non-Hermitian, non-traceless or
-    non-finite model).
+    The peel is a cascade of level steps.  H is read on _drive's node
+    schedule, all before the first step, and validated there (ModelError for
+    a non-Hermitian, non-traceless or non-finite model).  In each fold
+    window, level 0 sweeps its coordinate as solve_factored does for n = 1,
+    and one batched _peel_level call at the three node sets of its completed
+    steps (the midpoint z by cubic Hermite interpolation) gives its phase
+    rates, integrated by Simpson's rule, and level 1's H at those nodes.
+    Level k + 1 sweeps only as far as level k got, so the window ends at
+    the first step where any level reaches Z_max.
 
     A restart resets every level's coordinate and phases, and _drive records
-    the fold.  After the solve, _segments turns the folds into the restart
-    records and each node's accumulator; U_samples are assembled once over
-    the stacked states, and the phases add up the segments.
+    the fold; the next window sweeps every level again from that node.
+    After the solve, _segments turns the folds into the restart records and
+    each node's accumulator; U_samples are assembled once over the stacked
+    states, and the phases add up the segments.
     """
     if h.n != 1:
         raise UnsupportedConfigurationError("hierarchical solve peels with n=1")
     N = h.N
     packing = _HierState(N)
 
-    def f(Hk, y):
-        dy = np.empty_like(y)
-        rates = dy[packing.nz :].reshape(3, N - 1)
-        for k, level in enumerate(packing.z_slices):
-            m = N - 1 - k
-            dy[level], rates[:, k], Hk = _peel_level(Hk[:m, :m], Hk[:m, m], Hk[m, m], y[level])
-        return dy
+    def window(dt, X):
+        W, stop, zs, incs = X.shape[1], None, [], []
+        for _ in range(N - 1):
+            z, done, peak, (Htop, V, Hbot), z3, _ = _sweep_window(X, 1, dt, Z_max)
+            if peak is not None:
+                W, stop = done, peak
+            _, rates, X = _peel_level(Htop, V[..., 0], Hbot[..., 0, 0], z3[..., 0])
+            rates = np.array(rates)  # (rate, node, step)
+            zs.append(z[:, :, 0])
+            incs.append((dt / 6.0) * (rates[:, 0] + 4.0 * rates[:, 1] + rates[:, 2]))
+        phases = np.cumsum(np.array([inc[:, :W] for inc in incs]).T, axis=0).reshape(W, 3 * (N - 1))
+        phases = np.vstack((np.zeros(3 * (N - 1)), phases))  # as _HierState.levels reads them
+        return (np.hstack([z[: W + 1] for z in zs] + [phases]),), W, stop
 
-    def advance(dt, y, x, _):
-        H_a, H_m, H_b = x
-        y_new = rk4_step(f, y, dt, f(H_a, y), H_m, H_b)
-        return y_new, packing.peak(y_new), None, None
-
-    times, states, _, folds = _drive(
-        advance, h.checked_matrix, packing.zeros(), t_end, steps, Z_max, h.breakpoints
+    times, (states,), folds = _drive(
+        window, h.checked_matrix, t_end, steps, Z_max, h.breakpoints
     )
-    restarts, accums, segment = _segments(N, times, folds, lambda y: _hier_assemble(packing, y))
-    states = np.array(states)
-    reached = np.cumsum([np.zeros((3, N - 1))] + [packing.levels(y) for _, y in folds], axis=0)
+    restarts, accums, segment = _segments(N, times, folds, lambda y: _hier_assemble(packing, y[0]))
+    reached = np.cumsum([np.zeros((3, N - 1))] + [packing.levels(y) for _, (y,) in folds], axis=0)
     level_mu, level_geo, trace_phases = np.moveaxis(packing.levels(states) + reached[segment], 1, 0)
     return HierarchicalResult(
         h=h,

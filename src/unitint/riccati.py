@@ -7,10 +7,11 @@ The (N-n) x n coordinate z obeys
 integrated with classical fixed-step RK4 from z(0) = 0.  Every Riccati
 solver path steps through one driver, ``_drive``, whose docstring is the one
 description of the node schedule: the driver reads the model at t,
-t + dt/2 and t + dt, and the path takes one ``rk4_step`` on those node
-values.  The driver is also the only place restarts happen: when ||z||_F
-would exceed the restart threshold it records a fold, the state the
-segment reached, and integration resumes from z = 0.
+t + dt/2 and t + dt of every step before the first, and the path sweeps
+its coordinate by ``rk4_step`` on those node values one fold window at a
+time.  The driver is also the only place restarts happen: when ||z||_F
+reaches the restart threshold it records a fold, the state the segment
+reached, and integration resumes from z = 0.
 The product structure U = U_segment U_accum makes that exact; each path
 assembles U, its phases and its restart records from the folds once, after
 the solve.  The SO(5) two-qubit case reduces to four real parameters and
@@ -56,7 +57,7 @@ def rk4_step(f, y: np.ndarray, dt: float, k1: np.ndarray, x_mid, x_end) -> np.nd
 
     f takes the model value x at a node, not a time: x_mid and x_end are x at
     t + dt/2 and t + dt, and the caller supplies the first stage k1 =
-    f(x(t), y), which a path may carry over from the step before.
+    f(x(t), y).
     """
     k2 = f(x_mid, y + dt / 2.0 * k1)
     k3 = f(x_mid, y + dt / 2.0 * k2)
@@ -64,50 +65,72 @@ def rk4_step(f, y: np.ndarray, dt: float, k1: np.ndarray, x_mid, x_end) -> np.nd
     return y + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+def _level_rhs(x, z: np.ndarray) -> np.ndarray:
+    """riccati_rhs for n = 1, with the node's (Htop, v, h) and z 1-D: _peel_level's dz line."""
+    Htop, v, h = x
+    return -1j * (Htop @ z + v - z * (np.vdot(v, z) + h))
+
+
+def _sweep(f, x, y, dt: float, Z_max: float, norm=lambda y: np.sqrt(np.vdot(y, y).real)):
+    """rk4_step on f over the steps with node values x, from y, up to the first that reaches Z_max.
+
+    x is (starts, midpoints, ends), each iterable over the steps, and each
+    step takes its first stage at its own start node.  Returns (ys, done,
+    peak): the done + 1 node states from y, the number of steps completed,
+    and the norm (by default ||y||_F) of the step that stopped the sweep,
+    None if none did.
+    """
+    ys = [y]
+    for x_a, x_m, x_b in zip(*x):
+        y = rk4_step(f, y, dt, f(x_a, y), x_m, x_b)
+        peak = norm(y)
+        if not peak < Z_max:
+            return np.array(ys), len(ys) - 1, peak
+        ys.append(y)
+    return np.array(ys), len(ys) - 1, None
+
+
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite peak raises StiffnessError
-def _drive(advance, read, y0, t_end: float, steps: int, Z_max: float, breakpoints=()):
+def _drive(window, read, t_end: float, steps: int, Z_max: float, breakpoints=()):
     """Fixed-step driver shared by every Riccati path: it alone reads the model and restarts.
 
-    Node schedule.  The step from t to t + dt reads the model through
-    ``read`` (a validating evaluator such as BlockedHamiltonian.blocks_at or
-    SO5Coefficients.at) at the nodes t, t + dt/2 and t + dt.  The end node
-    carries over as the next step's start node, so a solve makes 2 steps + 1
-    reads, and a step retaken after a fold keeps its nodes.  A piecewise model
-    jumps at its ``breakpoints``: a node within 1e-12 relative of one snaps
-    to it, a step that ends on one reads its end node as the left limit (the
-    float just below it), and the next step reads its start node afresh, one
-    more read per breakpoint on the grid.
+    Reads.  The step from t to t + dt reads the model through ``read`` (a
+    validating evaluator such as BlockedHamiltonian.checked_matrix or
+    SO5Coefficients.at) at t, t + dt/2 and t + dt, and its end node is the
+    next step's start node: 2 steps + 1 reads.  A piecewise model jumps at
+    its ``breakpoints``: a node within 1e-12 relative of one snaps to it, a
+    step that ends on one reads its end node as the left limit (the float
+    just below it), and the next step reads its start node afresh, one more
+    read per breakpoint on the grid.  Every read happens before the first
+    step, so an invalid model raises ModelError whatever the trajectory does.
 
-    A path supplies ``advance(dt, y, x, start)``, with x the model's values
-    at the three nodes, and returns ``(y_new, peak, extra, end)``: the state
-    one grid step later, the coordinate norm compared with Z_max, the path's
-    record of the step, and what the path derived at x[2] from y_new.  That
-    ``end`` comes back as the next step's ``start``, what the path would
-    derive at x[0] from y, so the path need not recompute it; ``start`` is
-    None at the first step, for a retaken step and after a breakpoint.
+    Windows.  X stacks the values as (3, steps, ...): each step's start,
+    midpoint and end node.  ``window(dt, X[:, k:])`` integrates from the zero
+    state at grid node k and returns ``(states, done, peak)``: a tuple of
+    arrays over the done + 1 nodes it reached, the number of steps it
+    completed, and the coordinate norm of the step that stopped it (None if
+    it reached the end).  A path sweeps its coordinate with _sweep, whose
+    steps take their first stage at their own start node, so folds and
+    breakpoints need no carry; all else it derives from node values is
+    batched over the window.
 
-    When a step's peak reaches Z_max the driver records the fold ``(k, y)``,
-    with y the state the segment reached at grid node k; the stored state at
-    that node becomes y0, which starts the next segment, and the step is
-    retaken from it.  The path assembles U, phases and restart records from
-    the folds after the solve.
+    Folds.  A window that stops at grid node j records the fold (j, y), with
+    y its states at j, and the next window starts at j.  It raises
+    StiffnessError instead when its peak is not finite, when it completed no
+    step, or when it follows a fold and completed fewer than
+    MIN_STEPS_BETWEEN_RESTARTS steps.  The path assembles U, phases and
+    restart records from the folds after the solve.
 
-    Returns (times, states, extras, folds): states[k] is the state at
-    times[k], extras[k] the record of the step from times[k] to
-    times[k + 1], and folds the (k, y) pairs in order.  Raises
-    StiffnessError when a peak is not finite, when restarts come fewer than
-    MIN_STEPS_BETWEEN_RESTARTS steps apart, or when the step retaken from y0
-    reaches Z_max again; ValueError when steps < 1.
+    Returns (times, states, folds): states[a][k] is the path's a-th state
+    array at times[k].  Raises ValueError when steps < 1.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
     dt = t_end / steps
     times = np.linspace(0.0, t_end, steps + 1)
     breakpoints = np.asarray(breakpoints, dtype=float)
-    states, extras, folds = [y0], [], []
-    y, x_end, start = y0, None, None
-    for k in range(steps):
-        t = times[k]
+    X, x_end = [], None
+    for t in times[:-1]:
         nodes = np.array([t, t + dt / 2.0, t + dt])
         jump = False
         if breakpoints.size:
@@ -116,31 +139,33 @@ def _drive(advance, read, y0, t_end: float, steps: int, Z_max: float, breakpoint
             jump = nodes[-1] in breakpoints
             if jump:
                 nodes[-1] = np.nextafter(nodes[-1], -np.inf)
-        x = (read(nodes[0]) if x_end is None else x_end, read(nodes[1]), read(nodes[2]))
-        y_new, peak, extra, end = advance(dt, y, x, start)
-        if not peak < Z_max:
-            if not np.isfinite(peak):
-                problem = f"coordinate norm is {peak}"
-            elif folds and k - folds[-1][0] < MIN_STEPS_BETWEEN_RESTARTS:
-                problem = f"restart requested again after {k - folds[-1][0]} steps"
-            else:
-                folds.append((k, y))
-                y = states[k] = y0
-                y_new, peak, extra, end = advance(dt, y, x, None)
-                problem = None if peak < Z_max else (
-                    f"coordinate norm reaches {peak:.3g} within one step of a restart"
-                )
-            if problem:
-                raise StiffnessError(
-                    f"{problem} at t={t:.6g} (step {k}): trajectory passes too near "
-                    "the coordinate singularity",
-                    t=float(t), step=k, peak=float(peak),
-                )
-        y = y_new
-        states.append(y)
-        extras.append(extra)
-        x_end, start = (None, None) if jump else (x[2], end)
-    return times, states, extras, folds
+        X.append((read(nodes[0]) if x_end is None else x_end, read(nodes[1]), read(nodes[2])))
+        x_end = None if jump else X[-1][2]
+    X = np.array(list(zip(*X)))  # (3, steps, ...)
+    pieces, folds, k = [], [], 0
+    while True:
+        states, done, peak = window(dt, X[:, k:])
+        if k + done == steps:
+            break
+        j = k + done
+        if not np.isfinite(peak) and (done or not k):
+            problem = f"coordinate norm is {peak}"
+        elif not done:
+            problem = f"coordinate norm reaches {peak:.3g} within one step of a restart"
+        elif k and done < MIN_STEPS_BETWEEN_RESTARTS:
+            problem = f"restart requested again after {done} steps"
+        else:
+            folds.append((j, tuple(a[-1] for a in states)))
+            pieces.append(tuple(a[:-1] for a in states))
+            k = j
+            continue
+        raise StiffnessError(
+            f"{problem} at t={times[j]:.6g} (step {j}): trajectory passes too near "
+            "the coordinate singularity",
+            t=float(times[j]), step=j, peak=float(peak),
+        )
+    pieces.append(states)
+    return times, tuple(np.concatenate(a) for a in zip(*pieces)), folds
 
 
 def so5_rhs(F: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -192,10 +217,9 @@ def integrate_so5(
     RK4 step per grid step: fourth order in dt, about 16x that of two half
     steps, so twice the steps buy it back.
     """
-    def advance(dt, z, x, _):
-        F_a, F_m, F_b = x
-        z_new = rk4_step(so5_rhs, z, dt, so5_rhs(F_a, z), F_m, F_b)
-        return z_new, np.sqrt(2.0 * (z_new @ z_new)), None, None
+    def window(dt, X):
+        zs, done, peak = _sweep(so5_rhs, X, np.zeros(4), dt, Z_max, lambda y: np.sqrt(2 * (y @ y)))
+        return (zs,), done, peak
 
-    times, states, _, folds = _drive(advance, coeffs.at, np.zeros(4), t_end, steps, Z_max)
-    return times, np.array(states), [times[k] for k, _ in folds]
+    times, (zs,), folds = _drive(window, coeffs.at, t_end, steps, Z_max)
+    return times, zs, [times[k] for k, _ in folds]

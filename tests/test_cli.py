@@ -259,6 +259,9 @@ def test_main_invalid_model_is_solver_error(tmp_path, capsys, model, message):
     assert message in err
 
 
+_TRIG_N4_N2 = {"family": "trig_random", "N": 4, "n": 2, "params": {}}
+
+
 @pytest.mark.parametrize(
     "overrides, args",
     [
@@ -274,10 +277,14 @@ def test_main_invalid_model_is_solver_error(tmp_path, capsys, model, message):
         ({"N": 2.9}, []),
         ({"n": 1.5}, []),
         ({"Z_max": True}, []),
+        (_TRIG_N4_N2 | {"paths": ["factorized", "hierarchical"]}, []),
+        (_TRIG_N4_N2, ["--paths", "factorized,hierarchical"]),
+        ({"family": "so5", "N": 4, "params": {"F": [[0.0] * 5] * 5}, "paths": ["hierarchical"]}, []),
     ],
     ids=["no_B", "unknown_family", "tolerance_abc", "unknown_tolerance", "bloch_on_trig",
          "t_end_nan", "bloch_override", "steps_fraction", "steps_bool", "N_fraction",
-         "n_fraction", "Z_max_bool"],
+         "n_fraction", "Z_max_bool", "hierarchical_n2", "hierarchical_override",
+         "hierarchical_so5"],
 )
 def test_main_malformed_scenario_is_parse_error(tmp_path, capsys, overrides, args):
     p = _write(tmp_path, "bad.json", _spin_half_scenario(id="bad", **overrides))

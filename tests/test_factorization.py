@@ -363,6 +363,47 @@ def test_peel_level_matches_public_composition(seed, N, radius):
         assert frobenius(got - want) <= 1e-12 * max(frobenius(want), frobenius(H))
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    N=st.integers(2, 8),
+    width=st.integers(1, 4),
+    radius=st.floats(0.0, 30.0),
+)
+def test_peel_level_broadcasts_over_a_fold_window(seed, N, width, radius):
+    # one call on the (3, W) node sets of a window equals the per-node calls;
+    # |z| runs over [0, radius] with one node at z = 0
+    rng = np.random.default_rng(seed)
+    m = N - 1
+    H = np.array([random_traceless_hermitian(rng, N, 3.0) for _ in range(3 * width)])
+    H = H.reshape(3, width, N, N)
+    z = rng.standard_normal((3, width, m)) + 1j * rng.standard_normal((3, width, m))
+    z *= rng.uniform(0.0, radius, (3, width, 1)) / np.linalg.norm(z, axis=-1, keepdims=True)
+    z[0, 0] = 0.0
+    dz, rates, H_next = _peel_level(H[..., :m, :m], H[..., :m, m], H[..., m, m], z)
+    for i, j in np.ndindex(3, width):
+        Hn, zn = H[i, j], z[i, j]
+        one_dz, one_rates, one_next = _peel_level(Hn[:m, :m], Hn[:m, m], Hn[m, m], zn)
+        scale = frobenius(Hn)
+        pairs = [(dz[i, j], one_dz), (H_next[i, j], one_next)]
+        pairs.append((np.array(rates)[:, i, j], np.array(one_rates)))
+        for got, want in pairs:
+            assert frobenius(got - want) <= 1e-14 * max(frobenius(want), scale)
+        # dz/dt is riccati_rhs, and H_next the peel formula less its trace
+        blocks = (Hn[:m, :m], Hn[:m, m:], Hn[m:, m:])
+        want = riccati_rhs(blocks, zn[:, None])[:, 0]
+        assert frobenius(dz[i, j] - want) <= 1e-12 * max(frobenius(want), scale)
+        zc, V = zn[:, None], Hn[:m, m:]
+        sg = np.sqrt(1.0 + frobenius(zc) ** 2)
+        Hp = (
+            Hn[:m, :m]
+            - (zc @ dagger(V) + V @ dagger(zc)) / (sg + 1.0)
+            - (zc @ dagger(zc)) * (dagger(V) @ zc)[0, 0].real / (sg + 1.0) ** 2
+        )
+        want = Hp - (np.trace(Hp).real / m) * np.eye(m)
+        assert frobenius(H_next[i, j] - want) <= 1e-12 * max(frobenius(want), scale)
+
+
 @settings(max_examples=100, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), N=st.integers(2, 8), radius=st.floats(0.0, 30.0))
 def test_corner_node_fiber_matches_effective_hamiltonian(seed, N, radius):
@@ -747,7 +788,7 @@ def test_hier_assemble_matches_nested_product(N, monkeypatch):
     # and every state a solve folds, i.e. the last state before a restart
     def drive(*args):
         out = riccati._drive(*args)
-        states.extend(state.copy() for _, state in out[3])
+        states.extend(state.copy() for _, (state,) in out[2])
         return out
 
     monkeypatch.setattr(factorization, "_drive", drive)
@@ -755,6 +796,39 @@ def test_hier_assemble_matches_nested_product(N, monkeypatch):
     assert len(states) == 1 + len(res.restarts) > 1
     for y in states:
         assert frobenius(_hier_assemble(packing, y) - _nested_assembly(packing, y)) < 1e-13
+
+
+@pytest.mark.parametrize("N", [3, 4, 6])
+def test_hierarchical_is_fourth_order_in_U_across_folds(N):
+    # each level steps alone and the next reads its H from the batched peel:
+    # halving dt still cuts the U error by ~2^4, folds included
+    h = trig_random(N, seed=3, scale=2.0)
+    ref = _dop853(h, 3.0)
+    errors = []
+    for steps in (115, 230, 460):
+        res = hierarchical_solve(h, 3.0, steps, Z_max=2.0)
+        assert res.restarts
+        errors.append(compare(res.U_samples[-1], ref).phase_insensitive)
+    for coarse, fine in zip(errors, errors[1:]):
+        assert 8.0 < coarse / fine < 32.0
+
+
+@pytest.mark.parametrize("N", [3, 6])
+def test_hierarchical_level_phases_are_fourth_order(N):
+    # every level's mu, geometric and trace phase by Simpson's rule on the
+    # cascade's nodes, over all grid nodes, against a 16x finer solve
+    h = trig_random(N, seed=8, scale=1.0)
+
+    def phases(steps):
+        res = hierarchical_solve(h, 1.5, steps, Z_max=50.0)
+        assert not res.restarts
+        return np.stack((res.level_mu, res.level_geo, res.trace_phases))
+
+    fine = phases(16 * 200)
+    # one error per phase and level
+    errors = [np.max(np.abs(phases(s) - fine[:, :: 16 * 200 // s]), axis=1) for s in (50, 100, 200)]
+    for coarse, finer in zip(errors, errors[1:]):
+        assert np.all((8.0 < coarse / finer) & (coarse / finer < 32.0))
 
 
 def test_hierarchical_constant_su3():
@@ -824,9 +898,9 @@ def test_solve_factored_covariant_under_block_diagonal_unitary(N, n, seed):
 
 @pytest.mark.parametrize("N,steps", [(4, 115), (6, 230)])
 def test_solve_decompositions_per_step_for_half_split(N, steps, monkeypatch):
-    # n = N/2: one batched SVD (midpoint and end node) and one batched eigh
-    # (both fiber blocks) per grid step; one more SVD for each fresh start
-    # node (the first step and each fold's retake), one for each fold's
+    # n = N/2: per fold window, one batched SVD (the three node sets of its
+    # steps) and one batched eigh (both fiber blocks of its steps), the
+    # windows' steps summing to the grid; one more SVD for each fold's
     # segment U1 and one for the U1 of all samples at once
     calls = {"svd": [], "eigh": []}
     for name in calls:
@@ -841,8 +915,8 @@ def test_solve_decompositions_per_step_for_half_split(N, steps, monkeypatch):
     res = solve_factored(trig_random(N, n=n, seed=3, scale=2.0), 3.0, steps, Z_max=2.0)
     folds = len(res.restarts)
     assert folds >= 1
-    assert calls["eigh"] == [(2, n, n)] * steps
-    assert calls["svd"].count((2, n, n)) == steps
-    assert calls["svd"].count((n, n)) == (1 + folds) + folds
-    assert calls["svd"].count((steps + 1, n, n)) == 1
-    assert len(calls["svd"]) == steps + (1 + folds) + folds + 1
+    windows = [shape[1] for shape in calls["eigh"]]
+    assert calls["eigh"] == [(2, w, n, n) for w in windows]
+    assert len(windows) == 1 + folds and sum(windows) == steps
+    assert calls["svd"][: 1 + folds] == [(3, w, n, n) for w in windows]
+    assert calls["svd"][1 + folds :] == [(n, n)] * folds + [(steps + 1, n, n)]

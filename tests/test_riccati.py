@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
@@ -5,6 +7,7 @@ from scipy.integrate import solve_ivp
 from unitint.bloch import crosscheck_so5, crosscheck_su2, precess
 from unitint.factorization import hierarchical_solve, solve_factored
 from unitint.hamiltonian import (
+    BlockedHamiltonian,
     ModelError,
     constant_hamiltonian,
     so5_coefficients,
@@ -118,6 +121,15 @@ def test_restart_guard_on_every_path(path):
     assert err.peak >= 0.05
 
 
+@pytest.mark.parametrize("solver", [solve_factored, hierarchical_solve])
+def test_an_early_first_restart_is_no_thrash(solver):
+    # the guard spaces restarts apart, not the first one from t = 0: a field
+    # pulse folds once, at step 2, and the solve goes on
+    pulse = spin_half(lambda t: [10.0 * np.exp(-((t / 0.2) ** 2)), 0.0, 0.0])
+    res = solver(pulse, 3.0, 30, Z_max=1.0)
+    assert [t for t, _ in res.restarts] == [pytest.approx(0.2, abs=1e-12)]
+
+
 # Twelve steps to t = 3 are far too coarse for these couplings: the step
 # retaken from z = 0 after the first restart already runs away.
 RUNAWAY_PATHS = {
@@ -170,6 +182,32 @@ NON_FINITE_PATHS = {
 def test_non_finite_model_is_a_model_error(path, value):
     with pytest.raises(ModelError, match=r"\(t=\S+\) is not finite"):
         NON_FINITE_PATHS[path](value)
+
+
+# Each run raises StiffnessError at step 0 when its model is valid throughout.
+STIFF_PATHS = {
+    "factored": (lambda h: solve_factored(h, 3.0, 12), trig_random(4, seed=1, scale=200)),
+    "hierarchical": (lambda h: hierarchical_solve(h, 3.0, 12), trig_random(4, seed=1, scale=200)),
+    "so5": (lambda c: integrate_so5(c, 3.0, 12), _so5_coupling(0, 50.0)),
+}
+
+
+@pytest.mark.parametrize("path", sorted(STIFF_PATHS))
+def test_every_node_is_read_before_the_first_step(path):
+    # a model that is not finite only at the last node is a ModelError naming
+    # that node, although the first step would already raise StiffnessError
+    solve, model = STIFF_PATHS[path]
+    with pytest.raises(StiffnessError, match=r"at t=0 \(step 0\)"):
+        solve(model)
+    last = lambda t: np.nan if t > 3.0 - 1e-9 else 1.0  # noqa: E731
+    if path == "so5":
+        broken = so5_coefficients(lambda t: model.F(t) * last(t))
+    else:
+        broken = BlockedHamiltonian(N=4, n=1, evaluator=lambda t: model.evaluator(t) * last(t))
+    with pytest.raises(ModelError, match=r"is not finite") as info:
+        solve(broken)
+    t = float(re.search(r"\(t=(\S+)\)", str(info.value)).group(1))
+    assert t == pytest.approx(3.0, abs=1e-12)
 
 
 def test_step_doubling_error_estimate_scales():
