@@ -24,7 +24,7 @@ from .linalg import (
     inv_sqrt_hpd,
     sqrt_hpd,
 )
-from .riccati import DEFAULT_Z_MAX, _drive, _level_rhs, _sweep, riccati_rhs
+from .riccati import DEFAULT_Z_MAX, _drive, _level_dz, _level_rhs, _sweep, riccati_rhs
 
 
 class UnsupportedConfigurationError(ValueError):
@@ -261,7 +261,7 @@ def _peel_level(Htop: np.ndarray, v: np.ndarray, h, z: np.ndarray):
     Hz = (Htop @ z[..., None])[..., 0]
     re_vz = vz.real
     g = 1.0 + zz
-    dz = -1j * (Hz + v - z * (vz + h)[..., None])
+    dz = _level_dz(Hz, v, z, (vz + h)[..., None])
     quad = np.sum(z.conj() * Hz, axis=-1).real - hnn * zz
     geo_rate = (quad + 2.0 * re_vz * (1.0 - g / 2.0)) / g
     a = 1.0 / (np.sqrt(g) + 1.0)
@@ -395,10 +395,10 @@ def solve_factored(
     return result
 
 
-def _sweep_window(X: np.ndarray, n: int, dt: float, Z_max: float):
-    """Sweep z over one fold window's node values X, (3, W, N, N), and place its three node sets.
+def _sweep_window(X: np.ndarray, n: int, dt: float, Z_max: float, start=0.0):
+    """Sweep z over node values X, (3, W, N, N), and place its three node sets.
 
-    z takes rk4_step on _level_rhs (n = 1) or riccati_rhs (n > 1) from zero.
+    z takes rk4_step on _level_rhs (n = 1) or riccati_rhs (n > 1) from start.
     Returns (z, done, peak, H3, z3, (f_a, f_b)): the sweep's done + 1 nodes as
     (m, n) matrices, done and peak; and over the completed steps, the blocks
     H3 of X, z3 = z at the start node, the cubic Hermite midpoint
@@ -416,7 +416,7 @@ def _sweep_window(X: np.ndarray, n: int, dt: float, Z_max: float):
     else:  # riccati_rhs is slower on strided views
         f, x = riccati_rhs, [np.ascontiguousarray(a) for a in (Htop, V, Hbot)]
     nodes = [zip(*(a[i] for a in x)) for i in range(3)]
-    zs, done, peak = _sweep(f, nodes, np.zeros(x[1].shape[2:], complex), dt, Z_max)
+    zs, done, peak = _sweep(f, nodes, start + np.zeros(x[1].shape[2:], complex), dt, Z_max)
     z, H3 = zs.reshape(-1, m, n), blocks(X[:, :done])
     f_a, f_b = riccati_rhs(tuple(a[::2] for a in H3), np.array((z[:-1], z[1:])))
     z_m = 0.5 * (z[:-1] + z[1:]) + (dt / 8.0) * (f_a - f_b)
@@ -428,11 +428,8 @@ def _running_product(M: np.ndarray) -> np.ndarray:
     M = np.moveaxis(M, -3, 0)
     U = np.empty((len(M) + 1,) + M.shape[1:], dtype=complex)
     U[0] = np.eye(M.shape[-1])
-    if M.shape[-1] == 1:
-        np.cumprod(M, axis=0, out=U[1:])
-    else:
-        for j, step in enumerate(M):
-            np.matmul(step, U[j], out=U[j + 1])
+    for j, step in enumerate(M):
+        np.matmul(step, U[j], out=U[j + 1])
     return U
 
 
@@ -477,37 +474,22 @@ class HierarchicalResult:
     restarts: list = field(default_factory=list)
 
 
-class _HierState:
-    """Flat packing of all per-level coordinates and phases."""
-
-    def __init__(self, N: int):
-        self.N = N
-        offsets = np.cumsum([0] + list(range(N - 1, 0, -1)))  # level k holds N - 1 - k
-        self.z_slices = [slice(lo, hi) for lo, hi in zip(offsets[:-1], offsets[1:])]
-        self.nz = int(offsets[-1])
-        self.size = self.nz + 3 * (N - 1)  # z blocks, mu, geo, phi
-
-    def zeros(self) -> np.ndarray:
-        return np.zeros(self.size, dtype=complex)
-
-    def levels(self, y: np.ndarray) -> np.ndarray:
-        """Rows mu, geo, phi of the per-level phases: shape (..., 3, N-1) for y of (..., size)."""
-        return y[..., self.nz :].real.reshape(y.shape[:-1] + (3, self.N - 1))
-
-
-def _hier_assemble(packing: _HierState, y: np.ndarray) -> np.ndarray:
+def _hier_assemble(zs, phases: np.ndarray) -> np.ndarray:
     """U1(z_0) blockdiag(e^{i phi_0} U1(z_1) blockdiag(...), e^{i mu_0}) for a state.
 
-    Level by level, innermost first, U <- unitarized_U1(z_k) blockdiag(e^{i
-    phi_k} U, e^{i mu_k}).  A stack of states (leading axes of y) gives a
-    stack of operators.
+    zs[k] is level k's coordinate and phases[..., :, k] its (mu, geometric,
+    trace) phases.  Level by level, innermost first, U <- unitarized_U1(z_k)
+    blockdiag(e^{i phi_k} U, e^{i mu_k}).  Leading axes stack states.
     """
-    phases = np.exp(1j * packing.levels(y))[..., None, None]  # rows e^{i mu}, e^{i geo}, e^{i phi}
-    U = np.ones(y.shape[:-1] + (1, 1), dtype=complex)
-    for k in range(packing.N - 2, -1, -1):
-        e_mu, e_phi = phases[..., 0, k, :, :], phases[..., 2, k, :, :]
-        U = unitarized_U1(y[..., packing.z_slices[k], None]) @ blockdiag(e_phi * U, e_mu)
+    e_mu, _, e_phi = np.moveaxis(np.exp(1j * phases)[..., None, None], (-4, -3), (0, 1))
+    U = np.ones(phases.shape[:-2] + (1, 1), dtype=complex)
+    for k in range(len(zs) - 1, -1, -1):
+        U = unitarized_U1(zs[k][..., None]) @ blockdiag(e_phi[k] * U, e_mu[k])
     return U
+
+
+# Steps every level sweeps in a fold window's first chunk; each next chunk is twice as long.
+_FIRST_CHUNK = 16
 
 
 def hierarchical_solve(
@@ -520,8 +502,9 @@ def hierarchical_solve(
 
     The peel is a cascade of level steps.  H is read on _drive's node
     schedule, all before the first step, and validated there (ModelError for
-    a non-Hermitian, non-traceless or non-finite model).  In each fold
-    window, level 0 sweeps its coordinate as solve_factored does for n = 1,
+    a non-Hermitian, non-traceless or non-finite model).  A fold window is
+    swept in chunks of _FIRST_CHUNK steps, then twice as many each time.  In
+    a chunk, level 0 sweeps its coordinate as solve_factored does for n = 1,
     and one batched _peel_level call at the three node sets of its completed
     steps (the midpoint z by cubic Hermite interpolation) gives its phase
     rates, integrated by Simpson's rule, and level 1's H at those nodes.
@@ -529,7 +512,10 @@ def hierarchical_solve(
     the first step where any level reaches Z_max.
 
     A restart resets every level's coordinate and phases, and _drive records
-    the fold; the next window sweeps every level again from that node.
+    the fold; the next window sweeps every level again from that node.  The
+    steps the upper levels swept past it lie in the window's last chunk, at
+    most W + _FIRST_CHUNK steps for a window of W, so over S steps and F
+    folds each level takes at most 2 S + F _FIRST_CHUNK RK4 steps.
     After the solve, _segments turns the folds into the restart records and
     each node's accumulator; U_samples are assembled once over the stacked
     states, and the phases add up the segments.
@@ -537,33 +523,39 @@ def hierarchical_solve(
     if h.n != 1:
         raise UnsupportedConfigurationError("hierarchical solve peels with n=1")
     N = h.N
-    packing = _HierState(N)
 
     def window(dt, X):
-        W, stop, zs, incs = X.shape[1], None, [], []
-        for _ in range(N - 1):
-            z, done, peak, (Htop, V, Hbot), z3, _ = _sweep_window(X, 1, dt, Z_max)
-            if peak is not None:
-                W, stop = done, peak
-            _, rates, X = _peel_level(Htop, V[..., 0], Hbot[..., 0, 0], z3[..., 0])
-            rates = np.array(rates)  # (rate, node, step)
-            zs.append(z[:, :, 0])
-            incs.append((dt / 6.0) * (rates[:, 0] + 4.0 * rates[:, 1] + rates[:, 2]))
-        phases = np.cumsum(np.array([inc[:, :W] for inc in incs]).T, axis=0).reshape(W, 3 * (N - 1))
-        phases = np.vstack((np.zeros(3 * (N - 1)), phases))  # as _HierState.levels reads them
-        return (np.hstack([z[: W + 1] for z in zs] + [phases]),), W, stop
+        # each level's nodes and phase increments, chunk by chunk; its state is its last node
+        zs = [[np.zeros((1, N - 1 - k), complex)] for k in range(N - 1)]
+        incs = [[np.zeros((3, 1))] for _ in zs]
+        done, size, stop = 0, _FIRST_CHUNK, None
+        while stop is None and done < X.shape[1]:
+            x, W = X[:, done : done + size], min(size, X.shape[1] - done)
+            for z_k, inc in zip(zs, incs):
+                z, d, peak, (Htop, V, Hbot), z3, _ = _sweep_window(x, 1, dt, Z_max, z_k[-1][-1])
+                if peak is not None:
+                    W, stop = d, peak
+                _, rates, x = _peel_level(Htop, V[..., 0], Hbot[..., 0, 0], z3[..., 0])
+                rates = np.array(rates)  # (rate, node, step)
+                z_k.append(z[1:, :, 0])
+                inc.append((dt / 6.0) * (rates[:, 0] + 4.0 * rates[:, 1] + rates[:, 2]))
+            for z_k, inc in zip(zs, incs):  # every level stops where the deepest got
+                z_k[-1], inc[-1] = z_k[-1][:W], inc[-1][:, :W]
+            done, size = done + W, 2 * size
+        phases = np.cumsum([np.hstack(inc) for inc in incs], axis=-1).T  # (node, rate, level)
+        return (*map(np.concatenate, zs), phases), done, stop
 
-    times, (states,), folds = _drive(
+    times, (*zs, phases), folds = _drive(
         window, h.checked_matrix, t_end, steps, Z_max, h.breakpoints
     )
-    restarts, accums, segment = _segments(N, times, folds, lambda y: _hier_assemble(packing, y[0]))
-    reached = np.cumsum([np.zeros((3, N - 1))] + [packing.levels(y) for _, (y,) in folds], axis=0)
-    level_mu, level_geo, trace_phases = np.moveaxis(packing.levels(states) + reached[segment], 1, 0)
+    restarts, accums, segment = _segments(N, times, folds, lambda y: _hier_assemble(y[:-1], y[-1]))
+    reached = np.cumsum([np.zeros((3, N - 1))] + [y[-1] for _, y in folds], axis=0)
+    level_mu, level_geo, trace_phases = np.moveaxis(phases + reached[segment], 1, 0)
     return HierarchicalResult(
         h=h,
         times=times,
-        z_samples=states[:, : N - 1, None],
-        U_samples=_hier_assemble(packing, states) @ accums,
+        z_samples=zs[0][:, :, None],
+        U_samples=_hier_assemble(zs, phases) @ accums,
         level_mu=level_mu,
         level_geo=level_geo,
         level_dyn=level_mu - level_geo,

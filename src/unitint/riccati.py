@@ -65,10 +65,15 @@ def rk4_step(f, y: np.ndarray, dt: float, k1: np.ndarray, x_mid, x_end) -> np.nd
     return y + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+def _level_dz(Hz: np.ndarray, v: np.ndarray, z: np.ndarray, c) -> np.ndarray:
+    """riccati_rhs for n = 1 from Htop z and c = V^H z + h; _peel_level reads it too."""
+    return -1j * (Hz + v - z * c)
+
+
 def _level_rhs(x, z: np.ndarray) -> np.ndarray:
-    """riccati_rhs for n = 1, with the node's (Htop, v, h) and z 1-D: _peel_level's dz line."""
+    """riccati_rhs for n = 1 at the node x = (Htop, v, h), with v and z 1-D."""
     Htop, v, h = x
-    return -1j * (Htop @ z + v - z * (np.vdot(v, z) + h))
+    return _level_dz(Htop @ z, v, z, np.vdot(v, z) + h)
 
 
 def _sweep(f, x, y, dt: float, Z_max: float, norm=lambda y: np.sqrt(np.vdot(y, y).real)):
@@ -103,6 +108,8 @@ def _drive(window, read, t_end: float, steps: int, Z_max: float, breakpoints=())
     just below it), and the next step reads its start node afresh, one more
     read per breakpoint on the grid.  Every read happens before the first
     step, so an invalid model raises ModelError whatever the trajectory does.
+    All 3 * steps values are held at once (three times U_samples for an
+    N x N model), and so are a path's batched temporaries over a window.
 
     Windows.  X stacks the values as (3, steps, ...): each step's start,
     midpoint and end node.  ``window(dt, X[:, k:])`` integrates from the zero

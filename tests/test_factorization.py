@@ -10,7 +10,6 @@ from unitint.factorization import (
     _hier_assemble,
     _corner_node,
     _fiber_node,
-    _HierState,
     _magnus4,
     _peel_level,
     assemble_tilde_U1,
@@ -49,7 +48,7 @@ from unitint.linalg import (
     sqrt_hpd,
 )
 from unitint.oracle import compare, propagate
-from unitint.riccati import riccati_rhs, so5_z_matrix
+from unitint.riccati import _level_rhs, riccati_rhs, so5_z_matrix
 
 
 def _random_z(rng, m, n=1):
@@ -385,7 +384,9 @@ def test_peel_level_broadcasts_over_a_fold_window(seed, N, width, radius):
         Hn, zn = H[i, j], z[i, j]
         one_dz, one_rates, one_next = _peel_level(Hn[:m, :m], Hn[:m, m], Hn[m, m], zn)
         scale = frobenius(Hn)
-        pairs = [(dz[i, j], one_dz), (H_next[i, j], one_next)]
+        # the sweeps' 1-D level RHS is the same dz
+        level_dz = _level_rhs((Hn[:m, :m], Hn[:m, m], Hn[m, m]), zn)
+        pairs = [(dz[i, j], one_dz), (dz[i, j], level_dz), (H_next[i, j], one_next)]
         pairs.append((np.array(rates)[:, i, j], np.array(one_rates)))
         for got, want in pairs:
             assert frobenius(got - want) <= 1e-14 * max(frobenius(want), scale)
@@ -764,12 +765,12 @@ def test_hierarchical_evaluates_each_node_once(N, scale, folds):
     assert len(set(times)) == len(times)
 
 
-def _nested_assembly(packing, y):
+def _nested_assembly(zs, phases):
     """U1(z_k) blockdiag(e^{i phi_k} U, e^{i mu_k}), innermost level first."""
-    mu, _, phi = packing.levels(y)
+    mu, _, phi = phases
     U = np.ones((1, 1), dtype=complex)
-    for k in range(packing.N - 2, -1, -1):
-        z = y[packing.z_slices[k]].reshape(-1, 1)
+    for k in range(len(zs) - 1, -1, -1):
+        z = zs[k].reshape(-1, 1)
         U = unitarized_U1(z) @ blockdiag(np.exp(1j * phi[k]) * U, np.exp(1j * mu[k]))
     return U
 
@@ -777,25 +778,46 @@ def _nested_assembly(packing, y):
 @pytest.mark.parametrize("N", range(2, 9))
 def test_hier_assemble_matches_nested_product(N, monkeypatch):
     rng = np.random.default_rng(N)
-    packing = _HierState(N)
-    y = packing.zeros()
-    for level in packing.z_slices:
-        z = _random_z(rng, level.stop - level.start)[:, 0]
-        y[level] = z * (rng.uniform(0.0, 10.0) / frobenius(z))
-    y[packing.nz :] = rng.uniform(-np.pi, np.pi, 3 * (N - 1))
-    states = [y]
+    zs = []
+    for m in range(N - 1, 0, -1):
+        z = _random_z(rng, m)[:, 0]
+        zs.append(z * (rng.uniform(0.0, 10.0) / frobenius(z)))
+    states = [(*zs, rng.uniform(-np.pi, np.pi, 3 * (N - 1)).reshape(3, N - 1))]
 
     # and every state a solve folds, i.e. the last state before a restart
     def drive(*args):
         out = riccati._drive(*args)
-        states.extend(state.copy() for _, (state,) in out[2])
+        states.extend(tuple(a.copy() for a in state) for _, state in out[2])
         return out
 
     monkeypatch.setattr(factorization, "_drive", drive)
     res = hierarchical_solve(trig_random(N, seed=1, scale=2.0), 3.0, 200, Z_max=2.0)
     assert len(states) == 1 + len(res.restarts) > 1
-    for y in states:
-        assert frobenius(_hier_assemble(packing, y) - _nested_assembly(packing, y)) < 1e-13
+    for *zs, phases in states:
+        assert frobenius(_hier_assemble(zs, phases) - _nested_assembly(zs, phases)) < 1e-13
+
+
+def test_hierarchical_sweeps_each_level_in_linear_time(monkeypatch):
+    # level 1 folds every few steps while level 0 stays at z = 0: the steps
+    # an upper level sweeps past a fold are thrown away, but chunks that
+    # double from _FIRST_CHUNK bound them by the window's own steps, so each
+    # level takes at most 2 S + F * _FIRST_CHUNK RK4 steps, not O(S F)
+    M = np.zeros((3, 3))
+    M[0, 1] = M[1, 0] = 60.0
+    counts = {}
+
+    def rk4_step(f, y, *args):
+        counts[y.shape] = counts.get(y.shape, 0) + 1
+        return step(f, y, *args)
+
+    step = riccati.rk4_step
+    monkeypatch.setattr(riccati, "rk4_step", rk4_step)
+    steps = 2000
+    res = hierarchical_solve(constant_hamiltonian(M), 1.0, steps, Z_max=2.0)
+    assert len(res.restarts) > 50
+    assert np.all(res.z_samples == 0.0)
+    bound = 2 * steps + len(res.restarts) * factorization._FIRST_CHUNK
+    assert steps < counts[(1,)] and steps < counts[(2,)] <= bound
 
 
 @pytest.mark.parametrize("N", [3, 4, 6])
