@@ -31,7 +31,6 @@ from .factorization import (
 from .hamiltonian import (
     BlockedHamiltonian,
     SO5Coefficients,
-    SpinHalfField,
     build_so5,
     constant_hamiltonian,
     from_config,

@@ -18,6 +18,7 @@ import numpy as np
 from .factorization import FactoredResult, base_coordinate, solve_factored
 from .hamiltonian import (
     _SO5_GENERATORS,
+    EPSILON,
     MODEL_TOL,
     ModelError,
     SO5Coefficients,
@@ -25,7 +26,7 @@ from .hamiltonian import (
     so5_matrix,
     spin_half,
 )
-from .linalg import PAULI, frobenius
+from .linalg import PAULI
 from .riccati import DEFAULT_Z_MAX, rk4_step, so5_z_params
 
 
@@ -60,14 +61,14 @@ def precess(omega, t_end: float, steps: int) -> np.ndarray:
     if steps < 1:
         raise ValueError("steps must be >= 1")
     times = np.linspace(0.0, t_end, steps + 1)
-    return _precess(times, *_generators(omega, times))
+    return _precess(times, *_generators(lambda ts: np.array([omega(t) for t in ts], float), times))
 
 
-def _generators(omega, times: np.ndarray):
-    """omega at the grid nodes and at the step midpoints, one read each."""
+def _generators(omegas, times: np.ndarray):
+    """omega at the grid nodes and at the step midpoints, from one call omegas(ts)."""
     dt = times[-1] / (len(times) - 1)
-    stack = lambda ts: np.array([omega(t) for t in ts], dtype=float)
-    return stack(times), stack(times[:-1] + dt / 2.0)
+    W = omegas(np.concatenate((times, times[:-1] + dt / 2.0)))
+    return W[: len(times)], W[len(times) :]
 
 
 def _precess(times: np.ndarray, W: np.ndarray, W_mid: np.ndarray) -> np.ndarray:
@@ -94,14 +95,14 @@ class CrosscheckReport:
     fd_residual: float  # max |dm/dt - Omega m| along m_riccati, centered differences
 
 
-def _crosscheck(result: FactoredResult, omega) -> CrosscheckReport:
-    """Compare a factored solve's Riccati picture with precession under omega(t)."""
+def _crosscheck(result: FactoredResult, omegas) -> CrosscheckReport:
+    """Compare a factored solve's Riccati picture with precession under the stack omegas(ts)."""
     times = result.times
     if result.h.N == 2:
         m_ric = project2(base_coordinate(result.U_samples, 2, 1)[:, 0, 0])
     else:
         m_ric = project5(so5_z_params(base_coordinate(result.U_samples, 4, 2)))
-    W, W_mid = _generators(omega, times)
+    W, W_mid = _generators(omegas, times)
     m_lin = _precess(times, W, W_mid)
     dm = (m_ric[2:] - m_ric[:-2]) / (times[2:] - times[:-2])[:, None]
     rhs = (W[1:-1] @ m_ric[1:-1, :, None])[..., 0]
@@ -121,10 +122,8 @@ def _crosscheck(result: FactoredResult, omega) -> CrosscheckReport:
 def crosscheck_su2(
     B, t_end: float, steps: int, Z_max: float = DEFAULT_Z_MAX
 ) -> CrosscheckReport:
-    """Compare the Riccati picture with linear precession for a spin-1/2 field."""
-    Bfun = B if callable(B) else (lambda t, b=np.asarray(B, float): b)
-    result = solve_factored(spin_half(Bfun), t_end, steps, Z_max=Z_max)
-    return _crosscheck(result, lambda t: _spin_generator(Bfun(t)))
+    """Compare the Riccati picture with linear precession for a spin-1/2 field B(t)."""
+    return crosscheck_pictures(solve_factored(spin_half(B), t_end, steps, Z_max=Z_max))
 
 
 def crosscheck_so5(
@@ -132,45 +131,41 @@ def crosscheck_so5(
 ) -> CrosscheckReport:
     """Compare the Riccati picture with the linear 5-vector equation dm/dt = 2 F m."""
     result = solve_factored(build_so5(coeffs), t_end, steps, Z_max=Z_max)
-    return _crosscheck(result, lambda t: 2.0 * coeffs.at(t))
+    return _crosscheck(result, lambda ts: 2.0 * coeffs.read(ts))
 
 
 def crosscheck_pictures(result: FactoredResult) -> CrosscheckReport:
     """Cross-check the pictures of a factored solve of a spin-1/2 or SO(5) model.
 
-    ``result.h`` is N = 2, or N = 4 with n = 2 and H in the SO(5) span;
-    B(t) or F(t) is read back from the validated H(t), and ModelError is
-    raised for an H outside the model.
+    ``result.h`` is N = 2, or N = 4 with n = 2 and H in the SO(5) span.  H(t)
+    is read as one checked stack (BlockedHamiltonian.read), B(t) or F(t) is
+    recovered from it in one pass, and ModelError names the first node whose
+    H is invalid or outside the model.
     """
     h = result.h
-    if h.N == 2:
-        return _crosscheck(result, lambda t: _spin_generator(_spin_field_of(h, t)))
+    if h.N == 2:  # H = -(1/2) sigma.B, so B_i = -Re tr(H sigma_i)
+        B = lambda H: -np.trace(H[:, None] @ np.array(PAULI), axis1=-2, axis2=-1).real  # noqa: E731
+        return _crosscheck(result, lambda ts: _spin_generator(B(h.read(ts))))
     if (h.N, h.n) == (4, 2):
-        return _crosscheck(result, lambda t: 2.0 * _so5_field_of(h, t))
+        return _crosscheck(result, lambda ts: 2.0 * _so5_fields(ts, h.read(ts)))
     raise ValueError(f"cross-check supports N = 2 and SO(5) models, not N={h.N}, n={h.n}")
 
 
 def _spin_generator(B) -> np.ndarray:
-    """Omega = -[B]x, the matrix of m -> -B x m."""
-    b1, b2, b3 = B
-    return np.array([[0.0, b3, -b2], [-b3, 0.0, b1], [b2, -b1, 0.0]])
+    """Omega = -[B]x (m -> -B x m), Omega_ij = eps_ijk B_k, over any leading axes of B."""
+    return np.einsum("ijk,...k->...ij", EPSILON, B)
 
 
-def _spin_field_of(h, t: float) -> np.ndarray:
-    """Recover B(t) from a spin-1/2 Hamiltonian H = -(1/2) sigma.B; ModelError for an invalid H."""
-    H = h.checked_matrix(t)
-    return np.array([-2.0 * np.real(np.trace(H @ s)) / 2.0 for s in PAULI])
-
-
-def _so5_field_of(h, t: float) -> np.ndarray:
-    """Recover the antisymmetric F(t) from an SO(5) two-qubit H(t) = so5_matrix(F).
-
-    Each F[a, b], a > b, multiplies a distinct two-qubit Pauli product, so it is
-    Re tr(G_ab^H H) / 4; ModelError when H leaves the SO(5) span.
+def _so5_fields(ts, H: np.ndarray) -> np.ndarray:
+    """F from a stack of SO(5) two-qubit H = so5_matrix(F) read at ts: each F[a, b], a > b,
+    multiplies its own Pauli product, so it is Re tr(G_ab^H H) / 4.  ModelError names the
+    first t whose H leaves the SO(5) span.
     """
-    H = h.checked_matrix(t)
-    lower = np.tensordot(_SO5_GENERATORS.conj(), H, axes=([2, 3], [0, 1])).real / 4.0
-    F = lower - lower.T
-    if not frobenius(so5_matrix(F) - H) <= MODEL_TOL:
-        raise ModelError(f"H(t={t}) is not an SO(5) two-qubit Hamiltonian")
+    # one (25, 16) x (16, 1) product per node: the same rounding for any number of nodes
+    GH = _SO5_GENERATORS.conj().reshape(25, 16) @ H.reshape(-1, 16, 1)
+    lower = GH.real.reshape(-1, 5, 5) / 4.0
+    F = lower - lower.mT
+    off = np.linalg.norm(so5_matrix(F) - H, axis=(-2, -1)) > MODEL_TOL
+    if off.any():
+        raise ModelError(f"H(t={ts[off.argmax()]}) is not an SO(5) two-qubit Hamiltonian")
     return F

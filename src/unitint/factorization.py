@@ -15,12 +15,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hamiltonian import BlockedHamiltonian
+from .hamiltonian import BlockedHamiltonian, _blocks
 from .linalg import (
+    _running_product,
     _unitary_step,
     blockdiag,
     dagger,
-    frobenius,
     inv_sqrt_hpd,
     sqrt_hpd,
 )
@@ -314,6 +314,9 @@ def _magnus4(He_a: np.ndarray, He_m: np.ndarray, He_b: np.ndarray, dt: float) ->
     return _unitary_step(S + (1j * dt / 12.0) * (He_a @ He_b - He_b @ He_a), dt)
 
 
+_BLOCK = 2048  # steps per batched pass of solve_factored, which bounds its temporaries
+
+
 def solve_factored(
     h: BlockedHamiltonian,
     t_end: float,
@@ -323,22 +326,22 @@ def solve_factored(
     """Solve i dU/dt = H U through the base/fiber factorization.
 
     H is read on _drive's node schedule (t, t + dt/2 and t + dt per step,
-    breakpoints of a piecewise model included), all before the first step,
-    and validated there (ModelError for a non-Hermitian, non-traceless or
+    breakpoints of a piecewise model included) in one BlockedHamiltonian.read
+    before the first step (ModelError for a non-Hermitian, non-traceless or
     non-finite model).  Each fold window is one sweep and one batched pass.
 
     - The sweep: z takes one rk4_step per grid step on the three H nodes,
       with _level_rhs for n = 1 and riccati_rhs for n > 1, up to the first
       step that reaches Z_max.
-    - The batched pass, over the window's steps at once: f(t, z) and
-      f(t + dt, z_new), the cubic Hermite midpoint z(t + dt/2) =
+    - The batched pass, over the window's steps in blocks of _BLOCK:
+      f(t, z) and f(t + dt, z_new), the cubic Hermite midpoint z(t + dt/2) =
       (z + z_new)/2 + dt/8 (f(t) - f(t + dt)), and the fiber kernel at the
       three node sets: _corner_node (the level kernel _peel_level that
       hierarchical_solve cascades) for n = 1, _fiber_node with one SVD for
       n > 1.  The Hermitian effective Hamiltonians He at the three nodes
       give one fourth-order Magnus step per block and grid step
-      (_magnus4, one batched eigh for all steps, and for m = n both blocks
-      in one stack); U2 is their running product.
+      (_magnus4, one batched eigh per block, and for m = n both blocks in
+      one stack); U2 is their running product.
     - For n = 1 the corner phases (mu_total, phase_geometric, imag_mu, and
       phase_dynamical = mu_total - phase_geometric) integrate the three rate
       evaluations by Simpson's rule, cumulative across restarts.
@@ -360,19 +363,24 @@ def solve_factored(
         return blockdiag(*(np.moveaxis(U2[0], -3, 0) if stacked else U2))
 
     def window(dt, X):
-        z, done, peak, H3, z3, (f_a, f_b) = _sweep_window(X, n, dt, Z_max)
-        dz, He, rates = _corner_node(H3, z3) if n == 1 else (*_fiber_node(H3, z3), None)
-        U2 = [_running_product(_magnus4(*np.moveaxis(g, -4, 0), dt)) for g in He]
-        defect = z[1:] - z[:-1] - (dt / 6.0) * (f_a + 4.0 * dz[1] + f_b)
-        inc = np.linalg.norm(defect, axis=(-2, -1))[:, None]
-        if n == 1:  # the phases by Simpson's rule, then the defect
-            inc = np.hstack(((dt / 6.0) * (rates[0] + 4.0 * rates[1] + rates[2]), inc))
+        z, done, peak = _sweep_window(X, n, dt, Z_max)
+        magnus, incs = [], []  # per block: each fiber block's Magnus steps, the sums' increments
+        for a in range(0, max(done, 1), _BLOCK):
+            b = min(a + _BLOCK, done)
+            H3, z3, (f_a, f_b) = _node_sets(X[:, a:b], z[a : b + 1], n, dt)
+            dz, He, rates = _corner_node(H3, z3) if n == 1 else (*_fiber_node(H3, z3), None)
+            magnus.append([_magnus4(*np.moveaxis(g, -4, 0), dt) for g in He])
+            defect = z3[2] - z3[0] - (dt / 6.0) * (f_a + 4.0 * dz[1] + f_b)
+            inc = np.linalg.norm(defect, axis=(-2, -1))[:, None]
+            if n == 1:  # the phases by Simpson's rule, then the defect
+                inc = np.hstack(((dt / 6.0) * (rates[0] + 4.0 * rates[1] + rates[2]), inc))
+            incs.append(inc)
+        U2 = [_running_product(np.concatenate(M, axis=-3)) for M in zip(*magnus)]
+        inc = np.concatenate(incs)
         sums = np.cumsum(np.vstack((np.zeros(inc.shape[1]), inc)), axis=0)
         return (z, sums, *U2), done, peak
 
-    times, (z_samples, sums, *U2), folds = _drive(
-        window, h.checked_matrix, t_end, steps, Z_max, h.breakpoints
-    )
+    times, (z_samples, sums, *U2), folds = _drive(window, h.read, t_end, steps, Z_max, h.breakpoints)
     restarts, accums, segment = _segments(
         h.N, times, folds, lambda y: unitarized_U1(y[0]) @ fiber(y[2:])
     )
@@ -396,41 +404,32 @@ def solve_factored(
 
 
 def _sweep_window(X: np.ndarray, n: int, dt: float, Z_max: float, start=0.0):
-    """Sweep z over node values X, (3, W, N, N), and place its three node sets.
+    """Sweep z from start by rk4_step on _level_rhs (n = 1) or riccati_rhs over node values X.
 
-    z takes rk4_step on _level_rhs (n = 1) or riccati_rhs (n > 1) from start.
-    Returns (z, done, peak, H3, z3, (f_a, f_b)): the sweep's done + 1 nodes as
-    (m, n) matrices, done and peak; and over the completed steps, the blocks
-    H3 of X, z3 = z at the start node, the cubic Hermite midpoint
-    (z + z_new)/2 + dt/8 (f_a - f_b) and the end node, and riccati_rhs f_a
-    and f_b at the start and end node.
+    X is (3, W, N, N).  Returns (z, done, peak): the done + 1 nodes reached
+    as (m, n) matrices, the steps completed and the norm that stopped it.
     """
-    m = X.shape[-1] - n
-
-    def blocks(H):
-        return H[..., :m, :m], H[..., :m, m:], H[..., m:, m:]
-
-    Htop, V, Hbot = blocks(X)
+    Htop, V, Hbot = _blocks(X, n)
     if n == 1:  # the level sweep, on 1-D z
         f, x = _level_rhs, (Htop, V[..., 0], Hbot[..., 0, 0])
     else:  # riccati_rhs is slower on strided views
         f, x = riccati_rhs, [np.ascontiguousarray(a) for a in (Htop, V, Hbot)]
     nodes = [zip(*(a[i] for a in x)) for i in range(3)]
     zs, done, peak = _sweep(f, nodes, start + np.zeros(x[1].shape[2:], complex), dt, Z_max)
-    z, H3 = zs.reshape(-1, m, n), blocks(X[:, :done])
+    return zs.reshape(-1, V.shape[-2], n), done, peak
+
+
+def _node_sets(X: np.ndarray, z: np.ndarray, n: int, dt: float):
+    """(H3, z3, (f_a, f_b)) of the steps from z[:-1] to z[1:] with node values X, (3, W, N, N).
+
+    H3 are the blocks of X, z3 stacks z at the start node, the cubic Hermite
+    midpoint (z + z_new)/2 + dt/8 (f_a - f_b) and the end node, and f_a and
+    f_b are riccati_rhs at the start and end node.
+    """
+    H3 = _blocks(X[:, : len(z) - 1], n)
     f_a, f_b = riccati_rhs(tuple(a[::2] for a in H3), np.array((z[:-1], z[1:])))
     z_m = 0.5 * (z[:-1] + z[1:]) + (dt / 8.0) * (f_a - f_b)
-    return z, done, peak, H3, np.array((z[:-1], z_m, z[1:])), (f_a, f_b)
-
-
-def _running_product(M: np.ndarray) -> np.ndarray:
-    """U with U[0] = I and U[j + 1] = M[j] U[j], over the step axis -3 of M; U has it first."""
-    M = np.moveaxis(M, -3, 0)
-    U = np.empty((len(M) + 1,) + M.shape[1:], dtype=complex)
-    U[0] = np.eye(M.shape[-1])
-    for j, step in enumerate(M):
-        np.matmul(step, U[j], out=U[j + 1])
-    return U
+    return H3, np.array((z[:-1], z_m, z[1:])), (f_a, f_b)
 
 
 def _segments(N: int, times: np.ndarray, folds: list, segment_U):
@@ -501,8 +500,8 @@ def hierarchical_solve(
     """Solve by peeling one level at a time with block size 1.
 
     The peel is a cascade of level steps.  H is read on _drive's node
-    schedule, all before the first step, and validated there (ModelError for
-    a non-Hermitian, non-traceless or non-finite model).  A fold window is
+    schedule in one BlockedHamiltonian.read before the first step (ModelError
+    for a non-Hermitian, non-traceless or non-finite model).  A fold window is
     swept in chunks of _FIRST_CHUNK steps, then twice as many each time.  In
     a chunk, level 0 sweeps its coordinate as solve_factored does for n = 1,
     and one batched _peel_level call at the three node sets of its completed
@@ -532,7 +531,8 @@ def hierarchical_solve(
         while stop is None and done < X.shape[1]:
             x, W = X[:, done : done + size], min(size, X.shape[1] - done)
             for z_k, inc in zip(zs, incs):
-                z, d, peak, (Htop, V, Hbot), z3, _ = _sweep_window(x, 1, dt, Z_max, z_k[-1][-1])
+                z, d, peak = _sweep_window(x, 1, dt, Z_max, z_k[-1][-1])
+                (Htop, V, Hbot), z3, _ = _node_sets(x, z, 1, dt)
                 if peak is not None:
                     W, stop = d, peak
                 _, rates, x = _peel_level(Htop, V[..., 0], Hbot[..., 0, 0], z3[..., 0])
@@ -545,9 +545,7 @@ def hierarchical_solve(
         phases = np.cumsum([np.hstack(inc) for inc in incs], axis=-1).T  # (node, rate, level)
         return (*map(np.concatenate, zs), phases), done, stop
 
-    times, (*zs, phases), folds = _drive(
-        window, h.checked_matrix, t_end, steps, Z_max, h.breakpoints
-    )
+    times, (*zs, phases), folds = _drive(window, h.read, t_end, steps, Z_max, h.breakpoints)
     restarts, accums, segment = _segments(N, times, folds, lambda y: _hier_assemble(y[:-1], y[-1]))
     reached = np.cumsum([np.zeros((3, N - 1))] + [y[-1] for _, y in folds], axis=0)
     level_mu, level_geo, trace_phases = np.moveaxis(phases + reached[segment], 1, 0)
@@ -571,11 +569,8 @@ def schrodinger_residual(h: BlockedHamiltonian, times: np.ndarray, U_samples: np
     computed on all interior points, so callers should pass restart-free
     stretches when restarts are present.
     """
-    worst = 0.0
-    for k in range(1, len(times) - 1):
-        dt = times[k + 1] - times[k - 1]
-        dU = (U_samples[k + 1] - U_samples[k - 1]) / dt
-        H = h.matrix(times[k])
-        scale = max(frobenius(H), 1e-30)
-        worst = max(worst, frobenius(1j * dU - H @ U_samples[k]) / scale)
-    return worst
+    dU = (U_samples[2:] - U_samples[:-2]) / (times[2:] - times[:-2])[:, None, None]
+    H = h.read(times[1:-1])
+    scale = np.maximum(np.linalg.norm(H, axis=(-2, -1)), 1e-30)
+    residual = np.linalg.norm(1j * dU - H @ U_samples[1:-1], axis=(-2, -1)) / scale
+    return float(np.max(residual, initial=0.0))

@@ -1,10 +1,12 @@
-"""Time-dependent N-level Hamiltonians and their block partitions.
+"""Time-dependent N-level Hamiltonians, their block partitions and the model contract.
 
-A Hamiltonian is represented by an evaluator callable at arbitrary time t,
-so integrators are free to choose their own quadrature points.  Evaluated
-matrices must be Hermitian and traceless (within 1e-10); the partition into
-an (N-n) x (N-n) upper block, an (N-n) x n coupling block V and an n x n
-lower block is the interface every solver consumes.
+A Hamiltonian is an evaluator callable at any time t, so integrators choose
+their own quadrature points.  The partition into an (N-n) x (N-n) upper
+block, an (N-n) x n coupling block V and an n x n lower block is the
+interface every solver consumes.  The model contract is one stacked check,
+checked_stack, that every solver path and the oracle read through
+(BlockedHamiltonian.read, SO5Coefficients.read): each H(t) is N x N, finite,
+Hermitian and traceless within MODEL_TOL, each F(t) finite, antisymmetric, 5 x 5.
 """
 
 from __future__ import annotations
@@ -20,13 +22,11 @@ from .linalg import (
     SIGMA_Y,
     SIGMA_Z,
     dagger,
-    frobenius,
-    is_hermitian,
-    is_traceless,
     random_traceless_hermitian,
 )
 
 MODEL_TOL = 1e-10
+_CHECK_BLOCK = 4096  # nodes per vectorized pass of checked_stack, which bounds its temporaries
 
 # Levi-Civita symbol on three indices.
 EPSILON = np.zeros((3, 3, 3))
@@ -37,6 +37,45 @@ for _i, _j, _k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
 
 class ModelError(ValueError):
     """An evaluated model matrix violates a structural requirement."""
+
+
+# (failure, test over a stack of nodes), in the order each node is tested
+H_CONTRACT = (
+    ("is not finite", lambda X: np.isfinite(X).all(axis=(-2, -1))),
+    (f"is not Hermitian within {MODEL_TOL:g}",
+     lambda X: np.linalg.norm(X - dagger(X), axis=(-2, -1)) <= MODEL_TOL),
+    (f"is not traceless within {MODEL_TOL:g}",
+     lambda X: np.abs(np.trace(X, axis1=-2, axis2=-1)) <= MODEL_TOL),
+)
+F_CONTRACT = (
+    H_CONTRACT[0],
+    ("is not antisymmetric within 1e-12", lambda X: np.linalg.norm(X + X.mT, axis=(-2, -1)) <= 1e-12),
+)
+
+
+@np.errstate(invalid="ignore", over="ignore")  # a non-finite node fails the first test
+def checked_stack(name: str, ts, values: list, shape: tuple, contract=H_CONTRACT) -> np.ndarray:
+    """The values read at ts, in read order, as one (len(ts), *shape) stack.
+
+    A node fails on a shape other than ``shape``, else at its first failed test of
+    ``contract``; ModelError names the first failing node, e.g. "H(t=0.5) is not finite".
+    """
+    j = next((i for i, v in enumerate(values) if v.shape != shape), len(values))
+    X = np.array(values[:j]).reshape((j, *shape))
+    for a in range(0, j, _CHECK_BLOCK):
+        passed = np.array([test(X[a : a + _CHECK_BLOCK]) for _, test in contract])
+        if not passed.all():
+            i = int(passed.all(axis=0).argmin())
+            raise ModelError(f"{name}(t={ts[a + i]}) {contract[int(passed[:, i].argmin())][0]}")
+    if j < len(values):
+        raise ModelError(f"{name}(t={ts[j]}) has shape {values[j].shape}, expected {shape}")
+    return X
+
+
+def _blocks(H: np.ndarray, n: int):
+    """(Htop, V, Hbot) of an N x N matrix, or of a stack of them, for lower block size n."""
+    m = H.shape[-1] - n
+    return H[..., :m, :m], H[..., :m, m:], H[..., m:, m:]
 
 
 @dataclass(frozen=True)
@@ -58,49 +97,27 @@ class BlockedHamiltonian:
             raise ModelError(f"block size n={self.n} outside 1..N/2 for N={self.N}")
 
     def matrix(self, t: float) -> np.ndarray:
-        M = np.asarray(self.evaluator(t), dtype=complex)
-        if M.shape != (self.N, self.N):
-            raise ModelError(f"evaluator returned shape {M.shape}, expected {(self.N, self.N)}")
-        return M
+        """H(t) as evaluated, unchecked; read checks it."""
+        return np.asarray(self.evaluator(t), dtype=complex)
 
-    def checked_matrix(self, t: float) -> np.ndarray:
-        """H(t), validated: the right shape, finite, Hermitian and traceless within MODEL_TOL."""
-        M = self.matrix(t)
-        if not is_hermitian(M, MODEL_TOL):  # every non-finite M fails this test too
-            if not np.isfinite(M).all():
-                raise ModelError(f"H(t={t}) is not finite")
-            raise ModelError(f"H(t={t}) is not Hermitian within {MODEL_TOL:g}")
-        if not is_traceless(M, MODEL_TOL):
-            raise ModelError(f"H(t={t}) is not traceless within {MODEL_TOL:g}")
-        return M
+    def read(self, ts) -> np.ndarray:
+        """H at each t of ts, one matrix(t) each, as a stack checked against H_CONTRACT."""
+        return checked_stack("H", ts, [self.matrix(t) for t in ts], (self.N, self.N))
 
     def blocks_at(self, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(Htop, V, Hbot) at time t, validating Hermiticity and tracelessness."""
-        M = self.checked_matrix(t)
-        m = self.N - self.n
-        return M[:m, :m], M[:m, m:], M[m:, m:]
-
-
-@dataclass(frozen=True)
-class SpinHalfField:
-    """Magnetic field B(t) driving H(t) = -(1/2) sigma . B(t)."""
-
-    B: Callable[[float], np.ndarray]
-
-    def hamiltonian(self) -> BlockedHamiltonian:
-        def evaluate(t):
-            b = np.asarray(self.B(t), dtype=float)
-            return -0.5 * (b[0] * SIGMA_X + b[1] * SIGMA_Y + b[2] * SIGMA_Z)
-
-        return BlockedHamiltonian(N=2, n=1, evaluator=evaluate)
+        """(Htop, V, Hbot) at time t, a one-node read."""
+        return _blocks(self.read([t])[0], self.n)
 
 
 def spin_half(B) -> BlockedHamiltonian:
-    """Spin-1/2 Hamiltonian from a constant 3-vector or a callable B(t)."""
-    if callable(B):
-        return SpinHalfField(B=B).hamiltonian()
-    b = np.asarray(B, dtype=float)
-    return SpinHalfField(B=lambda t: b).hamiltonian()
+    """Spin-1/2 H(t) = -(1/2) sigma . B(t) from a constant 3-vector or a callable B(t)."""
+    field = B if callable(B) else (lambda t, b=np.asarray(B, dtype=float): b)
+
+    def evaluate(t):
+        b = np.asarray(field(t), dtype=float)
+        return -0.5 * (b[0] * SIGMA_X + b[1] * SIGMA_Y + b[2] * SIGMA_Z)
+
+    return BlockedHamiltonian(N=2, n=1, evaluator=evaluate)
 
 
 def rotating_spin_half(B0: float, B1: float, omega: float) -> BlockedHamiltonian:
@@ -116,15 +133,13 @@ class SO5Coefficients:
 
     F: Callable[[float], np.ndarray]
 
+    def read(self, ts) -> np.ndarray:
+        """F at each t of ts as a stack checked against F_CONTRACT."""
+        values = [np.asarray(self.F(t), dtype=float) for t in ts]
+        return checked_stack("F", ts, values, (5, 5), F_CONTRACT)
+
     def at(self, t: float) -> np.ndarray:
-        F = np.asarray(self.F(t), dtype=float)
-        if F.shape != (5, 5):
-            raise ModelError(f"F(t) has shape {F.shape}, expected (5, 5)")
-        if not frobenius(F + F.T) <= 1e-12:  # every non-finite F fails this test too
-            if not np.isfinite(F).all():
-                raise ModelError(f"F(t={t}) is not finite")
-            raise ModelError(f"F(t={t}) is not antisymmetric within 1e-12")
-        return F
+        return self.read([t])[0]
 
 
 def so5_coefficients(F) -> SO5Coefficients:

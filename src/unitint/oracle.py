@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hamiltonian import BlockedHamiltonian, ModelError
-from .linalg import _unitary_step, dagger, frobenius, is_hermitian
+from .hamiltonian import BlockedHamiltonian, checked_stack
+from .linalg import _running_product, _unitary_step, dagger, frobenius
 
 
 @dataclass
@@ -34,34 +34,25 @@ class ComparisonResult:
     phase_insensitive: float
 
 
-def _evaluator(h):
-    if isinstance(h, BlockedHamiltonian):
-        return h.matrix
-    return lambda t: np.asarray(h(t), dtype=complex)
-
-
 def propagate(h, t_end: float, steps: int) -> PropagationResult:
     """Propagate i dU/dt = H(t) U from U(0) = I.
 
     `h` is a BlockedHamiltonian or a plain evaluator t -> matrix.  H is read
-    once per step, at the step midpoint; the first read fixes N.
+    once per step, at the midpoints, before the first step; the first read
+    fixes N, and checked_stack names the first midpoint that breaks the model
+    contract.  The step exponentials take one batched eigendecomposition.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    evaluate = _evaluator(h)
     dt = t_end / steps
-    U_samples = None
-    for k in range(steps):
-        t_mid = (k + 0.5) * dt
-        H = evaluate(t_mid)
-        if not is_hermitian(H, 1e-10):  # every non-finite H fails this test too
-            if not np.isfinite(H).all():
-                raise ModelError(f"H(t={t_mid}) is not finite")
-            raise ModelError(f"H(t={t_mid}) is not Hermitian within 1e-10")
-        if U_samples is None:
-            U_samples = np.zeros((steps + 1, *H.shape), dtype=complex)
-            U_samples[0] = np.eye(len(H))
-        U_samples[k + 1] = _unitary_step(H, dt) @ U_samples[k]
+    ts = (np.arange(steps) + 0.5) * dt
+    if isinstance(h, BlockedHamiltonian):
+        H = h.read(ts)
+    else:
+        values = [np.asarray(h(t), dtype=complex) for t in ts]
+        N = len(values[0]) if values[0].ndim else 1
+        H = checked_stack("H", ts, values, (N, N))
+    U_samples = _running_product(_unitary_step(H, dt))
     return PropagationResult(times=np.linspace(0.0, t_end, steps + 1), U_samples=U_samples)
 
 

@@ -99,17 +99,16 @@ def _sweep(f, x, y, dt: float, Z_max: float, norm=lambda y: np.sqrt(np.vdot(y, y
 def _drive(window, read, t_end: float, steps: int, Z_max: float, breakpoints=()):
     """Fixed-step driver shared by every Riccati path: it alone reads the model and restarts.
 
-    Reads.  The step from t to t + dt reads the model through ``read`` (a
-    validating evaluator such as BlockedHamiltonian.checked_matrix or
-    SO5Coefficients.at) at t, t + dt/2 and t + dt, and its end node is the
-    next step's start node: 2 steps + 1 reads.  A piecewise model jumps at
-    its ``breakpoints``: a node within 1e-12 relative of one snaps to it, a
-    step that ends on one reads its end node as the left limit (the float
-    just below it), and the next step reads its start node afresh, one more
-    read per breakpoint on the grid.  Every read happens before the first
-    step, so an invalid model raises ModelError whatever the trajectory does.
-    All 3 * steps values are held at once (three times U_samples for an
-    N x N model), and so are a path's batched temporaries over a window.
+    Reads.  The step from t to t + dt reads the model at t, t + dt/2 and
+    t + dt, and its end node is the next step's start node: 2 steps + 1
+    reads.  A piecewise model jumps at its ``breakpoints``: a node within
+    1e-12 relative of one snaps to it, a step that ends on one reads its end
+    node as the left limit (the float just below it), and the next step
+    reads its start node afresh, one more read per breakpoint on the grid.
+    The schedule is one call of ``read`` (BlockedHamiltonian.read or
+    SO5Coefficients.read), which checks the model contract over the stack:
+    ModelError names the first invalid node in read order before any step.
+    All 3 * steps values are held at once (three times U_samples, N x N).
 
     Windows.  X stacks the values as (3, steps, ...): each step's start,
     midpoint and end node.  ``window(dt, X[:, k:])`` integrates from the zero
@@ -135,20 +134,15 @@ def _drive(window, read, t_end: float, steps: int, Z_max: float, breakpoints=())
         raise ValueError("steps must be >= 1")
     dt = t_end / steps
     times = np.linspace(0.0, t_end, steps + 1)
-    breakpoints = np.asarray(breakpoints, dtype=float)
-    X, x_end = [], None
-    for t in times[:-1]:
-        nodes = np.array([t, t + dt / 2.0, t + dt])
-        jump = False
-        if breakpoints.size:
-            near = breakpoints[np.abs(breakpoints[:, None] - nodes).argmin(axis=0)]
-            nodes = np.where(np.abs(near - nodes) <= 1e-12 * np.abs(near), near, nodes)
-            jump = nodes[-1] in breakpoints
-            if jump:
-                nodes[-1] = np.nextafter(nodes[-1], -np.inf)
-        X.append((read(nodes[0]) if x_end is None else x_end, read(nodes[1]), read(nodes[2])))
-        x_end = None if jump else X[-1][2]
-    X = np.array(list(zip(*X)))  # (3, steps, ...)
+    nodes = times[:-1] + np.array([[0.0], [dt / 2.0], [dt]])  # (3, steps): start, mid, end
+    for b in breakpoints:
+        nodes = np.where(np.abs(b - nodes) <= 1e-12 * abs(b), b, nodes)
+    jump = np.isin(nodes[2], breakpoints)
+    nodes[2, jump] = np.nextafter(nodes[2, jump], -np.inf)
+    # per step its start (read only after a jump, else the end node before it), midpoint and end
+    fresh = np.ones((steps, 3), dtype=bool)
+    fresh[1:, 0] = jump[:-1]
+    X = read(nodes.T[fresh])[(np.cumsum(fresh) - 1).reshape(steps, 3).T]  # (3, steps, ...)
     pieces, folds, k = [], [], 0
     while True:
         states, done, peak = window(dt, X[:, k:])
@@ -228,5 +222,5 @@ def integrate_so5(
         zs, done, peak = _sweep(so5_rhs, X, np.zeros(4), dt, Z_max, lambda y: np.sqrt(2 * (y @ y)))
         return (zs,), done, peak
 
-    times, (zs,), folds = _drive(window, coeffs.at, t_end, steps, Z_max)
+    times, (zs,), folds = _drive(window, coeffs.read, t_end, steps, Z_max)
     return times, zs, [times[k] for k, _ in folds]

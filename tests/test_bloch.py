@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -16,6 +17,7 @@ from unitint.bloch import (
 )
 from unitint.factorization import base_coordinate, solve_factored
 from unitint.hamiltonian import (
+    BlockedHamiltonian,
     ModelError,
     build_so5,
     constant_hamiltonian,
@@ -186,6 +188,21 @@ def test_crosscheck_pictures_rejects_invalid_spin_model(M):
     valid = solve_factored(spin_half([0.3, 0.0, 1.0]), 1.0, 50)
     with pytest.raises(ModelError):
         crosscheck_pictures(replace(valid, h=constant_hamiltonian(M)))
+
+
+def test_crosscheck_pictures_names_the_node_outside_the_so5_span():
+    # H(t = 0.5) alone gains sz x I: Hermitian and traceless, so read passes
+    # it, but it is no SO(5) Hamiltonian, and the read-back names that node
+    coeffs = so5_coefficients(_random_F(np.random.default_rng(6)))
+    valid = solve_factored(build_so5(coeffs), 1.0, 50)
+    P = np.diag([1.0, 1.0, -1.0, -1.0])
+    bump = lambda t: P if abs(t - 0.5) < 1e-9 else 0.0  # noqa: E731
+    h = BlockedHamiltonian(N=4, n=2, evaluator=lambda t: valid.h.matrix(t) + bump(t))
+    assert crosscheck_pictures(valid).max_deviation < 1e-6
+    with pytest.raises(ModelError, match="is not an SO\\(5\\) two-qubit Hamiltonian") as info:
+        crosscheck_pictures(replace(valid, h=h))
+    t = float(re.search(r"\(t=(\S+)\)", str(info.value)).group(1))
+    assert t == pytest.approx(0.5, abs=1e-12)
 
 
 def test_bloch_maps_stack_over_samples():

@@ -942,3 +942,19 @@ def test_solve_decompositions_per_step_for_half_split(N, steps, monkeypatch):
     assert len(windows) == 1 + folds and sum(windows) == steps
     assert calls["svd"][: 1 + folds] == [(3, w, n, n) for w in windows]
     assert calls["svd"][1 + folds :] == [(n, n)] * folds + [(steps + 1, n, n)]
+
+
+@pytest.mark.parametrize("N,n", [(3, 1), (4, 2), (6, 2)])
+def test_batched_pass_in_blocks_is_bit_identical(N, n, monkeypatch):
+    # blocks of 7 steps carry the running product and the sums across block
+    # edges and folds, so every output equals the one-block pass bit for bit
+    h = trig_random(N, n=n, seed=1, scale=2.0)
+    whole = solve_factored(h, 3.0, 230, Z_max=2.0)
+    monkeypatch.setattr(factorization, "_BLOCK", 7)
+    blocked = solve_factored(h, 3.0, 230, Z_max=2.0)
+    assert len(whole.restarts) >= 2
+    names = ("z_samples", "U_samples", "U2_samples", "est_error", "mu_total", "phase_geometric", "imag_mu")
+    for name in names:
+        assert np.array_equal(getattr(whole, name), getattr(blocked, name)), name
+    for (t, U), (t_b, U_b) in zip(whole.restarts, blocked.restarts, strict=True):
+        assert t == t_b and np.array_equal(U, U_b)

@@ -1,8 +1,15 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from unitint import hamiltonian
 from unitint.hamiltonian import (
+    BlockedHamiltonian,
     ModelError,
+    SO5Coefficients,
     _so5_kron_form,
     build_so5,
     constant_hamiltonian,
@@ -23,7 +30,9 @@ from unitint.linalg import (
     frobenius,
     is_hermitian,
     is_traceless,
+    unitary_step,
 )
+from unitint.oracle import propagate
 
 
 def _random_F(rng, scale=1.0):
@@ -188,3 +197,103 @@ def test_from_config_families():
 
     with pytest.raises(ModelError):
         from_config({"family": "nope"})
+
+
+# The model contract node by node, in the order each node is tested: the
+# reference for the stacked check in checked_stack.
+H_TESTS = (
+    ("is not finite", lambda M: np.isfinite(M).all()),
+    ("is not Hermitian within 1e-10", lambda M: is_hermitian(M, 1e-10)),
+    ("is not traceless within 1e-10", lambda M: is_traceless(M, 1e-10)),
+)
+F_TESTS = (
+    ("is not finite", lambda F: np.isfinite(F).all()),
+    ("is not antisymmetric within 1e-12", lambda F: frobenius(F + F.T) <= 1e-12),
+)
+
+
+@np.errstate(invalid="ignore", over="ignore")
+def _first_violation(name, ts, values, shape, tests):
+    """The ModelError message for the first node, in read order, that breaks the contract."""
+    for t, v in zip(ts, values):
+        if v.shape != shape:
+            return f"{name}(t={t}) has shape {v.shape}, expected {shape}"
+        for message, ok in tests:
+            if not ok(v):
+                return f"{name}(t={t}) {message}"
+    return None
+
+
+def _verdict(expected, call):
+    """call(), or None once it raised the ModelError message expected (if that is not None)."""
+    if expected is None:
+        return call()
+    with pytest.raises(ModelError) as info:
+        call()
+    assert str(info.value) == expected
+    return None
+
+
+def _node(rng, kind, N, so5):
+    """One model value: valid, or broken in the way ``kind`` names."""
+    if so5:
+        V = _random_F(rng)
+    else:
+        V = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
+        V = V + dagger(V)
+        V -= np.trace(V) / N * np.eye(N)
+    i, j = rng.integers(0, len(V), 2)
+    if kind == "asymmetric":
+        V[0, 1] += 0.5
+    elif kind == "traceful":  # for F, a diagonal is not antisymmetric
+        V = V + 0.3 * np.eye(len(V))
+    elif kind in ("nan", "inf"):
+        V[i, j] = np.nan if kind == "nan" else np.inf
+    elif kind == "wide":
+        V = np.hstack((V, V[:, :1]))
+    elif kind == "large":
+        V = np.zeros((len(V) + 1,) * 2, dtype=V.dtype)
+    return V
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    N=st.integers(2, 4),
+    so5=st.booleans(),
+    kinds=st.lists(
+        st.sampled_from(["valid"] * 4 + ["asymmetric", "traceful", "nan", "inf", "wide", "large"]),
+        min_size=1,
+        max_size=12,
+    ),
+    block=st.sampled_from([1, 3, 4096]),
+)
+def test_stacked_check_matches_a_per_node_scan(seed, N, so5, kinds, block):
+    # read names the first node, in read order, that a per-node scan rejects,
+    # with the same message, and returns the values unchanged when none is;
+    # the oracle reads its midpoints through the same check, and the check
+    # gives the same answer in blocks of any size
+    rng = np.random.default_rng(seed)
+    values = [_node(rng, kind, N, so5) for kind in kinds]
+    steps = len(values)
+    ts = (np.arange(steps) + 0.5) * (1.0 / steps)  # the oracle's midpoints for t_end = 1
+    evaluate = lambda t: values[int(t * steps)]  # noqa: E731
+    if so5:
+        name, read, shape, tests = "F", SO5Coefficients(F=evaluate).read, (5, 5), F_TESTS
+    else:
+        name, read, shape = "H", BlockedHamiltonian(N=N, n=1, evaluator=evaluate).read, (N, N)
+        tests = H_TESTS
+    with mock.patch.object(hamiltonian, "_CHECK_BLOCK", block):
+        stack = _verdict(_first_violation(name, ts, values, shape, tests), lambda: read(ts))
+        if stack is not None:
+            assert np.array_equal(stack, np.array(values))
+        if so5:
+            return
+        N0 = len(values[0])  # the oracle's first read fixes N
+        expected = _first_violation("H", ts, values, (N0, N0), H_TESTS)
+        result = _verdict(expected, lambda: propagate(evaluate, 1.0, steps))
+    if result is not None:
+        U = np.eye(N0, dtype=complex)
+        for H in values:
+            U = unitary_step(H, 1.0 / steps) @ U
+        assert frobenius(result.U_final - U) < 1e-12

@@ -53,6 +53,23 @@ def test_rejects_nonhermitian():
         propagate(lambda t: np.array([[0.0, 1.0], [0.0, 0.0]]), 1.0, 10)
 
 
+@pytest.mark.parametrize(
+    "evaluate,message",
+    [
+        (lambda t: np.zeros((2, 3)), r"H\(t=0\.05\) has shape \(2, 3\), expected \(2, 2\)"),
+        (
+            lambda t: -0.5 * SIGMA_X if t < 0.5 else np.zeros((3, 3)),
+            r"H\(t=0\.55\) has shape \(3, 3\), expected \(2, 2\)",
+        ),
+    ],
+    ids=["not_square", "shape_changes"],
+)
+def test_rejects_a_wrong_shape(evaluate, message):
+    # the first read fixes N; a node of another shape is a ModelError naming its t
+    with pytest.raises(ModelError, match=message):
+        propagate(evaluate, 1.0, 10)
+
+
 def test_compare_identical():
     U = expm(0.3j * SIGMA_X)
     c = compare(U, U)
