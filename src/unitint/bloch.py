@@ -5,8 +5,9 @@ projection: a 3-vector for a single spin, a 5-vector for the SO(5) two-qubit
 model.  In both cases the nonlinear Riccati flow becomes linear precession
 dm/dt = Omega(t) m with an antisymmetric generator, Omega = -[B]x for
 spin-1/2 and 2F for SO(5), which has no coordinate pole.  One integrator
-(precess) and one cross-check core serve both models; cross-checking the two
-pictures, including across Riccati restarts, is the point of this module.
+(precess), stepped by the Riccati paths' driver on their node schedule, and
+one cross-check core serve both models; cross-checking the two pictures,
+including across Riccati restarts, is the point of this module.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .hamiltonian import (
     spin_half,
 )
 from .linalg import PAULI
-from .riccati import DEFAULT_Z_MAX, rk4_step, so5_z_params
+from .riccati import DEFAULT_Z_MAX, _drive, _sweep, so5_z_params
 
 
 def project5(z: np.ndarray) -> np.ndarray:
@@ -54,31 +55,25 @@ def project2(z: complex) -> np.ndarray:
 def precess(omega, t_end: float, steps: int) -> np.ndarray:
     """RK4 trajectory of dm/dt = omega(t) m from the pole m = (0, ..., 0, 1).
 
-    omega(t) is the antisymmetric generator, read once per node t, t + dt/2
-    and t + dt of the uniform grid.  The unit vector has no pole, so there
-    are no restarts.
+    omega(t) is the antisymmetric generator, read once per node of _drive's
+    schedule (t, t + dt/2 and t + dt of the uniform grid).  The unit vector
+    has no pole, so there are no restarts; a non-finite omega raises
+    StiffnessError at the step it reaches.
     """
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-    times = np.linspace(0.0, t_end, steps + 1)
-    return _precess(times, *_generators(lambda ts: np.array([omega(t) for t in ts], float), times))
+    return _precess(lambda ts: np.array([omega(t) for t in ts], float), t_end, steps)[0]
 
 
-def _generators(omegas, times: np.ndarray):
-    """omega at the grid nodes and at the step midpoints, from one call omegas(ts)."""
-    dt = times[-1] / (len(times) - 1)
-    W = omegas(np.concatenate((times, times[:-1] + dt / 2.0)))
-    return W[: len(times)], W[len(times) :]
+def _precess(read, t_end: float, steps: int, breakpoints=()):
+    """(m, omega) at the grid nodes: rk4_step on np.matmul from the pole, stepped by _drive.
 
+    read(ts) gives the generators at the nodes ts.  Z_max is infinite, so the
+    sweep is one window with no fold, and omega at a jump is the fresh read.
+    """
+    def window(dt, X):
+        m, done, peak = _sweep(np.matmul, X, np.eye(X.shape[-1])[-1], dt, np.inf)
+        return (m, np.concatenate((X[0, :done], X[2, done - 1 : done]))), done, peak
 
-def _precess(times: np.ndarray, W: np.ndarray, W_mid: np.ndarray) -> np.ndarray:
-    """RK4 from the pole, with omega given at the grid nodes (W) and midpoints (W_mid)."""
-    m = np.zeros((len(times), W.shape[-1]))
-    m[0, -1] = 1.0
-    dt = times[-1] / (len(times) - 1)
-    for k in range(len(times) - 1):
-        m[k + 1] = rk4_step(np.matmul, m[k], dt, W[k] @ m[k], W_mid[k], W[k + 1])
-    return m
+    return _drive(window, read, t_end, steps, np.inf, breakpoints)[1]
 
 
 @dataclass
@@ -102,8 +97,7 @@ def _crosscheck(result: FactoredResult, omegas) -> CrosscheckReport:
         m_ric = project2(base_coordinate(result.U_samples, 2, 1)[:, 0, 0])
     else:
         m_ric = project5(so5_z_params(base_coordinate(result.U_samples, 4, 2)))
-    W, W_mid = _generators(omegas, times)
-    m_lin = _precess(times, W, W_mid)
+    m_lin, W = _precess(omegas, times[-1], len(times) - 1, result.h.breakpoints)
     dm = (m_ric[2:] - m_ric[:-2]) / (times[2:] - times[:-2])[:, None]
     rhs = (W[1:-1] @ m_ric[1:-1, :, None])[..., 0]
     den = float(np.sum(rhs * rhs))

@@ -42,7 +42,6 @@ from .linalg import (
     inv_sqrt_hpd,
     random_traceless_hermitian,
     sqrt_hpd,
-    unitarity_defect,
 )
 from .oracle import compare, propagate
 from .riccati import DEFAULT_Z_MAX, StiffnessError, riccati_rhs
@@ -247,7 +246,8 @@ def run_scenario(scenario: dict, out_dir: Path) -> dict:
 def _worst_unitarity(U_samples: np.ndarray) -> float:
     """Largest ||U^H U - I||_F over about 50 evenly spaced samples and U(T)."""
     stride = max(1, (len(U_samples) - 1) // 50)
-    return max(unitarity_defect(U) for U in (*U_samples[::stride], U_samples[-1]))
+    U = np.concatenate((U_samples[::stride], U_samples[-1:]))
+    return float(np.max(np.linalg.norm(dagger(U) @ U - np.eye(U.shape[-1]), axis=(-2, -1))))
 
 
 def _write_trajectory_csv(path: Path, factored, bloch_report) -> None:

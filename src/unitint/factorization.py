@@ -164,8 +164,7 @@ def effective_hamiltonian_hermitian(
     _fiber_node given z_dot: one SVD of z, and stacks (leading axes) of
     h_blocks, z and z_dot give stacks of blocks from one batched SVD.
     """
-    He = _fiber_node(h_blocks, z, z_dot)[1]
-    return tuple(He[0]) if len(He) == 1 else He
+    return _fiber_node(h_blocks, z, z_dot)[1]
 
 
 def _fiber_node(h_blocks, z: np.ndarray, z_dot=None):
@@ -178,9 +177,7 @@ def _fiber_node(h_blocks, z: np.ndarray, z_dot=None):
     and each block is Q (Y + Y^H) Q^H with
         Y_ij = -(i/2) P_ij (r_j - r_i) / ((r_i + r_j) r_i r_j) + (1/2) C_ij r_j / r_i
     for (Q, r, P, C) = (A, r1, R S^H, C1) and (B, r2, S^H R, C2), where
-    P + P^H = Q^H (d/dt g) Q.  He is the tuple (upper, lower), or for m = n
-    (one (2, ..., n, n) stack,), so both blocks take one pass of the formula
-    (and one batched eigh in _magnus4).
+    P + P^H = Q^H (d/dt g) Q.  He is the tuple (upper, lower).
     """
     Htop, V, Hbot = h_blocks
     m, n = z.shape[-2:]
@@ -192,9 +189,8 @@ def _fiber_node(h_blocks, z: np.ndarray, z_dot=None):
     R = -1j * (C1 @ S + W - S @ Hb) if z_dot is None else Ah @ z_dot @ B
     r2 = np.sqrt(1.0 + s**2)[..., None]  # r as columns: r_i = r, r_j = r.mT
     r1 = np.concatenate((r2, np.ones(r2.shape[:-2] + (m - n, 1))), axis=-2)
-    blocks = [(A, r1, R @ S.mT, C1), (B, r2, S.mT @ R, C2)]
     He = []
-    for Q, ri, P, C in [tuple(map(np.array, zip(*blocks)))] if m == n else blocks:
+    for Q, ri, P, C in [(A, r1, R @ S.mT, C1), (B, r2, S.mT @ R, C2)]:
         rj = ri.mT
         Y = P * ((0.5j * (ri - rj)) / ((ri + rj) * ri * rj)) + C * (0.5 * rj / ri)
         He.append(Q @ (Y + dagger(Y)) @ dagger(Q))
@@ -304,13 +300,11 @@ def _magnus4(He_a: np.ndarray, He_m: np.ndarray, He_b: np.ndarray, dt: float) ->
 
     He_a, He_m and He_b are the Hermitian He at t, t + dt/2 and t + dt, and
     S = (He_a + 4 He_m + He_b)/6 their Simpson mean; the exponent is
-    Hermitian, so the step is unitary to roundoff.  A 1 x 1 block has no
-    commutator and is a scalar phase; a stack of blocks takes one batched
-    eigh.  (Blanes, Casas, Oteo & Ros, Phys. Rep. 470 (2009) 151.)
+    Hermitian, so the step is unitary to roundoff.  A stack of He (leading
+    axes) takes one batched eigh.  (Blanes, Casas, Oteo & Ros, Phys. Rep.
+    470 (2009) 151.)
     """
     S = (He_a + 4.0 * He_m + He_b) / 6.0
-    if S.shape[-1] == 1:
-        return np.exp(-1j * dt * S.real)
     return _unitary_step(S + (1j * dt / 12.0) * (He_a @ He_b - He_b @ He_a), dt)
 
 
@@ -338,10 +332,10 @@ def solve_factored(
       (z + z_new)/2 + dt/8 (f(t) - f(t + dt)), and the fiber kernel at the
       three node sets: _corner_node (the level kernel _peel_level that
       hierarchical_solve cascades) for n = 1, _fiber_node with one SVD for
-      n > 1.  The Hermitian effective Hamiltonians He at the three nodes
-      give one fourth-order Magnus step per block and grid step
-      (_magnus4, one batched eigh per block, and for m = n both blocks in
-      one stack); U2 is their running product.
+      n > 1.  The fiber's Hermitian effective Hamiltonian blockdiag(upper,
+      lower) at the three nodes gives one fourth-order Magnus step per grid
+      step (_magnus4, one batched N x N eigh per block of steps); U2, one
+      (steps + 1, N, N) array, is their running product.
     - For n = 1 the corner phases (mu_total, phase_geometric, imag_mu, and
       phase_dynamical = mu_total - phase_geometric) integrate the three rate
       evaluations by Simpson's rule, cumulative across restarts.
@@ -356,36 +350,28 @@ def solve_factored(
     and each node's accumulator; U_samples are the stacked U1(z) U2 times
     those accumulators, and the phases and est_error add up the segments.
     """
-    m, n = h.N - h.n, h.n
-    stacked = 1 < n == m  # the fiber as block stacks, as _fiber_node returns He
-
-    def fiber(U2):  # blockdiag(upper, lower), over any leading axes
-        return blockdiag(*(np.moveaxis(U2[0], -3, 0) if stacked else U2))
+    n = h.n
 
     def window(dt, X):
         z, done, peak = _sweep_window(X, n, dt, Z_max)
-        magnus, incs = [], []  # per block: each fiber block's Magnus steps, the sums' increments
+        magnus, incs = [], []  # per block of steps: the fiber's Magnus steps, the sums' increments
         for a in range(0, max(done, 1), _BLOCK):
             b = min(a + _BLOCK, done)
             H3, z3, (f_a, f_b) = _node_sets(X[:, a:b], z[a : b + 1], n, dt)
             dz, He, rates = _corner_node(H3, z3) if n == 1 else (*_fiber_node(H3, z3), None)
-            magnus.append([_magnus4(*np.moveaxis(g, -4, 0), dt) for g in He])
+            magnus.append(_magnus4(*blockdiag(*He), dt))
             defect = z3[2] - z3[0] - (dt / 6.0) * (f_a + 4.0 * dz[1] + f_b)
             inc = np.linalg.norm(defect, axis=(-2, -1))[:, None]
             if n == 1:  # the phases by Simpson's rule, then the defect
                 inc = np.hstack(((dt / 6.0) * (rates[0] + 4.0 * rates[1] + rates[2]), inc))
             incs.append(inc)
-        U2 = [_running_product(np.concatenate(M, axis=-3)) for M in zip(*magnus)]
         inc = np.concatenate(incs)
         sums = np.cumsum(np.vstack((np.zeros(inc.shape[1]), inc)), axis=0)
-        return (z, sums, *U2), done, peak
+        return (z, sums, _running_product(np.concatenate(magnus))), done, peak
 
-    times, (z_samples, sums, *U2), folds = _drive(window, h.read, t_end, steps, Z_max, h.breakpoints)
-    restarts, accums, segment = _segments(
-        h.N, times, folds, lambda y: unitarized_U1(y[0]) @ fiber(y[2:])
-    )
+    times, (z_samples, sums, U2_samples), folds = _drive(window, h.read, t_end, steps, Z_max, h.breakpoints)
+    restarts, accums, segment = _segments(h.N, times, folds, lambda y: unitarized_U1(y[0]) @ y[2])
     sums = sums + np.cumsum([np.zeros(sums.shape[1])] + [y[1] for _, y in folds], axis=0)[segment]
-    U2_samples = fiber(U2)
     result = FactoredResult(
         h=h,
         times=times,

@@ -3,8 +3,7 @@
 Everything here operates on plain ``numpy`` complex arrays.  Matrices are
 small (dimension <= ~64), so robustness and explicit tolerances win over
 speed.  All tolerances are keyword parameters with the defaults used
-throughout the package: 1e-10 for structural predicates, 1e-12 for
-algebraic residuals.
+throughout the package: 1e-10 for structural predicates.
 """
 
 from __future__ import annotations
@@ -13,7 +12,6 @@ import numpy as np
 import scipy.linalg
 
 PREDICATE_TOL = 1e-10
-ALGEBRA_TOL = 1e-12
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)

@@ -5,11 +5,11 @@ The (N-n) x n coordinate z obeys
     i dz/dt = Htop z + V - z (V^H z + Hbot),
 
 integrated with classical fixed-step RK4 from z(0) = 0.  Every Riccati
-solver path steps through one driver, ``_drive``, whose docstring is the one
-description of the node schedule: the driver reads the model at t,
-t + dt/2 and t + dt of every step before the first, and the path sweeps
-its coordinate by ``rk4_step`` on those node values one fold window at a
-time.  The driver is also the only place restarts happen: when ||z||_F
+solver path, and the linear Bloch precession, steps through one driver,
+``_drive``, whose docstring is the one description of the node schedule:
+the driver reads the model at t, t + dt/2 and t + dt of every step before
+the first, and the path sweeps its coordinate by ``rk4_step`` on those node
+values one fold window at a time.  The driver is also the only place restarts happen: when ||z||_F
 reaches the restart threshold it records a fold, the state the segment
 reached, and integration resumes from z = 0.
 The product structure U = U_segment U_accum makes that exact; each path
@@ -97,7 +97,10 @@ def _sweep(f, x, y, dt: float, Z_max: float, norm=lambda y: np.sqrt(np.vdot(y, y
 
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite peak raises StiffnessError
 def _drive(window, read, t_end: float, steps: int, Z_max: float, breakpoints=()):
-    """Fixed-step driver shared by every Riccati path: it alone reads the model and restarts.
+    """Fixed-step driver shared by every trajectory: it alone reads the model and restarts.
+
+    Every Riccati path steps through it, and so does the linear Bloch
+    precession (bloch._precess), with Z_max infinite: one window, no fold.
 
     Reads.  The step from t to t + dt reads the model at t, t + dt/2 and
     t + dt, and its end node is the next step's start node: 2 steps + 1
@@ -105,20 +108,20 @@ def _drive(window, read, t_end: float, steps: int, Z_max: float, breakpoints=())
     1e-12 relative of one snaps to it, a step that ends on one reads its end
     node as the left limit (the float just below it), and the next step
     reads its start node afresh, one more read per breakpoint on the grid.
-    The schedule is one call of ``read`` (BlockedHamiltonian.read or
-    SO5Coefficients.read), which checks the model contract over the stack:
-    ModelError names the first invalid node in read order before any step.
+    The schedule is one call of ``read``.  BlockedHamiltonian.read and
+    SO5Coefficients.read check the model contract over the stack: ModelError
+    names the first invalid node in read order before any step.
     All 3 * steps values are held at once (three times U_samples, N x N).
 
     Windows.  X stacks the values as (3, steps, ...): each step's start,
-    midpoint and end node.  ``window(dt, X[:, k:])`` integrates from the zero
-    state at grid node k and returns ``(states, done, peak)``: a tuple of
-    arrays over the done + 1 nodes it reached, the number of steps it
-    completed, and the coordinate norm of the step that stopped it (None if
-    it reached the end).  A path sweeps its coordinate with _sweep, whose
-    steps take their first stage at their own start node, so folds and
-    breakpoints need no carry; all else it derives from node values is
-    batched over the window.
+    midpoint and end node.  ``window(dt, X[:, k:])`` integrates from the
+    start state (z = 0, the pole for the precession) at grid node k and
+    returns ``(states, done, peak)``: a tuple of arrays over the done + 1
+    nodes it reached, the number of steps it completed, and the coordinate
+    norm of the step that stopped it (None if it reached the end).  A path
+    sweeps its coordinate with _sweep, whose steps take their first stage
+    at their own start node, so folds and breakpoints need no carry; all
+    else it derives from node values is batched over the window.
 
     Folds.  A window that stops at grid node j records the fold (j, y), with
     y its states at j, and the next window starts at j.  It raises

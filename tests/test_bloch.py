@@ -22,11 +22,12 @@ from unitint.hamiltonian import (
     build_so5,
     constant_hamiltonian,
     from_config,
+    piecewise_constant,
     so5_coefficients,
     spin_half,
     trig_random,
 )
-from unitint.riccati import so5_z_params
+from unitint.riccati import StiffnessError, so5_z_params
 
 
 def _random_F(rng, scale=0.5):
@@ -106,6 +107,42 @@ def test_precess_reads_each_node_once():
     precess(omega, 1.0, 8)
     assert len(reads) == len(set(reads)) == 17
     assert sorted(reads) == sorted([*np.linspace(0.0, 1.0, 9), *(np.arange(8) + 0.5) / 8])
+
+
+def test_precess_raises_at_the_first_non_finite_step():
+    # omega turns NaN after t = 0.5, so step 5 (from t = 0.5) is the first to diverge
+    def omega(t):
+        return _spin_generator([0.3, 1.0, 0.5]) * (np.nan if t > 0.5 else 1.0)
+
+    with pytest.raises(StiffnessError) as err:
+        precess(omega, 1.0, 10)
+    assert err.value.t == 0.5 and err.value.step == 5
+
+
+def test_crosscheck_pictures_across_on_grid_jumps():
+    # three spin-1/2 pieces with jumps at t = 1 and 2 on the grid: the linear
+    # picture reads the Riccati picture's nodes (left limit and fresh read at
+    # each jump), so both stay fourth order; reading omega at the plain grid
+    # nodes would straddle the jumps (first order, 1.8e-3 at 300 steps)
+    fields = ([0.8, 0.5, 0.3], [-0.4, 1.1, 0.2], [0.3, -0.6, 0.9])
+    reads = []
+
+    def matrix(t):
+        reads.append(t)
+        return piece.evaluator(t)
+
+    piece = piecewise_constant([0.0, 1.0, 2.0], [spin_half(B).matrix(0.0) for B in fields])
+    h = replace(piece, evaluator=matrix)
+    deviations = []
+    for steps in (300, 600):
+        reads.clear()
+        result = solve_factored(h, 3.0, steps)
+        solve_reads = list(reads)
+        deviations.append(crosscheck_pictures(result).max_deviation)
+        assert len(solve_reads) == 2 * steps + 1 + 2
+        assert reads[len(solve_reads) :] == solve_reads
+    assert deviations[0] < 1e-8
+    assert deviations[1] * 12 < deviations[0]
 
 
 def test_crosscheck_su2_pictures_agree():

@@ -262,13 +262,10 @@ def test_fiber_node_stacks_and_matches_eigh_composition(seed, shape, kinds, radi
     zs = [_z_with_singular_values(rng, m, n, kind, radius) for kind in kinds]
     z_dots = [riccati_rhs(b, z) for b, z in zip(blocks, zs)]
     stacked_blocks = tuple(map(np.array, zip(*blocks)))
-    dz, He = _fiber_node(stacked_blocks, np.array(zs))
-    assert len(He) == (1 if m == n else 2)
-    upper, lower = He[0] if m == n else He
+    dz, (upper, lower) = _fiber_node(stacked_blocks, np.array(zs))
     public = effective_hamiltonian_hermitian(stacked_blocks, np.array(zs), np.array(z_dots))
     for k, (b, z, z_dot) in enumerate(zip(blocks, zs, z_dots)):
-        dz_k, He_k = _fiber_node(b, z)
-        per_node = He_k[0] if m == n else He_k
+        dz_k, per_node = _fiber_node(b, z)
         assert frobenius(dz[k] - dz_k) <= 1e-14 * max(frobenius(dz_k), 1.0)
         for a, c in zip((upper[k], lower[k]), per_node):
             assert frobenius(a - c) <= 1e-14 * max(frobenius(c), 1.0)
@@ -918,12 +915,8 @@ def test_solve_factored_covariant_under_block_diagonal_unitary(N, n, seed):
     assert np.max(np.linalg.norm(W @ a.U_samples @ dagger(W) - b.U_samples, axis=(-2, -1))) < 1e-12
 
 
-@pytest.mark.parametrize("N,steps", [(4, 115), (6, 230)])
-def test_solve_decompositions_per_step_for_half_split(N, steps, monkeypatch):
-    # n = N/2: per fold window, one batched SVD (the three node sets of its
-    # steps) and one batched eigh (both fiber blocks of its steps), the
-    # windows' steps summing to the grid; one more SVD for each fold's
-    # segment U1 and one for the U1 of all samples at once
+def _count_decompositions(monkeypatch, N, n, steps, Z_max):
+    """The solve's folds and the shapes of its np.linalg.svd and eigh calls."""
     calls = {"svd": [], "eigh": []}
     for name in calls:
         original = getattr(np.linalg, name)
@@ -933,15 +926,31 @@ def test_solve_decompositions_per_step_for_half_split(N, steps, monkeypatch):
             return _original(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counted)
-    n = N // 2
-    res = solve_factored(trig_random(N, n=n, seed=3, scale=2.0), 3.0, steps, Z_max=2.0)
+    res = solve_factored(trig_random(N, n=n, seed=3, scale=2.0), 3.0, steps, Z_max=Z_max)
     folds = len(res.restarts)
     assert folds >= 1
-    windows = [shape[1] for shape in calls["eigh"]]
-    assert calls["eigh"] == [(2, w, n, n) for w in windows]
+    windows = [shape[0] for shape in calls["eigh"]]
+    assert calls["eigh"] == [(w, N, N) for w in windows]
     assert len(windows) == 1 + folds and sum(windows) == steps
-    assert calls["svd"][: 1 + folds] == [(3, w, n, n) for w in windows]
-    assert calls["svd"][1 + folds :] == [(n, n)] * folds + [(steps + 1, n, n)]
+    return folds, windows, calls["svd"]
+
+
+@pytest.mark.parametrize("N,steps", [(4, 115), (6, 230)])
+def test_solve_decompositions_per_step_for_half_split(N, steps, monkeypatch):
+    # n = N/2: per fold window, one batched SVD (the three node sets of its
+    # steps) and one batched N x N eigh (the fiber blockdiag(upper, lower) of
+    # its steps), the windows' steps summing to the grid; one more SVD for
+    # each fold's segment U1 and one for the U1 of all samples at once
+    n = N // 2
+    folds, windows, svd = _count_decompositions(monkeypatch, N, n, steps, 2.0)
+    assert svd[: 1 + folds] == [(3, w, n, n) for w in windows]
+    assert svd[1 + folds :] == [(n, n)] * folds + [(steps + 1, n, n)]
+
+
+@pytest.mark.parametrize("N", [2, 3])
+def test_solve_decompositions_per_step_for_block_size_one(N, monkeypatch):
+    # n = 1: the same one batched N x N eigh per fold window, and no SVD
+    assert _count_decompositions(monkeypatch, N, 1, 115, 1.0)[2] == []
 
 
 @pytest.mark.parametrize("N,n", [(3, 1), (4, 2), (6, 2)])
