@@ -20,10 +20,12 @@ from .factorization import FactoredResult, base_coordinate, solve_factored
 from .hamiltonian import (
     _SO5_GENERATORS,
     EPSILON,
+    F_CONTRACT,
     MODEL_TOL,
     ModelError,
     SO5Coefficients,
     build_so5,
+    checked_stack,
     so5_matrix,
     spin_half,
 )
@@ -55,12 +57,19 @@ def project2(z: complex) -> np.ndarray:
 def precess(omega, t_end: float, steps: int) -> np.ndarray:
     """RK4 trajectory of dm/dt = omega(t) m from the pole m = (0, ..., 0, 1).
 
-    omega(t) is the antisymmetric generator, read once per node of _drive's
-    schedule (t, t + dt/2 and t + dt of the uniform grid).  The unit vector
-    has no pole, so there are no restarts; a non-finite omega raises
-    StiffnessError at the step it reaches.
+    omega(t) is the antisymmetric d x d generator, read once per node of
+    _drive's schedule (t, t + dt/2 and t + dt of the uniform grid), with d
+    from the first node.  The reads are checked as one stack before any step:
+    ModelError names the first node whose generator is not d x d, not finite
+    or not antisymmetric within 1e-12.  The unit vector has no pole, so there
+    are no restarts.
     """
-    return _precess(lambda ts: np.array([omega(t) for t in ts], float), t_end, steps)[0]
+    def read(ts):
+        values = [np.asarray(omega(t), dtype=float) for t in ts]
+        d = len(values[0]) if values[0].ndim else 1
+        return checked_stack("Omega", ts, values, (d, d), F_CONTRACT)
+
+    return _precess(read, t_end, steps)[0]
 
 
 def _precess(read, t_end: float, steps: int, breakpoints=()):
@@ -70,7 +79,7 @@ def _precess(read, t_end: float, steps: int, breakpoints=()):
     sweep is one window with no fold, and omega at a jump is the fresh read.
     """
     def window(dt, X):
-        m, done, peak = _sweep(np.matmul, X, np.eye(X.shape[-1])[-1], dt, np.inf)
+        m, done, peak = _sweep(np.matmul, zip(*X), np.eye(X.shape[-1])[-1], dt, np.inf)
         return (m, np.concatenate((X[0, :done], X[2, done - 1 : done]))), done, peak
 
     return _drive(window, read, t_end, steps, np.inf, breakpoints)[1]

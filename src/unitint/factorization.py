@@ -12,6 +12,7 @@ SU(N) -> SU(N-1) -> ... -> U(1).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -24,7 +25,7 @@ from .linalg import (
     inv_sqrt_hpd,
     sqrt_hpd,
 )
-from .riccati import DEFAULT_Z_MAX, _drive, _level_dz, _level_rhs, _sweep, riccati_rhs
+from .riccati import DEFAULT_Z_MAX, _drive, _projective_rhs, _sweep, riccati_rhs, rk4_step
 
 
 class UnsupportedConfigurationError(ValueError):
@@ -230,7 +231,7 @@ def _corner_node(h_blocks, z: np.ndarray):
     return dz[..., None], (upper, -mu_rate[..., None, None]), rates
 
 
-def _peel_level(Htop: np.ndarray, v: np.ndarray, h, z: np.ndarray):
+def _peel_level(Htop: np.ndarray, v: np.ndarray, h, z: np.ndarray, mask=None):
     """Everything one level of the n=1 peel needs, from V^H z, |z|^2 and Htop z.
 
     Htop (m x m), the column v and the corner h partition a traceless
@@ -242,6 +243,11 @@ def _peel_level(Htop: np.ndarray, v: np.ndarray, h, z: np.ndarray):
     a v + (Re(V^H z) a^2 / 2) z, a = 1/(sqrt(g)+1).  Its trace tau = -h -
     2 Re(u^H z) relies on tr Htop = -h; the trace phase advances at -tau/m.
 
+    ``mask`` (1-D over the m rows, default all ones) marks the rows the
+    level owns when it sits in a larger frame with zero rows and columns
+    above it (hierarchical_solve's level frame): the trace is removed on
+    those rows only, with m their count, and the zero rows stay zero.
+
     This is the one definition of the n=1 corner-phase rates, read by both
     solve_factored and hierarchical_solve:
     d(mu)/dt = -(H_NN + Re(V^H z)) and d(geometric)/dt =
@@ -250,21 +256,26 @@ def _peel_level(Htop: np.ndarray, v: np.ndarray, h, z: np.ndarray):
     H_NN + Re(V^H z) = (U1^H H U1)_NN + (-i U1^H dU1/dt)_NN, checked against
     finite differences of U1 in the test suite.
     """
-    m = z.shape[-1]
+    rows = z.shape[-1]
+    mask = np.ones(rows) if mask is None else mask
+    m = np.sum(mask, axis=-1)
     hnn = np.real(h)
     vz = np.sum(v.conj() * z, axis=-1)
     zz = np.sum(z.real**2 + z.imag**2, axis=-1)
     Hz = (Htop @ z[..., None])[..., 0]
     re_vz = vz.real
     g = 1.0 + zz
-    dz = _level_dz(Hz, v, z, (vz + h)[..., None])
+    dz = -1j * (Hz + v - z * (vz + h)[..., None])
     quad = np.sum(z.conj() * Hz, axis=-1).real - hnn * zz
     geo_rate = (quad + 2.0 * re_vz * (1.0 - g / 2.0)) / g
     a = 1.0 / (np.sqrt(g) + 1.0)
     u = a[..., None] * v + (0.5 * re_vz * a * a)[..., None] * z
     tau = -hnn - 2.0 * np.sum(u.conj() * z, axis=-1).real
     zu = z[..., :, None] * u[..., None, :].conj()
-    H_next = Htop - zu - dagger(zu) - (tau / m)[..., None, None] * np.eye(m)
+    H_next = Htop - zu
+    H_next -= dagger(zu)
+    diagonal = H_next.reshape(H_next.shape[:-2] + (rows * rows,))[..., :: rows + 1]
+    diagonal -= (tau / m)[..., None] * mask
     return dz, (-(hnn + re_vz), geo_rate, -tau / m), H_next
 
 
@@ -324,9 +335,9 @@ def solve_factored(
     before the first step (ModelError for a non-Hermitian, non-traceless or
     non-finite model).  Each fold window is one sweep and one batched pass.
 
-    - The sweep: z takes one rk4_step per grid step on the three H nodes,
-      with _level_rhs for n = 1 and riccati_rhs for n > 1, up to the first
-      step that reaches Z_max.
+    - The sweep: W = [z; I_n] takes one rk4_step per grid step on
+      _projective_rhs with K = -iH at the three nodes, one right-hand side
+      for every n, up to the first step where ||z||_F reaches Z_max.
     - The batched pass, over the window's steps in blocks of _BLOCK:
       f(t, z) and f(t + dt, z_new), the cubic Hermite midpoint z(t + dt/2) =
       (z + z_new)/2 + dt/8 (f(t) - f(t + dt)), and the fiber kernel at the
@@ -389,20 +400,19 @@ def solve_factored(
     return result
 
 
-def _sweep_window(X: np.ndarray, n: int, dt: float, Z_max: float, start=0.0):
-    """Sweep z from start by rk4_step on _level_rhs (n = 1) or riccati_rhs over node values X.
+def _sweep_window(X: np.ndarray, n: int, dt: float, Z_max: float):
+    """Sweep W = [z; I_n] from z = 0 by rk4_step on _projective_rhs with K = -iX.
 
-    X is (3, W, N, N).  Returns (z, done, peak): the done + 1 nodes reached
+    X is (3, W, N, N) node values, negated into K a block of _BLOCK steps at
+    a time and only as far as the sweep gets; ||z||_F, the norm of W's top
+    m rows, meets Z_max.  Returns (z, done, peak): the done + 1 nodes reached
     as (m, n) matrices, the steps completed and the norm that stopped it.
     """
-    Htop, V, Hbot = _blocks(X, n)
-    if n == 1:  # the level sweep, on 1-D z
-        f, x = _level_rhs, (Htop, V[..., 0], Hbot[..., 0, 0])
-    else:  # riccati_rhs is slower on strided views
-        f, x = riccati_rhs, [np.ascontiguousarray(a) for a in (Htop, V, Hbot)]
-    nodes = [zip(*(a[i] for a in x)) for i in range(3)]
-    zs, done, peak = _sweep(f, nodes, start + np.zeros(x[1].shape[2:], complex), dt, Z_max)
-    return zs.reshape(-1, V.shape[-2], n), done, peak
+    m = X.shape[-1] - n
+    K = chain.from_iterable(zip(*(-1j * X[:, a : a + _BLOCK])) for a in range(0, X.shape[1], _BLOCK))
+    W = np.eye(m + n, n, -m, dtype=complex)
+    Ws, done, peak = _sweep(_projective_rhs, K, W, dt, Z_max, lambda W: np.sqrt(np.vdot(W[:m], W[:m]).real))
+    return Ws[:, :m], done, peak
 
 
 def _node_sets(X: np.ndarray, z: np.ndarray, n: int, dt: float):
@@ -473,8 +483,8 @@ def _hier_assemble(zs, phases: np.ndarray) -> np.ndarray:
     return U
 
 
-# Steps every level sweeps in a fold window's first chunk; each next chunk is twice as long.
-_FIRST_CHUNK = 16
+# Steps a level sweeps per round of hierarchical_solve's pipeline.
+_CHUNK = 8
 
 
 def hierarchical_solve(
@@ -485,22 +495,29 @@ def hierarchical_solve(
 ) -> HierarchicalResult:
     """Solve by peeling one level at a time with block size 1.
 
-    The peel is a cascade of level steps.  H is read on _drive's node
-    schedule in one BlockedHamiltonian.read before the first step (ModelError
-    for a non-Hermitian, non-traceless or non-finite model).  A fold window is
-    swept in chunks of _FIRST_CHUNK steps, then twice as many each time.  In
-    a chunk, level 0 sweeps its coordinate as solve_factored does for n = 1,
-    and one batched _peel_level call at the three node sets of its completed
-    steps (the midpoint z by cubic Hermite interpolation) gives its phase
-    rates, integrated by Simpson's rule, and level 1's H at those nodes.
-    Level k + 1 sweeps only as far as level k got, so the window ends at
-    the first step where any level reaches Z_max.
+    H is read on _drive's node schedule in one BlockedHamiltonian.read before
+    the first step (ModelError for a non-Hermitian, non-traceless or
+    non-finite model).  The L = N - 1 levels share one N x N frame: level k's
+    H sits at [k:, k:] and its state is W_k = [0_k; z_k; 1], so one
+    rk4_step on _projective_rhs with K = -iH steps every level at once, and
+    ||z_k||_F is the norm of W_k's top N - 1 rows.
+
+    A fold window is a pipeline of rounds.  In a round, level 0 sweeps the
+    next _CHUNK steps of the window and level k + 1 the steps level k swept
+    in the round before; each step is one rk4_step over the (L, N) state.
+    Then one batched _peel_level call at the three node sets of every
+    level's steps (the midpoint z by cubic Hermite interpolation, the trace
+    removed on each level's own rows) gives the phase rates, integrated by
+    Simpson's rule, and each level's H_next; shifted one row and one column
+    down, that is the next level's H for the next round, and the level's own
+    input is dropped.  The window ends at the earliest node any level cannot
+    pass (on a tie the shallowest level's peak stops it): levels ahead of it
+    stop, and deeper levels sweep on until they reach it or fold earlier.
 
     A restart resets every level's coordinate and phases, and _drive records
-    the fold; the next window sweeps every level again from that node.  The
-    steps the upper levels swept past it lie in the window's last chunk, at
-    most W + _FIRST_CHUNK steps for a window of W, so over S steps and F
-    folds each level takes at most 2 S + F _FIRST_CHUNK RK4 steps.
+    the fold; the next window fills the pipeline again from that node.  The
+    pipeline fills and drains in L - 1 extra rounds, so a window of W steps
+    takes fewer than W + L _CHUNK batched RK4 steps.
     After the solve, _segments turns the folds into the restart records and
     each node's accumulator; U_samples are assembled once over the stacked
     states, and the phases add up the segments.
@@ -508,28 +525,59 @@ def hierarchical_solve(
     if h.n != 1:
         raise UnsupportedConfigurationError("hierarchical solve peels with n=1")
     N = h.N
+    L = N - 1
+    levels = np.arange(L)
+    mask = levels >= levels[:, None]  # (L, N - 1): level k owns rows k: of the z frame
+    start = np.eye(N, 1, -L, dtype=complex) * np.ones((L, 1, 1))  # every W_k at z_k = 0
+    chunk = np.arange(_CHUNK)[:, None]
 
     def window(dt, X):
-        # each level's nodes and phase increments, chunk by chunk; its state is its last node
-        zs = [[np.zeros((1, N - 1 - k), complex)] for k in range(N - 1)]
-        incs = [[np.zeros((3, 1))] for _ in zs]
-        done, size, stop = 0, _FIRST_CHUNK, None
-        while stop is None and done < X.shape[1]:
-            x, W = X[:, done : done + size], min(size, X.shape[1] - done)
-            for z_k, inc in zip(zs, incs):
-                z, d, peak = _sweep_window(x, 1, dt, Z_max, z_k[-1][-1])
-                (Htop, V, Hbot), z3, _ = _node_sets(x, z, 1, dt)
-                if peak is not None:
-                    W, stop = d, peak
-                _, rates, x = _peel_level(Htop, V[..., 0], Hbot[..., 0, 0], z3[..., 0])
-                rates = np.array(rates)  # (rate, node, step)
-                z_k.append(z[1:, :, 0])
-                inc.append((dt / 6.0) * (rates[:, 0] + 4.0 * rates[:, 1] + rates[:, 2]))
-            for z_k, inc in zip(zs, incs):  # every level stops where the deepest got
-                z_k[-1], inc[-1] = z_k[-1][:W], inc[-1][:, :W]
-            done, size = done + W, 2 * size
-        phases = np.cumsum([np.hstack(inc) for inc in incs], axis=-1).T  # (node, rate, level)
-        return (*map(np.concatenate, zs), phases), done, stop
+        W, pos, H_next = start, np.zeros(L, int), np.zeros((3, 0, L, L, L), complex)
+        took = np.zeros(L + 1, int)  # steps each level swept last round, after _CHUNK for X
+        took[0] = _CHUNK
+        end, stop = X.shape[1], None
+        H = np.zeros((3, _CHUNK, L, N, N), complex)  # a round's frames; level k's rows above k stay 0
+        zs, incs, nodes = [], [], []  # per round: z frames, phase increments, their grid nodes
+        while True:
+            n = np.maximum(np.minimum(took[:-1], end - pos), 0)
+            if not n.any():
+                break
+            H[:, : n[0], 0] = X[:, pos[0] : pos[0] + n[0]]
+            H[:, : len(H_next[0]), 1:, 1:, 1:] = H_next[:, :, :-1]
+            live = chunk < n
+            H[:, ~live] = 0.0  # K = 0 holds a level still
+            K = -1j * H[:, : n.max()]
+            Ws = [W]
+            for K_a, K_m, K_b in zip(*K):
+                Ws.append(rk4_step(_projective_rhs, Ws[-1], dt, _projective_rhs(K_a, Ws[-1]), K_m, K_b))
+            Ws = np.array(Ws)
+            z = Ws[..., :-1, 0]
+            peak = np.sqrt(np.sum(z.real**2 + z.imag**2, axis=-1))[1:]
+            over = live[: len(peak)] & ~(peak < Z_max)
+            folds = over.any(axis=0)
+            took[1:] = np.where(folds, over.argmax(axis=0), n)
+            if folds.any():
+                k = np.where(folds, pos + took[1:], end).argmin()  # shallowest on a tie
+                if folds[k]:
+                    end, stop = pos[k] + took[k + 1], peak[took[k + 1], k]
+            f_a, f_b = _projective_rhs(K[::2], np.array((Ws[:-1], Ws[1:])))
+            z_m = 0.5 * (Ws[:-1] + Ws[1:]) + (dt / 8.0) * (f_a - f_b)
+            z3 = np.array((z[:-1], z_m[..., :-1, 0], z[1:]))
+            Hm = H[:, : len(peak)]
+            _, rates, H_next = _peel_level(Hm[..., :-1, :-1], Hm[..., :-1, -1], Hm[..., -1, -1], z3, mask)
+            rates = np.array(rates)  # (rate, node set, step, level)
+            incs.append((dt / 6.0) * (rates[:, 0] + 4.0 * rates[:, 1] + rates[:, 2]))
+            zs.append(z[1:])
+            nodes.append(np.where(chunk[: len(peak)] < took[1:], pos + 1 + chunk[: len(peak)], 0))
+            W, pos = Ws[took[1:], levels], pos + took[1:]
+        # each level's nodes 1..end, in order, from the rounds that swept them
+        nodes = np.concatenate(nodes).T
+        keep = (nodes > 0) & (nodes <= end)
+        z = np.concatenate(zs).transpose(1, 0, 2)[keep].reshape(L, end, L)
+        inc = np.concatenate(incs, axis=1).transpose(2, 1, 0)[keep].reshape(L, end, 3)
+        z = np.concatenate((np.zeros((L, 1, L)), z), axis=1)
+        phases = np.cumsum(np.concatenate((np.zeros((L, 1, 3)), inc), axis=1), axis=1)
+        return (*(z[k, :, k:] for k in levels), phases.transpose(1, 2, 0)), end, stop
 
     times, (*zs, phases), folds = _drive(window, h.read, t_end, steps, Z_max, h.breakpoints)
     restarts, accums, segment = _segments(N, times, folds, lambda y: _hier_assemble(y[:-1], y[-1]))

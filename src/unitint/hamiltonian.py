@@ -185,10 +185,10 @@ _SO5_GENERATORS = np.array([_so5_kron_form(E) for E in np.eye(25).reshape(25, 5,
 
 
 def so5_matrix(F: np.ndarray) -> np.ndarray:
-    """The 4x4 two-qubit Hamiltonian for one antisymmetric F sample.
+    """The 4x4 two-qubit Hamiltonian for one antisymmetric F sample, or a stack of them.
 
-    Equals ``_so5_kron_form(F)``, computed as one contraction of F with the
-    precomputed (5, 5, 4, 4) generator tensor.
+    Equals ``_so5_kron_form(F)``, computed as one contraction of F's last two
+    axes with the precomputed (5, 5, 4, 4) generator tensor.
     """
     return np.tensordot(F, _SO5_GENERATORS, axes=2)
 
@@ -215,9 +215,25 @@ def so5_blocks_from_formula(F: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.n
     return Htop, V, Hbot
 
 
+@dataclass(frozen=True)
+class _SO5Hamiltonian(BlockedHamiltonian):
+    """build_so5's model: its read is one F stack, contracted once."""
+
+    coeffs: SO5Coefficients | None = None
+
+    def read(self, ts) -> np.ndarray:
+        """so5_matrix of coeffs.read(ts): one F(t) call per node, checked as one stack.
+
+        so5_matrix(F) is Hermitian and traceless for any real F, so the F
+        contract is the model contract, and ModelError names the first
+        invalid F node.
+        """
+        return so5_matrix(self.coeffs.read(ts))
+
+
 def build_so5(coeffs: SO5Coefficients) -> BlockedHamiltonian:
     """BlockedHamiltonian (N=4, n=2) for an SO(5)-symmetric two-qubit model."""
-    return BlockedHamiltonian(N=4, n=2, evaluator=lambda t: so5_matrix(coeffs.at(t)))
+    return _SO5Hamiltonian(N=4, n=2, evaluator=lambda t: so5_matrix(coeffs.at(t)), coeffs=coeffs)
 
 
 def constant_hamiltonian(M: np.ndarray, n: int = 1) -> BlockedHamiltonian:

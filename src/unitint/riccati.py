@@ -4,14 +4,17 @@ The (N-n) x n coordinate z obeys
 
     i dz/dt = Htop z + V - z (V^H z + Hbot),
 
-integrated with classical fixed-step RK4 from z(0) = 0.  Every Riccati
-solver path, and the linear Bloch precession, steps through one driver,
+integrated with classical fixed-step RK4 from z(0) = 0 in projective form:
+the state W = [z; I_n] steps under f(K, W) = K W - W (K W)[m:] with
+K = -iH (``_projective_rhs``), one right-hand side for every block size and
+for every level of the hierarchical peel at once.  Every Riccati solver
+path, and the linear Bloch precession, steps through one driver,
 ``_drive``, whose docstring is the one description of the node schedule:
 the driver reads the model at t, t + dt/2 and t + dt of every step before
 the first, and the path sweeps its coordinate by ``rk4_step`` on those node
-values one fold window at a time.  The driver is also the only place restarts happen: when ||z||_F
-reaches the restart threshold it records a fold, the state the segment
-reached, and integration resumes from z = 0.
+values one fold window at a time.  The driver is also the only place
+restarts happen: when ||z||_F reaches the restart threshold it records a
+fold, the state the segment reached, and integration resumes from z = 0.
 The product structure U = U_segment U_accum makes that exact; each path
 assembles U, its phases and its restart records from the folds once, after
 the solve.  The SO(5) two-qubit case reduces to four real parameters and
@@ -65,28 +68,31 @@ def rk4_step(f, y: np.ndarray, dt: float, k1: np.ndarray, x_mid, x_end) -> np.nd
     return y + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _level_dz(Hz: np.ndarray, v: np.ndarray, z: np.ndarray, c) -> np.ndarray:
-    """riccati_rhs for n = 1 from Htop z and c = V^H z + h; _peel_level reads it too."""
-    return -1j * (Hz + v - z * c)
+def _projective_rhs(K: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """riccati_rhs in projective form: f(K, W) = K W - W (K W)[m:] for K = -iH and W = [z; I_n].
+
+    z = X Y^-1 with [X; Y] linear, d[X; Y]/dt = K [X; Y], makes the Riccati flow
+    of z the top m rows of f (Schiff & Shnider, SIAM J. Numer. Anal. 36 (1999)
+    1392).  The bottom n rows are (K W)[m:] - I (K W)[m:], exactly zero, so
+    rk4_step keeps W[m:] = I to the bit.  Zero rows of K and W give zero rows
+    of f, so a level of the peel can sit in a larger frame as [0; z; 1].
+    Leading axes broadcast.
+    """
+    KW = K @ W
+    return KW - W @ KW[..., -W.shape[-1] :, :]
 
 
-def _level_rhs(x, z: np.ndarray) -> np.ndarray:
-    """riccati_rhs for n = 1 at the node x = (Htop, v, h), with v and z 1-D."""
-    Htop, v, h = x
-    return _level_dz(Htop @ z, v, z, np.vdot(v, z) + h)
+def _sweep(f, nodes, y, dt: float, Z_max: float, norm=lambda y: np.sqrt(np.vdot(y, y).real)):
+    """rk4_step on f over the node triples ``nodes``, from y, up to the first step that reaches Z_max.
 
-
-def _sweep(f, x, y, dt: float, Z_max: float, norm=lambda y: np.sqrt(np.vdot(y, y).real)):
-    """rk4_step on f over the steps with node values x, from y, up to the first that reaches Z_max.
-
-    x is (starts, midpoints, ends), each iterable over the steps, and each
-    step takes its first stage at its own start node.  Returns (ys, done,
-    peak): the done + 1 node states from y, the number of steps completed,
-    and the norm (by default ||y||_F) of the step that stopped the sweep,
-    None if none did.
+    Each item of ``nodes`` is one step's (start, midpoint, end) model value,
+    and each step takes its first stage at its own start node.  Returns (ys,
+    done, peak): the done + 1 node states from y, the number of steps
+    completed, and the norm (by default ||y||_F) of the step that stopped the
+    sweep, None if none did.
     """
     ys = [y]
-    for x_a, x_m, x_b in zip(*x):
+    for x_a, x_m, x_b in nodes:
         y = rk4_step(f, y, dt, f(x_a, y), x_m, x_b)
         peak = norm(y)
         if not peak < Z_max:
@@ -118,10 +124,13 @@ def _drive(window, read, t_end: float, steps: int, Z_max: float, breakpoints=())
     start state (z = 0, the pole for the precession) at grid node k and
     returns ``(states, done, peak)``: a tuple of arrays over the done + 1
     nodes it reached, the number of steps it completed, and the coordinate
-    norm of the step that stopped it (None if it reached the end).  A path
-    sweeps its coordinate with _sweep, whose steps take their first stage
-    at their own start node, so folds and breakpoints need no carry; all
-    else it derives from node values is batched over the window.
+    norm of the step that stopped it (None if it reached the end).  Every
+    step takes its first stage at its own start node, so folds and
+    breakpoints need no carry.  solve_factored, integrate_so5 and the
+    precession sweep one state with _sweep; hierarchical_solve steps all its
+    levels' [0; z_k; 1] states together as a pipeline of rounds and stops
+    at the earliest node any level cannot pass.  All else a path derives
+    from node values is batched over the window (or the round).
 
     Folds.  A window that stops at grid node j records the fold (j, y), with
     y its states at j, and the next window starts at j.  It raises
@@ -222,7 +231,7 @@ def integrate_so5(
     steps, so twice the steps buy it back.
     """
     def window(dt, X):
-        zs, done, peak = _sweep(so5_rhs, X, np.zeros(4), dt, Z_max, lambda y: np.sqrt(2 * (y @ y)))
+        zs, done, peak = _sweep(so5_rhs, zip(*X), np.zeros(4), dt, Z_max, lambda y: np.sqrt(2 * (y @ y)))
         return (zs,), done, peak
 
     times, (zs,), folds = _drive(window, coeffs.read, t_end, steps, Z_max)

@@ -27,7 +27,7 @@ from unitint.hamiltonian import (
     spin_half,
     trig_random,
 )
-from unitint.riccati import StiffnessError, so5_z_params
+from unitint.riccati import so5_z_params
 
 
 def _random_F(rng, scale=0.5):
@@ -110,13 +110,16 @@ def test_precess_reads_each_node_once():
 
 
 def test_precess_raises_at_the_first_non_finite_step():
-    # omega turns NaN after t = 0.5, so step 5 (from t = 0.5) is the first to diverge
+    # omega turns NaN after t = 0.5: the midpoint of step 5 is the first such
+    # node, and the model contract names it before any step is taken
     def omega(t):
         return _spin_generator([0.3, 1.0, 0.5]) * (np.nan if t > 0.5 else 1.0)
 
-    with pytest.raises(StiffnessError) as err:
+    with pytest.raises(ModelError, match=r"^Omega\(t=0\.55\d*\) is not finite$"):
         precess(omega, 1.0, 10)
-    assert err.value.t == 0.5 and err.value.step == 5
+    # and a generator that is not antisymmetric is no precession
+    with pytest.raises(ModelError, match=r"^Omega\(t=0\.0\) is not antisymmetric"):
+        precess(lambda t: np.eye(3), 1.0, 10)
 
 
 def test_crosscheck_pictures_across_on_grid_jumps():

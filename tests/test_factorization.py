@@ -48,7 +48,7 @@ from unitint.linalg import (
     sqrt_hpd,
 )
 from unitint.oracle import compare, propagate
-from unitint.riccati import _level_rhs, riccati_rhs, so5_z_matrix
+from unitint.riccati import _projective_rhs, riccati_rhs, so5_z_matrix
 
 
 def _random_z(rng, m, n=1):
@@ -381,9 +381,7 @@ def test_peel_level_broadcasts_over_a_fold_window(seed, N, width, radius):
         Hn, zn = H[i, j], z[i, j]
         one_dz, one_rates, one_next = _peel_level(Hn[:m, :m], Hn[:m, m], Hn[m, m], zn)
         scale = frobenius(Hn)
-        # the sweeps' 1-D level RHS is the same dz
-        level_dz = _level_rhs((Hn[:m, :m], Hn[:m, m], Hn[m, m]), zn)
-        pairs = [(dz[i, j], one_dz), (dz[i, j], level_dz), (H_next[i, j], one_next)]
+        pairs = [(dz[i, j], one_dz), (H_next[i, j], one_next)]
         pairs.append((np.array(rates)[:, i, j], np.array(one_rates)))
         for got, want in pairs:
             assert frobenius(got - want) <= 1e-14 * max(frobenius(want), scale)
@@ -795,26 +793,72 @@ def test_hier_assemble_matches_nested_product(N, monkeypatch):
 
 
 def test_hierarchical_sweeps_each_level_in_linear_time(monkeypatch):
-    # level 1 folds every few steps while level 0 stays at z = 0: the steps
-    # an upper level sweeps past a fold are thrown away, but chunks that
-    # double from _FIRST_CHUNK bound them by the window's own steps, so each
-    # level takes at most 2 S + F * _FIRST_CHUNK RK4 steps, not O(S F)
+    # level 1 folds every few steps while level 0 stays at z = 0.  One
+    # rk4_step steps both levels of the stacked frame, level 1 a round of
+    # _CHUNK steps behind level 0, and a window ends once level 1 reaches its
+    # fold: the steps level 0 swept past it are thrown away, but they stay
+    # within the pipeline's depth, so a solve of S steps and F folds takes at
+    # most S + F L _CHUNK batched steps, not O(S F)
     M = np.zeros((3, 3))
     M[0, 1] = M[1, 0] = 60.0
-    counts = {}
+    calls, moved = [0], np.zeros(2, int)
 
-    def rk4_step(f, y, *args):
-        counts[y.shape] = counts.get(y.shape, 0) + 1
-        return step(f, y, *args)
+    def rk4_step(f, y, dt, k1, x_mid, x_end):
+        calls[0] += 1
+        moved[:] += x_end.any(axis=(-2, -1))  # the levels it advances: K = 0 holds a level still
+        return step(f, y, dt, k1, x_mid, x_end)
 
-    step = riccati.rk4_step
-    monkeypatch.setattr(riccati, "rk4_step", rk4_step)
+    step = factorization.rk4_step
+    monkeypatch.setattr(factorization, "rk4_step", rk4_step)
     steps = 2000
     res = hierarchical_solve(constant_hamiltonian(M), 1.0, steps, Z_max=2.0)
-    assert len(res.restarts) > 50
+    folds = len(res.restarts)
+    assert folds > 50
     assert np.all(res.z_samples == 0.0)
-    bound = 2 * steps + len(res.restarts) * factorization._FIRST_CHUNK
-    assert steps < counts[(1,)] and steps < counts[(2,)] <= bound
+    assert steps < moved.min() and moved.max() <= calls[0] <= steps + folds * 2 * factorization._CHUNK
+
+
+def test_hierarchical_deeper_fold_behind_a_detected_fold():
+    # level 0 alone folds at node 47 (solve_factored), in the pipeline's
+    # sixth round; levels 1 and 2, one and two rounds behind, then fold
+    # earlier, and the window ends at node 41, where the deepest one stops:
+    # the restart nodes of the level-by-level cascade, checked against DOP853
+    h = trig_random(4, seed=52, scale=3.0)
+    steps, dt = 240, 3.0 / 240
+    res = hierarchical_solve(h, 3.0, steps, Z_max=2.0)
+    level0 = solve_factored(h, 3.0, steps, Z_max=2.0)
+    assert round(level0.restarts[0][0] / dt) == 47
+    assert [round(t / dt) for t, _ in res.restarts] == [41, 98, 135, 172, 228]
+    assert compare(res.U_samples[-1], _dop853(h, 3.0)).phase_insensitive < 1e-6
+    assert max(frobenius(U @ dagger(U) - np.eye(4)) for U in res.U_samples) < 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), N=st.integers(2, 8), radius=st.floats(0.0, 30.0))
+def test_peel_level_in_the_level_frame(seed, N, radius):
+    # every level of a peel placed in one (N - 1) frame, its H at [k:, k:]
+    # and z_k below k zeros, with its rows as the mask: one call gives each
+    # level's own _peel_level, its H_next padded with zeros
+    rng = np.random.default_rng(seed)
+    L = N - 1
+    frame_H = np.zeros((L, N, N), complex)
+    frame_z = np.zeros((L, L), complex)
+    for k in range(L):
+        frame_H[k, k:, k:] = random_traceless_hermitian(rng, N - k, 3.0)
+        z = rng.standard_normal(L - k) + 1j * rng.standard_normal(L - k)
+        frame_z[k, k:] = z * rng.uniform(0.0, radius) / np.linalg.norm(z)
+    levels = np.arange(L)
+    mask = levels >= levels[:, None]
+    H = frame_H
+    dz, rates, H_next = _peel_level(H[:, :-1, :-1], H[:, :-1, -1], H[:, -1, -1], frame_z, mask)
+    for k in range(L):
+        Hk, zk = frame_H[k, k:, k:], frame_z[k, k:]
+        one_dz, one_rates, one_next = _peel_level(Hk[:-1, :-1], Hk[:-1, -1], Hk[-1, -1], zk)
+        scale = frobenius(Hk) * (1.0 + radius) ** 2
+        assert np.all(dz[k, :k] == 0.0) and np.all(H_next[k, :k] == 0.0) and np.all(H_next[k, :, :k] == 0.0)
+        assert frobenius(dz[k, k:] - one_dz) <= 1e-14 * scale
+        assert frobenius(H_next[k, k:, k:] - one_next) <= 1e-14 * scale
+        assert np.allclose(np.array(rates)[:, k], np.array(one_rates), rtol=1e-14, atol=1e-14 * scale)
 
 
 @pytest.mark.parametrize("N", [3, 4, 6])

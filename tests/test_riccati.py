@@ -2,6 +2,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from unitint.bloch import crosscheck_so5, crosscheck_su2, precess
@@ -14,10 +16,11 @@ from unitint.hamiltonian import (
     spin_half,
     trig_random,
 )
-from unitint.linalg import frobenius
+from unitint.linalg import frobenius, random_traceless_hermitian
 from unitint.oracle import propagate
 from unitint.riccati import (
     StiffnessError,
+    _projective_rhs,
     integrate_so5,
     riccati_rhs,
     rk4_step,
@@ -57,6 +60,31 @@ def test_rhs_shape_mismatch():
     h = trig_random(4, n=2, seed=1)
     with pytest.raises(ValueError):
         riccati_rhs(h.blocks_at(0.0), np.zeros((1, 1), dtype=complex))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), extra=st.integers(0, 2), pad=st.integers(0, 2),
+       radius=st.floats(0.0, 30.0))
+def test_projective_rhs_is_riccati_rhs(n, seed, extra, pad, radius):
+    # f(-iH, [z; I]) is riccati_rhs on the z rows and exactly zero on the I
+    # rows, also in a frame with pad zero rows and columns above (a peel level)
+    rng = np.random.default_rng(seed)
+    N = 2 * n + extra
+    m = N - n
+    H = random_traceless_hermitian(rng, N, 3.0)
+    z = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
+    z *= radius / frobenius(z)
+    want = riccati_rhs((H[:m, :m], H[:m, m:], H[m:, m:]), z)
+    K = np.zeros((pad + N, pad + N), complex)
+    K[pad:, pad:] = -1j * H
+    W = np.zeros((pad + N, n), complex)
+    W[pad : pad + m], W[pad + m :] = z, np.eye(n)
+    f = _projective_rhs(K, W)
+    assert np.all(f[:pad] == 0.0) and np.all(f[pad + m :] == 0.0)
+    assert frobenius(f[pad : pad + m] - want) <= 1e-14 * max(frobenius(want), frobenius(H))
+    # so an RK4 step keeps the identity rows to the bit
+    assert np.all(rk4_step(_projective_rhs, W, 0.1, f, K, K)[pad + m :] == np.eye(n))
 
 
 def test_rk4_exponential_decay():
