@@ -30,7 +30,7 @@ from .hamiltonian import (
     spin_half,
 )
 from .linalg import PAULI
-from .riccati import DEFAULT_Z_MAX, _drive, _sweep, so5_z_params
+from .riccati import DEFAULT_Z_MAX, _drive, _sweep, _triples, so5_z_params
 
 
 def project5(z: np.ndarray) -> np.ndarray:
@@ -78,9 +78,9 @@ def _precess(read, t_end: float, steps: int, breakpoints=()):
     read(ts) gives the generators at the nodes ts.  Z_max is infinite, so the
     sweep is one window with no fold, and omega at a jump is the fresh read.
     """
-    def window(dt, X):
-        m, done, peak = _sweep(np.matmul, zip(*X), np.eye(X.shape[-1])[-1], dt, np.inf)
-        return (m, np.concatenate((X[0, :done], X[2, done - 1 : done]))), done, peak
+    def window(dt, values, index):
+        m, done, peak = _sweep(np.matmul, _triples(values, index), np.eye(values.shape[-1])[-1], dt, np.inf)
+        return (m, values[np.concatenate((index[0, :done], index[2, done - 1 : done]))]), done, peak
 
     return _drive(window, read, t_end, steps, np.inf, breakpoints)[1]
 

@@ -352,20 +352,18 @@ def run_property_suite(seed: int = 42, count: int = 50, max_dim: int = 6) -> dic
         inst_seed = seed + 1000 + i
         h = trig_random(3, n=1, seed=inst_seed, scale=0.5)
         res = solve_factored(h, 1.0, 2000)
+        H = h.read(res.times)  # one checked read of the trajectory's grid nodes
         worst = 0.0
         for k in range(1, len(res.times) - 1, 11):
             z0, z1_, z2 = res.z_samples[k - 1], res.z_samples[k], res.z_samples[k + 1]
             g = lambda zz: 1.0 + (dagger(zz) @ zz)[0, 0].real
             fd = (g(z2) - g(z0)) / (res.times[k + 1] - res.times[k - 1])
-            _, V, _ = h.blocks_at(res.times[k])
+            V = H[k, :-1, -1:]
             an = (1j * g(z1_) * ((dagger(V) @ z1_) - (dagger(z1_) @ V)))[0, 0].real
             worst = max(worst, abs(fd - an))
         record("gamma_dot_identity", worst, inst_seed)
         # dynamical phase = -integral of (U1^H H U1)_NN, by trapezoid on the stored grid
-        corner = [
-            (dagger(U1) @ h.matrix(t) @ U1)[-1, -1].real
-            for t, U1 in zip(res.times, map(unitarized_U1, res.z_samples))
-        ]
+        corner = [(dagger(U1) @ Hk @ U1)[-1, -1].real for Hk, U1 in zip(H, map(unitarized_U1, res.z_samples))]
         dyn = -np.trapezoid(corner, res.times)
         record("phase_split", abs(dyn - res.phase_dynamical[-1]), inst_seed)
 

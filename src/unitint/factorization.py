@@ -12,7 +12,6 @@ SU(N) -> SU(N-1) -> ... -> U(1).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
 
 import numpy as np
 
@@ -25,7 +24,7 @@ from .linalg import (
     inv_sqrt_hpd,
     sqrt_hpd,
 )
-from .riccati import DEFAULT_Z_MAX, _drive, _projective_rhs, _sweep, riccati_rhs, rk4_step
+from .riccati import DEFAULT_Z_MAX, _drive, _projective_rhs, _sweep, _triples, riccati_rhs, rk4_step
 
 
 class UnsupportedConfigurationError(ValueError):
@@ -319,7 +318,9 @@ def _magnus4(He_a: np.ndarray, He_m: np.ndarray, He_b: np.ndarray, dt: float) ->
     return _unitary_step(S + (1j * dt / 12.0) * (He_a @ He_b - He_b @ He_a), dt)
 
 
-_BLOCK = 2048  # steps per batched pass of solve_factored, which bounds its temporaries
+# Steps per batched pass of solve_factored, and nodes per block of _segments' U
+# assembly: the block bounds their temporaries.
+_BLOCK = 2048
 
 
 def solve_factored(
@@ -358,19 +359,21 @@ def solve_factored(
 
     A restart resets z = 0, U2 = I and the phases, and _drive records the
     fold.  After the solve, _segments turns the folds into the restart records
-    and each node's accumulator; U_samples are the stacked U1(z) U2 times
-    those accumulators, and the phases and est_error add up the segments.
+    and U_samples, the stacked U1(z) U2 with each segment multiplied by its
+    accumulator, and the phases and est_error add up the segments.
     """
     n = h.n
 
-    def window(dt, X):
-        z, done, peak = _sweep_window(X, n, dt, Z_max)
-        magnus, incs = [], []  # per block of steps: the fiber's Magnus steps, the sums' increments
+    def window(dt, values, index):
+        z, done, peak = _sweep_window(values, index, n, dt, Z_max)
+        U2 = np.empty((done + 1, h.N, h.N), dtype=complex)  # the fiber's running product
+        U2[0] = np.eye(h.N)
+        incs = []  # per block of steps: the sums' increments
         for a in range(0, max(done, 1), _BLOCK):
             b = min(a + _BLOCK, done)
-            H3, z3, (f_a, f_b) = _node_sets(X[:, a:b], z[a : b + 1], n, dt)
+            H3, z3, (f_a, f_b) = _node_sets(values[index[:, a:b]], z[a : b + 1], n, dt)
             dz, He, rates = _corner_node(H3, z3) if n == 1 else (*_fiber_node(H3, z3), None)
-            magnus.append(_magnus4(*blockdiag(*He), dt))
+            _running_product(_magnus4(*blockdiag(*He), dt), U2[a:])
             defect = z3[2] - z3[0] - (dt / 6.0) * (f_a + 4.0 * dz[1] + f_b)
             inc = np.linalg.norm(defect, axis=(-2, -1))[:, None]
             if n == 1:  # the phases by Simpson's rule, then the defect
@@ -378,16 +381,20 @@ def solve_factored(
             incs.append(inc)
         inc = np.concatenate(incs)
         sums = np.cumsum(np.vstack((np.zeros(inc.shape[1]), inc)), axis=0)
-        return (z, sums, _running_product(np.concatenate(magnus))), done, peak
+        return (z, sums, U2), done, peak
 
     times, (z_samples, sums, U2_samples), folds = _drive(window, h.read, t_end, steps, Z_max, h.breakpoints)
-    restarts, accums, segment = _segments(h.N, times, folds, lambda y: unitarized_U1(y[0]) @ y[2])
+    restarts, U_samples, segment = _segments(
+        h.N, times, folds,
+        lambda y: unitarized_U1(y[0]) @ y[2],
+        lambda s: unitarized_U1(z_samples[s]) @ U2_samples[s],
+    )
     sums = sums + np.cumsum([np.zeros(sums.shape[1])] + [y[1] for _, y in folds], axis=0)[segment]
     result = FactoredResult(
         h=h,
         times=times,
         z_samples=z_samples,
-        U_samples=unitarized_U1(z_samples) @ U2_samples @ accums,
+        U_samples=U_samples,
         U2_samples=U2_samples,
         restarts=restarts,
         est_error=float(sums[-1, -1]),
@@ -400,16 +407,17 @@ def solve_factored(
     return result
 
 
-def _sweep_window(X: np.ndarray, n: int, dt: float, Z_max: float):
-    """Sweep W = [z; I_n] from z = 0 by rk4_step on _projective_rhs with K = -iX.
+def _sweep_window(values: np.ndarray, index: np.ndarray, n: int, dt: float, Z_max: float):
+    """Sweep W = [z; I_n] from z = 0 by rk4_step on _projective_rhs with K = -iH.
 
-    X is (3, W, N, N) node values, negated into K a block of _BLOCK steps at
-    a time and only as far as the sweep gets; ||z||_F, the norm of W's top
-    m rows, meets Z_max.  Returns (z, done, peak): the done + 1 nodes reached
-    as (m, n) matrices, the steps completed and the norm that stopped it.
+    H is the node stack ``values`` at the window's (3, W) ``index``, gathered
+    and negated into K by _triples a block of steps at a time and only as far
+    as the sweep gets; ||z||_F, the norm of W's top m rows, meets Z_max.
+    Returns (z, done, peak): the done + 1 nodes reached as (m, n) matrices,
+    the steps completed and the norm that stopped it.
     """
-    m = X.shape[-1] - n
-    K = chain.from_iterable(zip(*(-1j * X[:, a : a + _BLOCK])) for a in range(0, X.shape[1], _BLOCK))
+    m = values.shape[-1] - n
+    K = _triples(values, index, lambda X: -1j * X)
     W = np.eye(m + n, n, -m, dtype=complex)
     Ws, done, peak = _sweep(_projective_rhs, K, W, dt, Z_max, lambda W: np.sqrt(np.vdot(W[:m], W[:m]).real))
     return Ws[:, :m], done, peak
@@ -422,26 +430,34 @@ def _node_sets(X: np.ndarray, z: np.ndarray, n: int, dt: float):
     midpoint (z + z_new)/2 + dt/8 (f_a - f_b) and the end node, and f_a and
     f_b are riccati_rhs at the start and end node.
     """
-    H3 = _blocks(X[:, : len(z) - 1], n)
+    H3 = _blocks(X, n)
     f_a, f_b = riccati_rhs(tuple(a[::2] for a in H3), np.array((z[:-1], z[1:])))
     z_m = 0.5 * (z[:-1] + z[1:]) + (dt / 8.0) * (f_a - f_b)
     return H3, np.array((z[:-1], z_m, z[1:])), (f_a, f_b)
 
 
-def _segments(N: int, times: np.ndarray, folds: list, segment_U):
-    """Restart records, each node's accumulator and each node's segment index.
+def _segments(N: int, times: np.ndarray, folds: list, segment_U, assemble):
+    """Restart records, U at every node and each node's segment index.
 
     ``folds`` are _drive's (k, y) pairs and ``segment_U(y)`` the evolution a
     segment reached in state y.  Each fold multiplies the accumulator by it
     from the left; the restart record is (times[k], the new accumulator), and
-    node k starts the new segment.
+    node k starts the new segment.  ``assemble(s)`` is the evolution within
+    each segment at the nodes of the slice s, taken _BLOCK nodes at a time,
+    which bounds its temporaries; each segment of U is then multiplied by
+    its accumulator from the right, in place.
     """
     accums = [np.eye(N, dtype=complex)]
     for _, y in folds:
         accums.append(segment_U(y) @ accums[-1])
-    restarts = [(times[k], U) for (k, _), U in zip(folds, accums[1:])]
-    segment = np.searchsorted([k for k, _ in folds], np.arange(len(times)), side="right")
-    return restarts, np.array(accums)[segment], segment
+    starts = [k for k, _ in folds]
+    U = np.empty((len(times), N, N), dtype=complex)
+    for a in range(0, len(times), _BLOCK):
+        U[a : a + _BLOCK] = assemble(slice(a, a + _BLOCK))
+    for k, end, accum in zip(starts, starts[1:] + [len(times)], accums[1:]):
+        U[k:end] = U[k:end] @ accum
+    restarts = list(zip(times[starts], accums[1:]))
+    return restarts, U, np.searchsorted(starts, np.arange(len(times)), side="right")
 
 
 # ---------------------------------------------------------------------------
@@ -519,8 +535,8 @@ def hierarchical_solve(
     pipeline fills and drains in L - 1 extra rounds, so a window of W steps
     takes fewer than W + L _CHUNK batched RK4 steps.
     After the solve, _segments turns the folds into the restart records and
-    each node's accumulator; U_samples are assembled once over the stacked
-    states, and the phases add up the segments.
+    U_samples, assembled once over the stacked states with each segment
+    multiplied by its accumulator, and the phases add up the segments.
     """
     if h.n != 1:
         raise UnsupportedConfigurationError("hierarchical solve peels with n=1")
@@ -531,18 +547,18 @@ def hierarchical_solve(
     start = np.eye(N, 1, -L, dtype=complex) * np.ones((L, 1, 1))  # every W_k at z_k = 0
     chunk = np.arange(_CHUNK)[:, None]
 
-    def window(dt, X):
+    def window(dt, values, index):
         W, pos, H_next = start, np.zeros(L, int), np.zeros((3, 0, L, L, L), complex)
-        took = np.zeros(L + 1, int)  # steps each level swept last round, after _CHUNK for X
+        took = np.zeros(L + 1, int)  # steps each level swept last round, after _CHUNK for the model
         took[0] = _CHUNK
-        end, stop = X.shape[1], None
+        end, stop = index.shape[1], None
         H = np.zeros((3, _CHUNK, L, N, N), complex)  # a round's frames; level k's rows above k stay 0
         zs, incs, nodes = [], [], []  # per round: z frames, phase increments, their grid nodes
         while True:
             n = np.maximum(np.minimum(took[:-1], end - pos), 0)
             if not n.any():
                 break
-            H[:, : n[0], 0] = X[:, pos[0] : pos[0] + n[0]]
+            H[:, : n[0], 0] = values[index[:, pos[0] : pos[0] + n[0]]]
             H[:, : len(H_next[0]), 1:, 1:, 1:] = H_next[:, :, :-1]
             live = chunk < n
             H[:, ~live] = 0.0  # K = 0 holds a level still
@@ -580,14 +596,18 @@ def hierarchical_solve(
         return (*(z[k, :, k:] for k in levels), phases.transpose(1, 2, 0)), end, stop
 
     times, (*zs, phases), folds = _drive(window, h.read, t_end, steps, Z_max, h.breakpoints)
-    restarts, accums, segment = _segments(N, times, folds, lambda y: _hier_assemble(y[:-1], y[-1]))
+    restarts, U_samples, segment = _segments(
+        N, times, folds,
+        lambda y: _hier_assemble(y[:-1], y[-1]),
+        lambda s: _hier_assemble([z[s] for z in zs], phases[s]),
+    )
     reached = np.cumsum([np.zeros((3, N - 1))] + [y[-1] for _, y in folds], axis=0)
     level_mu, level_geo, trace_phases = np.moveaxis(phases + reached[segment], 1, 0)
     return HierarchicalResult(
         h=h,
         times=times,
         z_samples=zs[0][:, :, None],
-        U_samples=_hier_assemble(zs, phases) @ accums,
+        U_samples=U_samples,
         level_mu=level_mu,
         level_geo=level_geo,
         level_dyn=level_mu - level_geo,

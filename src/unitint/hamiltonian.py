@@ -7,6 +7,13 @@ interface every solver consumes.  The model contract is one stacked check,
 checked_stack, that every solver path and the oracle read through
 (BlockedHamiltonian.read, SO5Coefficients.read): each H(t) is N x N, finite,
 Hermitian and traceless within MODEL_TOL, each F(t) finite, antisymmetric, 5 x 5.
+
+A read takes one of two paths.  Every built-in family's evaluator is a
+_Stack: it carries a vectorized ``stack(ts)`` that evaluates a whole node
+schedule in one call, and its value at one t is that same function at one
+node, so read(ts) equals the per-node values bit for bit.  Any other
+evaluator (a user callable B or F, or one wrapped with dataclasses.replace)
+is called once per node and its values are stacked.
 """
 
 from __future__ import annotations
@@ -26,7 +33,9 @@ from .linalg import (
 )
 
 MODEL_TOL = 1e-10
-_CHECK_BLOCK = 4096  # nodes per vectorized pass of checked_stack, which bounds its temporaries
+# Nodes per vectorized pass of checked_stack and of trig_random's read: the
+# block bounds their temporaries.
+_CHECK_BLOCK = 4096
 
 # Levi-Civita symbol on three indices.
 EPSILON = np.zeros((3, 3, 3))
@@ -54,14 +63,20 @@ F_CONTRACT = (
 
 
 @np.errstate(invalid="ignore", over="ignore")  # a non-finite node fails the first test
-def checked_stack(name: str, ts, values: list, shape: tuple, contract=H_CONTRACT) -> np.ndarray:
+def checked_stack(name: str, ts, values, shape: tuple, contract=H_CONTRACT) -> np.ndarray:
     """The values read at ts, in read order, as one (len(ts), *shape) stack.
 
-    A node fails on a shape other than ``shape``, else at its first failed test of
-    ``contract``; ModelError names the first failing node, e.g. "H(t=0.5) is not finite".
+    ``values`` is the list of per-node values, or their stack as one ndarray,
+    which is returned as it is.  A node fails on a shape other than ``shape``,
+    else at its first failed test of ``contract``; ModelError names the first
+    failing node, e.g. "H(t=0.5) is not finite".
     """
-    j = next((i for i, v in enumerate(values) if v.shape != shape), len(values))
-    X = np.array(values[:j]).reshape((j, *shape))
+    if isinstance(values, np.ndarray):  # a stack: every node has its shape
+        j = len(values) if values.shape[1:] == shape else 0
+        X = values[:j]
+    else:
+        j = next((i for i, v in enumerate(values) if v.shape != shape), len(values))
+        X = np.array(values[:j]).reshape((j, *shape))
     for a in range(0, j, _CHECK_BLOCK):
         passed = np.array([test(X[a : a + _CHECK_BLOCK]) for _, test in contract])
         if not passed.all():
@@ -70,6 +85,25 @@ def checked_stack(name: str, ts, values: list, shape: tuple, contract=H_CONTRACT
     if j < len(values):
         raise ModelError(f"{name}(t={ts[j]}) has shape {values[j].shape}, expected {shape}")
     return X
+
+
+class _Stack:
+    """A built-in family's evaluator, defined once over a node schedule.
+
+    ``stack(ts)`` evaluates the family at every t of the 1-D array ts in one
+    vectorized call; calling the evaluator at t is stack at the one node t.
+    """
+
+    def __init__(self, stack: Callable[[np.ndarray], np.ndarray]):
+        self.stack = stack
+
+    def __call__(self, t: float) -> np.ndarray:
+        return self.stack(np.array([t], dtype=float))[0]
+
+
+def _constant(M: np.ndarray) -> _Stack:
+    """The evaluator that is M at every node: a broadcast copy per read."""
+    return _Stack(lambda ts: np.broadcast_to(M, (len(ts), *M.shape)).copy())
 
 
 def _blocks(H: np.ndarray, n: int):
@@ -101,30 +135,47 @@ class BlockedHamiltonian:
         return np.asarray(self.evaluator(t), dtype=complex)
 
     def read(self, ts) -> np.ndarray:
-        """H at each t of ts, one matrix(t) each, as a stack checked against H_CONTRACT."""
-        return checked_stack("H", ts, [self.matrix(t) for t in ts], (self.N, self.N))
+        """H at each t of ts as a stack checked against H_CONTRACT.
+
+        A built-in family's evaluator (a _Stack) reads the whole schedule in
+        one vectorized call; any other evaluator is read by one matrix(t)
+        per node.
+        """
+        if isinstance(self.evaluator, _Stack):
+            values = self.evaluator.stack(np.asarray(ts, dtype=float))
+        else:
+            values = [self.matrix(t) for t in ts]
+        return checked_stack("H", ts, values, (self.N, self.N))
 
     def blocks_at(self, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(Htop, V, Hbot) at time t, a one-node read."""
         return _blocks(self.read([t])[0], self.n)
 
 
+def _spin_half_matrix(b) -> np.ndarray:
+    """-(1/2) sigma . b for a 3-vector b, or for b = (b_x, b_y, b_z) of equal-length stacks."""
+    b0, b1, b2 = (np.asarray(c, dtype=float)[..., None, None] for c in b)
+    return -0.5 * (b0 * SIGMA_X + b1 * SIGMA_Y + b2 * SIGMA_Z)
+
+
 def spin_half(B) -> BlockedHamiltonian:
-    """Spin-1/2 H(t) = -(1/2) sigma . B(t) from a constant 3-vector or a callable B(t)."""
-    field = B if callable(B) else (lambda t, b=np.asarray(B, dtype=float): b)
+    """Spin-1/2 H(t) = -(1/2) sigma . B(t) from a constant 3-vector or a callable B(t).
 
-    def evaluate(t):
-        b = np.asarray(field(t), dtype=float)
-        return -0.5 * (b[0] * SIGMA_X + b[1] * SIGMA_Y + b[2] * SIGMA_Z)
-
-    return BlockedHamiltonian(N=2, n=1, evaluator=evaluate)
+    A callable B is called once per node.
+    """
+    if not callable(B):
+        return constant_hamiltonian(_spin_half_matrix(B))
+    return BlockedHamiltonian(N=2, n=1, evaluator=lambda t: _spin_half_matrix(B(t)))
 
 
 def rotating_spin_half(B0: float, B1: float, omega: float) -> BlockedHamiltonian:
     """Rotating transverse field: B(t) = (B1 cos wt, B1 sin wt, B0)."""
-    return spin_half(
-        lambda t: np.array([B1 * np.cos(omega * t), B1 * np.sin(omega * t), B0])
-    )
+
+    @_Stack
+    def evaluate(ts):
+        return _spin_half_matrix((B1 * np.cos(omega * ts), B1 * np.sin(omega * ts), np.full(len(ts), B0)))
+
+    return BlockedHamiltonian(N=2, n=1, evaluator=evaluate)
 
 
 @dataclass(frozen=True)
@@ -134,8 +185,15 @@ class SO5Coefficients:
     F: Callable[[float], np.ndarray]
 
     def read(self, ts) -> np.ndarray:
-        """F at each t of ts as a stack checked against F_CONTRACT."""
-        values = [np.asarray(self.F(t), dtype=float) for t in ts]
+        """F at each t of ts as a stack checked against F_CONTRACT.
+
+        A built-in F (a _Stack) reads the whole schedule in one vectorized
+        call; a user callable F is called once per node.
+        """
+        if isinstance(self.F, _Stack):
+            values = self.F.stack(np.asarray(ts, dtype=float))
+        else:
+            values = [np.asarray(self.F(t), dtype=float) for t in ts]
         return checked_stack("F", ts, values, (5, 5), F_CONTRACT)
 
     def at(self, t: float) -> np.ndarray:
@@ -144,10 +202,7 @@ class SO5Coefficients:
 
 def so5_coefficients(F) -> SO5Coefficients:
     """SO5Coefficients from a constant 5x5 array or a callable F(t)."""
-    if callable(F):
-        return SO5Coefficients(F=F)
-    Fc = np.asarray(F, dtype=float)
-    return SO5Coefficients(F=lambda t: Fc)
+    return SO5Coefficients(F=F if callable(F) else _constant(np.asarray(F, dtype=float)))
 
 
 def so5_from_params(params: dict) -> SO5Coefficients:
@@ -158,7 +213,13 @@ def so5_from_params(params: dict) -> SO5Coefficients:
     Fc = np.asarray(params.get("F_cos", np.zeros((5, 5))), dtype=float)
     Fs = np.asarray(params.get("F_sin", np.zeros((5, 5))), dtype=float)
     w = float(params.get("omega", 1.0))
-    return so5_coefficients(lambda t: F0 + Fc * np.cos(w * t) + Fs * np.sin(w * t))
+
+    @_Stack
+    def F(ts):
+        t = ts[:, None, None]
+        return F0 + Fc * np.cos(w * t) + Fs * np.sin(w * t)
+
+    return SO5Coefficients(F=F)
 
 
 def _so5_kron_form(F: np.ndarray) -> np.ndarray:
@@ -215,30 +276,20 @@ def so5_blocks_from_formula(F: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.n
     return Htop, V, Hbot
 
 
-@dataclass(frozen=True)
-class _SO5Hamiltonian(BlockedHamiltonian):
-    """build_so5's model: its read is one F stack, contracted once."""
-
-    coeffs: SO5Coefficients | None = None
-
-    def read(self, ts) -> np.ndarray:
-        """so5_matrix of coeffs.read(ts): one F(t) call per node, checked as one stack.
-
-        so5_matrix(F) is Hermitian and traceless for any real F, so the F
-        contract is the model contract, and ModelError names the first
-        invalid F node.
-        """
-        return so5_matrix(self.coeffs.read(ts))
-
-
 def build_so5(coeffs: SO5Coefficients) -> BlockedHamiltonian:
-    """BlockedHamiltonian (N=4, n=2) for an SO(5)-symmetric two-qubit model."""
-    return _SO5Hamiltonian(N=4, n=2, evaluator=lambda t: so5_matrix(coeffs.at(t)), coeffs=coeffs)
+    """BlockedHamiltonian (N=4, n=2) for an SO(5)-symmetric two-qubit model.
+
+    Its read is so5_matrix of one coeffs.read: F checked as one stack (a
+    user callable F is called once per node), contracted once.  so5_matrix(F)
+    is Hermitian and traceless for any real F, so ModelError names the first
+    invalid F node.
+    """
+    return BlockedHamiltonian(N=4, n=2, evaluator=_Stack(lambda ts: so5_matrix(coeffs.read(ts))))
 
 
 def constant_hamiltonian(M: np.ndarray, n: int = 1) -> BlockedHamiltonian:
     M = np.asarray(M, dtype=complex)
-    return BlockedHamiltonian(N=M.shape[0], n=n, evaluator=lambda t: M)
+    return BlockedHamiltonian(N=M.shape[0], n=n, evaluator=_constant(M))
 
 
 def trig_random(
@@ -259,11 +310,15 @@ def trig_random(
     Ak = [random_traceless_hermitian(rng, N, scale / (k + 1)) for k in range(harmonics)]
     Bk = [random_traceless_hermitian(rng, N, scale / (k + 1)) for k in range(harmonics)]
 
-    def evaluate(t):
-        H = A0.copy()
-        for k in range(harmonics):
-            H += Ak[k] * np.cos((k + 1) * omega * t)
-            H += Bk[k] * np.sin((k + 1) * omega * t)
+    @_Stack
+    def evaluate(ts):
+        H = np.empty((len(ts), N, N), dtype=complex)
+        for a in range(0, len(ts), _CHECK_BLOCK):  # blocks of nodes bound the temporaries
+            t, Hb = ts[a : a + _CHECK_BLOCK, None, None], H[a : a + _CHECK_BLOCK]
+            Hb[:] = A0
+            for k in range(harmonics):
+                Hb += Ak[k] * np.cos((k + 1) * omega * t)
+                Hb += Bk[k] * np.sin((k + 1) * omega * t)
         return H
 
     return BlockedHamiltonian(N=N, n=n, evaluator=evaluate)
@@ -278,12 +333,16 @@ def piecewise_constant(times, matrices, n: int = 1) -> BlockedHamiltonian:
     matrices = [np.asarray(M, dtype=complex) for M in matrices]
     if len(matrices) != len(times):
         raise ModelError("need one matrix per breakpoint")
-    N = matrices[0].shape[0]
+    for k, M in enumerate(matrices):
+        if M.shape != matrices[0].shape:
+            raise ModelError(f"piece {k} has shape {M.shape}, expected {matrices[0].shape}")
+    pieces = np.array(matrices)
+    N = pieces.shape[1]
 
-    def evaluate(t):
-        idx = int(np.searchsorted(times, t, side="right") - 1)
-        idx = max(0, min(idx, len(matrices) - 1))
-        return matrices[idx]
+    @_Stack
+    def evaluate(ts):
+        idx = np.clip(np.searchsorted(times, ts, side="right") - 1, 0, len(pieces) - 1)
+        return np.take(pieces, idx, axis=0)
 
     return BlockedHamiltonian(
         N=N, n=n, evaluator=evaluate, breakpoints=tuple(float(t) for t in times[1:])

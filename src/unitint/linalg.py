@@ -130,11 +130,16 @@ def _unitary_step(H: np.ndarray, dt: float) -> np.ndarray:
     return (Q * np.exp(-1j * w * dt)[..., None, :]) @ dagger(Q)
 
 
-def _running_product(M: np.ndarray) -> np.ndarray:
-    """U with U[0] = I and U[j + 1] = M[j] U[j], over the step axis -3 of M; U has it first."""
+def _running_product(M: np.ndarray, U: np.ndarray | None = None) -> np.ndarray:
+    """U with U[0] = I and U[j + 1] = M[j] U[j], over the step axis -3 of M; U has it first.
+
+    A given U (at least len(M) + 1 long, step axis first) continues the
+    product from its own U[0], written in place.
+    """
     M = np.moveaxis(M, -3, 0)
-    U = np.empty((len(M) + 1,) + M.shape[1:], dtype=complex)
-    U[0] = np.eye(M.shape[-1])
+    if U is None:
+        U = np.empty((len(M) + 1,) + M.shape[1:], dtype=complex)
+        U[0] = np.eye(M.shape[-1])
     for j, step in enumerate(M):
         np.matmul(step, U[j], out=U[j + 1])
     return U

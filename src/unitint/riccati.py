@@ -24,6 +24,8 @@ for step, restarts included.
 
 from __future__ import annotations
 
+from itertools import chain
+
 import numpy as np
 
 from .hamiltonian import SO5Coefficients
@@ -33,6 +35,7 @@ DEFAULT_Z_MAX = 10.0
 # Restarts closer together than this many grid steps indicate the trajectory
 # hugs the coordinate singularity; bail out instead of thrashing.
 MIN_STEPS_BETWEEN_RESTARTS = 4
+_GATHER = 2048  # steps whose node values _triples copies out of the read's stack at once
 
 
 class StiffnessError(RuntimeError):
@@ -82,6 +85,17 @@ def _projective_rhs(K: np.ndarray, W: np.ndarray) -> np.ndarray:
     return KW - W @ KW[..., -W.shape[-1] :, :]
 
 
+def _triples(values, index, f=None):
+    """Each step's (start, midpoint, end) node values values[index[:, j]], in step order.
+
+    ``index`` is (3, steps) into the stack ``values``; the values are gathered
+    (and mapped by f, if given) _GATHER steps at a time and only as far as the
+    caller iterates, so a sweep that stops early copies little of the schedule.
+    """
+    blocks = (values[index[:, a : a + _GATHER]] for a in range(0, index.shape[1], _GATHER))
+    return chain.from_iterable(zip(*(X if f is None else f(X))) for X in blocks)
+
+
 def _sweep(f, nodes, y, dt: float, Z_max: float, norm=lambda y: np.sqrt(np.vdot(y, y).real)):
     """rk4_step on f over the node triples ``nodes``, from y, up to the first step that reaches Z_max.
 
@@ -116,21 +130,24 @@ def _drive(window, read, t_end: float, steps: int, Z_max: float, breakpoints=())
     reads its start node afresh, one more read per breakpoint on the grid.
     The schedule is one call of ``read``.  BlockedHamiltonian.read and
     SO5Coefficients.read check the model contract over the stack: ModelError
-    names the first invalid node in read order before any step.
-    All 3 * steps values are held at once (three times U_samples, N x N).
+    names the first invalid node in read order before any step.  That stack,
+    2 steps + 1 values plus one per breakpoint on the grid, is the only copy
+    of the node values the driver holds.
 
-    Windows.  X stacks the values as (3, steps, ...): each step's start,
-    midpoint and end node.  ``window(dt, X[:, k:])`` integrates from the
-    start state (z = 0, the pole for the precession) at grid node k and
-    returns ``(states, done, peak)``: a tuple of arrays over the done + 1
-    nodes it reached, the number of steps it completed, and the coordinate
-    norm of the step that stopped it (None if it reached the end).  Every
-    step takes its first stage at its own start node, so folds and
-    breakpoints need no carry.  solve_factored, integrate_so5 and the
-    precession sweep one state with _sweep; hierarchical_solve steps all its
-    levels' [0; z_k; 1] states together as a pipeline of rounds and stops
-    at the earliest node any level cannot pass.  All else a path derives
-    from node values is batched over the window (or the round).
+    Windows.  A (3, steps) integer index names each step's start, midpoint
+    and end node in the stack.  ``window(dt, values, index[:, k:])``
+    integrates from the start state (z = 0, the pole for the precession) at
+    grid node k and returns ``(states, done, peak)``: a tuple of arrays over
+    the done + 1 nodes it reached, the number of steps it completed, and the
+    coordinate norm of the step that stopped it (None if it reached the
+    end).  A window gathers the node values it needs, values[index[:, a:b]],
+    a block of steps at a time (_triples for a sweep).  Every step takes its
+    first stage at its own start node, so folds and breakpoints need no
+    carry.  solve_factored, integrate_so5 and the precession sweep one state
+    with _sweep; hierarchical_solve steps all its levels' [0; z_k; 1] states
+    together as a pipeline of rounds and stops at the earliest node any
+    level cannot pass.  All else a path derives from node values is batched
+    over the window (or the round).
 
     Folds.  A window that stops at grid node j records the fold (j, y), with
     y its states at j, and the next window starts at j.  It raises
@@ -154,10 +171,10 @@ def _drive(window, read, t_end: float, steps: int, Z_max: float, breakpoints=())
     # per step its start (read only after a jump, else the end node before it), midpoint and end
     fresh = np.ones((steps, 3), dtype=bool)
     fresh[1:, 0] = jump[:-1]
-    X = read(nodes.T[fresh])[(np.cumsum(fresh) - 1).reshape(steps, 3).T]  # (3, steps, ...)
+    values, index = read(nodes.T[fresh]), (np.cumsum(fresh) - 1).reshape(steps, 3).T
     pieces, folds, k = [], [], 0
     while True:
-        states, done, peak = window(dt, X[:, k:])
+        states, done, peak = window(dt, values, index[:, k:])
         if k + done == steps:
             break
         j = k + done
@@ -177,6 +194,8 @@ def _drive(window, read, t_end: float, steps: int, Z_max: float, breakpoints=())
             "the coordinate singularity",
             t=float(times[j]), step=j, peak=float(peak),
         )
+    if not pieces:  # one window: its states, contiguous as a concatenation leaves them, uncopied
+        return times, tuple(np.ascontiguousarray(a) for a in states), folds
     pieces.append(states)
     return times, tuple(np.concatenate(a) for a in zip(*pieces)), folds
 
@@ -230,8 +249,9 @@ def integrate_so5(
     RK4 step per grid step: fourth order in dt, about 16x that of two half
     steps, so twice the steps buy it back.
     """
-    def window(dt, X):
-        zs, done, peak = _sweep(so5_rhs, zip(*X), np.zeros(4), dt, Z_max, lambda y: np.sqrt(2 * (y @ y)))
+    def window(dt, values, index):
+        nodes = _triples(values, index)
+        zs, done, peak = _sweep(so5_rhs, nodes, np.zeros(4), dt, Z_max, lambda y: np.sqrt(2 * (y @ y)))
         return (zs,), done, peak
 
     times, (zs,), folds = _drive(window, coeffs.read, t_end, steps, Z_max)

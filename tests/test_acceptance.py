@@ -48,6 +48,14 @@ def _random_z(rng, m, n=1):
     return rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
 
 
+def _rk4_nodes(h, steps, dt):
+    """Per step k, (Htop, V, Hbot) at t, t + dt/2 and t + dt for t = k dt, from one h.read."""
+    t = np.arange(steps) * dt
+    H = h.read(np.stack((t, t + dt / 2.0, t + dt), axis=1).ravel()).reshape(steps, 3, h.N, h.N)
+    m = h.N - h.n
+    return [[(Hk[:m, :m], Hk[:m, m:], Hk[m:, m:]) for Hk in step] for step in H]
+
+
 # ---------------------------------------------------------------- criterion 1
 
 
@@ -182,17 +190,15 @@ def test_criterion_05_hermiticity_and_trace_identities():
     dt = t_end / steps
     for i in range(100):
         h = trig_random(3, seed=9000 + i, scale=0.5)
+        nodes = _rk4_nodes(h, steps, dt)
         zs = np.zeros((steps + 1, 2, 1), dtype=complex)
         for k in range(steps):
-            t = k * dt
-            k1 = riccati_rhs(h.blocks_at(t), zs[k])
-            zs[k + 1] = rk4_step(
-                riccati_rhs, zs[k], dt, k1, h.blocks_at(t + dt / 2.0), h.blocks_at(t + dt)
-            )
+            H_a, H_m, H_b = nodes[k]
+            zs[k + 1] = rk4_step(riccati_rhs, zs[k], dt, riccati_rhs(H_a, zs[k]), H_m, H_b)
         gamma = 1.0 + np.einsum("kij,kij->k", zs.conj(), zs).real
         for k in range(50, steps - 1, 100):
             dg = (gamma[k + 1] - gamma[k - 1]) / (2.0 * dt)
-            _, V, _ = h.blocks_at(k * dt)
+            _, V, _ = nodes[k][0]
             vz = (dagger(V) @ zs[k])[0, 0]
             worst_gd = max(worst_gd, abs(dg - (1j * gamma[k] * (vz - np.conj(vz))).real))
     _verdict(5, "Hermiticity, trace and gamma-dot identities", worst_gd, 1e-7)
@@ -303,10 +309,8 @@ def test_criterion_09_convergence_orders():
     def z_end(steps):
         dt = 1.0 / steps
         z = np.zeros((2, 1), dtype=complex)
-        for k in range(steps):
-            t = k * dt
-            k1 = riccati_rhs(h.blocks_at(t), z)
-            z = rk4_step(riccati_rhs, z, dt, k1, h.blocks_at(t + dt / 2.0), h.blocks_at(t + dt))
+        for H_a, H_m, H_b in _rk4_nodes(h, steps, dt):
+            z = rk4_step(riccati_rhs, z, dt, riccati_rhs(H_a, z), H_m, H_b)
         return z
 
     z_ref = z_end(6400)

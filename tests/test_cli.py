@@ -102,19 +102,19 @@ def test_run_scenario_solves_each_path_once(tmp_path, monkeypatch):
     # all four paths: one factored solve, shared by the bloch path, and each
     # path reads H once per node: 3 (2S + 1) for the RK4 paths, S for the oracle
     solves, reads = [], []
-    solve, matrix = unitint.cli.solve_factored, BlockedHamiltonian.matrix
+    solve, read = unitint.cli.solve_factored, BlockedHamiltonian.read
 
     def counting_solve(*args, **kwargs):
         solves.append(args)
         return solve(*args, **kwargs)
 
-    def counting_matrix(self, t):
-        reads.append(t)
-        return matrix(self, t)
+    def counting_read(self, ts):
+        reads.extend(ts)
+        return read(self, ts)
 
     monkeypatch.setattr(unitint.cli, "solve_factored", counting_solve)
     monkeypatch.setattr(unitint.bloch, "solve_factored", counting_solve)
-    monkeypatch.setattr(BlockedHamiltonian, "matrix", counting_matrix)
+    monkeypatch.setattr(BlockedHamiltonian, "read", counting_read)
     steps = 52
     s = _spin_half_scenario(
         params={"B0": 1.2, "B1": 0.8, "omega": 1.7}, t_end=2.0, steps=steps,

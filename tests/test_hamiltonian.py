@@ -1,3 +1,4 @@
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -18,10 +19,12 @@ from unitint.hamiltonian import (
     rotating_spin_half,
     so5_blocks_from_formula,
     so5_coefficients,
+    so5_from_params,
     so5_matrix,
     spin_half,
     trig_random,
 )
+from unitint.factorization import hierarchical_solve, solve_factored
 from unitint.linalg import (
     SIGMA_X,
     SIGMA_Y,
@@ -30,6 +33,7 @@ from unitint.linalg import (
     frobenius,
     is_hermitian,
     is_traceless,
+    random_traceless_hermitian,
     unitary_step,
 )
 from unitint.oracle import propagate
@@ -297,3 +301,75 @@ def test_stacked_check_matches_a_per_node_scan(seed, N, so5, kinds, block):
         for H in values:
             U = unitary_step(H, 1.0 / steps) @ U
         assert frobenius(result.U_final - U) < 1e-12
+
+
+def _families():
+    """One model of every built-in family (and every evaluator kind), by name."""
+    rng = np.random.default_rng(17)
+    F0, Fc, Fs = _random_F(rng), _random_F(rng, 0.3), _random_F(rng, 0.2)
+    pieces = [random_traceless_hermitian(rng, 4, 2.0) for _ in range(4)]
+    models = {
+        "constant": constant_hamiltonian(random_traceless_hermitian(rng, 3)),
+        "spin_half_constant": spin_half([0.8, 0.5, 0.3]),
+        "spin_half_callable": spin_half(lambda t: [np.cos(t), 0.3, np.sin(2.0 * t)]),
+        "rotating_spin_half": rotating_spin_half(1.2, 0.8, 1.7),
+        "piecewise": piecewise_constant([0.0, 0.5, 1.0, 1.5], pieces),
+        "so5_constant": build_so5(so5_coefficients(F0)),
+        "so5_params": build_so5(so5_from_params({"F": F0, "F_cos": Fc, "F_sin": Fs, "omega": 1.3})),
+        "so5_callable": build_so5(so5_coefficients(lambda t: F0 + Fc * np.cos(2.0 * t))),
+    }
+    for harmonics in (1, 2, 3):
+        models[f"trig_random_h{harmonics}"] = trig_random(4, seed=3, harmonics=harmonics, omega=1.7)
+    return models
+
+
+@pytest.mark.parametrize("name", sorted(_families()))
+def test_read_matches_the_per_node_evaluator(name):
+    # a family's vectorized read is its per-node evaluator, bit for bit, on a
+    # grid that straddles every breakpoint with its left-limit node
+    h = _families()[name]
+    bps = np.array([0.5, 1.0, 1.5])
+    ts = np.concatenate((np.linspace(-0.25, 2.25, 101), np.nextafter(bps, -np.inf), bps))
+    per_node = np.array([h.matrix(t) for t in ts])
+    assert np.array_equal(h.read(ts), per_node)
+    assert np.array_equal(replace(h, evaluator=lambda t: h.evaluator(t)).read(ts), per_node)
+
+
+def test_a_wrapped_evaluator_is_read_once_per_node(monkeypatch):
+    h = trig_random(3, seed=2)
+    ts = np.linspace(0.0, 1.0, 9)
+    calls, matrix = [], BlockedHamiltonian.matrix
+    monkeypatch.setattr(BlockedHamiltonian, "matrix", lambda self, t: calls.append(t) or matrix(self, t))
+    stacked = h.read(ts)
+    assert calls == []  # the family reads its schedule in one call
+    assert np.array_equal(replace(h, evaluator=lambda t: h.evaluator(t)).read(ts), stacked)
+    assert calls == list(ts)
+
+
+_NAN_PIECE = np.full((2, 2), np.nan, dtype=complex)
+
+
+@pytest.mark.parametrize(
+    "h, solve_message, oracle_message",
+    [
+        (
+            piecewise_constant([0.0, 1.0, 2.0], [0.5 * SIGMA_Z, _NAN_PIECE, 0.5 * SIGMA_X]),
+            "H(t=1.0) is not finite",
+            "H(t=1.125) is not finite",
+        ),
+        (
+            constant_hamiltonian(np.array([[0.0, 1.0], [0.0, 0.0]])),
+            "H(t=0.0) is not Hermitian within 1e-10",
+            "H(t=0.125) is not Hermitian within 1e-10",
+        ),
+    ],
+    ids=["nan_piece", "non_hermitian_constant"],
+)
+def test_an_invalid_family_names_its_first_node(h, solve_message, oracle_message):
+    # the vectorized read and the per-node read name the same first node
+    for model in (h, replace(h, evaluator=lambda t: h.evaluator(t))):
+        for solve, message in ((solve_factored, solve_message), (hierarchical_solve, solve_message),
+                               (propagate, oracle_message)):
+            with pytest.raises(ModelError) as info:
+                solve(model, 3.0, 12)
+            assert str(info.value) == message
