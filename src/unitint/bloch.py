@@ -132,9 +132,12 @@ def crosscheck_su2(
 def crosscheck_so5(
     coeffs: SO5Coefficients, t_end: float, steps: int, Z_max: float = DEFAULT_Z_MAX
 ) -> CrosscheckReport:
-    """Compare the Riccati picture with the linear 5-vector equation dm/dt = 2 F m."""
-    result = solve_factored(build_so5(coeffs), t_end, steps, Z_max=Z_max)
-    return _crosscheck(result, lambda ts: 2.0 * coeffs.read(ts))
+    """Compare the Riccati picture with the linear 5-vector equation dm/dt = 2 F m.
+
+    F is recovered from the solve's checked H (crosscheck_pictures), so the
+    two pictures read the model once.
+    """
+    return crosscheck_pictures(solve_factored(build_so5(coeffs), t_end, steps, Z_max=Z_max))
 
 
 def crosscheck_pictures(result: FactoredResult) -> CrosscheckReport:

@@ -24,7 +24,7 @@ from .linalg import (
     inv_sqrt_hpd,
     sqrt_hpd,
 )
-from .riccati import DEFAULT_Z_MAX, _drive, _projective_rhs, _sweep, _triples, riccati_rhs, rk4_step
+from .riccati import _BLOCK, DEFAULT_Z_MAX, _drive, _projective_rhs, _sweep, _triples, rk4_step
 
 
 class UnsupportedConfigurationError(ValueError):
@@ -155,29 +155,21 @@ def effective_hamiltonian_tilde(h_blocks, z: np.ndarray) -> tuple[np.ndarray, np
 def effective_hamiltonian_hermitian(
     h_blocks, z: np.ndarray, z_dot: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Hermitian effective Hamiltonians for the unitarized fiber blocks.
+    """Hermitian effective Hamiltonians (upper, lower) for the unitarized fiber blocks.
 
     upper = (i/2)[d/dt g1^{-1/2}, g1^{1/2}]
             + (1/2){g1^{-1/2} (Htop - z V^H) g1^{1/2} + h.c.}
     and the analogous expression with g2 and Hbot + z^H V for the lower
-    block.  z_dot must be the analytic Riccati right-hand side.  This is
-    _fiber_node given z_dot: one SVD of z, and stacks (leading axes) of
-    h_blocks, z and z_dot give stacks of blocks from one batched SVD.
-    """
-    return _fiber_node(h_blocks, z, z_dot)[1]
-
-
-def _fiber_node(h_blocks, z: np.ndarray, z_dot=None):
-    """(dz/dt, He) at one node or a stack of nodes, from one SVD z = A S B^H.
-
-    S = diag(s) above zeros (n <= m), so g1 = A diag(r1^2) A^H and g2 =
-    B diag(r2^2) B^H.  With Ht = A^H Htop A, Hb = B^H Hbot B, W = A^H V B,
-    C1 = Ht - S W^H, C2 = Hb + S^H W and R = A^H (dz/dt) B =
-    -i (C1 S + W - S Hb) (or A^H z_dot B for a given z_dot), dz/dt = A R B^H
-    and each block is Q (Y + Y^H) Q^H with
+    block.  z_dot must be the slope dz/dt at z, riccati_rhs (solve_factored
+    passes the top rows of _projective_rhs).  Stacks (leading axes) of
+    h_blocks, z and z_dot give stacks of blocks from one batched SVD
+    z = A S B^H, S = diag(s) above zeros (n <= m), so g1 = A diag(r1^2) A^H
+    and g2 = B diag(r2^2) B^H.  With Ht = A^H Htop A, Hb = B^H Hbot B,
+    W = A^H V B, C1 = Ht - S W^H, C2 = Hb + S^H W and R = A^H z_dot B, each
+    block is Q (Y + Y^H) Q^H with
         Y_ij = -(i/2) P_ij (r_j - r_i) / ((r_i + r_j) r_i r_j) + (1/2) C_ij r_j / r_i
     for (Q, r, P, C) = (A, r1, R S^H, C1) and (B, r2, S^H R, C2), where
-    P + P^H = Q^H (d/dt g) Q.  He is the tuple (upper, lower).
+    P + P^H = Q^H (d/dt g) Q.
     """
     Htop, V, Hbot = h_blocks
     m, n = z.shape[-2:]
@@ -186,7 +178,7 @@ def _fiber_node(h_blocks, z: np.ndarray, z_dot=None):
     S = s[..., None, :] * np.eye(m, n, dtype=complex)
     Ht, Hb, W = Ah @ Htop @ A, Bh @ Hbot @ B, Ah @ V @ B
     C1, C2 = Ht - S @ dagger(W), Hb + S.mT @ W
-    R = -1j * (C1 @ S + W - S @ Hb) if z_dot is None else Ah @ z_dot @ B
+    R = Ah @ z_dot @ B
     r2 = np.sqrt(1.0 + s**2)[..., None]  # r as columns: r_i = r, r_j = r.mT
     r1 = np.concatenate((r2, np.ones(r2.shape[:-2] + (m - n, 1))), axis=-2)
     He = []
@@ -194,7 +186,7 @@ def _fiber_node(h_blocks, z: np.ndarray, z_dot=None):
         rj = ri.mT
         Y = P * ((0.5j * (ri - rj)) / ((ri + rj) * ri * rj)) + C * (0.5 * rj / ri)
         He.append(Q @ (Y + dagger(Y)) @ dagger(Q))
-    return A @ R @ Bh, tuple(He)
+    return tuple(He)
 
 
 def recursion_hamiltonian(h_blocks, z: np.ndarray) -> np.ndarray:
@@ -210,24 +202,25 @@ def recursion_hamiltonian(h_blocks, z: np.ndarray) -> np.ndarray:
     z = np.atleast_2d(np.asarray(z, dtype=complex))
     if z.shape[1] != 1 or V.shape[1] != 1:
         raise UnsupportedConfigurationError("recursion requires block size 1")
-    return _corner_node(h_blocks, z)[1][0]
+    return _corner_node(h_blocks, z)[0][0]
 
 
 def _corner_node(h_blocks, z: np.ndarray):
-    """(dz/dt, (upper, lower) fiber blocks, phase rates) for n=1, over any leading axes.
+    """((upper, lower) fiber blocks, phase rates) for n=1, over any leading axes.
 
-    All three come from one _peel_level call.  The upper block is
-    recursion_hamiltonian's H' = H_next - phi_rate I and the lower block the
-    1 x 1 -mu_rate; together they are effective_hamiltonian_hermitian(h_blocks,
-    z, dz/dt).  The rates, stacked on a last axis, are d/dt of (mu, geometric
-    phase, Im mu), with Im mu = ln(1 + |z|^2) advancing at -2 Im(V^H z).
+    Both come from one _peel_level call, which needs no slope.  The upper
+    block is recursion_hamiltonian's H' = H_next - phi_rate I and the lower
+    block the 1 x 1 -mu_rate; together they are
+    effective_hamiltonian_hermitian(h_blocks, z, riccati_rhs(h_blocks, z)).
+    The rates, stacked on a last axis, are d/dt of (mu, geometric phase,
+    Im mu), with Im mu = ln(1 + |z|^2) advancing at -2 Im(V^H z).
     """
     Htop, V, Hbot = h_blocks
     v, zc = V[..., 0], z[..., 0]
-    dz, (mu_rate, geo_rate, phi_rate), H_next = _peel_level(Htop, v, Hbot[..., 0, 0], zc)
+    (mu_rate, geo_rate, phi_rate), H_next = _peel_level(Htop, v, Hbot[..., 0, 0], zc)
     upper = H_next - phi_rate[..., None, None] * np.eye(zc.shape[-1])  # undo tau/m = -phi_rate
     rates = np.stack((mu_rate, geo_rate, -2.0 * np.sum(v.conj() * zc, axis=-1).imag), axis=-1)
-    return dz[..., None], (upper, -mu_rate[..., None, None]), rates
+    return (upper, -mu_rate[..., None, None]), rates
 
 
 def _peel_level(Htop: np.ndarray, v: np.ndarray, h, z: np.ndarray, mask=None):
@@ -236,11 +229,11 @@ def _peel_level(Htop: np.ndarray, v: np.ndarray, h, z: np.ndarray, mask=None):
     Htop (m x m), the column v and the corner h partition a traceless
     (m+1)-level H; z is the level's coordinate as a 1-D array.  Leading axes
     broadcast, so one call serves every node of a fold window.  Returns
-    (dz/dt, (mu rate, geometric rate, trace-phase rate), H_next): dz/dt is
-    riccati_rhs, and H_next is recursion_hamiltonian's H' with its trace
-    removed, the rank-2 update H' = Htop - z u^H - u z^H, u =
-    a v + (Re(V^H z) a^2 / 2) z, a = 1/(sqrt(g)+1).  Its trace tau = -h -
-    2 Re(u^H z) relies on tr Htop = -h; the trace phase advances at -tau/m.
+    ((mu rate, geometric rate, trace-phase rate), H_next), where H_next is
+    recursion_hamiltonian's H' with its trace removed, the rank-2 update
+    H' = Htop - z u^H - u z^H, u = a v + (Re(V^H z) a^2 / 2) z, a =
+    1/(sqrt(g)+1).  Its trace tau = -h - 2 Re(u^H z) relies on tr Htop = -h;
+    the trace phase advances at -tau/m.  None of it needs the slope dz/dt.
 
     ``mask`` (1-D over the m rows, default all ones) marks the rows the
     level owns when it sits in a larger frame with zero rows and columns
@@ -264,7 +257,6 @@ def _peel_level(Htop: np.ndarray, v: np.ndarray, h, z: np.ndarray, mask=None):
     Hz = (Htop @ z[..., None])[..., 0]
     re_vz = vz.real
     g = 1.0 + zz
-    dz = -1j * (Hz + v - z * (vz + h)[..., None])
     quad = np.sum(z.conj() * Hz, axis=-1).real - hnn * zz
     geo_rate = (quad + 2.0 * re_vz * (1.0 - g / 2.0)) / g
     a = 1.0 / (np.sqrt(g) + 1.0)
@@ -275,7 +267,7 @@ def _peel_level(Htop: np.ndarray, v: np.ndarray, h, z: np.ndarray, mask=None):
     H_next -= dagger(zu)
     diagonal = H_next.reshape(H_next.shape[:-2] + (rows * rows,))[..., :: rows + 1]
     diagonal -= (tau / m)[..., None] * mask
-    return dz, (-(hnn + re_vz), geo_rate, -tau / m), H_next
+    return (-(hnn + re_vz), geo_rate, -tau / m), H_next
 
 
 # ---------------------------------------------------------------------------
@@ -318,11 +310,6 @@ def _magnus4(He_a: np.ndarray, He_m: np.ndarray, He_b: np.ndarray, dt: float) ->
     return _unitary_step(S + (1j * dt / 12.0) * (He_a @ He_b - He_b @ He_a), dt)
 
 
-# Steps per batched pass of solve_factored, and nodes per block of _segments' U
-# assembly: the block bounds their temporaries.
-_BLOCK = 2048
-
-
 def solve_factored(
     h: BlockedHamiltonian,
     t_end: float,
@@ -337,25 +324,28 @@ def solve_factored(
     non-finite model).  Each fold window is one sweep and one batched pass.
 
     - The sweep: W = [z; I_n] takes one rk4_step per grid step on
-      _projective_rhs with K = -iH at the three nodes, one right-hand side
-      for every n, up to the first step where ||z||_F reaches Z_max.
+      _projective_rhs f with K = -iH at the three nodes, one right-hand side
+      for every n, up to the first step where ||z||_F, the norm of W's top
+      m rows, reaches Z_max.
     - The batched pass, over the window's steps in blocks of _BLOCK:
-      f(t, z) and f(t + dt, z_new), the cubic Hermite midpoint z(t + dt/2) =
-      (z + z_new)/2 + dt/8 (f(t) - f(t + dt)), and the fiber kernel at the
-      three node sets: _corner_node (the level kernel _peel_level that
-      hierarchical_solve cascades) for n = 1, _fiber_node with one SVD for
-      n > 1.  The fiber's Hermitian effective Hamiltonian blockdiag(upper,
-      lower) at the three nodes gives one fourth-order Magnus step per grid
-      step (_magnus4, one batched N x N eigh per block of steps); U2, one
-      (steps + 1, N, N) array, is their running product.
+      _node_states gives W at the three nodes of each step (the midpoint by
+      cubic Hermite interpolation) and f at the start and end node, and f at
+      the midpoint completes the slopes.  The fiber kernel runs at the three
+      node sets: _corner_node (the level kernel _peel_level that
+      hierarchical_solve cascades, which needs no slope) for n = 1,
+      effective_hamiltonian_hermitian with one SVD and the slopes' top rows
+      for n > 1.  The fiber's Hermitian effective Hamiltonian
+      blockdiag(upper, lower) at the three nodes gives one fourth-order
+      Magnus step per grid step (_magnus4, one batched N x N eigh per block
+      of steps); U2, one (steps + 1, N, N) array, is their running product.
     - For n = 1 the corner phases (mu_total, phase_geometric, imag_mu, and
       phase_dynamical = mu_total - phase_geometric) integrate the three rate
       evaluations by Simpson's rule, cumulative across restarts.
-    - est_error sums the per-step Simpson defect
-      ||z_new - z - dt/6 (f(t) + 4 f(t + dt/2) + f(t + dt))||_F, an estimate
-      of the fourth-order error that costs no extra evaluation.  It leaves
-      out the fiber's Magnus error, so it can read below the error in U
-      (0.8 to 9 times it on smooth models).
+    - est_error sums the per-step Simpson defect of z, ||W_new - W - dt/6
+      (f(t) + 4 f(t + dt/2) + f(t + dt))||_F (the I_n rows cancel exactly),
+      an estimate of the fourth-order error that costs no extra evaluation.
+      It leaves out the fiber's Magnus error, so it can read below the
+      error in U (0.8 to 9 times it on smooth models).
 
     A restart resets z = 0, U2 = I and the phases, and _drive records the
     fold.  After the solve, _segments turns the folds into the restart records
@@ -363,32 +353,39 @@ def solve_factored(
     accumulator, and the phases and est_error add up the segments.
     """
     n = h.n
+    m = h.N - n
 
     def window(dt, values, index):
-        z, done, peak = _sweep_window(values, index, n, dt, Z_max)
+        nodes = _triples(values, index, lambda X: -1j * X)  # K = -iH, gathered only as far as the sweep gets
+        W = np.eye(h.N, n, -m, dtype=complex)  # [z; I_n] at z = 0
+        W, done, peak = _sweep(_projective_rhs, nodes, W, dt, Z_max, lambda W: np.sqrt(np.vdot(W[:m], W[:m]).real))
         U2 = np.empty((done + 1, h.N, h.N), dtype=complex)  # the fiber's running product
         U2[0] = np.eye(h.N)
         incs = []  # per block of steps: the sums' increments
         for a in range(0, max(done, 1), _BLOCK):
             b = min(a + _BLOCK, done)
-            H3, z3, (f_a, f_b) = _node_sets(values[index[:, a:b]], z[a : b + 1], n, dt)
-            dz, He, rates = _corner_node(H3, z3) if n == 1 else (*_fiber_node(H3, z3), None)
+            X = values[index[:, a:b]]
+            K = -1j * X
+            W3, (f_a, f_b) = _node_states(K, W[a : b + 1], dt)
+            f_m = _projective_rhs(K[1], W3[1])
+            H3, z3 = _blocks(X, n), W3[..., :m, :]
+            if n == 1:
+                He, rates = _corner_node(H3, z3)
+            else:
+                He = effective_hamiltonian_hermitian(H3, z3, np.array((f_a, f_m, f_b))[..., :m, :])
             _running_product(_magnus4(*blockdiag(*He), dt), U2[a:])
-            defect = z3[2] - z3[0] - (dt / 6.0) * (f_a + 4.0 * dz[1] + f_b)
+            defect = W3[2] - W3[0] - (dt / 6.0) * (f_a + 4.0 * f_m + f_b)
             inc = np.linalg.norm(defect, axis=(-2, -1))[:, None]
             if n == 1:  # the phases by Simpson's rule, then the defect
                 inc = np.hstack(((dt / 6.0) * (rates[0] + 4.0 * rates[1] + rates[2]), inc))
             incs.append(inc)
         inc = np.concatenate(incs)
         sums = np.cumsum(np.vstack((np.zeros(inc.shape[1]), inc)), axis=0)
-        return (z, sums, U2), done, peak
+        return (W[:, :m], sums, U2), done, peak
 
-    times, (z_samples, sums, U2_samples), folds = _drive(window, h.read, t_end, steps, Z_max, h.breakpoints)
-    restarts, U_samples, segment = _segments(
-        h.N, times, folds,
-        lambda y: unitarized_U1(y[0]) @ y[2],
-        lambda s: unitarized_U1(z_samples[s]) @ U2_samples[s],
-    )
+    times, states, folds = _drive(window, h.read, t_end, steps, Z_max, h.breakpoints)
+    z_samples, sums, U2_samples = states
+    restarts, U_samples, segment = _segments(h.N, times, folds, states, lambda z, _, U2: unitarized_U1(z) @ U2)
     sums = sums + np.cumsum([np.zeros(sums.shape[1])] + [y[1] for _, y in folds], axis=0)[segment]
     result = FactoredResult(
         h=h,
@@ -407,53 +404,38 @@ def solve_factored(
     return result
 
 
-def _sweep_window(values: np.ndarray, index: np.ndarray, n: int, dt: float, Z_max: float):
-    """Sweep W = [z; I_n] from z = 0 by rk4_step on _projective_rhs with K = -iH.
+def _node_states(K: np.ndarray, W: np.ndarray, dt: float):
+    """(W3, (f_a, f_b)) of the steps from W[:-1] to W[1:] of a projective sweep, K = -iH at their nodes.
 
-    H is the node stack ``values`` at the window's (3, W) ``index``, gathered
-    and negated into K by _triples a block of steps at a time and only as far
-    as the sweep gets; ||z||_F, the norm of W's top m rows, meets Z_max.
-    Returns (z, done, peak): the done + 1 nodes reached as (m, n) matrices,
-    the steps completed and the norm that stopped it.
+    K is (3, steps, ..., N, N) and W (steps + 1, ..., N, n): [z; I_n], or a
+    peel level [0_k; z_k; 1] in its frame.  f_a and f_b are _projective_rhs
+    at the start and end node, and W3 stacks W at the start node, the cubic
+    Hermite midpoint (W + W_new)/2 + dt/8 (f_a - f_b) and the end node.  f
+    is zero on the I_n rows and on W's zero rows, so W3 keeps them exactly.
     """
-    m = values.shape[-1] - n
-    K = _triples(values, index, lambda X: -1j * X)
-    W = np.eye(m + n, n, -m, dtype=complex)
-    Ws, done, peak = _sweep(_projective_rhs, K, W, dt, Z_max, lambda W: np.sqrt(np.vdot(W[:m], W[:m]).real))
-    return Ws[:, :m], done, peak
+    f = _projective_rhs(K[::2], np.array((W[:-1], W[1:])))
+    W_m = 0.5 * (W[:-1] + W[1:]) + (dt / 8.0) * (f[0] - f[1])
+    return np.array((W[:-1], W_m, W[1:])), f
 
 
-def _node_sets(X: np.ndarray, z: np.ndarray, n: int, dt: float):
-    """(H3, z3, (f_a, f_b)) of the steps from z[:-1] to z[1:] with node values X, (3, W, N, N).
-
-    H3 are the blocks of X, z3 stacks z at the start node, the cubic Hermite
-    midpoint (z + z_new)/2 + dt/8 (f_a - f_b) and the end node, and f_a and
-    f_b are riccati_rhs at the start and end node.
-    """
-    H3 = _blocks(X, n)
-    f_a, f_b = riccati_rhs(tuple(a[::2] for a in H3), np.array((z[:-1], z[1:])))
-    z_m = 0.5 * (z[:-1] + z[1:]) + (dt / 8.0) * (f_a - f_b)
-    return H3, np.array((z[:-1], z_m, z[1:])), (f_a, f_b)
-
-
-def _segments(N: int, times: np.ndarray, folds: list, segment_U, assemble):
+def _segments(N: int, times: np.ndarray, folds: list, states: tuple, assemble):
     """Restart records, U at every node and each node's segment index.
 
-    ``folds`` are _drive's (k, y) pairs and ``segment_U(y)`` the evolution a
-    segment reached in state y.  Each fold multiplies the accumulator by it
-    from the left; the restart record is (times[k], the new accumulator), and
-    node k starts the new segment.  ``assemble(s)`` is the evolution within
-    each segment at the nodes of the slice s, taken _BLOCK nodes at a time,
-    which bounds its temporaries; each segment of U is then multiplied by
-    its accumulator from the right, in place.
+    ``folds`` and ``states`` are _drive's, and ``assemble(*y)`` is the
+    evolution within a segment at the states y of a node or a stack of
+    nodes.  Each fold's state multiplies the accumulator from the left; the
+    restart record is (times[k], the new accumulator), and node k starts the
+    new segment.  Then U is assembled _BLOCK nodes at a time, which bounds
+    the temporaries, and each segment is multiplied by its accumulator from
+    the right, in place.
     """
     accums = [np.eye(N, dtype=complex)]
     for _, y in folds:
-        accums.append(segment_U(y) @ accums[-1])
+        accums.append(assemble(*y) @ accums[-1])
     starts = [k for k, _ in folds]
     U = np.empty((len(times), N, N), dtype=complex)
     for a in range(0, len(times), _BLOCK):
-        U[a : a + _BLOCK] = assemble(slice(a, a + _BLOCK))
+        U[a : a + _BLOCK] = assemble(*(x[a : a + _BLOCK] for x in states))
     for k, end, accum in zip(starts, starts[1:] + [len(times)], accums[1:]):
         U[k:end] = U[k:end] @ accum
     restarts = list(zip(times[starts], accums[1:]))
@@ -521,14 +503,19 @@ def hierarchical_solve(
     A fold window is a pipeline of rounds.  In a round, level 0 sweeps the
     next _CHUNK steps of the window and level k + 1 the steps level k swept
     in the round before; each step is one rk4_step over the (L, N) state.
-    Then one batched _peel_level call at the three node sets of every
-    level's steps (the midpoint z by cubic Hermite interpolation, the trace
-    removed on each level's own rows) gives the phase rates, integrated by
-    Simpson's rule, and each level's H_next; shifted one row and one column
-    down, that is the next level's H for the next round, and the level's own
-    input is dropped.  The window ends at the earliest node any level cannot
-    pass (on a tie the shallowest level's peak stops it): levels ahead of it
-    stop, and deeper levels sweep on until they reach it or fold earlier.
+    Then _node_states places every level's three node sets (the midpoint by
+    cubic Hermite interpolation on the projective right-hand side, the
+    levels' zero rows kept), and one batched _peel_level call on them (the
+    trace removed on each level's own rows) gives the phase rates,
+    integrated by Simpson's rule, and each level's H_next; shifted one row
+    and one column down, that is the next level's H for the next round, and
+    the level's own input is dropped.  Each level writes the z and phase
+    increments of the steps it keeps in place, at their grid nodes.  The
+    window ends at the earliest node any level cannot pass (on a tie the
+    shallowest level's peak stops it): levels ahead of it stop, and deeper
+    levels sweep on until they reach it or fold earlier.  A window that
+    folds copies out its nodes up to the fold, so no buffer sized to the
+    rest of the schedule outlives it.
 
     A restart resets every level's coordinate and phases, and _drive records
     the fold; the next window fills the pipeline again from that node.  The
@@ -553,7 +540,8 @@ def hierarchical_solve(
         took[0] = _CHUNK
         end, stop = index.shape[1], None
         H = np.zeros((3, _CHUNK, L, N, N), complex)  # a round's frames; level k's rows above k stay 0
-        zs, incs, nodes = [], [], []  # per round: z frames, phase increments, their grid nodes
+        # at each grid node, level k's z frame in z[:, k] and its phase increments in inc[:, :, k]
+        z, inc = np.zeros((end + 1, L, L), complex), np.zeros((end + 1, 3, L))
         while True:
             n = np.maximum(np.minimum(took[:-1], end - pos), 0)
             if not n.any():
@@ -567,8 +555,8 @@ def hierarchical_solve(
             for K_a, K_m, K_b in zip(*K):
                 Ws.append(rk4_step(_projective_rhs, Ws[-1], dt, _projective_rhs(K_a, Ws[-1]), K_m, K_b))
             Ws = np.array(Ws)
-            z = Ws[..., :-1, 0]
-            peak = np.sqrt(np.sum(z.real**2 + z.imag**2, axis=-1))[1:]
+            zw = Ws[1:, :, :-1, 0]
+            peak = np.sqrt(np.sum(zw.real**2 + zw.imag**2, axis=-1))
             over = live[: len(peak)] & ~(peak < Z_max)
             folds = over.any(axis=0)
             took[1:] = np.where(folds, over.argmax(axis=0), n)
@@ -576,31 +564,23 @@ def hierarchical_solve(
                 k = np.where(folds, pos + took[1:], end).argmin()  # shallowest on a tie
                 if folds[k]:
                     end, stop = pos[k] + took[k + 1], peak[took[k + 1], k]
-            f_a, f_b = _projective_rhs(K[::2], np.array((Ws[:-1], Ws[1:])))
-            z_m = 0.5 * (Ws[:-1] + Ws[1:]) + (dt / 8.0) * (f_a - f_b)
-            z3 = np.array((z[:-1], z_m[..., :-1, 0], z[1:]))
             Hm = H[:, : len(peak)]
-            _, rates, H_next = _peel_level(Hm[..., :-1, :-1], Hm[..., :-1, -1], Hm[..., -1, -1], z3, mask)
+            z3 = _node_states(K, Ws, dt)[0][..., :-1, 0]
+            rates, H_next = _peel_level(Hm[..., :-1, :-1], Hm[..., :-1, -1], Hm[..., -1, -1], z3, mask)
             rates = np.array(rates)  # (rate, node set, step, level)
-            incs.append((dt / 6.0) * (rates[:, 0] + 4.0 * rates[:, 1] + rates[:, 2]))
-            zs.append(z[1:])
-            nodes.append(np.where(chunk[: len(peak)] < took[1:], pos + 1 + chunk[: len(peak)], 0))
+            step, k = np.nonzero(chunk[: len(peak)] < took[1:])  # the steps each level keeps
+            node = pos[k] + 1 + step
+            z[node, k] = zw[step, k]
+            inc[node, :, k] = ((dt / 6.0) * (rates[:, 0] + 4.0 * rates[:, 1] + rates[:, 2]))[:, step, k].T
             W, pos = Ws[took[1:], levels], pos + took[1:]
-        # each level's nodes 1..end, in order, from the rounds that swept them
-        nodes = np.concatenate(nodes).T
-        keep = (nodes > 0) & (nodes <= end)
-        z = np.concatenate(zs).transpose(1, 0, 2)[keep].reshape(L, end, L)
-        inc = np.concatenate(incs, axis=1).transpose(2, 1, 0)[keep].reshape(L, end, 3)
-        z = np.concatenate((np.zeros((L, 1, L)), z), axis=1)
-        phases = np.cumsum(np.concatenate((np.zeros((L, 1, 3)), inc), axis=1), axis=1)
-        return (*(z[k, :, k:] for k in levels), phases.transpose(1, 2, 0)), end, stop
+        if stop is not None:  # keep nodes 0..end only, so no buffer for the rest of the schedule lives on
+            z = z[: end + 1].copy()
+        phases = np.cumsum(inc[: end + 1], axis=0)
+        return (*(z[:, k, k:] for k in levels), phases), end, stop
 
-    times, (*zs, phases), folds = _drive(window, h.read, t_end, steps, Z_max, h.breakpoints)
-    restarts, U_samples, segment = _segments(
-        N, times, folds,
-        lambda y: _hier_assemble(y[:-1], y[-1]),
-        lambda s: _hier_assemble([z[s] for z in zs], phases[s]),
-    )
+    times, states, folds = _drive(window, h.read, t_end, steps, Z_max, h.breakpoints)
+    *zs, phases = states
+    restarts, U_samples, segment = _segments(N, times, folds, states, lambda *y: _hier_assemble(y[:-1], y[-1]))
     reached = np.cumsum([np.zeros((3, N - 1))] + [y[-1] for _, y in folds], axis=0)
     level_mu, level_geo, trace_phases = np.moveaxis(phases + reached[segment], 1, 0)
     return HierarchicalResult(

@@ -35,7 +35,9 @@ DEFAULT_Z_MAX = 10.0
 # Restarts closer together than this many grid steps indicate the trajectory
 # hugs the coordinate singularity; bail out instead of thrashing.
 MIN_STEPS_BETWEEN_RESTARTS = 4
-_GATHER = 2048  # steps whose node values _triples copies out of the read's stack at once
+# Steps of node values per block of _triples' gathers, solve_factored's batched
+# passes and _segments' U assembly: the block bounds their temporaries.
+_BLOCK = 2048
 
 
 class StiffnessError(RuntimeError):
@@ -89,10 +91,10 @@ def _triples(values, index, f=None):
     """Each step's (start, midpoint, end) node values values[index[:, j]], in step order.
 
     ``index`` is (3, steps) into the stack ``values``; the values are gathered
-    (and mapped by f, if given) _GATHER steps at a time and only as far as the
+    (and mapped by f, if given) _BLOCK steps at a time and only as far as the
     caller iterates, so a sweep that stops early copies little of the schedule.
     """
-    blocks = (values[index[:, a : a + _GATHER]] for a in range(0, index.shape[1], _GATHER))
+    blocks = (values[index[:, a : a + _BLOCK]] for a in range(0, index.shape[1], _BLOCK))
     return chain.from_iterable(zip(*(X if f is None else f(X))) for X in blocks)
 
 

@@ -9,8 +9,8 @@ from unitint.factorization import (
     UnsupportedConfigurationError,
     _hier_assemble,
     _corner_node,
-    _fiber_node,
     _magnus4,
+    _node_states,
     _peel_level,
     assemble_tilde_U1,
     base_coordinate,
@@ -28,6 +28,7 @@ from unitint.factorization import (
 )
 from unitint.hamiltonian import (
     BlockedHamiltonian,
+    _blocks,
     ModelError,
     constant_hamiltonian,
     piecewise_constant,
@@ -252,9 +253,10 @@ def _z_with_singular_values(rng, m, n, kind, radius):
     radius=st.floats(0.0, 30.0),
 )
 def test_fiber_node_stacks_and_matches_eigh_composition(seed, shape, kinds, radius):
-    # the SVD-basis kernel at three nodes at once (z = 0, repeated and zero
-    # singular values included): the stacked call equals the per-node calls,
-    # both equal the eigendecomposition composition, and dz/dt is riccati_rhs
+    # the SVD-basis fiber kernel solve_factored runs for n > 1, at three
+    # nodes at once (z = 0, repeated and zero singular values included): the
+    # stacked call equals the per-node calls, which equal the
+    # eigendecomposition composition
     rng = np.random.default_rng(seed)
     m, n = shape
     Hs = [random_traceless_hermitian(rng, m + n) for _ in kinds]
@@ -262,18 +264,13 @@ def test_fiber_node_stacks_and_matches_eigh_composition(seed, shape, kinds, radi
     zs = [_z_with_singular_values(rng, m, n, kind, radius) for kind in kinds]
     z_dots = [riccati_rhs(b, z) for b, z in zip(blocks, zs)]
     stacked_blocks = tuple(map(np.array, zip(*blocks)))
-    dz, (upper, lower) = _fiber_node(stacked_blocks, np.array(zs))
-    public = effective_hamiltonian_hermitian(stacked_blocks, np.array(zs), np.array(z_dots))
+    upper, lower = effective_hamiltonian_hermitian(stacked_blocks, np.array(zs), np.array(z_dots))
     for k, (b, z, z_dot) in enumerate(zip(blocks, zs, z_dots)):
-        dz_k, per_node = _fiber_node(b, z)
-        assert frobenius(dz[k] - dz_k) <= 1e-14 * max(frobenius(dz_k), 1.0)
+        per_node = effective_hamiltonian_hermitian(b, z, z_dot)
         for a, c in zip((upper[k], lower[k]), per_node):
             assert frobenius(a - c) <= 1e-14 * max(frobenius(c), 1.0)
-        assert frobenius(dz_k - z_dot) <= 1e-12 * max(frobenius(z_dot), 1.0)
-        want = _effective_hamiltonian_by_eigh(b, z, z_dot)
-        for got in (per_node, effective_hamiltonian_hermitian(b, z, z_dot), (public[0][k], public[1][k])):
-            for a, w in zip(got, want):
-                assert frobenius(a - w) < 1e-12
+        for a, w in zip(per_node, _effective_hamiltonian_by_eigh(b, z, z_dot)):
+            assert frobenius(a - w) < 1e-12
 
 
 @pytest.mark.parametrize("n,count", [(1, 1), (1, 2), (3, 1), (3, 2)])
@@ -335,7 +332,7 @@ def test_peel_level_matches_public_composition(seed, N, radius):
     blocks = Htop, V, _ = (H[:m, :m], H[:m, m:], H[m:, m:])
     z = _random_z(rng, m)
     z *= radius / frobenius(z)
-    dz, rates, H_next = _peel_level(Htop, V[:, 0], H[m, m], z[:, 0])
+    rates, H_next = _peel_level(Htop, V[:, 0], H[m, m], z[:, 0])
     # the peel formula written out, then the trace shift
     sg = np.sqrt(1.0 + frobenius(z) ** 2)
     Hp = (
@@ -350,7 +347,6 @@ def test_peel_level_matches_public_composition(seed, N, radius):
     quad = (dagger(z) @ (Htop - hnn * np.eye(m)) @ z)[0, 0].real
     geometric = -(quad + 2.0 * re_vz * (1.0 - g / 2.0)) / g
     pairs = [
-        (dz, riccati_rhs(blocks, z)[:, 0]),
         (np.array(rates), np.array([-bracket, -geometric, -tau / m])),
         (H_next, Hp - (tau / m) * np.eye(m)),
         (recursion_hamiltonian(blocks, z), Hp),
@@ -376,19 +372,15 @@ def test_peel_level_broadcasts_over_a_fold_window(seed, N, width, radius):
     z = rng.standard_normal((3, width, m)) + 1j * rng.standard_normal((3, width, m))
     z *= rng.uniform(0.0, radius, (3, width, 1)) / np.linalg.norm(z, axis=-1, keepdims=True)
     z[0, 0] = 0.0
-    dz, rates, H_next = _peel_level(H[..., :m, :m], H[..., :m, m], H[..., m, m], z)
+    rates, H_next = _peel_level(H[..., :m, :m], H[..., :m, m], H[..., m, m], z)
     for i, j in np.ndindex(3, width):
         Hn, zn = H[i, j], z[i, j]
-        one_dz, one_rates, one_next = _peel_level(Hn[:m, :m], Hn[:m, m], Hn[m, m], zn)
+        one_rates, one_next = _peel_level(Hn[:m, :m], Hn[:m, m], Hn[m, m], zn)
         scale = frobenius(Hn)
-        pairs = [(dz[i, j], one_dz), (H_next[i, j], one_next)]
-        pairs.append((np.array(rates)[:, i, j], np.array(one_rates)))
+        pairs = [(H_next[i, j], one_next), (np.array(rates)[:, i, j], np.array(one_rates))]
         for got, want in pairs:
             assert frobenius(got - want) <= 1e-14 * max(frobenius(want), scale)
-        # dz/dt is riccati_rhs, and H_next the peel formula less its trace
-        blocks = (Hn[:m, :m], Hn[:m, m:], Hn[m:, m:])
-        want = riccati_rhs(blocks, zn[:, None])[:, 0]
-        assert frobenius(dz[i, j] - want) <= 1e-12 * max(frobenius(want), scale)
+        # H_next is the peel formula less its trace
         zc, V = zn[:, None], Hn[:m, m:]
         sg = np.sqrt(1.0 + frobenius(zc) ** 2)
         Hp = (
@@ -410,10 +402,9 @@ def test_corner_node_fiber_matches_effective_hamiltonian(seed, N, radius):
     blocks = (H[:m, :m], H[:m, m:], H[m:, m:])
     z = _random_z(rng, m)
     z *= radius / frobenius(z)
-    dz, (upper, lower), _ = _corner_node(blocks, z)
-    z_dot = riccati_rhs(blocks, z)
-    want_upper, want_lower = effective_hamiltonian_hermitian(blocks, z, z_dot)
-    for got, want in ((dz, z_dot), (upper, want_upper), (lower, want_lower)):
+    (upper, lower), _ = _corner_node(blocks, z)
+    want_upper, want_lower = effective_hamiltonian_hermitian(blocks, z, riccati_rhs(blocks, z))
+    for got, want in ((upper, want_upper), (lower, want_lower)):
         assert frobenius(got - want) <= 1e-12 * max(frobenius(want), frobenius(H))
 
 
@@ -850,15 +841,95 @@ def test_peel_level_in_the_level_frame(seed, N, radius):
     levels = np.arange(L)
     mask = levels >= levels[:, None]
     H = frame_H
-    dz, rates, H_next = _peel_level(H[:, :-1, :-1], H[:, :-1, -1], H[:, -1, -1], frame_z, mask)
+    rates, H_next = _peel_level(H[:, :-1, :-1], H[:, :-1, -1], H[:, -1, -1], frame_z, mask)
     for k in range(L):
         Hk, zk = frame_H[k, k:, k:], frame_z[k, k:]
-        one_dz, one_rates, one_next = _peel_level(Hk[:-1, :-1], Hk[:-1, -1], Hk[-1, -1], zk)
+        one_rates, one_next = _peel_level(Hk[:-1, :-1], Hk[:-1, -1], Hk[-1, -1], zk)
         scale = frobenius(Hk) * (1.0 + radius) ** 2
-        assert np.all(dz[k, :k] == 0.0) and np.all(H_next[k, :k] == 0.0) and np.all(H_next[k, :, :k] == 0.0)
-        assert frobenius(dz[k, k:] - one_dz) <= 1e-14 * scale
+        assert np.all(H_next[k, :k] == 0.0) and np.all(H_next[k, :, :k] == 0.0)
         assert frobenius(H_next[k, k:, k:] - one_next) <= 1e-14 * scale
         assert np.allclose(np.array(rates)[:, k], np.array(one_rates), rtol=1e-14, atol=1e-14 * scale)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    N=st.integers(2, 6),
+    split=st.floats(0.0, 1.0),
+    width=st.integers(1, 4),
+    radius=st.floats(0.0, 30.0),
+)
+def test_node_states_over_stacked_axes(seed, N, split, width, radius):
+    # a (steps, 2) stack of steps of a projective sweep W = [z; I_n]: f at the
+    # start and end node is riccati_rhs on the z rows and exactly zero on the
+    # I_n rows, the ends are W itself, and the midpoint is the cubic Hermite
+    # point of the two ends and their slopes, with its I_n rows exactly I_n
+    rng = np.random.default_rng(seed)
+    n = 1 + int(split * (N - 2))
+    m, dt = N - n, 0.1
+    H = np.array([random_traceless_hermitian(rng, N, 3.0) for _ in range(3 * width * 2)])
+    H = H.reshape(3, width, 2, N, N)
+    z = rng.standard_normal((width + 1, 2, m, n)) + 1j * rng.standard_normal((width + 1, 2, m, n))
+    z *= rng.uniform(0.0, radius, (width + 1, 2, 1, 1)) / np.linalg.norm(z, axis=(-2, -1), keepdims=True)
+    W = np.concatenate((z, np.broadcast_to(np.eye(n), z.shape[:-2] + (n, n))), axis=-2)
+    W3, (f_a, f_b) = _node_states(-1j * H, W, dt)
+    assert np.array_equal(W3[0], W[:-1]) and np.array_equal(W3[2], W[1:])
+    assert np.all(f_a[..., m:, :] == 0.0) and np.all(f_b[..., m:, :] == 0.0)
+    assert np.all(W3[1, ..., m:, :] == np.eye(n))
+    for j, e in np.ndindex(width, 2):
+        slopes = [riccati_rhs(_blocks(H[i, j, e], n), z[j + k, e]) for i, k in ((0, 0), (2, 1))]
+        scale = frobenius(H[:, j, e]) * (1.0 + radius) ** 2
+        for got, want in zip((f_a[j, e, :m], f_b[j, e, :m]), slopes):
+            assert frobenius(got - want) <= 1e-13 * scale
+        # the Hermite basis at s = 1/2: h00 = h01 = 1/2, h10 = -h11 = 1/8
+        hermite = 0.5 * z[j, e] + 0.125 * dt * slopes[0] + 0.5 * z[j + 1, e] - 0.125 * dt * slopes[1]
+        assert frobenius(W3[1, j, e, :m] - hermite) <= 1e-13 * scale
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), N=st.integers(2, 6), radius=st.floats(0.0, 30.0))
+def test_node_states_keep_the_level_frame(seed, N, radius):
+    # every level of a peel in one N x N frame, its H at [k:, k:] and its
+    # state [0_k; z_k; 1]: the k zero rows stay exactly zero at all three
+    # nodes and in f, and each level's rows are its own node states
+    rng = np.random.default_rng(seed)
+    L, dt = N - 1, 0.1
+    H = np.zeros((3, 2, L, N, N), complex)
+    W = np.zeros((3, L, N, 1), complex)
+    W[..., -1, 0] = 1.0
+    for k in range(L):
+        for i, j in np.ndindex(3, 2):
+            H[i, j, k, k:, k:] = random_traceless_hermitian(rng, N - k, 3.0)
+        zk = rng.standard_normal((3, L - k)) + 1j * rng.standard_normal((3, L - k))
+        W[:, k, k:-1, 0] = zk * rng.uniform(0.0, radius) / np.linalg.norm(zk, axis=-1, keepdims=True)
+    W3, f = _node_states(-1j * H, W, dt)
+    for k in range(L):
+        assert np.all(W3[:, :, k, :k] == 0.0) and np.all(f[:, :, k, :k] == 0.0)
+        one, one_f = _node_states(-1j * H[:, :, k, k:, k:], W[:, k, k:], dt)
+        scale = frobenius(H[:, :, k]) * (1.0 + radius) ** 2
+        assert frobenius(W3[:, :, k, k:] - one) <= 1e-14 * scale
+        assert frobenius(f[:, :, k, k:] - one_f) <= 1e-14 * scale
+
+
+def test_hierarchical_rounds_of_any_length_agree(monkeypatch):
+    # rounds of 1, 3 and 8 steps cut every window at other nodes, and the
+    # levels fold inside a round of 3 or 8: each level writes its z and phase
+    # increments at their grid nodes, so the solves agree
+    h = trig_random(4, seed=52, scale=3.0)
+    steps, dt = 240, 3.0 / 240
+    runs = []
+    for chunk in (1, 3, 8):
+        monkeypatch.setattr(factorization, "_CHUNK", chunk)
+        runs.append(hierarchical_solve(h, 3.0, steps, Z_max=2.0))
+    starts = [0] + [round(t / dt) for t, _ in runs[0].restarts]
+    assert len(starts) > 3 and any((b - a) % 3 and (b - a) % 8 for a, b in zip(starts, starts[1:]))
+    names = ("U_samples", "z_samples", "level_mu", "level_geo", "trace_phases")
+    for res in runs[1:]:
+        assert [t for t, _ in res.restarts] == [t for t, _ in runs[0].restarts]
+        for (_, A), (_, B) in zip(res.restarts, runs[0].restarts):
+            assert np.max(np.abs(A - B)) <= 1e-12
+        for name in names:
+            assert np.max(np.abs(getattr(res, name) - getattr(runs[0], name))) <= 1e-12, name
 
 
 @pytest.mark.parametrize("N", [3, 4, 6])
@@ -1004,6 +1075,7 @@ def test_batched_pass_in_blocks_is_bit_identical(N, n, monkeypatch):
     h = trig_random(N, n=n, seed=1, scale=2.0)
     whole = solve_factored(h, 3.0, 230, Z_max=2.0)
     monkeypatch.setattr(factorization, "_BLOCK", 7)
+    monkeypatch.setattr(riccati, "_BLOCK", 5)  # the sweep's gathers, across other edges
     blocked = solve_factored(h, 3.0, 230, Z_max=2.0)
     assert len(whole.restarts) >= 2
     names = ("z_samples", "U_samples", "U2_samples", "est_error", "mu_total", "phase_geometric", "imag_mu")
