@@ -30,7 +30,7 @@ from .hamiltonian import (
     spin_half,
 )
 from .linalg import PAULI
-from .riccati import DEFAULT_Z_MAX, _drive, _sweep, _triples, so5_z_params
+from .riccati import DEFAULT_Z_MAX, _drive, _sweep, so5_z_params
 
 
 def project5(z: np.ndarray) -> np.ndarray:
@@ -79,7 +79,7 @@ def _precess(read, t_end: float, steps: int, breakpoints=()):
     sweep is one window with no fold, and omega at a jump is the fresh read.
     """
     def window(dt, values, index):
-        m, done, peak = _sweep(np.matmul, _triples(values, index), np.eye(values.shape[-1])[-1], dt, np.inf)
+        m, done, peak = _sweep(np.matmul, values, index, np.eye(values.shape[-1])[-1], dt, np.inf)
         return (m, values[np.concatenate((index[0, :done], index[2, done - 1 : done]))]), done, peak
 
     return _drive(window, read, t_end, steps, np.inf, breakpoints)[1]

@@ -174,7 +174,7 @@ def run_scenario(scenario: dict, out_dir: Path) -> dict:
         endpoint_U["hierarchical"] = hier.U_samples[-1]
         unitarity["hierarchical"] = _worst_unitarity(hier.U_samples)
         restart_log += [
-            {"path": "hierarchical", "t": float(t)} for t, _ in hier.restarts
+            {"path": "hierarchical", "t": float(t), "level": level} for t, level in hier.level_restarts
         ]
         phases["hierarchical"] = [
             {

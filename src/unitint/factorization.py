@@ -24,7 +24,7 @@ from .linalg import (
     inv_sqrt_hpd,
     sqrt_hpd,
 )
-from .riccati import _BLOCK, DEFAULT_Z_MAX, _drive, _projective_rhs, _sweep, _triples, rk4_step
+from .riccati import _BLOCK, DEFAULT_Z_MAX, _drive, _fold_guard, _projective_rhs, _sweep, rk4_step
 
 
 class UnsupportedConfigurationError(ValueError):
@@ -356,9 +356,9 @@ def solve_factored(
     m = h.N - n
 
     def window(dt, values, index):
-        nodes = _triples(values, index, lambda X: -1j * X)  # K = -iH, gathered only as far as the sweep gets
         W = np.eye(h.N, n, -m, dtype=complex)  # [z; I_n] at z = 0
-        W, done, peak = _sweep(_projective_rhs, nodes, W, dt, Z_max, lambda W: np.sqrt(np.vdot(W[:m], W[:m]).real))
+        norm = lambda W: np.sqrt(np.vdot(W[:m], W[:m]).real)  # noqa: E731
+        W, done, peak = _sweep(_projective_rhs, values, index, W, dt, Z_max, norm, lambda X: np.multiply(X, -1j, out=X))
         U2 = np.empty((done + 1, h.N, h.N), dtype=complex)  # the fiber's running product
         U2[0] = np.eye(h.N)
         incs = []  # per block of steps: the sums' increments
@@ -366,7 +366,7 @@ def solve_factored(
             b = min(a + _BLOCK, done)
             X = values[index[:, a:b]]
             K = -1j * X
-            W3, (f_a, f_b) = _node_states(K, W[a : b + 1], dt)
+            W3, (f_a, f_b) = _node_states(K, W[a:b], W[a + 1 : b + 1], dt)
             f_m = _projective_rhs(K[1], W3[1])
             H3, z3 = _blocks(X, n), W3[..., :m, :]
             if n == 1:
@@ -404,18 +404,20 @@ def solve_factored(
     return result
 
 
-def _node_states(K: np.ndarray, W: np.ndarray, dt: float):
-    """(W3, (f_a, f_b)) of the steps from W[:-1] to W[1:] of a projective sweep, K = -iH at their nodes.
+def _node_states(K: np.ndarray, W_a: np.ndarray, W_b: np.ndarray, dt: float):
+    """(W3, (f_a, f_b)) of the steps of a projective sweep from W_a to W_b, K = -iH at their nodes.
 
-    K is (3, steps, ..., N, N) and W (steps + 1, ..., N, n): [z; I_n], or a
-    peel level [0_k; z_k; 1] in its frame.  f_a and f_b are _projective_rhs
-    at the start and end node, and W3 stacks W at the start node, the cubic
-    Hermite midpoint (W + W_new)/2 + dt/8 (f_a - f_b) and the end node.  f
-    is zero on the I_n rows and on W's zero rows, so W3 keeps them exactly.
+    K is (3, steps, ..., N, N), and W_a and W_b (steps, ..., N, n) hold each
+    step's start and end state: [z; I_n], or a peel level [0_k; z_k; 1] in
+    its frame.  A step's start is the step before's end, except where a
+    level of the peel restarts.  f_a and f_b are _projective_rhs at the start
+    and end node, and W3 stacks W at the start node, the cubic Hermite
+    midpoint (W_a + W_b)/2 + dt/8 (f_a - f_b) and the end node.  f is zero on
+    the I_n rows and on W's zero rows, so W3 keeps them exactly.
     """
-    f = _projective_rhs(K[::2], np.array((W[:-1], W[1:])))
-    W_m = 0.5 * (W[:-1] + W[1:]) + (dt / 8.0) * (f[0] - f[1])
-    return np.array((W[:-1], W_m, W[1:])), f
+    f = _projective_rhs(K[::2], np.array((W_a, W_b)))
+    W_m = 0.5 * (W_a + W_b) + (dt / 8.0) * (f[0] - f[1])
+    return np.array((W_a, W_m, W_b)), f
 
 
 def _segments(N: int, times: np.ndarray, folds: list, states: tuple, assemble):
@@ -451,9 +453,12 @@ def _segments(N: int, times: np.ndarray, folds: list, states: tuple, assemble):
 class HierarchicalResult:
     """Output of the level-by-level peel.
 
-    ``level_mu`` etc. hold one cumulative phase per peeled level (level 0 is
-    the full problem).  ``trace_phases`` hold the per-level overall phases
-    restored after trace subtraction.
+    ``level_mu`` etc. hold one phase per peeled level (level 0 is the full
+    problem): the sum of the level's increments over the grid, across its
+    restarts.  ``trace_phases`` hold the per-level overall phases restored
+    after trace subtraction.  ``restarts`` holds (t, U(t)) at each fold of
+    level 0, the same records as solve_factored's, and ``level_restarts``
+    holds (t, level) for every fold of every level, in time order.
     """
 
     h: BlockedHamiltonian
@@ -465,19 +470,24 @@ class HierarchicalResult:
     level_dyn: np.ndarray
     trace_phases: np.ndarray  # (steps+1, N-1)
     restarts: list = field(default_factory=list)
+    level_restarts: list = field(default_factory=list)
 
 
-def _hier_assemble(zs, phases: np.ndarray) -> np.ndarray:
-    """U1(z_0) blockdiag(e^{i phi_0} U1(z_1) blockdiag(...), e^{i mu_0}) for a state.
+def _hier_assemble(zs, phases: np.ndarray, accums=None) -> np.ndarray:
+    """U1(z_0) blockdiag(e^{i phi_0} U1(z_1) blockdiag(...) A_1, e^{i mu_0}) A_0 for a state.
 
     zs[k] is level k's coordinate and phases[..., :, k] its (mu, geometric,
-    trace) phases.  Level by level, innermost first, U <- unitarized_U1(z_k)
-    blockdiag(e^{i phi_k} U, e^{i mu_k}).  Leading axes stack states.
+    trace) phases since the level last restarted.  Level by level, innermost
+    first, U <- unitarized_U1(z_k) blockdiag(e^{i phi_k} U, e^{i mu_k}) A_k,
+    where accums[k] is level k's accumulator A_k (None, or no accums, for the
+    identity).  Leading axes stack states.
     """
     e_mu, _, e_phi = np.moveaxis(np.exp(1j * phases)[..., None, None], (-4, -3), (0, 1))
     U = np.ones(phases.shape[:-2] + (1, 1), dtype=complex)
     for k in range(len(zs) - 1, -1, -1):
         U = unitarized_U1(zs[k][..., None]) @ blockdiag(e_phi[k] * U, e_mu[k])
+        if accums is not None and accums[k] is not None:
+            U = U @ accums[k]
     return U
 
 
@@ -500,30 +510,43 @@ def hierarchical_solve(
     rk4_step on _projective_rhs with K = -iH steps every level at once, and
     ||z_k||_F is the norm of W_k's top N - 1 rows.
 
-    A fold window is a pipeline of rounds.  In a round, level 0 sweeps the
-    next _CHUNK steps of the window and level k + 1 the steps level k swept
-    in the round before; each step is one rk4_step over the (L, N) state.
-    Then _node_states places every level's three node sets (the midpoint by
-    cubic Hermite interpolation on the projective right-hand side, the
-    levels' zero rows kept), and one batched _peel_level call on them (the
-    trace removed on each level's own rows) gives the phase rates,
-    integrated by Simpson's rule, and each level's H_next; shifted one row
-    and one column down, that is the next level's H for the next round, and
-    the level's own input is dropped.  Each level writes the z and phase
-    increments of the steps it keeps in place, at their grid nodes.  The
-    window ends at the earliest node any level cannot pass (on a tie the
-    shallowest level's peak stops it): levels ahead of it stop, and deeper
-    levels sweep on until they reach it or fold earlier.  A window that
-    folds copies out its nodes up to the fold, so no buffer sized to the
-    rest of the schedule outlives it.
+    The solve is one pipeline of rounds, one window of _drive's.  In round
+    r, level k sweeps steps (r - k) _CHUNK to (r - k + 1) _CHUNK of the grid,
+    the steps level k - 1 swept in the round before; each step is one
+    rk4_step over the (levels, N) state of the levels that have steps to
+    take in the round (all L once the pipeline is full).  Then _node_states
+    places those levels' three node sets (the midpoint by cubic Hermite
+    interpolation on the projective right-hand side, the levels' zero rows
+    kept), and one batched _peel_level call on them (the trace removed on
+    each level's own rows) gives the phase rates, integrated by Simpson's
+    rule, and each level's H_next; shifted one row and one column down, that
+    is the next level's H for the next round.  Each level writes its z and phase increments in
+    place, at their grid nodes.  The pipeline fills once, so a solve of S
+    steps takes S + (L - 1) _CHUNK batched RK4 steps plus at most the rest
+    of a round per fold.
 
-    A restart resets every level's coordinate and phases, and _drive records
-    the fold; the next window fills the pipeline again from that node.  The
-    pipeline fills and drains in L - 1 extra rounds, so a window of W steps
-    takes fewer than W + L _CHUNK batched RK4 steps.
-    After the solve, _segments turns the folds into the restart records and
-    U_samples, assembled once over the stacked states with each segment
-    multiplied by its accumulator, and the phases add up the segments.
+    Restarts, per level.  Level 0 restarts at Z_max, so it folds where
+    solve_factored folds; the levels below it restart at Z_max / 2, because
+    each reads its H from the peel of the levels above it and its error
+    grows with its own ||z||.  When level k's step from grid node j reaches
+    its threshold, _fold_guard (_drive's rule too) accepts the fold or
+    raises StiffnessError, level k restarts from [0_k; 0; 1] at j, and the
+    round sweeps again from that step; the levels do not interact inside a
+    round, so every other level repeats its steps bit for bit.  From j on,
+    level k + 1 reads its H from level k's new segment, so it restarts at j
+    too, one round later, and so on down to the innermost level.  Shallower
+    levels keep stepping.  The guard counts a level's steps since its latest
+    restart, its own or one passed down.
+
+    Assembly, after the solve.  Each level keeps an accumulator A_k: on its
+    own fold at j, A_k <- U^(k)(j-) A_k, the level's operator at the state
+    it reached (with the deeper levels' reached states and accumulators);
+    on a restart passed down, A_k <- I.  U_samples is assembled innermost
+    level first, U^(k) = U1(z_k) blockdiag(e^{i phi_k} U^(k+1), e^{i mu_k})
+    A_k, with each level's phases since its latest restart, _BLOCK nodes at
+    a time.  The reported phases are each level's increments summed over
+    the grid; ``restarts`` records level 0's folds and ``level_restarts``
+    every level's.
     """
     if h.n != 1:
         raise UnsupportedConfigurationError("hierarchical solve peels with n=1")
@@ -531,68 +554,118 @@ def hierarchical_solve(
     L = N - 1
     levels = np.arange(L)
     mask = levels >= levels[:, None]  # (L, N - 1): level k owns rows k: of the z frame
-    start = np.eye(N, 1, -L, dtype=complex) * np.ones((L, 1, 1))  # every W_k at z_k = 0
+    start = np.eye(N, 1, -L, dtype=complex)  # W_k at z_k = 0
     chunk = np.arange(_CHUNK)[:, None]
+    limit = np.where(levels == 0, Z_max, Z_max / 2)  # each level's restart threshold
+    folds = []  # (node, level) of every level's own folds
+    reached = {}  # (node, level) -> the z frame row the level reached where it restarts
 
     def window(dt, values, index):
-        W, pos, H_next = start, np.zeros(L, int), np.zeros((3, 0, L, L, L), complex)
-        took = np.zeros(L + 1, int)  # steps each level swept last round, after _CHUNK for the model
-        took[0] = _CHUNK
-        end, stop = index.shape[1], None
+        end = index.shape[1]
+        rounds = -(-end // _CHUNK)  # the rounds each level takes
+        W = np.repeat(start[None], L, axis=0)
         H = np.zeros((3, _CHUNK, L, N, N), complex)  # a round's frames; level k's rows above k stay 0
         # at each grid node, level k's z frame in z[:, k] and its phase increments in inc[:, :, k]
         z, inc = np.zeros((end + 1, L, L), complex), np.zeros((end + 1, 3, L))
-        while True:
-            n = np.maximum(np.minimum(took[:-1], end - pos), 0)
-            if not n.any():
-                break
-            H[:, : n[0], 0] = values[index[:, pos[0] : pos[0] + n[0]]]
-            H[:, : len(H_next[0]), 1:, 1:, 1:] = H_next[:, :, :-1]
+        last = np.zeros(L, int)  # each level's latest restart node
+        restart = {}  # step of the round -> the levels that restart where it starts
+        for r in range(rounds + L - 1):
+            lo, hi = max(0, r - rounds + 1), min(L, r + 1)  # the levels that step this round
+            pos = (r - levels[lo:hi]) * _CHUNK  # the node each starts the round at
+            n = np.minimum(end - pos, _CHUNK)
+            if not lo:
+                H[:, : n[0], 0] = values[index[:, pos[0] : pos[0] + n[0]]]
             live = chunk < n
-            H[:, ~live] = 0.0  # K = 0 holds a level still
-            K = -1j * H[:, : n.max()]
-            Ws = [W]
-            for K_a, K_m, K_b in zip(*K):
-                Ws.append(rk4_step(_projective_rhs, Ws[-1], dt, _projective_rhs(K_a, Ws[-1]), K_m, K_b))
-            Ws = np.array(Ws)
-            zw = Ws[1:, :, :-1, 0]
-            peak = np.sqrt(np.sum(zw.real**2 + zw.imag**2, axis=-1))
-            over = live[: len(peak)] & ~(peak < Z_max)
-            folds = over.any(axis=0)
-            took[1:] = np.where(folds, over.argmax(axis=0), n)
-            if folds.any():
-                k = np.where(folds, pos + took[1:], end).argmin()  # shallowest on a tie
-                if folds[k]:
-                    end, stop = pos[k] + took[k + 1], peak[took[k + 1], k]
-            Hm = H[:, : len(peak)]
-            z3 = _node_states(K, Ws, dt)[0][..., :-1, 0]
-            rates, H_next = _peel_level(Hm[..., :-1, :-1], Hm[..., :-1, -1], Hm[..., -1, -1], z3, mask)
+            Hr = H[:, :, lo:hi]
+            Hr[:, ~live] = 0.0  # K = 0 holds a level still
+            w = n.max()
+            K = -1j * Hr[:, :w]
+            # a restart passes one level down per round, at the same step
+            restart = {s: [k + 1 for k in ks if k + 1 < L] for s, ks in restart.items() if ks[0] + 1 < L}
+            Wa, Wb, s, y = [], [], 0, W[lo:hi]
+            while True:
+                for i in range(s, w):
+                    if i in restart:
+                        y = y.copy()
+                        y[np.subtract(restart[i], lo)] = start
+                    Wa.append(y)
+                    y = rk4_step(_projective_rhs, y, dt, _projective_rhs(K[0, i], y), K[1, i], K[2, i])
+                    Wb.append(y)
+                ends = np.array(Wb)
+                zw = ends[..., :-1, 0]
+                peak = np.sqrt(np.sum(zw.real**2 + zw.imag**2, axis=-1))
+                over = live[:w] & ~(peak < limit[lo:hi])
+                if not over.any():
+                    break
+                s = int(over.any(axis=1).argmax())  # the earliest fold of the round; on a tie every level there
+                for k in (lo + np.flatnonzero(over[s])).tolist():
+                    j = int(pos[k - lo]) + s
+                    since = [a for a, ks in restart.items() if a <= s and k in ks]
+                    _fold_guard(dt * j, j, j - s + max(since) if since else last[k], peak[s, k - lo])
+                    folds.append((j, k))
+                    restart[s] = sorted(restart.get(s, []) + [k])
+                y = Wa[s]
+                del Wa[s:], Wb[s:]
+            z3 = _node_states(K, np.array(Wa), ends, dt)[0][..., :-1, 0]
+            Hm = Hr[:, :w]
+            rates, H_next = _peel_level(Hm[..., :-1, :-1], Hm[..., :-1, -1], Hm[..., -1, -1], z3, mask[lo:hi])
+            # shifted one row and one column down, level k's H_next is level k + 1's H next round
+            H[:, :w, lo + 1 : hi + 1, 1:, 1:] = H_next[:, :, : L - 1 - lo]
             rates = np.array(rates)  # (rate, node set, step, level)
-            step, k = np.nonzero(chunk[: len(peak)] < took[1:])  # the steps each level keeps
-            node = pos[k] + 1 + step
-            z[node, k] = zw[step, k]
-            inc[node, :, k] = ((dt / 6.0) * (rates[:, 0] + 4.0 * rates[:, 1] + rates[:, 2]))[:, step, k].T
-            W, pos = Ws[took[1:], levels], pos + took[1:]
-        if stop is not None:  # keep nodes 0..end only, so no buffer for the rest of the schedule lives on
-            z = z[: end + 1].copy()
-        phases = np.cumsum(inc[: end + 1], axis=0)
-        return (*(z[:, k, k:] for k in levels), phases), end, stop
+            step, row = np.nonzero(live[:w])  # row: level lo + row
+            node = pos[row] + 1 + step
+            z[node, lo + row] = zw[step, row]
+            inc[node, :, lo + row] = ((dt / 6.0) * (rates[:, 0] + 4.0 * rates[:, 1] + rates[:, 2]))[:, step, row].T
+            for s, ks in restart.items():  # level k restarts at the node where its step s starts
+                for k in ks:
+                    j = int(pos[k - lo]) + s
+                    reached[j, k] = (zw[s - 1, k - lo] if s else W[k, :-1, 0]).copy()
+                    z[j, k] = 0.0
+                    last[k] = max(last[k], j)
+            W[lo:hi] = ends[-1]
+        return (z, inc), end, None
 
-    times, states, folds = _drive(window, h.read, t_end, steps, Z_max, h.breakpoints)
-    *zs, phases = states
-    restarts, U_samples, segment = _segments(N, times, folds, states, lambda *y: _hier_assemble(y[:-1], y[-1]))
-    reached = np.cumsum([np.zeros((3, N - 1))] + [y[-1] for _, y in folds], axis=0)
-    level_mu, level_geo, trace_phases = np.moveaxis(phases + reached[segment], 1, 0)
+    times, (z, inc), _ = _drive(window, h.read, t_end, steps, Z_max, h.breakpoints)
+    phases = np.cumsum(inc, axis=0)
+    # level by level, the restart nodes and the accumulator from each on, node 0 first
+    starts = [[0] for _ in levels]
+    accums = [[np.eye(N - k, dtype=complex)] for k in levels]
+    restarts, level_restarts = [], []
+    for j, k0 in sorted(folds):  # a fold at level k0 restarts levels k0 .. L - 1 at node j
+        group = range(k0, L)
+        since = np.stack([phases[j, :, k] - phases[starts[k][-1], :, k] for k in group], axis=-1)
+        A = _hier_assemble([reached[j, k][k:] for k in group], since, [accums[k][-1] for k in group])
+        for k in group:
+            starts[k].append(j)
+            accums[k].append(A if k == k0 else np.eye(N - k, dtype=complex))
+        level_restarts.append((times[j], k0))
+        if k0 == 0:
+            restarts.append((times[j], A))
+    nodes = np.arange(steps + 1)
+    segment = [np.searchsorted(starts[k], nodes, side="right") - 1 for k in levels]
+    base = np.stack([phases[np.array(starts[k])[segment[k]], :, k] for k in levels], axis=-1)
+    owners = {level for _, level in level_restarts}
+    folded = [np.array(accums[k]) if k in owners else None for k in levels]
+    U_samples = np.empty((steps + 1, N, N), dtype=complex)
+    for a in range(0, steps + 1, _BLOCK):
+        b = a + _BLOCK
+        U_samples[a:b] = _hier_assemble(
+            [z[a:b, k, k:] for k in levels],
+            phases[a:b] - base[a:b],
+            [None if A is None else A[segment[k][a:b]] for k, A in zip(levels, folded)],
+        )
+    level_mu, level_geo, trace_phases = np.moveaxis(phases, 1, 0)
     return HierarchicalResult(
         h=h,
         times=times,
-        z_samples=zs[0][:, :, None],
+        z_samples=z[:, 0, :, None],
         U_samples=U_samples,
         level_mu=level_mu,
         level_geo=level_geo,
         level_dyn=level_mu - level_geo,
         trace_phases=trace_phases,
         restarts=restarts,
+        level_restarts=level_restarts,
     )
 
 

@@ -12,9 +12,10 @@ path, and the linear Bloch precession, steps through one driver,
 ``_drive``, whose docstring is the one description of the node schedule:
 the driver reads the model at t, t + dt/2 and t + dt of every step before
 the first, and the path sweeps its coordinate by ``rk4_step`` on those node
-values one fold window at a time.  The driver is also the only place
-restarts happen: when ||z||_F reaches the restart threshold it records a
-fold, the state the segment reached, and integration resumes from z = 0.
+values one fold window at a time.  Restarts follow one rule, _fold_guard:
+when ||z||_F reaches the restart threshold _drive records a fold, the
+state the segment reached, and integration resumes from z = 0; the
+hierarchical peel restarts each of its levels on its own under that rule.
 The product structure U = U_segment U_accum makes that exact; each path
 assembles U, its phases and its restart records from the folds once, after
 the solve.  The SO(5) two-qubit case reduces to four real parameters and
@@ -23,8 +24,6 @@ for step, restarts included.
 """
 
 from __future__ import annotations
-
-from itertools import chain
 
 import numpy as np
 
@@ -35,7 +34,7 @@ DEFAULT_Z_MAX = 10.0
 # Restarts closer together than this many grid steps indicate the trajectory
 # hugs the coordinate singularity; bail out instead of thrashing.
 MIN_STEPS_BETWEEN_RESTARTS = 4
-# Steps of node values per block of _triples' gathers, solve_factored's batched
+# Steps of node values per block of _sweep's gathers, solve_factored's batched
 # passes and _segments' U assembly: the block bounds their temporaries.
 _BLOCK = 2048
 
@@ -87,34 +86,60 @@ def _projective_rhs(K: np.ndarray, W: np.ndarray) -> np.ndarray:
     return KW - W @ KW[..., -W.shape[-1] :, :]
 
 
-def _triples(values, index, f=None):
-    """Each step's (start, midpoint, end) node values values[index[:, j]], in step order.
+def _sweep(f, values, index, y, dt: float, Z_max: float, norm=lambda y: np.sqrt(np.vdot(y, y).real), gather=None):
+    """rk4_step on f over the steps ``index`` names in ``values``, from y, up to the first step that reaches Z_max.
 
-    ``index`` is (3, steps) into the stack ``values``; the values are gathered
-    (and mapped by f, if given) _BLOCK steps at a time and only as far as the
-    caller iterates, so a sweep that stops early copies little of the schedule.
+    ``index`` is (3, steps) into the node stack ``values``: each step's start,
+    midpoint and end node, so each step takes its first stage at its own
+    start node.  The values are gathered _BLOCK steps at a time, one block
+    alive at a time, and only as far as the sweep gets, so a sweep that stops
+    early copies little of the schedule; ``gather``, if given, maps each
+    gathered block in place.  The states go into one array of steps + 1
+    nodes, and a sweep that stops copies out its nodes up to the stop.
+    Returns (ys, done, peak): the done + 1 node states from y, the number of
+    steps completed, and the norm (by default ||y||_F) of the step that
+    stopped the sweep, None if none did.
     """
-    blocks = (values[index[:, a : a + _BLOCK]] for a in range(0, index.shape[1], _BLOCK))
-    return chain.from_iterable(zip(*(X if f is None else f(X))) for X in blocks)
+    steps = index.shape[1]
+    ys = np.empty((steps + 1,) + np.shape(y), np.result_type(y, values))
+    ys[0] = y
+    for a in range(0, steps, _BLOCK):
+        X = values[index[:, a : a + _BLOCK]]
+        if gather is not None:
+            gather(X)
+        for i, (x_a, x_m, x_b) in enumerate(zip(*X), a):
+            y = rk4_step(f, y, dt, f(x_a, y), x_m, x_b)
+            peak = norm(y)
+            if not peak < Z_max:
+                return ys[: i + 1].copy(), i, peak
+            ys[i + 1] = y
+        del X, x_a, x_m, x_b  # the block and its last views, before the next block is gathered
+    return ys, steps, None
 
 
-def _sweep(f, nodes, y, dt: float, Z_max: float, norm=lambda y: np.sqrt(np.vdot(y, y).real)):
-    """rk4_step on f over the node triples ``nodes``, from y, up to the first step that reaches Z_max.
+def _fold_guard(t: float, j: int, start: int, peak: float) -> None:
+    """Raise StiffnessError unless a trajectory that started at grid node ``start`` may fold at node j.
 
-    Each item of ``nodes`` is one step's (start, midpoint, end) model value,
-    and each step takes its first stage at its own start node.  Returns (ys,
-    done, peak): the done + 1 node states from y, the number of steps
-    completed, and the norm (by default ||y||_F) of the step that stopped the
-    sweep, None if none did.
+    The step from node j (at time t) reached the coordinate norm ``peak``, at
+    or above the restart threshold.  The fold is refused when peak is not
+    finite, when the trajectory completed no step since its start (j ==
+    start: a retaken step runs away), or when it restarted at start > 0 and
+    folds again within MIN_STEPS_BETWEEN_RESTARTS steps.  _drive applies it
+    to every window, and hierarchical_solve to every level of its peel.
     """
-    ys = [y]
-    for x_a, x_m, x_b in nodes:
-        y = rk4_step(f, y, dt, f(x_a, y), x_m, x_b)
-        peak = norm(y)
-        if not peak < Z_max:
-            return np.array(ys), len(ys) - 1, peak
-        ys.append(y)
-    return np.array(ys), len(ys) - 1, None
+    done = j - start
+    if not np.isfinite(peak) and (done or not start):
+        problem = f"coordinate norm is {peak}"
+    elif not done:
+        problem = f"coordinate norm reaches {peak:.3g} within one step of a restart"
+    elif start and done < MIN_STEPS_BETWEEN_RESTARTS:
+        problem = f"restart requested again after {done} steps"
+    else:
+        return
+    raise StiffnessError(
+        f"{problem} at t={t:.6g} (step {j}): trajectory passes too near the coordinate singularity",
+        t=float(t), step=int(j), peak=float(peak),
+    )
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite peak raises StiffnessError
@@ -143,20 +168,21 @@ def _drive(window, read, t_end: float, steps: int, Z_max: float, breakpoints=())
     the done + 1 nodes it reached, the number of steps it completed, and the
     coordinate norm of the step that stopped it (None if it reached the
     end).  A window gathers the node values it needs, values[index[:, a:b]],
-    a block of steps at a time (_triples for a sweep).  Every step takes its
-    first stage at its own start node, so folds and breakpoints need no
-    carry.  solve_factored, integrate_so5 and the precession sweep one state
-    with _sweep; hierarchical_solve steps all its levels' [0; z_k; 1] states
-    together as a pipeline of rounds and stops at the earliest node any
-    level cannot pass.  All else a path derives from node values is batched
-    over the window (or the round).
+    a block of steps at a time.  Every step takes its first stage at its own
+    start node, so folds and breakpoints need no carry.  solve_factored,
+    integrate_so5 and the precession sweep one state with _sweep.
+    hierarchical_solve steps all its levels' [0; z_k; 1] states together as
+    a pipeline of rounds in one window that always reaches the end: its
+    levels restart on their own.  All else a path derives from node values
+    is batched over the window (or the round).
 
-    Folds.  A window that stops at grid node j records the fold (j, y), with
-    y its states at j, and the next window starts at j.  It raises
-    StiffnessError instead when its peak is not finite, when it completed no
-    step, or when it follows a fold and completed fewer than
-    MIN_STEPS_BETWEEN_RESTARTS steps.  The path assembles U, phases and
-    restart records from the folds after the solve.
+    Folds.  Restarts happen here for the single-state sweeps and per level
+    in the peel, under one rule, _fold_guard: StiffnessError when the peak is
+    not finite, when no step was completed since the (re)start, or when a
+    restart follows the last one within MIN_STEPS_BETWEEN_RESTARTS steps.
+    Otherwise a window that stops at grid node j records the fold (j, y),
+    with y its states at j, and the next window starts at j.  The path
+    assembles U, phases and restart records from the folds after the solve.
 
     Returns (times, states, folds): states[a][k] is the path's a-th state
     array at times[k].  Raises ValueError when steps < 1.
@@ -180,22 +206,10 @@ def _drive(window, read, t_end: float, steps: int, Z_max: float, breakpoints=())
         if k + done == steps:
             break
         j = k + done
-        if not np.isfinite(peak) and (done or not k):
-            problem = f"coordinate norm is {peak}"
-        elif not done:
-            problem = f"coordinate norm reaches {peak:.3g} within one step of a restart"
-        elif k and done < MIN_STEPS_BETWEEN_RESTARTS:
-            problem = f"restart requested again after {done} steps"
-        else:
-            folds.append((j, tuple(a[-1] for a in states)))
-            pieces.append(tuple(a[:-1] for a in states))
-            k = j
-            continue
-        raise StiffnessError(
-            f"{problem} at t={times[j]:.6g} (step {j}): trajectory passes too near "
-            "the coordinate singularity",
-            t=float(times[j]), step=j, peak=float(peak),
-        )
+        _fold_guard(times[j], j, k, peak)
+        folds.append((j, tuple(a[-1] for a in states)))
+        pieces.append(tuple(a[:-1] for a in states))
+        k = j
     if not pieces:  # one window: its states, contiguous as a concatenation leaves them, uncopied
         return times, tuple(np.ascontiguousarray(a) for a in states), folds
     pieces.append(states)
@@ -252,8 +266,7 @@ def integrate_so5(
     steps, so twice the steps buy it back.
     """
     def window(dt, values, index):
-        nodes = _triples(values, index)
-        zs, done, peak = _sweep(so5_rhs, nodes, np.zeros(4), dt, Z_max, lambda y: np.sqrt(2 * (y @ y)))
+        zs, done, peak = _sweep(so5_rhs, values, index, np.zeros(4), dt, Z_max, lambda y: np.sqrt(2 * (y @ y)))
         return (zs,), done, peak
 
     times, (zs,), folds = _drive(window, coeffs.read, t_end, steps, Z_max)

@@ -156,6 +156,30 @@ def test_run_scenario_hierarchical_phases(tmp_path):
     assert abs(levels[0]["mu_total"] - report["phases"]["factorized"]["mu_total"]) < 1e-6
 
 
+def test_run_scenario_logs_each_level_fold(tmp_path):
+    # a hierarchical restart entry names the level that folded; level 0
+    # folds where the factorized path does, and levels 1 and 2 fold on their own
+    s = {
+        "id": "tr4",
+        "family": "trig_random",
+        "N": 4,
+        "n": 1,
+        "seed": 52,
+        "params": {"scale": 3.0},
+        "t_end": 3.0,
+        "steps": 240,
+        "Z_max": 2.0,
+        "paths": ["factorized", "hierarchical"],
+    }
+    log = run_scenario(s, tmp_path)["restarts"]
+    factorized = [r["t"] for r in log if r["path"] == "factorized"]
+    hierarchical = [(r["t"], r["level"]) for r in log if r["path"] == "hierarchical"]
+    assert len(factorized) == 3
+    assert [t for t, level in hierarchical if level == 0] == factorized
+    assert {level for _, level in hierarchical} == {0, 1, 2}
+    assert [t for t, _ in hierarchical] == sorted(t for t, _ in hierarchical)
+
+
 def test_run_scenario_so5_restart_logged(tmp_path):
     F = np.zeros((5, 5))
     F[4, 3], F[3, 4] = 1.0, -1.0

@@ -751,13 +751,15 @@ def test_hierarchical_evaluates_each_node_once(N, scale, folds):
     assert len(set(times)) == len(times)
 
 
-def _nested_assembly(zs, phases):
-    """U1(z_k) blockdiag(e^{i phi_k} U, e^{i mu_k}), innermost level first."""
+def _nested_assembly(zs, phases, accums=None):
+    """U1(z_k) blockdiag(e^{i phi_k} U, e^{i mu_k}) A_k, innermost level first."""
     mu, _, phi = phases
     U = np.ones((1, 1), dtype=complex)
     for k in range(len(zs) - 1, -1, -1):
         z = zs[k].reshape(-1, 1)
         U = unitarized_U1(z) @ blockdiag(np.exp(1j * phi[k]) * U, np.exp(1j * mu[k]))
+        if accums is not None and accums[k] is not None:
+            U = U @ accums[k]
     return U
 
 
@@ -768,60 +770,100 @@ def test_hier_assemble_matches_nested_product(N, monkeypatch):
     for m in range(N - 1, 0, -1):
         z = _random_z(rng, m)[:, 0]
         zs.append(z * (rng.uniform(0.0, 10.0) / frobenius(z)))
-    states = [(*zs, rng.uniform(-np.pi, np.pi, 3 * (N - 1)).reshape(3, N - 1))]
+    states = [(zs, rng.uniform(-np.pi, np.pi, 3 * (N - 1)).reshape(3, N - 1), None)]
 
-    # and every state a solve folds, i.e. the last state before a restart
-    def drive(*args):
-        out = riccati._drive(*args)
-        states.extend(tuple(a.copy() for a in state) for _, state in out[2])
-        return out
+    # and every state the peel reaches where a level folds, with the
+    # accumulators of that level and the levels below it
+    def assemble(zs, phases, accums=None):
+        if np.ndim(phases) == 2:  # one state, not a block of samples
+            states.append(([z.copy() for z in zs], phases.copy(), [A.copy() for A in accums]))
+        return _hier_assemble(zs, phases, accums)
 
-    monkeypatch.setattr(factorization, "_drive", drive)
+    monkeypatch.setattr(factorization, "_hier_assemble", assemble)
     res = hierarchical_solve(trig_random(N, seed=1, scale=2.0), 3.0, 200, Z_max=2.0)
-    assert len(states) == 1 + len(res.restarts) > 1
-    for *zs, phases in states:
-        assert frobenius(_hier_assemble(zs, phases) - _nested_assembly(zs, phases)) < 1e-13
+    assert len(states) == 1 + len(res.level_restarts) > 1
+    for zs, phases, accums in states:
+        U = _hier_assemble(zs, phases, accums)
+        assert frobenius(U - _nested_assembly(zs, phases, accums)) < 1e-13
+        assert frobenius(U @ dagger(U) - np.eye(len(U))) < 1e-13
 
 
 def test_hierarchical_sweeps_each_level_in_linear_time(monkeypatch):
-    # level 1 folds every few steps while level 0 stays at z = 0.  One
-    # rk4_step steps both levels of the stacked frame, level 1 a round of
-    # _CHUNK steps behind level 0, and a window ends once level 1 reaches its
-    # fold: the steps level 0 swept past it are thrown away, but they stay
-    # within the pipeline's depth, so a solve of S steps and F folds takes at
-    # most S + F L _CHUNK batched steps, not O(S F)
-    M = np.zeros((3, 3))
-    M[0, 1] = M[1, 0] = 60.0
-    calls, moved = [0], np.zeros(2, int)
+    # One rk4_step steps the levels of the stacked frame that have steps to
+    # take in a round, level k + 1 a round of _CHUNK steps behind level k.
+    # Each level of the frame is named by its first nonzero row of K (a held
+    # level's K is zero).  With no fold, every level takes each of its S
+    # steps once, and the pipeline fills once: S + (L - 1) _CHUNK batched
+    # steps.  Then level 1 folds every few steps while level 0 stays at
+    # z = 0: a fold restarts level 1 alone and the round sweeps again from
+    # the fold's step, so a fold costs at most the rest of one round, and a
+    # solve of F folds takes at most S + (L - 1 + F) _CHUNK batched steps
+    calls, moved = [0], np.zeros(3, int)
 
     def rk4_step(f, y, dt, k1, x_mid, x_end):
         calls[0] += 1
-        moved[:] += x_end.any(axis=(-2, -1))  # the levels it advances: K = 0 holds a level still
+        for K in x_mid:
+            rows = np.flatnonzero(np.any(K != 0.0, axis=-1))
+            moved[rows[:1]] += 1
         return step(f, y, dt, k1, x_mid, x_end)
 
     step = factorization.rk4_step
     monkeypatch.setattr(factorization, "rk4_step", rk4_step)
     steps = 2000
+    res = hierarchical_solve(trig_random(4, seed=1, scale=0.5), 1.0, steps)
+    assert not res.level_restarts
+    assert list(moved) == [steps] * 3 and calls[0] == steps + 2 * factorization._CHUNK
+
+    M = np.zeros((3, 3))
+    M[0, 1] = M[1, 0] = 60.0
+    calls[0], moved[:] = 0, 0
     res = hierarchical_solve(constant_hamiltonian(M), 1.0, steps, Z_max=2.0)
-    folds = len(res.restarts)
-    assert folds > 50
+    folds = len(res.level_restarts)
+    assert folds > 50 and not res.restarts
+    assert {level for _, level in res.level_restarts} == {1}
     assert np.all(res.z_samples == 0.0)
-    assert steps < moved.min() and moved.max() <= calls[0] <= steps + folds * 2 * factorization._CHUNK
+    assert steps < moved[:2].min() and moved[:2].max() <= calls[0] <= steps + (1 + folds) * factorization._CHUNK
 
 
 def test_hierarchical_deeper_fold_behind_a_detected_fold():
-    # level 0 alone folds at node 47 (solve_factored), in the pipeline's
-    # sixth round; levels 1 and 2, one and two rounds behind, then fold
-    # earlier, and the window ends at node 41, where the deepest one stops:
-    # the restart nodes of the level-by-level cascade, checked against DOP853
+    # level 0 folds at nodes 47, 148 and 188, where solve_factored folds.
+    # Levels 1 and 2 restart at Z_max / 2 and sweep one and two rounds
+    # behind level 0, so one round finds level 1's fold at 33, level 2's at
+    # 30 and level 0's at 47 and sweeps again from each fold's step in
+    # turn: each level restarts alone (with the levels below it), and the
+    # shallower levels keep stepping.  Checked against DOP853
     h = trig_random(4, seed=52, scale=3.0)
     steps, dt = 240, 3.0 / 240
     res = hierarchical_solve(h, 3.0, steps, Z_max=2.0)
     level0 = solve_factored(h, 3.0, steps, Z_max=2.0)
-    assert round(level0.restarts[0][0] / dt) == 47
-    assert [round(t / dt) for t, _ in res.restarts] == [41, 98, 135, 172, 228]
+    assert [round(t / dt) for t, _ in level0.restarts] == [47, 148, 188]
+    assert [round(t / dt) for t, _ in res.restarts] == [47, 148, 188]
+    folds = [(round(t / dt), level) for t, level in res.level_restarts]
+    assert folds == [(30, 2), (33, 1), (47, 0), (87, 1), (112, 1), (148, 0), (188, 0)]
     assert compare(res.U_samples[-1], _dop853(h, 3.0)).phase_insensitive < 1e-6
     assert max(frobenius(U @ dagger(U) - np.eye(4)) for U in res.U_samples) < 1e-12
+
+
+_HIER_PEEL_SHAPES = [(3, 325), (4, 260), (6, 130), (8, 98)]
+
+
+@pytest.mark.parametrize("N,steps", _HIER_PEEL_SHAPES)
+def test_hierarchical_level0_folds_where_solve_factored_folds(N, steps):
+    # only the level that folds restarts, with the levels below it, so level
+    # 0 steps as solve_factored's z does: the same restart nodes, and its
+    # phases, summed over its segments, match solve_factored's across folds
+    folded = 0
+    for seed in range(4):
+        for harmonics in (1, 2, 3):
+            h = trig_random(N, seed=seed, harmonics=harmonics, scale=2.0)
+            hier = hierarchical_solve(h, 3.0, steps, Z_max=2.0)
+            direct = solve_factored(h, 3.0, steps, Z_max=2.0)
+            assert [t for t, _ in hier.restarts] == [t for t, _ in direct.restarts]
+            assert [t for t, level in hier.level_restarts if level == 0] == [t for t, _ in direct.restarts]
+            folded += len(direct.restarts)
+            for got, want in ((hier.level_mu[:, 0], direct.mu_total), (hier.level_geo[:, 0], direct.phase_geometric)):
+                assert np.max(np.abs(got - want)) < 1e-7
+    assert folded >= 6
 
 
 @settings(max_examples=60, deadline=None)
@@ -872,7 +914,7 @@ def test_node_states_over_stacked_axes(seed, N, split, width, radius):
     z = rng.standard_normal((width + 1, 2, m, n)) + 1j * rng.standard_normal((width + 1, 2, m, n))
     z *= rng.uniform(0.0, radius, (width + 1, 2, 1, 1)) / np.linalg.norm(z, axis=(-2, -1), keepdims=True)
     W = np.concatenate((z, np.broadcast_to(np.eye(n), z.shape[:-2] + (n, n))), axis=-2)
-    W3, (f_a, f_b) = _node_states(-1j * H, W, dt)
+    W3, (f_a, f_b) = _node_states(-1j * H, W[:-1], W[1:], dt)
     assert np.array_equal(W3[0], W[:-1]) and np.array_equal(W3[2], W[1:])
     assert np.all(f_a[..., m:, :] == 0.0) and np.all(f_b[..., m:, :] == 0.0)
     assert np.all(W3[1, ..., m:, :] == np.eye(n))
@@ -902,10 +944,10 @@ def test_node_states_keep_the_level_frame(seed, N, radius):
             H[i, j, k, k:, k:] = random_traceless_hermitian(rng, N - k, 3.0)
         zk = rng.standard_normal((3, L - k)) + 1j * rng.standard_normal((3, L - k))
         W[:, k, k:-1, 0] = zk * rng.uniform(0.0, radius) / np.linalg.norm(zk, axis=-1, keepdims=True)
-    W3, f = _node_states(-1j * H, W, dt)
+    W3, f = _node_states(-1j * H, W[:-1], W[1:], dt)
     for k in range(L):
         assert np.all(W3[:, :, k, :k] == 0.0) and np.all(f[:, :, k, :k] == 0.0)
-        one, one_f = _node_states(-1j * H[:, :, k, k:, k:], W[:, k, k:], dt)
+        one, one_f = _node_states(-1j * H[:, :, k, k:, k:], W[:-1, k, k:], W[1:, k, k:], dt)
         scale = frobenius(H[:, :, k]) * (1.0 + radius) ** 2
         assert frobenius(W3[:, :, k, k:] - one) <= 1e-14 * scale
         assert frobenius(f[:, :, k, k:] - one_f) <= 1e-14 * scale
