@@ -73,16 +73,15 @@ def precess(omega, t_end: float, steps: int) -> np.ndarray:
 
 
 def _precess(read, t_end: float, steps: int, breakpoints=()):
-    """(m, omega) at the grid nodes: rk4_step on np.matmul from the pole, stepped by _drive.
+    """(m, omega) at the grid nodes: one _sweep of rk4_step on np.matmul from the pole.
 
-    read(ts) gives the generators at the nodes ts.  Z_max is infinite, so the
-    sweep is one window with no fold, and omega at a jump is the fresh read.
+    read(ts) gives the generators at the nodes of _drive's schedule.  Z_max
+    is infinite, so the sweep never restarts, and omega at a jump is the
+    fresh read.
     """
-    def window(dt, values, index):
-        m, done, peak = _sweep(np.matmul, values, index, np.eye(values.shape[-1])[-1], dt, np.inf)
-        return (m, values[np.concatenate((index[0, :done], index[2, done - 1 : done]))]), done, peak
-
-    return _drive(window, read, t_end, steps, np.inf, breakpoints)[1]
+    _, dt, values, index = _drive(read, t_end, steps, breakpoints)
+    m = _sweep(np.matmul, values, index, np.eye(values.shape[-1])[-1], dt, np.inf)[0]
+    return m, values[np.append(index[0], index[2, -1])]
 
 
 @dataclass

@@ -228,7 +228,7 @@ def _peel_level(Htop: np.ndarray, v: np.ndarray, h, z: np.ndarray, mask=None):
 
     Htop (m x m), the column v and the corner h partition a traceless
     (m+1)-level H; z is the level's coordinate as a 1-D array.  Leading axes
-    broadcast, so one call serves every node of a fold window.  Returns
+    broadcast, so one call serves every node of a block or a round.  Returns
     ((mu rate, geometric rate, trace-phase rate), H_next), where H_next is
     recursion_hamiltonian's H' with its trace removed, the rank-2 update
     H' = Htop - z u^H - u z^H, u = a v + (Re(V^H z) a^2 / 2) z, a =
@@ -321,78 +321,80 @@ def solve_factored(
     H is read on _drive's node schedule (t, t + dt/2 and t + dt per step,
     breakpoints of a piecewise model included) in one BlockedHamiltonian.read
     before the first step (ModelError for a non-Hermitian, non-traceless or
-    non-finite model).  Each fold window is one sweep and one batched pass.
+    non-finite model).  The solve is one sweep, then one batched pass over
+    each segment between restarts.
 
     - The sweep: W = [z; I_n] takes one rk4_step per grid step on
       _projective_rhs f with K = -iH at the three nodes, one right-hand side
-      for every n, up to the first step where ||z||_F, the norm of W's top
-      m rows, reaches Z_max.
-    - The batched pass, over the window's steps in blocks of _BLOCK:
-      _node_states gives W at the three nodes of each step (the midpoint by
-      cubic Hermite interpolation) and f at the start and end node, and f at
-      the midpoint completes the slopes.  The fiber kernel runs at the three
+      for every n.  When a step takes ||z||_F, the norm of W's top m rows,
+      to Z_max, _sweep restarts in place: it records the fold and the state
+      the segment reached, and retakes the step from z = 0.
+    - The batched pass, over each segment's steps in blocks of at most
+      _BLOCK: _node_states gives W at the three nodes of each step (the
+      midpoint by cubic Hermite interpolation) and f at the start and end
+      node, and f at the midpoint completes the slopes; the segment's last
+      step ends at the state it reached.  The fiber kernel runs at the three
       node sets: _corner_node (the level kernel _peel_level that
       hierarchical_solve cascades, which needs no slope) for n = 1,
       effective_hamiltonian_hermitian with one SVD and the slopes' top rows
       for n > 1.  The fiber's Hermitian effective Hamiltonian
       blockdiag(upper, lower) at the three nodes gives one fourth-order
       Magnus step per grid step (_magnus4, one batched N x N eigh per block
-      of steps); U2, one (steps + 1, N, N) array, is their running product.
+      of steps); U2, one (steps + 1, N, N) array, is I at each segment's
+      start and the running product of the segment's steps after it.
     - For n = 1 the corner phases (mu_total, phase_geometric, imag_mu, and
       phase_dynamical = mu_total - phase_geometric) integrate the three rate
-      evaluations by Simpson's rule, cumulative across restarts.
+      evaluations by Simpson's rule.  They and est_error are one cumulative
+      sum of per-step increments over the grid, across restarts.
     - est_error sums the per-step Simpson defect of z, ||W_new - W - dt/6
       (f(t) + 4 f(t + dt/2) + f(t + dt))||_F (the I_n rows cancel exactly),
       an estimate of the fourth-order error that costs no extra evaluation.
       It leaves out the fiber's Magnus error, so it can read below the
       error in U (0.8 to 9 times it on smooth models).
 
-    A restart resets z = 0, U2 = I and the phases, and _drive records the
-    fold.  After the solve, _segments turns the folds into the restart records
-    and U_samples, the stacked U1(z) U2 with each segment multiplied by its
-    accumulator, and the phases and est_error add up the segments.
+    After the solve, _segments turns the folds into the restart records and
+    U_samples, the stacked U1(z) U2 with each segment multiplied by its
+    accumulator.
     """
     n = h.n
     m = h.N - n
-
-    def window(dt, values, index):
-        W = np.eye(h.N, n, -m, dtype=complex)  # [z; I_n] at z = 0
-        norm = lambda W: np.sqrt(np.vdot(W[:m], W[:m]).real)  # noqa: E731
-        W, done, peak = _sweep(_projective_rhs, values, index, W, dt, Z_max, norm, lambda X: np.multiply(X, -1j, out=X))
-        U2 = np.empty((done + 1, h.N, h.N), dtype=complex)  # the fiber's running product
-        U2[0] = np.eye(h.N)
-        incs = []  # per block of steps: the sums' increments
-        for a in range(0, max(done, 1), _BLOCK):
-            b = min(a + _BLOCK, done)
+    times, dt, values, index = _drive(h.read, t_end, steps, h.breakpoints)
+    norm = lambda W: np.sqrt(np.vdot(W[:m], W[:m]).real)  # noqa: E731
+    W0 = np.eye(h.N, n, -m, dtype=complex)  # [z; I_n] at z = 0
+    W, folds = _sweep(_projective_rhs, values, index, W0, dt, Z_max, norm, lambda X: np.multiply(X, -1j, out=X))
+    U2 = np.empty((steps + 1, h.N, h.N), dtype=complex)  # the fiber's running product
+    inc = np.zeros((steps + 1, 4 if n == 1 else 1))  # per step's end node: the phases' increments, then the defect
+    ends = []  # per fold: (node, z and U2 where the segment ended)
+    # per segment: its start node k, its end node e and the state W_e it reached there
+    for k, (e, W_e) in zip([0] + [j for j, _ in folds], folds + [(steps, W[-1])]):
+        U2[k] = np.eye(h.N)
+        for a in range(k, e, _BLOCK):
+            b = min(a + _BLOCK, e)
             X = values[index[:, a:b]]
             K = -1j * X
-            W3, (f_a, f_b) = _node_states(K, W[a:b], W[a + 1 : b + 1], dt)
+            W3, (f_a, f_b) = _node_states(K, W[a:b], np.concatenate((W[a + 1 : b], [W_e if b == e else W[b]])), dt)
             f_m = _projective_rhs(K[1], W3[1])
             H3, z3 = _blocks(X, n), W3[..., :m, :]
-            if n == 1:
+            if n == 1:  # the phases by Simpson's rule
                 He, rates = _corner_node(H3, z3)
+                inc[a + 1 : b + 1, :3] = (dt / 6.0) * (rates[0] + 4.0 * rates[1] + rates[2])
             else:
                 He = effective_hamiltonian_hermitian(H3, z3, np.array((f_a, f_m, f_b))[..., :m, :])
             _running_product(_magnus4(*blockdiag(*He), dt), U2[a:])
             defect = W3[2] - W3[0] - (dt / 6.0) * (f_a + 4.0 * f_m + f_b)
-            inc = np.linalg.norm(defect, axis=(-2, -1))[:, None]
-            if n == 1:  # the phases by Simpson's rule, then the defect
-                inc = np.hstack(((dt / 6.0) * (rates[0] + 4.0 * rates[1] + rates[2]), inc))
-            incs.append(inc)
-        inc = np.concatenate(incs)
-        sums = np.cumsum(np.vstack((np.zeros(inc.shape[1]), inc)), axis=0)
-        return (W[:, :m], sums, U2), done, peak
-
-    times, states, folds = _drive(window, h.read, t_end, steps, Z_max, h.breakpoints)
-    z_samples, sums, U2_samples = states
-    restarts, U_samples, segment = _segments(h.N, times, folds, states, lambda z, _, U2: unitarized_U1(z) @ U2)
-    sums = sums + np.cumsum([np.zeros(sums.shape[1])] + [y[1] for _, y in folds], axis=0)[segment]
+            inc[a + 1 : b + 1, -1] = np.linalg.norm(defect, axis=(-2, -1))
+        if e < steps:
+            ends.append((e, W_e[:m], U2[e].copy()))
+    del values  # the node stack, before U is assembled
+    z_samples = np.ascontiguousarray(W[:, :m])
+    restarts, U_samples = _segments(times, ends, z_samples, U2)
+    sums = np.cumsum(inc, axis=0)
     result = FactoredResult(
         h=h,
         times=times,
         z_samples=z_samples,
         U_samples=U_samples,
-        U2_samples=U2_samples,
+        U2_samples=U2,
         restarts=restarts,
         est_error=float(sums[-1, -1]),
     )
@@ -420,28 +422,27 @@ def _node_states(K: np.ndarray, W_a: np.ndarray, W_b: np.ndarray, dt: float):
     return np.array((W_a, W_m, W_b)), f
 
 
-def _segments(N: int, times: np.ndarray, folds: list, states: tuple, assemble):
-    """Restart records, U at every node and each node's segment index.
+def _segments(times: np.ndarray, ends: list, z: np.ndarray, U2: np.ndarray):
+    """Restart records and U at every node from solve_factored's node states z and U2.
 
-    ``folds`` and ``states`` are _drive's, and ``assemble(*y)`` is the
-    evolution within a segment at the states y of a node or a stack of
-    nodes.  Each fold's state multiplies the accumulator from the left; the
-    restart record is (times[k], the new accumulator), and node k starts the
-    new segment.  Then U is assembled _BLOCK nodes at a time, which bounds
-    the temporaries, and each segment is multiplied by its accumulator from
-    the right, in place.
+    ``ends`` holds (k, z_k, U2_k) per fold: the states the segment before
+    node k reached there.  Each fold's U1(z_k) U2_k multiplies the
+    accumulator from the left; the restart record is (times[k], the new
+    accumulator), and node k starts the new segment.  Then U1(z) U2 is
+    assembled _BLOCK nodes at a time, which bounds the temporaries, and each
+    segment is multiplied by its accumulator from the right, in place.
     """
+    N = U2.shape[-1]
     accums = [np.eye(N, dtype=complex)]
-    for _, y in folds:
-        accums.append(assemble(*y) @ accums[-1])
-    starts = [k for k, _ in folds]
+    for _, z_k, U2_k in ends:
+        accums.append(unitarized_U1(z_k) @ U2_k @ accums[-1])
+    starts = [k for k, _, _ in ends]
     U = np.empty((len(times), N, N), dtype=complex)
     for a in range(0, len(times), _BLOCK):
-        U[a : a + _BLOCK] = assemble(*(x[a : a + _BLOCK] for x in states))
+        U[a : a + _BLOCK] = unitarized_U1(z[a : a + _BLOCK]) @ U2[a : a + _BLOCK]
     for k, end, accum in zip(starts, starts[1:] + [len(times)], accums[1:]):
         U[k:end] = U[k:end] @ accum
-    restarts = list(zip(times[starts], accums[1:]))
-    return restarts, U, np.searchsorted(starts, np.arange(len(times)), side="right")
+    return list(zip(times[starts], accums[1:])), U
 
 
 # ---------------------------------------------------------------------------
@@ -510,7 +511,7 @@ def hierarchical_solve(
     rk4_step on _projective_rhs with K = -iH steps every level at once, and
     ||z_k||_F is the norm of W_k's top N - 1 rows.
 
-    The solve is one pipeline of rounds, one window of _drive's.  In round
+    The solve is one pipeline of rounds on _drive's node values.  In round
     r, level k sweeps steps (r - k) _CHUNK to (r - k + 1) _CHUNK of the grid,
     the steps level k - 1 swept in the round before; each step is one
     rk4_step over the (levels, N) state of the levels that have steps to
@@ -529,14 +530,14 @@ def hierarchical_solve(
     solve_factored folds; the levels below it restart at Z_max / 2, because
     each reads its H from the peel of the levels above it and its error
     grows with its own ||z||.  When level k's step from grid node j reaches
-    its threshold, _fold_guard (_drive's rule too) accepts the fold or
-    raises StiffnessError, level k restarts from [0_k; 0; 1] at j, and the
-    round sweeps again from that step; the levels do not interact inside a
-    round, so every other level repeats its steps bit for bit.  From j on,
-    level k + 1 reads its H from level k's new segment, so it restarts at j
-    too, one round later, and so on down to the innermost level.  Shallower
-    levels keep stepping.  The guard counts a level's steps since its latest
-    restart, its own or one passed down.
+    its threshold, _fold_guard (_sweep's rule too) accepts the fold or
+    raises StiffnessError, level k restarts in place from [0_k; 0; 1] at j,
+    and the round sweeps again from that step; the levels do not interact
+    inside a round, so every other level repeats its steps bit for bit.
+    From j on, level k + 1 reads its H from level k's new segment, so it
+    restarts at j too, one round later, and so on down to the innermost
+    level.  Shallower levels keep stepping.  The guard counts a level's
+    steps since its latest restart, its own or one passed down.
 
     Assembly, after the solve.  Each level keeps an accumulator A_k: on its
     own fold at j, A_k <- U^(k)(j-) A_k, the level's operator at the state
@@ -559,20 +560,19 @@ def hierarchical_solve(
     limit = np.where(levels == 0, Z_max, Z_max / 2)  # each level's restart threshold
     folds = []  # (node, level) of every level's own folds
     reached = {}  # (node, level) -> the z frame row the level reached where it restarts
-
-    def window(dt, values, index):
-        end = index.shape[1]
-        rounds = -(-end // _CHUNK)  # the rounds each level takes
-        W = np.repeat(start[None], L, axis=0)
-        H = np.zeros((3, _CHUNK, L, N, N), complex)  # a round's frames; level k's rows above k stay 0
-        # at each grid node, level k's z frame in z[:, k] and its phase increments in inc[:, :, k]
-        z, inc = np.zeros((end + 1, L, L), complex), np.zeros((end + 1, 3, L))
-        last = np.zeros(L, int)  # each level's latest restart node
-        restart = {}  # step of the round -> the levels that restart where it starts
+    times, dt, values, index = _drive(h.read, t_end, steps, h.breakpoints)
+    rounds = -(-steps // _CHUNK)  # the rounds each level takes
+    W = np.repeat(start[None], L, axis=0)
+    H = np.zeros((3, _CHUNK, L, N, N), complex)  # a round's frames; level k's rows above k stay 0
+    # at each grid node, level k's z frame in z[:, k] and its phase increments in inc[:, :, k]
+    z, inc = np.zeros((steps + 1, L, L), complex), np.zeros((steps + 1, 3, L))
+    last = np.zeros(L, int)  # each level's latest restart node
+    restart = {}  # step of the round -> the levels that restart where it starts
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite peak raises StiffnessError
         for r in range(rounds + L - 1):
             lo, hi = max(0, r - rounds + 1), min(L, r + 1)  # the levels that step this round
             pos = (r - levels[lo:hi]) * _CHUNK  # the node each starts the round at
-            n = np.minimum(end - pos, _CHUNK)
+            n = np.minimum(steps - pos, _CHUNK)
             if not lo:
                 H[:, : n[0], 0] = values[index[:, pos[0] : pos[0] + n[0]]]
             live = chunk < n
@@ -623,9 +623,6 @@ def hierarchical_solve(
                     z[j, k] = 0.0
                     last[k] = max(last[k], j)
             W[lo:hi] = ends[-1]
-        return (z, inc), end, None
-
-    times, (z, inc), _ = _drive(window, h.read, t_end, steps, Z_max, h.breakpoints)
     phases = np.cumsum(inc, axis=0)
     # level by level, the restart nodes and the accumulator from each on, node 0 first
     starts = [[0] for _ in levels]

@@ -8,13 +8,13 @@ integrated with classical fixed-step RK4 from z(0) = 0 in projective form:
 the state W = [z; I_n] steps under f(K, W) = K W - W (K W)[m:] with
 K = -iH (``_projective_rhs``), one right-hand side for every block size and
 for every level of the hierarchical peel at once.  Every Riccati solver
-path, and the linear Bloch precession, steps through one driver,
-``_drive``, whose docstring is the one description of the node schedule:
-the driver reads the model at t, t + dt/2 and t + dt of every step before
+path, and the linear Bloch precession, reads its model through one
+function, ``_drive``, whose docstring is the one description of the node
+schedule: the model is read at t, t + dt/2 and t + dt of every step before
 the first, and the path sweeps its coordinate by ``rk4_step`` on those node
-values one fold window at a time.  Restarts follow one rule, _fold_guard:
-when ||z||_F reaches the restart threshold _drive records a fold, the
-state the segment reached, and integration resumes from z = 0; the
+values.  Restarts happen in place under one rule, _fold_guard: when the
+step from node j takes ||z||_F to the restart threshold, the sweep records
+the fold, the state it reached at j, and retakes that step from z = 0; the
 hierarchical peel restarts each of its levels on its own under that rule.
 The product structure U = U_segment U_accum makes that exact; each path
 assembles U, its phases and its restart records from the folds once, after
@@ -86,35 +86,41 @@ def _projective_rhs(K: np.ndarray, W: np.ndarray) -> np.ndarray:
     return KW - W @ KW[..., -W.shape[-1] :, :]
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite peak raises StiffnessError
 def _sweep(f, values, index, y, dt: float, Z_max: float, norm=lambda y: np.sqrt(np.vdot(y, y).real), gather=None):
-    """rk4_step on f over the steps ``index`` names in ``values``, from y, up to the first step that reaches Z_max.
+    """rk4_step on f over the steps ``index`` names in ``values``, from y, restarting in place.
 
     ``index`` is (3, steps) into the node stack ``values``: each step's start,
     midpoint and end node, so each step takes its first stage at its own
     start node.  The values are gathered _BLOCK steps at a time, one block
-    alive at a time, and only as far as the sweep gets, so a sweep that stops
-    early copies little of the schedule; ``gather``, if given, maps each
-    gathered block in place.  The states go into one array of steps + 1
-    nodes, and a sweep that stops copies out its nodes up to the stop.
-    Returns (ys, done, peak): the done + 1 node states from y, the number of
-    steps completed, and the norm (by default ||y||_F) of the step that
-    stopped the sweep, None if none did.
+    alive at a time; ``gather``, if given, maps each gathered block in place.
+    When the step from node j reaches Z_max in ``norm`` (by default
+    ||y||_F), _fold_guard accepts the fold or raises StiffnessError, the
+    sweep records (j, the state it reached at j), sets the state at j back to
+    the start state y and retakes the step.  Returns (ys, folds): the
+    steps + 1 node states, in one array, and the folds in grid order.
     """
     steps = index.shape[1]
     ys = np.empty((steps + 1,) + np.shape(y), np.result_type(y, values))
-    ys[0] = y
+    ys[0] = start = y
+    folds, last = [], 0
     for a in range(0, steps, _BLOCK):
         X = values[index[:, a : a + _BLOCK]]
         if gather is not None:
             gather(X)
         for i, (x_a, x_m, x_b) in enumerate(zip(*X), a):
-            y = rk4_step(f, y, dt, f(x_a, y), x_m, x_b)
-            peak = norm(y)
-            if not peak < Z_max:
-                return ys[: i + 1].copy(), i, peak
-            ys[i + 1] = y
+            while True:
+                y_b = rk4_step(f, y, dt, f(x_a, y), x_m, x_b)
+                peak = norm(y_b)
+                if peak < Z_max:
+                    break
+                _fold_guard(dt * i, i, last, peak)  # a fold at node i: retake the step from the start state
+                folds.append((i, y))
+                ys[i] = y = start
+                last = i
+            ys[i + 1] = y = y_b
         del X, x_a, x_m, x_b  # the block and its last views, before the next block is gathered
-    return ys, steps, None
+    return ys, folds
 
 
 def _fold_guard(t: float, j: int, start: int, peak: float) -> None:
@@ -124,8 +130,8 @@ def _fold_guard(t: float, j: int, start: int, peak: float) -> None:
     or above the restart threshold.  The fold is refused when peak is not
     finite, when the trajectory completed no step since its start (j ==
     start: a retaken step runs away), or when it restarted at start > 0 and
-    folds again within MIN_STEPS_BETWEEN_RESTARTS steps.  _drive applies it
-    to every window, and hierarchical_solve to every level of its peel.
+    folds again within MIN_STEPS_BETWEEN_RESTARTS steps.  _sweep applies it
+    to every fold, and hierarchical_solve to every level of its peel.
     """
     done = j - start
     if not np.isfinite(peak) and (done or not start):
@@ -142,50 +148,34 @@ def _fold_guard(t: float, j: int, start: int, peak: float) -> None:
     )
 
 
-@np.errstate(over="ignore", invalid="ignore")  # a non-finite peak raises StiffnessError
-def _drive(window, read, t_end: float, steps: int, Z_max: float, breakpoints=()):
-    """Fixed-step driver shared by every trajectory: it alone reads the model and restarts.
+def _drive(read, t_end: float, steps: int, breakpoints=()):
+    """The fixed-step node schedule shared by every trajectory, read in one call.
 
-    Every Riccati path steps through it, and so does the linear Bloch
-    precession (bloch._precess), with Z_max infinite: one window, no fold.
+    Every Riccati path reads its model here, and so does the linear Bloch
+    precession (bloch._precess).  The step from t to t + dt reads the model
+    at t, t + dt/2 and t + dt, and its end node is the next step's start
+    node: 2 steps + 1 reads.  A piecewise model jumps at its
+    ``breakpoints``: a node within 1e-12 relative of one snaps to it, a step
+    that ends on one reads its end node as the left limit (the float just
+    below it), and the next step reads its start node afresh, one more read
+    per breakpoint on the grid.  The schedule is one call of ``read``.
+    BlockedHamiltonian.read and SO5Coefficients.read check the model
+    contract over the stack: ModelError names the first invalid node in read
+    order before any step.  That stack is the only copy of the node values a
+    solve holds.
 
-    Reads.  The step from t to t + dt reads the model at t, t + dt/2 and
-    t + dt, and its end node is the next step's start node: 2 steps + 1
-    reads.  A piecewise model jumps at its ``breakpoints``: a node within
-    1e-12 relative of one snaps to it, a step that ends on one reads its end
-    node as the left limit (the float just below it), and the next step
-    reads its start node afresh, one more read per breakpoint on the grid.
-    The schedule is one call of ``read``.  BlockedHamiltonian.read and
-    SO5Coefficients.read check the model contract over the stack: ModelError
-    names the first invalid node in read order before any step.  That stack,
-    2 steps + 1 values plus one per breakpoint on the grid, is the only copy
-    of the node values the driver holds.
+    A (3, steps) integer index names each step's start, midpoint and end
+    node in the stack, so every step takes its first stage at its own start
+    node, and restarts and breakpoints need no carry.  solve_factored,
+    integrate_so5 and the precession sweep one state over it with _sweep,
+    which restarts in place; hierarchical_solve steps all its levels'
+    [0; z_k; 1] states together as a pipeline of rounds, and its levels
+    restart on their own.  Both follow one rule, _fold_guard.  All else a
+    path derives from node values is batched over blocks of steps (or a
+    round), and the path assembles U, phases and restart records from the
+    folds after the solve.
 
-    Windows.  A (3, steps) integer index names each step's start, midpoint
-    and end node in the stack.  ``window(dt, values, index[:, k:])``
-    integrates from the start state (z = 0, the pole for the precession) at
-    grid node k and returns ``(states, done, peak)``: a tuple of arrays over
-    the done + 1 nodes it reached, the number of steps it completed, and the
-    coordinate norm of the step that stopped it (None if it reached the
-    end).  A window gathers the node values it needs, values[index[:, a:b]],
-    a block of steps at a time.  Every step takes its first stage at its own
-    start node, so folds and breakpoints need no carry.  solve_factored,
-    integrate_so5 and the precession sweep one state with _sweep.
-    hierarchical_solve steps all its levels' [0; z_k; 1] states together as
-    a pipeline of rounds in one window that always reaches the end: its
-    levels restart on their own.  All else a path derives from node values
-    is batched over the window (or the round).
-
-    Folds.  Restarts happen here for the single-state sweeps and per level
-    in the peel, under one rule, _fold_guard: StiffnessError when the peak is
-    not finite, when no step was completed since the (re)start, or when a
-    restart follows the last one within MIN_STEPS_BETWEEN_RESTARTS steps.
-    Otherwise a window that stops at grid node j records the fold (j, y),
-    with y its states at j, and the next window starts at j.  The path
-    assembles U, phases and restart records from the folds after the solve.
-
-    Returns (times, states, folds): states[a][k] is the path's a-th state
-    array at times[k].  Raises ValueError when steps < 1.
+    Returns (times, dt, values, index).  Raises ValueError when steps < 1.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -199,21 +189,7 @@ def _drive(window, read, t_end: float, steps: int, Z_max: float, breakpoints=())
     # per step its start (read only after a jump, else the end node before it), midpoint and end
     fresh = np.ones((steps, 3), dtype=bool)
     fresh[1:, 0] = jump[:-1]
-    values, index = read(nodes.T[fresh]), (np.cumsum(fresh) - 1).reshape(steps, 3).T
-    pieces, folds, k = [], [], 0
-    while True:
-        states, done, peak = window(dt, values, index[:, k:])
-        if k + done == steps:
-            break
-        j = k + done
-        _fold_guard(times[j], j, k, peak)
-        folds.append((j, tuple(a[-1] for a in states)))
-        pieces.append(tuple(a[:-1] for a in states))
-        k = j
-    if not pieces:  # one window: its states, contiguous as a concatenation leaves them, uncopied
-        return times, tuple(np.ascontiguousarray(a) for a in states), folds
-    pieces.append(states)
-    return times, tuple(np.concatenate(a) for a in zip(*pieces)), folds
+    return times, dt, read(nodes.T[fresh]), (np.cumsum(fresh) - 1).reshape(steps, 3).T
 
 
 def so5_rhs(F: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -265,9 +241,6 @@ def integrate_so5(
     RK4 step per grid step: fourth order in dt, about 16x that of two half
     steps, so twice the steps buy it back.
     """
-    def window(dt, values, index):
-        zs, done, peak = _sweep(so5_rhs, values, index, np.zeros(4), dt, Z_max, lambda y: np.sqrt(2 * (y @ y)))
-        return (zs,), done, peak
-
-    times, (zs,), folds = _drive(window, coeffs.read, t_end, steps, Z_max)
-    return times, zs, [times[k] for k, _ in folds]
+    times, dt, values, index = _drive(coeffs.read, t_end, steps)
+    zs, folds = _sweep(so5_rhs, values, index, np.zeros(4), dt, Z_max, lambda y: np.sqrt(2 * (y @ y)))
+    return times, zs, [times[j] for j, _ in folds]

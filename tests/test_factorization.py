@@ -656,10 +656,16 @@ def test_mu_static_z():
 
 
 def test_mu_transverse_vanishes():
-    # B = (1, 0, 0): V^H z is purely imaginary and H_NN = 0, so mu stays 0
-    res = solve_factored(spin_half([1.0, 0.0, 0.0]), 2.0, 500)
+    # B = (1, 0, 0): V^H z is purely imaginary and H_NN = 0, so mu stays 0,
+    # also across the two folds around the pole at t = pi, where U_NN = cos(t/2)
+    # is 0: the chart's rate picks the principal value there
+    res = solve_factored(spin_half([1.0, 0.0, 0.0]), 2.0 * np.pi, 500)
+    assert len(res.restarts) == 2
     assert np.max(np.abs(res.mu_total)) < 1e-12
     assert np.max(np.abs(res.phase_geometric)) < 1e-12
+    c, s = np.cos(res.times / 2.0), np.sin(res.times / 2.0)
+    exact = c[:, None, None] * np.eye(2) + 1j * s[:, None, None] * np.array([[0.0, 1.0], [1.0, 0.0]])
+    assert np.max(np.abs(res.U_samples - exact)) < 1e-7  # U = exp(i t sigma_x / 2)
 
 
 @pytest.mark.parametrize("N", [3, 4, 5])
@@ -1094,10 +1100,10 @@ def _count_decompositions(monkeypatch, N, n, steps, Z_max):
 
 @pytest.mark.parametrize("N,steps", [(4, 115), (6, 230)])
 def test_solve_decompositions_per_step_for_half_split(N, steps, monkeypatch):
-    # n = N/2: per fold window, one batched SVD (the three node sets of its
-    # steps) and one batched N x N eigh (the fiber blockdiag(upper, lower) of
-    # its steps), the windows' steps summing to the grid; one more SVD for
-    # each fold's segment U1 and one for the U1 of all samples at once
+    # n = N/2: per segment between folds, one batched SVD (the three node sets
+    # of its steps) and one batched N x N eigh (the fiber blockdiag(upper,
+    # lower) of its steps), the segments' steps summing to the grid; one more
+    # SVD for each fold's segment U1 and one for the U1 of all samples at once
     n = N // 2
     folds, windows, svd = _count_decompositions(monkeypatch, N, n, steps, 2.0)
     assert svd[: 1 + folds] == [(3, w, n, n) for w in windows]
@@ -1106,22 +1112,27 @@ def test_solve_decompositions_per_step_for_half_split(N, steps, monkeypatch):
 
 @pytest.mark.parametrize("N", [2, 3])
 def test_solve_decompositions_per_step_for_block_size_one(N, monkeypatch):
-    # n = 1: the same one batched N x N eigh per fold window, and no SVD
+    # n = 1: the same one batched N x N eigh per segment, and no SVD
     assert _count_decompositions(monkeypatch, N, 1, 115, 1.0)[2] == []
 
 
 @pytest.mark.parametrize("N,n", [(3, 1), (4, 2), (6, 2)])
 def test_batched_pass_in_blocks_is_bit_identical(N, n, monkeypatch):
     # blocks of 7 steps carry the running product and the sums across block
-    # edges and folds, so every output equals the one-block pass bit for bit
+    # edges and folds, so every output equals the one-block pass bit for bit;
+    # the sweep gathers 5 steps at a time, across other edges, and 7, where
+    # the folds at these nodes retake the first step of a gathered block
+    edge_folds = {(3, 1): [], (4, 2): [63], (6, 2): [56, 112, 161]}[N, n]
     h = trig_random(N, n=n, seed=1, scale=2.0)
     whole = solve_factored(h, 3.0, 230, Z_max=2.0)
+    nodes = [round(t * 230 / 3.0) for t, _ in whole.restarts]
+    assert len(nodes) >= 2 and [k for k in nodes if k % 7 == 0] == edge_folds
     monkeypatch.setattr(factorization, "_BLOCK", 7)
-    monkeypatch.setattr(riccati, "_BLOCK", 5)  # the sweep's gathers, across other edges
-    blocked = solve_factored(h, 3.0, 230, Z_max=2.0)
-    assert len(whole.restarts) >= 2
-    names = ("z_samples", "U_samples", "U2_samples", "est_error", "mu_total", "phase_geometric", "imag_mu")
-    for name in names:
-        assert np.array_equal(getattr(whole, name), getattr(blocked, name)), name
-    for (t, U), (t_b, U_b) in zip(whole.restarts, blocked.restarts, strict=True):
-        assert t == t_b and np.array_equal(U, U_b)
+    for sweep_block in (5, 7):
+        monkeypatch.setattr(riccati, "_BLOCK", sweep_block)
+        blocked = solve_factored(h, 3.0, 230, Z_max=2.0)
+        names = ("z_samples", "U_samples", "U2_samples", "est_error", "mu_total", "phase_geometric", "imag_mu")
+        for name in names:
+            assert np.array_equal(getattr(whole, name), getattr(blocked, name)), (sweep_block, name)
+        for (t, U), (t_b, U_b) in zip(whole.restarts, blocked.restarts, strict=True):
+            assert t == t_b and np.array_equal(U, U_b)
