@@ -57,12 +57,14 @@ def project2(z: complex) -> np.ndarray:
 def precess(omega, t_end: float, steps: int) -> np.ndarray:
     """RK4 trajectory of dm/dt = omega(t) m from the pole m = (0, ..., 0, 1).
 
+    Each grid step applies RK4's step matrix for the linear flow (_precess).
     omega(t) is the antisymmetric d x d generator, read once per node of
     _drive's schedule (t, t + dt/2 and t + dt of the uniform grid), with d
     from the first node.  The reads are checked as one stack before any step:
     ModelError names the first node whose generator is not d x d, not finite
     or not antisymmetric within 1e-12.  The unit vector has no pole, so there
-    are no restarts.
+    are no restarts; a step whose step matrix is far from orthogonal raises
+    StiffnessError.
     """
     def read(ts):
         values = [np.asarray(omega(t), dtype=float) for t in ts]
@@ -73,11 +75,14 @@ def precess(omega, t_end: float, steps: int) -> np.ndarray:
 
 
 def _precess(read, t_end: float, steps: int, breakpoints=()):
-    """(m, omega) at the grid nodes: one _sweep of rk4_step on np.matmul from the pole.
+    """(m, omega) at the grid nodes: one _sweep from the pole, m <- P_j m per step.
 
-    read(ts) gives the generators at the nodes of _drive's schedule.  Z_max
-    is infinite, so the sweep never restarts, and omega at a jump is the
-    fresh read.
+    read(ts) gives the generators at the nodes of _drive's schedule, and
+    P_j is RK4's step matrix for dm/dt = omega m on the step's three nodes
+    (_rk4_propagator).  The flow is linear, so the step is np.matmul with no
+    normalisation, and an unresolved step raises StiffnessError.  Z_max is
+    infinite, so the sweep never restarts, and omega at a jump is the fresh
+    read.
     """
     _, dt, values, index = _drive(read, t_end, steps, breakpoints)
     m = _sweep(np.matmul, values, index, np.eye(values.shape[-1])[-1], dt, np.inf)[0]

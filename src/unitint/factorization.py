@@ -24,7 +24,19 @@ from .linalg import (
     inv_sqrt_hpd,
     sqrt_hpd,
 )
-from .riccati import _BLOCK, DEFAULT_Z_MAX, _drive, _fold_guard, _projective_rhs, _sweep, rk4_step
+from .riccati import (
+    _BLOCK,
+    DEFAULT_Z_MAX,
+    MAX_STEP_DEFECT,
+    _drive,
+    _fold_guard,
+    _mobius,
+    _projective_rhs,
+    _projective_sweep,
+    _resolved,
+    _rk4_propagator,
+    _unresolved,
+)
 
 
 class UnsupportedConfigurationError(ValueError):
@@ -196,7 +208,8 @@ def recursion_hamiltonian(h_blocks, z: np.ndarray) -> np.ndarray:
          - z (z^H V + V^H z) z^H / (2 (sqrt(g)+1)^2),
     whose trace equals -(H_NN + Re(V^H z)); the peeled corner phase restores
     it.  H' is also the upper block of the n=1 Hermitian effective
-    Hamiltonian; the formula lives in the peel's level kernel, _peel_level.
+    Hamiltonian; the formula lives in the peel's level kernel, _peel_level
+    and _next_level.
     """
     Htop, V, Hbot = h_blocks
     z = np.atleast_2d(np.asarray(z, dtype=complex))
@@ -208,37 +221,36 @@ def recursion_hamiltonian(h_blocks, z: np.ndarray) -> np.ndarray:
 def _corner_node(h_blocks, z: np.ndarray):
     """((upper, lower) fiber blocks, phase rates) for n=1, over any leading axes.
 
-    Both come from one _peel_level call, which needs no slope.  The upper
-    block is recursion_hamiltonian's H' = H_next - phi_rate I and the lower
-    block the 1 x 1 -mu_rate; together they are
+    Both come from the peel's level kernel, which needs no slope.  The upper
+    block is recursion_hamiltonian's H' (_next_level with its trace) and the
+    lower block the 1 x 1 -mu_rate; together they are
     effective_hamiltonian_hermitian(h_blocks, z, riccati_rhs(h_blocks, z)).
     The rates, stacked on a last axis, are d/dt of (mu, geometric phase,
     Im mu), with Im mu = ln(1 + |z|^2) advancing at -2 Im(V^H z).
     """
     Htop, V, Hbot = h_blocks
     v, zc = V[..., 0], z[..., 0]
-    (mu_rate, geo_rate, phi_rate), H_next = _peel_level(Htop, v, Hbot[..., 0, 0], zc)
-    upper = H_next - phi_rate[..., None, None] * np.eye(zc.shape[-1])  # undo tau/m = -phi_rate
+    (mu_rate, geo_rate, _), u = _peel_level(Htop, v, Hbot[..., 0, 0], zc)
+    upper = _next_level(Htop, zc, u)
     rates = np.stack((mu_rate, geo_rate, -2.0 * np.sum(v.conj() * zc, axis=-1).imag), axis=-1)
     return (upper, -mu_rate[..., None, None]), rates
 
 
 def _peel_level(Htop: np.ndarray, v: np.ndarray, h, z: np.ndarray, mask=None):
-    """Everything one level of the n=1 peel needs, from V^H z, |z|^2 and Htop z.
+    """One level of the n=1 peel: its phase rates, from V^H z, |z|^2 and Htop z, and its update u.
 
     Htop (m x m), the column v and the corner h partition a traceless
     (m+1)-level H; z is the level's coordinate as a 1-D array.  Leading axes
     broadcast, so one call serves every node of a block or a round.  Returns
-    ((mu rate, geometric rate, trace-phase rate), H_next), where H_next is
-    recursion_hamiltonian's H' with its trace removed, the rank-2 update
-    H' = Htop - z u^H - u z^H, u = a v + (Re(V^H z) a^2 / 2) z, a =
-    1/(sqrt(g)+1).  Its trace tau = -h - 2 Re(u^H z) relies on tr Htop = -h;
-    the trace phase advances at -tau/m.  None of it needs the slope dz/dt.
+    ((mu rate, geometric rate, trace-phase rate), u), where u = a v +
+    (Re(V^H z) a^2 / 2) z, a = 1/(sqrt(g)+1), gives recursion_hamiltonian's
+    rank-2 update H' = Htop - z u^H - u z^H (_next_level builds it).  Its
+    trace tau = -h - 2 Re(u^H z) relies on tr Htop = -h; the trace phase
+    advances at -tau/m.  None of it needs the slope dz/dt.
 
     ``mask`` (1-D over the m rows, default all ones) marks the rows the
     level owns when it sits in a larger frame with zero rows and columns
-    above it (hierarchical_solve's level frame): the trace is removed on
-    those rows only, with m their count, and the zero rows stay zero.
+    above it (hierarchical_solve's level frame): m is their count.
 
     This is the one definition of the n=1 corner-phase rates, read by both
     solve_factored and hierarchical_solve:
@@ -248,9 +260,7 @@ def _peel_level(Htop: np.ndarray, v: np.ndarray, h, z: np.ndarray, mask=None):
     H_NN + Re(V^H z) = (U1^H H U1)_NN + (-i U1^H dU1/dt)_NN, checked against
     finite differences of U1 in the test suite.
     """
-    rows = z.shape[-1]
-    mask = np.ones(rows) if mask is None else mask
-    m = np.sum(mask, axis=-1)
+    m = z.shape[-1] if mask is None else np.sum(mask, axis=-1)
     hnn = np.real(h)
     vz = np.sum(v.conj() * z, axis=-1)
     zz = np.sum(z.real**2 + z.imag**2, axis=-1)
@@ -262,12 +272,25 @@ def _peel_level(Htop: np.ndarray, v: np.ndarray, h, z: np.ndarray, mask=None):
     a = 1.0 / (np.sqrt(g) + 1.0)
     u = a[..., None] * v + (0.5 * re_vz * a * a)[..., None] * z
     tau = -hnn - 2.0 * np.sum(u.conj() * z, axis=-1).real
+    return (-(hnn + re_vz), geo_rate, -tau / m), u
+
+
+def _next_level(Htop: np.ndarray, z: np.ndarray, u: np.ndarray, phi_rate=None, mask=None) -> np.ndarray:
+    """recursion_hamiltonian's H' = Htop - z u^H - u z^H, traceless when phi_rate is given.
+
+    z, u and the trace-phase rate phi_rate = -tau/m come from _peel_level,
+    over the same leading axes.  phi_rate is added on the rows ``mask``
+    marks (default all rows), which removes the trace on the level's own
+    rows; the zero rows of a level in hierarchical_solve's frame stay zero.
+    """
+    rows = z.shape[-1]
     zu = z[..., :, None] * u[..., None, :].conj()
     H_next = Htop - zu
     H_next -= dagger(zu)
-    diagonal = H_next.reshape(H_next.shape[:-2] + (rows * rows,))[..., :: rows + 1]
-    diagonal -= (tau / m)[..., None] * mask
-    return (-(hnn + re_vz), geo_rate, -tau / m), H_next
+    if phi_rate is not None:
+        diagonal = H_next.reshape(H_next.shape[:-2] + (rows * rows,))[..., :: rows + 1]
+        diagonal += phi_rate[..., None] * (1.0 if mask is None else mask)
+    return H_next
 
 
 # ---------------------------------------------------------------------------
@@ -324,11 +347,14 @@ def solve_factored(
     non-finite model).  The solve is one sweep, then one batched pass over
     each segment between restarts.
 
-    - The sweep: W = [z; I_n] takes one rk4_step per grid step on
-      _projective_rhs f with K = -iH at the three nodes, one right-hand side
-      for every n.  When a step takes ||z||_F, the norm of W's top m rows,
-      to Z_max, _sweep restarts in place: it records the fold and the state
-      the segment reached, and retakes the step from z = 0.
+    - The sweep (_projective_sweep): each block of steps builds its RK4
+      propagators P for dW/dt = K W, K = -iH at the three nodes, in batched
+      calls (_rk4_propagator), checks them in one pass (StiffnessError at
+      the first unresolved step), and W = [z; I_n] takes one Moebius step
+      per grid step, V = P W, W <- [V_top V_bot^-1; I_n], for every n.  When
+      a step takes ||z||_F, the norm of W's top m rows, to Z_max, _sweep
+      restarts in place: it records the fold and the state the segment
+      reached, and retakes the step from z = 0.
     - The batched pass, over each segment's steps in blocks of at most
       _BLOCK: _node_states gives W at the three nodes of each step (the
       midpoint by cubic Hermite interpolation) and f at the start and end
@@ -359,9 +385,7 @@ def solve_factored(
     n = h.n
     m = h.N - n
     times, dt, values, index = _drive(h.read, t_end, steps, h.breakpoints)
-    norm = lambda W: np.sqrt(np.vdot(W[:m], W[:m]).real)  # noqa: E731
-    W0 = np.eye(h.N, n, -m, dtype=complex)  # [z; I_n] at z = 0
-    W, folds = _sweep(_projective_rhs, values, index, W0, dt, Z_max, norm, lambda X: np.multiply(X, -1j, out=X))
+    W, folds = _projective_sweep(values, index, n, dt, Z_max)
     U2 = np.empty((steps + 1, h.N, h.N), dtype=complex)  # the fiber's running product
     inc = np.zeros((steps + 1, 4 if n == 1 else 1))  # per step's end node: the phases' increments, then the defect
     ends = []  # per fold: (node, z and U2 where the segment ended)
@@ -508,23 +532,29 @@ def hierarchical_solve(
     the first step (ModelError for a non-Hermitian, non-traceless or
     non-finite model).  The L = N - 1 levels share one N x N frame: level k's
     H sits at [k:, k:] and its state is W_k = [0_k; z_k; 1], so one
-    rk4_step on _projective_rhs with K = -iH steps every level at once, and
-    ||z_k||_F is the norm of W_k's top N - 1 rows.
+    Moebius step (_mobius) steps every level at once, and ||z_k||_F is the
+    norm of W_k's top N - 1 rows.
 
     The solve is one pipeline of rounds on _drive's node values.  In round
     r, level k sweeps steps (r - k) _CHUNK to (r - k + 1) _CHUNK of the grid,
-    the steps level k - 1 swept in the round before; each step is one
-    rk4_step over the (levels, N) state of the levels that have steps to
+    the steps level k - 1 swept in the round before.  The round builds the
+    RK4 propagators P of all its (step, level) pairs for dW/dt = K W, K =
+    -iH, in one _rk4_propagator call (a held level's K = 0 gives P = I
+    exactly, and each level's zero rows stay exactly 0), checks them in one
+    _resolved pass (StiffnessError at the first unresolved step, the
+    earliest grid node among the levels there), and each step is one
+    _mobius over the (levels, N) state of the levels that have steps to
     take in the round (all L once the pipeline is full).  Then _node_states
     places those levels' three node sets (the midpoint by cubic Hermite
     interpolation on the projective right-hand side, the levels' zero rows
-    kept), and one batched _peel_level call on them (the trace removed on
-    each level's own rows) gives the phase rates, integrated by Simpson's
-    rule, and each level's H_next; shifted one row and one column down, that
-    is the next level's H for the next round.  Each level writes its z and phase increments in
-    place, at their grid nodes.  The pipeline fills once, so a solve of S
-    steps takes S + (L - 1) _CHUNK batched RK4 steps plus at most the rest
-    of a round per fold.
+    kept), and one batched _peel_level call on them gives the phase rates,
+    integrated by Simpson's rule.  _next_level builds each level's H_next
+    (the trace removed on the level's own rows) for every level but the
+    innermost; shifted one row and one column down, that is the next
+    level's H for the next round.  Each level writes its z and phase
+    increments in place, at their grid nodes.  The pipeline fills once, so
+    a solve of S steps takes S + (L - 1) _CHUNK batched steps plus at most
+    the rest of a round per fold.
 
     Restarts, per level.  Level 0 restarts at Z_max, so it folds where
     solve_factored folds; the levels below it restart at Z_max / 2, because
@@ -568,7 +598,7 @@ def hierarchical_solve(
     z, inc = np.zeros((steps + 1, L, L), complex), np.zeros((steps + 1, 3, L))
     last = np.zeros(L, int)  # each level's latest restart node
     restart = {}  # step of the round -> the levels that restart where it starts
-    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite peak raises StiffnessError
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # a non-finite peak raises StiffnessError
         for r in range(rounds + L - 1):
             lo, hi = max(0, r - rounds + 1), min(L, r + 1)  # the levels that step this round
             pos = (r - levels[lo:hi]) * _CHUNK  # the node each starts the round at
@@ -580,21 +610,23 @@ def hierarchical_solve(
             Hr[:, ~live] = 0.0  # K = 0 holds a level still
             w = n.max()
             K = -1j * Hr[:, :w]
+            P = _rk4_propagator(K, dt)  # (step, level, N, N)
+            ok, defects = _resolved(P)
             # a restart passes one level down per round, at the same step
             restart = {s: [k + 1 for k in ks if k + 1 < L] for s, ks in restart.items() if ks[0] + 1 < L}
             Wa, Wb, s, y = [], [], 0, W[lo:hi]
             while True:
-                for i in range(s, w):
+                for i in range(s, ok):
                     if i in restart:
                         y = y.copy()
                         y[np.subtract(restart[i], lo)] = start
                     Wa.append(y)
-                    y = rk4_step(_projective_rhs, y, dt, _projective_rhs(K[0, i], y), K[1, i], K[2, i])
+                    y = _mobius(P[i], y)
                     Wb.append(y)
-                ends = np.array(Wb)
+                ends = np.array(Wb).reshape((ok,) + y.shape)
                 zw = ends[..., :-1, 0]
                 peak = np.sqrt(np.sum(zw.real**2 + zw.imag**2, axis=-1))
-                over = live[:w] & ~(peak < limit[lo:hi])
+                over = live[:ok] & ~(peak < limit[lo:hi])
                 if not over.any():
                     break
                 s = int(over.any(axis=1).argmax())  # the earliest fold of the round; on a tie every level there
@@ -606,11 +638,20 @@ def hierarchical_solve(
                     restart[s] = sorted(restart.get(s, []) + [k])
                 y = Wa[s]
                 del Wa[s:], Wb[s:]
+            if ok < w:  # the deepest level unresolved at round step ok is there at the earliest grid node
+                k = lo + int(np.flatnonzero(~(defects[ok] <= MAX_STEP_DEFECT))[-1])
+                j = int(pos[k - lo]) + ok
+                raise _unresolved(dt * j, j, defects[ok, k - lo])
             z3 = _node_states(K, np.array(Wa), ends, dt)[0][..., :-1, 0]
             Hm = Hr[:, :w]
-            rates, H_next = _peel_level(Hm[..., :-1, :-1], Hm[..., :-1, -1], Hm[..., -1, -1], z3, mask[lo:hi])
-            # shifted one row and one column down, level k's H_next is level k + 1's H next round
-            H[:, :w, lo + 1 : hi + 1, 1:, 1:] = H_next[:, :, : L - 1 - lo]
+            rates, u = _peel_level(Hm[..., :-1, :-1], Hm[..., :-1, -1], Hm[..., -1, -1], z3, mask[lo:hi])
+            # shifted one row and one column down, level k's H_next is level k + 1's H next round;
+            # the innermost level has no next level
+            inner = min(hi, L - 1) - lo
+            top = np.s_[:, :, :inner]
+            H[:, :w, lo + 1 : lo + 1 + inner, 1:, 1:] = _next_level(
+                Hm[top][..., :-1, :-1], z3[top], u[top], rates[2][top], mask[lo : lo + inner]
+            )
             rates = np.array(rates)  # (rate, node set, step, level)
             step, row = np.nonzero(live[:w])  # row: level lo + row
             node = pos[row] + 1 + step

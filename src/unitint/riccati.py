@@ -4,46 +4,60 @@ The (N-n) x n coordinate z obeys
 
     i dz/dt = Htop z + V - z (V^H z + Hbot),
 
-integrated with classical fixed-step RK4 from z(0) = 0 in projective form:
-the state W = [z; I_n] steps under f(K, W) = K W - W (K W)[m:] with
-K = -iH (``_projective_rhs``), one right-hand side for every block size and
-for every level of the hierarchical peel at once.  Every Riccati solver
-path, and the linear Bloch precession, reads its model through one
+the projective image of a linear flow: W = [X; Y] with dW/dt = K W, K =
+-iH, gives z = X Y^-1 (_projective_rhs).  So one step of z is a
+linear-fractional (Moebius) map.  Every path takes RK4's exact step matrix
+for the linear flow, P = _rk4_propagator(K, dt), built in batched calls
+over a block of steps, and steps W = [z; I_n] by _mobius: V = P W, then W
+<- [V_top V_bot^-1; I_n], one right-hand side for every block size and for
+every level of the hierarchical peel at once.  The linear Bloch precession
+takes y <- P y.  A step whose P is far from unitary does not resolve the
+model: _resolved checks each block of propagators in one pass, and the
+sweep raises StiffnessError at the first such step before it takes it.
+
+Every Riccati solver path, and the precession, reads its model through one
 function, ``_drive``, whose docstring is the one description of the node
 schedule: the model is read at t, t + dt/2 and t + dt of every step before
-the first, and the path sweeps its coordinate by ``rk4_step`` on those node
-values.  Restarts happen in place under one rule, _fold_guard: when the
+the first.  Restarts happen in place under one rule, _fold_guard: when the
 step from node j takes ||z||_F to the restart threshold, the sweep records
 the fold, the state it reached at j, and retakes that step from z = 0; the
 hierarchical peel restarts each of its levels on its own under that rule.
 The product structure U = U_segment U_accum makes that exact; each path
 assembles U, its phases and its restart records from the folds once, after
-the solve.  The SO(5) two-qubit case reduces to four real parameters and
-gets its own right-hand side; on the shared step that reduction holds step
-for step, restarts included.
+the solve.  The SO(5) two-qubit case sweeps the 2 x 2 quaternionic z of
+build_so5's H and reports its four real parameters.  riccati_rhs, so5_rhs
+and rk4_step are the reference formulas the tests check the sweep against;
+no solver calls them.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .hamiltonian import SO5Coefficients
+from .hamiltonian import SO5Coefficients, build_so5
 from .linalg import PAULI, dagger
 
 DEFAULT_Z_MAX = 10.0
 # Restarts closer together than this many grid steps indicate the trajectory
 # hugs the coordinate singularity; bail out instead of thrashing.
 MIN_STEPS_BETWEEN_RESTARTS = 4
-# Steps of node values per block of _sweep's gathers, solve_factored's batched
-# passes and _segments' U assembly: the block bounds their temporaries.
+# Steps of node values per block of _sweep's propagators, solve_factored's
+# batched passes and _segments' U assembly: the block bounds their temporaries.
 _BLOCK = 2048
+# A step's RK4 propagator P is unresolved when ||P^H P - I||_F exceeds this.
+# For one eigenvalue of H, |R(i x)|^2 = 1 - x^6/72 + x^8/576 at x = dt |E|:
+# x = 0.5 reads 2e-4, x = 1 (six steps per period) 1.2e-2.
+MAX_STEP_DEFECT = 1e-2
 
 
 class StiffnessError(RuntimeError):
-    """The coordinate diverged, or restarts come too often near its singularity.
+    """A step does not resolve the model, the coordinate diverged, or restarts come too often.
 
     ``t`` and ``step`` name the grid step the driver gave up on and ``peak``
-    the coordinate norm that step reached.
+    the coordinate norm that step reached, or for an unresolved step its
+    propagator's defect ||P^H P - I||_F.
     """
 
     def __init__(self, message: str, t: float, step: int, peak: float):
@@ -60,11 +74,12 @@ def riccati_rhs(h_blocks, z: np.ndarray) -> np.ndarray:
 
 
 def rk4_step(f, y: np.ndarray, dt: float, k1: np.ndarray, x_mid, x_end) -> np.ndarray:
-    """One classical Runge-Kutta 4 step for dy/dt = f(x(t), y).
+    """One classical Runge-Kutta 4 step for dy/dt = f(x(t), y), the reference formula.
 
     f takes the model value x at a node, not a time: x_mid and x_end are x at
     t + dt/2 and t + dt, and the caller supplies the first stage k1 =
-    f(x(t), y).
+    f(x(t), y).  No solver calls it: on the linear flow f(K, y) = K y it is
+    _rk4_propagator's P y, which the sweeps take.
     """
     k2 = f(x_mid, y + dt / 2.0 * k1)
     k3 = f(x_mid, y + dt / 2.0 * k2)
@@ -77,28 +92,98 @@ def _projective_rhs(K: np.ndarray, W: np.ndarray) -> np.ndarray:
 
     z = X Y^-1 with [X; Y] linear, d[X; Y]/dt = K [X; Y], makes the Riccati flow
     of z the top m rows of f (Schiff & Shnider, SIAM J. Numer. Anal. 36 (1999)
-    1392).  The bottom n rows are (K W)[m:] - I (K W)[m:], exactly zero, so
-    rk4_step keeps W[m:] = I to the bit.  Zero rows of K and W give zero rows
-    of f, so a level of the peel can sit in a larger frame as [0; z; 1].
-    Leading axes broadcast.
+    1392).  The bottom n rows are (K W)[m:] - I (K W)[m:], exactly zero, and
+    zero rows of K and W give zero rows of f, so a level of the peel can sit
+    in a larger frame as [0; z; 1].  The sweeps step the linear flow itself
+    (_rk4_propagator); f gives the slopes of the swept states.  Leading axes
+    broadcast.
     """
     KW = K @ W
     return KW - W @ KW[..., -W.shape[-1] :, :]
 
 
-@np.errstate(over="ignore", invalid="ignore")  # a non-finite peak raises StiffnessError
-def _sweep(f, values, index, y, dt: float, Z_max: float, norm=lambda y: np.sqrt(np.vdot(y, y).real), gather=None):
-    """rk4_step on f over the steps ``index`` names in ``values``, from y, restarting in place.
+def _rk4_propagator(K: np.ndarray, dt: float) -> np.ndarray:
+    """RK4's exact step matrix P for the linear flow dW/dt = K(t) W: rk4_step(W) = P W.
+
+    K stacks the generator at each step's start, midpoint and end node on
+    its first axis, (3, ..., N, N); P is (..., N, N), built in batched calls:
+
+        P = I + dt/6 (K_a + 2 B_2 + 2 B_3 + B_4),
+        B_2 = K_m (I + dt/2 K_a), B_3 = K_m (I + dt/2 B_2), B_4 = K_b (I + dt B_3).
+
+    A zero K gives P = I exactly, and zero rows and columns of K stay
+    identity rows and columns of P, so a peel level's zero rows of W stay 0.
+    """
+    K_a, K_m, K_b = K
+    B2 = K_m + (dt / 2.0) * (K_m @ K_a)
+    B3 = K_m + (dt / 2.0) * (K_m @ B2)
+    B4 = K_b + dt * (K_b @ B3)
+    P = (dt / 6.0) * (K_a + 2.0 * (B2 + B3) + B4)
+    N = P.shape[-1]
+    P.reshape(P.shape[:-2] + (N * N,))[..., :: N + 1] += 1.0
+    return P
+
+
+def _mobius(P: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """One linear-fractional step: V = P W, then W <- [V_top V_bot^-1; I_n].
+
+    W is [z; I_n] (or a peel level's [0_k; z_k; 1]), with leading axes that
+    broadcast against P's.  For n = 1 that is one division, and the last
+    row is set to exactly 1.
+    """
+    V = P @ W
+    n = W.shape[-1]
+    if n == 1:
+        V = V / V[..., -1:, :]
+        V[..., -1, :] = 1.0
+    else:
+        V[..., :-n, :] = V[..., :-n, :] @ np.linalg.inv(V[..., -n:, :])
+        V[..., -n:, :] = np.eye(n)
+    return V
+
+
+def _resolved(P: np.ndarray):
+    """(r, defects): the first r steps of the stack P pass the unresolved-step guard.
+
+    P is (steps, ..., N, N) and defects its ||P^H P - I||_F, (steps, ...); a
+    step fails when a defect of its exceeds MAX_STEP_DEFECT or is not
+    finite.  One batched pass, with no decomposition.
+    """
+    G = np.conj(P.mT) @ P
+    N = G.shape[-1]
+    G.reshape(G.shape[:-2] + (N * N,))[..., :: N + 1] -= 1.0
+    defects = np.sqrt(np.sum(G.real**2 + G.imag**2, axis=(-2, -1)))
+    bad = ~(defects <= MAX_STEP_DEFECT).reshape(len(P), -1).all(axis=1)
+    return (int(bad.argmax()) if bad.any() else len(P)), defects
+
+
+def _unresolved(t: float, j: int, defect: float) -> StiffnessError:
+    """The StiffnessError for grid step j (at time t), whose propagator's defect is ``defect``."""
+    return StiffnessError(
+        f"unresolved step: the RK4 propagator is {defect:.3g} from unitary (||P^H P - I||_F) "
+        f"at t={t:.6g} (step {j}): the grid is too coarse for the model",
+        t=float(t), step=int(j), peak=float(defect),
+    )
+
+
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")  # a non-finite peak raises StiffnessError
+def _sweep(step, values, index, y, dt: float, Z_max: float, norm=lambda y: math.sqrt(np.vdot(y, y).real),
+           generator=None):
+    """y <- step(P_j, y) by each step's RK4 propagator over the steps ``index`` names, restarting in place.
 
     ``index`` is (3, steps) into the node stack ``values``: each step's start,
-    midpoint and end node, so each step takes its first stage at its own
-    start node.  The values are gathered _BLOCK steps at a time, one block
-    alive at a time; ``gather``, if given, maps each gathered block in place.
-    When the step from node j reaches Z_max in ``norm`` (by default
-    ||y||_F), _fold_guard accepts the fold or raises StiffnessError, the
-    sweep records (j, the state it reached at j), sets the state at j back to
-    the start state y and retakes the step.  Returns (ys, folds): the
-    steps + 1 node states, in one array, and the folds in grid order.
+    midpoint and end node.  The values are gathered _BLOCK steps at a time,
+    one block alive at a time, mapped to the generator K by ``generator``
+    (the values themselves if None; it may work in place on the gathered
+    copy) and turned into the block's propagators P in one _rk4_propagator
+    call.  _resolved checks the block in one pass, and the sweep raises
+    StiffnessError at the first unresolved step, before it takes it.  Each
+    step is y <- step(P_j, y): _mobius for the Riccati paths, np.matmul for
+    the precession.  When the step from node j reaches Z_max in ``norm`` (by
+    default ||y||_F), _fold_guard accepts the fold or raises StiffnessError,
+    the sweep records (j, the state it reached at j), sets the state at j
+    back to the start state y and retakes the step.  Returns (ys, folds):
+    the steps + 1 node states, in one array, and the folds in grid order.
     """
     steps = index.shape[1]
     ys = np.empty((steps + 1,) + np.shape(y), np.result_type(y, values))
@@ -106,11 +191,12 @@ def _sweep(f, values, index, y, dt: float, Z_max: float, norm=lambda y: np.sqrt(
     folds, last = [], 0
     for a in range(0, steps, _BLOCK):
         X = values[index[:, a : a + _BLOCK]]
-        if gather is not None:
-            gather(X)
-        for i, (x_a, x_m, x_b) in enumerate(zip(*X), a):
+        P = _rk4_propagator(X if generator is None else generator(X), dt)
+        del X
+        ok, defects = _resolved(P)
+        for i, P_i in enumerate(P[:ok], a):
             while True:
-                y_b = rk4_step(f, y, dt, f(x_a, y), x_m, x_b)
+                y_b = step(P_i, y)
                 peak = norm(y_b)
                 if peak < Z_max:
                     break
@@ -119,7 +205,8 @@ def _sweep(f, values, index, y, dt: float, Z_max: float, norm=lambda y: np.sqrt(
                 ys[i] = y = start
                 last = i
             ys[i + 1] = y = y_b
-        del X, x_a, x_m, x_b  # the block and its last views, before the next block is gathered
+        if ok < len(P):
+            raise _unresolved(dt * (a + ok), a + ok, defects[ok])
     return ys, folds
 
 
@@ -165,15 +252,18 @@ def _drive(read, t_end: float, steps: int, breakpoints=()):
     solve holds.
 
     A (3, steps) integer index names each step's start, midpoint and end
-    node in the stack, so every step takes its first stage at its own start
-    node, and restarts and breakpoints need no carry.  solve_factored,
-    integrate_so5 and the precession sweep one state over it with _sweep,
-    which restarts in place; hierarchical_solve steps all its levels'
-    [0; z_k; 1] states together as a pipeline of rounds, and its levels
-    restart on their own.  Both follow one rule, _fold_guard.  All else a
-    path derives from node values is batched over blocks of steps (or a
-    round), and the path assembles U, phases and restart records from the
-    folds after the solve.
+    node in the stack, so every step's propagator reads its own three nodes,
+    and restarts and breakpoints need no carry.  Every path builds its RK4
+    propagators from those values with _rk4_propagator, in batched calls
+    over a block of steps (or a round), and checks them with _resolved
+    before it takes them.  solve_factored and integrate_so5 sweep W = [z;
+    I_n] over the index with _projective_sweep (and the precession its
+    vector with _sweep), which restarts in place; hierarchical_solve steps
+    all its levels' [0; z_k; 1] states together by _mobius as a pipeline of
+    rounds, and its levels restart on their own.  Both follow one rule,
+    _fold_guard.  All else a path derives from node values is batched over
+    blocks of steps (or a round), and the path assembles U, phases and
+    restart records from the folds after the solve.
 
     Returns (times, dt, values, index).  Raises ValueError when steps < 1.
     """
@@ -192,8 +282,20 @@ def _drive(read, t_end: float, steps: int, breakpoints=()):
     return times, dt, read(nodes.T[fresh]), (np.cumsum(fresh) - 1).reshape(steps, 3).T
 
 
+def _projective_sweep(values, index, n: int, dt: float, Z_max: float):
+    """_sweep of W = [z; I_n] by _mobius from z = 0, with K = -iH and the fold test on ||z||_F.
+
+    ``values`` is the H stack _drive read, N x N with block size n.
+    Returns (W, folds) as _sweep does.
+    """
+    m = values.shape[-1] - n
+    W0 = np.eye(m + n, n, -m, dtype=complex)
+    norm = lambda W: math.sqrt(np.vdot(W[:m], W[:m]).real)  # noqa: E731
+    return _sweep(_mobius, values, index, W0, dt, Z_max, norm, lambda X: np.multiply(X, -1j, out=X))
+
+
 def so5_rhs(F: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """dz_mu/dt = F[5,mu](1 - z.z) + 2 F[mu,nu] z_nu + 2 F[5,nu] z_nu z_mu.
+    """dz_mu/dt = F[5,mu](1 - z.z) + 2 F[mu,nu] z_nu + 2 F[5,nu] z_nu z_mu, the reference formula.
 
     z holds (z1, z2, z3, z4); F is the antisymmetric 5x5 coefficient matrix
     with 0-based indices, so F[4, mu] is the row coupling to the pole.
@@ -229,18 +331,18 @@ def integrate_so5(
     steps: int,
     Z_max: float = DEFAULT_Z_MAX,
 ) -> tuple[np.ndarray, np.ndarray, list]:
-    """Integrate the four-real-parameter SO(5) Riccati form.
+    """Integrate the SO(5) Riccati flow and report its four real parameters.
 
-    Returns (times, z samples of shape (steps+1, 4), restart times).  It
-    takes the matrix form's step: F is read on _drive's node schedule, z
-    takes one classical RK4 step on the three node values, and the restart
-    rule compares sqrt(2 z.z), which is ||z||_F of the quaternionic
-    rendering, with Z_max at the grid node.  So
-    z agrees with so5_z_params of solve_factored(build_so5(coeffs)) to
-    roundoff at every node, restarts included.  The error is that of one
-    RK4 step per grid step: fourth order in dt, about 16x that of two half
-    steps, so twice the steps buy it back.
+    Returns (times, z samples of shape (steps+1, 4), restart times).  It is
+    the matrix form's sweep: build_so5's H is read on _drive's node schedule
+    (F checked as one stack), the 2 x 2 quaternionic z sweeps as W = [z;
+    I_2] by _projective_sweep, one Moebius step per grid step, and the
+    restart rule compares ||z||_F, which is sqrt(2 z.z), with Z_max at the
+    grid node.  The samples are so5_z_params of the swept z, so they equal
+    those of solve_factored(build_so5(coeffs)) at every node, restarts
+    included.  The error is that of one RK4 step of the linear flow per grid
+    step: fourth order in dt.
     """
-    times, dt, values, index = _drive(coeffs.read, t_end, steps)
-    zs, folds = _sweep(so5_rhs, values, index, np.zeros(4), dt, Z_max, lambda y: np.sqrt(2 * (y @ y)))
-    return times, zs, [times[j] for j, _ in folds]
+    times, dt, values, index = _drive(build_so5(coeffs).read, t_end, steps)
+    W, folds = _projective_sweep(values, index, 2, dt, Z_max)
+    return times, so5_z_params(W[:, :2]), [times[j] for j, _ in folds]

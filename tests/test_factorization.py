@@ -11,6 +11,7 @@ from unitint.factorization import (
     _corner_node,
     _magnus4,
     _node_states,
+    _next_level,
     _peel_level,
     assemble_tilde_U1,
     base_coordinate,
@@ -54,6 +55,12 @@ from unitint.riccati import _projective_rhs, riccati_rhs, so5_z_matrix
 
 def _random_z(rng, m, n=1):
     return rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
+
+
+def _peel(Htop, v, h, z, mask=None):
+    """_peel_level's rates and the next level's H that _next_level builds from them."""
+    rates, u = _peel_level(Htop, v, h, z, mask)
+    return rates, _next_level(Htop, z, u, rates[2], mask)
 
 
 # --------------------------------------------------------------- factor algebra
@@ -332,7 +339,7 @@ def test_peel_level_matches_public_composition(seed, N, radius):
     blocks = Htop, V, _ = (H[:m, :m], H[:m, m:], H[m:, m:])
     z = _random_z(rng, m)
     z *= radius / frobenius(z)
-    rates, H_next = _peel_level(Htop, V[:, 0], H[m, m], z[:, 0])
+    rates, H_next = _peel(Htop, V[:, 0], H[m, m], z[:, 0])
     # the peel formula written out, then the trace shift
     sg = np.sqrt(1.0 + frobenius(z) ** 2)
     Hp = (
@@ -372,10 +379,10 @@ def test_peel_level_broadcasts_over_a_fold_window(seed, N, width, radius):
     z = rng.standard_normal((3, width, m)) + 1j * rng.standard_normal((3, width, m))
     z *= rng.uniform(0.0, radius, (3, width, 1)) / np.linalg.norm(z, axis=-1, keepdims=True)
     z[0, 0] = 0.0
-    rates, H_next = _peel_level(H[..., :m, :m], H[..., :m, m], H[..., m, m], z)
+    rates, H_next = _peel(H[..., :m, :m], H[..., :m, m], H[..., m, m], z)
     for i, j in np.ndindex(3, width):
         Hn, zn = H[i, j], z[i, j]
-        one_rates, one_next = _peel_level(Hn[:m, :m], Hn[:m, m], Hn[m, m], zn)
+        one_rates, one_next = _peel(Hn[:m, :m], Hn[:m, m], Hn[m, m], zn)
         scale = frobenius(Hn)
         pairs = [(H_next[i, j], one_next), (np.array(rates)[:, i, j], np.array(one_rates))]
         for got, want in pairs:
@@ -795,10 +802,10 @@ def test_hier_assemble_matches_nested_product(N, monkeypatch):
 
 
 def test_hierarchical_sweeps_each_level_in_linear_time(monkeypatch):
-    # One rk4_step steps the levels of the stacked frame that have steps to
-    # take in a round, level k + 1 a round of _CHUNK steps behind level k.
-    # Each level of the frame is named by its first nonzero row of K (a held
-    # level's K is zero).  With no fold, every level takes each of its S
+    # One _mobius step steps the levels of the stacked frame that have steps
+    # to take in a round, level k + 1 a round of _CHUNK steps behind level k.
+    # Each level of the frame is named by its first row of P that is not the
+    # identity's (a held level's P is I).  With no fold, every level takes each of its S
     # steps once, and the pipeline fills once: S + (L - 1) _CHUNK batched
     # steps.  Then level 1 folds every few steps while level 0 stays at
     # z = 0: a fold restarts level 1 alone and the round sweeps again from
@@ -806,15 +813,15 @@ def test_hierarchical_sweeps_each_level_in_linear_time(monkeypatch):
     # solve of F folds takes at most S + (L - 1 + F) _CHUNK batched steps
     calls, moved = [0], np.zeros(3, int)
 
-    def rk4_step(f, y, dt, k1, x_mid, x_end):
+    def mobius(P, W):
         calls[0] += 1
-        for K in x_mid:
-            rows = np.flatnonzero(np.any(K != 0.0, axis=-1))
+        for P_k in P:
+            rows = np.flatnonzero(np.any(P_k != np.eye(len(P_k)), axis=-1))
             moved[rows[:1]] += 1
-        return step(f, y, dt, k1, x_mid, x_end)
+        return step(P, W)
 
-    step = factorization.rk4_step
-    monkeypatch.setattr(factorization, "rk4_step", rk4_step)
+    step = factorization._mobius
+    monkeypatch.setattr(factorization, "_mobius", mobius)
     steps = 2000
     res = hierarchical_solve(trig_random(4, seed=1, scale=0.5), 1.0, steps)
     assert not res.level_restarts
@@ -889,10 +896,10 @@ def test_peel_level_in_the_level_frame(seed, N, radius):
     levels = np.arange(L)
     mask = levels >= levels[:, None]
     H = frame_H
-    rates, H_next = _peel_level(H[:, :-1, :-1], H[:, :-1, -1], H[:, -1, -1], frame_z, mask)
+    rates, H_next = _peel(H[:, :-1, :-1], H[:, :-1, -1], H[:, -1, -1], frame_z, mask)
     for k in range(L):
         Hk, zk = frame_H[k, k:, k:], frame_z[k, k:]
-        one_rates, one_next = _peel_level(Hk[:-1, :-1], Hk[:-1, -1], Hk[-1, -1], zk)
+        one_rates, one_next = _peel(Hk[:-1, :-1], Hk[:-1, -1], Hk[-1, -1], zk)
         scale = frobenius(Hk) * (1.0 + radius) ** 2
         assert np.all(H_next[k, :k] == 0.0) and np.all(H_next[k, :, :k] == 0.0)
         assert frobenius(H_next[k, k:, k:] - one_next) <= 1e-14 * scale

@@ -6,12 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
+from unitint import bloch, factorization, riccati
 from unitint.bloch import crosscheck_so5, crosscheck_su2, precess
 from unitint.factorization import hierarchical_solve, solve_factored
 from unitint.hamiltonian import (
+    EPSILON,
     BlockedHamiltonian,
     ModelError,
     constant_hamiltonian,
+    piecewise_constant,
     so5_coefficients,
     spin_half,
     trig_random,
@@ -21,6 +24,7 @@ from unitint.oracle import propagate
 from unitint.riccati import (
     StiffnessError,
     _projective_rhs,
+    _rk4_propagator,
     integrate_so5,
     riccati_rhs,
     rk4_step,
@@ -85,6 +89,89 @@ def test_projective_rhs_is_riccati_rhs(n, seed, extra, pad, radius):
     assert frobenius(f[pad : pad + m] - want) <= 1e-14 * max(frobenius(want), frobenius(H))
     # so an RK4 step keeps the identity rows to the bit
     assert np.all(rk4_step(_projective_rhs, W, 0.1, f, K, K)[pad + m :] == np.eye(n))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), N=st.integers(1, 6), lead=st.lists(st.integers(1, 3), max_size=2),
+       dt=st.floats(0.0, 0.5), scale=st.floats(0.0, 3.0))
+def test_rk4_propagator_is_rk4_step_on_the_linear_flow(seed, N, lead, dt, scale):
+    # P @ y is rk4_step of dy/dt = K(t) y on the same three node values, over stacked axes
+    rng = np.random.default_rng(seed)
+    shape = (3, *lead, N, N)
+    K = scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    y = rng.standard_normal((*lead, N, 2)) + 1j * rng.standard_normal((*lead, N, 2))
+    P = _rk4_propagator(K, dt)
+    assert P.shape == (*lead, N, N)
+    want = rk4_step(np.matmul, y, dt, K[0] @ y, K[1], K[2])
+    size = (1.0 + dt * frobenius(K)) ** 4 * frobenius(y)
+    assert frobenius(P @ y - want) <= 1e-14 * size
+    # a held K = 0 is P = I exactly
+    assert np.all(_rk4_propagator(np.zeros(shape, complex), dt) == np.eye(N))
+
+
+@pytest.mark.parametrize("N,n", [(2, 1), (4, 2), (5, 1), (6, 3)])
+def test_solve_keeps_the_identity_rows_exactly(N, n, monkeypatch):
+    # every swept state is [z; I_n] to the bit, across folds
+    swept = []
+
+    def sweep(*args):
+        W, folds = original(*args)
+        swept.append((W, folds))
+        return W, folds
+
+    original = riccati._projective_sweep
+    monkeypatch.setattr(factorization, "_projective_sweep", sweep)
+    monkeypatch.setattr(riccati, "_projective_sweep", sweep)
+    solve_factored(trig_random(N, n=n, seed=1, scale=2.0), 3.0, 230, Z_max=2.0)
+    if n == 2:
+        integrate_so5(_so5_coupling(3, 1.5), 1.6, 40, Z_max=1.5)
+    for W, folds in swept:
+        assert folds
+        assert np.all(W[:, N - n :] == np.eye(n))
+        assert all(np.all(W_j[N - n :] == np.eye(n)) for _, W_j in folds)
+
+
+def test_peel_keeps_each_level_frame_exactly(monkeypatch):
+    # level k's state is [0_k; z_k; 1] to the bit after every step, across
+    # every level's folds; level k's P is the identity on its first k rows
+    # and differs from it on row k, unless the level is held (P = I)
+    checked = np.zeros(4, int)
+
+    def mobius(P, W):
+        W_b = step(P, W)
+        for P_k, W_k in zip(P, W_b):
+            moving = np.flatnonzero(np.any(P_k != np.eye(5), axis=-1))
+            assert W_k[-1, 0] == 1.0
+            if len(moving):
+                k = moving[0]
+                assert np.all(W_k[:k] == 0.0)
+                checked[k] += 1
+        return W_b
+
+    step = factorization._mobius
+    monkeypatch.setattr(factorization, "_mobius", mobius)
+    folded = set()
+    for seed in (5, 6):  # between them, every level folds
+        res = hierarchical_solve(trig_random(5, seed=seed, scale=2.0), 3.0, 130, Z_max=2.0)
+        folded |= {level for _, level in res.level_restarts}
+    assert folded == {0, 1, 2, 3} and np.all(checked >= 2 * 130)
+
+
+def test_no_solver_path_calls_rk4_step(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("a solver called the reference rk4_step")
+
+    for module in (riccati, factorization, bloch):
+        if hasattr(module, "rk4_step"):
+            monkeypatch.setattr(module, "rk4_step", forbidden)
+    h = trig_random(4, seed=1, scale=2.0)
+    assert solve_factored(h, 3.0, 100, Z_max=2.0).restarts
+    assert hierarchical_solve(h, 3.0, 100, Z_max=2.0).level_restarts
+    assert solve_factored(trig_random(4, n=2, seed=1, scale=2.0), 3.0, 100, Z_max=2.0).restarts
+    assert integrate_so5(_so5_coupling(3, 1.5), 1.6, 40, Z_max=1.5)[2]
+    crosscheck_so5(_so5_coupling(3, 1.5), 1.6, 40, Z_max=1.5)
+    crosscheck_su2([1.0, 0.5, 0.0], 4.0, 100)
+    precess(lambda t: np.einsum("ijk,k->ij", EPSILON, [1.0, 0.0, np.cos(t)]), 2.0, 50)
 
 
 def test_rk4_exponential_decay():
@@ -158,8 +245,9 @@ def test_an_early_first_restart_is_no_thrash(solver):
     assert [t for t, _ in res.restarts] == [pytest.approx(0.2, abs=1e-12)]
 
 
-# Twelve steps to t = 3 are far too coarse for these couplings: the step
-# retaken from z = 0 after the first restart already runs away.
+# Twelve steps to t = 3 are far too coarse for these couplings: the first
+# step's RK4 propagator is far from unitary, so the solve stops there.
+UNRESOLVED = r"unresolved step: the RK4 propagator is \S+ from unitary \(\|\|P\^H P - I\|\|_F\) "
 RUNAWAY_PATHS = {
     "factored": lambda: solve_factored(trig_random(4, seed=1, scale=80), 3.0, 12),
     "hierarchical": lambda: hierarchical_solve(trig_random(4, seed=1, scale=80), 3.0, 12),
@@ -169,23 +257,24 @@ RUNAWAY_PATHS = {
 
 @pytest.mark.parametrize("path", sorted(RUNAWAY_PATHS))
 def test_runaway_after_restart_raises(path):
-    with pytest.raises(StiffnessError, match=r"within one step of a restart at t=0 \(step 0\)") as info:
+    with pytest.raises(StiffnessError, match=UNRESOLVED + r"at t=0 \(step 0\)") as info:
         RUNAWAY_PATHS[path]()
     assert (info.value.t, info.value.step) == (0.0, 0)
-    assert f"reaches {info.value.peak:.3g} within" in str(info.value)
+    assert f"is {info.value.peak:.3g} from unitary" in str(info.value)
 
 
 @pytest.mark.filterwarnings("error")  # numpy must not warn before the driver names the divergence
 def test_non_finite_coordinate_raises():
-    # a coupling of 1e30 overflows the first 1-unit RK4 step to NaN, here and in the factored solve
-    with pytest.raises(StiffnessError, match=r"is nan at t=0 \(step 0\)") as info:
+    # a coupling of 1e30 overflows the first step's propagator defect, here and in the
+    # factored solve: the guard names that step before the coordinate is stepped
+    with pytest.raises(StiffnessError, match=UNRESOLVED + r"at t=0 \(step 0\)") as info:
         integrate_so5(_so5_coupling(0, 1e30), 12.0, 12)
-    assert (info.value.t, info.value.step) == (0.0, 0) and np.isnan(info.value.peak)
-    with pytest.raises(StiffnessError, match=r"is (nan|inf) at t=0 \(step 0\)") as info:
+    assert (info.value.t, info.value.step) == (0.0, 0) and not np.isfinite(info.value.peak)
+    with pytest.raises(StiffnessError, match=UNRESOLVED + r"at t=0 \(step 0\)") as info:
         solve_factored(constant_hamiltonian(1e30 * (np.ones((4, 4)) - np.eye(4))), 3.0, 12)
     assert (info.value.t, info.value.step) == (0.0, 0) and not np.isfinite(info.value.peak)
-    # at field scale 200 that step stays finite (about 1e16) and the retaken step runs away
-    with pytest.raises(StiffnessError, match=r"within one step of a restart at t=0 \(step 0\)"):
+    # at field scale 200 the defect is finite, and as far above the bound
+    with pytest.raises(StiffnessError, match=UNRESOLVED + r"at t=0 \(step 0\)"):
         solve_factored(trig_random(4, seed=1, scale=200), 3.0, 12)
 
 
@@ -225,7 +314,7 @@ def test_every_node_is_read_before_the_first_step(path):
     # a model that is not finite only at the last node is a ModelError naming
     # that node, although the first step would already raise StiffnessError
     solve, model = STIFF_PATHS[path]
-    with pytest.raises(StiffnessError, match=r"at t=0 \(step 0\)"):
+    with pytest.raises(StiffnessError, match=UNRESOLVED + r"at t=0 \(step 0\)"):
         solve(model)
     last = lambda t: np.nan if t > 3.0 - 1e-9 else 1.0  # noqa: E731
     if path == "so5":
@@ -236,6 +325,49 @@ def test_every_node_is_read_before_the_first_step(path):
         solve(broken)
     t = float(re.search(r"\(t=(\S+)\)", str(info.value)).group(1))
     assert t == pytest.approx(3.0, abs=1e-12)
+
+
+def _jump(t):
+    """Field scale 1 before t = 1.51 and 200 after: a jump inside step 30 of 60 to t = 3."""
+    return 200.0 if t > 1.51 else 1.0
+
+
+_M4 = random_traceless_hermitian(np.random.default_rng(3), 4, 1.0)
+_F5 = _random_F(np.random.default_rng(3), 0.3)
+_B3 = np.array([0.6, -0.3, 0.8])
+
+# The step from t = 1.5 reads the field at scale 200 at its midpoint and end,
+# where dt ||H|| is about 10: each path stops at that step, before it takes it.
+JUMP_PATHS = {
+    "factored": lambda: solve_factored(piecewise_constant([0.0, 1.51], [_M4, 200.0 * _M4]), 3.0, 60),
+    "hierarchical": lambda: hierarchical_solve(piecewise_constant([0.0, 1.51], [_M4, 200.0 * _M4]), 3.0, 60),
+    "so5": lambda: integrate_so5(so5_coefficients(lambda t: _jump(t) * _F5), 3.0, 60),
+    "precession": lambda: precess(lambda t: _jump(t) * np.einsum("ijk,k->ij", EPSILON, _B3), 3.0, 60),
+}
+
+
+@pytest.mark.parametrize("path", sorted(JUMP_PATHS))
+def test_unresolved_step_after_a_jump_raises_at_that_step(path):
+    with pytest.raises(StiffnessError, match=UNRESOLVED + r"at t=1.5 \(step 30\)") as info:
+        JUMP_PATHS[path]()
+    assert (info.value.t, info.value.step) == (pytest.approx(1.5, abs=1e-12), 30)
+    assert info.value.peak > 100.0
+
+
+@pytest.mark.parametrize("path", sorted(GUARD_PATHS))
+def test_resolved_first_step_past_a_tiny_threshold_raises(path):
+    # 60 steps to t = 3 resolve these fields (defects below 1e-6), but the
+    # first step from z = 0 already takes ||z||_F past Z_max = 0.01, and the
+    # step retaken from z = 0 does the same
+    solve = {
+        "factored": lambda: solve_factored(spin_half([1.0, 0.0, 0.0]), 3.0, 60, Z_max=0.01),
+        "hierarchical": lambda: hierarchical_solve(spin_half([1.0, 0.0, 0.0]), 3.0, 60, Z_max=0.01),
+        "so5": lambda: integrate_so5(_so5_coupling(3, 0.5), 3.0, 60, Z_max=0.01),
+    }[path]
+    with pytest.raises(StiffnessError, match=r"reaches \S+ within one step of a restart at t=0 \(step 0\)") as info:
+        solve()
+    assert (info.value.t, info.value.step) == (0.0, 0)
+    assert 0.01 <= info.value.peak < 0.1
 
 
 def test_step_doubling_error_estimate_scales():
