@@ -27,15 +27,9 @@ from .linalg import (
 from .riccati import (
     _BLOCK,
     DEFAULT_Z_MAX,
-    MAX_STEP_DEFECT,
     _drive,
-    _fold_guard,
-    _mobius,
     _projective_rhs,
     _projective_sweep,
-    _resolved,
-    _rk4_propagator,
-    _unresolved,
 )
 
 
@@ -236,21 +230,17 @@ def _corner_node(h_blocks, z: np.ndarray):
     return (upper, -mu_rate[..., None, None]), rates
 
 
-def _peel_level(Htop: np.ndarray, v: np.ndarray, h, z: np.ndarray, mask=None):
+def _peel_level(Htop: np.ndarray, v: np.ndarray, h, z: np.ndarray):
     """One level of the n=1 peel: its phase rates, from V^H z, |z|^2 and Htop z, and its update u.
 
     Htop (m x m), the column v and the corner h partition a traceless
     (m+1)-level H; z is the level's coordinate as a 1-D array.  Leading axes
-    broadcast, so one call serves every node of a block or a round.  Returns
+    broadcast, so one call serves every node of a block of steps.  Returns
     ((mu rate, geometric rate, trace-phase rate), u), where u = a v +
     (Re(V^H z) a^2 / 2) z, a = 1/(sqrt(g)+1), gives recursion_hamiltonian's
     rank-2 update H' = Htop - z u^H - u z^H (_next_level builds it).  Its
     trace tau = -h - 2 Re(u^H z) relies on tr Htop = -h; the trace phase
     advances at -tau/m.  None of it needs the slope dz/dt.
-
-    ``mask`` (1-D over the m rows, default all ones) marks the rows the
-    level owns when it sits in a larger frame with zero rows and columns
-    above it (hierarchical_solve's level frame): m is their count.
 
     This is the one definition of the n=1 corner-phase rates, read by both
     solve_factored and hierarchical_solve:
@@ -260,7 +250,7 @@ def _peel_level(Htop: np.ndarray, v: np.ndarray, h, z: np.ndarray, mask=None):
     H_NN + Re(V^H z) = (U1^H H U1)_NN + (-i U1^H dU1/dt)_NN, checked against
     finite differences of U1 in the test suite.
     """
-    m = z.shape[-1] if mask is None else np.sum(mask, axis=-1)
+    m = z.shape[-1]
     hnn = np.real(h)
     vz = np.sum(v.conj() * z, axis=-1)
     zz = np.sum(z.real**2 + z.imag**2, axis=-1)
@@ -275,13 +265,12 @@ def _peel_level(Htop: np.ndarray, v: np.ndarray, h, z: np.ndarray, mask=None):
     return (-(hnn + re_vz), geo_rate, -tau / m), u
 
 
-def _next_level(Htop: np.ndarray, z: np.ndarray, u: np.ndarray, phi_rate=None, mask=None) -> np.ndarray:
+def _next_level(Htop: np.ndarray, z: np.ndarray, u: np.ndarray, phi_rate=None) -> np.ndarray:
     """recursion_hamiltonian's H' = Htop - z u^H - u z^H, traceless when phi_rate is given.
 
     z, u and the trace-phase rate phi_rate = -tau/m come from _peel_level,
-    over the same leading axes.  phi_rate is added on the rows ``mask``
-    marks (default all rows), which removes the trace on the level's own
-    rows; the zero rows of a level in hierarchical_solve's frame stay zero.
+    over the same leading axes; phi_rate, added on the diagonal, removes the
+    trace.  H' is the next level's H in hierarchical_solve's peel.
     """
     rows = z.shape[-1]
     zu = z[..., :, None] * u[..., None, :].conj()
@@ -289,7 +278,7 @@ def _next_level(Htop: np.ndarray, z: np.ndarray, u: np.ndarray, phi_rate=None, m
     H_next -= dagger(zu)
     if phi_rate is not None:
         diagonal = H_next.reshape(H_next.shape[:-2] + (rows * rows,))[..., :: rows + 1]
-        diagonal += phi_rate[..., None] * (1.0 if mask is None else mask)
+        diagonal += phi_rate[..., None]
     return H_next
 
 
@@ -434,12 +423,12 @@ def _node_states(K: np.ndarray, W_a: np.ndarray, W_b: np.ndarray, dt: float):
     """(W3, (f_a, f_b)) of the steps of a projective sweep from W_a to W_b, K = -iH at their nodes.
 
     K is (3, steps, ..., N, N), and W_a and W_b (steps, ..., N, n) hold each
-    step's start and end state: [z; I_n], or a peel level [0_k; z_k; 1] in
-    its frame.  A step's start is the step before's end, except where a
-    level of the peel restarts.  f_a and f_b are _projective_rhs at the start
-    and end node, and W3 stacks W at the start node, the cubic Hermite
-    midpoint (W_a + W_b)/2 + dt/8 (f_a - f_b) and the end node.  f is zero on
-    the I_n rows and on W's zero rows, so W3 keeps them exactly.
+    step's start and end state, W = [z; I_n]: a step's start is the step
+    before's end, except at a restart, where the step before ends at the
+    state it reached.  f_a and f_b are _projective_rhs at the start and end
+    node, and W3 stacks W at the start node, the cubic Hermite midpoint
+    (W_a + W_b)/2 + dt/8 (f_a - f_b) and the end node.  f is zero on the
+    I_n rows, so W3 keeps them exactly.
     """
     f = _projective_rhs(K[::2], np.array((W_a, W_b)))
     W_m = 0.5 * (W_a + W_b) + (dt / 8.0) * (f[0] - f[1])
@@ -516,10 +505,6 @@ def _hier_assemble(zs, phases: np.ndarray, accums=None) -> np.ndarray:
     return U
 
 
-# Steps a level sweeps per round of hierarchical_solve's pipeline.
-_CHUNK = 8
-
-
 def hierarchical_solve(
     h: BlockedHamiltonian,
     t_end: float,
@@ -530,44 +515,37 @@ def hierarchical_solve(
 
     H is read on _drive's node schedule in one BlockedHamiltonian.read before
     the first step (ModelError for a non-Hermitian, non-traceless or
-    non-finite model).  The L = N - 1 levels share one N x N frame: level k's
-    H sits at [k:, k:] and its state is W_k = [0_k; z_k; 1], so one
-    Moebius step (_mobius) steps every level at once, and ||z_k||_F is the
-    norm of W_k's top N - 1 rows.
+    non-finite model).  The peel is a cascade of the L = N - 1 levels, level
+    0 first.  Level k is its own (N - k)-level Riccati problem: one
+    _projective_sweep of its H stack, in _drive's (values, index) layout,
+    with its state W_k = [z_k; 1].
 
-    The solve is one pipeline of rounds on _drive's node values.  In round
-    r, level k sweeps steps (r - k) _CHUNK to (r - k + 1) _CHUNK of the grid,
-    the steps level k - 1 swept in the round before.  The round builds the
-    RK4 propagators P of all its (step, level) pairs for dW/dt = K W, K =
-    -iH, in one _rk4_propagator call (a held level's K = 0 gives P = I
-    exactly, and each level's zero rows stay exactly 0), checks them in one
-    _resolved pass (StiffnessError at the first unresolved step, the
-    earliest grid node among the levels there), and each step is one
-    _mobius over the (levels, N) state of the levels that have steps to
-    take in the round (all L once the pipeline is full).  Then _node_states
-    places those levels' three node sets (the midpoint by cubic Hermite
-    interpolation on the projective right-hand side, the levels' zero rows
-    kept), and one batched _peel_level call on them gives the phase rates,
-    integrated by Simpson's rule.  _next_level builds each level's H_next
-    (the trace removed on the level's own rows) for every level but the
-    innermost; shifted one row and one column down, that is the next
-    level's H for the next round.  Each level writes its z and phase
-    increments in place, at their grid nodes.  The pipeline fills once, so
-    a solve of S steps takes S + (L - 1) _CHUNK batched steps plus at most
-    the rest of a round per fold.
+    After each sweep, one node pass in blocks of _BLOCK steps does the rest
+    of the level.  _node_states gives W_k at each step's three nodes (the
+    midpoint by cubic Hermite interpolation); a step that ends at a restart
+    of the level ends at the state it reached there.  One batched
+    _peel_level call per block gives the phase rates, integrated by
+    Simpson's rule into the level's increments at the grid nodes, and for
+    every level but the innermost, _next_level builds the next level's H
+    (its trace removed) from the same call.  Both run once per distinct
+    node: a step's end node is also the next step's start node, unless the
+    level restarts there or its own H stack starts afresh there (a
+    breakpoint jump of the model, or a restart of a level above).  So the
+    next level's H stack holds 2S + 1 nodes plus one per such start, and it
+    is the next level's sweep's stack.
 
-    Restarts, per level.  Level 0 restarts at Z_max, so it folds where
-    solve_factored folds; the levels below it restart at Z_max / 2, because
-    each reads its H from the peel of the levels above it and its error
-    grows with its own ||z||.  When level k's step from grid node j reaches
-    its threshold, _fold_guard (_sweep's rule too) accepts the fold or
-    raises StiffnessError, level k restarts in place from [0_k; 0; 1] at j,
-    and the round sweeps again from that step; the levels do not interact
-    inside a round, so every other level repeats its steps bit for bit.
-    From j on, level k + 1 reads its H from level k's new segment, so it
-    restarts at j too, one round later, and so on down to the innermost
-    level.  Shallower levels keep stepping.  The guard counts a level's
-    steps since its latest restart, its own or one passed down.
+    Restarts, per level.  Level 0 restarts at Z_max, so its sweep is
+    solve_factored's and it folds where solve_factored folds; the levels
+    below it restart at Z_max / 2, because each reads its H from the peel
+    of the levels above it and its error grows with its own ||z||.  When
+    level k's step from grid node j reaches its threshold, its sweep
+    restarts in place under _fold_guard (StiffnessError, or a retake of the
+    step from z_k = 0).  From j on, level k + 1 reads its H from level k's
+    new segment, so every restart of level k is handed down to level k + 1's
+    sweep (the ``restarts`` of _sweep): at j it records the state it
+    reached, starts afresh and counts the guard's steps from j.  Shallower
+    levels keep stepping.  A StiffnessError names the first bad step of the
+    shallowest level that fails.
 
     Assembly, after the solve.  Each level keeps an accumulator A_k: on its
     own fold at j, A_k <- U^(k)(j-) A_k, the level's operator at the state
@@ -584,86 +562,43 @@ def hierarchical_solve(
     N = h.N
     L = N - 1
     levels = np.arange(L)
-    mask = levels >= levels[:, None]  # (L, N - 1): level k owns rows k: of the z frame
-    start = np.eye(N, 1, -L, dtype=complex)  # W_k at z_k = 0
-    chunk = np.arange(_CHUNK)[:, None]
-    limit = np.where(levels == 0, Z_max, Z_max / 2)  # each level's restart threshold
-    folds = []  # (node, level) of every level's own folds
-    reached = {}  # (node, level) -> the z frame row the level reached where it restarts
     times, dt, values, index = _drive(h.read, t_end, steps, h.breakpoints)
-    rounds = -(-steps // _CHUNK)  # the rounds each level takes
-    W = np.repeat(start[None], L, axis=0)
-    H = np.zeros((3, _CHUNK, L, N, N), complex)  # a round's frames; level k's rows above k stay 0
-    # at each grid node, level k's z frame in z[:, k] and its phase increments in inc[:, :, k]
-    z, inc = np.zeros((steps + 1, L, L), complex), np.zeros((steps + 1, 3, L))
-    last = np.zeros(L, int)  # each level's latest restart node
-    restart = {}  # step of the round -> the levels that restart where it starts
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # a non-finite peak raises StiffnessError
-        for r in range(rounds + L - 1):
-            lo, hi = max(0, r - rounds + 1), min(L, r + 1)  # the levels that step this round
-            pos = (r - levels[lo:hi]) * _CHUNK  # the node each starts the round at
-            n = np.minimum(steps - pos, _CHUNK)
-            if not lo:
-                H[:, : n[0], 0] = values[index[:, pos[0] : pos[0] + n[0]]]
-            live = chunk < n
-            Hr = H[:, :, lo:hi]
-            Hr[:, ~live] = 0.0  # K = 0 holds a level still
-            w = n.max()
-            K = -1j * Hr[:, :w]
-            P = _rk4_propagator(K, dt)  # (step, level, N, N)
-            ok, defects = _resolved(P)
-            # a restart passes one level down per round, at the same step
-            restart = {s: [k + 1 for k in ks if k + 1 < L] for s, ks in restart.items() if ks[0] + 1 < L}
-            Wa, Wb, s, y = [], [], 0, W[lo:hi]
-            while True:
-                for i in range(s, ok):
-                    if i in restart:
-                        y = y.copy()
-                        y[np.subtract(restart[i], lo)] = start
-                    Wa.append(y)
-                    y = _mobius(P[i], y)
-                    Wb.append(y)
-                ends = np.array(Wb).reshape((ok,) + y.shape)
-                zw = ends[..., :-1, 0]
-                peak = np.sqrt(np.sum(zw.real**2 + zw.imag**2, axis=-1))
-                over = live[:ok] & ~(peak < limit[lo:hi])
-                if not over.any():
-                    break
-                s = int(over.any(axis=1).argmax())  # the earliest fold of the round; on a tie every level there
-                for k in (lo + np.flatnonzero(over[s])).tolist():
-                    j = int(pos[k - lo]) + s
-                    since = [a for a, ks in restart.items() if a <= s and k in ks]
-                    _fold_guard(dt * j, j, j - s + max(since) if since else last[k], peak[s, k - lo])
-                    folds.append((j, k))
-                    restart[s] = sorted(restart.get(s, []) + [k])
-                y = Wa[s]
-                del Wa[s:], Wb[s:]
-            if ok < w:  # the deepest level unresolved at round step ok is there at the earliest grid node
-                k = lo + int(np.flatnonzero(~(defects[ok] <= MAX_STEP_DEFECT))[-1])
-                j = int(pos[k - lo]) + ok
-                raise _unresolved(dt * j, j, defects[ok, k - lo])
-            z3 = _node_states(K, np.array(Wa), ends, dt)[0][..., :-1, 0]
-            Hm = Hr[:, :w]
-            rates, u = _peel_level(Hm[..., :-1, :-1], Hm[..., :-1, -1], Hm[..., -1, -1], z3, mask[lo:hi])
-            # shifted one row and one column down, level k's H_next is level k + 1's H next round;
-            # the innermost level has no next level
-            inner = min(hi, L - 1) - lo
-            top = np.s_[:, :, :inner]
-            H[:, :w, lo + 1 : lo + 1 + inner, 1:, 1:] = _next_level(
-                Hm[top][..., :-1, :-1], z3[top], u[top], rates[2][top], mask[lo : lo + inner]
-            )
-            rates = np.array(rates)  # (rate, node set, step, level)
-            step, row = np.nonzero(live[:w])  # row: level lo + row
-            node = pos[row] + 1 + step
-            z[node, lo + row] = zw[step, row]
-            inc[node, :, lo + row] = ((dt / 6.0) * (rates[:, 0] + 4.0 * rates[:, 1] + rates[:, 2]))[:, step, row].T
-            for s, ks in restart.items():  # level k restarts at the node where its step s starts
-                for k in ks:
-                    j = int(pos[k - lo]) + s
-                    reached[j, k] = (zw[s - 1, k - lo] if s else W[k, :-1, 0]).copy()
-                    z[j, k] = 0.0
-                    last[k] = max(last[k], j)
-            W[lo:hi] = ends[-1]
+    # per step, whether its start, mid and end node are nodes of their own in the next level's H stack:
+    # the start is shared with the step before's end, except after a breakpoint jump or a restart
+    fresh = np.ones((steps, 3), dtype=bool)
+    fresh[1:, 0] = index[0, 1:] != index[2, :-1]
+    inc = np.zeros((steps + 1, 3, L))  # at each grid node, each level's phase increments
+    zs, folds, reached, ends = [], [], {}, {}  # ends: node -> the state the level reached there
+    for k in range(L):
+        W, swept = _projective_sweep(values, index, 1, dt, Z_max / 2 if k else Z_max, ends)
+        folds += [(j, k) for j, _ in swept if j not in ends]
+        ends = dict(swept)
+        reached.update(((j, k), W_j[:-1, 0]) for j, W_j in swept)
+        zs.append(W[:, :-1, 0])
+        fresh[list(ends), 0] = True
+        next_index = (np.cumsum(fresh) - 1).reshape(steps, 3)  # each step's nodes in the next level's stack
+        size = next_index[-1, -1] + 1
+        rates = np.empty((3, size))
+        H_next = np.empty((size, L - k, L - k), complex) if k + 1 < L else None  # the innermost has no next
+        c = 0  # the first node of the block in the next level's stack
+        for a in range(0, steps, _BLOCK):
+            b = min(a + _BLOCK, steps)
+            X = values[index[:, a:b]]
+            W_b = W[a + 1 : b + 1].copy()
+            for j, W_j in ends.items():  # a step that ends at a restart ends at the state reached
+                if a < j <= b:
+                    W_b[j - a - 1] = W_j
+            W3 = _node_states(-1j * X, W[a:b], W_b, dt)[0]
+            own = fresh[a:b]  # the block's distinct nodes, in stack order
+            Hd, zd = X.swapaxes(0, 1)[own], W3.swapaxes(0, 1)[own][..., :-1, 0]
+            d = len(Hd)
+            rates[:, c : c + d], u = _peel_level(Hd[:, :-1, :-1], Hd[:, :-1, -1], Hd[:, -1, -1], zd)
+            if H_next is not None:
+                H_next[c : c + d] = _next_level(Hd[:, :-1, :-1], zd, u, rates[2, c : c + d])
+            c += d
+            r3 = rates[:, next_index[a:b].T]  # (rate, node set, step)
+            inc[a + 1 : b + 1, :, k] = ((dt / 6.0) * (r3[:, 0] + 4.0 * r3[:, 1] + r3[:, 2])).T
+        values, index = H_next, next_index.T
     phases = np.cumsum(inc, axis=0)
     # level by level, the restart nodes and the accumulator from each on, node 0 first
     starts = [[0] for _ in levels]
@@ -672,7 +607,7 @@ def hierarchical_solve(
     for j, k0 in sorted(folds):  # a fold at level k0 restarts levels k0 .. L - 1 at node j
         group = range(k0, L)
         since = np.stack([phases[j, :, k] - phases[starts[k][-1], :, k] for k in group], axis=-1)
-        A = _hier_assemble([reached[j, k][k:] for k in group], since, [accums[k][-1] for k in group])
+        A = _hier_assemble([reached[j, k] for k in group], since, [accums[k][-1] for k in group])
         for k in group:
             starts[k].append(j)
             accums[k].append(A if k == k0 else np.eye(N - k, dtype=complex))
@@ -688,7 +623,7 @@ def hierarchical_solve(
     for a in range(0, steps + 1, _BLOCK):
         b = a + _BLOCK
         U_samples[a:b] = _hier_assemble(
-            [z[a:b, k, k:] for k in levels],
+            [z[a:b] for z in zs],
             phases[a:b] - base[a:b],
             [None if A is None else A[segment[k][a:b]] for k, A in zip(levels, folded)],
         )
@@ -696,7 +631,7 @@ def hierarchical_solve(
     return HierarchicalResult(
         h=h,
         times=times,
-        z_samples=z[:, 0, :, None],
+        z_samples=zs[0][..., None],
         U_samples=U_samples,
         level_mu=level_mu,
         level_geo=level_geo,

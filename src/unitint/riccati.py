@@ -9,25 +9,26 @@ the projective image of a linear flow: W = [X; Y] with dW/dt = K W, K =
 linear-fractional (Moebius) map.  Every path takes RK4's exact step matrix
 for the linear flow, P = _rk4_propagator(K, dt), built in batched calls
 over a block of steps, and steps W = [z; I_n] by _mobius: V = P W, then W
-<- [V_top V_bot^-1; I_n], one right-hand side for every block size and for
-every level of the hierarchical peel at once.  The linear Bloch precession
-takes y <- P y.  A step whose P is far from unitary does not resolve the
-model: _resolved checks each block of propagators in one pass, and the
-sweep raises StiffnessError at the first such step before it takes it.
+<- [V_top V_bot^-1; I_n], one map for every block size and for every level
+of the hierarchical peel.  The linear Bloch precession takes y <- P y.  A
+step whose P is far from unitary does not resolve the model: _resolved
+checks each block of propagators in one pass, and the sweep raises
+StiffnessError at the first such step before it takes it.
 
 Every Riccati solver path, and the precession, reads its model through one
 function, ``_drive``, whose docstring is the one description of the node
 schedule: the model is read at t, t + dt/2 and t + dt of every step before
 the first.  Restarts happen in place under one rule, _fold_guard: when the
 step from node j takes ||z||_F to the restart threshold, the sweep records
-the fold, the state it reached at j, and retakes that step from z = 0; the
-hierarchical peel restarts each of its levels on its own under that rule.
-The product structure U = U_segment U_accum makes that exact; each path
-assembles U, its phases and its restart records from the folds once, after
-the solve.  The SO(5) two-qubit case sweeps the 2 x 2 quaternionic z of
-build_so5's H and reports its four real parameters.  riccati_rhs, so5_rhs
-and rk4_step are the reference formulas the tests check the sweep against;
-no solver calls them.
+the fold, the state it reached at j, and retakes that step from z = 0.  The
+hierarchical peel sweeps its levels one after another, each under that
+rule, and hands every restart of a level to the sweep of the level below
+it.  The product structure U = U_segment U_accum makes that exact; each
+path assembles U, its phases and its restart records from the folds once,
+after the solve.  The SO(5) two-qubit case sweeps the 2 x 2 quaternionic z
+of build_so5's H and reports its four real parameters.  riccati_rhs,
+so5_rhs and rk4_step are the reference formulas the tests check the sweep
+against; no solver calls them.
 """
 
 from __future__ import annotations
@@ -92,11 +93,9 @@ def _projective_rhs(K: np.ndarray, W: np.ndarray) -> np.ndarray:
 
     z = X Y^-1 with [X; Y] linear, d[X; Y]/dt = K [X; Y], makes the Riccati flow
     of z the top m rows of f (Schiff & Shnider, SIAM J. Numer. Anal. 36 (1999)
-    1392).  The bottom n rows are (K W)[m:] - I (K W)[m:], exactly zero, and
-    zero rows of K and W give zero rows of f, so a level of the peel can sit
-    in a larger frame as [0; z; 1].  The sweeps step the linear flow itself
-    (_rk4_propagator); f gives the slopes of the swept states.  Leading axes
-    broadcast.
+    1392).  The bottom n rows are (K W)[m:] - I (K W)[m:], exactly zero.
+    The sweeps step the linear flow itself (_rk4_propagator); f gives the
+    slopes of the swept states.  Leading axes broadcast.
     """
     KW = K @ W
     return KW - W @ KW[..., -W.shape[-1] :, :]
@@ -111,8 +110,7 @@ def _rk4_propagator(K: np.ndarray, dt: float) -> np.ndarray:
         P = I + dt/6 (K_a + 2 B_2 + 2 B_3 + B_4),
         B_2 = K_m (I + dt/2 K_a), B_3 = K_m (I + dt/2 B_2), B_4 = K_b (I + dt B_3).
 
-    A zero K gives P = I exactly, and zero rows and columns of K stay
-    identity rows and columns of P, so a peel level's zero rows of W stay 0.
+    A zero K gives P = I exactly.
     """
     K_a, K_m, K_b = K
     B2 = K_m + (dt / 2.0) * (K_m @ K_a)
@@ -127,7 +125,7 @@ def _rk4_propagator(K: np.ndarray, dt: float) -> np.ndarray:
 def _mobius(P: np.ndarray, W: np.ndarray) -> np.ndarray:
     """One linear-fractional step: V = P W, then W <- [V_top V_bot^-1; I_n].
 
-    W is [z; I_n] (or a peel level's [0_k; z_k; 1]), with leading axes that
+    W is [z; I_n] (a peel level's [z_k; 1]), with leading axes that
     broadcast against P's.  For n = 1 that is one division, and the last
     row is set to exactly 1.
     """
@@ -145,15 +143,15 @@ def _mobius(P: np.ndarray, W: np.ndarray) -> np.ndarray:
 def _resolved(P: np.ndarray):
     """(r, defects): the first r steps of the stack P pass the unresolved-step guard.
 
-    P is (steps, ..., N, N) and defects its ||P^H P - I||_F, (steps, ...); a
-    step fails when a defect of its exceeds MAX_STEP_DEFECT or is not
-    finite.  One batched pass, with no decomposition.
+    P is (steps, N, N) and defects its steps' ||P^H P - I||_F; a step fails
+    when its defect exceeds MAX_STEP_DEFECT or is not finite.  One batched
+    pass, with no decomposition.
     """
     G = np.conj(P.mT) @ P
     N = G.shape[-1]
-    G.reshape(G.shape[:-2] + (N * N,))[..., :: N + 1] -= 1.0
+    G.reshape(len(G), N * N)[:, :: N + 1] -= 1.0
     defects = np.sqrt(np.sum(G.real**2 + G.imag**2, axis=(-2, -1)))
-    bad = ~(defects <= MAX_STEP_DEFECT).reshape(len(P), -1).all(axis=1)
+    bad = ~(defects <= MAX_STEP_DEFECT)
     return (int(bad.argmax()) if bad.any() else len(P)), defects
 
 
@@ -168,7 +166,7 @@ def _unresolved(t: float, j: int, defect: float) -> StiffnessError:
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")  # a non-finite peak raises StiffnessError
 def _sweep(step, values, index, y, dt: float, Z_max: float, norm=lambda y: math.sqrt(np.vdot(y, y).real),
-           generator=None):
+           generator=None, restarts=()):
     """y <- step(P_j, y) by each step's RK4 propagator over the steps ``index`` names, restarting in place.
 
     ``index`` is (3, steps) into the node stack ``values``: each step's start,
@@ -182,8 +180,12 @@ def _sweep(step, values, index, y, dt: float, Z_max: float, norm=lambda y: math.
     the precession.  When the step from node j reaches Z_max in ``norm`` (by
     default ||y||_F), _fold_guard accepts the fold or raises StiffnessError,
     the sweep records (j, the state it reached at j), sets the state at j
-    back to the start state y and retakes the step.  Returns (ys, folds):
-    the steps + 1 node states, in one array, and the folds in grid order.
+    back to the start state y and retakes the step.  At each node j in
+    ``restarts`` (the restarts of the levels above a level of the peel) the
+    sweep records (j, the state it reached at j) too and sets the state back
+    to y, with no step retaken, and _fold_guard counts its steps from j.
+    Returns (ys, folds): the steps + 1 node states, in one array, and the
+    folds and restarts in grid order.
     """
     steps = index.shape[1]
     ys = np.empty((steps + 1,) + np.shape(y), np.result_type(y, values))
@@ -195,6 +197,10 @@ def _sweep(step, values, index, y, dt: float, Z_max: float, norm=lambda y: math.
         del X
         ok, defects = _resolved(P)
         for i, P_i in enumerate(P[:ok], a):
+            if i in restarts:  # a restart handed down to node i: start afresh there
+                folds.append((i, y))
+                ys[i] = y = start
+                last = i
             while True:
                 y_b = step(P_i, y)
                 peak = norm(y_b)
@@ -218,7 +224,8 @@ def _fold_guard(t: float, j: int, start: int, peak: float) -> None:
     finite, when the trajectory completed no step since its start (j ==
     start: a retaken step runs away), or when it restarted at start > 0 and
     folds again within MIN_STEPS_BETWEEN_RESTARTS steps.  _sweep applies it
-    to every fold, and hierarchical_solve to every level of its peel.
+    to every fold, on every path and every level of the peel; a restart
+    handed down to a level of the peel counts as its start.
     """
     done = j - start
     if not np.isfinite(peak) and (done or not start):
@@ -255,14 +262,14 @@ def _drive(read, t_end: float, steps: int, breakpoints=()):
     node in the stack, so every step's propagator reads its own three nodes,
     and restarts and breakpoints need no carry.  Every path builds its RK4
     propagators from those values with _rk4_propagator, in batched calls
-    over a block of steps (or a round), and checks them with _resolved
-    before it takes them.  solve_factored and integrate_so5 sweep W = [z;
-    I_n] over the index with _projective_sweep (and the precession its
-    vector with _sweep), which restarts in place; hierarchical_solve steps
-    all its levels' [0; z_k; 1] states together by _mobius as a pipeline of
-    rounds, and its levels restart on their own.  Both follow one rule,
-    _fold_guard.  All else a path derives from node values is batched over
-    blocks of steps (or a round), and the path assembles U, phases and
+    over a block of steps, and checks them with _resolved before it takes
+    them.  solve_factored, integrate_so5 and every level of
+    hierarchical_solve sweep W = [z; I_n] over an index with
+    _projective_sweep (and the precession its vector with _sweep), which
+    restarts in place under one rule, _fold_guard.  Each level of the peel
+    below level 0 reads an H stack of its own in this layout, built from
+    the level above it.  All else a path derives from node values is
+    batched over blocks of steps, and the path assembles U, phases and
     restart records from the folds after the solve.
 
     Returns (times, dt, values, index).  Raises ValueError when steps < 1.
@@ -282,16 +289,18 @@ def _drive(read, t_end: float, steps: int, breakpoints=()):
     return times, dt, read(nodes.T[fresh]), (np.cumsum(fresh) - 1).reshape(steps, 3).T
 
 
-def _projective_sweep(values, index, n: int, dt: float, Z_max: float):
+def _projective_sweep(values, index, n: int, dt: float, Z_max: float, restarts=()):
     """_sweep of W = [z; I_n] by _mobius from z = 0, with K = -iH and the fold test on ||z||_F.
 
-    ``values`` is the H stack _drive read, N x N with block size n.
-    Returns (W, folds) as _sweep does.
+    ``values`` is an H stack in _drive's layout, N x N with block size n:
+    the model's, or a level of hierarchical_solve's peel, which also passes
+    the ``restarts`` of the levels above it.  Returns (W, folds) as _sweep
+    does.
     """
     m = values.shape[-1] - n
     W0 = np.eye(m + n, n, -m, dtype=complex)
     norm = lambda W: math.sqrt(np.vdot(W[:m], W[:m]).real)  # noqa: E731
-    return _sweep(_mobius, values, index, W0, dt, Z_max, norm, lambda X: np.multiply(X, -1j, out=X))
+    return _sweep(_mobius, values, index, W0, dt, Z_max, norm, lambda X: np.multiply(X, -1j, out=X), restarts)
 
 
 def so5_rhs(F: np.ndarray, z: np.ndarray) -> np.ndarray:

@@ -22,9 +22,12 @@ from unitint.hamiltonian import (
 from unitint.linalg import frobenius, random_traceless_hermitian
 from unitint.oracle import propagate
 from unitint.riccati import (
+    MIN_STEPS_BETWEEN_RESTARTS,
     StiffnessError,
+    _drive,
     _projective_rhs,
     _rk4_propagator,
+    _sweep,
     integrate_so5,
     riccati_rhs,
     rk4_step,
@@ -112,49 +115,87 @@ def test_rk4_propagator_is_rk4_step_on_the_linear_flow(seed, N, lead, dt, scale)
 @pytest.mark.parametrize("N,n", [(2, 1), (4, 2), (5, 1), (6, 3)])
 def test_solve_keeps_the_identity_rows_exactly(N, n, monkeypatch):
     # every swept state is [z; I_n] to the bit, across folds
+    swept = _record_sweeps(monkeypatch)
+    solve_factored(trig_random(N, n=n, seed=1, scale=2.0), 3.0, 230, Z_max=2.0)
+    if n == 2:
+        integrate_so5(_so5_coupling(3, 1.5), 1.6, 40, Z_max=1.5)
+    for W, folds, _ in swept:
+        assert folds
+        assert np.all(W[:, -n:] == np.eye(n))
+        assert all(np.all(W_j[-n:] == np.eye(n)) for _, W_j in folds)
+
+
+def test_peel_keeps_each_level_frame_exactly(monkeypatch):
+    # level k's state is [z_k; 1] on its own N - k rows to the bit after
+    # every step, across its own folds and the restarts handed down to it;
+    # between the two seeds, every level folds both ways
+    N = 5
+    swept = _record_sweeps(monkeypatch)
+    for seed in (5, 6):
+        hierarchical_solve(trig_random(N, seed=seed, scale=2.0), 3.0, 130, Z_max=2.0)
+    own, handed = set(), set()
+    for W, folds, restarts in swept:
+        level = N - W.shape[1]
+        assert W.shape == (131, N - level, 1)
+        assert np.all(W[:, -1] == 1.0)
+        assert all(np.all(W_j[-1] == 1.0) for _, W_j in folds)
+        own |= {level for j, _ in folds if j not in restarts}
+        handed |= {level for j, _ in folds if j in restarts}
+    assert own == {0, 1, 2, 3} and handed == {1, 2, 3}
+
+
+def _record_sweeps(monkeypatch):
+    """Patch both solvers' projective sweep to record (W, folds, restarts handed down)."""
     swept = []
 
     def sweep(*args):
         W, folds = original(*args)
-        swept.append((W, folds))
+        swept.append((W, folds, args[5] if len(args) > 5 else ()))
         return W, folds
 
     original = riccati._projective_sweep
     monkeypatch.setattr(factorization, "_projective_sweep", sweep)
     monkeypatch.setattr(riccati, "_projective_sweep", sweep)
-    solve_factored(trig_random(N, n=n, seed=1, scale=2.0), 3.0, 230, Z_max=2.0)
-    if n == 2:
-        integrate_so5(_so5_coupling(3, 1.5), 1.6, 40, Z_max=1.5)
-    for W, folds in swept:
-        assert folds
-        assert np.all(W[:, N - n :] == np.eye(n))
-        assert all(np.all(W_j[N - n :] == np.eye(n)) for _, W_j in folds)
+    return swept
 
 
-def test_peel_keeps_each_level_frame_exactly(monkeypatch):
-    # level k's state is [0_k; z_k; 1] to the bit after every step, across
-    # every level's folds; level k's P is the identity on its first k rows
-    # and differs from it on row k, unless the level is held (P = I)
-    checked = np.zeros(4, int)
+def _grown(values_at, t_end, steps):
+    """_drive's node stack of K = c(t) I_2 and its index: |y| grows by about 1 + c dt per step."""
+    return _drive(lambda ts: values_at(ts)[:, None, None] * np.eye(2), t_end, steps)[1:]
 
-    def mobius(P, W):
-        W_b = step(P, W)
-        for P_k, W_k in zip(P, W_b):
-            moving = np.flatnonzero(np.any(P_k != np.eye(5), axis=-1))
-            assert W_k[-1, 0] == 1.0
-            if len(moving):
-                k = moving[0]
-                assert np.all(W_k[:k] == 0.0)
-                checked[k] += 1
-        return W_b
 
-    step = factorization._mobius
-    monkeypatch.setattr(factorization, "_mobius", mobius)
-    folded = set()
-    for seed in (5, 6):  # between them, every level folds
-        res = hierarchical_solve(trig_random(5, seed=seed, scale=2.0), 3.0, 130, Z_max=2.0)
-        folded |= {level for _, level in res.level_restarts}
-    assert folded == {0, 1, 2, 3} and np.all(checked >= 2 * 130)
+def test_sweep_restarts_where_the_levels_above_restart():
+    # a restart handed to node j: the sweep records (j, the state it reached
+    # there) and steps on from the start state, with no step retaken
+    dt, values, index = _grown(lambda ts: np.full(len(ts), 0.02), 4.0, 40)
+    y0 = np.array([1.0, 0.0])
+    free, no_folds = _sweep(np.matmul, values, index, y0, dt, np.inf)
+    assert not no_folds and free[-1, 0] > 1.0
+    ys, folds = _sweep(np.matmul, values, index, y0, dt, np.inf, restarts={10, 25})
+    assert [j for j, _ in folds] == [10, 25]
+    assert np.array_equal(folds[0][1], free[10]) and np.array_equal(folds[1][1], free[15])
+    assert np.array_equal(ys[10], y0) and np.array_equal(ys[25], y0)
+    assert np.array_equal(ys[11:25], free[1:15]) and np.array_equal(ys[26:], free[1:16])
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_sweep_counts_the_guard_from_a_handed_down_restart(d):
+    # K = 0 before node j = 12 and K = c I from it on, and a restart handed
+    # to j: the norm from the start state crosses Z_max in the step from
+    # node j + d.  A first fold from node 0 would pass the guard, but counted
+    # from j it is too soon unless d >= MIN_STEPS_BETWEEN_RESTARTS
+    j, steps, c = 12, 40, 0.03
+    dt, values, index = _grown(lambda ts: np.where(ts > (j - 0.5) * 0.1, c, 0.0), 4.0, steps)
+    R = _rk4_propagator(np.full((3, 1, 1), c), dt)[0, 0].real  # the growth of a step from j on
+    y0 = np.array([1.0, 0.0])
+    Z_max = R ** (d + 0.5)
+    if d < MIN_STEPS_BETWEEN_RESTARTS:
+        with pytest.raises(StiffnessError, match=rf"restart requested again after {d} steps") as info:
+            _sweep(np.matmul, values, index, y0, dt, Z_max, restarts={j})
+        assert info.value.step == j + d
+    else:
+        ys, folds = _sweep(np.matmul, values, index, y0, dt, Z_max, restarts={j})
+        assert [k for k, _ in folds][:2] == [j, j + d]
 
 
 def test_no_solver_path_calls_rk4_step(monkeypatch):
