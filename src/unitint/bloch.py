@@ -79,13 +79,13 @@ def _precess(read, t_end: float, steps: int, breakpoints=()):
 
     read(ts) gives the generators at the nodes of _drive's schedule, and
     P_j is RK4's step matrix for dm/dt = omega m on the step's three nodes
-    (_rk4_propagator).  The flow is linear, so the step is np.matmul with no
-    normalisation, and an unresolved step raises StiffnessError.  Z_max is
-    infinite, so the sweep never restarts, and omega at a jump is the fresh
-    read.
+    (_rk4_propagator).  The flow is linear, so the sweep chains m with no
+    projection, one np.matmul per step, and an unresolved step raises
+    StiffnessError.  Z_max is infinite, so the sweep never restarts, and
+    omega at a jump is the fresh read.
     """
     _, dt, values, index = _drive(read, t_end, steps, breakpoints)
-    m = _sweep(np.matmul, values, index, np.eye(values.shape[-1])[-1], dt, np.inf)[0]
+    m = _sweep(values, index, np.eye(values.shape[-1])[-1], dt, np.inf)[0]
     return m, values[np.append(index[0], index[2, -1])]
 
 

@@ -339,11 +339,13 @@ def solve_factored(
     - The sweep (_projective_sweep): each block of steps builds its RK4
       propagators P for dW/dt = K W, K = -iH at the three nodes, in batched
       calls (_rk4_propagator), checks them in one pass (StiffnessError at
-      the first unresolved step), and W = [z; I_n] takes one Moebius step
-      per grid step, V = P W, W <- [V_top V_bot^-1; I_n], for every n.  When
-      a step takes ||z||_F, the norm of W's top m rows, to Z_max, _sweep
-      restarts in place: it records the fold and the state the segment
-      reached, and retakes the step from z = 0.
+      the first unresolved step), and chains the linear state from [0;
+      I_n], V <- P V, one matmul per grid step.  Once per chunk of up to
+      _AHEAD steps it projects the chunk, W = [z; I_n] = [V_top V_bot^-1;
+      I_n], and tests ||z||_F, the norm of W's top m rows, in batched calls,
+      for every n.  When a step takes ||z||_F to Z_max, _sweep restarts in
+      place: it records the fold and the state the segment reached, and
+      retakes the step from z = 0.
     - The batched pass, over each segment's steps in blocks of at most
       _BLOCK: _node_states gives W at the three nodes of each step (the
       midpoint by cubic Hermite interpolation) and f at the start and end
@@ -518,7 +520,8 @@ def hierarchical_solve(
     non-finite model).  The peel is a cascade of the L = N - 1 levels, level
     0 first.  Level k is its own (N - k)-level Riccati problem: one
     _projective_sweep of its H stack, in _drive's (values, index) layout,
-    with its state W_k = [z_k; 1].
+    with its state W_k = [z_k; 1], the projection of a linear state chained
+    one matmul per grid step.
 
     After each sweep, one node pass in blocks of _BLOCK steps does the rest
     of the level.  _node_states gives W_k at each step's three nodes (the

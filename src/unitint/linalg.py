@@ -131,17 +131,17 @@ def _unitary_step(H: np.ndarray, dt: float) -> np.ndarray:
 
 
 def _running_product(M: np.ndarray, U: np.ndarray | None = None) -> np.ndarray:
-    """U with U[0] = I and U[j + 1] = M[j] U[j], over the step axis -3 of M; U has it first.
+    """U with U[0] = I and U[j + 1] = M[j] U[j], one np.matmul per step over the first axis of M.
 
     A given U (at least len(M) + 1 long, step axis first) continues the
-    product from its own U[0], written in place.
+    product from its own U[0], written in place; its states may be matrices
+    or vectors.  The fiber's U2, the oracle and every sweep chain here.
     """
-    M = np.moveaxis(M, -3, 0)
     if U is None:
         U = np.empty((len(M) + 1,) + M.shape[1:], dtype=complex)
         U[0] = np.eye(M.shape[-1])
-    for j, step in enumerate(M):
-        np.matmul(step, U[j], out=U[j + 1])
+    for step, a, b in zip(M, U, U[1:]):
+        np.matmul(step, a, out=b)
     return U
 
 

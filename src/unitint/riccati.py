@@ -5,15 +5,18 @@ The (N-n) x n coordinate z obeys
     i dz/dt = Htop z + V - z (V^H z + Hbot),
 
 the projective image of a linear flow: W = [X; Y] with dW/dt = K W, K =
--iH, gives z = X Y^-1 (_projective_rhs).  So one step of z is a
-linear-fractional (Moebius) map.  Every path takes RK4's exact step matrix
-for the linear flow, P = _rk4_propagator(K, dt), built in batched calls
-over a block of steps, and steps W = [z; I_n] by _mobius: V = P W, then W
-<- [V_top V_bot^-1; I_n], one map for every block size and for every level
-of the hierarchical peel.  The linear Bloch precession takes y <- P y.  A
-step whose P is far from unitary does not resolve the model: _resolved
-checks each block of propagators in one pass, and the sweep raises
-StiffnessError at the first such step before it takes it.
+-iH, gives z = X Y^-1 (_projective_rhs).  So z is the Moebius projection
+of the linear state, and need not be normalised at every step.  Every path
+takes RK4's exact step matrix for the linear flow, P = _rk4_propagator(K,
+dt), built in batched calls over a block of steps, and chains the linear
+state V <- P V, one matmul per grid step (linalg._running_product); every
+_AHEAD steps the sweep projects the chunk of states, W = [V_top V_bot^-1;
+I_n] (_project), and tests them for a fold in batched calls, one scheme
+for every block size and for every level of the hierarchical peel.  The
+linear Bloch precession chains y <- P y with no projection.  A step whose
+P is far from unitary does not resolve the model: _resolved checks each
+block of propagators in one pass, and the sweep raises StiffnessError at
+the first such step before it takes it.
 
 Every Riccati solver path, and the precession, reads its model through one
 function, ``_drive``, whose docstring is the one description of the node
@@ -33,12 +36,10 @@ against; no solver calls them.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .hamiltonian import SO5Coefficients, build_so5
-from .linalg import PAULI, dagger
+from .linalg import PAULI, _running_product, dagger
 
 DEFAULT_Z_MAX = 10.0
 # Restarts closer together than this many grid steps indicate the trajectory
@@ -47,6 +48,8 @@ MIN_STEPS_BETWEEN_RESTARTS = 4
 # Steps of node values per block of _sweep's propagators, solve_factored's
 # batched passes and _segments' U assembly: the block bounds their temporaries.
 _BLOCK = 2048
+# Steps _sweep chains between two projections and fold tests of its state.
+_AHEAD = 32
 # A step's RK4 propagator P is unresolved when ||P^H P - I||_F exceeds this.
 # For one eigenvalue of H, |R(i x)|^2 = 1 - x^6/72 + x^8/576 at x = dt |E|:
 # x = 0.5 reads 2e-4, x = 1 (six steps per period) 1.2e-2.
@@ -122,22 +125,28 @@ def _rk4_propagator(K: np.ndarray, dt: float) -> np.ndarray:
     return P
 
 
-def _mobius(P: np.ndarray, W: np.ndarray) -> np.ndarray:
-    """One linear-fractional step: V = P W, then W <- [V_top V_bot^-1; I_n].
+def _project(V: np.ndarray) -> np.ndarray:
+    """The Moebius projection of a stack of linear states: W = [V_top V_bot^-1; I_n].
 
-    W is [z; I_n] (a peel level's [z_k; 1]), with leading axes that
-    broadcast against P's.  For n = 1 that is one division, and the last
-    row is set to exactly 1.
+    V is (..., N, n), the states [X; Y] of the linear flow, so W = [z; I_n]
+    with z = X Y^-1.  For n = 1 that is one division, and the last row is
+    set to exactly 1; for n > 1, one batched inverse.  V is not changed.
     """
-    V = P @ W
-    n = W.shape[-1]
+    n = V.shape[-1]
     if n == 1:
-        V = V / V[..., -1:, :]
-        V[..., -1, :] = 1.0
+        W = V / V[..., -1:, :]
+        W[..., -1, :] = 1.0
     else:
-        V[..., :-n, :] = V[..., :-n, :] @ np.linalg.inv(V[..., -n:, :])
-        V[..., -n:, :] = np.eye(n)
-    return V
+        W = np.empty_like(V)
+        W[..., :-n, :] = V[..., :-n, :] @ np.linalg.inv(V[..., -n:, :])
+        W[..., -n:, :] = np.eye(n)
+    return W
+
+
+def _norms(y: np.ndarray) -> np.ndarray:
+    """||y_i||_F of each state of the stack y, the states on its first axis."""
+    y = y.reshape(len(y), -1)
+    return np.sqrt(np.sum(y.real**2 + y.imag**2, axis=1))
 
 
 def _resolved(P: np.ndarray):
@@ -165,9 +174,8 @@ def _unresolved(t: float, j: int, defect: float) -> StiffnessError:
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")  # a non-finite peak raises StiffnessError
-def _sweep(step, values, index, y, dt: float, Z_max: float, norm=lambda y: math.sqrt(np.vdot(y, y).real),
-           generator=None, restarts=()):
-    """y <- step(P_j, y) by each step's RK4 propagator over the steps ``index`` names, restarting in place.
+def _sweep(values, index, y, dt: float, Z_max: float, project=None, norm=_norms, generator=None, restarts=()):
+    """y <- P_j y by each step's RK4 propagator over the steps ``index`` names, restarting in place.
 
     ``index`` is (3, steps) into the node stack ``values``: each step's start,
     midpoint and end node.  The values are gathered _BLOCK steps at a time,
@@ -175,42 +183,65 @@ def _sweep(step, values, index, y, dt: float, Z_max: float, norm=lambda y: math.
     (the values themselves if None; it may work in place on the gathered
     copy) and turned into the block's propagators P in one _rk4_propagator
     call.  _resolved checks the block in one pass, and the sweep raises
-    StiffnessError at the first unresolved step, before it takes it.  Each
-    step is y <- step(P_j, y): _mobius for the Riccati paths, np.matmul for
-    the precession.  When the step from node j reaches Z_max in ``norm`` (by
-    default ||y||_F), _fold_guard accepts the fold or raises StiffnessError,
-    the sweep records (j, the state it reached at j), sets the state at j
-    back to the start state y and retakes the step.  At each node j in
-    ``restarts`` (the restarts of the levels above a level of the peel) the
-    sweep records (j, the state it reached at j) too and sets the state back
-    to y, with no step retaken, and _fold_guard counts its steps from j.
-    Returns (ys, folds): the steps + 1 node states, in one array, and the
-    folds and restarts in grid order.
+    StiffnessError at the first unresolved step, before it takes it.
+
+    The sweep chains the linear state V, one np.matmul per step
+    (linalg._running_product), and looks at it every _AHEAD steps, at the
+    end of a block and at each handed-down restart.  There the chunk's
+    states are y = project(V), in one batched call (_project for the
+    Riccati paths; None keeps V itself, as the precession does), and their
+    ``norm`` (a stack of states to their norms; by default ||y||_F) is the
+    fold test.  When the step from node j is the first to reach Z_max,
+    _fold_guard accepts the fold or raises StiffnessError, the sweep
+    records (j, the state it reached at j), sets the state at j back to the
+    start state y and chains on from there: it retakes the step.  At each
+    node j in ``restarts`` (the restarts of the levels above a level of the
+    peel) the chunk ends, the sweep records (j, the state it reached at j)
+    too and sets the state back to y, with no step retaken, and _fold_guard
+    counts its steps from j.  With a projection, each block first scales
+    the carried V by a power of two, which keeps it from under- or
+    overflowing and leaves every projection as it is, bit for bit.  So the
+    states do not depend on _AHEAD or _BLOCK.  V lives in an _AHEAD + 1
+    row buffer.  Returns (ys, folds): the steps + 1 node states, in one
+    array, and the folds and restarts in grid order.
     """
     steps = index.shape[1]
     ys = np.empty((steps + 1,) + np.shape(y), np.result_type(y, values))
     ys[0] = start = y
+    V = np.empty((_AHEAD + 1,) + ys.shape[1:], ys.dtype)  # V[0] is the linear state at node i
+    V[0] = start
+    cuts = iter(sorted(j for j in restarts if 0 <= j < steps))
+    cut = next(cuts, steps)  # the next restart handed down
     folds, last = [], 0
     for a in range(0, steps, _BLOCK):
         X = values[index[:, a : a + _BLOCK]]
         P = _rk4_propagator(X if generator is None else generator(X), dt)
         del X
         ok, defects = _resolved(P)
-        for i, P_i in enumerate(P[:ok], a):
-            if i in restarts:  # a restart handed down to node i: start afresh there
-                folds.append((i, y))
-                ys[i] = y = start
-                last = i
-            while True:
-                y_b = step(P_i, y)
-                peak = norm(y_b)
-                if peak < Z_max:
-                    break
-                _fold_guard(dt * i, i, last, peak)  # a fold at node i: retake the step from the start state
-                folds.append((i, y))
-                ys[i] = y = start
-                last = i
-            ys[i + 1] = y = y_b
+        if project is not None:  # an exact power of two: no projection changes
+            V[0] *= np.ldexp(1.0, -np.frexp(np.abs(V[0]).max())[1])
+        i = a
+        while i < a + ok:
+            if i == cut:  # a restart handed down to node i: start afresh there
+                folds.append((i, ys[i].copy()))
+                ys[i] = V[0] = start
+                last, cut = i, next(cuts, steps)
+            c = min(i + _AHEAD, a + ok, cut) - i
+            _running_product(P[i - a : i - a + c], V)
+            W = V[1 : c + 1] if project is None else project(V[1 : c + 1])
+            peaks = norm(W)
+            over = ~(peaks < Z_max)
+            f = int(over.argmax()) if over.any() else c  # the states before the first fold are kept
+            ys[i + 1 : i + f + 1] = W[:f]
+            if f == c:
+                V[0] = V[c]
+                i += c
+            else:  # the step from node j reaches Z_max: a fold at j, and the step is retaken
+                j = i + f
+                _fold_guard(dt * j, j, last, peaks[f])
+                folds.append((j, ys[j].copy()))
+                ys[j] = V[0] = start
+                i = last = j
         if ok < len(P):
             raise _unresolved(dt * (a + ok), a + ok, defects[ok])
     return ys, folds
@@ -266,11 +297,13 @@ def _drive(read, t_end: float, steps: int, breakpoints=()):
     them.  solve_factored, integrate_so5 and every level of
     hierarchical_solve sweep W = [z; I_n] over an index with
     _projective_sweep (and the precession its vector with _sweep), which
-    restarts in place under one rule, _fold_guard.  Each level of the peel
-    below level 0 reads an H stack of its own in this layout, built from
-    the level above it.  All else a path derives from node values is
-    batched over blocks of steps, and the path assembles U, phases and
-    restart records from the folds after the solve.
+    chains the linear state one matmul per step, projects it and tests it
+    for folds once per chunk of steps, and restarts in place under one
+    rule, _fold_guard.  Each level of the peel below level 0 reads an H
+    stack of its own in this layout, built from the level above it.  All
+    else a path derives from node values is batched over blocks of steps,
+    and the path assembles U, phases and restart records from the folds
+    after the solve.
 
     Returns (times, dt, values, index).  Raises ValueError when steps < 1.
     """
@@ -290,17 +323,17 @@ def _drive(read, t_end: float, steps: int, breakpoints=()):
 
 
 def _projective_sweep(values, index, n: int, dt: float, Z_max: float, restarts=()):
-    """_sweep of W = [z; I_n] by _mobius from z = 0, with K = -iH and the fold test on ||z||_F.
+    """_sweep of the linear flow from [0; I_n], with K = -iH, W = _project(V) and the fold test on ||z||_F.
 
     ``values`` is an H stack in _drive's layout, N x N with block size n:
     the model's, or a level of hierarchical_solve's peel, which also passes
     the ``restarts`` of the levels above it.  Returns (W, folds) as _sweep
-    does.
+    does, with W = [z; I_n] at every node.
     """
     m = values.shape[-1] - n
     W0 = np.eye(m + n, n, -m, dtype=complex)
-    norm = lambda W: math.sqrt(np.vdot(W[:m], W[:m]).real)  # noqa: E731
-    return _sweep(_mobius, values, index, W0, dt, Z_max, norm, lambda X: np.multiply(X, -1j, out=X), restarts)
+    norm = lambda W: _norms(W[:, :m])  # noqa: E731
+    return _sweep(values, index, W0, dt, Z_max, _project, norm, lambda X: np.multiply(X, -1j, out=X), restarts)
 
 
 def so5_rhs(F: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -345,9 +378,9 @@ def integrate_so5(
     Returns (times, z samples of shape (steps+1, 4), restart times).  It is
     the matrix form's sweep: build_so5's H is read on _drive's node schedule
     (F checked as one stack), the 2 x 2 quaternionic z sweeps as W = [z;
-    I_2] by _projective_sweep, one Moebius step per grid step, and the
-    restart rule compares ||z||_F, which is sqrt(2 z.z), with Z_max at the
-    grid node.  The samples are so5_z_params of the swept z, so they equal
+    I_2] by _projective_sweep, one step of the linear flow per grid step
+    and one batched projection per chunk of steps, and the restart rule
+    compares ||z||_F, which is sqrt(2 z.z), with Z_max at the grid node.  The samples are so5_z_params of the swept z, so they equal
     those of solve_factored(build_so5(coeffs)) at every node, restarts
     included.  The error is that of one RK4 step of the linear flow per grid
     step: fourth order in dt.

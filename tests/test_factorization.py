@@ -802,19 +802,19 @@ def test_hier_assemble_matches_nested_product(N, monkeypatch):
 
 
 def test_hierarchical_sweeps_each_level_in_linear_time(monkeypatch):
-    # every level is one sweep of its own (N - k) x (N - k) H stack: one
-    # _mobius step per grid step, and one retake per fold of the level's
-    # own, while a restart handed down from a level above costs no step.
-    # With no fold each level takes S steps; then level 1 folds every few
-    # steps while level 0 stays at z = 0; then every level folds
-    calls = {}
+    # every level is one sweep of its own (N - k) x (N - k) H stack: it
+    # chains one step per grid step, and a fold of the level's own rechains
+    # at most _AHEAD steps, while a restart handed down from a level above
+    # costs no step.  With no fold each level takes S steps; then level 1
+    # folds every few steps while level 0 stays at z = 0; then every level folds
+    chained = {}
 
-    def mobius(P, W):
-        calls[len(W)] = calls.get(len(W), 0) + 1
-        return step(P, W)
+    def chain(M, U):
+        chained[M.shape[-1]] = chained.get(M.shape[-1], 0) + len(M)
+        return running_product(M, U)
 
-    step = riccati._mobius
-    monkeypatch.setattr(riccati, "_mobius", mobius)
+    running_product = riccati._running_product
+    monkeypatch.setattr(riccati, "_running_product", chain)
     M = np.zeros((3, 3))
     M[0, 1] = M[1, 0] = 60.0
     runs = [
@@ -824,10 +824,12 @@ def test_hierarchical_sweeps_each_level_in_linear_time(monkeypatch):
     ]
     own = []
     for h, t_end, steps, Z_max in runs:
-        calls.clear()
+        chained.clear()
         res = hierarchical_solve(h, t_end, steps, Z_max=Z_max)
         own.append([sum(level == k for _, level in res.level_restarts) for k in range(h.N - 1)])
-        assert calls == {h.N - k: steps + own[-1][k] for k in range(h.N - 1)}
+        assert set(chained) == {h.N - k for k in range(h.N - 1)}
+        for k in range(h.N - 1):
+            assert steps <= chained[h.N - k] <= steps + own[-1][k] * riccati._AHEAD, (k, chained)
         if h.N == 3:
             assert np.all(res.z_samples == 0.0)
     assert own[0] == [0, 0, 0] and own[1][0] == 0 and own[1][1] > 50 and own[2] == [3, 3, 1]

@@ -169,9 +169,9 @@ def test_sweep_restarts_where_the_levels_above_restart():
     # there) and steps on from the start state, with no step retaken
     dt, values, index = _grown(lambda ts: np.full(len(ts), 0.02), 4.0, 40)
     y0 = np.array([1.0, 0.0])
-    free, no_folds = _sweep(np.matmul, values, index, y0, dt, np.inf)
+    free, no_folds = _sweep(values, index, y0, dt, np.inf)
     assert not no_folds and free[-1, 0] > 1.0
-    ys, folds = _sweep(np.matmul, values, index, y0, dt, np.inf, restarts={10, 25})
+    ys, folds = _sweep(values, index, y0, dt, np.inf, restarts={10, 25})
     assert [j for j, _ in folds] == [10, 25]
     assert np.array_equal(folds[0][1], free[10]) and np.array_equal(folds[1][1], free[15])
     assert np.array_equal(ys[10], y0) and np.array_equal(ys[25], y0)
@@ -191,11 +191,74 @@ def test_sweep_counts_the_guard_from_a_handed_down_restart(d):
     Z_max = R ** (d + 0.5)
     if d < MIN_STEPS_BETWEEN_RESTARTS:
         with pytest.raises(StiffnessError, match=rf"restart requested again after {d} steps") as info:
-            _sweep(np.matmul, values, index, y0, dt, Z_max, restarts={j})
+            _sweep(values, index, y0, dt, Z_max, restarts={j})
         assert info.value.step == j + d
     else:
-        ys, folds = _sweep(np.matmul, values, index, y0, dt, Z_max, restarts={j})
+        ys, folds = _sweep(values, index, y0, dt, Z_max, restarts={j})
         assert [k for k, _ in folds][:2] == [j, j + d]
+
+
+def test_sweep_rescales_a_decaying_flow():
+    # RK4 on H = [[1, .05], [.05, -1]] at dt = 0.9 resolves the model (defect
+    # 9.4e-3) but shrinks the linear state by about 0.4% per step, so 3e5
+    # chained steps would underflow it (0/0 near step 2e5) without the
+    # per-block rescaling.  z is the one of a Moebius step normalised at
+    # every grid step, to roundoff
+    H = np.array([[1.0, 0.05], [0.05, -1.0]], complex)
+    steps = 300_000
+    W, folds = riccati._projective_sweep(H[None], np.zeros((3, steps), dtype=np.intp), 1, 0.9, 10.0)
+    assert not folds and np.all(np.isfinite(W))
+    normalised = {
+        100_000: -0.000647898846579469 - 0.005654659089052263j,
+        211_744: -0.0203386772717497 - 0.024561597472939192j,
+        steps: -0.005632253909267027 - 0.01580792242403614j,
+    }
+    for j, z in normalised.items():
+        assert abs(W[j, 0, 0] - z) < 1e-12
+
+
+def _chunked_solves():
+    """name -> solve, which returns (arrays, restart records): folding solves on every projective path."""
+    def factored(N, n):
+        res = solve_factored(trig_random(N, n=n, seed=1, scale=2.0), 3.0, 230, Z_max=2.0)
+        names = ("z_samples", "U_samples", "U2_samples", "est_error", "mu_total", "phase_geometric", "imag_mu")
+        return [getattr(res, name) for name in names], res.restarts
+
+    def so5():
+        _, z, restarts = integrate_so5(_so5_coupling(3, 1.5), 1.6, 40, Z_max=1.5)
+        return [z], [(t,) for t in restarts]
+
+    def peel():
+        res = hierarchical_solve(trig_random(5, seed=5, scale=2.0), 3.0, 130, Z_max=2.0)
+        names = ("z_samples", "U_samples", "level_mu", "level_geo", "level_dyn", "trace_phases")
+        return [getattr(res, name) for name in names], res.restarts + res.level_restarts
+
+    return {"N3 n1": lambda: factored(3, 1), "N4 n2": lambda: factored(4, 2), "N6 n3": lambda: factored(6, 3),
+            "so5": so5, "peel": peel}
+
+
+def test_sweep_does_not_depend_on_its_chunks(monkeypatch):
+    # the sweep projects and tests for folds every _AHEAD steps, at block
+    # ends and at handed-down restarts: any chunking gives the same output,
+    # bit for bit.  Between the paths, the folds (level 0's, so the chunks
+    # start at the fold before) sit on both edges of a 5- and a 7-step
+    # chunk and inside one; with one step per chunk every fold is on an edge
+    solves = _chunked_solves()
+    default = {name: solve() for name, solve in solves.items()}
+    nodes = [[round(t * 230 / 3.0) for t, _ in default[name][1]] for name in ("N3 n1", "N4 n2", "N6 n3")]
+    nodes.append([round(t * 40 / 1.6) for t, in default["so5"][1]])
+    for ahead in (5, 7):
+        places = {(j - k) % ahead for folds in nodes for k, j in zip([0] + folds, folds)}
+        assert {0, ahead - 1} <= places and places & set(range(1, ahead - 1))
+    for ahead, block in [(1, 2048), (5, 2048), (7, 2048), (32, 5), (32, 7), (1, 5), (5, 7), (7, 5)]:
+        monkeypatch.setattr(riccati, "_AHEAD", ahead)
+        monkeypatch.setattr(riccati, "_BLOCK", block)
+        for name, solve in solves.items():
+            (outputs, restarts), (want, want_restarts) = solve(), default[name]
+            for got, expected in zip(outputs, want, strict=True):
+                assert np.array_equal(got, expected), (ahead, block, name)
+            for got, expected in zip(restarts, want_restarts, strict=True):
+                assert all(map(np.array_equal, got, expected)), (ahead, block, name)
 
 
 def test_no_solver_path_calls_rk4_step(monkeypatch):
@@ -413,10 +476,11 @@ def test_resolved_first_step_past_a_tiny_threshold_raises(path):
 
 def test_step_doubling_error_estimate_scales():
     h = trig_random(3, seed=4)
-    e_coarse = solve_factored(h, 1.0, 250).est_error
-    e_fine = solve_factored(h, 1.0, 500).est_error
+    e_coarse = solve_factored(h, 1.0, 125).est_error
+    e_fine = solve_factored(h, 1.0, 250).est_error
     ratio = e_coarse / e_fine
-    # RK4: halving dt cuts the estimate by ~2^4
+    # RK4: halving dt cuts the estimate by ~2^4; at 250 steps the estimate
+    # (1e-13) is still above the roundoff floor it reaches by 500 steps
     assert 8.0 < ratio < 32.0
 
 
