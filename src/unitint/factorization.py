@@ -309,19 +309,6 @@ class FactoredResult:
     imag_mu: np.ndarray | None = None
 
 
-def _magnus4(He_a: np.ndarray, He_m: np.ndarray, He_b: np.ndarray, dt: float) -> np.ndarray:
-    """Fourth-order Magnus step exp(-i dt [S + (i dt/12)[He_a, He_b]]) for i dU/dt = He U.
-
-    He_a, He_m and He_b are the Hermitian He at t, t + dt/2 and t + dt, and
-    S = (He_a + 4 He_m + He_b)/6 their Simpson mean; the exponent is
-    Hermitian, so the step is unitary to roundoff.  A stack of He (leading
-    axes) takes one batched eigh.  (Blanes, Casas, Oteo & Ros, Phys. Rep.
-    470 (2009) 151.)
-    """
-    S = (He_a + 4.0 * He_m + He_b) / 6.0
-    return _unitary_step(S + (1j * dt / 12.0) * (He_a @ He_b - He_b @ He_a), dt)
-
-
 def solve_factored(
     h: BlockedHamiltonian,
     t_end: float,
@@ -333,39 +320,31 @@ def solve_factored(
     H is read on _drive's node schedule (t, t + dt/2 and t + dt per step,
     breakpoints of a piecewise model included) in one BlockedHamiltonian.read
     before the first step (ModelError for a non-Hermitian, non-traceless or
-    non-finite model).  The solve is one sweep, then one batched pass over
-    each segment between restarts.
+    non-finite model).  The solve is one sweep and one node pass.
 
-    - The sweep (_projective_sweep): each block of steps builds its RK4
-      propagators P for dW/dt = K W, K = -iH at the three nodes, in batched
-      calls (_rk4_propagator), checks them in one pass (StiffnessError at
-      the first unresolved step), and chains the linear state from [0;
-      I_n], V <- P V, one matmul per grid step.  Once per chunk of up to
-      _AHEAD steps it projects the chunk, W = [z; I_n] = [V_top V_bot^-1;
-      I_n], and tests ||z||_F, the norm of W's top m rows, in batched calls,
-      for every n.  When a step takes ||z||_F to Z_max, _sweep restarts in
-      place: it records the fold and the state the segment reached, and
-      retakes the step from z = 0.
-    - The batched pass, over each segment's steps in blocks of at most
-      _BLOCK: _node_states gives W at the three nodes of each step (the
-      midpoint by cubic Hermite interpolation) and f at the start and end
-      node, and f at the midpoint completes the slopes; the segment's last
-      step ends at the state it reached.  The fiber kernel runs at the three
-      node sets: _corner_node (the level kernel _peel_level that
-      hierarchical_solve cascades, which needs no slope) for n = 1,
+    - The sweep (_projective_sweep) steps z by the linear flow dW/dt = K W,
+      K = -iH, one RK4 propagator per grid step, and folds in place: when a
+      step takes ||z||_F, the norm of W = [z; I_n]'s top m rows, to Z_max, it
+      records the fold and the state it reached and retakes the step from
+      z = 0 (StiffnessError at an unresolved step or a refused fold).
+    - The node pass (_node_pass) gives W at every node of the solve and
+      its slope f at the start and end nodes, block by block, and the solve
+      adds f at the midpoints.  The fiber kernel runs once per node:
+      _corner_node (the level kernel _peel_level that hierarchical_solve
+      cascades, which needs no slope) for n = 1,
       effective_hamiltonian_hermitian with one SVD and the slopes' top rows
-      for n > 1.  The fiber's Hermitian effective Hamiltonian
-      blockdiag(upper, lower) at the three nodes gives one fourth-order
-      Magnus step per grid step (_magnus4, one batched N x N eigh per block
-      of steps); U2, one (steps + 1, N, N) array, is I at each segment's
-      start and the running product of the segment's steps after it.
+      for n > 1.  Its Hermitian effective Hamiltonian blockdiag(upper,
+      lower) gives one fourth-order Magnus step per grid step (_magnus4, one
+      batched N x N eigh per block); U2, one (steps + 1, N, N) array, is
+      their running product, restarted at I at each fold.
     - For n = 1 the corner phases (mu_total, phase_geometric, imag_mu, and
-      phase_dynamical = mu_total - phase_geometric) integrate the three rate
-      evaluations by Simpson's rule.  They and est_error are one cumulative
-      sum of per-step increments over the grid, across restarts.
-    - est_error sums the per-step Simpson defect of z, ||W_new - W - dt/6
-      (f(t) + 4 f(t + dt/2) + f(t + dt))||_F (the I_n rows cancel exactly),
-      an estimate of the fourth-order error that costs no extra evaluation.
+      phase_dynamical = mu_total - phase_geometric) integrate the kernel's
+      rates by Simpson's rule (_simpson).  They and est_error are one
+      cumulative sum of per-step increments over the grid, across restarts.
+    - est_error sums the per-step Simpson defect of z: ||W_new - W - S||_F,
+      with S the step's integral of the slope f by Simpson's rule (the I_n
+      rows cancel exactly), an estimate of the fourth-order error that costs
+      no extra evaluation.
       It leaves out the fiber's Magnus error, so it can read below the
       error in U (0.8 to 9 times it on smooth models).
 
@@ -378,63 +357,132 @@ def solve_factored(
     times, dt, values, index = _drive(h.read, t_end, steps, h.breakpoints)
     W, folds = _projective_sweep(values, index, n, dt, Z_max)
     U2 = np.empty((steps + 1, h.N, h.N), dtype=complex)  # the fiber's running product
+    U2[0] = np.eye(h.N)
     inc = np.zeros((steps + 1, 4 if n == 1 else 1))  # per step's end node: the phases' increments, then the defect
-    ends = []  # per fold: (node, z and U2 where the segment ended)
-    # per segment: its start node k, its end node e and the state W_e it reached there
-    for k, (e, W_e) in zip([0] + [j for j, _ in folds], folds + [(steps, W[-1])]):
-        U2[k] = np.eye(h.N)
-        for a in range(k, e, _BLOCK):
-            b = min(a + _BLOCK, e)
-            X = values[index[:, a:b]]
-            K = -1j * X
-            W3, (f_a, f_b) = _node_states(K, W[a:b], np.concatenate((W[a + 1 : b], [W_e if b == e else W[b]])), dt)
-            f_m = _projective_rhs(K[1], W3[1])
-            H3, z3 = _blocks(X, n), W3[..., :m, :]
-            if n == 1:  # the phases by Simpson's rule
-                He, rates = _corner_node(H3, z3)
-                inc[a + 1 : b + 1, :3] = (dt / 6.0) * (rates[0] + 4.0 * rates[1] + rates[2])
-            else:
-                He = effective_hamiltonian_hermitian(H3, z3, np.array((f_a, f_m, f_b))[..., :m, :])
-            _running_product(_magnus4(*blockdiag(*He), dt), U2[a:])
-            defect = W3[2] - W3[0] - (dt / 6.0) * (f_a + 4.0 * f_m + f_b)
-            inc[a + 1 : b + 1, -1] = np.linalg.norm(defect, axis=(-2, -1))
-        if e < steps:
-            ends.append((e, W_e[:m], U2[e].copy()))
+    reached, ends = dict(folds), []  # ends, per fold: (node, z and U2 where the segment ended)
+    He = rates = None
+    for a, b, X, Wn, f, idx in _node_pass(values, index, W, folds, dt)[1]:
+        f[idx[1]] = _projective_rhs(-1j * X[idx[1] - 1], Wn[idx[1]])  # the midpoints' slopes
+        H, z = _blocks(X, n), Wn[1:, :m]
+        if n == 1:  # the phases by Simpson's rule
+            He_own, rates_own = _corner_node(H, z)
+            rates = _carry(rates, rates_own)
+            inc[a + 1 : b + 1, :3] = (dt / 6.0) * _simpson(rates, idx)
+        else:
+            He_own = effective_hamiltonian_hermitian(H, z, f[1:, :m])
+        He = _carry(He, blockdiag(*He_own))
+        M = _magnus4(He, idx, dt)
+        cuts = [a] + [j for j in reached if a < j < b] + [b]
+        for p, q in zip(cuts, cuts[1:]):
+            if p in reached:  # the segment before ends at p
+                ends.append((p, reached[p][:m], U2[p].copy()))
+                U2[p] = np.eye(h.N)
+            _running_product(M[p - a : q - a], U2[p:])
+        defect = Wn[idx[2]] - Wn[idx[0]] - (dt / 6.0) * _simpson(f, idx)
+        inc[a + 1 : b + 1, -1] = np.linalg.norm(defect, axis=(-2, -1))
     del values  # the node stack, before U is assembled
     z_samples = np.ascontiguousarray(W[:, :m])
     restarts, U_samples = _segments(times, ends, z_samples, U2)
     sums = np.cumsum(inc, axis=0)
-    result = FactoredResult(
-        h=h,
-        times=times,
-        z_samples=z_samples,
-        U_samples=U_samples,
-        U2_samples=U2,
-        restarts=restarts,
-        est_error=float(sums[-1, -1]),
-    )
+    phases = {}
     if n == 1:
         mu, geo, imu = sums[:, :3].T
-        result.mu_total, result.phase_geometric, result.phase_dynamical, result.imag_mu = (
-            mu, geo, mu - geo, imu
-        )
-    return result
+        phases = dict(mu_total=mu, phase_geometric=geo, phase_dynamical=mu - geo, imag_mu=imu)
+    return FactoredResult(h, times, z_samples, U_samples, U2, restarts, float(sums[-1, -1]), **phases)
 
 
-def _node_states(K: np.ndarray, W_a: np.ndarray, W_b: np.ndarray, dt: float):
-    """(W3, (f_a, f_b)) of the steps of a projective sweep from W_a to W_b, K = -iH at their nodes.
+def _magnus4(He: np.ndarray, idx: np.ndarray, dt: float) -> np.ndarray:
+    """Fourth-order Magnus steps exp(-i dt [S + (i dt/12)[He_a, He_b]]) for i dU/dt = He U.
 
-    K is (3, steps, ..., N, N), and W_a and W_b (steps, ..., N, n) hold each
-    step's start and end state, W = [z; I_n]: a step's start is the step
-    before's end, except at a restart, where the step before ends at the
-    state it reached.  f_a and f_b are _projective_rhs at the start and end
-    node, and W3 stacks W at the start node, the cubic Hermite midpoint
-    (W_a + W_b)/2 + dt/8 (f_a - f_b) and the end node.  f is zero on the
-    I_n rows, so W3 keeps them exactly.
+    He holds the Hermitian He at a block's nodes and idx, (3, steps), each
+    step's start, midpoint and end node in it (_node_pass), so He_a, He_m
+    and He_b are He at t, t + dt/2 and t + dt, and S is their Simpson mean
+    (_simpson's sum over 6).  The exponent is Hermitian, so each step is
+    unitary to roundoff, and the steps take one batched eigh.
+    (Blanes, Casas, Oteo & Ros, Phys. Rep. 470 (2009) 151.)
     """
-    f = _projective_rhs(K[::2], np.array((W_a, W_b)))
-    W_m = 0.5 * (W_a + W_b) + (dt / 8.0) * (f[0] - f[1])
-    return np.array((W_a, W_m, W_b)), f
+    He_a, He_b = He[idx[::2]]
+    return _unitary_step(_simpson(He, idx) / 6.0 + (1j * dt / 12.0) * (He_a @ He_b - He_b @ He_a), dt)
+
+
+def _simpson(q: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Simpson's sum q_a + 4 q_m + q_b of each step, from q at the nodes (first axis) that idx indexes.
+
+    dt/6 times it is the step's integral of q by Simpson's rule: the corner
+    phases and the est_error defect of solve_factored and every level's
+    phases of hierarchical_solve; _magnus4's S is the sum over 6.
+    """
+    return q[idx[0]] + 4.0 * q[idx[1]] + q[idx[2]]
+
+
+def _carry(last, own: np.ndarray) -> np.ndarray:
+    """A per-node quantity at the rows a block's index reads: the carried node, then the block's own nodes.
+
+    The carried row is last's final row, the quantity at the block before's
+    last node (zero in the first block, where last is None); ``own`` holds
+    it at the nodes the block adds to the stack (_node_pass).
+    """
+    return np.concatenate((np.zeros_like(own[:1]) if last is None else last[-1:], own))
+
+
+def _node_pass(values, index, W: np.ndarray, folds: list, dt: float):
+    """The node pass of a swept level: its node stack, the state W at each node and its slope f.
+
+    ``values`` and ``index`` are the level's H stack in _drive's layout, and
+    W (= [z; I_n] at the grid nodes) and ``folds`` ((j, the state reached
+    at j) per restart) its _projective_sweep.  Each step reads the level at
+    its start, midpoint and end node.  Its midpoint and end node are nodes
+    of its own.  Its start node is its own only at step 0, after a
+    breakpoint jump (where the index reads the start afresh) and at a
+    restart, where the state starts afresh; elsewhere it is the step
+    before's end node.  So the level's node stack holds 2S + 1 nodes plus
+    one per jump or restart.  The state at a step's start and end node is W
+    there, except that a step that ends at a restart ends at the state it
+    reached; at its midpoint it is the cubic Hermite point (W_a + W_b)/2 +
+    dt/8 (f_a - f_b), from the slopes f = _projective_rhs(-iH, W) at the
+    start and end node.  f is zero on the I_n rows, so the midpoints keep
+    them exactly.  The pass leaves f at the midpoints to the caller that
+    reads it (solve_factored): the peel's levels do not.
+
+    Returns (nodes, blocks).  ``nodes`` is the (3, steps) index of each
+    step's nodes in the stack, _drive's layout, so a per-node quantity
+    stacked in node order is a next level's values.  ``blocks`` yields (a,
+    b, X, Wn, f, idx) per block of _BLOCK steps, over the whole grid: X is H
+    at the block's own nodes, the stack's next rows in order; Wn and f are
+    W and f at a carried row and then at those nodes (f unset at the
+    midpoints); and idx, (3, b - a), indexes each step's nodes in them.  The
+    carried row is the block before's last node, which the block's first
+    step may start from.  A quantity evaluated on the own nodes takes it
+    with _carry, so every node is evaluated once.
+    """
+    steps = index.shape[1]
+    cut = np.array([j for j, _ in folds], dtype=int)
+    reached = np.array([W_j for _, W_j in folds]).reshape(cut.shape + W.shape[1:])
+    fresh = np.ones((steps, 3), dtype=bool)  # whether each step's start, midpoint and end are its own nodes
+    fresh[1:, 0] = index[0, 1:] != index[2, :-1]
+    fresh[cut, 0] = True
+    nodes = (np.cumsum(fresh) - 1).reshape(steps, 3).T
+
+    def blocks():
+        Wn = f = None
+        for a in range(0, steps, _BLOCK):
+            b = min(a + _BLOCK, steps)
+            own = fresh[a:b]
+            X = values[index[:, a:b].T[own]]
+            idx = nodes[:, a:b] - nodes[2, a - 1] if a else nodes[:, a:b] + 1  # row 0 is the carried node
+            Wn = _carry(Wn, np.empty((len(X),) + W.shape[1:], W.dtype))
+            f = _carry(f, np.empty_like(Wn[1:]))
+            starts = idx[0, own[:, 0]]
+            Wn[starts] = W[a:b][own[:, 0]]
+            Wn[idx[2]] = W[a + 1 : b + 1]
+            hit = (a < cut) & (cut <= b)
+            Wn[idx[2, cut[hit] - a - 1]] = reached[hit]
+            ends = np.concatenate((starts, idx[2]))
+            f[ends] = _projective_rhs(-1j * X[ends - 1], Wn[ends])
+            Wn[idx[1]] = 0.5 * (Wn[idx[0]] + Wn[idx[2]]) + (dt / 8.0) * (f[idx[0]] - f[idx[2]])
+            yield a, b, X, Wn, f, idx
+
+    return nodes, blocks()
 
 
 def _segments(times: np.ndarray, ends: list, z: np.ndarray, U2: np.ndarray):
@@ -523,19 +571,13 @@ def hierarchical_solve(
     with its state W_k = [z_k; 1], the projection of a linear state chained
     one matmul per grid step.
 
-    After each sweep, one node pass in blocks of _BLOCK steps does the rest
-    of the level.  _node_states gives W_k at each step's three nodes (the
-    midpoint by cubic Hermite interpolation); a step that ends at a restart
-    of the level ends at the state it reached there.  One batched
-    _peel_level call per block gives the phase rates, integrated by
-    Simpson's rule into the level's increments at the grid nodes, and for
-    every level but the innermost, _next_level builds the next level's H
-    (its trace removed) from the same call.  Both run once per distinct
-    node: a step's end node is also the next step's start node, unless the
-    level restarts there or its own H stack starts afresh there (a
-    breakpoint jump of the model, or a restart of a level above).  So the
-    next level's H stack holds 2S + 1 nodes plus one per such start, and it
-    is the next level's sweep's stack.
+    After each sweep, the level's node pass (_node_pass) gives z_k at
+    every distinct node, block by block, and one batched _peel_level call
+    per block evaluates the level there: its phase rates, integrated by
+    Simpson's rule (_simpson) into the level's increments at the grid
+    nodes, and, for every level but the innermost, the next level's H (its
+    trace removed) by _next_level from the same call.  The pass's node
+    stack is the next level's H stack, and its index the next level's.
 
     Restarts, per level.  Level 0 restarts at Z_max, so its sweep is
     solve_factored's and it folds where solve_factored folds; the levels
@@ -566,10 +608,6 @@ def hierarchical_solve(
     L = N - 1
     levels = np.arange(L)
     times, dt, values, index = _drive(h.read, t_end, steps, h.breakpoints)
-    # per step, whether its start, mid and end node are nodes of their own in the next level's H stack:
-    # the start is shared with the step before's end, except after a breakpoint jump or a restart
-    fresh = np.ones((steps, 3), dtype=bool)
-    fresh[1:, 0] = index[0, 1:] != index[2, :-1]
     inc = np.zeros((steps + 1, 3, L))  # at each grid node, each level's phase increments
     zs, folds, reached, ends = [], [], {}, {}  # ends: node -> the state the level reached there
     for k in range(L):
@@ -578,30 +616,18 @@ def hierarchical_solve(
         ends = dict(swept)
         reached.update(((j, k), W_j[:-1, 0]) for j, W_j in swept)
         zs.append(W[:, :-1, 0])
-        fresh[list(ends), 0] = True
-        next_index = (np.cumsum(fresh) - 1).reshape(steps, 3)  # each step's nodes in the next level's stack
-        size = next_index[-1, -1] + 1
-        rates = np.empty((3, size))
-        H_next = np.empty((size, L - k, L - k), complex) if k + 1 < L else None  # the innermost has no next
-        c = 0  # the first node of the block in the next level's stack
-        for a in range(0, steps, _BLOCK):
-            b = min(a + _BLOCK, steps)
-            X = values[index[:, a:b]]
-            W_b = W[a + 1 : b + 1].copy()
-            for j, W_j in ends.items():  # a step that ends at a restart ends at the state reached
-                if a < j <= b:
-                    W_b[j - a - 1] = W_j
-            W3 = _node_states(-1j * X, W[a:b], W_b, dt)[0]
-            own = fresh[a:b]  # the block's distinct nodes, in stack order
-            Hd, zd = X.swapaxes(0, 1)[own], W3.swapaxes(0, 1)[own][..., :-1, 0]
-            d = len(Hd)
-            rates[:, c : c + d], u = _peel_level(Hd[:, :-1, :-1], Hd[:, :-1, -1], Hd[:, -1, -1], zd)
+        nodes, blocks = _node_pass(values, index, W, swept, dt)
+        H_next = np.empty((nodes[2, -1] + 1, L - k, L - k), complex) if k + 1 < L else None  # the innermost has no next
+        rates, c = None, 0  # c: the block's first own node in the stack
+        for a, b, X, Wn, _, idx in blocks:
+            z = Wn[1:, :-1, 0]
+            rates_own, u = _peel_level(X[:, :-1, :-1], X[:, :-1, -1], X[:, -1, -1], z)
+            rates = _carry(rates, np.stack(rates_own, axis=-1))
+            inc[a + 1 : b + 1, :, k] = (dt / 6.0) * _simpson(rates, idx)
             if H_next is not None:
-                H_next[c : c + d] = _next_level(Hd[:, :-1, :-1], zd, u, rates[2, c : c + d])
-            c += d
-            r3 = rates[:, next_index[a:b].T]  # (rate, node set, step)
-            inc[a + 1 : b + 1, :, k] = ((dt / 6.0) * (r3[:, 0] + 4.0 * r3[:, 1] + r3[:, 2])).T
-        values, index = H_next, next_index.T
+                H_next[c : c + len(X)] = _next_level(X[:, :-1, :-1], z, u, rates_own[2])
+            c += len(X)
+        values, index = H_next, nodes
     phases = np.cumsum(inc, axis=0)
     # level by level, the restart nodes and the accumulator from each on, node 0 first
     starts = [[0] for _ in levels]
@@ -630,19 +656,8 @@ def hierarchical_solve(
             phases[a:b] - base[a:b],
             [None if A is None else A[segment[k][a:b]] for k, A in zip(levels, folded)],
         )
-    level_mu, level_geo, trace_phases = np.moveaxis(phases, 1, 0)
-    return HierarchicalResult(
-        h=h,
-        times=times,
-        z_samples=zs[0][..., None],
-        U_samples=U_samples,
-        level_mu=level_mu,
-        level_geo=level_geo,
-        level_dyn=level_mu - level_geo,
-        trace_phases=trace_phases,
-        restarts=restarts,
-        level_restarts=level_restarts,
-    )
+    mu, geo, phi = np.moveaxis(phases, 1, 0)
+    return HierarchicalResult(h, times, zs[0][..., None], U_samples, mu, geo, mu - geo, phi, restarts, level_restarts)
 
 
 def schrodinger_residual(h: BlockedHamiltonian, times: np.ndarray, U_samples: np.ndarray) -> float:

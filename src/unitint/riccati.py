@@ -45,8 +45,9 @@ DEFAULT_Z_MAX = 10.0
 # Restarts closer together than this many grid steps indicate the trajectory
 # hugs the coordinate singularity; bail out instead of thrashing.
 MIN_STEPS_BETWEEN_RESTARTS = 4
-# Steps of node values per block of _sweep's propagators, solve_factored's
-# batched passes and _segments' U assembly: the block bounds their temporaries.
+# Steps of node values per block of _sweep's propagators and of the node pass
+# (factorization._node_pass), and nodes per block of U assembly: the block
+# bounds their temporaries.
 _BLOCK = 2048
 # Steps _sweep chains between two projections and fold tests of its state.
 _AHEAD = 32
@@ -299,11 +300,12 @@ def _drive(read, t_end: float, steps: int, breakpoints=()):
     _projective_sweep (and the precession its vector with _sweep), which
     chains the linear state one matmul per step, projects it and tests it
     for folds once per chunk of steps, and restarts in place under one
-    rule, _fold_guard.  Each level of the peel below level 0 reads an H
-    stack of its own in this layout, built from the level above it.  All
-    else a path derives from node values is batched over blocks of steps,
-    and the path assembles U, phases and restart records from the folds
-    after the solve.
+    rule, _fold_guard.  Then one node pass (factorization._node_pass) gives
+    the swept state at every node, in blocks of steps, for all else the
+    path derives from node values; each level of the peel
+    below level 0 reads an H stack of its own in this layout, the node
+    stack of the level above it.  The path assembles U, phases and restart
+    records from the folds after the solve.
 
     Returns (times, dt, values, index).  Raises ValueError when steps < 1.
     """
@@ -328,8 +330,11 @@ def _projective_sweep(values, index, n: int, dt: float, Z_max: float, restarts=(
     ``values`` is an H stack in _drive's layout, N x N with block size n:
     the model's, or a level of hierarchical_solve's peel, which also passes
     the ``restarts`` of the levels above it.  Returns (W, folds) as _sweep
-    does, with W = [z; I_n] at every node.
+    does, with W = [z; I_n] at every node.  Raises ValueError unless Z_max
+    > 0 (infinite is allowed: no fold).
     """
+    if not Z_max > 0:
+        raise ValueError(f"Z_max must be positive, got {Z_max}")
     m = values.shape[-1] - n
     W0 = np.eye(m + n, n, -m, dtype=complex)
     norm = lambda W: _norms(W[:, :m])  # noqa: E731

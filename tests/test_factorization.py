@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +12,7 @@ from unitint.factorization import (
     _hier_assemble,
     _corner_node,
     _magnus4,
-    _node_states,
+    _node_pass,
     _next_level,
     _peel_level,
     assemble_tilde_U1,
@@ -283,16 +285,16 @@ def test_fiber_node_stacks_and_matches_eigh_composition(seed, shape, kinds, radi
 @pytest.mark.parametrize("n,count", [(1, 1), (1, 2), (3, 1), (3, 2)])
 def test_magnus_and_unitary_step_stack_over_blocks(n, count):
     # a stack of blocks (a stack of one included) takes one batched eigh and
-    # equals the block-by-block steps
+    # equals the block-by-block steps; the steps gather He through an index
     rng = np.random.default_rng(10 * n + count)
     G = rng.standard_normal((3, count, n, n)) + 1j * rng.standard_normal((3, count, n, n))
     He = (G + dagger(G)) / 2.0  # He at t, t + dt/2 and t + dt for each block
     dt = 0.3
-    stacked = _magnus4(*He, dt)
+    stacked = _magnus4(He.reshape(3 * count, n, n), np.arange(3 * count).reshape(3, count), dt)
     unitary = _unitary_step(He[0], dt)
     assert stacked.shape == unitary.shape == (count, n, n)
     for k in range(count):
-        assert np.max(np.abs(stacked[k] - _magnus4(*He[:, k], dt))) <= 1e-15
+        assert np.max(np.abs(stacked[k] - _magnus4(He[:, k], np.arange(3)[:, None], dt)[0])) <= 1e-15
         assert np.max(np.abs(unitary[k] - _unitary_step(He[0, k], dt))) <= 1e-15
         assert frobenius(unitary[k] - expm(-1j * dt * He[0, k])) < 1e-13
 
@@ -677,7 +679,8 @@ def test_mu_transverse_vanishes():
 
 @pytest.mark.parametrize("N", [3, 4, 5])
 def test_phases_match_hierarchical_level0(N):
-    # both solvers read the rates from _peel_level but integrate them differently
+    # both solvers read the rates from _peel_level at the nodes of one node
+    # pass and integrate them by one Simpson helper, so the phases are equal
     h = trig_random(N, seed=8)
     direct = solve_factored(h, 1.5, 1000)
     hier = hierarchical_solve(h, 1.5, 1000)
@@ -687,7 +690,7 @@ def test_phases_match_hierarchical_level0(N):
         (direct.phase_geometric, hier.level_geo[:, 0]),
         (direct.phase_dynamical, hier.level_dyn[:, 0]),
     ):
-        assert np.max(np.abs(got - want)) < 1e-7
+        assert np.array_equal(got, want)
 
 
 def test_dynamical_phase_independent_expression():
@@ -882,34 +885,54 @@ def test_hierarchical_level0_folds_where_solve_factored_folds(N, steps):
     seed=st.integers(0, 2**32 - 1),
     N=st.integers(2, 6),
     split=st.floats(0.0, 1.0),
-    width=st.integers(1, 4),
+    steps=st.integers(2, 9),
+    fold=st.floats(0.0, 1.0),
+    block=st.integers(1, 10),
     radius=st.floats(0.0, 30.0),
 )
-def test_node_states_over_stacked_axes(seed, N, split, width, radius):
-    # a (steps, 2) stack of steps of a projective sweep W = [z; I_n]: f at the
-    # start and end node is riccati_rhs on the z rows and exactly zero on the
-    # I_n rows, the ends are W itself, and the midpoint is the cubic Hermite
-    # point of the two ends and their slopes, with its I_n rows exactly I_n
+def test_node_pass_states_and_slopes(seed, N, split, steps, fold, block, radius):
+    # a level of S steps W = [z; I_n] that folds at node j: f at the start and
+    # end nodes is riccati_rhs on the z rows and exactly zero on the I_n rows,
+    # the end states are W itself, save that the step before the fold ends at
+    # the state it reached and the fold node is a fresh start, and the
+    # midpoint is the cubic Hermite point of the two ends and their slopes,
+    # with its I_n rows exactly I_n.  Blocks of any size, the fold inside one
+    # or on its edge, index the same stack of 2S + 2 nodes
     rng = np.random.default_rng(seed)
     n = 1 + int(split * (N - 2))
     m, dt = N - n, 0.1
-    H = np.array([random_traceless_hermitian(rng, N, 3.0) for _ in range(3 * width * 2)])
-    H = H.reshape(3, width, 2, N, N)
-    z = rng.standard_normal((width + 1, 2, m, n)) + 1j * rng.standard_normal((width + 1, 2, m, n))
-    z *= rng.uniform(0.0, radius, (width + 1, 2, 1, 1)) / np.linalg.norm(z, axis=(-2, -1), keepdims=True)
+    j = 1 + int(fold * (steps - 2))
+    values = np.array([random_traceless_hermitian(rng, N, 3.0) for _ in range(2 * steps + 1)])
+    index = 2 * np.arange(steps) + np.arange(3)[:, None]  # _drive's layout: no jump
+    z = rng.standard_normal((steps + 2, m, n)) + 1j * rng.standard_normal((steps + 2, m, n))
+    z *= rng.uniform(0.0, radius, (steps + 2, 1, 1)) / np.linalg.norm(z, axis=(-2, -1), keepdims=True)
+    z[j] = 0.0  # the sweep's restarted state at j; z[-1] is the state it reached there
     W = np.concatenate((z, np.broadcast_to(np.eye(n), z.shape[:-2] + (n, n))), axis=-2)
-    W3, (f_a, f_b) = _node_states(-1j * H, W[:-1], W[1:], dt)
-    assert np.array_equal(W3[0], W[:-1]) and np.array_equal(W3[2], W[1:])
-    assert np.all(f_a[..., m:, :] == 0.0) and np.all(f_b[..., m:, :] == 0.0)
-    assert np.all(W3[1, ..., m:, :] == np.eye(n))
-    for j, e in np.ndindex(width, 2):
-        slopes = [riccati_rhs(_blocks(H[i, j, e], n), z[j + k, e]) for i, k in ((0, 0), (2, 1))]
-        scale = frobenius(H[:, j, e]) * (1.0 + radius) ** 2
-        for got, want in zip((f_a[j, e, :m], f_b[j, e, :m]), slopes):
+    with mock.patch.object(factorization, "_BLOCK", block):
+        nodes, blocks = _node_pass(values, index, W[:-1], [(j, W[-1])], dt)
+        passes = list(blocks)
+    X = np.concatenate([p[2] for p in passes])
+    Wn, f = (np.concatenate([p[i][1:] for p in passes]) for i in (3, 4))  # each block's own nodes
+    assert len(X) == len(Wn) == len(f) == 2 * steps + 2 == nodes[2, -1] + 1
+    assert np.array_equal(X[nodes], values[index])
+    for a, b, _, Wb, fb, idx in passes:  # each block's carried row is the block before's last node
+        assert np.array_equal(Wb[idx], Wn[nodes[:, a:b]])
+        assert np.array_equal(fb[idx[::2]], f[nodes[::2, a:b]])  # f is set at the start and end nodes
+    assert [nodes[0, s] != nodes[2, s - 1] for s in range(1, steps)] == [s == j for s in range(1, steps)]
+    ends = W[1:-1].copy()
+    ends[j - 1] = W[-1]
+    assert np.array_equal(Wn[nodes[0]], W[:-2]) and np.array_equal(Wn[nodes[2]], ends)
+    assert np.all(f[nodes[::2], m:] == 0.0)
+    assert np.all(Wn[nodes[1], m:] == np.eye(n))
+    for s in range(steps):
+        slopes = [riccati_rhs(_blocks(values[index[i, s]], n), Wn[nodes[i, s], :m]) for i in (0, 2)]
+        scale = frobenius(values[index[:, s]]) * (1.0 + radius) ** 2
+        for got, want in zip(f[nodes[::2, s], :m], slopes):
             assert frobenius(got - want) <= 1e-13 * scale
         # the Hermite basis at s = 1/2: h00 = h01 = 1/2, h10 = -h11 = 1/8
-        hermite = 0.5 * z[j, e] + 0.125 * dt * slopes[0] + 0.5 * z[j + 1, e] - 0.125 * dt * slopes[1]
-        assert frobenius(W3[1, j, e, :m] - hermite) <= 1e-13 * scale
+        z_a, z_b = Wn[nodes[::2, s], :m]
+        hermite = 0.5 * z_a + 0.125 * dt * slopes[0] + 0.5 * z_b - 0.125 * dt * slopes[1]
+        assert frobenius(Wn[nodes[1, s], :m] - hermite) <= 1e-13 * scale
 
 
 # hier_peel-shaped cases (N, seed, harmonics, steps) whose folds, by level,
@@ -939,14 +962,19 @@ def test_hierarchical_pass_in_blocks_is_bit_identical(N, seed, harmonics, steps,
             assert t == t_b and np.array_equal(U, U_b)
 
 
+def _five_pieces():
+    """A piecewise-constant N = 5 model; of its breakpoints 1.5 and 2.25 lie on a 240-step grid to t = 3."""
+    rng = np.random.default_rng(3)
+    starts = [0.0, 0.7731, 1.5, 2.25]
+    return piecewise_constant(starts, [random_traceless_hermitian(rng, 5, 3.0) for _ in starts])
+
+
 def test_hierarchical_peels_each_distinct_node_once(monkeypatch):
     # level k's node pass calls _peel_level once per node of level k + 1's H
     # stack: 2S + 1 nodes, plus one fresh start node at each breakpoint jump
     # and at each restart of level k, its own folds and those of the levels
     # above it.  The breakpoint at 0.7731 is off the grid, so it is no jump
-    rng = np.random.default_rng(3)
-    starts = [0.0, 0.7731, 1.5, 2.25]
-    h = piecewise_constant(starts, [random_traceless_hermitian(rng, 5, 3.0) for _ in starts])
+    h = _five_pieces()
     steps, dt = 240, 3.0 / 240
     nodes = {}
 
@@ -962,6 +990,32 @@ def test_hierarchical_peels_each_distinct_node_once(monkeypatch):
     for k in range(4):
         fresh = {120, 180} | {j for j, level in folds if level <= k}
         assert nodes[4 - k] == 2 * steps + 1 + len(fresh)
+
+
+@pytest.mark.parametrize("block", [7, 2048])
+@pytest.mark.parametrize("n", [1, 2])
+def test_solve_evaluates_the_fiber_kernel_once_per_distinct_node(n, block, monkeypatch):
+    # solve_factored runs its fiber kernel, _corner_node for n = 1 and the
+    # batched SVD of effective_hamiltonian_hermitian for n > 1, once per node
+    # of the node pass: 2S + 1 nodes, plus one fresh start node at each fold
+    # and at each breakpoint jump (1.5 and 2.25, nodes 120 and 180), in
+    # blocks of any size
+    h = _five_pieces()
+    h = BlockedHamiltonian(N=5, n=n, evaluator=h.evaluator, breakpoints=h.breakpoints)
+    kernel = "_corner_node" if n == 1 else "effective_hamiltonian_hermitian"
+    evaluate, rows = getattr(factorization, kernel), []
+
+    def counted(h_blocks, z, *slope):
+        rows.append(z[..., 0, 0].size)  # nodes over all leading axes
+        return evaluate(h_blocks, z, *slope)
+
+    monkeypatch.setattr(factorization, kernel, counted)
+    monkeypatch.setattr(factorization, "_BLOCK", block)
+    steps, dt = 240, 3.0 / 240
+    res = solve_factored(h, 3.0, steps, Z_max=2.0)
+    folds = {round(t / dt) for t, _ in res.restarts}
+    assert folds and sum(rows) == 2 * steps + 1 + len(folds | {120, 180})
+    assert len(rows) == -(-steps // block)  # one batched call per block
 
 
 @pytest.mark.parametrize("N", [3, 4, 6])
@@ -1062,8 +1116,12 @@ def test_solve_factored_covariant_under_block_diagonal_unitary(N, n, seed):
     assert np.max(np.linalg.norm(W @ a.U_samples @ dagger(W) - b.U_samples, axis=(-2, -1))) < 1e-12
 
 
-def _count_decompositions(monkeypatch, N, n, steps, Z_max):
-    """The solve's folds and the shapes of its np.linalg.svd and eigh calls."""
+def _count_decompositions(monkeypatch, N, n, steps, Z_max, block=50):
+    """The solve's fold nodes, its blocks of steps and the shapes of its np.linalg.svd calls.
+
+    The node pass runs in blocks of ``block`` steps, and each block's Magnus
+    steps take one batched N x N eigh.
+    """
     calls = {"svd": [], "eigh": []}
     for name in calls:
         original = getattr(np.linalg, name)
@@ -1073,30 +1131,32 @@ def _count_decompositions(monkeypatch, N, n, steps, Z_max):
             return _original(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counted)
+    monkeypatch.setattr(factorization, "_BLOCK", block)
     res = solve_factored(trig_random(N, n=n, seed=3, scale=2.0), 3.0, steps, Z_max=Z_max)
-    folds = len(res.restarts)
-    assert folds >= 1
-    windows = [shape[0] for shape in calls["eigh"]]
-    assert calls["eigh"] == [(w, N, N) for w in windows]
-    assert len(windows) == 1 + folds and sum(windows) == steps
-    return folds, windows, calls["svd"]
+    folds = [round(t * steps / 3.0) for t, _ in res.restarts]
+    assert folds
+    blocks = [(a, min(a + block, steps)) for a in range(0, steps, block)]
+    assert calls["eigh"] == [(b - a, N, N) for a, b in blocks]
+    return folds, blocks, calls["svd"]
 
 
 @pytest.mark.parametrize("N,steps", [(4, 115), (6, 230)])
 def test_solve_decompositions_per_step_for_half_split(N, steps, monkeypatch):
-    # n = N/2: per segment between folds, one batched SVD (the three node sets
-    # of its steps) and one batched N x N eigh (the fiber blockdiag(upper,
-    # lower) of its steps), the segments' steps summing to the grid; one more
-    # SVD for each fold's segment U1 and one for the U1 of all samples at once
+    # n = N/2: per block of steps, one batched SVD over the block's own nodes
+    # (two per step, and the start node of step 0 and of each fold) and one
+    # batched N x N eigh (the fiber blockdiag(upper, lower) of its steps);
+    # one more SVD for each fold's segment U1, and one per 50 samples for U1
     n = N // 2
-    folds, windows, svd = _count_decompositions(monkeypatch, N, n, steps, 2.0)
-    assert svd[: 1 + folds] == [(3, w, n, n) for w in windows]
-    assert svd[1 + folds :] == [(n, n)] * folds + [(steps + 1, n, n)]
+    folds, blocks, svd = _count_decompositions(monkeypatch, N, n, steps, 2.0)
+    own = [2 * (b - a) + sum(a <= j < b for j in [0] + folds) for a, b in blocks]
+    assert svd[: len(blocks)] == [(d, n, n) for d in own]
+    samples = [(min(50, steps + 1 - a), n, n) for a in range(0, steps + 1, 50)]
+    assert svd[len(blocks) :] == [(n, n)] * len(folds) + samples
 
 
 @pytest.mark.parametrize("N", [2, 3])
 def test_solve_decompositions_per_step_for_block_size_one(N, monkeypatch):
-    # n = 1: the same one batched N x N eigh per segment, and no SVD
+    # n = 1: the same one batched N x N eigh per block, and no SVD
     assert _count_decompositions(monkeypatch, N, 1, 115, 1.0)[2] == []
 
 

@@ -474,6 +474,22 @@ def test_resolved_first_step_past_a_tiny_threshold_raises(path):
     assert 0.01 <= info.value.peak < 0.1
 
 
+@pytest.mark.parametrize("Z_max", [0.0, -1.0, np.nan])
+@pytest.mark.parametrize("path", ["factored", "hierarchical", "so5"])
+def test_threshold_must_be_positive(path, Z_max):
+    # no norm stays below a threshold of 0, -1 or nan: the call is refused
+    # with the value named, not with a StiffnessError about the coordinate
+    # singularity at the first step; an infinite threshold never folds
+    solve = {
+        "factored": lambda Z: solve_factored(trig_random(3, seed=1, scale=2), 3.0, 50, Z_max=Z),
+        "hierarchical": lambda Z: hierarchical_solve(trig_random(3, seed=1, scale=2), 3.0, 50, Z_max=Z),
+        "so5": lambda Z: integrate_so5(_so5_coupling(3, 1.5), 1.6, 40, Z_max=Z),
+    }[path]
+    with pytest.raises(ValueError, match=re.escape(f"Z_max must be positive, got {Z_max}")):
+        solve(Z_max)
+    solve(np.inf)
+
+
 def test_step_doubling_error_estimate_scales():
     h = trig_random(3, seed=4)
     e_coarse = solve_factored(h, 1.0, 125).est_error
