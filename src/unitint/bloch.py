@@ -66,12 +66,7 @@ def precess(omega, t_end: float, steps: int) -> np.ndarray:
     are no restarts; a step whose step matrix is far from orthogonal raises
     StiffnessError.
     """
-    def read(ts):
-        values = [np.asarray(omega(t), dtype=float) for t in ts]
-        d = len(values[0]) if values[0].ndim else 1
-        return checked_stack("Omega", ts, values, (d, d), F_CONTRACT)
-
-    return _precess(read, t_end, steps)[0]
+    return _precess(lambda ts: checked_stack("Omega", ts, omega, contract=F_CONTRACT, dtype=float), t_end, steps)[0]
 
 
 def _precess(read, t_end: float, steps: int, breakpoints=()):
@@ -138,8 +133,9 @@ def crosscheck_so5(
 ) -> CrosscheckReport:
     """Compare the Riccati picture with the linear 5-vector equation dm/dt = 2 F m.
 
-    F is recovered from the solve's checked H (crosscheck_pictures), so the
-    two pictures read the model once.
+    The solve and the precession each read the model once per node of the
+    schedule (crosscheck_pictures recovers F from a second checked read of
+    H), so F is evaluated twice per node.
     """
     return crosscheck_pictures(solve_factored(build_so5(coeffs), t_end, steps, Z_max=Z_max))
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import numbers
 import sys
 from pathlib import Path
 
@@ -34,7 +33,7 @@ from .factorization import (
     unitarity_closure,
     unitarized_U1,
 )
-from .hamiltonian import ModelError, from_config, so5_coefficients, trig_random
+from .hamiltonian import ModelError, _number, from_config, so5_coefficients, trig_random
 from .linalg import (
     SingularMatrixError,
     dagger,
@@ -60,8 +59,8 @@ BLOCH_FAMILIES = ("spin_half", "so5")
 TOLERANCE_NAMES = ("oracle_distance", "unitarity", "bloch_deviation", "est_error")
 
 
-def load_scenario(path: Path) -> dict:
-    """Read a scenario file, fill in the defaults and check every field but the model."""
+def _read(path: Path) -> dict:
+    """The JSON object of a scenario file, as written; raises ScenarioError."""
     try:
         raw = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
@@ -70,59 +69,47 @@ def load_scenario(path: Path) -> dict:
         raise ScenarioError(f"cannot read the file: {exc}") from None
     if not isinstance(raw, dict):
         raise ScenarioError("a scenario is a JSON object")
-    raw = _with_defaults(raw)
-    _check_fields(raw)
     return raw
 
 
+def load_scenario(path: Path) -> dict:
+    """Read and parse a scenario file: the scenario with its defaults and the model's N and n."""
+    return parse_scenario(_read(path))[0]
+
+
 def parse_scenario(scenario: dict):
-    """The parse step: (scenario with defaults, model); raises ScenarioError."""
-    scenario = _with_defaults(scenario)
-    _check_fields(scenario)
+    """The one parse of a scenario: (scenario with its defaults and the model's N and n, model).
+
+    The run defaults, the run fields (_check_fields), the model (from_config,
+    the one reader of N, n, seed and the family's parameters) and the
+    hierarchical path's block size, in that order; raises ScenarioError.
+    """
+    scenario = {"Z_max": DEFAULT_Z_MAX, "paths": ["factorized", "oracle"], "tolerances": {}, **scenario}
     try:
+        parsed = _check_fields(scenario)
         h = from_config(scenario)
+        if "hierarchical" in scenario["paths"] and h.n != 1:
+            raise ScenarioError(f"path hierarchical peels with block size 1, not n={h.n}")
     except KeyError as exc:
         raise ScenarioError(f"family {scenario['family']!r} needs parameter {exc}") from None
     except (TypeError, ValueError) as exc:  # ModelError included
         raise ScenarioError(str(exc)) from None
-    if "hierarchical" in scenario["paths"] and h.n != 1:
-        raise ScenarioError(f"path hierarchical peels with block size 1, not n={h.n}")
-    return scenario, h
+    return {**scenario, **parsed, "N": h.N, "n": h.n}, h
 
 
-def _with_defaults(scenario: dict) -> dict:
-    defaults = {
-        "N": 2, "n": 1, "Z_max": DEFAULT_Z_MAX, "paths": ["factorized", "oracle"], "tolerances": {}
-    }
-    return {**defaults, **scenario}
-
-
-def _number(table: dict, key: str, integral: bool = False):
-    """table[key] as a float, or as an int when integral; booleans and strings are no numbers."""
-    value = table[key]
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ScenarioError(f"{key} must be a number, got {value!r}")
-    if integral:
-        if not float(value).is_integer():
-            raise ScenarioError(f"{key} must be an integer, got {value!r}")
-        return int(value)
-    return float(value)
-
-
-def _check_fields(scenario: dict) -> None:
+def _check_fields(scenario: dict) -> dict:
+    """Check every field but the model's; returns t_end, steps and Z_max as numbers."""
     for key in ("id", "family", "t_end", "steps"):
         if key not in scenario:
             raise ScenarioError(f"missing required field {key!r}")
     sid = scenario["id"]
     if not isinstance(sid, str) or sid in ("", ".", "..") or any(c in sid for c in "/\\\0"):
         raise ScenarioError(f"id must be a plain file name, got {sid!r}")
-    N, n = _number(scenario, "N", integral=True), _number(scenario, "n", integral=True)
-    if N < 2 or not (1 <= n <= N // 2):
-        raise ScenarioError(f"need N >= 2 and 1 <= n <= N/2, got N={N}, n={n}")
     t_end, steps = _number(scenario, "t_end"), _number(scenario, "steps", integral=True)
     if not (np.isfinite(t_end) and t_end > 0) or steps < 1:
         raise ScenarioError(f"need a finite t_end > 0 and steps >= 1, got {t_end} and {steps}")
-    if not _number(scenario, "Z_max") > 0:
+    z_max = _number(scenario, "Z_max")
+    if not z_max > 0:
         raise ScenarioError(f"need Z_max > 0, got {scenario['Z_max']!r}")
     paths, tolerances = scenario["paths"], scenario["tolerances"]
     if not isinstance(paths, list) or not isinstance(tolerances, dict):
@@ -139,6 +126,7 @@ def _check_fields(scenario: dict) -> None:
             raise ScenarioError(f"unknown tolerance name {name!r}")
         if not _number(tolerances, name) >= 0:
             raise ScenarioError(f"tolerance {name} must be >= 0, got {tolerances[name]!r}")
+    return {"t_end": t_end, "steps": steps, "Z_max": z_max}
 
 
 def run_scenario(scenario: dict, out_dir: Path) -> dict:
@@ -147,10 +135,7 @@ def run_scenario(scenario: dict, out_dir: Path) -> dict:
     A malformed scenario raises ScenarioError before any solve.
     """
     scenario, h = parse_scenario(scenario)
-    t_end = float(scenario["t_end"])
-    steps = int(scenario["steps"])
-    z_max = float(scenario["Z_max"])
-    paths = scenario["paths"]
+    t_end, steps, z_max, paths = (scenario[key] for key in ("t_end", "steps", "Z_max", "paths"))
 
     endpoint_U: dict[str, np.ndarray] = {}
     unitarity: dict[str, float] = {}
@@ -381,7 +366,7 @@ def _cmd_run(args) -> int:
     exit_code = 0
     for file_path in args.files:
         try:
-            scenario = load_scenario(Path(file_path))
+            scenario = _read(Path(file_path))
             if args.steps is not None:
                 scenario["steps"] = args.steps
             if args.paths is not None:

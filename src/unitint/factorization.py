@@ -354,7 +354,7 @@ def solve_factored(
     """
     n = h.n
     m = h.N - n
-    times, dt, values, index = _drive(h.read, t_end, steps, h.breakpoints)
+    times, dt, values, index = _drive(h.read, t_end, steps, h.breakpoints, Z_max)
     W, folds = _projective_sweep(values, index, n, dt, Z_max)
     U2 = np.empty((steps + 1, h.N, h.N), dtype=complex)  # the fiber's running product
     U2[0] = np.eye(h.N)
@@ -607,7 +607,7 @@ def hierarchical_solve(
     N = h.N
     L = N - 1
     levels = np.arange(L)
-    times, dt, values, index = _drive(h.read, t_end, steps, h.breakpoints)
+    times, dt, values, index = _drive(h.read, t_end, steps, h.breakpoints, Z_max)
     inc = np.zeros((steps + 1, 3, L))  # at each grid node, each level's phase increments
     zs, folds, reached, ends = [], [], {}, {}  # ends: node -> the state the level reached there
     for k in range(L):

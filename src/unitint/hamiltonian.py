@@ -4,9 +4,10 @@ A Hamiltonian is an evaluator callable at any time t, so integrators choose
 their own quadrature points.  The partition into an (N-n) x (N-n) upper
 block, an (N-n) x n coupling block V and an n x n lower block is the
 interface every solver consumes.  The model contract is one stacked check,
-checked_stack, that every solver path and the oracle read through
-(BlockedHamiltonian.read, SO5Coefficients.read): each H(t) is N x N, finite,
-Hermitian and traceless within MODEL_TOL, each F(t) finite, antisymmetric, 5 x 5.
+checked_stack, which is also the one reader of every model: every solver
+path (BlockedHamiltonian.read, SO5Coefficients.read), the oracle and the
+linear precession read through it.  Each H(t) is N x N, finite, Hermitian
+and traceless within MODEL_TOL, each F(t) finite, antisymmetric, 5 x 5.
 
 A read takes one of two paths.  Every built-in family's evaluator is a
 _Stack: it carries a vectorized ``stack(ts)`` that evaluates a whole node
@@ -14,10 +15,15 @@ schedule in one call, and its value at one t is that same function at one
 node, so read(ts) equals the per-node values bit for bit.  Any other
 evaluator (a user callable B or F, or one wrapped with dataclasses.replace)
 is called once per node and its values are stacked.
+
+from_config builds a model from a scenario's description.  It is the one
+reader of a scenario's N, n, seed and family parameters, and the model,
+not the scenario, decides N and n.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -62,15 +68,38 @@ F_CONTRACT = (
 )
 
 
-@np.errstate(invalid="ignore", over="ignore")  # a non-finite node fails the first test
-def checked_stack(name: str, ts, values, shape: tuple, contract=H_CONTRACT) -> np.ndarray:
-    """The values read at ts, in read order, as one (len(ts), *shape) stack.
+class _Stack:
+    """A built-in family's evaluator, defined once over a node schedule.
 
-    ``values`` is the list of per-node values, or their stack as one ndarray,
-    which is returned as it is.  A node fails on a shape other than ``shape``,
-    else at its first failed test of ``contract``; ModelError names the first
-    failing node, e.g. "H(t=0.5) is not finite".
+    ``stack(ts)`` evaluates the family at every t of the 1-D array ts in one
+    vectorized call; calling the evaluator at t is stack at the one node t.
     """
+
+    def __init__(self, stack: Callable[[np.ndarray], np.ndarray]):
+        self.stack = stack
+
+    def __call__(self, t: float) -> np.ndarray:
+        return self.stack(np.array([t], dtype=float))[0]
+
+
+@np.errstate(invalid="ignore", over="ignore")  # a non-finite node fails the first test
+def checked_stack(name: str, ts, evaluate, shape=None, contract=H_CONTRACT, dtype=complex) -> np.ndarray:
+    """The model read at ts, in read order, as one checked (len(ts), *shape) stack.
+
+    The one reader of every model: a _Stack ``evaluate`` reads the whole
+    schedule in one vectorized call, whose stack is returned as it is; any
+    other callable is called once per node, as a ``dtype`` array, and the
+    values are stacked.  ``shape`` None takes the first node's square shape.
+    A node fails on a shape other than ``shape``, else at its first failed
+    test of ``contract``; ModelError names the first failing node, e.g.
+    "H(t=0.5) is not finite".
+    """
+    if isinstance(evaluate, _Stack):
+        values = evaluate.stack(np.asarray(ts, dtype=float))
+    else:
+        values = [np.asarray(evaluate(t), dtype=dtype) for t in ts]
+    if shape is None:
+        shape = (len(values[0]) if values[0].ndim else 1,) * 2
     if isinstance(values, np.ndarray):  # a stack: every node has its shape
         j = len(values) if values.shape[1:] == shape else 0
         X = values[:j]
@@ -85,20 +114,6 @@ def checked_stack(name: str, ts, values, shape: tuple, contract=H_CONTRACT) -> n
     if j < len(values):
         raise ModelError(f"{name}(t={ts[j]}) has shape {values[j].shape}, expected {shape}")
     return X
-
-
-class _Stack:
-    """A built-in family's evaluator, defined once over a node schedule.
-
-    ``stack(ts)`` evaluates the family at every t of the 1-D array ts in one
-    vectorized call; calling the evaluator at t is stack at the one node t.
-    """
-
-    def __init__(self, stack: Callable[[np.ndarray], np.ndarray]):
-        self.stack = stack
-
-    def __call__(self, t: float) -> np.ndarray:
-        return self.stack(np.array([t], dtype=float))[0]
 
 
 def _constant(M: np.ndarray) -> _Stack:
@@ -135,17 +150,14 @@ class BlockedHamiltonian:
         return np.asarray(self.evaluator(t), dtype=complex)
 
     def read(self, ts) -> np.ndarray:
-        """H at each t of ts as a stack checked against H_CONTRACT.
+        """H at each t of ts as a stack checked against H_CONTRACT (checked_stack).
 
         A built-in family's evaluator (a _Stack) reads the whole schedule in
         one vectorized call; any other evaluator is read by one matrix(t)
         per node.
         """
-        if isinstance(self.evaluator, _Stack):
-            values = self.evaluator.stack(np.asarray(ts, dtype=float))
-        else:
-            values = [self.matrix(t) for t in ts]
-        return checked_stack("H", ts, values, (self.N, self.N))
+        evaluate = self.evaluator if isinstance(self.evaluator, _Stack) else self.matrix
+        return checked_stack("H", ts, evaluate, (self.N, self.N))
 
     def blocks_at(self, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(Htop, V, Hbot) at time t, a one-node read."""
@@ -185,16 +197,12 @@ class SO5Coefficients:
     F: Callable[[float], np.ndarray]
 
     def read(self, ts) -> np.ndarray:
-        """F at each t of ts as a stack checked against F_CONTRACT.
+        """F at each t of ts as a stack checked against F_CONTRACT (checked_stack).
 
         A built-in F (a _Stack) reads the whole schedule in one vectorized
         call; a user callable F is called once per node.
         """
-        if isinstance(self.F, _Stack):
-            values = self.F.stack(np.asarray(ts, dtype=float))
-        else:
-            values = [np.asarray(self.F(t), dtype=float) for t in ts]
-        return checked_stack("F", ts, values, (5, 5), F_CONTRACT)
+        return checked_stack("F", ts, self.F, (5, 5), F_CONTRACT, float)
 
     def at(self, t: float) -> np.ndarray:
         return self.read([t])[0]
@@ -212,7 +220,7 @@ def so5_from_params(params: dict) -> SO5Coefficients:
         return so5_coefficients(F0)
     Fc = np.asarray(params.get("F_cos", np.zeros((5, 5))), dtype=float)
     Fs = np.asarray(params.get("F_sin", np.zeros((5, 5))), dtype=float)
-    w = float(params.get("omega", 1.0))
+    w = _number(params, "omega", 1.0)
 
     @_Stack
     def F(ts):
@@ -305,10 +313,8 @@ def trig_random(
     H(t) = A0 + sum_k (Ak cos k w t + Bk sin k w t) with Hermitian traceless
     coefficient matrices; bounded and reproducible, which is all tests need.
     """
-    rng = np.random.default_rng(seed)
-    A0 = random_traceless_hermitian(rng, N, scale)
-    Ak = [random_traceless_hermitian(rng, N, scale / (k + 1)) for k in range(harmonics)]
-    Bk = [random_traceless_hermitian(rng, N, scale / (k + 1)) for k in range(harmonics)]
+    if harmonics < 0:
+        raise ModelError(f"need harmonics >= 0, got {harmonics}")
 
     @_Stack
     def evaluate(ts):
@@ -321,7 +327,12 @@ def trig_random(
                 Hb += Bk[k] * np.sin((k + 1) * omega * t)
         return H
 
-    return BlockedHamiltonian(N=N, n=n, evaluator=evaluate)
+    h = BlockedHamiltonian(N=N, n=n, evaluator=evaluate)  # N and n are checked before the draws
+    rng = np.random.default_rng(seed)
+    A0 = random_traceless_hermitian(rng, N, scale)
+    Ak = [random_traceless_hermitian(rng, N, scale / (k + 1)) for k in range(harmonics)]
+    Bk = [random_traceless_hermitian(rng, N, scale / (k + 1)) for k in range(harmonics)]
+    return h
 
 
 def piecewise_constant(times, matrices, n: int = 1) -> BlockedHamiltonian:
@@ -333,6 +344,8 @@ def piecewise_constant(times, matrices, n: int = 1) -> BlockedHamiltonian:
     matrices = [np.asarray(M, dtype=complex) for M in matrices]
     if len(matrices) != len(times):
         raise ModelError("need one matrix per breakpoint")
+    if not (np.diff(times) > 0).all():
+        raise ModelError(f"piecewise times must increase, got {times.tolist()}")
     for k, M in enumerate(matrices):
         if M.shape != matrices[0].shape:
             raise ModelError(f"piece {k} has shape {M.shape}, expected {matrices[0].shape}")
@@ -356,37 +369,69 @@ def _matrix_from_pairs(entries) -> np.ndarray:
     return arr[..., 0] + 1j * arr[..., 1]
 
 
+# The parameter names each family reads from ``params``; from_config refuses any other.
+FAMILY_PARAMS = {
+    "constant": {"matrix"},
+    "spin_half": {"B", "B0", "B1", "omega"},
+    "so5": {"F", "F_cos", "F_sin", "omega"},
+    "trig_random": {"harmonics", "omega", "scale"},
+    "piecewise": {"times", "matrices"},
+}
+
+
+def _number(table: dict, key: str, default=None, integral: bool = False):
+    """table[key] as a float, or as an int when integral; booleans and strings are no numbers.
+
+    A missing key gives ``default``, or KeyError when there is none.
+    """
+    if key not in table and default is not None:
+        return default
+    value = table[key]
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ModelError(f"{key} must be a number, got {value!r}")
+    if integral and not float(value).is_integer():
+        raise ModelError(f"{key} must be an integer, got {value!r}")
+    return int(value) if integral else float(value)
+
+
 def from_config(config: dict) -> BlockedHamiltonian:
     """Build a BlockedHamiltonian from the scenario-JSON description.
 
     Families: constant, spin_half, so5, trig_random, piecewise.  Matrix
     entries appear as [re, im] pairs; fields and F as plain real arrays.
+    N, n and seed are read from the top level, the family's parameters from
+    ``params``, and every number through _number.  A parameter the family
+    needs and lacks raises KeyError; an unknown family or parameter name, or
+    a given N or n other than the model's, raises ModelError.
     """
     family = config.get("family")
+    if family not in FAMILY_PARAMS:
+        raise ModelError(f"unknown hamiltonian family: {family!r}")
     params = config.get("params", {})
-    n = int(config.get("n", 1))
+    if not isinstance(params, dict):
+        raise ModelError(f"params must be an object, got {params!r}")
+    unknown = sorted(set(params) - FAMILY_PARAMS[family])
+    if unknown:
+        raise ModelError(f"family {family!r} has no parameter {unknown[0]!r}")
+    given = {key: _number(config, key, integral=True) for key in ("N", "n") if key in config}
+    n = given.get("n", 1)
     if family == "constant":
-        return constant_hamiltonian(_matrix_from_pairs(params["matrix"]), n=n)
-    if family == "spin_half":
-        if "omega" in params:
-            return rotating_spin_half(
-                float(params.get("B0", 0.0)),
-                float(params.get("B1", 0.0)),
-                float(params["omega"]),
-            )
-        return spin_half(np.asarray(params["B"], dtype=float))
-    if family == "so5":
-        return build_so5(so5_from_params(params))
-    if family == "trig_random":
-        return trig_random(
-            int(config["N"]),
-            n=n,
-            seed=int(config.get("seed", params.get("seed", 0))),
-            harmonics=int(params.get("harmonics", 2)),
-            omega=float(params.get("omega", 1.0)),
-            scale=float(params.get("scale", 0.5)),
+        h = constant_hamiltonian(_matrix_from_pairs(params["matrix"]), n=n)
+    elif family == "spin_half" and "omega" in params:
+        h = rotating_spin_half(_number(params, "B0", 0.0), _number(params, "B1", 0.0), _number(params, "omega"))
+    elif family == "spin_half":
+        h = spin_half(np.asarray(params["B"], dtype=float))
+    elif family == "so5":
+        h = build_so5(so5_from_params(params))
+    elif family == "trig_random":
+        h = trig_random(
+            given["N"], n, _number(config, "seed", 0, integral=True), _number(params, "harmonics", 2, integral=True),
+            _number(params, "omega", 1.0), _number(params, "scale", 0.5),
         )
-    if family == "piecewise":
+    else:
         matrices = [_matrix_from_pairs(M) for M in params["matrices"]]
-        return piecewise_constant(params["times"], matrices, n=n)
-    raise ModelError(f"unknown hamiltonian family: {family!r}")
+        h = piecewise_constant(params["times"], matrices, n=n)
+    for key, value in given.items():
+        if value != getattr(h, key):
+            raise ModelError(f"{key}={value} given, but the {family} model has {key}={getattr(h, key)}")
+    return h

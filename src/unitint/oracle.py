@@ -44,14 +44,11 @@ def propagate(h, t_end: float, steps: int) -> PropagationResult:
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
+    if not np.isfinite(t_end):
+        raise ValueError(f"t_end must be finite, got {t_end}")
     dt = t_end / steps
     ts = (np.arange(steps) + 0.5) * dt
-    if isinstance(h, BlockedHamiltonian):
-        H = h.read(ts)
-    else:
-        values = [np.asarray(h(t), dtype=complex) for t in ts]
-        N = len(values[0]) if values[0].ndim else 1
-        H = checked_stack("H", ts, values, (N, N))
+    H = h.read(ts) if isinstance(h, BlockedHamiltonian) else checked_stack("H", ts, h)
     U_samples = _running_product(_unitary_step(H, dt))
     return PropagationResult(times=np.linspace(0.0, t_end, steps + 1), U_samples=U_samples)
 

@@ -274,7 +274,7 @@ def _fold_guard(t: float, j: int, start: int, peak: float) -> None:
     )
 
 
-def _drive(read, t_end: float, steps: int, breakpoints=()):
+def _drive(read, t_end: float, steps: int, breakpoints=(), Z_max: float = np.inf):
     """The fixed-step node schedule shared by every trajectory, read in one call.
 
     Every Riccati path reads its model here, and so does the linear Bloch
@@ -307,10 +307,17 @@ def _drive(read, t_end: float, steps: int, breakpoints=()):
     stack of the level above it.  The path assembles U, phases and restart
     records from the folds after the solve.
 
-    Returns (times, dt, values, index).  Raises ValueError when steps < 1.
+    Returns (times, dt, values, index).  Every argument is checked before
+    the read, so a bad one costs no model evaluation: ValueError when steps
+    < 1, when t_end is not finite, or unless the caller's restart threshold
+    Z_max is > 0 (infinite is allowed: no fold).
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
+    if not np.isfinite(t_end):
+        raise ValueError(f"t_end must be finite, got {t_end}")
+    if not Z_max > 0:
+        raise ValueError(f"Z_max must be positive, got {Z_max}")
     dt = t_end / steps
     times = np.linspace(0.0, t_end, steps + 1)
     nodes = times[:-1] + np.array([[0.0], [dt / 2.0], [dt]])  # (3, steps): start, mid, end
@@ -330,11 +337,8 @@ def _projective_sweep(values, index, n: int, dt: float, Z_max: float, restarts=(
     ``values`` is an H stack in _drive's layout, N x N with block size n:
     the model's, or a level of hierarchical_solve's peel, which also passes
     the ``restarts`` of the levels above it.  Returns (W, folds) as _sweep
-    does, with W = [z; I_n] at every node.  Raises ValueError unless Z_max
-    > 0 (infinite is allowed: no fold).
+    does, with W = [z; I_n] at every node.  _drive has checked Z_max.
     """
-    if not Z_max > 0:
-        raise ValueError(f"Z_max must be positive, got {Z_max}")
     m = values.shape[-1] - n
     W0 = np.eye(m + n, n, -m, dtype=complex)
     norm = lambda W: _norms(W[:, :m])  # noqa: E731
@@ -390,6 +394,6 @@ def integrate_so5(
     included.  The error is that of one RK4 step of the linear flow per grid
     step: fourth order in dt.
     """
-    times, dt, values, index = _drive(build_so5(coeffs).read, t_end, steps)
+    times, dt, values, index = _drive(build_so5(coeffs).read, t_end, steps, Z_max=Z_max)
     W, folds = _projective_sweep(values, index, 2, dt, Z_max)
     return times, so5_z_params(W[:, :2]), [times[j] for j, _ in folds]

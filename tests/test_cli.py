@@ -284,6 +284,7 @@ def test_main_invalid_model_is_solver_error(tmp_path, capsys, model, message):
 
 
 _TRIG_N4_N2 = {"family": "trig_random", "N": 4, "n": 2, "params": {}}
+_Z_PAIRS = _constant_model([[0.5, 0.0], [0.0, -0.5]])["params"]["matrix"]
 
 
 @pytest.mark.parametrize(
@@ -304,11 +305,22 @@ _TRIG_N4_N2 = {"family": "trig_random", "N": 4, "n": 2, "params": {}}
         (_TRIG_N4_N2 | {"paths": ["factorized", "hierarchical"]}, []),
         (_TRIG_N4_N2, ["--paths", "factorized,hierarchical"]),
         ({"family": "so5", "N": 4, "params": {"F": [[0.0] * 5] * 5}, "paths": ["hierarchical"]}, []),
+        (_constant_model(np.diag([1.0, 0.0, -1.0])) | {"N": 2}, []),
+        ({"N": 3}, []),
+        ({"family": "so5", "N": 4, "n": 1, "params": {"F": [[0.0] * 5] * 5}}, []),
+        (_TRIG_N4_N2 | {"n": 1, "params": {"harmonics": 1.5}}, []),
+        (_TRIG_N4_N2 | {"n": 1, "params": {"harmonics": "3"}}, []),
+        (_TRIG_N4_N2 | {"n": 1, "params": {"harmonics": True}}, []),
+        (_TRIG_N4_N2 | {"n": 1, "params": {"harmonic": 3}}, []),
+        (_TRIG_N4_N2 | {"n": 1, "params": {"harmonics": -1}}, []),
+        ({"family": "piecewise", "params": {"times": [0.0, 0.5, 0.2], "matrices": [_Z_PAIRS] * 3}}, []),
     ],
     ids=["no_B", "unknown_family", "tolerance_abc", "unknown_tolerance", "bloch_on_trig",
          "t_end_nan", "bloch_override", "steps_fraction", "steps_bool", "N_fraction",
          "n_fraction", "Z_max_bool", "hierarchical_n2", "hierarchical_override",
-         "hierarchical_so5"],
+         "hierarchical_so5", "constant_N_mismatch", "spin_half_N3", "so5_n1", "harmonics_fraction",
+         "harmonics_string", "harmonics_bool", "unknown_parameter", "harmonics_negative",
+         "piecewise_decreasing"],
 )
 def test_main_malformed_scenario_is_parse_error(tmp_path, capsys, overrides, args):
     p = _write(tmp_path, "bad.json", _spin_half_scenario(id="bad", **overrides))
@@ -316,6 +328,17 @@ def test_main_malformed_scenario_is_parse_error(tmp_path, capsys, overrides, arg
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+def test_main_parses_each_file_once(tmp_path, monkeypatch):
+    # unitint run checks the fields and builds the model once per file
+    calls = []
+    check, build = unitint.cli._check_fields, unitint.cli.from_config
+    monkeypatch.setattr(unitint.cli, "_check_fields", lambda s: calls.append("fields") or check(s))
+    monkeypatch.setattr(unitint.cli, "from_config", lambda s: calls.append("model") or build(s))
+    files = [_write(tmp_path, f"{i}.json", _spin_half_scenario(id=f"s{i}", steps=40)) for i in range(2)]
+    assert main(["run", *map(str, files), "--out", str(tmp_path / "out"), "--steps", "20"]) == 0
+    assert calls == ["fields", "model"] * 2
 
 
 @pytest.mark.parametrize("sid", ["../escaped", "", ".", "..", "a/b", "a\\b"])

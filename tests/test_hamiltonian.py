@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 from unittest import mock
 
@@ -195,12 +196,66 @@ def test_from_config_families():
     F[4, 3], F[3, 4] = 1.0, -1.0
     h = from_config({"family": "so5", "N": 4, "n": 2, "params": {"F": F.tolist()}})
     assert h.N == 4 and h.n == 2
+    h = from_config({"family": "so5", "params": {"F": F.tolist()}})  # N and n are the model's
+    assert h.N == 4 and h.n == 2
+    h = from_config({"family": "trig_random", "N": 4.0, "n": 2, "seed": 3, "params": {"harmonics": 3.0}})
+    assert np.array_equal(h.read([0.3]), trig_random(4, n=2, seed=3, harmonics=3).read([0.3]))
 
     h = from_config({"family": "trig_random", "N": 3, "n": 1, "seed": 5})
     assert is_hermitian(h.matrix(0.3), 1e-12)
 
     with pytest.raises(ModelError):
         from_config({"family": "nope"})
+
+
+
+@pytest.mark.parametrize("times", [[0.0, 0.5, 0.2], [0.0, 0.5, 0.5], [0.0, np.nan, 1.0]])
+def test_piecewise_times_must_increase(times):
+    with pytest.raises(ModelError, match="piecewise times must increase"):
+        piecewise_constant(times, [0.5 * SIGMA_Z, 0.5 * SIGMA_X, -0.5 * SIGMA_Z])
+
+
+def _pairs(M):
+    return [[[float(v.real), float(v.imag)] for v in row] for row in np.asarray(M, complex)]
+
+
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        ({"family": "constant", "N": 2, "params": {"matrix": _pairs(np.zeros((3, 3)))}},
+         "N=2 given, but the constant model has N=3"),
+        ({"family": "spin_half", "N": 3, "params": {"B": [0.0, 0.0, 1.0]}},
+         "N=3 given, but the spin_half model has N=2"),
+        ({"family": "so5", "n": 1, "params": {"F": np.zeros((5, 5)).tolist()}},
+         "n=1 given, but the so5 model has n=2"),
+        ({"family": "trig_random", "N": 3, "params": {"harmonics": 1.5}},
+         "harmonics must be an integer, got 1.5"),
+        ({"family": "trig_random", "N": 3, "params": {"harmonics": "3"}},
+         "harmonics must be a number, got '3'"),
+        ({"family": "trig_random", "N": 3, "params": {"harmonics": True}},
+         "harmonics must be a number, got True"),
+        ({"family": "trig_random", "N": 3, "params": {"harmonics": -1}}, "need harmonics >= 0, got -1"),
+        ({"family": "trig_random", "N": 0}, "block size n=1 outside 1..N/2 for N=0"),
+        ({"family": "trig_random", "N": -1}, "block size n=1 outside 1..N/2 for N=-1"),
+        ({"family": "trig_random", "N": 3, "params": {"harmonic": 3}},
+         "family 'trig_random' has no parameter 'harmonic'"),
+        ({"family": "trig_random", "N": 3, "params": {"seed": 3}},
+         "family 'trig_random' has no parameter 'seed'"),
+        ({"family": "trig_random", "N": 3, "seed": 1.5}, "seed must be an integer, got 1.5"),
+        ({"family": "spin_half", "params": {"B1": 1.0, "omega": "fast"}}, "omega must be a number, got 'fast'"),
+        ({"family": "spin_half", "params": [1.0, 0.0, 0.0]}, "params must be an object"),
+        ({"family": "piecewise", "params": {"times": [0.0, 0.5, 0.2], "matrices": [_pairs(0.5 * SIGMA_Z)] * 3}},
+         "piecewise times must increase, got [0.0, 0.5, 0.2]"),
+    ],
+    ids=["constant_N", "spin_half_N", "so5_n", "harmonics_fraction", "harmonics_string",
+         "harmonics_bool", "harmonics_negative", "trig_N0", "trig_N_negative", "unknown_parameter",
+         "seed_in_params", "seed_fraction", "omega_string", "params_list", "piecewise_decreasing"],
+)
+def test_from_config_reads_strictly(config, message):
+    # N, n, seed and every family parameter go through one strict reader, and
+    # a given N or n must be the model's
+    with pytest.raises(ModelError, match=re.escape(message)):
+        from_config(config)
 
 
 # The model contract node by node, in the order each node is tested: the

@@ -652,3 +652,32 @@ STEP_PATHS = {
 def test_every_grid_rejects_fewer_than_one_step(path, steps):
     with pytest.raises(ValueError, match="steps must be >= 1"):
         STEP_PATHS[path](steps)
+
+
+@pytest.mark.parametrize(
+    "path, t_end, Z_max, message",
+    [(path, 1.0, 0.0, "Z_max must be positive, got 0.0") for path in ("factored", "hierarchical", "so5")]
+    + [
+        (path, t_end, 10.0, f"t_end must be finite, got {t_end}")
+        for path in ("factored", "hierarchical", "so5", "precess", "oracle")
+        for t_end in (np.nan, np.inf, -np.inf)
+    ],
+)
+def test_argument_errors_come_before_any_read(path, t_end, Z_max, message):
+    # a bad threshold or a non-finite t_end is refused with its own message
+    # while the model is still unread, and with no numpy warning
+    reads = []
+    h, F = spin_half([1.0, 0.0, 0.0]), _so5_coupling(3, 0.5).F
+    model = BlockedHamiltonian(N=2, n=1, evaluator=lambda t: reads.append(t) or h.matrix(t))
+    run = {
+        "factored": lambda: solve_factored(model, t_end, 50, Z_max=Z_max),
+        "hierarchical": lambda: hierarchical_solve(model, t_end, 50, Z_max=Z_max),
+        "so5": lambda: integrate_so5(
+            so5_coefficients(lambda t: reads.append(t) or F(t)), t_end, 50, Z_max=Z_max
+        ),
+        "precess": lambda: precess(lambda t: reads.append(t) or np.zeros((3, 3)), t_end, 50),
+        "oracle": lambda: propagate(model, t_end, 50),
+    }[path]
+    with pytest.raises(ValueError, match=re.escape(message)):
+        run()
+    assert reads == []
