@@ -4,9 +4,11 @@
 requested solver paths (factorized, hierarchical, bloch, oracle), writes a
 trajectory CSV and a JSON report per scenario, and exits nonzero when a
 named tolerance fails.  The ``est_error`` tolerance gates on the factorized
-path's estimate of its own error in the final U, the summed Simpson defect
-of z (solve_factored).  ``unitint verify`` runs the seeded invariant suite
-across random instances and prints worst-case residuals.
+path's estimate of its own error in the final U (solve_factored's
+est_error, the summed norm of the blocks its fiber steps drop): an
+estimate, not a bound, that read 0.64 to 2.3 times the error on smooth
+models.  ``unitint verify`` runs the seeded invariant suite across random
+instances and prints worst-case residuals.
 
 Exit codes: 0 all verdicts pass, 1 tolerance failure, 2 parse error,
 3 solver error.

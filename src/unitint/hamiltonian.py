@@ -176,6 +176,8 @@ def spin_half(B) -> BlockedHamiltonian:
     A callable B is called once per node.
     """
     if not callable(B):
+        if np.shape(B) != (3,):
+            raise ModelError(f"B must have 3 components, got shape {np.shape(B)}")
         return constant_hamiltonian(_spin_half_matrix(B))
     return BlockedHamiltonian(N=2, n=1, evaluator=lambda t: _spin_half_matrix(B(t)))
 
@@ -214,12 +216,17 @@ def so5_coefficients(F) -> SO5Coefficients:
 
 
 def so5_from_params(params: dict) -> SO5Coefficients:
-    """SO5Coefficients from scenario params: F, or F + F_cos cos(wt) + F_sin sin(wt)."""
-    F0 = np.asarray(params["F"], dtype=float)
+    """SO5Coefficients from scenario params: F, or F + F_cos cos(wt) + F_sin sin(wt).
+
+    Each given matrix must be 5 x 5 (ModelError).
+    """
+    zero = np.zeros((5, 5))
+    F0, Fc, Fs = (np.asarray(F, dtype=float) for F in (params["F"], params.get("F_cos", zero), params.get("F_sin", zero)))
+    for key, F in zip(("F", "F_cos", "F_sin"), (F0, Fc, Fs)):
+        if F.shape != (5, 5):
+            raise ModelError(f"{key} must be 5 x 5, got shape {F.shape}")
     if "F_cos" not in params and "F_sin" not in params:
         return so5_coefficients(F0)
-    Fc = np.asarray(params.get("F_cos", np.zeros((5, 5))), dtype=float)
-    Fs = np.asarray(params.get("F_sin", np.zeros((5, 5))), dtype=float)
     w = _number(params, "omega", 1.0)
 
     @_Stack
@@ -364,8 +371,8 @@ def piecewise_constant(times, matrices, n: int = 1) -> BlockedHamiltonian:
 
 def _matrix_from_pairs(entries) -> np.ndarray:
     arr = np.asarray(entries, dtype=float)
-    if arr.ndim != 3 or arr.shape[2] != 2:
-        raise ModelError("matrix entries must be nested [re, im] pairs")
+    if arr.ndim != 3 or arr.shape[2] != 2 or arr.shape[0] != arr.shape[1]:
+        raise ModelError(f"a matrix must be square, of nested [re, im] pairs, got shape {arr.shape}")
     return arr[..., 0] + 1j * arr[..., 1]
 
 

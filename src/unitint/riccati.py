@@ -45,9 +45,9 @@ DEFAULT_Z_MAX = 10.0
 # Restarts closer together than this many grid steps indicate the trajectory
 # hugs the coordinate singularity; bail out instead of thrashing.
 MIN_STEPS_BETWEEN_RESTARTS = 4
-# Steps of node values per block of _sweep's propagators and of the node pass
-# (factorization._node_pass), and nodes per block of U assembly: the block
-# bounds their temporaries.
+# Steps of node values per block of _sweep's propagators, of the node pass
+# (factorization._node_pass) and of solve_factored's fiber, and nodes per
+# block of U assembly: the block bounds their temporaries.
 _BLOCK = 2048
 # Steps _sweep chains between two projections and fold tests of its state.
 _AHEAD = 32
@@ -300,12 +300,13 @@ def _drive(read, t_end: float, steps: int, breakpoints=(), Z_max: float = np.inf
     _projective_sweep (and the precession its vector with _sweep), which
     chains the linear state one matmul per step, projects it and tests it
     for folds once per chunk of steps, and restarts in place under one
-    rule, _fold_guard.  Then one node pass (factorization._node_pass) gives
-    the swept state at every node, in blocks of steps, for all else the
-    path derives from node values; each level of the peel
-    below level 0 reads an H stack of its own in this layout, the node
-    stack of the level above it.  The path assembles U, phases and restart
-    records from the folds after the solve.
+    rule, _fold_guard.  solve_factored's fiber reads the values again
+    through the index, one Magnus step per grid step.  Where a path needs
+    the swept state at every node (the n = 1 phases and the peel), one node
+    pass (factorization._node_pass) gives it, in blocks of steps; each level
+    of the peel below level 0 reads an H stack of its own in this layout,
+    the node stack of the level above it.  The path assembles U, phases and
+    restart records from the folds after the solve.
 
     Returns (times, dt, values, index).  Every argument is checked before
     the read, so a bad one costs no model evaluation: ValueError when steps

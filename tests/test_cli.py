@@ -285,6 +285,7 @@ def test_main_invalid_model_is_solver_error(tmp_path, capsys, model, message):
 
 _TRIG_N4_N2 = {"family": "trig_random", "N": 4, "n": 2, "params": {}}
 _Z_PAIRS = _constant_model([[0.5, 0.0], [0.0, -0.5]])["params"]["matrix"]
+_SO5, _F0 = {"family": "so5", "N": 4, "n": 2}, [[0.0] * 5] * 5
 
 
 @pytest.mark.parametrize(
@@ -314,13 +315,19 @@ _Z_PAIRS = _constant_model([[0.5, 0.0], [0.0, -0.5]])["params"]["matrix"]
         (_TRIG_N4_N2 | {"n": 1, "params": {"harmonic": 3}}, []),
         (_TRIG_N4_N2 | {"n": 1, "params": {"harmonics": -1}}, []),
         ({"family": "piecewise", "params": {"times": [0.0, 0.5, 0.2], "matrices": [_Z_PAIRS] * 3}}, []),
+        (_SO5 | {"params": {"F": _F0, "F_cos": [[0.0] * 4] * 4}}, []),
+        (_SO5 | {"params": {"F": _F0, "F_sin": [[0.0] * 5] * 4}}, []),
+        (_SO5 | {"params": {"F": [[0.0] * 4] * 4}}, []),
+        ({"family": "constant", "params": {"matrix": [row[:1] for row in _Z_PAIRS]}}, []),
+        ({"params": {"B": [1.0, 0.0]}}, []),
     ],
     ids=["no_B", "unknown_family", "tolerance_abc", "unknown_tolerance", "bloch_on_trig",
          "t_end_nan", "bloch_override", "steps_fraction", "steps_bool", "N_fraction",
          "n_fraction", "Z_max_bool", "hierarchical_n2", "hierarchical_override",
          "hierarchical_so5", "constant_N_mismatch", "spin_half_N3", "so5_n1", "harmonics_fraction",
          "harmonics_string", "harmonics_bool", "unknown_parameter", "harmonics_negative",
-         "piecewise_decreasing"],
+         "piecewise_decreasing", "so5_F_cos_4x4", "so5_F_sin_4x5", "so5_F_4x4", "constant_2x1",
+         "spin_half_B2"],
 )
 def test_main_malformed_scenario_is_parse_error(tmp_path, capsys, overrides, args):
     p = _write(tmp_path, "bad.json", _spin_half_scenario(id="bad", **overrides))

@@ -246,10 +246,19 @@ def _pairs(M):
         ({"family": "spin_half", "params": [1.0, 0.0, 0.0]}, "params must be an object"),
         ({"family": "piecewise", "params": {"times": [0.0, 0.5, 0.2], "matrices": [_pairs(0.5 * SIGMA_Z)] * 3}},
          "piecewise times must increase, got [0.0, 0.5, 0.2]"),
+        ({"family": "so5", "params": {"F": np.zeros((5, 5)).tolist(), "F_cos": np.zeros((4, 4)).tolist()}},
+         "F_cos must be 5 x 5, got shape (4, 4)"),
+        ({"family": "so5", "params": {"F": np.zeros((5, 5)).tolist(), "F_sin": np.zeros((4, 5)).tolist()}},
+         "F_sin must be 5 x 5, got shape (4, 5)"),
+        ({"family": "so5", "params": {"F": np.zeros((4, 4)).tolist()}}, "F must be 5 x 5, got shape (4, 4)"),
+        ({"family": "constant", "params": {"matrix": _pairs(np.zeros((2, 3)))}},
+         "a matrix must be square, of nested [re, im] pairs, got shape (2, 3, 2)"),
+        ({"family": "spin_half", "params": {"B": [1.0, 0.0]}}, "B must have 3 components, got shape (2,)"),
     ],
     ids=["constant_N", "spin_half_N", "so5_n", "harmonics_fraction", "harmonics_string",
          "harmonics_bool", "harmonics_negative", "trig_N0", "trig_N_negative", "unknown_parameter",
-         "seed_in_params", "seed_fraction", "omega_string", "params_list", "piecewise_decreasing"],
+         "seed_in_params", "seed_fraction", "omega_string", "params_list", "piecewise_decreasing",
+         "so5_F_cos_shape", "so5_F_sin_shape", "so5_F_shape", "constant_not_square", "spin_half_B2"],
 )
 def test_from_config_reads_strictly(config, message):
     # N, n, seed and every family parameter go through one strict reader, and
