@@ -5,10 +5,11 @@ requested solver paths (factorized, hierarchical, bloch, oracle), writes a
 trajectory CSV and a JSON report per scenario, and exits nonzero when a
 named tolerance fails.  The ``est_error`` tolerance gates on the factorized
 path's estimate of its own error in the final U (solve_factored's
-est_error, the summed norm of the blocks its fiber steps drop): an
-estimate, not a bound, that read 0.64 to 2.3 times the error on smooth
-models.  ``unitint verify`` runs the seeded invariant suite across random
-instances and prints worst-case residuals.
+est_error, step doubling on the grid's own nodes): an estimate, not a
+bound, that read 0.999 to 1.001 times the error on smooth models.  A
+one-step grid has no pair of steps to double, so a scenario that sets it
+is a parse error there.  ``unitint verify`` runs the seeded
+invariant suite across random instances and prints worst-case residuals.
 
 Exit codes: 0 all verdicts pass, 1 tolerance failure, 2 parse error,
 3 solver error.
@@ -128,6 +129,8 @@ def _check_fields(scenario: dict) -> dict:
             raise ScenarioError(f"unknown tolerance name {name!r}")
         if not _number(tolerances, name) >= 0:
             raise ScenarioError(f"tolerance {name} must be >= 0, got {tolerances[name]!r}")
+    if "est_error" in tolerances and steps < 2:
+        raise ScenarioError("tolerance est_error needs steps >= 2: step doubling pairs the steps")
     return {"t_end": t_end, "steps": steps, "Z_max": z_max}
 
 
@@ -410,8 +413,8 @@ def main(argv=None) -> int:
     p_run = sub.add_parser(
         "run",
         help="run scenario JSON files",
-        description="Tolerances: oracle_distance, unitarity, bloch_deviation and est_error, "
-        "the factorized path's estimate of its own error in the final U.",
+        description="Tolerances: oracle_distance, unitarity, bloch_deviation and est_error, the factorized "
+        "path's estimate of its error in the final U by step doubling (needs steps >= 2).",
     )
     p_run.add_argument("files", nargs="+", help="scenario JSON files")
     p_run.add_argument("--out", default=".", help="output directory")

@@ -1,13 +1,15 @@
-"""Evolution-operator assembly from Riccati output.
+"""The factorization U = U1(z) U2 and its two solvers.
 
 The evolution operator factors as U = U1 U2: a base-manifold factor U1
 built from the nilpotent block-triangular exponentials and unitarized by a
 block-diagonal gauge factor, and a block-diagonal fiber factor U2 with
-Hermitian effective Hamiltonians; solve_factored steps U2 by the block
-diagonal of each Magnus step in the frame of z.  For block size 1 the
-lower fiber block is a pure phase (the corner phase) with a clean
-geometric/dynamical split, and peeling one level at a time yields the full
-hierarchical solution SU(N) -> SU(N-1) -> ... -> U(1).
+Hermitian effective Hamiltonians.  Both solvers integrate U once, as one
+product of Magnus steps (riccati._product), and read the factors from it:
+z by riccati._fold_search and U2 = U1(z)^H U by _frames.  For block size 1
+the lower fiber block is a pure phase (the corner phase) with a clean
+geometric/dynamical split, and peeling one level at a time, each level's
+operator the top block of the fiber above it, yields the full hierarchical
+solution SU(N) -> SU(N-1) -> ... -> U(1).
 """
 
 from __future__ import annotations
@@ -17,20 +19,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .hamiltonian import BlockedHamiltonian
-from .linalg import (
-    _running_product,
-    _unitary_step,
-    blockdiag,
-    dagger,
-    inv_sqrt_hpd,
-    sqrt_hpd,
-)
+from .linalg import blockdiag, dagger, inv_sqrt_hpd, sqrt_hpd
 from .riccati import (
     _BLOCK,
     DEFAULT_Z_MAX,
     _drive,
+    _fold_search,
+    _magnus4,
+    _product,
     _projective_rhs,
-    _projective_sweep,
+    _simpson,
 )
 
 
@@ -279,9 +277,9 @@ def _next_level(Htop: np.ndarray, z: np.ndarray, u: np.ndarray, phi_rate=None) -
 class FactoredResult:
     """Full time series produced by solve_factored.
 
-    U_samples are the complete evolution operators U(t_k) including all
-    accumulated restart factors.  Phase arrays (block size 1 only) are
-    cumulative across restarts.
+    U_samples are the complete evolution operators U(t_k), the Magnus
+    product itself.  Phase arrays (block size 1 only) are cumulative across
+    restarts.
     """
 
     h: BlockedHamiltonian
@@ -308,107 +306,132 @@ def solve_factored(
     H is read on _drive's node schedule (t, t + dt/2 and t + dt per step,
     breakpoints of a piecewise model included) in one BlockedHamiltonian.read
     before the first step (ModelError for a non-Hermitian, non-traceless or
-    non-finite model).  The solve is one sweep and one fiber loop.
+    non-finite model).  The solve integrates one thing, and reads every
+    factor from it.
 
-    - The sweep (_projective_sweep) steps z by the linear flow dW/dt = K W,
-      K = -iH, one RK4 propagator per grid step, and folds in place: when a
-      step takes ||z||_F, the norm of W = [z; I_n]'s top m rows, to Z_max, it
-      records the fold and the state it reached and retakes the step from
-      z = 0 (StiffnessError at an unresolved step or a refused fold).
-    - The fiber.  U = U1(z) U2 holds at every grid node, so each fiber step
-      is the block diagonal of the step matrix in the base frame,
-      M_j = U1(z_{j+1})^H P_j U1(z_j), with P_j the unitary fourth-order
-      Magnus step of H (_magnus4, one batched N x N eigh per block of
-      _BLOCK steps) and U1 = unitarized_U1 at the grid nodes; a step that
-      ends at a fold ends in the frame of the state it reached.  M_j's
-      off-diagonal blocks are where RK4's z step and the Magnus step
-      disagree: they are dropped, and one Newton-Schulz step
-      M <- 1.5 M - 0.5 M M^H M takes the block diagonal back to unitary to
-      roundoff.  U2, one (steps + 1, N, N) array, is the running product of
-      the M_j, restarted at I at each fold.
+    - The product (riccati._product): U_j = P_{j-1} ... P_0, with P_j the
+      unitary fourth-order Magnus step of H on the step's three nodes
+      (_magnus4, one batched N x N eigh per block of _BLOCK steps), chained
+      one matmul per step.  U_samples is U_j.  A step whose exponent spans
+      pi or more raises StiffnessError with its t and step.
+    - The base (riccati._fold_search): for the segment that starts at node
+      s, z_j is the projection of W_j = U_j U_s^H [0; I_n].  When node
+      j + 1 is the first whose ||z||_F reaches Z_max, the segment ends at j
+      and the next starts there (StiffnessError for a fold the guard
+      refuses).  The restart records are (t_s, U_s).
+    - The fiber (_frames): U2_j = U1(z_j)^H U_j U_s^H, with U1 =
+      unitarized_U1 evaluated once per node.  It is block-diagonal to
+      roundoff, since U1(z_j)'s last n columns span W_j, and U2_samples
+      keeps its two diagonal blocks.  So U = U1(z) U2 U_s at every node.
     - For n = 1 the corner phases (mu_total, phase_geometric, imag_mu, and
       phase_dynamical = mu_total - phase_geometric) integrate the rates of
       the peel's level kernel _peel_level by Simpson's rule (_simpson), at
       the nodes of the node pass (_node_pass): W at the start and end nodes
       and the cubic Hermite point at the midpoints.  No other block size
-      reads a node.
-    - est_error sums ||M_j[:m, m:]||_F, the top-right block the fiber drops,
-      over the grid: the disagreement of the two fourth-order steps, at no
-      extra cost.  It estimates the error in U and bounds nothing: over
-      2880 trig_random solves (N 2 to 6, Z_max 0.5 to 1e3, folds or none)
-      it read 0.64 to 2.3 times the error against a converged reference,
-      and 0.73 to 1.6 times on 98% of them.
-    The phases and est_error are one cumulative sum of per-step increments
-    over the grid, across restarts.
-
-    After the solve, _segments turns the folds into the restart records and
-    U_samples, the stacked U1(z) U2 with each segment multiplied by its
-    accumulator.
+      reads a node.  The phases are cumulative sums of per-step increments
+      over the grid, across restarts.
+    - est_error (_est_error) is step doubling on the grid's own nodes: each
+      pair of steps against one Magnus step of 2 dt on the same three nodes,
+      carried to T.  It estimates the error in U and bounds nothing.
     """
     n = h.n
     m = h.N - n
     times, dt, values, index = _drive(h.read, t_end, steps, h.breakpoints, Z_max)
-    W, folds = _projective_sweep(values, index, n, dt, Z_max)
-    U2 = np.empty((steps + 1, h.N, h.N), dtype=complex)  # the fiber's running product
-    U2[0] = np.eye(h.N)
-    inc = np.zeros((steps + 1, 4 if n == 1 else 1))  # per step's end node: the phases' increments, then the dropped block
-    reached, frames, ends = dict(folds), {}, []  # ends, per fold: (node, U1 U2 where the segment ended)
-    rates = None
-    for a, b, X, Wn, idx in _node_pass(values, index, W, folds, dt)[1] if n == 1 else ():  # the phases, by Simpson's rule
-        v, z = X[:, :-1, -1], Wn[1:, :-1, 0]
-        (mu_rate, geo_rate, _), _ = _peel_level(X[:, :-1, :-1], v, X[:, -1, -1], z)
-        rates = _carry(rates, np.stack((mu_rate, geo_rate, -2.0 * np.sum(v.conj() * z, axis=-1).imag), axis=-1))
-        inc[a + 1 : b + 1, :3] = (dt / 6.0) * _simpson(rates, idx)
-    for a in range(0, steps, _BLOCK):  # the fiber
-        b = min(a + _BLOCK, steps)
-        U1 = unitarized_U1(W[a : b + 1, :m])
-        M = _magnus4(values, index[:, a:b], dt) @ U1[:-1]
-        for j in [j for j in reached if a < j <= b]:  # a step that ends at a fold ends in the frame it reached
-            U1[j - a] = frames[j] = unitarized_U1(reached[j][:m])
-        M = dagger(U1[1:]) @ M
-        inc[a + 1 : b + 1, -1] = np.linalg.norm(M[:, :m, m:], axis=(-2, -1))
-        M[:, :m, m:] = M[:, m:, :m] = 0.0
-        M = 1.5 * M - 0.5 * (M @ (dagger(M) @ M))  # one Newton-Schulz step to the nearest unitary
-        cuts = [a] + [j for j in reached if a < j < b] + [b]
-        for p, q in zip(cuts, cuts[1:]):
-            if p in reached:  # the segment before ends at p
-                ends.append((p, frames[p] @ U2[p]))
-                U2[p] = np.eye(h.N)
-            _running_product(M[p - a : q - a], U2[p:])
-    del values  # the node stack, before U is assembled
-    z_samples = np.ascontiguousarray(W[:, :m])
-    restarts, U_samples = _segments(times, ends, z_samples, U2)
-    sums = np.cumsum(inc, axis=0)
+    U, unresolved = _product(values, index, dt)
+    W, folds, starts = _fold_search(U, n, dt, Z_max)
+    if unresolved:
+        raise unresolved
+    est_error = _est_error(values, index, dt, U)
     phases = {}
-    if n == 1:
-        mu, geo, imu = sums[:, :3].T
+    if n == 1:  # the phases, by Simpson's rule
+        inc = np.zeros((steps + 1, 3))  # per step's end node: the phases' increments
+        rates = None
+        for a, b, X, Wn, idx in _node_pass(values, index, W, folds, dt)[1]:
+            v, z = X[:, :-1, -1], Wn[1:, :-1, 0]
+            (mu_rate, geo_rate, _), _ = _peel_level(X[:, :-1, :-1], v, X[:, -1, -1], z)
+            rates = _carry(rates, np.stack((mu_rate, geo_rate, -2.0 * np.sum(v.conj() * z, axis=-1).imag), axis=-1))
+            inc[a + 1 : b + 1] = (dt / 6.0) * _simpson(rates, idx)
+        mu, geo, imu = np.cumsum(inc, axis=0).T
         phases = dict(mu_total=mu, phase_geometric=geo, phase_dynamical=mu - geo, imag_mu=imu)
-    return FactoredResult(h, times, z_samples, U_samples, U2, restarts, float(sums[-1, -1]), **phases)
+    del values  # the node stack, before the fiber is read
+    U2 = np.zeros_like(U)
+    for a, b, top, bottom in _frames(U, W, starts, n):
+        U2[a:b, :m, :m], U2[a:b, m:, m:] = top, bottom
+    restarts = [(times[s], U[s].copy()) for s in starts[1:]]
+    return FactoredResult(h, times, np.ascontiguousarray(W[:, :m]), U, U2, restarts, est_error, **phases)
 
 
-def _magnus4(H: np.ndarray, idx: np.ndarray, dt: float) -> np.ndarray:
-    """Fourth-order Magnus steps exp(-i dt [S + (i dt/12)[H_a, H_b]]) for i dU/dt = H U.
+def _frames(op: np.ndarray, W: np.ndarray, starts: list, n: int):
+    """The fiber read from an operator stack: (a, b, top, bottom) per block of _BLOCK nodes.
 
-    H is a stack of Hermitian matrices, such as _drive's node stack, and idx,
-    (3, steps), names each step's start, midpoint and end node in it
-    (_drive's index), so H_a, H_m and H_b are H at t, t + dt/2 and t + dt,
-    and S is their Simpson mean (_simpson's sum over 6).  The exponent is
-    Hermitian, so each step is unitary to roundoff, and the steps take one
-    batched eigh.  solve_factored's fiber steps are these steps in the
-    frame of z.  (Blanes, Casas, Oteo & Ros, Phys. Rep. 470 (2009) 151.)
+    op and W = [z; I_n] are a level's operators and _fold_search's states,
+    and starts its segments' first nodes.  For node j of the segment that
+    starts at s, top and bottom are the diagonal blocks of U1(z_j)^H op_j
+    op_s^H (_fiber), exactly I at each segment start; its off-diagonal
+    blocks are roundoff.
     """
-    H_a, H_b = H[idx[::2]]
-    return _unitary_step(_simpson(H, idx) / 6.0 + (1j * dt / 12.0) * (H_a @ H_b - H_b @ H_a), dt)
+    m = W.shape[-2] - n
+    nodes = np.arange(len(op))
+    start = np.asarray(starts)[np.searchsorted(starts, nodes, side="right") - 1]
+    for a in range(0, len(op), _BLOCK):
+        b = min(a + _BLOCK, len(op))
+        s = start[a:b]
+        top, bottom = _fiber(W[a:b, :m], op[a:b] @ dagger(op[s]) if s.any() else op[a:b])
+        fresh = s == nodes[a:b]
+        top[fresh], bottom[fresh] = np.eye(m), np.eye(n)
+        yield a, b, top, bottom
 
 
-def _simpson(q: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """Simpson's sum q_a + 4 q_m + q_b of each step, from q at the nodes (first axis) that idx indexes.
+def _fiber(z: np.ndarray, V: np.ndarray):
+    """(top, bottom): the diagonal blocks of U1(z)^H V, for stacks of coordinates z and operators V.
 
-    dt/6 times it is the step's integral of q by Simpson's rule: the corner
-    phases of solve_factored and every level's phases of hierarchical_solve;
-    _magnus4's S is the sum over 6.
+    For a column z, U1 = unitarized_U1(z) is I plus a rank-2 update, so the
+    blocks take O(N^2) per node: top = V_tt - z (z^H V_tt / (s (s + 1)) +
+    V_bt / s) and bottom = (z^H V_tb + V_bb) / s, with s = sqrt(1 + |z|^2)
+    and V_tt, V_bt, V_tb, V_bb V's blocks.  Otherwise U1 takes one batched
+    SVD (unitarized_U1) and U1^H V one matmul.
     """
-    return q[idx[0]] + 4.0 * q[idx[1]] + q[idx[2]]
+    m, n = z.shape[-2:]
+    if n > 1:
+        M = dagger(unitarized_U1(z)) @ V
+        return M[:, :m, :m], M[:, m:, m:]
+    zh = dagger(z)
+    sg = np.sqrt(1.0 + (zh @ z).real)
+    top = V[:, :m, :m] - z @ ((zh @ V[:, :m, :m]) / (sg * (sg + 1.0)) + V[:, m:, :m] / sg)
+    return top, (zh @ V[:, :m, m:] + V[:, m:, m:]) / sg
+
+
+def _est_error(values, index, dt: float, U: np.ndarray) -> float:
+    """Step doubling on the grid's own nodes: ||sum_k (I - U_{2k+2}^H D_k U_{2k})||_F / 15.
+
+    Steps 2k and 2k + 1 read the nodes t_2k, t_2k+1 and t_2k+2, which are
+    the Simpson nodes of one step of 2 dt: D_k is that Magnus step
+    (_magnus4 at 2 dt), with no extra model read.  I - U_{2k+2}^H D_k
+    U_{2k} is the pair's local error, 15 times its leading order for a
+    fourth-order step (Hairer, Norsett & Wanner, Solving ODEs I, II.4),
+    carried to t = 0; the sum carries every pair's to one time, so its norm
+    estimates the error in U_S.  A pair whose middle node is a breakpoint
+    jump is skipped, not differenced across the jump.  With an odd step
+    count the last step has no pair of its own: it counts half of the pair
+    it forms with the step before.  A one-step grid has no pair, and reads
+    nan.  On a piecewise-constant model each Magnus step is exact within a
+    piece, so the estimate reads roundoff there.  The sum runs over the
+    pairs in grid order, in _BLOCK pairs at a time, and does not depend on
+    the block.
+    """
+    steps, N = index.shape[1], U.shape[-1]
+    if steps < 2:
+        return float("nan")
+    p = np.append(np.arange(0, steps - 1, 2), np.full(steps % 2, steps - 2))  # each pair's first step
+    weight = np.where(np.arange(len(p)) < steps // 2, 1.0, 0.5)[:, None, None]  # the odd last step's at 1/2
+    keep = index[0, p + 1] == index[2, p]  # no jump at the middle node
+    p, weight, total = p[keep], weight[keep], np.zeros((N, N), dtype=complex)
+    for a in range(0, len(p), _BLOCK):
+        q = p[a : a + _BLOCK]
+        D = _magnus4(values, np.stack((index[0, q], index[2, q], index[2, q + 1])), 2.0 * dt)[0]
+        local = weight[a : a + _BLOCK] * (np.eye(N) - dagger(U[q + 2]) @ (D @ U[q]))
+        total = np.concatenate((total[None], local)).sum(axis=0)  # in grid order, for any block
+    return float(np.linalg.norm(total)) / 15.0
 
 
 def _carry(last, own: np.ndarray) -> np.ndarray:
@@ -422,11 +445,11 @@ def _carry(last, own: np.ndarray) -> np.ndarray:
 
 
 def _node_pass(values, index, W: np.ndarray, folds: list, dt: float):
-    """The node pass of a swept level: its node stack and the state W at each node.
+    """The node pass of a level: its node stack and the state W at each node.
 
     ``values`` and ``index`` are the level's H stack in _drive's layout, and
     W (= [z; I_n] at the grid nodes) and ``folds`` ((j, the state reached
-    at j) per restart) its _projective_sweep.  Each step reads the level at
+    at j) per restart) its riccati._fold_search.  Each step reads the level at
     its start, midpoint and end node.  Its midpoint and end node are nodes
     of its own.  Its start node is its own only at step 0, after a
     breakpoint jump (where the index reads the start afresh) and at a
@@ -480,29 +503,6 @@ def _node_pass(values, index, W: np.ndarray, folds: list, dt: float):
     return nodes, blocks()
 
 
-def _segments(times: np.ndarray, ends: list, z: np.ndarray, U2: np.ndarray):
-    """Restart records and U at every node from solve_factored's node states z and U2.
-
-    ``ends`` holds (k, U1(z_k) U2_k) per fold, the segment's operator at the
-    state it reached at node k; it multiplies the accumulator from the
-    left, the restart record is (times[k], the new accumulator), and node k
-    starts the new segment.  Then U1(z) U2 is
-    assembled _BLOCK nodes at a time, which bounds the temporaries, and each
-    segment is multiplied by its accumulator from the right, in place.
-    """
-    N = U2.shape[-1]
-    accums = [np.eye(N, dtype=complex)]
-    for _, U_k in ends:
-        accums.append(U_k @ accums[-1])
-    starts = [k for k, _ in ends]
-    U = np.empty((len(times), N, N), dtype=complex)
-    for a in range(0, len(times), _BLOCK):
-        U[a : a + _BLOCK] = unitarized_U1(z[a : a + _BLOCK]) @ U2[a : a + _BLOCK]
-    for k, end, accum in zip(starts, starts[1:] + [len(times)], accums[1:]):
-        U[k:end] = U[k:end] @ accum
-    return list(zip(times[starts], accums[1:])), U
-
-
 # ---------------------------------------------------------------------------
 # hierarchical n=1 peel
 # ---------------------------------------------------------------------------
@@ -532,24 +532,6 @@ class HierarchicalResult:
     level_restarts: list = field(default_factory=list)
 
 
-def _hier_assemble(zs, phases: np.ndarray, accums=None) -> np.ndarray:
-    """U1(z_0) blockdiag(e^{i phi_0} U1(z_1) blockdiag(...) A_1, e^{i mu_0}) A_0 for a state.
-
-    zs[k] is level k's coordinate and phases[..., :, k] its (mu, geometric,
-    trace) phases since the level last restarted.  Level by level, innermost
-    first, U <- unitarized_U1(z_k) blockdiag(e^{i phi_k} U, e^{i mu_k}) A_k,
-    where accums[k] is level k's accumulator A_k (None, or no accums, for the
-    identity).  Leading axes stack states.
-    """
-    e_mu, _, e_phi = np.moveaxis(np.exp(1j * phases)[..., None, None], (-4, -3), (0, 1))
-    U = np.ones(phases.shape[:-2] + (1, 1), dtype=complex)
-    for k in range(len(zs) - 1, -1, -1):
-        U = unitarized_U1(zs[k][..., None]) @ blockdiag(e_phi[k] * U, e_mu[k])
-        if accums is not None and accums[k] is not None:
-            U = U @ accums[k]
-    return U
-
-
 def hierarchical_solve(
     h: BlockedHamiltonian,
     t_end: float,
@@ -560,58 +542,51 @@ def hierarchical_solve(
 
     H is read on _drive's node schedule in one BlockedHamiltonian.read before
     the first step (ModelError for a non-Hermitian, non-traceless or
-    non-finite model).  The peel is a cascade of the L = N - 1 levels, level
-    0 first.  Level k is its own (N - k)-level Riccati problem: one
-    _projective_sweep of its H stack, in _drive's (values, index) layout,
-    with its state W_k = [z_k; 1], the projection of a linear state chained
-    one matmul per grid step.
+    non-finite model), and integrated once, as solve_factored's product of
+    Magnus steps U_j (StiffnessError at an unresolved step).  U_samples is
+    U_j.  The peel SU(N) -> SU(N - 1) -> ... -> U(1) is a cascade of
+    readings of it, the L = N - 1 levels one after another, level 0 first.
 
-    After each sweep, the level's node pass (_node_pass) gives z_k at
-    every distinct node, block by block, and one batched _peel_level call
-    per block evaluates the level there: its phase rates, integrated by
-    Simpson's rule (_simpson) into the level's increments at the grid
-    nodes, and, for every level but the innermost, the next level's H (its
-    trace removed) by _next_level from the same call.  The pass's node
-    stack is the next level's H stack, and its index the next level's.
+    - Level k's operator: U_j for level 0; for level k + 1, the top
+      (N - k - 1) x (N - k - 1) block of level k's fiber U1(z_k)^H op_j
+      op_s^H (_frames), in U(N - k - 1): its scalar phase cancels in z.
+      Only one level's operator is alive at a time.
+    - Level k's z_k is read from its operator by riccati._fold_search.
+      Level 0 restarts at Z_max, so it is solve_factored's reading and
+      folds where solve_factored folds; the levels below it restart at
+      Z_max / 2.  Every restart of level k, at node j, is handed down to
+      level k + 1 with the operator level k + 1 reached there (the top
+      block of the fiber of level k's ending segment): level k + 1's
+      segment ends at j too, and its operator starts afresh there, at I.
+      The shallower levels keep their segments.
+    - Level k's phases: its node pass (_node_pass) gives z_k at every
+      distinct node of its H stack, block by block, and one batched
+      _peel_level call per block gives the level's phase rates,
+      integrated by Simpson's rule (_simpson) into the level's increments,
+      and, for every level but the innermost, the next level's H stack (its
+      trace removed) by _next_level from the same call.  The pass's node
+      stack and index are the next level's.  The reported phases are each
+      level's increments summed over the grid; ``restarts`` records level
+      0's folds as (t, U) and ``level_restarts`` every level's own folds.
 
-    Restarts, per level.  Level 0 restarts at Z_max, so its sweep is
-    solve_factored's and it folds where solve_factored folds; the levels
-    below it restart at Z_max / 2, because each reads its H from the peel
-    of the levels above it and its error grows with its own ||z||.  When
-    level k's step from grid node j reaches its threshold, its sweep
-    restarts in place under _fold_guard (StiffnessError, or a retake of the
-    step from z_k = 0).  From j on, level k + 1 reads its H from level k's
-    new segment, so every restart of level k is handed down to level k + 1's
-    sweep (the ``restarts`` of _sweep): at j it records the state it
-    reached, starts afresh and counts the guard's steps from j.  Shallower
-    levels keep stepping.  A StiffnessError names the first bad step of the
-    shallowest level that fails.
-
-    Assembly, after the solve.  Each level keeps an accumulator A_k: on its
-    own fold at j, A_k <- U^(k)(j-) A_k, the level's operator at the state
-    it reached (with the deeper levels' reached states and accumulators);
-    on a restart passed down, A_k <- I.  U_samples is assembled innermost
-    level first, U^(k) = U1(z_k) blockdiag(e^{i phi_k} U^(k+1), e^{i mu_k})
-    A_k, with each level's phases since its latest restart, _BLOCK nodes at
-    a time.  The reported phases are each level's increments summed over
-    the grid; ``restarts`` records level 0's folds and ``level_restarts``
-    every level's.
+    A StiffnessError names the first bad step of the shallowest level that
+    fails.
     """
     if h.n != 1:
         raise UnsupportedConfigurationError("hierarchical solve peels with n=1")
-    N = h.N
-    L = N - 1
-    levels = np.arange(L)
+    L = h.N - 1
     times, dt, values, index = _drive(h.read, t_end, steps, h.breakpoints, Z_max)
+    U, unresolved = _product(values, index, dt)
     inc = np.zeros((steps + 1, 3, L))  # at each grid node, each level's phase increments
-    zs, folds, reached, ends = [], [], {}, {}  # ends: node -> the state the level reached there
+    op, handed, folds = U, {}, []
     for k in range(L):
-        W, swept = _projective_sweep(values, index, 1, dt, Z_max / 2 if k else Z_max, ends)
-        folds += [(j, k) for j, _ in swept if j not in ends]
-        ends = dict(swept)
-        reached.update(((j, k), W_j[:-1, 0]) for j, W_j in swept)
-        zs.append(W[:, :-1, 0])
-        nodes, blocks = _node_pass(values, index, W, swept, dt)
+        W, reached, starts = _fold_search(op, 1, dt, Z_max / 2 if k else Z_max, handed)
+        if unresolved:
+            raise unresolved
+        if not k:
+            z0 = np.ascontiguousarray(W[:, :-1])
+        folds += [(j, k) for j in starts[1:] if j not in handed]
+        nodes, blocks = _node_pass(values, index, W, reached, dt)
         H_next = np.empty((nodes[2, -1] + 1, L - k, L - k), complex) if k + 1 < L else None  # the innermost has no next
         rates, c = None, 0  # c: the block's first own node in the stack
         for a, b, X, Wn, idx in blocks:
@@ -622,37 +597,22 @@ def hierarchical_solve(
             if H_next is not None:
                 H_next[c : c + len(X)] = _next_level(X[:, :-1, :-1], z, u, rates_own[2])
             c += len(X)
+        del blocks, X  # this level's H stack, before the next level's operator is read
         values, index = H_next, nodes
-    phases = np.cumsum(inc, axis=0)
-    # level by level, the restart nodes and the accumulator from each on, node 0 first
-    starts = [[0] for _ in levels]
-    accums = [[np.eye(N - k, dtype=complex)] for k in levels]
-    restarts, level_restarts = [], []
-    for j, k0 in sorted(folds):  # a fold at level k0 restarts levels k0 .. L - 1 at node j
-        group = range(k0, L)
-        since = np.stack([phases[j, :, k] - phases[starts[k][-1], :, k] for k in group], axis=-1)
-        A = _hier_assemble([reached[j, k] for k in group], since, [accums[k][-1] for k in group])
-        for k in group:
-            starts[k].append(j)
-            accums[k].append(A if k == k0 else np.eye(N - k, dtype=complex))
-        level_restarts.append((times[j], k0))
-        if k0 == 0:
-            restarts.append((times[j], A))
-    nodes = np.arange(steps + 1)
-    segment = [np.searchsorted(starts[k], nodes, side="right") - 1 for k in levels]
-    base = np.stack([phases[np.array(starts[k])[segment[k]], :, k] for k in levels], axis=-1)
-    owners = {level for _, level in level_restarts}
-    folded = [np.array(accums[k]) if k in owners else None for k in levels]
-    U_samples = np.empty((steps + 1, N, N), dtype=complex)
-    for a in range(0, steps + 1, _BLOCK):
-        b = a + _BLOCK
-        U_samples[a:b] = _hier_assemble(
-            [z[a:b] for z in zs],
-            phases[a:b] - base[a:b],
-            [None if A is None else A[segment[k][a:b]] for k, A in zip(levels, folded)],
-        )
-    mu, geo, phi = np.moveaxis(phases, 1, 0)
-    return HierarchicalResult(h, times, zs[0][..., None], U_samples, mu, geo, mu - geo, phi, restarts, level_restarts)
+        if H_next is not None:  # the next level's operator, and what it reached at each restart of this one
+            m = L - k
+            below = np.empty((len(op), m, m), dtype=complex)
+            for a, b, top, _ in _frames(op, W, starts, 1):
+                below[a:b] = top
+            ends = [j for j, _ in reached]
+            ops = np.array([handed.get(j, op[j]) for j in ends]).reshape(-1, m + 1, m + 1)
+            z_ends = np.array([W_j[:m] for _, W_j in reached]).reshape(-1, m, 1)
+            handed = dict(zip(ends, _fiber(z_ends, ops @ dagger(op[starts[:-1]]))[0]))
+            op = below
+    mu, geo, phi = np.moveaxis(np.cumsum(inc, axis=0), 1, 0)
+    restarts = [(times[j], U[j].copy()) for j, level in sorted(folds) if level == 0]
+    level_restarts = [(times[j], level) for j, level in sorted(folds)]
+    return HierarchicalResult(h, times, z0, U, mu, geo, mu - geo, phi, restarts, level_restarts)
 
 
 def schrodinger_residual(h: BlockedHamiltonian, times: np.ndarray, U_samples: np.ndarray) -> float:

@@ -131,17 +131,19 @@ def _unitary_step(H: np.ndarray, dt: float) -> np.ndarray:
 
 
 def _running_product(M: np.ndarray, U: np.ndarray | None = None) -> np.ndarray:
-    """U with U[0] = I and U[j + 1] = M[j] U[j], one np.matmul per step over the first axis of M.
+    """U with U[0] = I and U[j + 1] = M[j] U[j], one np.dot per step over the first axis of M.
 
     A given U (at least len(M) + 1 long, step axis first) continues the
     product from its own U[0], written in place; its states may be matrices
-    or vectors.  The fiber's U2, the oracle and every sweep chain here.
+    or vectors.  The Riccati paths' Magnus product, the oracle and the
+    precession chain here.  np.dot has less call overhead than np.matmul
+    for one small matrix, with the same result.
     """
     if U is None:
         U = np.empty((len(M) + 1,) + M.shape[1:], dtype=complex)
         U[0] = np.eye(M.shape[-1])
     for step, a, b in zip(M, U, U[1:]):
-        np.matmul(step, a, out=b)
+        np.dot(step, a, out=b)
     return U
 
 

@@ -1,37 +1,31 @@
-"""Matrix Riccati dynamics for the base-manifold coordinate z(t).
+"""Matrix Riccati dynamics for the base-manifold coordinate z(t), read from one unitary product.
 
 The (N-n) x n coordinate z obeys
 
     i dz/dt = Htop z + V - z (V^H z + Hbot),
 
-the projective image of a linear flow: W = [X; Y] with dW/dt = K W, K =
--iH, gives z = X Y^-1 (_projective_rhs).  So z is the Moebius projection
-of the linear state, and need not be normalised at every step.  Every path
-takes RK4's exact step matrix for the linear flow, P = _rk4_propagator(K,
-dt), built in batched calls over a block of steps, and chains the linear
-state V <- P V, one matmul per grid step (linalg._running_product); every
-_AHEAD steps the sweep projects the chunk of states, W = [V_top V_bot^-1;
-I_n] (_project), and tests them for a fold in batched calls, one scheme
-for every block size and for every level of the hierarchical peel.  The
-linear Bloch precession chains y <- P y with no projection.  A step whose
-P is far from unitary does not resolve the model: _resolved checks each
-block of propagators in one pass, and the sweep raises StiffnessError at
-the first such step before it takes it.
+the projective image of the linear flow dU/dt = -iH U: for a segment that
+starts at grid node s, W_j = U_j U_s^H [0; I_n] = [X; Y] gives z_j = X Y^-1
+(_project; _projective_rhs is the same flow written for W = [z; I_n]).  So
+every Riccati path integrates one thing, the product U_j = P_{j-1} ... P_0
+of unitary fourth-order Magnus steps P_j of H (_magnus4, one batched eigh
+per _BLOCK steps), chained N x N by linalg._running_product, the oracle's
+kernel (_product), and reads z from it.  A step whose Magnus exponent
+spans pi or more, dt (lambda_max - lambda_min) >= pi, does not resolve the
+model: the product stops before it and the path raises StiffnessError
+with its t and step.
 
-Every Riccati solver path, and the precession, reads its model through one
-function, ``_drive``, whose docstring is the one description of the node
-schedule: the model is read at t, t + dt/2 and t + dt of every step before
-the first.  Restarts happen in place under one rule, _fold_guard: when the
-step from node j takes ||z||_F to the restart threshold, the sweep records
-the fold, the state it reached at j, and retakes that step from z = 0.  The
-hierarchical peel sweeps its levels one after another, each under that
-rule, and hands every restart of a level to the sweep of the level below
-it.  The product structure U = U_segment U_accum makes that exact; each
-path assembles U, its phases and its restart records from the folds once,
-after the solve.  The SO(5) two-qubit case sweeps the 2 x 2 quaternionic z
-of build_so5's H and reports its four real parameters.  riccati_rhs,
-so5_rhs and rk4_step are the reference formulas the tests check the sweep
-against; no solver calls them.
+Every Riccati solver path, and the linear Bloch precession, reads its model
+through one function, ``_drive``, whose docstring is the one description of
+the node schedule.  Folds follow one rule, _fold_guard, in one search
+(_fold_search): when node j + 1 is the first whose ||z||_F reaches the
+restart threshold, the segment ends at j and the next starts there from
+z = 0.  A segment of the hierarchical peel also ends where the level above
+it restarts.  The product does not depend on the folds, so they are exact:
+they only move the chart.  The SO(5) two-qubit case reads the 2 x 2
+quaternionic z of build_so5's H and reports its four real parameters.
+riccati_rhs, so5_rhs and rk4_step are the reference formulas the tests
+check the readings against; no solver calls them.
 """
 
 from __future__ import annotations
@@ -45,24 +39,22 @@ DEFAULT_Z_MAX = 10.0
 # Restarts closer together than this many grid steps indicate the trajectory
 # hugs the coordinate singularity; bail out instead of thrashing.
 MIN_STEPS_BETWEEN_RESTARTS = 4
-# Steps of node values per block of _sweep's propagators, of the node pass
-# (factorization._node_pass) and of solve_factored's fiber, and nodes per
-# block of U assembly: the block bounds their temporaries.
+# Steps of Magnus steps per block of _product, of the node pass
+# (factorization._node_pass) and of est_error, and nodes per block of the
+# readings: the block bounds their temporaries.
 _BLOCK = 2048
-# Steps _sweep chains between two projections and fold tests of its state.
-_AHEAD = 32
-# A step's RK4 propagator P is unresolved when ||P^H P - I||_F exceeds this.
-# For one eigenvalue of H, |R(i x)|^2 = 1 - x^6/72 + x^8/576 at x = dt |E|:
-# x = 0.5 reads 2e-4, x = 1 (six steps per period) 1.2e-2.
-MAX_STEP_DEFECT = 1e-2
+# Nodes of the fold search's first window, and of its first after each
+# fold; each window after it doubles, up to _BLOCK.
+_WINDOW = 64
 
 
 class StiffnessError(RuntimeError):
     """A step does not resolve the model, the coordinate diverged, or restarts come too often.
 
     ``t`` and ``step`` name the grid step the driver gave up on and ``peak``
-    the coordinate norm that step reached, or for an unresolved step its
-    propagator's defect ||P^H P - I||_F.
+    the coordinate norm that step reached, or for an unresolved step the
+    spread dt (lambda_max - lambda_min) of its Magnus exponent (for the
+    precession, its RK4 step matrix's defect ||P^H P - I||_F).
     """
 
     def __init__(self, message: str, t: float, step: int, peak: float):
@@ -84,7 +76,7 @@ def rk4_step(f, y: np.ndarray, dt: float, k1: np.ndarray, x_mid, x_end) -> np.nd
     f takes the model value x at a node, not a time: x_mid and x_end are x at
     t + dt/2 and t + dt, and the caller supplies the first stage k1 =
     f(x(t), y).  No solver calls it: on the linear flow f(K, y) = K y it is
-    _rk4_propagator's P y, which the sweeps take.
+    bloch._rk4_propagator's P y, which the precession takes.
     """
     k2 = f(x_mid, y + dt / 2.0 * k1)
     k3 = f(x_mid, y + dt / 2.0 * k2)
@@ -98,32 +90,96 @@ def _projective_rhs(K: np.ndarray, W: np.ndarray) -> np.ndarray:
     z = X Y^-1 with [X; Y] linear, d[X; Y]/dt = K [X; Y], makes the Riccati flow
     of z the top m rows of f (Schiff & Shnider, SIAM J. Numer. Anal. 36 (1999)
     1392).  The bottom n rows are (K W)[m:] - I (K W)[m:], exactly zero.
-    The sweeps step the linear flow itself (_rk4_propagator); f gives the
-    slopes of the swept states.  Leading axes broadcast.
+    The node pass (factorization._node_pass) takes the slopes of the read
+    states from it.  Leading axes broadcast.
     """
     KW = K @ W
     return KW - W @ KW[..., -W.shape[-1] :, :]
 
 
-def _rk4_propagator(K: np.ndarray, dt: float) -> np.ndarray:
-    """RK4's exact step matrix P for the linear flow dW/dt = K(t) W: rk4_step(W) = P W.
+def _simpson(q: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Simpson's sum q_a + 4 q_m + q_b of each step, from q at the nodes (first axis) that idx indexes.
 
-    K stacks the generator at each step's start, midpoint and end node on
-    its first axis, (3, ..., N, N); P is (..., N, N), built in batched calls:
-
-        P = I + dt/6 (K_a + 2 B_2 + 2 B_3 + B_4),
-        B_2 = K_m (I + dt/2 K_a), B_3 = K_m (I + dt/2 B_2), B_4 = K_b (I + dt B_3).
-
-    A zero K gives P = I exactly.
+    dt/6 times it is the step's integral of q by Simpson's rule: the corner
+    phases of solve_factored and every level's phases of hierarchical_solve;
+    _magnus4's S is the sum over 6.
     """
-    K_a, K_m, K_b = K
-    B2 = K_m + (dt / 2.0) * (K_m @ K_a)
-    B3 = K_m + (dt / 2.0) * (K_m @ B2)
-    B4 = K_b + dt * (K_b @ B3)
-    P = (dt / 6.0) * (K_a + 2.0 * (B2 + B3) + B4)
-    N = P.shape[-1]
-    P.reshape(P.shape[:-2] + (N * N,))[..., :: N + 1] += 1.0
-    return P
+    return q[idx[0]] + 4.0 * q[idx[1]] + q[idx[2]]
+
+
+@np.errstate(over="ignore", invalid="ignore")  # an exponent that overflows is an unresolved step
+def _magnus4(H: np.ndarray, idx: np.ndarray, dt: float):
+    """(P, spread): fourth-order Magnus steps P = exp(-i dt Omega), Omega = S + (i dt/12)[H_a, H_b].
+
+    H is a stack of Hermitian matrices, such as _drive's node stack, and idx,
+    (3, steps), names each step's start, midpoint and end node in it
+    (_drive's index), so H_a, H_m and H_b are H at t, t + dt/2 and t + dt,
+    and S is their Simpson mean (_simpson's sum over 6).  Omega is
+    Hermitian, so each step is unitary to roundoff, and the steps take one
+    batched eigh, whose spectrum gives spread = dt (lambda_max -
+    lambda_min) for free: the Magnus series converges while it is below pi
+    (inf for an exponent that is not finite).  P is formed as I + Q (e^{-i
+    dt w} - 1) Q^H, with e^{-ix} - 1 = -2 sin^2(x/2) - i sin x, so the
+    roundoff of the eigenvectors scales with dt ||Omega||, not with I, and
+    a zero H gives P = I exactly.  (Blanes, Casas, Oteo & Ros, Phys. Rep.
+    470 (2009) 151.)
+    """
+    H_a, H_b = H[idx[::2]]
+    C = H_a @ H_b
+    omega = _simpson(H, idx) / 6.0 + (1j * dt / 12.0) * (C - dagger(C))  # [H_a, H_b], as (H_a H_b)^H = H_b H_a
+    finite = np.isfinite(omega).all(axis=(-2, -1))
+    omega[~finite] = 0.0
+    w, Q = np.linalg.eigh(omega)
+    spread = np.where(finite, dt * (w[..., -1] - w[..., 0]), np.inf)
+    P = (Q * (-2.0 * np.sin(dt * w / 2.0) ** 2 - 1j * np.sin(dt * w))[..., None, :]) @ dagger(Q)
+    return P + np.eye(P.shape[-1]), spread
+
+
+def _product(values, index, dt: float):
+    """(U, error): U_j = P_{j-1} ... P_0 of the Magnus steps over _drive's (values, index), up to the first unresolved step.
+
+    The steps are built _BLOCK at a time (_magnus4) and chained by _chain;
+    a step whose spread reaches pi is not taken.
+    """
+    N = values.shape[-1]
+    U = np.empty((index.shape[1] + 1, N, N), dtype=complex)
+    U[0] = np.eye(N)
+
+    def block(a):
+        P, spread = _magnus4(values, index[:, a : a + _BLOCK], dt)
+        return P, spread, ~(spread < np.pi), "the Magnus exponent spans {:.3g} (dt (lambda_max - lambda_min) >= pi)"
+
+    return _chain(block, U, dt)
+
+
+def _chain(block, U: np.ndarray, dt: float):
+    """(U, error): U[j + 1] = P_j U[j] from the given U[0], up to the first step that fails its guard.
+
+    block(a) gives the step matrices P of steps a to a + _BLOCK, a guard
+    metric per step, whether each step fails the guard, and the failure's
+    text, a format string for the metric.  The steps are chained one matmul
+    per step (linalg._running_product) into U in place.  A failing step is
+    not taken: U then ends at its start node, and error is the
+    StiffnessError that names it, for the caller to raise once it has read
+    the nodes before it (so an earlier fold the guard refuses comes first);
+    else error is None.  The Riccati paths' Magnus product (_product) and
+    the precession (bloch._precess) chain here.
+    """
+    for a in range(0, len(U) - 1, _BLOCK):
+        P, metric, bad, what = block(a)
+        r = int(bad.argmax()) if bad.any() else len(P)
+        _running_product(P[:r], U[a:])
+        if r < len(P):
+            return U[: a + r + 1], _unresolved(dt * (a + r), a + r, metric[r], what.format(metric[r]))
+    return U, None
+
+
+def _unresolved(t: float, j: int, peak: float, what: str) -> StiffnessError:
+    """The StiffnessError for grid step j (at time t); ``what`` says how its step matrix fails the guard."""
+    return StiffnessError(
+        f"unresolved step: {what} at t={t:.6g} (step {j}): the grid is too coarse for the model",
+        t=float(t), step=int(j), peak=float(peak),
+    )
 
 
 def _project(V: np.ndarray) -> np.ndarray:
@@ -144,108 +200,65 @@ def _project(V: np.ndarray) -> np.ndarray:
     return W
 
 
-def _norms(y: np.ndarray) -> np.ndarray:
-    """||y_i||_F of each state of the stack y, the states on its first axis."""
-    y = y.reshape(len(y), -1)
-    return np.sqrt(np.sum(y.real**2 + y.imag**2, axis=1))
-
-
-def _resolved(P: np.ndarray):
-    """(r, defects): the first r steps of the stack P pass the unresolved-step guard.
-
-    P is (steps, N, N) and defects its steps' ||P^H P - I||_F; a step fails
-    when its defect exceeds MAX_STEP_DEFECT or is not finite.  One batched
-    pass, with no decomposition.
-    """
-    G = np.conj(P.mT) @ P
-    N = G.shape[-1]
-    G.reshape(len(G), N * N)[:, :: N + 1] -= 1.0
-    defects = np.sqrt(np.sum(G.real**2 + G.imag**2, axis=(-2, -1)))
-    bad = ~(defects <= MAX_STEP_DEFECT)
-    return (int(bad.argmax()) if bad.any() else len(P)), defects
-
-
-def _unresolved(t: float, j: int, defect: float) -> StiffnessError:
-    """The StiffnessError for grid step j (at time t), whose propagator's defect is ``defect``."""
-    return StiffnessError(
-        f"unresolved step: the RK4 propagator is {defect:.3g} from unitary (||P^H P - I||_F) "
-        f"at t={t:.6g} (step {j}): the grid is too coarse for the model",
-        t=float(t), step=int(j), peak=float(defect),
-    )
-
-
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")  # a non-finite peak raises StiffnessError
-def _sweep(values, index, y, dt: float, Z_max: float, project=None, norm=_norms, generator=None, restarts=()):
-    """y <- P_j y by each step's RK4 propagator over the steps ``index`` names, restarting in place.
+def _fold_search(op: np.ndarray, n: int, dt: float, Z_max: float, restarts=None):
+    """W = [z; I_n] at every node of the operator stack op, segment by segment, with the segments' ends.
 
-    ``index`` is (3, steps) into the node stack ``values``: each step's start,
-    midpoint and end node.  The values are gathered _BLOCK steps at a time,
-    one block alive at a time, mapped to the generator K by ``generator``
-    (the values themselves if None; it may work in place on the gathered
-    copy) and turned into the block's propagators P in one _rk4_propagator
-    call.  _resolved checks the block in one pass, and the sweep raises
-    StiffnessError at the first unresolved step, before it takes it.
+    op is (nodes, M, M): the product U_j, or a level's operator in the peel.
+    A segment that starts at node s reads W_j = _project(op_j op_s^H [0;
+    I_n]) at the nodes after it, in windows that double up to _BLOCK.  When
+    node j + 1 is the first whose ||z||_F reaches Z_max (or is not finite),
+    _fold_guard accepts a fold at j or raises StiffnessError, and the next
+    segment starts at j.  The window's readings from j + 1 on are read again
+    in the new segment, and the windows start again at _WINDOW nodes: a
+    fold wastes at most one window, which is below _WINDOW or twice the
+    nodes read since the fold before, so F folds cost at most 3 S + F
+    _WINDOW readings.
+    ``restarts`` (the peel's) maps each node j where the level above
+    restarts to the operator this level reached there: a segment also ends
+    at j, its state there is read from that operator, the next segment
+    starts at j, where op_j is the new segment's, and the guard counts its
+    steps from j.  The readings are per node, so they do not depend on the
+    windows or on _BLOCK, bit for bit.
 
-    The sweep chains the linear state V, one np.matmul per step
-    (linalg._running_product), and looks at it every _AHEAD steps, at the
-    end of a block and at each handed-down restart.  There the chunk's
-    states are y = project(V), in one batched call (_project for the
-    Riccati paths; None keeps V itself, as the precession does), and their
-    ``norm`` (a stack of states to their norms; by default ||y||_F) is the
-    fold test.  When the step from node j is the first to reach Z_max,
-    _fold_guard accepts the fold or raises StiffnessError, the sweep
-    records (j, the state it reached at j), sets the state at j back to the
-    start state y and chains on from there: it retakes the step.  At each
-    node j in ``restarts`` (the restarts of the levels above a level of the
-    peel) the chunk ends, the sweep records (j, the state it reached at j)
-    too and sets the state back to y, with no step retaken, and _fold_guard
-    counts its steps from j.  With a projection, each block first scales
-    the carried V by a power of two, which keeps it from under- or
-    overflowing and leaves every projection as it is, bit for bit.  So the
-    states do not depend on _AHEAD or _BLOCK.  V lives in an _AHEAD + 1
-    row buffer.  Returns (ys, folds): the steps + 1 node states, in one
-    array, and the folds and restarts in grid order.
+    Returns (W, folds, starts): W = [z; I_n] at each node, [0; I_n] at each
+    segment start; folds holds (j, the state reached at j) for every
+    restart in grid order, own and handed down; starts the segments' first
+    nodes, 0 first.
     """
-    steps = index.shape[1]
-    ys = np.empty((steps + 1,) + np.shape(y), np.result_type(y, values))
-    ys[0] = start = y
-    V = np.empty((_AHEAD + 1,) + ys.shape[1:], ys.dtype)  # V[0] is the linear state at node i
-    V[0] = start
-    cuts = iter(sorted(j for j in restarts if 0 <= j < steps))
-    cut = next(cuts, steps)  # the next restart handed down
-    folds, last = [], 0
-    for a in range(0, steps, _BLOCK):
-        X = values[index[:, a : a + _BLOCK]]
-        P = _rk4_propagator(X if generator is None else generator(X), dt)
-        del X
-        ok, defects = _resolved(P)
-        if project is not None:  # an exact power of two: no projection changes
-            V[0] *= np.ldexp(1.0, -np.frexp(np.abs(V[0]).max())[1])
-        i = a
-        while i < a + ok:
-            if i == cut:  # a restart handed down to node i: start afresh there
-                folds.append((i, ys[i].copy()))
-                ys[i] = V[0] = start
-                last, cut = i, next(cuts, steps)
-            c = min(i + _AHEAD, a + ok, cut) - i
-            _running_product(P[i - a : i - a + c], V)
-            W = V[1 : c + 1] if project is None else project(V[1 : c + 1])
-            peaks = norm(W)
-            over = ~(peaks < Z_max)
-            f = int(over.argmax()) if over.any() else c  # the states before the first fold are kept
-            ys[i + 1 : i + f + 1] = W[:f]
-            if f == c:
-                V[0] = V[c]
-                i += c
-            else:  # the step from node j reaches Z_max: a fold at j, and the step is retaken
-                j = i + f
-                _fold_guard(dt * j, j, last, peaks[f])
-                folds.append((j, ys[j].copy()))
-                ys[j] = V[0] = start
-                i = last = j
-        if ok < len(P):
-            raise _unresolved(dt * (a + ok), a + ok, defects[ok])
-    return ys, folds
+    restarts = restarts or {}
+    nodes, M = len(op), op.shape[-1]
+    m = M - n
+    W = np.empty((nodes, M, n), dtype=complex)
+    W[0] = start = np.eye(M, n, -m)
+    cuts = iter(sorted(restarts))
+    cut = next(cuts, nodes)  # the next restart handed down
+    folds, starts = [], [0]
+    C, i, width = start, 1, _WINDOW  # C = op_s^H [0; I_n]
+    while i < nodes:
+        b = min(i + width, cut + 1, nodes)
+        V = op[i:b] @ C
+        if b - 1 == cut:
+            V[-1] = restarts[cut] @ C
+        Wb = _project(V)
+        zz = np.einsum("ijk,ijk->i", Wb[:, :m].conj(), Wb[:, :m]).real  # ||z||_F^2
+        over = ~(zz < Z_max**2)
+        f = int(over.argmax()) if over.any() else b - i  # the states before the first fold are kept
+        W[i : i + f] = Wb[:f]
+        if f < b - i:  # node i + f reaches Z_max: a fold at the node before it
+            j = i + f - 1
+            _fold_guard(dt * j, j, starts[-1], np.sqrt(zz[f]))
+            width = _WINDOW
+        elif b - 1 == cut:  # a restart handed down to node b - 1: start afresh there
+            j, cut = cut, next(cuts, nodes)
+        else:
+            i, width = b, min(2 * width, _BLOCK)
+            continue
+        folds.append((j, W[j].copy()))
+        W[j] = start
+        starts.append(j)
+        C, i = dagger(op[j, m:]), j + 1
+    return W, folds, starts
 
 
 def _fold_guard(t: float, j: int, start: int, peak: float) -> None:
@@ -254,10 +267,10 @@ def _fold_guard(t: float, j: int, start: int, peak: float) -> None:
     The step from node j (at time t) reached the coordinate norm ``peak``, at
     or above the restart threshold.  The fold is refused when peak is not
     finite, when the trajectory completed no step since its start (j ==
-    start: a retaken step runs away), or when it restarted at start > 0 and
-    folds again within MIN_STEPS_BETWEEN_RESTARTS steps.  _sweep applies it
-    to every fold, on every path and every level of the peel; a restart
-    handed down to a level of the peel counts as its start.
+    start: a step from z = 0 runs away), or when it restarted at start > 0
+    and folds again within MIN_STEPS_BETWEEN_RESTARTS steps.  _fold_search
+    applies it to every fold, on every path and every level of the peel; a
+    restart handed down to a level of the peel counts as its start.
     """
     done = j - start
     if not np.isfinite(peak) and (done or not start):
@@ -291,22 +304,17 @@ def _drive(read, t_end: float, steps: int, breakpoints=(), Z_max: float = np.inf
     solve holds.
 
     A (3, steps) integer index names each step's start, midpoint and end
-    node in the stack, so every step's propagator reads its own three nodes,
-    and restarts and breakpoints need no carry.  Every path builds its RK4
-    propagators from those values with _rk4_propagator, in batched calls
-    over a block of steps, and checks them with _resolved before it takes
-    them.  solve_factored, integrate_so5 and every level of
-    hierarchical_solve sweep W = [z; I_n] over an index with
-    _projective_sweep (and the precession its vector with _sweep), which
-    chains the linear state one matmul per step, projects it and tests it
-    for folds once per chunk of steps, and restarts in place under one
-    rule, _fold_guard.  solve_factored's fiber reads the values again
-    through the index, one Magnus step per grid step.  Where a path needs
-    the swept state at every node (the n = 1 phases and the peel), one node
-    pass (factorization._node_pass) gives it, in blocks of steps; each level
-    of the peel below level 0 reads an H stack of its own in this layout,
-    the node stack of the level above it.  The path assembles U, phases and
-    restart records from the folds after the solve.
+    node in the stack, so every step reads its own three nodes, and
+    breakpoints need no carry.  solve_factored, integrate_so5 and
+    hierarchical_solve build their Magnus steps from those values and chain
+    them into one product (_product), from which _fold_search reads z and
+    the folds; the precession builds RK4 step matrices from them
+    (bloch._precess).  Where a path needs the state at every node (the
+    n = 1 phases and the peel's levels), one node pass
+    (factorization._node_pass) gives it, in blocks of steps; each level of
+    the peel below level 0 reads an H stack of its own in this layout, the
+    node stack of the level above it.  solve_factored's est_error reads the
+    same values again, two steps at a time.
 
     Returns (times, dt, values, index).  Every argument is checked before
     the read, so a bad one costs no model evaluation: ValueError when steps
@@ -330,20 +338,6 @@ def _drive(read, t_end: float, steps: int, breakpoints=(), Z_max: float = np.inf
     fresh = np.ones((steps, 3), dtype=bool)
     fresh[1:, 0] = jump[:-1]
     return times, dt, read(nodes.T[fresh]), (np.cumsum(fresh) - 1).reshape(steps, 3).T
-
-
-def _projective_sweep(values, index, n: int, dt: float, Z_max: float, restarts=()):
-    """_sweep of the linear flow from [0; I_n], with K = -iH, W = _project(V) and the fold test on ||z||_F.
-
-    ``values`` is an H stack in _drive's layout, N x N with block size n:
-    the model's, or a level of hierarchical_solve's peel, which also passes
-    the ``restarts`` of the levels above it.  Returns (W, folds) as _sweep
-    does, with W = [z; I_n] at every node.  _drive has checked Z_max.
-    """
-    m = values.shape[-1] - n
-    W0 = np.eye(m + n, n, -m, dtype=complex)
-    norm = lambda W: _norms(W[:, :m])  # noqa: E731
-    return _sweep(values, index, W0, dt, Z_max, _project, norm, lambda X: np.multiply(X, -1j, out=X), restarts)
 
 
 def so5_rhs(F: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -386,15 +380,18 @@ def integrate_so5(
     """Integrate the SO(5) Riccati flow and report its four real parameters.
 
     Returns (times, z samples of shape (steps+1, 4), restart times).  It is
-    the matrix form's sweep: build_so5's H is read on _drive's node schedule
-    (F checked as one stack), the 2 x 2 quaternionic z sweeps as W = [z;
-    I_2] by _projective_sweep, one step of the linear flow per grid step
-    and one batched projection per chunk of steps, and the restart rule
-    compares ||z||_F, which is sqrt(2 z.z), with Z_max at the grid node.  The samples are so5_z_params of the swept z, so they equal
-    those of solve_factored(build_so5(coeffs)) at every node, restarts
-    included.  The error is that of one RK4 step of the linear flow per grid
-    step: fourth order in dt.
+    the matrix form's solve: build_so5's H is read on _drive's node schedule
+    (F checked as one stack), integrated as one product of Magnus steps
+    (_product), and the 2 x 2 quaternionic z is read from it as W = [z;
+    I_2] by _fold_search, whose restart rule compares ||z||_F, which is
+    sqrt(2 z.z), with Z_max at the grid node.  The samples are
+    so5_z_params of that z, so they equal those of
+    solve_factored(build_so5(coeffs)) at every node, restarts included.
+    The error is that of the Magnus product: fourth order in dt.
     """
     times, dt, values, index = _drive(build_so5(coeffs).read, t_end, steps, Z_max=Z_max)
-    W, folds = _projective_sweep(values, index, 2, dt, Z_max)
-    return times, so5_z_params(W[:, :2]), [times[j] for j, _ in folds]
+    U, unresolved = _product(values, index, dt)
+    W, _, starts = _fold_search(U, 2, dt, Z_max)
+    if unresolved:
+        raise unresolved
+    return times, so5_z_params(W[:, :2]), list(times[starts[1:]])

@@ -223,12 +223,13 @@ def test_main_exit_codes(tmp_path):
     ok = _write(tmp_path, "ok.json", _spin_half_scenario())
     assert main(["run", str(ok), "--out", str(tmp_path / "out")]) == 0
 
-    # tolerance failure -> 1
+    # tolerance failure -> 1 (a rotating field: for a constant one the
+    # Magnus product and the oracle are both exact, and agree bit for bit)
     failing = _write(
         tmp_path, "fail.json",
         _spin_half_scenario(
             id="fail",
-            params={"B": [1.0, 0.5, 0.2]},
+            params={"B0": 1.0, "B1": 0.5, "omega": 2.0},
             tolerances={"oracle_distance": 1e-30},
         ),
     )
@@ -320,6 +321,8 @@ _SO5, _F0 = {"family": "so5", "N": 4, "n": 2}, [[0.0] * 5] * 5
         (_SO5 | {"params": {"F": [[0.0] * 4] * 4}}, []),
         ({"family": "constant", "params": {"matrix": [row[:1] for row in _Z_PAIRS]}}, []),
         ({"params": {"B": [1.0, 0.0]}}, []),
+        ({"steps": 1, "tolerances": {"est_error": 1e-6}}, []),
+        ({"tolerances": {"est_error": 1e-6}}, ["--steps", "1"]),
     ],
     ids=["no_B", "unknown_family", "tolerance_abc", "unknown_tolerance", "bloch_on_trig",
          "t_end_nan", "bloch_override", "steps_fraction", "steps_bool", "N_fraction",
@@ -327,7 +330,7 @@ _SO5, _F0 = {"family": "so5", "N": 4, "n": 2}, [[0.0] * 5] * 5
          "hierarchical_so5", "constant_N_mismatch", "spin_half_N3", "so5_n1", "harmonics_fraction",
          "harmonics_string", "harmonics_bool", "unknown_parameter", "harmonics_negative",
          "piecewise_decreasing", "so5_F_cos_4x4", "so5_F_sin_4x5", "so5_F_4x4", "constant_2x1",
-         "spin_half_B2"],
+         "spin_half_B2", "est_error_one_step", "est_error_one_step_override"],
 )
 def test_main_malformed_scenario_is_parse_error(tmp_path, capsys, overrides, args):
     p = _write(tmp_path, "bad.json", _spin_half_scenario(id="bad", **overrides))
