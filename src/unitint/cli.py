@@ -7,8 +7,10 @@ named tolerance fails.  The ``est_error`` tolerance gates on the factorized
 path's estimate of its own error in the final U (solve_factored's
 est_error, step doubling on the grid's own nodes): an estimate, not a
 bound, that read 0.999 to 1.001 times the error on smooth models.  A
-one-step grid has no pair of steps to double, so a scenario that sets it
-is a parse error there.  ``unitint verify`` runs the seeded
+one-step grid has no pair of steps to double, and on a grid with a
+breakpoint inside a step the step across the jump is first order, which
+step doubling does not see: a scenario that sets it is a parse error on
+either.  ``unitint verify`` runs the seeded
 invariant suite across random instances and prints worst-case residuals.
 
 Exit codes: 0 all verdicts pass, 1 tolerance failure, 2 parse error,
@@ -46,7 +48,7 @@ from .linalg import (
     sqrt_hpd,
 )
 from .oracle import compare, propagate
-from .riccati import DEFAULT_Z_MAX, StiffnessError, riccati_rhs
+from .riccati import DEFAULT_Z_MAX, StiffnessError, _straddled, riccati_rhs
 
 
 class ScenarioError(ValueError):
@@ -84,8 +86,9 @@ def parse_scenario(scenario: dict):
     """The one parse of a scenario: (scenario with its defaults and the model's N and n, model).
 
     The run defaults, the run fields (_check_fields), the model (from_config,
-    the one reader of N, n, seed and the family's parameters) and the
-    hierarchical path's block size, in that order; raises ScenarioError.
+    the one reader of N, n, seed and the family's parameters), the
+    hierarchical path's block size and an est_error tolerance against the
+    model's breakpoints, in that order; raises ScenarioError.
     """
     scenario = {"Z_max": DEFAULT_Z_MAX, "paths": ["factorized", "oracle"], "tolerances": {}, **scenario}
     try:
@@ -97,6 +100,11 @@ def parse_scenario(scenario: dict):
         raise ScenarioError(f"family {scenario['family']!r} needs parameter {exc}") from None
     except (TypeError, ValueError) as exc:  # ModelError included
         raise ScenarioError(str(exc)) from None
+    if "est_error" in scenario["tolerances"] and _straddled(parsed["t_end"], parsed["steps"], h.breakpoints):
+        raise ScenarioError(
+            "tolerance est_error needs every breakpoint on a step's end node: a step across one is "
+            "first order, and step doubling does not see it"
+        )
     return {**scenario, **parsed, "N": h.N, "n": h.n}, h
 
 

@@ -19,16 +19,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .hamiltonian import BlockedHamiltonian
-from .linalg import blockdiag, dagger, inv_sqrt_hpd, sqrt_hpd
+from .linalg import _expm1, blockdiag, dagger, inv_sqrt_hpd, sqrt_hpd
 from .riccati import (
     _BLOCK,
     DEFAULT_Z_MAX,
     _drive,
     _fold_search,
-    _magnus4,
+    _omega,
     _product,
     _projective_rhs,
     _simpson,
+    _straddled,
 )
 
 
@@ -311,9 +312,11 @@ def solve_factored(
 
     - The product (riccati._product): U_j = P_{j-1} ... P_0, with P_j the
       unitary fourth-order Magnus step of H on the step's three nodes
-      (_magnus4, one batched N x N eigh per block of _BLOCK steps), chained
-      one matmul per step.  U_samples is U_j.  A step whose exponent spans
-      pi or more raises StiffnessError with its t and step.
+      (_magnus4: one stacked Taylor step exponential, linalg._expm1, per
+      block of _BLOCK steps), chained one matmul per step.  U_samples is
+      U_j.  A step whose exponent spans pi or more raises StiffnessError
+      with its t and step; a norm bound certifies the others, and only a
+      step it cannot certify takes an eigvalsh for its exact spread.
     - The base (riccati._fold_search): for the segment that starts at node
       s, z_j is the projection of W_j = U_j U_s^H [0; I_n].  When node
       j + 1 is the first whose ||z||_F reaches Z_max, the segment ends at j
@@ -332,7 +335,10 @@ def solve_factored(
       over the grid, across restarts.
     - est_error (_est_error) is step doubling on the grid's own nodes: each
       pair of steps against one Magnus step of 2 dt on the same three nodes,
-      carried to T.  It estimates the error in U and bounds nothing.
+      carried to T.  It estimates the error in U and bounds nothing.  It
+      reads nan on a one-step grid and on a grid with a breakpoint inside a
+      step (riccati._straddled): that step crosses the jump and is first
+      order, which step doubling does not see.
     """
     n = h.n
     m = h.N - n
@@ -341,7 +347,7 @@ def solve_factored(
     W, folds, starts = _fold_search(U, n, dt, Z_max)
     if unresolved:
         raise unresolved
-    est_error = _est_error(values, index, dt, U)
+    est_error = float("nan") if _straddled(t_end, steps, h.breakpoints) else _est_error(values, index, dt, U)
     phases = {}
     if n == 1:  # the phases, by Simpson's rule
         inc = np.zeros((steps + 1, 3))  # per step's end node: the phases' increments
@@ -405,9 +411,10 @@ def _est_error(values, index, dt: float, U: np.ndarray) -> float:
     """Step doubling on the grid's own nodes: ||sum_k (I - U_{2k+2}^H D_k U_{2k})||_F / 15.
 
     Steps 2k and 2k + 1 read the nodes t_2k, t_2k+1 and t_2k+2, which are
-    the Simpson nodes of one step of 2 dt: D_k is that Magnus step
-    (_magnus4 at 2 dt), with no extra model read.  I - U_{2k+2}^H D_k
-    U_{2k} is the pair's local error, 15 times its leading order for a
+    the Simpson nodes of one step of 2 dt: D_k is that Magnus step, I +
+    linalg._expm1(-2i dt Omega) with Omega = _omega at 2 dt, with no extra
+    model read and no guard (the product's steps passed theirs).  I -
+    U_{2k+2}^H D_k U_{2k} is the pair's local error, 15 times its leading order for a
     fourth-order step (Hairer, Norsett & Wanner, Solving ODEs I, II.4),
     carried to t = 0; the sum carries every pair's to one time, so its norm
     estimates the error in U_S.  A pair whose middle node is a breakpoint
@@ -428,7 +435,8 @@ def _est_error(values, index, dt: float, U: np.ndarray) -> float:
     p, weight, total = p[keep], weight[keep], np.zeros((N, N), dtype=complex)
     for a in range(0, len(p), _BLOCK):
         q = p[a : a + _BLOCK]
-        D = _magnus4(values, np.stack((index[0, q], index[2, q], index[2, q + 1])), 2.0 * dt)[0]
+        omega = _omega(values, np.stack((index[0, q], index[2, q], index[2, q + 1])), 2.0 * dt)
+        D = _expm1((-2j * dt) * omega)[0] + np.eye(N)
         local = weight[a : a + _BLOCK] * (np.eye(N) - dagger(U[q + 2]) @ (D @ U[q]))
         total = np.concatenate((total[None], local)).sum(axis=0)  # in grid order, for any block
     return float(np.linalg.norm(total)) / 15.0

@@ -40,7 +40,9 @@ def propagate(h, t_end: float, steps: int) -> PropagationResult:
     `h` is a BlockedHamiltonian or a plain evaluator t -> matrix.  H is read
     once per step, at the midpoints, before the first step; the first read
     fixes N, and checked_stack names the first midpoint that breaks the model
-    contract.  The step exponentials take one batched eigendecomposition.
+    contract.  The step exponentials are one call of the solvers' stacked
+    Taylor step exponential (linalg._unitary_step, by _expm1), with no
+    decomposition.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")

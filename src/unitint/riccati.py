@@ -8,12 +8,14 @@ the projective image of the linear flow dU/dt = -iH U: for a segment that
 starts at grid node s, W_j = U_j U_s^H [0; I_n] = [X; Y] gives z_j = X Y^-1
 (_project; _projective_rhs is the same flow written for W = [z; I_n]).  So
 every Riccati path integrates one thing, the product U_j = P_{j-1} ... P_0
-of unitary fourth-order Magnus steps P_j of H (_magnus4, one batched eigh
-per _BLOCK steps), chained N x N by linalg._running_product, the oracle's
+of unitary fourth-order Magnus steps P_j of H (_magnus4: the Taylor step
+exponential linalg._expm1 over _BLOCK steps at a time, with no
+decomposition), chained N x N by linalg._running_product, the oracle's
 kernel (_product), and reads z from it.  A step whose Magnus exponent
 spans pi or more, dt (lambda_max - lambda_min) >= pi, does not resolve the
 model: the product stops before it and the path raises StiffnessError
-with its t and step.
+with its t and step.  A norm bound certifies the resolved steps; only a
+step it cannot certify takes an eigvalsh for its exact spread.
 
 Every Riccati solver path, and the linear Bloch precession, reads its model
 through one function, ``_drive``, whose docstring is the one description of
@@ -33,7 +35,7 @@ from __future__ import annotations
 import numpy as np
 
 from .hamiltonian import SO5Coefficients, build_so5
-from .linalg import PAULI, _running_product, dagger
+from .linalg import PAULI, _expm1, _running_product, dagger
 
 DEFAULT_Z_MAX = 10.0
 # Restarts closer together than this many grid steps indicate the trajectory
@@ -46,6 +48,9 @@ _BLOCK = 2048
 # Nodes of the fold search's first window, and of its first after each
 # fold; each window after it doubles, up to _BLOCK.
 _WINDOW = 64
+# lambda_max - lambda_min <= |lambda_max| + |lambda_min| <= sqrt(2) ||Omega||_F
+# for Hermitian Omega, rounded up by 1e-9 to cover the roundoff of both sides.
+_BOUND = np.sqrt(2.0) * (1.0 + 1e-9)
 
 
 class StiffnessError(RuntimeError):
@@ -107,39 +112,54 @@ def _simpson(q: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return q[idx[0]] + 4.0 * q[idx[1]] + q[idx[2]]
 
 
-@np.errstate(over="ignore", invalid="ignore")  # an exponent that overflows is an unresolved step
-def _magnus4(H: np.ndarray, idx: np.ndarray, dt: float):
-    """(P, spread): fourth-order Magnus steps P = exp(-i dt Omega), Omega = S + (i dt/12)[H_a, H_b].
+def _omega(H: np.ndarray, idx: np.ndarray, dt: float) -> np.ndarray:
+    """The fourth-order Magnus exponents Omega = S + (i dt/12)[H_a, H_b] of a stack of steps.
 
     H is a stack of Hermitian matrices, such as _drive's node stack, and idx,
     (3, steps), names each step's start, midpoint and end node in it
     (_drive's index), so H_a, H_m and H_b are H at t, t + dt/2 and t + dt,
     and S is their Simpson mean (_simpson's sum over 6).  Omega is
-    Hermitian, so each step is unitary to roundoff, and the steps take one
-    batched eigh, whose spectrum gives spread = dt (lambda_max -
-    lambda_min) for free: the Magnus series converges while it is below pi
-    (inf for an exponent that is not finite).  P is formed as I + Q (e^{-i
-    dt w} - 1) Q^H, with e^{-ix} - 1 = -2 sin^2(x/2) - i sin x, so the
-    roundoff of the eigenvectors scales with dt ||Omega||, not with I, and
-    a zero H gives P = I exactly.  (Blanes, Casas, Oteo & Ros, Phys. Rep.
-    470 (2009) 151.)
+    Hermitian, and exp(-i dt Omega) is the step (Blanes, Casas, Oteo & Ros,
+    Phys. Rep. 470 (2009) 151).
     """
     H_a, H_b = H[idx[::2]]
     C = H_a @ H_b
-    omega = _simpson(H, idx) / 6.0 + (1j * dt / 12.0) * (C - dagger(C))  # [H_a, H_b], as (H_a H_b)^H = H_b H_a
+    return _simpson(H, idx) / 6.0 + (1j * dt / 12.0) * (C - dagger(C))  # [H_a, H_b], as (H_a H_b)^H = H_b H_a
+
+
+@np.errstate(over="ignore", invalid="ignore")  # an exponent that overflows is an unresolved step
+def _magnus4(H: np.ndarray, idx: np.ndarray, dt: float):
+    """(P, spread): the fourth-order Magnus steps P = exp(-i dt Omega) of _omega, and their guard.
+
+    P is I + linalg._expm1(-i dt Omega), so each step is unitary to roundoff
+    and a zero H gives P = I exactly.  The Magnus series converges while the
+    exponent's spread dt (lambda_max - lambda_min) of Omega is below pi.
+    The spread is at most _BOUND dt ||Omega||_F, from the norm _expm1 takes
+    anyway, so a step whose bound is below pi is resolved with no
+    decomposition, and spread reads that bound.  Only a step the bound
+    cannot certify takes an eigvalsh, and spread reads its exact spread, so
+    every step at or above pi, which the product refuses, reads its exact
+    spread.  A step whose exponent is not finite reads inf (and P = I).
+    """
+    omega = _omega(H, idx, dt)
     finite = np.isfinite(omega).all(axis=(-2, -1))
     omega[~finite] = 0.0
-    w, Q = np.linalg.eigh(omega)
-    spread = np.where(finite, dt * (w[..., -1] - w[..., 0]), np.inf)
-    P = (Q * (-2.0 * np.sin(dt * w / 2.0) ** 2 - 1j * np.sin(dt * w))[..., None, :]) @ dagger(Q)
-    return P + np.eye(P.shape[-1]), spread
+    E, theta = _expm1((-1j * dt) * omega)
+    spread = np.where(finite, _BOUND * theta, np.inf)
+    unsure = finite & ~(spread < np.pi)
+    if unsure.any():
+        w = np.linalg.eigvalsh(omega[unsure])
+        spread[unsure] = dt * (w[..., -1] - w[..., 0])
+    return E + np.eye(E.shape[-1]), spread
 
 
 def _product(values, index, dt: float):
     """(U, error): U_j = P_{j-1} ... P_0 of the Magnus steps over _drive's (values, index), up to the first unresolved step.
 
-    The steps are built _BLOCK at a time (_magnus4) and chained by _chain;
-    a step whose spread reaches pi is not taken.
+    The steps are built _BLOCK at a time (_magnus4: one stacked step
+    exponential, and an eigvalsh only for the steps its norm bound cannot
+    certify) and chained by _chain; a step whose spread reaches pi is not
+    taken.
     """
     N = values.shape[-1]
     U = np.empty((index.shape[1] + 1, N, N), dtype=complex)
@@ -327,17 +347,41 @@ def _drive(read, t_end: float, steps: int, breakpoints=(), Z_max: float = np.inf
         raise ValueError(f"t_end must be finite, got {t_end}")
     if not Z_max > 0:
         raise ValueError(f"Z_max must be positive, got {Z_max}")
-    dt = t_end / steps
-    times = np.linspace(0.0, t_end, steps + 1)
-    nodes = times[:-1] + np.array([[0.0], [dt / 2.0], [dt]])  # (3, steps): start, mid, end
-    for b in breakpoints:
-        nodes = np.where(np.abs(b - nodes) <= 1e-12 * abs(b), b, nodes)
+    times, dt, nodes = _nodes(t_end, steps, breakpoints)
     jump = np.isin(nodes[2], breakpoints)
     nodes[2, jump] = np.nextafter(nodes[2, jump], -np.inf)
     # per step its start (read only after a jump, else the end node before it), midpoint and end
     fresh = np.ones((steps, 3), dtype=bool)
     fresh[1:, 0] = jump[:-1]
     return times, dt, read(nodes.T[fresh]), (np.cumsum(fresh) - 1).reshape(steps, 3).T
+
+
+def _nodes(t_end: float, steps: int, breakpoints=()):
+    """(times, dt, nodes): the grid, and each step's start, midpoint and end time as a (3, steps) array.
+
+    A node within 1e-12 relative of a breakpoint is snapped to it (_drive).
+    """
+    dt = t_end / steps
+    times = np.linspace(0.0, t_end, steps + 1)
+    nodes = times[:-1] + np.array([[0.0], [dt / 2.0], [dt]])
+    for b in breakpoints:
+        nodes = np.where(np.abs(b - nodes) <= 1e-12 * abs(b), b, nodes)
+    return times, dt, nodes
+
+
+def _straddled(t_end: float, steps: int, breakpoints=()) -> bool:
+    """Whether a breakpoint lies inside a step of the grid, not on a step's end node.
+
+    _drive snaps only nodes within 1e-12 relative of a breakpoint; a step
+    that a breakpoint cuts elsewhere (its midpoint included) integrates
+    across the jump and is first order, an error that step doubling does
+    not see, since each doubled step straddles the same jump.
+    solve_factored's est_error reads nan on such a grid.
+    """
+    if not breakpoints:
+        return False
+    nodes = _nodes(t_end, steps, breakpoints)[2]
+    return any(((nodes[0] < b) & (b < nodes[2])).any() for b in breakpoints)
 
 
 def so5_rhs(F: np.ndarray, z: np.ndarray) -> np.ndarray:

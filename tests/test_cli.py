@@ -287,6 +287,11 @@ def test_main_invalid_model_is_solver_error(tmp_path, capsys, model, message):
 _TRIG_N4_N2 = {"family": "trig_random", "N": 4, "n": 2, "params": {}}
 _Z_PAIRS = _constant_model([[0.5, 0.0], [0.0, -0.5]])["params"]["matrix"]
 _SO5, _F0 = {"family": "so5", "N": 4, "n": 2}, [[0.0] * 5] * 5
+# a jump at t = 1.5 of 3: on a grid node at 230 and 232 steps, inside step 115 at 231
+_JUMP_AT_1_5 = {
+    "family": "piecewise", "t_end": 3.0, "tolerances": {"est_error": 1e-6},
+    "params": {"times": [0.0, 1.5], "matrices": [_Z_PAIRS, _constant_model([[0.0, 1.0], [1.0, 0.0]])["params"]["matrix"]]},
+}
 
 
 @pytest.mark.parametrize(
@@ -323,6 +328,8 @@ _SO5, _F0 = {"family": "so5", "N": 4, "n": 2}, [[0.0] * 5] * 5
         ({"params": {"B": [1.0, 0.0]}}, []),
         ({"steps": 1, "tolerances": {"est_error": 1e-6}}, []),
         ({"tolerances": {"est_error": 1e-6}}, ["--steps", "1"]),
+        (_JUMP_AT_1_5 | {"steps": 231}, []),
+        (_JUMP_AT_1_5, ["--steps", "231"]),
     ],
     ids=["no_B", "unknown_family", "tolerance_abc", "unknown_tolerance", "bloch_on_trig",
          "t_end_nan", "bloch_override", "steps_fraction", "steps_bool", "N_fraction",
@@ -330,7 +337,8 @@ _SO5, _F0 = {"family": "so5", "N": 4, "n": 2}, [[0.0] * 5] * 5
          "hierarchical_so5", "constant_N_mismatch", "spin_half_N3", "so5_n1", "harmonics_fraction",
          "harmonics_string", "harmonics_bool", "unknown_parameter", "harmonics_negative",
          "piecewise_decreasing", "so5_F_cos_4x4", "so5_F_sin_4x5", "so5_F_4x4", "constant_2x1",
-         "spin_half_B2", "est_error_one_step", "est_error_one_step_override"],
+         "spin_half_B2", "est_error_one_step", "est_error_one_step_override",
+         "est_error_breakpoint_inside_a_step", "est_error_breakpoint_inside_a_step_override"],
 )
 def test_main_malformed_scenario_is_parse_error(tmp_path, capsys, overrides, args):
     p = _write(tmp_path, "bad.json", _spin_half_scenario(id="bad", **overrides))
@@ -338,6 +346,17 @@ def test_main_malformed_scenario_is_parse_error(tmp_path, capsys, overrides, arg
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("steps", [230, 232])
+def test_main_est_error_with_breakpoints_on_the_grid(tmp_path, steps):
+    # the same scenario as est_error_breakpoint_inside_a_step, with the jump
+    # on a grid node: it runs, and est_error reads roundoff (each piece's
+    # Magnus steps are exact)
+    p = _write(tmp_path, "jump.json", _spin_half_scenario(id="jump", **_JUMP_AT_1_5, steps=steps))
+    assert main(["run", str(p), "--out", str(tmp_path / "out")]) == 0
+    report = json.loads((tmp_path / "out" / "jump_report.json").read_text())
+    assert report["verdicts"]["est_error"]["measured"] < 1e-12
 
 
 def test_main_parses_each_file_once(tmp_path, monkeypatch):

@@ -283,6 +283,25 @@ def test_no_solver_path_calls_rk4_step(monkeypatch):
     assert callers == ["_precess.<locals>.block"] * 3
 
 
+def test_no_solver_path_calls_eigh_on_a_resolved_grid(monkeypatch):
+    # every step exponential is linalg._expm1, and on a grid that resolves
+    # the model the norm bound certifies every Magnus step: no path, the
+    # oracle included, decomposes a matrix to step
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a solver path called an eigendecomposition")
+
+    monkeypatch.setattr(np.linalg, "eigh", forbidden)
+    monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
+    h = trig_random(4, seed=1, scale=2.0)
+    assert np.isfinite(solve_factored(h, 3.0, 100, Z_max=2.0).est_error)
+    assert hierarchical_solve(h, 3.0, 100, Z_max=2.0).level_restarts
+    assert solve_factored(trig_random(4, n=2, seed=1, scale=2.0), 3.0, 100, Z_max=2.0).restarts
+    assert integrate_so5(_so5_coupling(3, 1.5), 1.6, 40, Z_max=1.5)[2]
+    crosscheck_so5(_so5_coupling(3, 1.5), 1.6, 40, Z_max=1.5)
+    crosscheck_su2([1.0, 0.5, 0.0], 4.0, 100)
+    assert np.isfinite(propagate(h, 3.0, 100).U_final).all()
+
+
 def test_rk4_exponential_decay():
     y = np.array([1.0])
     dt = 0.1
