@@ -3,7 +3,10 @@
 ``unitint run scenario.json`` integrates one or more scenario files along the
 requested solver paths (factorized, hierarchical, bloch, oracle), writes a
 trajectory CSV and a JSON report per scenario, and exits nonzero when a
-named tolerance fails.  The ``est_error`` tolerance gates on the factorized
+named tolerance fails.  The two Riccati paths are read from one
+integration per scenario (factorization._solve: one model read, one
+Magnus product, one level-0 fold search), each equal to its standalone
+solver's result bit for bit.  The ``est_error`` tolerance gates on the factorized
 path's estimate of its own error in the final U (solve_factored's
 est_error, step doubling on the grid's own nodes): an estimate, not a
 bound, that read 0.999 to 1.001 times the error on smooth models.  A
@@ -21,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 from pathlib import Path
@@ -29,10 +33,10 @@ import numpy as np
 
 from . import bloch as bloch_mod
 from .factorization import (
+    _solve,
     effective_hamiltonian_hermitian,
     gamma1_inv_sqrt_closed,
     gamma1_sqrt_closed,
-    hierarchical_solve,
     recursion_hamiltonian,
     solve_factored,
     unitarity_closure,
@@ -145,7 +149,12 @@ def _check_fields(scenario: dict) -> dict:
 def run_scenario(scenario: dict, out_dir: Path) -> dict:
     """Execute one scenario; returns the report dict (also written to disk).
 
-    A malformed scenario raises ScenarioError before any solve.
+    A malformed scenario raises ScenarioError before any solve.  The model
+    is integrated once (factorization._solve) for the factorized reading,
+    which always runs since it gives the trajectory CSV, and for the peel
+    when the hierarchical path is asked for; the two share one U, so one
+    unitarity check serves both.  A solver error propagates before anything
+    is written.
     """
     scenario, h = parse_scenario(scenario)
     t_end, steps, z_max, paths = (scenario[key] for key in ("t_end", "steps", "Z_max", "paths"))
@@ -155,22 +164,20 @@ def run_scenario(scenario: dict, out_dir: Path) -> dict:
     phases = {}
     bloch_report = None
 
-    # the factorized solve always runs: it provides the trajectory CSV
-    factored = solve_factored(h, t_end, steps, Z_max=z_max)
+    factored, hier = _solve(h, t_end, steps, z_max, peel="hierarchical" in paths)
     restart_log = [{"path": "factorized", "t": float(t)} for t, _ in factored.restarts]
-    if "factorized" in paths:
-        endpoint_U["factorized"] = factored.U_samples[-1]
-        unitarity["factorized"] = _worst_unitarity(factored.U_samples)
-        if factored.mu_total is not None:
-            phases["factorized"] = {
-                "mu_total": float(factored.mu_total[-1]),
-                "geometric": float(factored.phase_geometric[-1]),
-                "dynamical": float(factored.phase_dynamical[-1]),
-            }
-    if "hierarchical" in paths:
-        hier = hierarchical_solve(h, t_end, steps, Z_max=z_max)
-        endpoint_U["hierarchical"] = hier.U_samples[-1]
-        unitarity["hierarchical"] = _worst_unitarity(hier.U_samples)
+    riccati_paths = [path for path in ("factorized", "hierarchical") if path in paths]
+    if riccati_paths:
+        defect = _worst_unitarity(factored.U_samples)
+        for path in riccati_paths:
+            endpoint_U[path], unitarity[path] = factored.U_samples[-1], defect
+    if "factorized" in paths and factored.mu_total is not None:
+        phases["factorized"] = {
+            "mu_total": float(factored.mu_total[-1]),
+            "geometric": float(factored.phase_geometric[-1]),
+            "dynamical": float(factored.phase_dynamical[-1]),
+        }
+    if hier is not None:
         restart_log += [
             {"path": "hierarchical", "t": float(t), "level": level} for t, level in hier.level_restarts
         ]
@@ -411,7 +418,9 @@ def _cmd_verify(args) -> int:
     return 1 if failed else 0
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parse_args does not change it."""
     parser = argparse.ArgumentParser(
         prog="unitint",
         description="Riccati-factorized evolution operators: scenario runner and verifier.",
@@ -435,8 +444,11 @@ def main(argv=None) -> int:
     p_verify.add_argument("--count", type=int, default=50)
     p_verify.add_argument("--max-dim", type=int, default=6, dest="max_dim")
     p_verify.set_defaults(func=_cmd_verify)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     return args.func(args)
 
 

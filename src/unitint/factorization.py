@@ -3,9 +3,10 @@
 The evolution operator factors as U = U1 U2: a base-manifold factor U1
 built from the nilpotent block-triangular exponentials and unitarized by a
 block-diagonal gauge factor, and a block-diagonal fiber factor U2 with
-Hermitian effective Hamiltonians.  Both solvers integrate U once, as one
-product of Magnus steps (riccati._product), and read the factors from it:
-z by riccati._fold_search and U2 = U1(z)^H U by _frames.  For block size 1
+Hermitian effective Hamiltonians.  Both solvers read one integration of U
+(_integrate: one product of Magnus steps, riccati._product, and its fold
+search), and read the factors from it: z by riccati._fold_search and U2 =
+U1(z)^H U by _frames; _solve reads both solvers' results from one.  For block size 1
 the lower fiber block is a pure phase (the corner phase) with a clean
 geometric/dynamical split, and peeling one level at a time, each level's
 operator the top block of the fiber above it, yields the full hierarchical
@@ -270,6 +271,48 @@ def _next_level(Htop: np.ndarray, z: np.ndarray, u: np.ndarray, phi_rate=None) -
 
 
 # ---------------------------------------------------------------------------
+# one integration, read by both solvers
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class _Integration:
+    """One integration of a model, which solve_factored and hierarchical_solve read.
+
+    ``values`` and ``index`` are _drive's node stack and index on the grid
+    ``times`` (step dt), U the Magnus product (riccati._product) at the grid
+    nodes, and W, folds and starts level 0's riccati._fold_search of U at
+    Z_max.  The node stack is the one large part that no result keeps: its
+    last reader sets ``values`` to None.
+    """
+
+    h: BlockedHamiltonian
+    Z_max: float
+    times: np.ndarray
+    dt: float
+    values: np.ndarray | None
+    index: np.ndarray
+    U: np.ndarray
+    W: np.ndarray
+    folds: list
+    starts: list
+
+
+def _integrate(h: BlockedHamiltonian, t_end: float, steps: int, Z_max: float) -> _Integration:
+    """Read H on _drive's node schedule, chain the product and search level 0's folds.
+
+    An unresolved step of the product raises StiffnessError after the
+    search, so a fold that the guard refuses before it raises first.
+    """
+    times, dt, values, index = _drive(h.read, t_end, steps, h.breakpoints, Z_max)
+    U, unresolved = _product(values, index, dt)
+    W, folds, starts = _fold_search(U, h.n, dt, Z_max)
+    if unresolved:
+        raise unresolved
+    return _Integration(h, Z_max, times, dt, values, index, U, W, folds, starts)
+
+
+# ---------------------------------------------------------------------------
 # direct factored solve (any block size)
 # ---------------------------------------------------------------------------
 
@@ -307,8 +350,11 @@ def solve_factored(
     H is read on _drive's node schedule (t, t + dt/2 and t + dt per step,
     breakpoints of a piecewise model included) in one BlockedHamiltonian.read
     before the first step (ModelError for a non-Hermitian, non-traceless or
-    non-finite model).  The solve integrates one thing, and reads every
-    factor from it.
+    non-finite model).  The solve integrates one thing (_integrate: the node
+    stack, the product and the fold search, the integration that
+    hierarchical_solve reads too), and reads every factor from it.
+    cli.run_scenario reads this result and the peel's from one integration
+    (_solve).
 
     - The product (riccati._product): U_j = P_{j-1} ... P_0, with P_j the
       unitary fourth-order Magnus step of H on the step's three nodes
@@ -340,31 +386,42 @@ def solve_factored(
       step (riccati._straddled): that step crosses the jump and is first
       order, which step doubling does not see.
     """
+    return _solve(h, t_end, steps, Z_max)[0]
+
+
+def _solve(h: BlockedHamiltonian, t_end: float, steps: int, Z_max: float, peel: bool = False):
+    """(FactoredResult, HierarchicalResult or None): solve_factored's reading of one _integrate, and hierarchical_solve's if peel.
+
+    Each result equals its standalone solver's, field for field and bit for
+    bit, and the two share one U.  cli.run_scenario reads both paths here.
+    The factorized readings of the node stack (est_error and the n = 1
+    phases) come first, then the peel (_peel), the stack's last reader,
+    which frees it after level 0's node pass.  The fiber U2 is allocated
+    last, once the stack and the peel's levels are gone.
+    """
+    run = _integrate(h, t_end, steps, Z_max)
     n = h.n
     m = h.N - n
-    times, dt, values, index = _drive(h.read, t_end, steps, h.breakpoints, Z_max)
-    U, unresolved = _product(values, index, dt)
-    W, folds, starts = _fold_search(U, n, dt, Z_max)
-    if unresolved:
-        raise unresolved
-    est_error = float("nan") if _straddled(t_end, steps, h.breakpoints) else _est_error(values, index, dt, U)
+    dt, U, W = run.dt, run.U, run.W  # not run.values: the peel frees the node stack
+    est_error = float("nan") if _straddled(t_end, steps, h.breakpoints) else _est_error(run.values, run.index, dt, U)
     phases = {}
     if n == 1:  # the phases, by Simpson's rule
         inc = np.zeros((steps + 1, 3))  # per step's end node: the phases' increments
         rates = None
-        for a, b, X, Wn, idx in _node_pass(values, index, W, folds, dt)[1]:
+        for a, b, X, Wn, idx in _node_pass(run.values, run.index, W, run.folds, dt)[1]:
             v, z = X[:, :-1, -1], Wn[1:, :-1, 0]
             (mu_rate, geo_rate, _), _ = _peel_level(X[:, :-1, :-1], v, X[:, -1, -1], z)
             rates = _carry(rates, np.stack((mu_rate, geo_rate, -2.0 * np.sum(v.conj() * z, axis=-1).imag), axis=-1))
             inc[a + 1 : b + 1] = (dt / 6.0) * _simpson(rates, idx)
         mu, geo, imu = np.cumsum(inc, axis=0).T
         phases = dict(mu_total=mu, phase_geometric=geo, phase_dynamical=mu - geo, imag_mu=imu)
-    del values  # the node stack, before the fiber is read
+    hier = _peel(run) if peel else None
+    run.values = None  # the node stack, before the fiber is read
     U2 = np.zeros_like(U)
-    for a, b, top, bottom in _frames(U, W, starts, n):
+    for a, b, top, bottom in _frames(U, W, run.starts, n):
         U2[a:b, :m, :m], U2[a:b, m:, m:] = top, bottom
-    restarts = [(times[s], U[s].copy()) for s in starts[1:]]
-    return FactoredResult(h, times, np.ascontiguousarray(W[:, :m]), U, U2, restarts, est_error, **phases)
+    restarts = [(run.times[s], U[s].copy()) for s in run.starts[1:]]
+    return FactoredResult(h, run.times, np.ascontiguousarray(W[:, :m]), U, U2, restarts, est_error, **phases), hier
 
 
 def _frames(op: np.ndarray, W: np.ndarray, starts: list, n: int):
@@ -550,17 +607,20 @@ def hierarchical_solve(
 
     H is read on _drive's node schedule in one BlockedHamiltonian.read before
     the first step (ModelError for a non-Hermitian, non-traceless or
-    non-finite model), and integrated once, as solve_factored's product of
-    Magnus steps U_j (StiffnessError at an unresolved step).  U_samples is
-    U_j.  The peel SU(N) -> SU(N - 1) -> ... -> U(1) is a cascade of
-    readings of it, the L = N - 1 levels one after another, level 0 first.
+    non-finite model), and integrated once by _integrate, solve_factored's
+    integration: its product of Magnus steps U_j (StiffnessError at an
+    unresolved step) and its fold search, which is level 0's.  U_samples is
+    U_j.  cli.run_scenario reads this result and solve_factored's from one
+    integration (_solve).  The peel SU(N) -> SU(N - 1) -> ... -> U(1) is a
+    cascade of readings of it, the L = N - 1 levels one after another,
+    level 0 first.
 
     - Level k's operator: U_j for level 0; for level k + 1, the top
       (N - k - 1) x (N - k - 1) block of level k's fiber U1(z_k)^H op_j
       op_s^H (_frames), in U(N - k - 1): its scalar phase cancels in z.
       Only one level's operator is alive at a time.
     - Level k's z_k is read from its operator by riccati._fold_search.
-      Level 0 restarts at Z_max, so it is solve_factored's reading and
+      Level 0 restarts at Z_max: its search is solve_factored's, so it
       folds where solve_factored folds; the levels below it restart at
       Z_max / 2.  Every restart of level k, at node j, is handed down to
       level k + 1 with the operator level k + 1 reached there (the top
@@ -582,17 +642,24 @@ def hierarchical_solve(
     """
     if h.n != 1:
         raise UnsupportedConfigurationError("hierarchical solve peels with n=1")
-    L = h.N - 1
-    times, dt, values, index = _drive(h.read, t_end, steps, h.breakpoints, Z_max)
-    U, unresolved = _product(values, index, dt)
-    inc = np.zeros((steps + 1, 3, L))  # at each grid node, each level's phase increments
+    return _peel(_integrate(h, t_end, steps, Z_max))
+
+
+def _peel(run: _Integration) -> HierarchicalResult:
+    """hierarchical_solve's reading of an n = 1 _integrate, whose fold search is level 0's.
+
+    It is the node stack's last reader: it sets run.values to None, and
+    the stack is freed once level 0's node pass has read it.
+    """
+    L, dt, U = run.h.N - 1, run.dt, run.U
+    values, index, run.values = run.values, run.index, None
+    inc = np.zeros((len(U), 3, L))  # at each grid node, each level's phase increments
     op, handed, folds = U, {}, []
     for k in range(L):
-        W, reached, starts = _fold_search(op, 1, dt, Z_max / 2 if k else Z_max, handed)
-        if unresolved:
-            raise unresolved
-        if not k:
-            z0 = np.ascontiguousarray(W[:, :-1])
+        if k:
+            W, reached, starts = _fold_search(op, 1, dt, run.Z_max / 2, handed)
+        else:  # level 0: the integration's own search, at Z_max
+            W, reached, starts = run.W, run.folds, run.starts
         folds += [(j, k) for j in starts[1:] if j not in handed]
         nodes, blocks = _node_pass(values, index, W, reached, dt)
         H_next = np.empty((nodes[2, -1] + 1, L - k, L - k), complex) if k + 1 < L else None  # the innermost has no next
@@ -618,9 +685,10 @@ def hierarchical_solve(
             handed = dict(zip(ends, _fiber(z_ends, ops @ dagger(op[starts[:-1]]))[0]))
             op = below
     mu, geo, phi = np.moveaxis(np.cumsum(inc, axis=0), 1, 0)
-    restarts = [(times[j], U[j].copy()) for j, level in sorted(folds) if level == 0]
-    level_restarts = [(times[j], level) for j, level in sorted(folds)]
-    return HierarchicalResult(h, times, z0, U, mu, geo, mu - geo, phi, restarts, level_restarts)
+    restarts = [(run.times[j], U[j].copy()) for j, level in sorted(folds) if level == 0]
+    level_restarts = [(run.times[j], level) for j, level in sorted(folds)]
+    z0 = np.ascontiguousarray(run.W[:, :-1])
+    return HierarchicalResult(run.h, run.times, z0, U, mu, geo, mu - geo, phi, restarts, level_restarts)
 
 
 def schrodinger_residual(h: BlockedHamiltonian, times: np.ndarray, U_samples: np.ndarray) -> float:

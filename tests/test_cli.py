@@ -1,4 +1,6 @@
+import argparse
 import csv
+import dataclasses
 import json
 
 import numpy as np
@@ -6,16 +8,21 @@ import pytest
 
 import unitint.bloch
 import unitint.cli
+import unitint.factorization
+import unitint.riccati
 from unitint.cli import (
     ScenarioError,
     _worst_unitarity,
     load_scenario,
     main,
+    parse_scenario,
     run_property_suite,
     run_scenario,
 )
+from unitint.factorization import hierarchical_solve, solve_factored
 from unitint.hamiltonian import BlockedHamiltonian
-from unitint.linalg import unitarity_defect
+from unitint.linalg import random_traceless_hermitian, unitarity_defect
+from unitint.riccati import StiffnessError
 
 
 def _write(tmp_path, name, payload):
@@ -99,21 +106,22 @@ def test_run_scenario_spin_half(tmp_path):
 
 
 def test_run_scenario_solves_each_path_once(tmp_path, monkeypatch):
-    # all four paths: one factored solve, shared by the bloch path, and each
-    # path reads H once per node: 3 (2S + 1) for the RK4 paths, S for the oracle
-    solves, reads = [], []
-    solve, read = unitint.cli.solve_factored, BlockedHamiltonian.read
+    # all four paths: one Magnus product, read by both Riccati paths and the
+    # bloch path, and H read once per node: 2S + 1 for the one integration and
+    # for the bloch path's precession, S for the oracle
+    products, reads = [], []
+    product, read = unitint.riccati._product, BlockedHamiltonian.read
 
-    def counting_solve(*args, **kwargs):
-        solves.append(args)
-        return solve(*args, **kwargs)
+    def counting_product(*args, **kwargs):
+        products.append(args)
+        return product(*args, **kwargs)
 
     def counting_read(self, ts):
         reads.extend(ts)
         return read(self, ts)
 
-    monkeypatch.setattr(unitint.cli, "solve_factored", counting_solve)
-    monkeypatch.setattr(unitint.bloch, "solve_factored", counting_solve)
+    monkeypatch.setattr(unitint.riccati, "_product", counting_product)
+    monkeypatch.setattr(unitint.factorization, "_product", counting_product)
     monkeypatch.setattr(BlockedHamiltonian, "read", counting_read)
     steps = 52
     s = _spin_half_scenario(
@@ -123,8 +131,89 @@ def test_run_scenario_solves_each_path_once(tmp_path, monkeypatch):
     )
     report = run_scenario(s, tmp_path)
     assert all(v["pass"] for v in report["verdicts"].values())
-    assert len(solves) == 1
-    assert len(reads) == 3 * (2 * steps + 1) + steps
+    assert len(products) == 1
+    assert len(reads) == 2 * (2 * steps + 1) + steps
+
+
+def _pairs(M):
+    return [[[float(v.real), float(v.imag)] for v in row] for row in M]
+
+
+def _both_paths_scenarios():
+    rng = np.random.default_rng(7)
+    both = ["factorized", "hierarchical", "oracle"]
+    return [
+        {"id": "constant", "family": "constant", "N": 3,
+         "params": {"matrix": _pairs(random_traceless_hermitian(rng, 3, 2.0))},
+         "t_end": 2.0, "steps": 110, "paths": both},
+        _spin_half_scenario(id="rotating", params={"B0": 1.2, "B1": 0.8, "omega": 1.7}, t_end=2.0,
+                            steps=52, paths=["factorized", "hierarchical", "bloch", "oracle"]),
+        {"id": "piecewise", "family": "piecewise", "N": 4,
+         "params": {"times": [0.0, 0.5, 1.0, 1.5],
+                    "matrices": [_pairs(random_traceless_hermitian(rng, 4, 2.0)) for _ in range(4)]},
+         "t_end": 2.0, "steps": 88, "paths": both},
+        {"id": "folding", "family": "trig_random", "N": 4, "seed": 11,
+         "params": {"harmonics": 2, "scale": 2.0}, "t_end": 2.0, "steps": 84, "Z_max": 2.0, "paths": both},
+    ]
+
+
+def _assert_same_result(result, alone):
+    # every field but the model, bit for bit; restarts hold (t, U) or (t, level)
+    for f in dataclasses.fields(result):
+        mine, theirs = getattr(result, f.name), getattr(alone, f.name)
+        if f.name == "h":
+            continue
+        if f.name.endswith("restarts"):
+            assert len(mine) == len(theirs), f.name
+            for a, b in zip(mine, theirs):
+                assert a[0] == b[0] and np.array_equal(a[1], b[1]), f.name
+        else:
+            assert np.array_equal(mine, theirs, equal_nan=True), f.name
+
+
+def test_run_scenario_reads_both_paths_from_one_integration(tmp_path, monkeypatch):
+    # one integration gives each Riccati path the result of its standalone
+    # solver, field for field and bit for bit, and both results share one U
+    solved = []
+    solve = unitint.cli._solve
+    monkeypatch.setattr(unitint.cli, "_solve", lambda *a, **kw: solved.append(solve(*a, **kw)) or solved[-1])
+    for scenario in _both_paths_scenarios():
+        solved.clear()
+        run_scenario(scenario, tmp_path)
+        (factored, hier), = solved
+        parsed, h = parse_scenario(scenario)
+        args = (h, parsed["t_end"], parsed["steps"])
+        _assert_same_result(factored, solve_factored(*args, Z_max=parsed["Z_max"]))
+        _assert_same_result(hier, hierarchical_solve(*args, Z_max=parsed["Z_max"]))
+        assert hier.U_samples is factored.U_samples
+        if scenario["id"] == "folding":
+            assert factored.restarts and len(hier.level_restarts) > len(hier.restarts)
+
+
+def test_run_scenario_keeps_the_error_order(tmp_path, capsys):
+    # an unresolved step of the one product raises what a standalone
+    # solve_factored raises; a fold refused below level 0 (solve_factored's
+    # reading succeeds) still fails the run.  Both exit 3 and write nothing
+    unresolved = _spin_half_scenario(id="unresolved", params={"B": [60.0, 0.0, 0.0]}, t_end=2.0, steps=12,
+                                     paths=["factorized", "hierarchical"])
+    deep = {"id": "deep", "family": "trig_random", "N": 3, "seed": 1, "params": {"scale": 2.0},
+            "t_end": 3.0, "steps": 40, "Z_max": 1.0, "paths": ["factorized", "hierarchical"]}
+    out = tmp_path / "out"
+    cases = ((unresolved, solve_factored, "unresolved step"), (deep, hierarchical_solve, "restart requested again"))
+    for scenario, solver, what in cases:
+        parsed, h = parse_scenario(scenario)
+        args = (h, parsed["t_end"], parsed["steps"])
+        if solver is hierarchical_solve:
+            solve_factored(*args, Z_max=parsed["Z_max"])
+        with pytest.raises(StiffnessError, match=what) as alone:
+            solver(*args, Z_max=parsed["Z_max"])
+        with pytest.raises(StiffnessError) as run:
+            run_scenario(scenario, out)
+        assert (str(run.value), run.value.t, run.value.step) == (str(alone.value), alone.value.t, alone.value.step)
+        path = _write(tmp_path, f"{scenario['id']}.json", scenario)
+        assert main(["run", str(path), "--out", str(out)]) == 3
+        assert capsys.readouterr().err == f"solver error in {scenario['id']}: {alone.value}\n"
+    assert not out.exists()
 
 
 def test_unitarity_verdict_includes_the_endpoint():
@@ -370,6 +459,25 @@ def test_main_parses_each_file_once(tmp_path, monkeypatch):
     assert calls == ["fields", "model"] * 2
 
 
+def test_main_builds_its_parser_once(tmp_path, monkeypatch):
+    # the parser is built on the first call and reused by every call after it
+    built, init = [], argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self.prog)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    unitint.cli._parser.cache_clear()
+    try:
+        p = _write(tmp_path, "s.json", _spin_half_scenario(steps=20))
+        for _ in range(2):
+            assert main(["run", str(p), "--out", str(tmp_path / "out")]) == 0
+    finally:
+        unitint.cli._parser.cache_clear()  # later calls build a parser of their own
+    assert built == ["unitint", "unitint run", "unitint verify"]
+
+
 @pytest.mark.parametrize("sid", ["../escaped", "", ".", "..", "a/b", "a\\b"])
 def test_main_id_must_be_plain_file_name(tmp_path, capsys, sid):
     out = tmp_path / "run" / "out"
@@ -412,15 +520,16 @@ def test_outputs_deterministic(tmp_path):
 def test_trajectory_csv_contents(tmp_path, monkeypatch):
     # every cell parses back to the solve's own value, bit for bit
     solved = []
-    solve, pictures = unitint.cli.solve_factored, unitint.bloch.crosscheck_pictures
+    solve, pictures = unitint.cli._solve, unitint.bloch.crosscheck_pictures
 
-    def keep(fn):
+    def keep(fn, part=lambda result: result):
         def wrapped(*args, **kwargs):
-            solved.append(fn(*args, **kwargs))
-            return solved[-1]
+            result = fn(*args, **kwargs)
+            solved.append(part(result))
+            return result
         return wrapped
 
-    monkeypatch.setattr(unitint.cli, "solve_factored", keep(solve))
+    monkeypatch.setattr(unitint.cli, "_solve", keep(solve, lambda results: results[0]))  # the factorized reading
     monkeypatch.setattr(unitint.bloch, "crosscheck_pictures", keep(pictures))
     spin_z = ["t", "z00_re", "z00_im", "mu_total", "phase_geometric", "phase_dynamical"]
     scenarios = [
