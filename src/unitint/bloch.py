@@ -5,9 +5,15 @@ projection: a 3-vector for a single spin, a 5-vector for the SO(5) two-qubit
 model.  In both cases the nonlinear Riccati flow becomes linear precession
 dm/dt = Omega(t) m with an antisymmetric generator, Omega = -[B]x for
 spin-1/2 and 2F for SO(5), which has no coordinate pole.  One integrator
-(precess), stepped by the Riccati paths' driver on their node schedule, and
-one cross-check core serve both models; cross-checking the two pictures,
-including across Riccati restarts, is the point of this module.
+(_precess: RK4 step matrices on a generator node stack in
+riccati._drive's layout) and one cross-check core serve both models;
+cross-checking the two pictures, including across Riccati restarts, is the
+point of this module.  The core reads the Riccati picture from a Magnus
+product and Omega from the H node stack it was built from:
+crosscheck_su2 and crosscheck_so5 take both from one integration
+(riccati._integrate), with no fiber and no est_error, and
+crosscheck_pictures takes the product of a factored solve and reads its
+model again.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .factorization import FactoredResult, base_coordinate, solve_factored
+from .factorization import FactoredResult, base_coordinate
 from .hamiltonian import (
     _SO5_GENERATORS,
     EPSILON,
@@ -30,7 +36,7 @@ from .hamiltonian import (
     spin_half,
 )
 from .linalg import PAULI
-from .riccati import _BLOCK, DEFAULT_Z_MAX, _chain, _drive, so5_z_params
+from .riccati import _BLOCK, DEFAULT_Z_MAX, _chain, _drive, _integrate, so5_z_params
 
 # A step's RK4 step matrix P is unresolved when ||P^H P - I||_F exceeds this.
 # For one eigenvalue of the generator, |R(i x)|^2 = 1 - x^6/72 + x^8/576 at
@@ -71,15 +77,19 @@ def precess(omega, t_end: float, steps: int) -> np.ndarray:
     are no restarts; a step whose step matrix is far from orthogonal raises
     StiffnessError.
     """
-    return _precess(lambda ts: checked_stack("Omega", ts, omega, contract=F_CONTRACT, dtype=float), t_end, steps)[0]
+    _, dt, _, values, index = _drive(
+        lambda ts: checked_stack("Omega", ts, omega, contract=F_CONTRACT, dtype=float), t_end, steps
+    )
+    return _precess(values, index, dt)[0]
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a step matrix that overflows fails the guard
-def _precess(read, t_end: float, steps: int, breakpoints=()):
+def _precess(values: np.ndarray, index: np.ndarray, dt: float):
     """(m, omega) at the grid nodes: m <- P_j m from the pole, one RK4 step matrix per step.
 
-    read(ts) gives the generators at the nodes of _drive's schedule, and
-    P_j is RK4's step matrix for dm/dt = omega m on the step's three nodes
+    values and index are a stack of generators and its index in _drive's
+    layout (precess and the cross-checks read them), and P_j is RK4's step
+    matrix for dm/dt = omega m on the step's three nodes
     (_rk4_propagator), built _BLOCK steps at a time.  The flow is linear
     and m has no pole, so m is chained with no projection and no restart
     (riccati._chain, as the Riccati paths' product).  Each block's defects
@@ -87,8 +97,7 @@ def _precess(read, t_end: float, steps: int, breakpoints=()):
     step whose defect exceeds MAX_STEP_DEFECT or is not finite raises
     StiffnessError.  omega at a jump is the fresh read.
     """
-    _, dt, values, index = _drive(read, t_end, steps, breakpoints)
-    m = np.empty((steps + 1, values.shape[-1]))
+    m = np.empty((index.shape[1] + 1, values.shape[-1]))
     m[0] = np.eye(values.shape[-1])[-1]
 
     def block(a):
@@ -136,14 +145,24 @@ class CrosscheckReport:
     fd_residual: float  # max |dm/dt - Omega m| along m_riccati, centered differences
 
 
-def _crosscheck(result: FactoredResult, omegas) -> CrosscheckReport:
-    """Compare a factored solve's Riccati picture with precession under the stack omegas(ts)."""
-    times = result.times
-    if result.h.N == 2:
-        m_ric = project2(base_coordinate(result.U_samples, 2, 1)[:, 0, 0])
+def _crosscheck(times, U, restarts: int, dt: float, ts, H, index) -> CrosscheckReport:
+    """Compare the Riccati picture of a product U with precession under the Omega that H gives.
+
+    times and U are the grid and the Magnus product at its nodes, which
+    folded ``restarts`` times; ts, H and index are the model's read times,
+    node stack and index in _drive's layout on that grid (step dt).  U is
+    2 x 2, a spin-1/2 model, or 4 x 4, an SO(5) one.  Omega is recovered
+    from H in one pass: -[B]x with B = -Re tr(H sigma), or 2F with F =
+    _so5_fields(ts, H), which names the first node outside the SO(5) span.
+    """
+    if U.shape[-1] == 2:
+        m_ric = project2(base_coordinate(U, 2, 1)[:, 0, 0])
+        # H = -(1/2) sigma.B, so B_i = -Re tr(H sigma_i)
+        omega = _spin_generator(-np.trace(H[:, None] @ np.array(PAULI), axis1=-2, axis2=-1).real)
     else:
-        m_ric = project5(so5_z_params(base_coordinate(result.U_samples, 4, 2)))
-    m_lin, W = _precess(omegas, times[-1], len(times) - 1, result.h.breakpoints)
+        m_ric = project5(so5_z_params(base_coordinate(U, 4, 2)))
+        omega = 2.0 * _so5_fields(ts, H)
+    m_lin, W = _precess(omega, index, dt)
     dm = (m_ric[2:] - m_ric[:-2]) / (times[2:] - times[:-2])[:, None]
     rhs = (W[1:-1] @ m_ric[1:-1, :, None])[..., 0]
     den = float(np.sum(rhs * rhs))
@@ -153,17 +172,30 @@ def _crosscheck(result: FactoredResult, omegas) -> CrosscheckReport:
         m_linear=m_lin,
         max_deviation=float(np.max(np.linalg.norm(m_ric - m_lin, axis=1))),
         norm_drift=float(np.max(np.abs(np.linalg.norm(m_lin, axis=1) - 1.0))),
-        restarts=len(result.restarts),
+        restarts=restarts,
         kappa=float(np.sum(dm * rhs)) / den if den > 0 else float("nan"),
         fd_residual=float(np.max(np.abs(dm - rhs), initial=0.0)),
     )
 
 
+def _crosscheck_model(h, t_end: float, steps: int, Z_max: float) -> CrosscheckReport:
+    """The cross-check read from one integration of h (riccati._integrate): its node stack and its product."""
+    run = _integrate(h, t_end, steps, Z_max)
+    return _crosscheck(run.times, run.U, len(run.starts) - 1, run.dt, run.ts, run.values, run.index)
+
+
 def crosscheck_su2(
     B, t_end: float, steps: int, Z_max: float = DEFAULT_Z_MAX
 ) -> CrosscheckReport:
-    """Compare the Riccati picture with linear precession for a spin-1/2 field B(t)."""
-    return crosscheck_pictures(solve_factored(spin_half(B), t_end, steps, Z_max=Z_max))
+    """Compare the Riccati picture with linear precession for a spin-1/2 field B(t).
+
+    One integration of spin_half(B) (riccati._integrate) gives both
+    pictures: B is read once per node of the schedule, and Omega = -[B]x is
+    recovered from that H stack.  The report equals crosscheck_pictures of
+    solve_factored(spin_half(B)) field for field, with no fiber and no
+    est_error computed.
+    """
+    return _crosscheck_model(spin_half(B), t_end, steps, Z_max)
 
 
 def crosscheck_so5(
@@ -171,28 +203,31 @@ def crosscheck_so5(
 ) -> CrosscheckReport:
     """Compare the Riccati picture with the linear 5-vector equation dm/dt = 2 F m.
 
-    The solve and the precession each read the model once per node of the
-    schedule (crosscheck_pictures recovers F from a second checked read of
-    H), so F is evaluated twice per node.
+    One integration of build_so5(coeffs) (riccati._integrate) gives both
+    pictures: F is read once per node of the schedule, 2 steps + 1 reads,
+    and 2F is recovered from that H stack (ModelError names the first node
+    outside the SO(5) span).  The report equals crosscheck_pictures of
+    solve_factored(build_so5(coeffs)) field for field, with no fiber (its
+    batched SVD) and no est_error computed.
     """
-    return crosscheck_pictures(solve_factored(build_so5(coeffs), t_end, steps, Z_max=Z_max))
+    return _crosscheck_model(build_so5(coeffs), t_end, steps, Z_max)
 
 
 def crosscheck_pictures(result: FactoredResult) -> CrosscheckReport:
     """Cross-check the pictures of a factored solve of a spin-1/2 or SO(5) model.
 
     ``result.h`` is N = 2, or N = 4 with n = 2 and H in the SO(5) span.  H(t)
-    is read as one checked stack (BlockedHamiltonian.read), B(t) or F(t) is
-    recovered from it in one pass, and ModelError names the first node whose
-    H is invalid or outside the model.
+    is read again on the solve's node schedule as one checked stack
+    (BlockedHamiltonian.read), B(t) or F(t) is recovered from it in one
+    pass, and ModelError names the first node whose H is invalid or outside
+    the model.  So a result whose ``h`` was replaced is checked against
+    its own model.
     """
-    h = result.h
-    if h.N == 2:  # H = -(1/2) sigma.B, so B_i = -Re tr(H sigma_i)
-        B = lambda H: -np.trace(H[:, None] @ np.array(PAULI), axis1=-2, axis2=-1).real  # noqa: E731
-        return _crosscheck(result, lambda ts: _spin_generator(B(h.read(ts))))
-    if (h.N, h.n) == (4, 2):
-        return _crosscheck(result, lambda ts: 2.0 * _so5_fields(ts, h.read(ts)))
-    raise ValueError(f"cross-check supports N = 2 and SO(5) models, not N={h.N}, n={h.n}")
+    h, times = result.h, result.times
+    if h.N != 2 and (h.N, h.n) != (4, 2):
+        raise ValueError(f"cross-check supports N = 2 and SO(5) models, not N={h.N}, n={h.n}")
+    _, dt, ts, H, index = _drive(h.read, times[-1], len(times) - 1, h.breakpoints)
+    return _crosscheck(times, result.U_samples, len(result.restarts), dt, ts, H, index)
 
 
 def _spin_generator(B) -> np.ndarray:

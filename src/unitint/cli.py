@@ -236,7 +236,7 @@ def run_scenario(scenario: dict, out_dir: Path) -> dict:
             "max_deviation": bloch_report.max_deviation,
             "norm_drift": bloch_report.norm_drift,
             "restarts": bloch_report.restarts,
-            "kappa": bloch_report.kappa,
+            "kappa": bloch_report.kappa if np.isfinite(bloch_report.kappa) else None,  # JSON has no nan
             "fd_residual": bloch_report.fd_residual,
         }
 

@@ -4,13 +4,13 @@ The evolution operator factors as U = U1 U2: a base-manifold factor U1
 built from the nilpotent block-triangular exponentials and unitarized by a
 block-diagonal gauge factor, and a block-diagonal fiber factor U2 with
 Hermitian effective Hamiltonians.  Both solvers read one integration of U
-(_integrate: one product of Magnus steps, riccati._product, and its fold
-search), and read the factors from it: z by riccati._fold_search and U2 =
-U1(z)^H U by _frames; _solve reads both solvers' results from one.  For block size 1
-the lower fiber block is a pure phase (the corner phase) with a clean
-geometric/dynamical split, and peeling one level at a time, each level's
-operator the top block of the fiber above it, yields the full hierarchical
-solution SU(N) -> SU(N-1) -> ... -> U(1).
+(riccati._integrate: one product of Magnus steps, riccati._product, and its
+fold search), and read the factors from it: z by riccati._fold_search and
+U2 = U1(z)^H U by _frames; _solve reads both solvers' results from one.
+For block size 1 the lower fiber block is a pure phase (the corner phase)
+with a clean geometric/dynamical split, and peeling one level at a time,
+each level's operator the top block of the fiber above it, yields the full
+hierarchical solution SU(N) -> SU(N-1) -> ... -> U(1).
 """
 
 from __future__ import annotations
@@ -24,10 +24,10 @@ from .linalg import _expm1, blockdiag, dagger, inv_sqrt_hpd, sqrt_hpd
 from .riccati import (
     _BLOCK,
     DEFAULT_Z_MAX,
-    _drive,
     _fold_search,
+    _integrate,
+    _Integration,
     _omega,
-    _product,
     _projective_rhs,
     _simpson,
     _straddled,
@@ -271,48 +271,6 @@ def _next_level(Htop: np.ndarray, z: np.ndarray, u: np.ndarray, phi_rate=None) -
 
 
 # ---------------------------------------------------------------------------
-# one integration, read by both solvers
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class _Integration:
-    """One integration of a model, which solve_factored and hierarchical_solve read.
-
-    ``values`` and ``index`` are _drive's node stack and index on the grid
-    ``times`` (step dt), U the Magnus product (riccati._product) at the grid
-    nodes, and W, folds and starts level 0's riccati._fold_search of U at
-    Z_max.  The node stack is the one large part that no result keeps: its
-    last reader sets ``values`` to None.
-    """
-
-    h: BlockedHamiltonian
-    Z_max: float
-    times: np.ndarray
-    dt: float
-    values: np.ndarray | None
-    index: np.ndarray
-    U: np.ndarray
-    W: np.ndarray
-    folds: list
-    starts: list
-
-
-def _integrate(h: BlockedHamiltonian, t_end: float, steps: int, Z_max: float) -> _Integration:
-    """Read H on _drive's node schedule, chain the product and search level 0's folds.
-
-    An unresolved step of the product raises StiffnessError after the
-    search, so a fold that the guard refuses before it raises first.
-    """
-    times, dt, values, index = _drive(h.read, t_end, steps, h.breakpoints, Z_max)
-    U, unresolved = _product(values, index, dt)
-    W, folds, starts = _fold_search(U, h.n, dt, Z_max)
-    if unresolved:
-        raise unresolved
-    return _Integration(h, Z_max, times, dt, values, index, U, W, folds, starts)
-
-
-# ---------------------------------------------------------------------------
 # direct factored solve (any block size)
 # ---------------------------------------------------------------------------
 
@@ -350,8 +308,8 @@ def solve_factored(
     H is read on _drive's node schedule (t, t + dt/2 and t + dt per step,
     breakpoints of a piecewise model included) in one BlockedHamiltonian.read
     before the first step (ModelError for a non-Hermitian, non-traceless or
-    non-finite model).  The solve integrates one thing (_integrate: the node
-    stack, the product and the fold search, the integration that
+    non-finite model).  The solve integrates one thing (riccati._integrate:
+    the node stack, the product and the fold search, the integration that
     hierarchical_solve reads too), and reads every factor from it.
     cli.run_scenario reads this result and the peel's from one integration
     (_solve).
@@ -607,11 +565,11 @@ def hierarchical_solve(
 
     H is read on _drive's node schedule in one BlockedHamiltonian.read before
     the first step (ModelError for a non-Hermitian, non-traceless or
-    non-finite model), and integrated once by _integrate, solve_factored's
-    integration: its product of Magnus steps U_j (StiffnessError at an
-    unresolved step) and its fold search, which is level 0's.  U_samples is
-    U_j.  cli.run_scenario reads this result and solve_factored's from one
-    integration (_solve).  The peel SU(N) -> SU(N - 1) -> ... -> U(1) is a
+    non-finite model), and integrated once by riccati._integrate,
+    solve_factored's integration: its product of Magnus steps U_j
+    (StiffnessError at an unresolved step) and its fold search, which is
+    level 0's.  U_samples is U_j.  cli.run_scenario reads this result and
+    solve_factored's from one integration (_solve).  The peel SU(N) -> SU(N - 1) -> ... -> U(1) is a
     cascade of readings of it, the L = N - 1 levels one after another,
     level 0 first.
 

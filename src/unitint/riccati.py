@@ -19,7 +19,9 @@ step it cannot certify takes an eigvalsh for its exact spread.
 
 Every Riccati solver path, and the linear Bloch precession, reads its model
 through one function, ``_drive``, whose docstring is the one description of
-the node schedule.  Folds follow one rule, _fold_guard, in one search
+the node schedule.  One integration, _integrate (the read, the product and
+the fold search), serves solve_factored, hierarchical_solve, integrate_so5
+and the picture cross-checks.  Folds follow one rule, _fold_guard, in one search
 (_fold_search): when node j + 1 is the first whose ||z||_F reaches the
 restart threshold, the segment ends at j and the next starts there from
 z = 0.  A segment of the hierarchical peel also ends where the level above
@@ -32,9 +34,11 @@ check the readings against; no solver calls them.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
-from .hamiltonian import SO5Coefficients, build_so5
+from .hamiltonian import BlockedHamiltonian, SO5Coefficients, build_so5
 from .linalg import PAULI, _expm1, _running_product, dagger
 
 DEFAULT_Z_MAX = 10.0
@@ -310,8 +314,11 @@ def _fold_guard(t: float, j: int, start: int, peak: float) -> None:
 def _drive(read, t_end: float, steps: int, breakpoints=(), Z_max: float = np.inf):
     """The fixed-step node schedule shared by every trajectory, read in one call.
 
-    Every Riccati path reads its model here, and so does the linear Bloch
-    precession (bloch._precess).  The step from t to t + dt reads the model
+    Every trajectory reads its model here.  _integrate reads it for
+    solve_factored, hierarchical_solve, integrate_so5, bloch.crosscheck_su2
+    and bloch.crosscheck_so5, one read per integration; bloch.precess reads
+    its generator here, and bloch.crosscheck_pictures reads a solve's model
+    again on the solve's schedule.  The step from t to t + dt reads the model
     at t, t + dt/2 and t + dt, and its end node is the next step's start
     node: 2 steps + 1 reads.  A piecewise model jumps at its
     ``breakpoints``: a node within 1e-12 relative of one snaps to it, a step
@@ -325,21 +332,23 @@ def _drive(read, t_end: float, steps: int, breakpoints=(), Z_max: float = np.inf
 
     A (3, steps) integer index names each step's start, midpoint and end
     node in the stack, so every step reads its own three nodes, and
-    breakpoints need no carry.  solve_factored, integrate_so5 and
-    hierarchical_solve build their Magnus steps from those values and chain
-    them into one product (_product), from which _fold_search reads z and
-    the folds; the precession builds RK4 step matrices from them
-    (bloch._precess).  Where a path needs the state at every node (the
-    n = 1 phases and the peel's levels), one node pass
-    (factorization._node_pass) gives it, in blocks of steps; each level of
-    the peel below level 0 reads an H stack of its own in this layout, the
-    node stack of the level above it.  solve_factored's est_error reads the
-    same values again, two steps at a time.
+    breakpoints need no carry.  _integrate builds the Magnus steps from
+    those values and chains them into one product (_product), from which
+    _fold_search reads z and the folds; the precession builds RK4 step
+    matrices from a generator stack in the same layout (bloch._precess),
+    which the picture cross-checks recover from the H stack.  Where a path
+    needs the state at every node (the n = 1 phases and the peel's
+    levels), one node pass (factorization._node_pass) gives it, in blocks
+    of steps; each level of the peel below level 0 reads an H stack of its
+    own in this layout, the node stack of the level above it.
+    solve_factored's est_error reads the same values again, two steps at a
+    time.
 
-    Returns (times, dt, values, index).  Every argument is checked before
-    the read, so a bad one costs no model evaluation: ValueError when steps
-    < 1, when t_end is not finite, or unless the caller's restart threshold
-    Z_max is > 0 (infinite is allowed: no fold).
+    Returns (times, dt, ts, values, index), with ts the times read, in
+    read order (bloch._so5_fields names a node by it).  Every argument is
+    checked before the read, so a bad one costs no model evaluation:
+    ValueError when steps < 1, when t_end is not finite, or unless the
+    caller's restart threshold Z_max is > 0 (infinite is allowed: no fold).
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -353,7 +362,8 @@ def _drive(read, t_end: float, steps: int, breakpoints=(), Z_max: float = np.inf
     # per step its start (read only after a jump, else the end node before it), midpoint and end
     fresh = np.ones((steps, 3), dtype=bool)
     fresh[1:, 0] = jump[:-1]
-    return times, dt, read(nodes.T[fresh]), (np.cumsum(fresh) - 1).reshape(steps, 3).T
+    ts = nodes.T[fresh]
+    return times, dt, ts, read(ts), (np.cumsum(fresh) - 1).reshape(steps, 3).T
 
 
 def _nodes(t_end: float, steps: int, breakpoints=()):
@@ -382,6 +392,46 @@ def _straddled(t_end: float, steps: int, breakpoints=()) -> bool:
         return False
     nodes = _nodes(t_end, steps, breakpoints)[2]
     return any(((nodes[0] < b) & (b < nodes[2])).any() for b in breakpoints)
+
+
+@dataclass
+class _Integration:
+    """One integration of a model: what every Riccati path and picture cross-check reads.
+
+    ``ts``, ``values`` and ``index`` are _drive's read times, node stack and
+    index on the grid ``times`` (step dt), U the Magnus product (_product)
+    at the grid nodes, and W, folds and starts level 0's _fold_search of U
+    at Z_max.  The node stack is the one large part that no result keeps:
+    its last reader sets ``values`` to None.
+    """
+
+    h: BlockedHamiltonian
+    Z_max: float
+    times: np.ndarray
+    dt: float
+    ts: np.ndarray
+    values: np.ndarray | None
+    index: np.ndarray
+    U: np.ndarray
+    W: np.ndarray
+    folds: list
+    starts: list
+
+
+def _integrate(h: BlockedHamiltonian, t_end: float, steps: int, Z_max: float) -> _Integration:
+    """Read H on _drive's node schedule, chain the product and search level 0's folds.
+
+    solve_factored, hierarchical_solve, integrate_so5 and the picture
+    cross-checks (bloch.crosscheck_su2, bloch.crosscheck_so5) each read one.
+    An unresolved step of the product raises StiffnessError after the
+    search, so a fold that the guard refuses before it raises first.
+    """
+    times, dt, ts, values, index = _drive(h.read, t_end, steps, h.breakpoints, Z_max)
+    U, unresolved = _product(values, index, dt)
+    W, folds, starts = _fold_search(U, h.n, dt, Z_max)
+    if unresolved:
+        raise unresolved
+    return _Integration(h, Z_max, times, dt, ts, values, index, U, W, folds, starts)
 
 
 def so5_rhs(F: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -424,18 +474,14 @@ def integrate_so5(
     """Integrate the SO(5) Riccati flow and report its four real parameters.
 
     Returns (times, z samples of shape (steps+1, 4), restart times).  It is
-    the matrix form's solve: build_so5's H is read on _drive's node schedule
-    (F checked as one stack), integrated as one product of Magnus steps
-    (_product), and the 2 x 2 quaternionic z is read from it as W = [z;
-    I_2] by _fold_search, whose restart rule compares ||z||_F, which is
-    sqrt(2 z.z), with Z_max at the grid node.  The samples are
-    so5_z_params of that z, so they equal those of
+    the matrix form's solve, one _integrate of build_so5's H: H is read on
+    _drive's node schedule (F checked as one stack), integrated as one
+    product of Magnus steps (_product), and the 2 x 2 quaternionic z is
+    read from it as W = [z; I_2] by _fold_search, whose restart rule
+    compares ||z||_F, which is sqrt(2 z.z), with Z_max at the grid node.
+    The samples are so5_z_params of that z, so they equal those of
     solve_factored(build_so5(coeffs)) at every node, restarts included.
     The error is that of the Magnus product: fourth order in dt.
     """
-    times, dt, values, index = _drive(build_so5(coeffs).read, t_end, steps, Z_max=Z_max)
-    U, unresolved = _product(values, index, dt)
-    W, _, starts = _fold_search(U, 2, dt, Z_max)
-    if unresolved:
-        raise unresolved
-    return times, so5_z_params(W[:, :2]), list(times[starts[1:]])
+    run = _integrate(build_so5(coeffs), t_end, steps, Z_max)
+    return run.times, so5_z_params(run.W[:, :2]), list(run.times[run.starts[1:]])

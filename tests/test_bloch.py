@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from unitint import factorization
 from unitint.bloch import (
     _spin_generator,
     crosscheck_pictures,
@@ -182,6 +183,70 @@ def test_crosscheck_so5_across_restart():
     rep = crosscheck_so5(so5_coefficients(F), 2.0, 2000)
     assert rep.restarts >= 1
     assert rep.max_deviation < 1e-6
+
+
+def _so5_restart_coupling(rng, cos):
+    # so5_restart's shape: F54 dominant, so Z_max 1.5 folds 2-4 times in T 1.6
+    F0 = _random_F(rng, 0.15)
+    F0[4, 3], F0[3, 4] = 1.8, -1.8
+    if not cos:
+        return F0
+    Fc = _random_F(rng, 0.1)
+    Fc[4, 3], Fc[3, 4] = 0.3, -0.3
+    return lambda t: F0 + Fc * np.cos(1.3 * t)
+
+
+def _same_report(a, b):
+    for name in a.__dataclass_fields__:
+        x, y = getattr(a, name), getattr(b, name)
+        assert np.asarray(x).tobytes() == np.asarray(y).tobytes(), name
+        assert type(x) is type(y), name
+
+
+@pytest.mark.parametrize("cos", [False, True], ids=["const", "cos"])
+def test_crosscheck_so5_reads_each_node_once(cos):
+    # one integration gives both pictures: F is called once per node of the
+    # schedule, 2 steps + 1 times, across every fold
+    F = _so5_restart_coupling(np.random.default_rng(7), cos)
+    calls = []
+
+    def counted(t):
+        calls.append(t)
+        return F(t) if cos else F
+
+    rep = crosscheck_so5(so5_coefficients(counted), 1.6, 40, Z_max=1.5)
+    assert rep.restarts >= 2
+    assert len(calls) == len(set(calls)) == 2 * 40 + 1
+
+
+def test_crosscheck_reads_no_fiber_and_no_est_error(monkeypatch):
+    # the cross-checks read z from the product alone: no fiber U2 (_frames,
+    # whose n = 2 U1 is a batched SVD) and no step doubling (_est_error)
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a cross-check read the fiber or est_error")
+
+    for module, name in ((np.linalg, "svd"), (factorization, "_est_error"), (factorization, "_frames")):
+        monkeypatch.setattr(module, name, forbidden)
+    F = _so5_restart_coupling(np.random.default_rng(8), True)
+    assert crosscheck_so5(so5_coefficients(F), 1.6, 40, Z_max=1.5).restarts >= 2
+    assert crosscheck_su2([1.0, 0.0, 0.3], 4.0, 200, Z_max=3.0).restarts >= 1
+    with pytest.raises(AssertionError, match="fiber or est_error"):
+        solve_factored(spin_half([1.0, 0.0, 0.3]), 4.0, 200)
+
+
+def test_crosscheck_equals_crosscheck_pictures_of_the_solve():
+    # every report field, bit for bit, against the cross-check of a full
+    # factored solve, which reads H again; across folds for both models
+    rng = np.random.default_rng(9)
+    for cos in (False, True, False, True):
+        coeffs = so5_coefficients(_so5_restart_coupling(rng, cos))
+        rep = crosscheck_so5(coeffs, 1.6, 40, Z_max=1.5)
+        assert rep.restarts >= 2
+        _same_report(rep, crosscheck_pictures(solve_factored(build_so5(coeffs), 1.6, 40, Z_max=1.5)))
+    B = lambda t: [1.0, 0.2 * np.sin(t), 0.3 * np.cos(2.0 * t)]  # noqa: E731
+    rep = crosscheck_su2(B, 4.0, 300, Z_max=3.0)
+    assert rep.restarts >= 1
+    _same_report(rep, crosscheck_pictures(solve_factored(spin_half(B), 4.0, 300, Z_max=3.0)))
 
 
 def _solved(config, t_end, steps):

@@ -8,7 +8,6 @@ import pytest
 
 import unitint.bloch
 import unitint.cli
-import unitint.factorization
 import unitint.riccati
 from unitint.cli import (
     ScenarioError,
@@ -20,7 +19,7 @@ from unitint.cli import (
     run_scenario,
 )
 from unitint.factorization import hierarchical_solve, solve_factored
-from unitint.hamiltonian import BlockedHamiltonian
+from unitint.hamiltonian import BlockedHamiltonian, spin_half
 from unitint.linalg import random_traceless_hermitian, unitarity_defect
 from unitint.riccati import StiffnessError
 
@@ -121,7 +120,6 @@ def test_run_scenario_solves_each_path_once(tmp_path, monkeypatch):
         return read(self, ts)
 
     monkeypatch.setattr(unitint.riccati, "_product", counting_product)
-    monkeypatch.setattr(unitint.factorization, "_product", counting_product)
     monkeypatch.setattr(BlockedHamiltonian, "read", counting_read)
     steps = 52
     s = _spin_half_scenario(
@@ -306,6 +304,32 @@ def test_run_scenario_zero_hamiltonian(tmp_path):
     U = np.asarray(report["endpoint_U"]["factorized"])
     assert np.allclose(U[..., 0], np.eye(2), atol=1e-12)
     assert np.allclose(U[..., 1], 0.0, atol=1e-12)
+
+
+def _strict_json(text):
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_main_writes_null_kappa_at_the_pole(tmp_path):
+    # B along the pole: m stays at (0, 0, 1), Omega m = 0 all along, so the
+    # least-squares kappa is nan, which the report writes as null
+    scenario = _write(tmp_path, "pole.json", _spin_half_scenario(
+        id="pole", steps=20, paths=["factorized", "bloch"], tolerances={}))
+    assert main(["run", str(scenario), "--out", str(tmp_path / "out")]) == 0
+    bloch = _strict_json((tmp_path / "out" / "pole_report.json").read_text())["bloch"]
+    assert bloch["kappa"] is None
+    assert bloch["max_deviation"] == bloch["fd_residual"] == 0.0
+    factored = solve_factored(spin_half([0.0, 0.0, 1.0]), 1.0, 20)
+    assert np.isnan(unitint.bloch.crosscheck_pictures(factored).kappa)
+    # a transverse field writes its finite kappa
+    tilted = _write(tmp_path, "tilted.json", _spin_half_scenario(
+        id="tilted", params={"B": [0.4, 0.0, 1.0]}, steps=20, paths=["factorized", "bloch"], tolerances={}))
+    assert main(["run", str(tilted), "--out", str(tmp_path / "out")]) == 0
+    kappa = _strict_json((tmp_path / "out" / "tilted_report.json").read_text())["bloch"]["kappa"]
+    assert abs(kappa - 1.0) < 1e-3
 
 
 def test_main_exit_codes(tmp_path):

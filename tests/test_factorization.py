@@ -907,6 +907,7 @@ def test_hier_assemble_matches_nested_product(N, monkeypatch):
 
     fold_search = factorization._fold_search
     monkeypatch.setattr(factorization, "_fold_search", search)
+    monkeypatch.setattr(riccati, "_fold_search", search)  # level 0's, in riccati._integrate
     res = hierarchical_solve(trig_random(N, seed=1, scale=2.0), 3.0, 200, Z_max=2.0)
     assert len(levels) == N - 1 and res.level_restarts
     assert levels[0][0] is res.U_samples
