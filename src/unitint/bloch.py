@@ -5,10 +5,14 @@ projection: a 3-vector for a single spin, a 5-vector for the SO(5) two-qubit
 model.  In both cases the nonlinear Riccati flow becomes linear precession
 dm/dt = Omega(t) m with an antisymmetric generator, Omega = -[B]x for
 spin-1/2 and 2F for SO(5), which has no coordinate pole.  One integrator
-(_precess: RK4 step matrices on a generator node stack in
-riccati._drive's layout) and one cross-check core serve both models;
-cross-checking the two pictures, including across Riccati restarts, is the
-point of this module.  The core reads the Riccati picture from a Magnus
+(_precess: the Riccati paths' Magnus product, riccati._product, of a real
+generator node stack in riccati._drive's layout) and one cross-check core
+serve both models; cross-checking the two pictures, including across
+Riccati restarts, is the point of this module.  The Magnus step commutes
+with the Lie-algebra map from H to Omega, so the precession's step is the
+image of the Riccati step, and the two pictures agree to roundoff: the
+cross-check tests the maps, the recovery of Omega and the folds, not the
+integrator.  The core reads the Riccati picture from a Magnus
 product and Omega from the H node stack it was built from:
 crosscheck_su2 and crosscheck_so5 take both from one integration
 (riccati._integrate), with no fiber and no est_error, and
@@ -36,12 +40,7 @@ from .hamiltonian import (
     spin_half,
 )
 from .linalg import PAULI
-from .riccati import _BLOCK, DEFAULT_Z_MAX, _chain, _drive, _integrate, so5_z_params
-
-# A step's RK4 step matrix P is unresolved when ||P^H P - I||_F exceeds this.
-# For one eigenvalue of the generator, |R(i x)|^2 = 1 - x^6/72 + x^8/576 at
-# x = dt |E|: x = 0.5 reads 2e-4, x = 1 (six steps per period) 1.2e-2.
-MAX_STEP_DEFECT = 1e-2
+from .riccati import _BLOCK, DEFAULT_Z_MAX, _drive, _integrate, _product, so5_z_params
 
 
 def project5(z: np.ndarray) -> np.ndarray:
@@ -66,16 +65,17 @@ def project2(z: complex) -> np.ndarray:
 
 
 def precess(omega, t_end: float, steps: int) -> np.ndarray:
-    """RK4 trajectory of dm/dt = omega(t) m from the pole m = (0, ..., 0, 1).
+    """Fourth-order Magnus trajectory of dm/dt = omega(t) m from the pole m = (0, ..., 0, 1).
 
-    Each grid step applies RK4's step matrix for the linear flow (_precess).
-    omega(t) is the antisymmetric d x d generator, read once per node of
-    _drive's schedule (t, t + dt/2 and t + dt of the uniform grid), with d
-    from the first node.  The reads are checked as one stack before any step:
-    ModelError names the first node whose generator is not d x d, not finite
-    or not antisymmetric within 1e-12.  The unit vector has no pole, so there
-    are no restarts; a step whose step matrix is far from orthogonal raises
-    StiffnessError.
+    Each grid step applies the Magnus step of the linear flow (_precess),
+    which is orthogonal to roundoff, so |m| = 1 to roundoff.  omega(t) is
+    the antisymmetric d x d generator, read once per node of _drive's
+    schedule (t, t + dt/2 and t + dt of the uniform grid), with d from the
+    first node.  The reads are checked as one stack before any step:
+    ModelError names the first node whose generator is not d x d, not
+    finite or not antisymmetric within 1e-12.  The unit vector has no pole,
+    so there are no restarts; a step whose Magnus exponent spans pi or more
+    raises StiffnessError, as on the Riccati paths.
     """
     _, dt, _, values, index = _drive(
         lambda ts: checked_stack("Omega", ts, omega, contract=F_CONTRACT, dtype=float), t_end, steps
@@ -83,52 +83,22 @@ def precess(omega, t_end: float, steps: int) -> np.ndarray:
     return _precess(values, index, dt)[0]
 
 
-@np.errstate(over="ignore", invalid="ignore")  # a step matrix that overflows fails the guard
 def _precess(values: np.ndarray, index: np.ndarray, dt: float):
-    """(m, omega) at the grid nodes: m <- P_j m from the pole, one RK4 step matrix per step.
+    """(m, omega) at the grid nodes: m_j = P_{j-1} ... P_0 e_last, the Magnus product of a generator stack.
 
-    values and index are a stack of generators and its index in _drive's
-    layout (precess and the cross-checks read them), and P_j is RK4's step
-    matrix for dm/dt = omega m on the step's three nodes
-    (_rk4_propagator), built _BLOCK steps at a time.  The flow is linear
-    and m has no pole, so m is chained with no projection and no restart
-    (riccati._chain, as the Riccati paths' product).  Each block's defects
-    ||P^H P - I||_F are checked in one pass before its steps are taken: a
-    step whose defect exceeds MAX_STEP_DEFECT or is not finite raises
-    StiffnessError.  omega at a jump is the fresh read.
+    values and index are a stack of real antisymmetric generators and its
+    index in _drive's layout (precess and the cross-checks read them), and
+    P_j = exp(A_j) is the fourth-order Magnus step of dm/dt = omega m on
+    the step's three nodes: riccati._product with unit 1 from the pole, in
+    real arithmetic, the Riccati paths' step, guard and chain.  m has no
+    pole, so there is no projection and no restart.  A step whose exponent
+    spans pi or more raises StiffnessError.  omega at a jump is the fresh
+    read.
     """
-    m = np.empty((index.shape[1] + 1, values.shape[-1]))
-    m[0] = np.eye(values.shape[-1])[-1]
-
-    def block(a):
-        P = _rk4_propagator(values[index[:, a : a + _BLOCK]], dt)
-        defects = np.linalg.norm(P.mT @ P - np.eye(m.shape[1]), axis=(-2, -1))  # ||P^H P - I||_F, P real
-        # a step fails above the bound or when not finite
-        return P, defects, ~(defects <= MAX_STEP_DEFECT), "the RK4 propagator is {:.3g} from unitary (||P^H P - I||_F)"
-
-    _, unresolved = _chain(block, m, dt)
+    m, unresolved = _product(values, index, dt, np.eye(values.shape[-1])[-1], unit=1)
     if unresolved:
         raise unresolved
     return m, values[np.append(index[0], index[2, -1])]
-
-
-def _rk4_propagator(K: np.ndarray, dt: float) -> np.ndarray:
-    """RK4's exact step matrix P for the linear flow dy/dt = K(t) y: riccati.rk4_step(y) = P y.
-
-    K stacks the generator at each step's start, midpoint and end node on
-    its first axis, (3, ..., N, N); P is (..., N, N), built in batched calls:
-
-        P = I + dt/6 (K_a + 2 B_2 + 2 B_3 + B_4),
-        B_2 = K_m (I + dt/2 K_a), B_3 = K_m (I + dt/2 B_2), B_4 = K_b (I + dt B_3).
-
-    A zero K gives P = I exactly.  Only the precession steps by it; the
-    Riccati paths take Magnus steps (riccati._magnus4).
-    """
-    K_a, K_m, K_b = K
-    B2 = K_m + (dt / 2.0) * (K_m @ K_a)
-    B3 = K_m + (dt / 2.0) * (K_m @ B2)
-    B4 = K_b + dt * (K_b @ B3)
-    return (dt / 6.0) * (K_a + 2.0 * (B2 + B3) + B4) + np.eye(K.shape[-1])
 
 
 @dataclass
@@ -238,13 +208,17 @@ def _spin_generator(B) -> np.ndarray:
 def _so5_fields(ts, H: np.ndarray) -> np.ndarray:
     """F from a stack of SO(5) two-qubit H = so5_matrix(F) read at ts: each F[a, b], a > b,
     multiplies its own Pauli product, so it is Re tr(G_ab^H H) / 4.  ModelError names the
-    first t whose H leaves the SO(5) span.
+    first t whose H leaves the SO(5) span.  The span check runs _BLOCK nodes at a time,
+    which bounds its temporaries.
     """
-    # one (25, 16) x (16, 1) product per node: the same rounding for any number of nodes
-    GH = _SO5_GENERATORS.conj().reshape(25, 16) @ H.reshape(-1, 16, 1)
-    lower = GH.real.reshape(-1, 5, 5) / 4.0
-    F = lower - lower.mT
-    off = np.linalg.norm(so5_matrix(F) - H, axis=(-2, -1)) > MODEL_TOL
-    if off.any():
-        raise ModelError(f"H(t={ts[off.argmax()]}) is not an SO(5) two-qubit Hamiltonian")
+    F = np.empty((len(H), 5, 5))
+    for a in range(0, len(H), _BLOCK):
+        block = H[a : a + _BLOCK]
+        # one (25, 16) x (16, 1) product per node: the same rounding for any number of nodes
+        GH = _SO5_GENERATORS.conj().reshape(25, 16) @ block.reshape(-1, 16, 1)
+        lower = GH.real.reshape(-1, 5, 5) / 4.0
+        F[a : a + _BLOCK] = fields = lower - lower.mT
+        off = np.linalg.norm(so5_matrix(fields) - block, axis=(-2, -1)) > MODEL_TOL
+        if off.any():
+            raise ModelError(f"H(t={ts[a + off.argmax()]}) is not an SO(5) two-qubit Hamiltonian")
     return F

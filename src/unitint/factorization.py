@@ -427,8 +427,8 @@ def _est_error(values, index, dt: float, U: np.ndarray) -> float:
 
     Steps 2k and 2k + 1 read the nodes t_2k, t_2k+1 and t_2k+2, which are
     the Simpson nodes of one step of 2 dt: D_k is that Magnus step, I +
-    linalg._expm1(-2i dt Omega) with Omega = _omega at 2 dt, with no extra
-    model read and no guard (the product's steps passed theirs).  I -
+    linalg._expm1(A) with A = _omega of H at 2 dt, with no extra model
+    read and no guard (the product's steps passed theirs).  I -
     U_{2k+2}^H D_k U_{2k} is the pair's local error, 15 times its leading order for a
     fourth-order step (Hairer, Norsett & Wanner, Solving ODEs I, II.4),
     carried to t = 0; the sum carries every pair's to one time, so its norm
@@ -450,8 +450,8 @@ def _est_error(values, index, dt: float, U: np.ndarray) -> float:
     p, weight, total = p[keep], weight[keep], np.zeros((N, N), dtype=complex)
     for a in range(0, len(p), _BLOCK):
         q = p[a : a + _BLOCK]
-        omega = _omega(values, np.stack((index[0, q], index[2, q], index[2, q + 1])), 2.0 * dt)
-        D = _expm1((-2j * dt) * omega)[0] + np.eye(N)
+        A = _omega(values, np.stack((index[0, q], index[2, q], index[2, q + 1])), 2.0 * dt)
+        D = _expm1(A)[0] + np.eye(N)
         local = weight[a : a + _BLOCK] * (np.eye(N) - dagger(U[q + 2]) @ (D @ U[q]))
         total = np.concatenate((total[None], local)).sum(axis=0)  # in grid order, for any block
     return float(np.linalg.norm(total)) / 15.0

@@ -142,7 +142,8 @@ def _expm1(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     The one step exponential of the solvers and the oracle: the Magnus
     steps (riccati._magnus4), est_error's doubled steps and the oracle's
-    steps (_unitary_step) take it, with A = -i dt Omega.  E is the degree-9
+    steps (_unitary_step) take it, with A = -i dt Omega (real A = dt Omega
+    for the precession's real generator).  E is the degree-9
     Taylor polynomial T(A) - I, by Paterson-Stockmeyer in four stacked
     matmuls: with A2 = A A and A3 = A2 A,
         E = B0 + A3 (B1 + A3 (B2 + c9 A3)),

@@ -15,7 +15,9 @@ kernel (_product), and reads z from it.  A step whose Magnus exponent
 spans pi or more, dt (lambda_max - lambda_min) >= pi, does not resolve the
 model: the product stops before it and the path raises StiffnessError
 with its t and step.  A norm bound certifies the resolved steps; only a
-step it cannot certify takes an eigvalsh for its exact spread.
+step it cannot certify takes an eigvalsh for its exact spread.  The linear
+Bloch precession takes the same steps, guard and chain (_product of its
+real generator stack, unit 1).
 
 Every Riccati solver path, and the linear Bloch precession, reads its model
 through one function, ``_drive``, whose docstring is the one description of
@@ -61,9 +63,9 @@ class StiffnessError(RuntimeError):
     """A step does not resolve the model, the coordinate diverged, or restarts come too often.
 
     ``t`` and ``step`` name the grid step the driver gave up on and ``peak``
-    the coordinate norm that step reached, or for an unresolved step the
-    spread dt (lambda_max - lambda_min) of its Magnus exponent (for the
-    precession, its RK4 step matrix's defect ||P^H P - I||_F).
+    the coordinate norm that step reached, or for an unresolved step, on
+    every path the precession included, the spread dt (lambda_max -
+    lambda_min) of its Magnus exponent.
     """
 
     def __init__(self, message: str, t: float, step: int, peak: float):
@@ -84,8 +86,9 @@ def rk4_step(f, y: np.ndarray, dt: float, k1: np.ndarray, x_mid, x_end) -> np.nd
 
     f takes the model value x at a node, not a time: x_mid and x_end are x at
     t + dt/2 and t + dt, and the caller supplies the first stage k1 =
-    f(x(t), y).  No solver calls it: on the linear flow f(K, y) = K y it is
-    bloch._rk4_propagator's P y, which the precession takes.
+    f(x(t), y).  No solver calls it: every path, the precession included,
+    takes Magnus steps (_product); criteria 5 and 9 of the acceptance
+    suite step by it by hand.
     """
     k2 = f(x_mid, y + dt / 2.0 * k1)
     k3 = f(x_mid, y + dt / 2.0 * k2)
@@ -116,93 +119,90 @@ def _simpson(q: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return q[idx[0]] + 4.0 * q[idx[1]] + q[idx[2]]
 
 
-def _omega(H: np.ndarray, idx: np.ndarray, dt: float) -> np.ndarray:
-    """The fourth-order Magnus exponents Omega = S + (i dt/12)[H_a, H_b] of a stack of steps.
+def _omega(X: np.ndarray, idx: np.ndarray, dt: float, unit=-1j) -> np.ndarray:
+    """The fourth-order Magnus exponents A of a stack of steps of dY/dt = unit X Y.
 
-    H is a stack of Hermitian matrices, such as _drive's node stack, and idx,
-    (3, steps), names each step's start, midpoint and end node in it
-    (_drive's index), so H_a, H_m and H_b are H at t, t + dt/2 and t + dt,
-    and S is their Simpson mean (_simpson's sum over 6).  Omega is
-    Hermitian, and exp(-i dt Omega) is the step (Blanes, Casas, Oteo & Ros,
-    Phys. Rep. 470 (2009) 151).
+    X is a stack of Hermitian matrices with unit -i (the default), such as
+    _drive's node stack of H, or of real antisymmetric generators with
+    unit 1 (the precession's Omega).  idx, (3, steps), names each step's
+    start, midpoint and end node in it (_drive's index), so X_a, X_m and
+    X_b are X at t, t + dt/2 and t + dt, and S is their Simpson sum
+    (_simpson).  With C = X_a X_b, C^H = X_b X_a for both kinds, so
+
+        A = (unit dt) (S/6 + (unit dt/12) (C^H - C))
+
+    is unit dt times the Simpson mean plus (unit dt)^2/12 [X_b, X_a], and
+    exp(A) is the step (Blanes, Casas, Oteo & Ros, Phys. Rep. 470 (2009)
+    151).  The formula is linear combinations and one commutator, so it
+    commutes with the Lie-algebra map from a spin-1/2 or SO(5) H to its
+    Omega.  A is anti-Hermitian for both kinds, so i A is Hermitian.
     """
-    H_a, H_b = H[idx[::2]]
-    C = H_a @ H_b
-    return _simpson(H, idx) / 6.0 + (1j * dt / 12.0) * (C - dagger(C))  # [H_a, H_b], as (H_a H_b)^H = H_b H_a
+    X_a, X_b = X[idx[::2]]
+    C = X_a @ X_b
+    return (unit * dt) * (_simpson(X, idx) / 6.0 + (unit * dt / 12.0) * (dagger(C) - C))
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an exponent that overflows is an unresolved step
-def _magnus4(H: np.ndarray, idx: np.ndarray, dt: float):
-    """(P, spread): the fourth-order Magnus steps P = exp(-i dt Omega) of _omega, and their guard.
+def _magnus4(X: np.ndarray, idx: np.ndarray, dt: float, unit=-1j):
+    """(P, spread): the fourth-order Magnus steps P = exp(A) of _omega, and their guard.
 
-    P is I + linalg._expm1(-i dt Omega), so each step is unitary to roundoff
-    and a zero H gives P = I exactly.  The Magnus series converges while the
-    exponent's spread dt (lambda_max - lambda_min) of Omega is below pi.
-    The spread is at most _BOUND dt ||Omega||_F, from the norm _expm1 takes
-    anyway, so a step whose bound is below pi is resolved with no
-    decomposition, and spread reads that bound.  Only a step the bound
-    cannot certify takes an eigvalsh, and spread reads its exact spread, so
-    every step at or above pi, which the product refuses, reads its exact
-    spread.  A step whose exponent is not finite reads inf (and P = I).
+    P is I + linalg._expm1(A), so each step is in the group to roundoff
+    (unitary for unit -i, orthogonal for a real generator and unit 1), and
+    a zero X gives P = I exactly.  The Magnus series converges while the
+    spread lambda_max - lambda_min of the Hermitian i A (dt times the
+    spread of the step's generator) is below pi.  The spread is at most
+    _BOUND ||A||_F, from the norm _expm1 takes anyway, so a step
+    whose bound is below pi is resolved with no decomposition, and spread
+    reads that bound.  Only a step the bound cannot certify takes an
+    eigvalsh, and spread reads its exact spread, so every step at or above
+    pi, which the product refuses, reads its exact spread.  A step whose
+    exponent is not finite reads inf (and P = I).
     """
-    omega = _omega(H, idx, dt)
-    finite = np.isfinite(omega).all(axis=(-2, -1))
-    omega[~finite] = 0.0
-    E, theta = _expm1((-1j * dt) * omega)
+    A = _omega(X, idx, dt, unit)
+    finite = np.isfinite(A).all(axis=(-2, -1))
+    A[~finite] = 0.0
+    E, theta = _expm1(A)
     spread = np.where(finite, _BOUND * theta, np.inf)
     unsure = finite & ~(spread < np.pi)
     if unsure.any():
-        w = np.linalg.eigvalsh(omega[unsure])
-        spread[unsure] = dt * (w[..., -1] - w[..., 0])
+        w = np.linalg.eigvalsh(1j * A[unsure])
+        spread[unsure] = w[..., -1] - w[..., 0]
     return E + np.eye(E.shape[-1]), spread
 
 
-def _product(values, index, dt: float):
-    """(U, error): U_j = P_{j-1} ... P_0 of the Magnus steps over _drive's (values, index), up to the first unresolved step.
+def _product(values, index, dt: float, start: np.ndarray, unit=-1j):
+    """(U, error): U_j = P_{j-1} ... P_0 start for the Magnus steps of dY/dt = unit X Y, up to the first unresolved step.
 
-    The steps are built _BLOCK at a time (_magnus4: one stacked step
-    exponential, and an eigvalsh only for the steps its norm bound cannot
-    certify) and chained by _chain; a step whose spread reaches pi is not
-    taken.
+    values and index are _drive's node stack of X and its index, and
+    start is I for the Riccati paths' product of H (unit -i), or the pole
+    vector e_last for the precession of a real generator stack (unit 1,
+    bloch._precess), which then stays in real arithmetic.  The steps are
+    built _BLOCK at a time (_magnus4: one stacked step exponential, and an
+    eigvalsh only for the steps its norm bound cannot certify) and chained
+    one matmul per step (linalg._running_product) into U in place.  A step
+    whose spread reaches pi is not taken: U then ends at its start node,
+    and error is the StiffnessError that names it, for the caller to raise
+    once it has read the nodes before it (so an earlier fold the guard
+    refuses comes first); else error is None.
     """
-    N = values.shape[-1]
-    U = np.empty((index.shape[1] + 1, N, N), dtype=complex)
-    U[0] = np.eye(N)
-
-    def block(a):
-        P, spread = _magnus4(values, index[:, a : a + _BLOCK], dt)
-        return P, spread, ~(spread < np.pi), "the Magnus exponent spans {:.3g} (dt (lambda_max - lambda_min) >= pi)"
-
-    return _chain(block, U, dt)
-
-
-def _chain(block, U: np.ndarray, dt: float):
-    """(U, error): U[j + 1] = P_j U[j] from the given U[0], up to the first step that fails its guard.
-
-    block(a) gives the step matrices P of steps a to a + _BLOCK, a guard
-    metric per step, whether each step fails the guard, and the failure's
-    text, a format string for the metric.  The steps are chained one matmul
-    per step (linalg._running_product) into U in place.  A failing step is
-    not taken: U then ends at its start node, and error is the
-    StiffnessError that names it, for the caller to raise once it has read
-    the nodes before it (so an earlier fold the guard refuses comes first);
-    else error is None.  The Riccati paths' Magnus product (_product) and
-    the precession (bloch._precess) chain here.
-    """
-    for a in range(0, len(U) - 1, _BLOCK):
-        P, metric, bad, what = block(a)
+    U = np.empty((index.shape[1] + 1, *start.shape), dtype=np.result_type(values, unit))
+    U[0] = start
+    for a in range(0, index.shape[1], _BLOCK):
+        P, spread = _magnus4(values, index[:, a : a + _BLOCK], dt, unit)
+        bad = ~(spread < np.pi)
         r = int(bad.argmax()) if bad.any() else len(P)
         _running_product(P[:r], U[a:])
         if r < len(P):
-            return U[: a + r + 1], _unresolved(dt * (a + r), a + r, metric[r], what.format(metric[r]))
+            return U[: a + r + 1], _unresolved(dt * (a + r), a + r, spread[r])
     return U, None
 
 
-def _unresolved(t: float, j: int, peak: float, what: str) -> StiffnessError:
-    """The StiffnessError for grid step j (at time t); ``what`` says how its step matrix fails the guard."""
+def _unresolved(t: float, j: int, spread: float) -> StiffnessError:
+    """The StiffnessError for grid step j (at time t), whose Magnus exponent spans ``spread``."""
     return StiffnessError(
-        f"unresolved step: {what} at t={t:.6g} (step {j}): the grid is too coarse for the model",
-        t=float(t), step=int(j), peak=float(peak),
+        f"unresolved step: the Magnus exponent spans {spread:.3g} (dt (lambda_max - lambda_min) >= pi) "
+        f"at t={t:.6g} (step {j}): the grid is too coarse for the model",
+        t=float(t), step=int(j), peak=float(spread),
     )
 
 
@@ -334,8 +334,8 @@ def _drive(read, t_end: float, steps: int, breakpoints=(), Z_max: float = np.inf
     node in the stack, so every step reads its own three nodes, and
     breakpoints need no carry.  _integrate builds the Magnus steps from
     those values and chains them into one product (_product), from which
-    _fold_search reads z and the folds; the precession builds RK4 step
-    matrices from a generator stack in the same layout (bloch._precess),
+    _fold_search reads z and the folds; the precession chains the same
+    Magnus steps of a generator stack in the same layout (bloch._precess),
     which the picture cross-checks recover from the H stack.  Where a path
     needs the state at every node (the n = 1 phases and the peel's
     levels), one node pass (factorization._node_pass) gives it, in blocks
@@ -427,7 +427,7 @@ def _integrate(h: BlockedHamiltonian, t_end: float, steps: int, Z_max: float) ->
     search, so a fold that the guard refuses before it raises first.
     """
     times, dt, ts, values, index = _drive(h.read, t_end, steps, h.breakpoints, Z_max)
-    U, unresolved = _product(values, index, dt)
+    U, unresolved = _product(values, index, dt, np.eye(h.N))
     W, folds, starts = _fold_search(U, h.n, dt, Z_max)
     if unresolved:
         raise unresolved

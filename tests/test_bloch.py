@@ -1,13 +1,14 @@
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from unitint import factorization
+from unitint import bloch, factorization
 from unitint.bloch import (
+    CrosscheckReport,
     _spin_generator,
     crosscheck_pictures,
     crosscheck_so5,
@@ -110,6 +111,25 @@ def test_precess_reads_each_node_once():
     assert sorted(reads) == sorted([*np.linspace(0.0, 1.0, 9), *(np.arange(8) + 0.5) / 8])
 
 
+def test_precess_is_fourth_order_and_keeps_the_norm():
+    # a time-dependent spin generator to T = 3: the Magnus step's error falls
+    # 16x per halving of dt against a 6400-step run (measured 15.996 and
+    # 15.999; 5.9e-8 at 50 steps, where an RK4 step matrix errs 1.8e-7),
+    # and each step is orthogonal, so |m| = 1 to roundoff (drift at most
+    # 1.1e-15 measured; RK4's is 1.3e-8 at 50 steps)
+    def omega(t):
+        return _spin_generator([0.3, np.cos(t), 0.5])
+
+    fine = precess(omega, 3.0, 6400)
+    errors = []
+    for steps in (50, 100, 200):
+        m = precess(omega, 3.0, steps)
+        errors.append(np.max(np.linalg.norm(m - fine[:: 6400 // steps], axis=1)))
+        assert np.max(np.abs(np.linalg.norm(m, axis=1) - 1.0)) < 4e-15
+    assert errors[0] < 1e-7
+    assert all(15.9 < errors[k] / errors[k + 1] < 16.1 for k in (0, 1))
+
+
 def test_precess_raises_at_the_first_non_finite_step():
     # omega turns NaN after t = 0.5: the midpoint of step 5 is the first such
     # node, and the model contract names it before any step is taken
@@ -126,8 +146,10 @@ def test_precess_raises_at_the_first_non_finite_step():
 def test_crosscheck_pictures_across_on_grid_jumps():
     # three spin-1/2 pieces with jumps at t = 1 and 2 on the grid: the linear
     # picture reads the Riccati picture's nodes (left limit and fresh read at
-    # each jump), so both stay fourth order; reading omega at the plain grid
-    # nodes would straddle the jumps (first order, 1.8e-3 at 300 steps)
+    # each jump), and its Magnus step is the image of the Riccati step, so
+    # the pictures agree to roundoff at both step counts (8.8e-15 and
+    # 9.2e-15 measured); reading omega at the plain grid nodes would
+    # straddle the jumps (first order, 1.8e-3 at 300 steps)
     fields = ([0.8, 0.5, 0.3], [-0.4, 1.1, 0.2], [0.3, -0.6, 0.9])
     reads = []
 
@@ -145,8 +167,7 @@ def test_crosscheck_pictures_across_on_grid_jumps():
         deviations.append(crosscheck_pictures(result).max_deviation)
         assert len(solve_reads) == 2 * steps + 1 + 2
         assert reads[len(solve_reads) :] == solve_reads
-    assert deviations[0] < 1e-8
-    assert deviations[1] * 12 < deviations[0]
+    assert max(deviations) < 1e-13
 
 
 def test_crosscheck_su2_pictures_agree():
@@ -304,6 +325,27 @@ def test_crosscheck_pictures_names_the_node_outside_the_so5_span():
     bump = lambda t: P if abs(t - 0.5) < 1e-9 else 0.0  # noqa: E731
     h = BlockedHamiltonian(N=4, n=2, evaluator=lambda t: valid.h.matrix(t) + bump(t))
     assert crosscheck_pictures(valid).max_deviation < 1e-6
+    with pytest.raises(ModelError, match="is not an SO\\(5\\) two-qubit Hamiltonian") as info:
+        crosscheck_pictures(replace(valid, h=h))
+    t = float(re.search(r"\(t=(\S+)\)", str(info.value)).group(1))
+    assert t == pytest.approx(0.5, abs=1e-12)
+
+
+def test_so5_span_check_in_blocks_names_the_first_node_outside(monkeypatch):
+    # the span check runs _BLOCK nodes at a time: with blocks of 7 nodes F,
+    # and so the whole report, is the same to the bit, and of two nodes
+    # outside the span, t = 0.5 (read 50 of 101) and t = 0.8, both past the
+    # first block, the error names the first
+    coeffs = so5_coefficients(_random_F(np.random.default_rng(6)))
+    valid = solve_factored(build_so5(coeffs), 1.0, 50)
+    want = crosscheck_pictures(valid)
+    monkeypatch.setattr(bloch, "_BLOCK", 7)
+    got = crosscheck_pictures(valid)
+    for field in fields(CrosscheckReport):
+        assert np.array_equal(getattr(got, field.name), getattr(want, field.name), equal_nan=True), field.name
+    P = np.diag([1.0, 1.0, -1.0, -1.0])
+    bump = lambda t: P if min(abs(t - 0.5), abs(t - 0.8)) < 1e-9 else 0.0  # noqa: E731
+    h = BlockedHamiltonian(N=4, n=2, evaluator=lambda t: valid.h.matrix(t) + bump(t))
     with pytest.raises(ModelError, match="is not an SO\\(5\\) two-qubit Hamiltonian") as info:
         crosscheck_pictures(replace(valid, h=h))
     t = float(re.search(r"\(t=(\S+)\)", str(info.value)).group(1))

@@ -363,8 +363,8 @@ def test_main_exit_codes(tmp_path):
 
 
 def test_main_runaway_is_solver_error(tmp_path, capsys):
-    # 12 steps cannot resolve a field of 60: the first step's propagator is
-    # far from unitary, which is a solver error, not a tolerance failure
+    # 12 steps cannot resolve a field of 60: the first step's Magnus exponent
+    # spans far more than pi, which is a solver error, not a tolerance failure
     p = _write(tmp_path, "runaway.json", _spin_half_scenario(
         id="runaway", params={"B": [60.0, 0.0, 0.0]}, t_end=2.0, steps=12))
     assert main(["run", str(p), "--out", str(tmp_path / "out")]) == 3

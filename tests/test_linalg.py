@@ -165,10 +165,10 @@ def test_magnus_guard_near_pi_refuses_what_eigh_refuses(N):
     X *= (rng.uniform(0.9, 1.1, count) * np.pi / (dt * (w[:, -1] - w[:, 0])))[:, None, None]
     H, idx = np.concatenate((X, X, X)), np.arange(3 * count).reshape(3, count)
     P, spread = riccati._magnus4(H, idx, dt)
-    omega = riccati._omega(H, idx, dt)
-    w = np.linalg.eigh(omega)[0]
-    exact = dt * (w[:, -1] - w[:, 0])
-    assert np.all(riccati._BOUND * _expm1((-1j * dt) * omega)[1] >= exact)
+    A = riccati._omega(H, idx, dt)  # the exponents -i dt Omega
+    w = np.linalg.eigh(1j * A)[0]
+    exact = w[:, -1] - w[:, 0]
+    assert np.all(riccati._BOUND * _expm1(A)[1] >= exact)
     refused = spread >= np.pi
     assert np.array_equal(refused, exact >= np.pi) and 0 < refused.sum() < count
     assert np.allclose(spread[refused], exact[refused], rtol=1e-14, atol=0.0)

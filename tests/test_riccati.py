@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from unitint import bloch, factorization, riccati
-from unitint.bloch import _rk4_propagator, crosscheck_so5, crosscheck_su2, precess
+from unitint.bloch import crosscheck_so5, crosscheck_su2, precess
 from unitint.factorization import hierarchical_solve, solve_factored
 from unitint.hamiltonian import (
     EPSILON,
@@ -91,24 +91,6 @@ def test_projective_rhs_is_riccati_rhs(n, seed, extra, pad, radius):
     assert frobenius(f[pad : pad + m] - want) <= 1e-14 * max(frobenius(want), frobenius(H))
     # so an RK4 step keeps the identity rows to the bit
     assert np.all(rk4_step(_projective_rhs, W, 0.1, f, K, K)[pad + m :] == np.eye(n))
-
-
-@settings(max_examples=60, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), N=st.integers(1, 6), lead=st.lists(st.integers(1, 3), max_size=2),
-       dt=st.floats(0.0, 0.5), scale=st.floats(0.0, 3.0))
-def test_rk4_propagator_is_rk4_step_on_the_linear_flow(seed, N, lead, dt, scale):
-    # P @ y is rk4_step of dy/dt = K(t) y on the same three node values, over stacked axes
-    rng = np.random.default_rng(seed)
-    shape = (3, *lead, N, N)
-    K = scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-    y = rng.standard_normal((*lead, N, 2)) + 1j * rng.standard_normal((*lead, N, 2))
-    P = _rk4_propagator(K, dt)
-    assert P.shape == (*lead, N, N)
-    want = rk4_step(np.matmul, y, dt, K[0] @ y, K[1], K[2])
-    size = (1.0 + dt * frobenius(K)) ** 4 * frobenius(y)
-    assert frobenius(P @ y - want) <= 1e-14 * size
-    # a held K = 0 is P = I exactly
-    assert np.all(_rk4_propagator(np.zeros(shape, complex), dt) == np.eye(N))
 
 
 @pytest.mark.parametrize("N,n", [(2, 1), (4, 2), (5, 1), (6, 3)])
@@ -205,7 +187,7 @@ def test_long_product_stays_on_the_exact_flow():
     # overflow
     H = np.array([[1.0, 0.05], [0.05, -1.0]], complex)
     steps, dt = 300_000, 0.9
-    U, unresolved = riccati._product(H[None], np.zeros((3, steps), dtype=np.intp), dt)
+    U, unresolved = riccati._product(H[None], np.zeros((3, steps), dtype=np.intp), dt, np.eye(2))
     assert unresolved is None
     W, folds, _ = _fold_search(U, 1, dt, 10.0)
     assert not folds and np.all(np.isfinite(W))
@@ -256,21 +238,21 @@ def test_readings_do_not_depend_on_window_or_block(monkeypatch):
 
 
 def test_no_solver_path_calls_rk4_step(monkeypatch):
-    # no path steps by the reference rk4_step, and only the precession
-    # (bloch._precess) builds RK4 step matrices: every Riccati path reads the
-    # Magnus product
+    # no path steps by the reference rk4_step: every Riccati path reads the
+    # Magnus product, and the precession (bloch._precess) chains the same
+    # Magnus steps of its real generator stack from the pole
     def forbidden(*args):
         raise AssertionError("a solver called the reference rk4_step")
 
-    def propagator(K, dt):
-        callers.append(sys._getframe(1).f_code.co_qualname)
-        return rk4_propagator(K, dt)
+    def product(values, index, dt, start, unit=-1j):
+        callers.append((sys._getframe(1).f_code.co_qualname, start.shape, unit, values.dtype))
+        return riccati_product(values, index, dt, start, unit)
 
     for module in (riccati, factorization, bloch):
         if hasattr(module, "rk4_step"):
             monkeypatch.setattr(module, "rk4_step", forbidden)
-    rk4_propagator, callers = bloch._rk4_propagator, []
-    monkeypatch.setattr(bloch, "_rk4_propagator", propagator)
+    riccati_product, callers = bloch._product, []
+    monkeypatch.setattr(bloch, "_product", product)
     h = trig_random(4, seed=1, scale=2.0)
     assert solve_factored(h, 3.0, 100, Z_max=2.0).restarts
     assert hierarchical_solve(h, 3.0, 100, Z_max=2.0).level_restarts
@@ -280,7 +262,7 @@ def test_no_solver_path_calls_rk4_step(monkeypatch):
     crosscheck_so5(_so5_coupling(3, 1.5), 1.6, 40, Z_max=1.5)
     crosscheck_su2([1.0, 0.5, 0.0], 4.0, 100)
     precess(lambda t: np.einsum("ijk,k->ij", EPSILON, [1.0, 0.0, np.cos(t)]), 2.0, 50)
-    assert callers == ["_precess.<locals>.block"] * 3
+    assert callers == [("_precess", (5,), 1, float), ("_precess", (3,), 1, float), ("_precess", (3,), 1, float)]
 
 
 def test_no_solver_path_calls_eigh_on_a_resolved_grid(monkeypatch):
@@ -376,7 +358,6 @@ def test_an_early_first_restart_is_no_thrash(solver):
 # Twelve steps to t = 3 are far too coarse for these couplings: the first
 # Magnus step's exponent spans far more than pi, so the solve stops there.
 UNRESOLVED = r"unresolved step: the Magnus exponent spans \S+ \(dt \(lambda_max - lambda_min\) >= pi\) "
-RK4_UNRESOLVED = r"unresolved step: the RK4 propagator is \S+ from unitary \(\|\|P\^H P - I\|\|_F\) "
 RUNAWAY_PATHS = {
     "factored": lambda: solve_factored(trig_random(4, seed=1, scale=80), 3.0, 12),
     "hierarchical": lambda: hierarchical_solve(trig_random(4, seed=1, scale=80), 3.0, 12),
@@ -471,9 +452,8 @@ _F5 = _random_F(np.random.default_rng(3), 0.3)
 _B3 = np.array([0.6, -0.3, 0.8])
 
 # The step from t = 1.5 reads the field at scale 200 at its midpoint and end,
-# where dt ||H|| is about 10: each path stops at that step, before it takes it.
-# The Riccati paths name the Magnus step's spread, the precession its RK4
-# step matrix's defect.
+# where dt ||H|| is about 10: each path stops at that step, before it takes it,
+# and names its Magnus step's spread (the precession's is 17.4).
 JUMP_PATHS = {
     "factored": lambda: solve_factored(piecewise_constant([0.0, 1.51], [_M4, 200.0 * _M4]), 3.0, 60),
     "hierarchical": lambda: hierarchical_solve(piecewise_constant([0.0, 1.51], [_M4, 200.0 * _M4]), 3.0, 60),
@@ -484,16 +464,15 @@ JUMP_PATHS = {
 
 @pytest.mark.parametrize("path", sorted(JUMP_PATHS))
 def test_unresolved_step_after_a_jump_raises_at_that_step(path):
-    message = RK4_UNRESOLVED if path == "precession" else UNRESOLVED
-    with pytest.raises(StiffnessError, match=message + r"at t=1.5 \(step 30\)") as info:
+    with pytest.raises(StiffnessError, match=UNRESOLVED + r"at t=1.5 \(step 30\)") as info:
         JUMP_PATHS[path]()
     assert (info.value.t, info.value.step) == (pytest.approx(1.5, abs=1e-12), 30)
-    assert info.value.peak > (100.0 if path == "precession" else 3.0 * np.pi)
+    assert info.value.peak > 3.0 * np.pi
 
 
 @pytest.mark.parametrize("path", sorted(GUARD_PATHS))
 def test_resolved_first_step_past_a_tiny_threshold_raises(path):
-    # 60 steps to t = 3 resolve these fields (defects below 1e-6), but the
+    # 60 steps to t = 3 resolve these fields (spreads far below pi), but the
     # first step from z = 0 already takes ||z||_F past Z_max = 0.01, and the
     # step retaken from z = 0 does the same
     solve = {
