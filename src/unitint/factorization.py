@@ -10,7 +10,11 @@ U2 = U1(z)^H U by _frames; _solve reads both solvers' results from one.
 For block size 1 the lower fiber block is a pure phase (the corner phase)
 with a clean geometric/dynamical split, and peeling one level at a time,
 each level's operator the top block of the fiber above it, yields the full
-hierarchical solution SU(N) -> SU(N-1) -> ... -> U(1).
+hierarchical solution SU(N) -> SU(N-1) -> ... -> U(1).  The phases are
+readings of the same operators (_corner_phases): the lift of the corner's
+arg and the Pancharatnam sum of the last column.  No solver builds a
+level's Hamiltonian: _peel_level and _next_level, the paper's recursion,
+serve recursion_hamiltonian and the tests.
 """
 
 from __future__ import annotations
@@ -28,8 +32,6 @@ from .riccati import (
     _integrate,
     _Integration,
     _omega,
-    _projective_rhs,
-    _simpson,
     _straddled,
 )
 
@@ -167,8 +169,8 @@ def effective_hamiltonian_hermitian(
     upper = (i/2)[d/dt g1^{-1/2}, g1^{1/2}]
             + (1/2){g1^{-1/2} (Htop - z V^H) g1^{1/2} + h.c.}
     and the analogous expression with g2 and Hbot + z^H V for the lower
-    block.  z_dot must be the slope dz/dt at z, riccati_rhs (solve_factored
-    passes the top rows of _projective_rhs).  Stacks (leading axes) of
+    block.  z_dot must be the slope dz/dt at z, riccati_rhs (or the
+    top rows of riccati._projective_rhs).  Stacks (leading axes) of
     h_blocks, z and z_dot give stacks of blocks from one batched SVD
     z = A S B^H, S = diag(s) above zeros (n <= m), so g1 = A diag(r1^2) A^H
     and g2 = B diag(r2^2) B^H.  With Ht = A^H Htop A, Hb = B^H Hbot B,
@@ -178,10 +180,10 @@ def effective_hamiltonian_hermitian(
     for (Q, r, P, C) = (A, r1, R S^H, C1) and (B, r2, S^H R, C2), where
     P + P^H = Q^H (d/dt g) Q.
 
-    No solver calls it: solve_factored's fiber steps are the block diagonal
-    of the Magnus step in the frame of z, whose generator this is to fourth
-    order.  Criterion 5 and ``unitint verify`` check it; for n = 1 it is
-    (recursion_hamiltonian, -d(mu)/dt of _peel_level).
+    No solver calls it: solve_factored reads the fiber from the Magnus
+    product in the frame of z, whose generator this is.  Criterion 5 and
+    ``unitint verify`` check it; for n = 1 it is (recursion_hamiltonian,
+    -d(mu)/dt of _peel_level).
     """
     Htop, V, Hbot = h_blocks
     m, n = z.shape[-2:]
@@ -208,8 +210,9 @@ def recursion_hamiltonian(h_blocks, z: np.ndarray) -> np.ndarray:
          - z (z^H V + V^H z) z^H / (2 (sqrt(g)+1)^2),
     whose trace equals -(H_NN + Re(V^H z)); the peeled corner phase restores
     it.  H' is also the upper block of the n=1 Hermitian effective
-    Hamiltonian; the formula lives in the peel's level kernel, _peel_level
-    and _next_level.
+    Hamiltonian.  The formula lives in the level kernel, _peel_level and
+    _next_level, which no solver calls: hierarchical_solve reads each
+    level's operator from the product instead, and this H' generates it.
     """
     Htop, V, Hbot = h_blocks
     z = np.atleast_2d(np.asarray(z, dtype=complex))
@@ -230,8 +233,9 @@ def _peel_level(Htop: np.ndarray, v: np.ndarray, h, z: np.ndarray):
     trace tau = -h - 2 Re(u^H z) relies on tr Htop = -h; the trace phase
     advances at -tau/m.  None of it needs the slope dz/dt.
 
-    This is the one definition of the n=1 corner-phase rates, read by both
-    solve_factored and hierarchical_solve:
+    These are the paper's n=1 corner-phase rates, whose integrals the
+    solvers read from the operators instead (_corner_phases; the tests
+    check the readings against them):
     d(mu)/dt = -(H_NN + Re(V^H z)) and d(geometric)/dt =
     -(-i U1^H dU1/dt)_NN = [z^H (Htop - H_NN I) z + 2 Re(V^H z)(1 - g/2)] / g.
     The sign of the latter is fixed by the split-sum identity
@@ -258,7 +262,8 @@ def _next_level(Htop: np.ndarray, z: np.ndarray, u: np.ndarray, phi_rate=None) -
 
     z, u and the trace-phase rate phi_rate = -tau/m come from _peel_level,
     over the same leading axes; phi_rate, added on the diagonal, removes the
-    trace.  H' is the next level's H in hierarchical_solve's peel.
+    trace.  H' is the generator of the next level of hierarchical_solve's
+    peel, up to that trace.
     """
     rows = z.shape[-1]
     zu = z[..., :, None] * u[..., None, :].conj()
@@ -280,8 +285,10 @@ class FactoredResult:
     """Full time series produced by solve_factored.
 
     U_samples are the complete evolution operators U(t_k), the Magnus
-    product itself.  Phase arrays (block size 1 only) are cumulative across
-    restarts.
+    product itself.  The phase arrays (block size 1 only) are readings of
+    U, one value per grid node from 0 at t = 0, so they do not depend on
+    the folds.  ``poles`` holds (t, step, 0) for each step near the pole
+    U_NN = 0, where mu takes the principal value (_corner_phases).
     """
 
     h: BlockedHamiltonian
@@ -295,6 +302,7 @@ class FactoredResult:
     phase_geometric: np.ndarray | None = None
     phase_dynamical: np.ndarray | None = None
     imag_mu: np.ndarray | None = None
+    poles: list = field(default_factory=list)
 
 
 def solve_factored(
@@ -330,13 +338,14 @@ def solve_factored(
       unitarized_U1 evaluated once per node.  It is block-diagonal to
       roundoff, since U1(z_j)'s last n columns span W_j, and U2_samples
       keeps its two diagonal blocks.  So U = U1(z) U2 U_s at every node.
-    - For n = 1 the corner phases (mu_total, phase_geometric, imag_mu, and
-      phase_dynamical = mu_total - phase_geometric) integrate the rates of
-      the peel's level kernel _peel_level by Simpson's rule (_simpson), at
-      the nodes of the node pass (_node_pass): W at the start and end nodes
-      and the cubic Hermite point at the midpoints.  No other block size
-      reads a node.  The phases are cumulative sums of per-step increments
-      over the grid, across restarts.
+    - For n = 1 the corner phases are readings of U (_level0_phases), with
+      psi_j = U_j e_N: mu_total is the continuous lift of arg U_NN,
+      imag_mu is -ln|U_NN|^2, phase_dynamical is the Pancharatnam sum of
+      arg <psi_j|psi_j+1>, Richardson-corrected on pairs of steps to fourth
+      order at every node (_corner_phases), and phase_geometric is
+      mu_total - phase_dynamical.  None reads H, z or a chart, so the
+      phases are the same at any Z_max, bit for bit.  A step near the pole
+      U_NN = 0 takes the principal value, and ``poles`` names it.
     - est_error (_est_error) is step doubling on the grid's own nodes: each
       pair of steps against one Magnus step of 2 dt on the same three nodes,
       carried to T.  It estimates the error in U and bounds nothing.  It
@@ -352,34 +361,89 @@ def _solve(h: BlockedHamiltonian, t_end: float, steps: int, Z_max: float, peel: 
 
     Each result equals its standalone solver's, field for field and bit for
     bit, and the two share one U.  cli.run_scenario reads both paths here.
-    The factorized readings of the node stack (est_error and the n = 1
-    phases) come first, then the peel (_peel), the stack's last reader,
-    which frees it after level 0's node pass.  The fiber U2 is allocated
-    last, once the stack and the peel's levels are gone.
+    est_error is the node stack's only reader, so the stack is freed before
+    the phases, the peel (_peel) and the fiber U2, which read U alone.
     """
     run = _integrate(h, t_end, steps, Z_max)
     n = h.n
     m = h.N - n
-    dt, U, W = run.dt, run.U, run.W  # not run.values: the peel frees the node stack
-    est_error = float("nan") if _straddled(t_end, steps, h.breakpoints) else _est_error(run.values, run.index, dt, U)
-    phases = {}
-    if n == 1:  # the phases, by Simpson's rule
-        inc = np.zeros((steps + 1, 3))  # per step's end node: the phases' increments
-        rates = None
-        for a, b, X, Wn, idx in _node_pass(run.values, run.index, W, run.folds, dt)[1]:
-            v, z = X[:, :-1, -1], Wn[1:, :-1, 0]
-            (mu_rate, geo_rate, _), _ = _peel_level(X[:, :-1, :-1], v, X[:, -1, -1], z)
-            rates = _carry(rates, np.stack((mu_rate, geo_rate, -2.0 * np.sum(v.conj() * z, axis=-1).imag), axis=-1))
-            inc[a + 1 : b + 1] = (dt / 6.0) * _simpson(rates, idx)
-        mu, geo, imu = np.cumsum(inc, axis=0).T
-        phases = dict(mu_total=mu, phase_geometric=geo, phase_dynamical=mu - geo, imag_mu=imu)
+    U, W = run.U, run.W
+    est_error = float("nan") if _straddled(t_end, steps, h.breakpoints) else _est_error(run.values, run.index, run.dt, U)
+    run.values = None  # the node stack, before anything else is read
+    phases = _level0_phases(U, run.index, run.times) if n == 1 else {}
     hier = _peel(run) if peel else None
-    run.values = None  # the node stack, before the fiber is read
     U2 = np.zeros_like(U)
     for a, b, top, bottom in _frames(U, W, run.starts, n):
         U2[a:b, :m, :m], U2[a:b, m:, m:] = top, bottom
     restarts = [(run.times[s], U[s].copy()) for s in run.starts[1:]]
     return FactoredResult(h, run.times, np.ascontiguousarray(W[:, :m]), U, U2, restarts, est_error, **phases), hier
+
+
+def _level0_phases(U: np.ndarray, index: np.ndarray, times: np.ndarray) -> dict:
+    """solve_factored's n = 1 phases, read from the product U and _drive's index on the grid ``times``.
+
+    mu_total and phase_dynamical sum _corner_phases of U, phase_geometric
+    is their difference, imag_mu is -ln|U_NN|^2 (inf at an exactly zero
+    corner), and poles names each step near the pole as (t, step, 0).
+    """
+    mu, dyn, poles = _corner_phases(U, {}, index)
+    mu, dyn = (np.concatenate(([0.0], np.cumsum(x))) for x in (mu, dyn))  # 0 at node 0
+    corner = U[:, -1, -1]
+    with np.errstate(divide="ignore"):
+        imag_mu = -np.log(corner.real**2 + corner.imag**2)
+    poles = [(times[j], int(j), 0) for j in poles]
+    return dict(mu_total=mu, phase_geometric=mu - dyn, phase_dynamical=dyn, imag_mu=imag_mu, poles=poles)
+
+
+def _corner_phases(op: np.ndarray, reached: dict, index: np.ndarray):
+    """(mu, dyn, poles): per grid step, a level's corner-phase and dynamical-phase increments, read from its operators.
+
+    op is (S + 1, M, M), the level's operator at the grid nodes (U for
+    level 0), and ``reached`` maps each node j where op starts afresh (a
+    restart handed down to the level) to the operator its ending segment
+    reached there.  A step reads op at its start node and at its end node,
+    the reached one at such a j.  With c = op[-1, -1] and psi = op e_last:
+
+    - mu is arg(c_b conj(c_a)), the step's change of arg c.  Where c
+      passes near 0 (the pole), arg c is not resolved: a step whose change
+      exceeds pi/2, or whose corner is exactly 0 at either end, takes its
+      change on the branch nearest 0 mod pi (the principal value), and
+      ``poles`` names it.
+    - dyn is arg <psi_a|psi_b>, the Pancharatnam-Bargmann form of the
+      step's -int <psi|H|psi> dt (Samuel & Bhandari, PRL 60 (1988) 2339;
+      Mukunda & Simon, Ann. Phys. 228 (1993) 205), second order.
+      Richardson on each pair of steps 2k, 2k + 1 makes it fourth order:
+      (4 D_dt - D_2dt)/3, with D_2dt = arg <psi_2k|psi_2k+2>, and each step
+      takes half of its pair's correction, so every node is fourth order.
+      With an odd step count the last step takes half the correction of
+      the pair it forms with the step before.  A pair whose middle node is
+      a breakpoint jump (index is _drive's) or a key of ``reached`` keeps
+      its plain sum, and so does a one-step grid.
+
+    Neither reads H, z or a chart, so level 0's phases do not depend on
+    the folds.  ``poles`` holds the steps, as grid step numbers.
+    """
+    S = len(op) - 1
+    c, psi = op[:, -1, -1], op[:, :, -1]
+    c_b, psi_b = c[1:].copy(), psi[1:].copy()
+    for j, R in reached.items():
+        c_b[j - 1], psi_b[j - 1] = R[-1, -1], R[:, -1]
+    turn = c_b * c[:-1].conj()
+    mu = np.angle(turn)
+    pole = (turn == 0) | (np.abs(mu) > np.pi / 2)
+    mu[pole] -= np.pi * np.round(mu[pole] / np.pi)
+    p = np.angle(np.vecdot(psi[:-1], psi_b))
+    f = np.arange(0, S - 1, 2)  # each pair's first step
+    if S % 2 and S > 1:
+        f = np.append(f, S - 2)  # the odd last step's pair
+    fresh = np.zeros(S + 1, dtype=bool)
+    fresh[list(reached)] = True
+    keep = (index[0, f + 1] == index[2, f]) & ~fresh[f + 1]
+    half = np.where(keep, (p[f] + p[f + 1] - np.angle(np.vecdot(psi[f], psi_b[f + 1]))) / 6.0, 0.0)
+    correction = np.zeros(S)
+    correction[f[: S // 2]] = half[: S // 2]
+    correction[f + 1] = half
+    return mu, p + correction, np.flatnonzero(pole)
 
 
 def _frames(op: np.ndarray, W: np.ndarray, starts: list, n: int):
@@ -457,75 +521,6 @@ def _est_error(values, index, dt: float, U: np.ndarray) -> float:
     return float(np.linalg.norm(total)) / 15.0
 
 
-def _carry(last, own: np.ndarray) -> np.ndarray:
-    """A per-node quantity at the rows a block's index reads: the carried node, then the block's own nodes.
-
-    The carried row is last's final row, the quantity at the block before's
-    last node (zero in the first block, where last is None); ``own`` holds
-    it at the nodes the block adds to the stack (_node_pass).
-    """
-    return np.concatenate((np.zeros_like(own[:1]) if last is None else last[-1:], own))
-
-
-def _node_pass(values, index, W: np.ndarray, folds: list, dt: float):
-    """The node pass of a level: its node stack and the state W at each node.
-
-    ``values`` and ``index`` are the level's H stack in _drive's layout, and
-    W (= [z; I_n] at the grid nodes) and ``folds`` ((j, the state reached
-    at j) per restart) its riccati._fold_search.  Each step reads the level at
-    its start, midpoint and end node.  Its midpoint and end node are nodes
-    of its own.  Its start node is its own only at step 0, after a
-    breakpoint jump (where the index reads the start afresh) and at a
-    restart, where the state starts afresh; elsewhere it is the step
-    before's end node.  So the level's node stack holds 2S + 1 nodes plus
-    one per jump or restart.  The state at a step's start and end node is W
-    there, except that a step that ends at a restart ends at the state it
-    reached; at its midpoint it is the cubic Hermite point (W_a + W_b)/2 +
-    dt/8 (f_a - f_b), from the slopes f = _projective_rhs(-iH, W) at the
-    start and end node.  f is zero on the I_n rows, so the midpoints keep
-    them exactly.  The n = 1 phases of solve_factored and every level of
-    hierarchical_solve read the pass; n > 1 solves do not run it.
-
-    Returns (nodes, blocks).  ``nodes`` is the (3, steps) index of each
-    step's nodes in the stack, _drive's layout, so a per-node quantity
-    stacked in node order is a next level's values.  ``blocks`` yields (a,
-    b, X, Wn, idx) per block of _BLOCK steps, over the whole grid: X is H at
-    the block's own nodes, the stack's next rows in order; Wn is W at a
-    carried row and then at those nodes; and idx, (3, b - a), indexes each
-    step's nodes in them.  The carried row is the block before's last node,
-    which the block's first step may start from.  A quantity evaluated on
-    the own nodes takes it with _carry, so every node is evaluated once.
-    """
-    steps = index.shape[1]
-    cut = np.array([j for j, _ in folds], dtype=int)
-    reached = np.array([W_j for _, W_j in folds]).reshape(cut.shape + W.shape[1:])
-    fresh = np.ones((steps, 3), dtype=bool)  # whether each step's start, midpoint and end are its own nodes
-    fresh[1:, 0] = index[0, 1:] != index[2, :-1]
-    fresh[cut, 0] = True
-    nodes = (np.cumsum(fresh) - 1).reshape(steps, 3).T
-
-    def blocks():
-        Wn = f = None
-        for a in range(0, steps, _BLOCK):
-            b = min(a + _BLOCK, steps)
-            own = fresh[a:b]
-            X = values[index[:, a:b].T[own]]
-            idx = nodes[:, a:b] - nodes[2, a - 1] if a else nodes[:, a:b] + 1  # row 0 is the carried node
-            Wn = _carry(Wn, np.empty((len(X),) + W.shape[1:], W.dtype))
-            f = _carry(f, np.empty_like(Wn[1:]))
-            starts = idx[0, own[:, 0]]
-            Wn[starts] = W[a:b][own[:, 0]]
-            Wn[idx[2]] = W[a + 1 : b + 1]
-            hit = (a < cut) & (cut <= b)
-            Wn[idx[2, cut[hit] - a - 1]] = reached[hit]
-            ends = np.concatenate((starts, idx[2]))
-            f[ends] = _projective_rhs(-1j * X[ends - 1], Wn[ends])
-            Wn[idx[1]] = 0.5 * (Wn[idx[0]] + Wn[idx[2]]) + (dt / 8.0) * (f[idx[0]] - f[idx[2]])
-            yield a, b, X, Wn, idx
-
-    return nodes, blocks()
-
-
 # ---------------------------------------------------------------------------
 # hierarchical n=1 peel
 # ---------------------------------------------------------------------------
@@ -535,12 +530,20 @@ def _node_pass(values, index, W: np.ndarray, folds: list, dt: float):
 class HierarchicalResult:
     """Output of the level-by-level peel.
 
-    ``level_mu`` etc. hold one phase per peeled level (level 0 is the full
-    problem): the sum of the level's increments over the grid, across its
-    restarts.  ``trace_phases`` hold the per-level overall phases restored
-    after trace subtraction.  ``restarts`` holds (t, U(t)) at each fold of
-    level 0, the same records as solve_factored's, and ``level_restarts``
-    holds (t, level) for every fold of every level, in time order.
+    ``level_mu``, ``level_geo`` and ``level_dyn`` hold one column per
+    peeled level (level 0 is the full problem), one value per grid node
+    from 0 at t = 0.  ``trace_phases`` hold the per-level overall phases
+    restored after trace subtraction.  Level 0's phases are readings of U,
+    the same as solve_factored's, and do not depend on the folds.  A level
+    k >= 1 reads an operator that starts afresh at every restart of the
+    levels above it, so its phases are per segment by construction: each
+    segment adds what it reads to the value the level reached at its
+    start, and they move with the threshold where the shallower levels
+    fold.  ``restarts`` holds (t, U(t)) at each fold of level 0, the same
+    records as solve_factored's, ``level_restarts`` holds (t, level) for
+    every fold of every level, in time order, and ``poles`` (t, step,
+    level) for every step near the pole of a level's corner
+    (_corner_phases).
     """
 
     h: BlockedHamiltonian
@@ -553,6 +556,7 @@ class HierarchicalResult:
     trace_phases: np.ndarray  # (steps+1, N-1)
     restarts: list = field(default_factory=list)
     level_restarts: list = field(default_factory=list)
+    poles: list = field(default_factory=list)
 
 
 def hierarchical_solve(
@@ -585,15 +589,17 @@ def hierarchical_solve(
       block of the fiber of level k's ending segment): level k + 1's
       segment ends at j too, and its operator starts afresh there, at I.
       The shallower levels keep their segments.
-    - Level k's phases: its node pass (_node_pass) gives z_k at every
-      distinct node of its H stack, block by block, and one batched
-      _peel_level call per block gives the level's phase rates,
-      integrated by Simpson's rule (_simpson) into the level's increments,
-      and, for every level but the innermost, the next level's H stack (its
-      trace removed) by _next_level from the same call.  The pass's node
-      stack and index are the next level's.  The reported phases are each
-      level's increments summed over the grid; ``restarts`` records level
-      0's folds as (t, U) and ``level_restarts`` every level's own folds.
+    - Level k's phases are readings of its operators (_corner_phases),
+      with no Hamiltonian of the level: its corner's arg and the
+      Pancharatnam sum of op e_last, both less r_k-1, and the trace phase
+      r_k - r_k-1.  r_k is the lifted arg det(op_k+1) / (N - k - 1), with
+      r_-1 = 0, and it needs no determinant: det(op_k+1) = det(op_k)
+      conj(det(op_k,s)) / c_k with c_k the corner of level k's fiber, and
+      det U = 1, so its arg changes by minus the summed changes of the
+      fibers' corners above it.  At a restart handed down to level k, its
+      step ends at the operator the level reached there.  ``restarts``
+      records level 0's folds as (t, U) and ``level_restarts`` every
+      level's own folds.
 
     A StiffnessError names the first bad step of the shallowest level that
     fails.
@@ -606,47 +612,46 @@ def hierarchical_solve(
 def _peel(run: _Integration) -> HierarchicalResult:
     """hierarchical_solve's reading of an n = 1 _integrate, whose fold search is level 0's.
 
-    It is the node stack's last reader: it sets run.values to None, and
-    the stack is freed once level 0's node pass has read it.
+    It reads U alone: it sets run.values to None, which frees the node
+    stack of a run no other reader holds.
     """
-    L, dt, U = run.h.N - 1, run.dt, run.U
-    values, index, run.values = run.values, run.index, None
-    inc = np.zeros((len(U), 3, L))  # at each grid node, each level's phase increments
-    op, handed, folds = U, {}, []
+    L, S = run.h.N - 1, len(run.U) - 1
+    run.values = None
+    op, handed, folds, poles = run.U, {}, [], []
+    inc = np.zeros((S + 1, 3, L))  # at each grid node, each level's mu, dyn and trace-phase increments
+    theta, r_above = np.zeros(S), np.zeros(S)  # per step: the fiber corners' arg change, summed over the levels so far, and r_k-1's
     for k in range(L):
+        M = L + 1 - k  # op is M x M
         if k:
-            W, reached, starts = _fold_search(op, 1, dt, run.Z_max / 2, handed)
+            W, reached, starts = _fold_search(op, 1, run.dt, run.Z_max / 2, handed)
         else:  # level 0: the integration's own search, at Z_max
             W, reached, starts = run.W, run.folds, run.starts
         folds += [(j, k) for j in starts[1:] if j not in handed]
-        nodes, blocks = _node_pass(values, index, W, reached, dt)
-        H_next = np.empty((nodes[2, -1] + 1, L - k, L - k), complex) if k + 1 < L else None  # the innermost has no next
-        rates, c = None, 0  # c: the block's first own node in the stack
-        for a, b, X, Wn, idx in blocks:
-            z = Wn[1:, :-1, 0]
-            rates_own, u = _peel_level(X[:, :-1, :-1], X[:, :-1, -1], X[:, -1, -1], z)
-            rates = _carry(rates, np.stack(rates_own, axis=-1))
-            inc[a + 1 : b + 1, :, k] = (dt / 6.0) * _simpson(rates, idx)
-            if H_next is not None:
-                H_next[c : c + len(X)] = _next_level(X[:, :-1, :-1], z, u, rates_own[2])
-            c += len(X)
-        del blocks, X  # this level's H stack, before the next level's operator is read
-        values, index = H_next, nodes
-        if H_next is not None:  # the next level's operator, and what it reached at each restart of this one
-            m = L - k
-            below = np.empty((len(op), m, m), dtype=complex)
-            for a, b, top, _ in _frames(op, W, starts, 1):
+        mu, dyn, pole = _corner_phases(op, handed, run.index)
+        poles += [(j, k) for j in pole]
+        below = np.empty((S + 1, M - 1, M - 1), dtype=complex) if k + 1 < L else None  # r reads the innermost's 1 x 1
+        corner = np.empty(S + 1, dtype=complex)  # the fiber's corner c_k at each node
+        for a, b, top, bottom in _frames(op, W, starts, 1):
+            corner[a:b] = bottom[:, 0, 0]
+            if below is not None:
                 below[a:b] = top
-            ends = [j for j, _ in reached]
-            ops = np.array([handed.get(j, op[j]) for j in ends]).reshape(-1, m + 1, m + 1)
-            z_ends = np.array([W_j[:m] for _, W_j in reached]).reshape(-1, m, 1)
-            handed = dict(zip(ends, _fiber(z_ends, ops @ dagger(op[starts[:-1]]))[0]))
-            op = below
-    mu, geo, phi = np.moveaxis(np.cumsum(inc, axis=0), 1, 0)
-    restarts = [(run.times[j], U[j].copy()) for j, level in sorted(folds) if level == 0]
+        # the fiber each segment reached at its end, from the operator this level reached there
+        ends = np.array([j for j, _ in reached], dtype=int)
+        ops = np.array([handed.get(j, op[j]) for j in ends]).reshape(-1, M, M)
+        z_ends = np.array([W_j[:-1] for _, W_j in reached]).reshape(-1, M - 1, 1)
+        tops, bottoms = _fiber(z_ends, ops @ dagger(op[starts[:-1]]))
+        corner_b = corner[1:].copy()
+        corner_b[ends - 1] = bottoms[:, 0, 0]
+        theta += np.angle(corner_b * corner[:-1].conj())
+        r = -theta / (M - 1)  # det op_k+1 = det op_k conj(det op_k,s) / c_k and det U = 1
+        inc[1:, :, k] = np.column_stack((mu, dyn, r)) - r_above[:, None]
+        op, handed, r_above = below, dict(zip(ends.tolist(), tops)), r
+    mu, dyn, phi = np.moveaxis(np.cumsum(inc, axis=0), 1, 0)
+    restarts = [(run.times[j], run.U[j].copy()) for j, level in sorted(folds) if level == 0]
     level_restarts = [(run.times[j], level) for j, level in sorted(folds)]
+    poles = [(run.times[j], int(j), level) for j, level in sorted(poles)]
     z0 = np.ascontiguousarray(run.W[:, :-1])
-    return HierarchicalResult(run.h, run.times, z0, U, mu, geo, mu - geo, phi, restarts, level_restarts)
+    return HierarchicalResult(run.h, run.times, z0, run.U, mu, mu - dyn, dyn, phi, restarts, level_restarts, poles)
 
 
 def schrodinger_residual(h: BlockedHamiltonian, times: np.ndarray, U_samples: np.ndarray) -> float:

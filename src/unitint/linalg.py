@@ -152,6 +152,8 @@ def _expm1(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     matrix whose theta exceeds _THETA_9 is scaled by 2^-s, the least s that
     brings it below, and squared back s times, E <- E E + 2 E, alone: each
     matrix's E depends on that matrix only, so not on the stack it is in.
+    A squaring that every matrix of the stack takes runs on the whole
+    stack, with the same products.
     E has no I term, so its roundoff scales with theta, and a zero A gives
     E = 0 exactly.  A must be finite.  Leading axes broadcast.
     """
@@ -171,6 +173,9 @@ def _expm1(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     E.reshape(-1, N * N)[:, :: N + 1] += c[2]
     E = A3 @ E + c[1] * A2 + A
     for r in range(1, s.max(initial=0) + 1):
+        if r <= s.min():  # every matrix: the whole stack, with no gather
+            E = E @ E + 2.0 * E
+            continue
         scaled = np.flatnonzero(s >= r)
         F = E[scaled]
         E[scaled] = F @ F + 2.0 * F

@@ -28,10 +28,12 @@ and the picture cross-checks.  Folds follow one rule, _fold_guard, in one search
 restart threshold, the segment ends at j and the next starts there from
 z = 0.  A segment of the hierarchical peel also ends where the level above
 it restarts.  The product does not depend on the folds, so they are exact:
-they only move the chart.  The SO(5) two-qubit case reads the 2 x 2
-quaternionic z of build_so5's H and reports its four real parameters.
-riccati_rhs, so5_rhs and rk4_step are the reference formulas the tests
-check the readings against; no solver calls them.
+they only move the chart, and level 0's phases, read from U alone
+(factorization._corner_phases), do not depend on them.  The SO(5)
+two-qubit case reads the 2 x 2 quaternionic z of build_so5's H and reports
+its four real parameters.  riccati_rhs, _projective_rhs, so5_rhs and
+rk4_step are the reference formulas the tests check the readings against;
+no solver calls them.
 """
 
 from __future__ import annotations
@@ -47,9 +49,8 @@ DEFAULT_Z_MAX = 10.0
 # Restarts closer together than this many grid steps indicate the trajectory
 # hugs the coordinate singularity; bail out instead of thrashing.
 MIN_STEPS_BETWEEN_RESTARTS = 4
-# Steps of Magnus steps per block of _product, of the node pass
-# (factorization._node_pass) and of est_error, and nodes per block of the
-# readings: the block bounds their temporaries.
+# Steps of Magnus steps per block of _product and of est_error, and nodes
+# per block of the readings: the block bounds their temporaries.
 _BLOCK = 2048
 # Nodes of the fold search's first window, and of its first after each
 # fold; each window after it doubles, up to _BLOCK.
@@ -102,21 +103,11 @@ def _projective_rhs(K: np.ndarray, W: np.ndarray) -> np.ndarray:
     z = X Y^-1 with [X; Y] linear, d[X; Y]/dt = K [X; Y], makes the Riccati flow
     of z the top m rows of f (Schiff & Shnider, SIAM J. Numer. Anal. 36 (1999)
     1392).  The bottom n rows are (K W)[m:] - I (K W)[m:], exactly zero.
-    The node pass (factorization._node_pass) takes the slopes of the read
-    states from it.  Leading axes broadcast.
+    No solver calls it: z is read from the product (_fold_search), and the
+    tests check the readings' flow against it.  Leading axes broadcast.
     """
     KW = K @ W
     return KW - W @ KW[..., -W.shape[-1] :, :]
-
-
-def _simpson(q: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """Simpson's sum q_a + 4 q_m + q_b of each step, from q at the nodes (first axis) that idx indexes.
-
-    dt/6 times it is the step's integral of q by Simpson's rule: the corner
-    phases of solve_factored and every level's phases of hierarchical_solve;
-    _magnus4's S is the sum over 6.
-    """
-    return q[idx[0]] + 4.0 * q[idx[1]] + q[idx[2]]
 
 
 def _omega(X: np.ndarray, idx: np.ndarray, dt: float, unit=-1j) -> np.ndarray:
@@ -126,8 +117,8 @@ def _omega(X: np.ndarray, idx: np.ndarray, dt: float, unit=-1j) -> np.ndarray:
     _drive's node stack of H, or of real antisymmetric generators with
     unit 1 (the precession's Omega).  idx, (3, steps), names each step's
     start, midpoint and end node in it (_drive's index), so X_a, X_m and
-    X_b are X at t, t + dt/2 and t + dt, and S is their Simpson sum
-    (_simpson).  With C = X_a X_b, C^H = X_b X_a for both kinds, so
+    X_b are X at t, t + dt/2 and t + dt, and S = X_a + 4 X_m + X_b is
+    their Simpson sum.  With C = X_a X_b, C^H = X_b X_a for both kinds, so
 
         A = (unit dt) (S/6 + (unit dt/12) (C^H - C))
 
@@ -137,9 +128,9 @@ def _omega(X: np.ndarray, idx: np.ndarray, dt: float, unit=-1j) -> np.ndarray:
     commutes with the Lie-algebra map from a spin-1/2 or SO(5) H to its
     Omega.  A is anti-Hermitian for both kinds, so i A is Hermitian.
     """
-    X_a, X_b = X[idx[::2]]
+    X_a, X_m, X_b = X[idx]
     C = X_a @ X_b
-    return (unit * dt) * (_simpson(X, idx) / 6.0 + (unit * dt / 12.0) * (dagger(C) - C))
+    return (unit * dt) * ((X_a + 4.0 * X_m + X_b) / 6.0 + (unit * dt / 12.0) * (dagger(C) - C))
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an exponent that overflows is an unresolved step
@@ -336,13 +327,10 @@ def _drive(read, t_end: float, steps: int, breakpoints=(), Z_max: float = np.inf
     those values and chains them into one product (_product), from which
     _fold_search reads z and the folds; the precession chains the same
     Magnus steps of a generator stack in the same layout (bloch._precess),
-    which the picture cross-checks recover from the H stack.  Where a path
-    needs the state at every node (the n = 1 phases and the peel's
-    levels), one node pass (factorization._node_pass) gives it, in blocks
-    of steps; each level of the peel below level 0 reads an H stack of its
-    own in this layout, the node stack of the level above it.
+    which the picture cross-checks recover from the H stack.
     solve_factored's est_error reads the same values again, two steps at a
-    time.
+    time, and is the stack's last reader: the phases and every level of
+    the peel read the product alone, and the index only for its jumps.
 
     Returns (times, dt, ts, values, index), with ts the times read, in
     read order (bloch._so5_fields names a node by it).  Every argument is

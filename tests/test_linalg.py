@@ -139,6 +139,23 @@ def test_expm1_matches_expm_and_is_unitary(N):
     assert all(np.array_equal(_expm1(A[3, k : k + 1])[0][0], E[3, k]) for k in range(len(theta)))
 
 
+@pytest.mark.parametrize("N", [2, 4, 5])
+def test_expm1_squares_a_fully_scaled_stack_matrix_by_matrix(N):
+    # every matrix needs 2 to 4 squarings, so the first two run on the whole
+    # stack: each E equals the one-matrix call's bit for bit, complex and
+    # real (the precession's generators)
+    rng = np.random.default_rng(N)
+    norms = rng.uniform(0.2, 1.0, 12)
+    G = rng.standard_normal((12, N, N))
+    G -= G.mT
+    real = G * (norms / np.linalg.norm(G, axis=(-2, -1)))[:, None, None]
+    for stack in (_anti_hermitian(rng, (12,), N, norms), real):
+        E, theta = _expm1(stack)
+        assert np.all(theta > 2 * 0.0896)
+        for k in range(len(stack)):
+            assert np.array_equal(_expm1(stack[k : k + 1])[0][0], E[k])
+
+
 def test_expm1_of_zero_is_exactly_zero():
     # no squaring, no warning (a RuntimeWarning fails the suite), and the
     # steps built on it are exactly I
