@@ -153,8 +153,9 @@ def run_scenario(scenario: dict, out_dir: Path) -> dict:
     is integrated once (factorization._solve) for the factorized reading,
     which always runs since it gives the trajectory CSV, and for the peel
     when the hierarchical path is asked for; the two share one U, so one
-    unitarity check serves both.  A solver error propagates before anything
-    is written.
+    unitarity check serves both.  est_error is estimated only under an
+    est_error tolerance, its one reader.  A solver error propagates before
+    anything is written.
     """
     scenario, h = parse_scenario(scenario)
     t_end, steps, z_max, paths = (scenario[key] for key in ("t_end", "steps", "Z_max", "paths"))
@@ -164,8 +165,11 @@ def run_scenario(scenario: dict, out_dir: Path) -> dict:
     phases = {}
     bloch_report = None
 
-    factored, hier = _solve(h, t_end, steps, z_max, peel="hierarchical" in paths)
+    factored, hier = _solve(
+        h, t_end, steps, z_max, peel="hierarchical" in paths, estimate="est_error" in scenario["tolerances"]
+    )
     restart_log = [{"path": "factorized", "t": float(t)} for t, _ in factored.restarts]
+    poles = [{"path": "factorized", "t": float(t), "step": step, "level": level} for t, step, level in factored.poles]
     riccati_paths = [path for path in ("factorized", "hierarchical") if path in paths]
     if riccati_paths:
         defect = _worst_unitarity(factored.U_samples)
@@ -181,6 +185,7 @@ def run_scenario(scenario: dict, out_dir: Path) -> dict:
         restart_log += [
             {"path": "hierarchical", "t": float(t), "level": level} for t, level in hier.level_restarts
         ]
+        poles += [{"path": "hierarchical", "t": float(t), "step": step, "level": level} for t, step, level in hier.poles]
         phases["hierarchical"] = [
             {
                 "level": int(lvl),
@@ -228,6 +233,7 @@ def run_scenario(scenario: dict, out_dir: Path) -> dict:
         "distances": distances,
         "unitarity": {k: float(v) for k, v in unitarity.items()},
         "phases": phases,
+        "poles": poles,
         "restarts": restart_log,
         "verdicts": verdicts,
     }

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .hamiltonian import BlockedHamiltonian
-from .linalg import _expm1, blockdiag, dagger, inv_sqrt_hpd, sqrt_hpd
+from .linalg import _expm1, _matmul, blockdiag, dagger, inv_sqrt_hpd, sqrt_hpd
 from .riccati import (
     _BLOCK,
     DEFAULT_Z_MAX,
@@ -289,6 +289,9 @@ class FactoredResult:
     U, one value per grid node from 0 at t = 0, so they do not depend on
     the folds.  ``poles`` holds (t, step, 0) for each step near the pole
     U_NN = 0, where mu takes the principal value (_corner_phases).
+    est_error is solve_factored's estimate of its error in U(T); it is None
+    in a reading that was asked for none (cli.run_scenario without an
+    est_error tolerance).
     """
 
     h: BlockedHamiltonian
@@ -297,7 +300,7 @@ class FactoredResult:
     U_samples: np.ndarray
     U2_samples: np.ndarray
     restarts: list = field(default_factory=list)
-    est_error: float = 0.0
+    est_error: float | None = 0.0
     mu_total: np.ndarray | None = None
     phase_geometric: np.ndarray | None = None
     phase_dynamical: np.ndarray | None = None
@@ -356,22 +359,28 @@ def solve_factored(
     return _solve(h, t_end, steps, Z_max)[0]
 
 
-def _solve(h: BlockedHamiltonian, t_end: float, steps: int, Z_max: float, peel: bool = False):
+def _solve(h: BlockedHamiltonian, t_end: float, steps: int, Z_max: float, peel: bool = False, estimate: bool = True):
     """(FactoredResult, HierarchicalResult or None): solve_factored's reading of one _integrate, and hierarchical_solve's if peel.
 
     Each result equals its standalone solver's, field for field and bit for
-    bit, and the two share one U.  cli.run_scenario reads both paths here.
-    est_error is the node stack's only reader, so the stack is freed before
-    the phases, the peel (_peel) and the fiber U2, which read U alone.
+    bit, and the two share one U and level 0's corner phases (one
+    _corner_phases of U).  cli.run_scenario reads both paths here, and asks
+    for est_error only under an est_error tolerance: without ``estimate``
+    the factorized result's est_error is None.  est_error is the node
+    stack's only reader, so the stack is freed before the phases, the peel
+    (_peel) and the fiber U2, which read U alone.
     """
     run = _integrate(h, t_end, steps, Z_max)
     n = h.n
     m = h.N - n
     U, W = run.U, run.W
-    est_error = float("nan") if _straddled(t_end, steps, h.breakpoints) else _est_error(run.values, run.index, run.dt, U)
+    est_error = None
+    if estimate:
+        est_error = float("nan") if _straddled(t_end, steps, h.breakpoints) else _est_error(run.values, run.index, run.dt, U)
     run.values = None  # the node stack, before anything else is read
-    phases = _level0_phases(U, run.index, run.times) if n == 1 else {}
-    hier = _peel(run) if peel else None
+    corner = _corner_phases(U, {}, run.index) if n == 1 else None
+    phases = _level0_phases(U, corner, run.times) if n == 1 else {}
+    hier = _peel(run, corner) if peel else None
     U2 = np.zeros_like(U)
     for a, b, top, bottom in _frames(U, W, run.starts, n):
         U2[a:b, :m, :m], U2[a:b, m:, m:] = top, bottom
@@ -379,14 +388,15 @@ def _solve(h: BlockedHamiltonian, t_end: float, steps: int, Z_max: float, peel: 
     return FactoredResult(h, run.times, np.ascontiguousarray(W[:, :m]), U, U2, restarts, est_error, **phases), hier
 
 
-def _level0_phases(U: np.ndarray, index: np.ndarray, times: np.ndarray) -> dict:
-    """solve_factored's n = 1 phases, read from the product U and _drive's index on the grid ``times``.
+def _level0_phases(U: np.ndarray, corner: tuple, times: np.ndarray) -> dict:
+    """solve_factored's n = 1 phases, from the product U and its _corner_phases ``corner`` on the grid ``times``.
 
-    mu_total and phase_dynamical sum _corner_phases of U, phase_geometric
-    is their difference, imag_mu is -ln|U_NN|^2 (inf at an exactly zero
-    corner), and poles names each step near the pole as (t, step, 0).
+    mu_total and phase_dynamical sum the corner's increments,
+    phase_geometric is their difference, imag_mu is -ln|U_NN|^2 (inf at an
+    exactly zero corner), and poles names each step near the pole as (t,
+    step, 0).
     """
-    mu, dyn, poles = _corner_phases(U, {}, index)
+    mu, dyn, poles = corner
     mu, dyn = (np.concatenate(([0.0], np.cumsum(x))) for x in (mu, dyn))  # 0 at node 0
     corner = U[:, -1, -1]
     with np.errstate(divide="ignore"):
@@ -461,7 +471,7 @@ def _frames(op: np.ndarray, W: np.ndarray, starts: list, n: int):
     for a in range(0, len(op), _BLOCK):
         b = min(a + _BLOCK, len(op))
         s = start[a:b]
-        top, bottom = _fiber(W[a:b, :m], op[a:b] @ dagger(op[s]) if s.any() else op[a:b])
+        top, bottom = _fiber(W[a:b, :m], _matmul(op[a:b], dagger(op[s])) if s.any() else op[a:b])
         fresh = s == nodes[a:b]
         top[fresh], bottom[fresh] = np.eye(m), np.eye(n)
         yield a, b, top, bottom
@@ -516,7 +526,7 @@ def _est_error(values, index, dt: float, U: np.ndarray) -> float:
         q = p[a : a + _BLOCK]
         A = _omega(values, np.stack((index[0, q], index[2, q], index[2, q + 1])), 2.0 * dt)
         D = _expm1(A)[0] + np.eye(N)
-        local = weight[a : a + _BLOCK] * (np.eye(N) - dagger(U[q + 2]) @ (D @ U[q]))
+        local = weight[a : a + _BLOCK] * (np.eye(N) - _matmul(dagger(U[q + 2]), _matmul(D, U[q])))
         total = np.concatenate((total[None], local)).sum(axis=0)  # in grid order, for any block
     return float(np.linalg.norm(total)) / 15.0
 
@@ -606,14 +616,16 @@ def hierarchical_solve(
     """
     if h.n != 1:
         raise UnsupportedConfigurationError("hierarchical solve peels with n=1")
-    return _peel(_integrate(h, t_end, steps, Z_max))
+    run = _integrate(h, t_end, steps, Z_max)
+    return _peel(run, _corner_phases(run.U, {}, run.index))
 
 
-def _peel(run: _Integration) -> HierarchicalResult:
+def _peel(run: _Integration, level0: tuple) -> HierarchicalResult:
     """hierarchical_solve's reading of an n = 1 _integrate, whose fold search is level 0's.
 
-    It reads U alone: it sets run.values to None, which frees the node
-    stack of a run no other reader holds.
+    level0 is _corner_phases of U, level 0's phase increments, which
+    solve_factored's phases read too.  It reads U alone: it sets run.values
+    to None, which frees the node stack of a run no other reader holds.
     """
     L, S = run.h.N - 1, len(run.U) - 1
     run.values = None
@@ -624,10 +636,11 @@ def _peel(run: _Integration) -> HierarchicalResult:
         M = L + 1 - k  # op is M x M
         if k:
             W, reached, starts = _fold_search(op, 1, run.dt, run.Z_max / 2, handed)
-        else:  # level 0: the integration's own search, at Z_max
+            mu, dyn, pole = _corner_phases(op, handed, run.index)
+        else:  # level 0: the integration's own search, at Z_max, and the phases of U
             W, reached, starts = run.W, run.folds, run.starts
+            mu, dyn, pole = level0
         folds += [(j, k) for j in starts[1:] if j not in handed]
-        mu, dyn, pole = _corner_phases(op, handed, run.index)
         poles += [(j, k) for j in pole]
         below = np.empty((S + 1, M - 1, M - 1), dtype=complex) if k + 1 < L else None  # r reads the innermost's 1 x 1
         corner = np.empty(S + 1, dtype=complex)  # the fiber's corner c_k at each node
@@ -635,17 +648,18 @@ def _peel(run: _Integration) -> HierarchicalResult:
             corner[a:b] = bottom[:, 0, 0]
             if below is not None:
                 below[a:b] = top
-        # the fiber each segment reached at its end, from the operator this level reached there
-        ends = np.array([j for j, _ in reached], dtype=int)
-        ops = np.array([handed.get(j, op[j]) for j in ends]).reshape(-1, M, M)
-        z_ends = np.array([W_j[:-1] for _, W_j in reached]).reshape(-1, M - 1, 1)
-        tops, bottoms = _fiber(z_ends, ops @ dagger(op[starts[:-1]]))
-        corner_b = corner[1:].copy()
-        corner_b[ends - 1] = bottoms[:, 0, 0]
+        corner_b, handed_below = corner[1:], {}
+        if reached:  # the fiber each segment reached at its end, from the operator this level reached there
+            ends = np.array([j for j, _ in reached])
+            ops = np.array([handed.get(j, op[j]) for j in ends])
+            tops, bottoms = _fiber(np.array([W_j[:-1] for _, W_j in reached]), ops @ dagger(op[starts[:-1]]))
+            corner_b = corner_b.copy()
+            corner_b[ends - 1] = bottoms[:, 0, 0]
+            handed_below = dict(zip(ends.tolist(), tops))
         theta += np.angle(corner_b * corner[:-1].conj())
         r = -theta / (M - 1)  # det op_k+1 = det op_k conj(det op_k,s) / c_k and det U = 1
         inc[1:, :, k] = np.column_stack((mu, dyn, r)) - r_above[:, None]
-        op, handed, r_above = below, dict(zip(ends.tolist(), tops)), r
+        op, handed, r_above = below, handed_below, r
     mu, dyn, phi = np.moveaxis(np.cumsum(inc, axis=0), 1, 0)
     restarts = [(run.times[j], run.U[j].copy()) for j, level in sorted(folds) if level == 0]
     level_restarts = [(run.times[j], level) for j, level in sorted(folds)]

@@ -1,9 +1,17 @@
 """Dense complex linear algebra shared by the propagation modules.
 
 Everything here operates on plain ``numpy`` complex arrays.  Matrices are
-small (dimension <= ~64), so robustness and explicit tolerances win over
-speed.  All tolerances are keyword parameters with the defaults used
-throughout the package: 1e-10 for structural predicates.
+small (dimension <= ~64).  All tolerances are keyword parameters with the
+defaults used throughout the package: 1e-10 for structural predicates.
+
+At the register sizes solves run at (N = 2 to 8) the cost of the solvers'
+stacked products is call overhead, not flops: numpy's stacked complex
+matmul calls BLAS zgemm once per matrix.  So the solvers' kernels (the
+step exponential _expm1, the chain _running_product and the product
+_matmul) run a complex product of order N <= _REAL_N as one real matmul
+on the float view, against the product's real form (_real_form), which
+keeps complex multiplication's error bound (Higham, SIAM J. Matrix Anal.
+Appl. 13 (1992) 681); above it they run the complex products.
 """
 
 from __future__ import annotations
@@ -12,6 +20,14 @@ import numpy as np
 import scipy.linalg
 
 PREDICATE_TOL = 1e-10
+# The largest order whose complex products run on the real path: the real
+# form wins at N 2 to 6 and loses from N 16 (measured per N, for _expm1,
+# the chain and whole solves, in CHANGES.md).
+_REAL_N = 6
+# Bytes of real forms per call of a real-path kernel: the temporaries of a
+# larger call fault in fresh pages each time, which costs more than the
+# chunks' calls.
+_REAL_BYTES = 1 << 17
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -145,7 +161,7 @@ def _expm1(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     steps (_unitary_step) take it, with A = -i dt Omega (real A = dt Omega
     for the precession's real generator).  E is the degree-9
     Taylor polynomial T(A) - I, by Paterson-Stockmeyer in four stacked
-    matmuls: with A2 = A A and A3 = A2 A,
+    products: with A2 = A A and A3 = A2 A,
         E = B0 + A3 (B1 + A3 (B2 + c9 A3)),
     B0 = c1 A + c2 A2, B1 = c3 I + c4 A + c5 A2, B2 = c6 I + c7 A + c8 A2
     and c_k = 1/k! (Moler & Van Loan, SIAM Rev. 45 (2003) 3, method 3).  A
@@ -154,6 +170,10 @@ def _expm1(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     matrix's E depends on that matrix only, so not on the stack it is in.
     A squaring that every matrix of the stack takes runs on the whole
     stack, with the same products.
+    A complex A of order N <= _REAL_N takes the real path (_taylor), in
+    chunks of _chunk(N) matrices: the products run on the float view, A
+    and A3 are each embedded once (_real_form), and the Horner products are
+    taken as E A3, which equals A3 E since both are polynomials in A.
     E has no I term, so its roundoff scales with theta, and a zero A gives
     E = 0 exactly.  A must be finite.  Leading axes broadcast.
     """
@@ -164,22 +184,53 @@ def _expm1(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     s = np.maximum(np.frexp(theta / _THETA_9)[1], 0)  # theta 2^-s < _THETA_9
     if s.any():
         A = A * np.ldexp(1.0, -s)[:, None, None]
+    if _real_path(A):
+        A = np.ascontiguousarray(A)  # the float view reads a contiguous last axis
+        E, step = np.empty_like(A), _chunk(N)
+        for a in range(0, len(A), step):
+            E[a : a + step] = _taylor(A[a : a + step], s[a : a + step], True)
+    else:
+        E = _taylor(A, s, False)
+    return E.reshape(shape), theta.reshape(shape[:-2])
+
+
+def _taylor(A: np.ndarray, s: np.ndarray, real: bool) -> np.ndarray:
+    """_expm1's E for a scaled stack A (K, N, N), squared back s times, on the real path or not."""
+    if real:
+        RA = _real_form(A)
+        A2 = _times(A, RA)
+        A3 = _times(A2, RA)
+        R3 = _real_form(A3)
+
+        def horner(E):  # E A3, which is A3 E
+            return _times(E, R3)
+
+        def square(E):
+            return _times(E, _real_form(E))
+    else:
+        A2 = A @ A
+        A3 = A2 @ A
+
+        def horner(E):
+            return A3 @ E
+
+        def square(E):
+            return E @ E
+    N = A.shape[-1]
     c = _TAYLOR
-    A2 = A @ A
-    A3 = A2 @ A
     E = c[8] * A3 + c[7] * A2 + c[6] * A
     E.reshape(-1, N * N)[:, :: N + 1] += c[5]  # + c6 I, on the diagonal
-    E = A3 @ E + c[4] * A2 + c[3] * A
+    E = horner(E) + c[4] * A2 + c[3] * A
     E.reshape(-1, N * N)[:, :: N + 1] += c[2]
-    E = A3 @ E + c[1] * A2 + A
+    E = horner(E) + c[1] * A2 + A
     for r in range(1, s.max(initial=0) + 1):
         if r <= s.min():  # every matrix: the whole stack, with no gather
-            E = E @ E + 2.0 * E
+            E = square(E) + 2.0 * E
             continue
         scaled = np.flatnonzero(s >= r)
         F = E[scaled]
-        E[scaled] = F @ F + 2.0 * F
-    return E.reshape(shape), theta.reshape(shape[:-2])
+        E[scaled] = square(F) + 2.0 * F
+    return E
 
 
 def _running_product(M: np.ndarray, U: np.ndarray | None = None) -> np.ndarray:
@@ -189,14 +240,75 @@ def _running_product(M: np.ndarray, U: np.ndarray | None = None) -> np.ndarray:
     product from its own U[0], written in place; its states may be matrices
     or vectors.  The Riccati paths' Magnus product, the oracle and the
     precession chain here.  np.dot has less call overhead than np.matmul
-    for one small matrix, with the same result.
+    for one small matrix, with the same result.  Complex steps of order
+    N <= _REAL_N take the real path, _chunk(N) steps at a time: the
+    transposed states S_j = U_j^T chain as S_j+1 = S_j M_j^T, one real
+    np.dot per step of S_j's float view against the real form of M_j^T,
+    and go back to U once per chunk.  Each state depends on its step and
+    the state before alone, so not on the chunks or on the blocks of U a
+    caller continues.
     """
     if U is None:
         U = np.empty((len(M) + 1,) + M.shape[1:], dtype=complex)
         U[0] = np.eye(M.shape[-1])
-    for step, a, b in zip(M, U, U[1:]):
-        np.dot(step, a, out=b)
+    if not _real_path(M):
+        for step, a, b in zip(M, U, U[1:]):
+            np.dot(step, a, out=b)
+        return U
+    size = _chunk(M.shape[-1])
+    for a in range(0, len(M), size):
+        R = _real_form(M[a : a + size].mT)
+        S = np.empty((len(R) + 1,) + U.shape[:0:-1], dtype=complex)  # the transposed states' shape
+        S[0] = U[a].T
+        Sf = S.view(float)
+        for step, x, y in zip(R, Sf, Sf[1:]):
+            np.dot(x, step, out=y)
+        U[a + 1 : a + len(S)] = np.swapaxes(S[1:], 1, -1)
     return U
+
+
+def _matmul(X: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """X @ B for two stacks (K, M, N) and (K, N, P), on the real path for complex ones of order N <= _REAL_N.
+
+    The real path runs _chunk(N) pairs per real matmul of X's float view
+    against B's real form; otherwise X @ B.
+    """
+    if not (_real_path(B) and np.iscomplexobj(X)):
+        return X @ B
+    X = np.ascontiguousarray(X)  # the float view reads a contiguous last axis
+    out = np.empty(X.shape[:-1] + B.shape[-1:], dtype=complex)
+    size = _chunk(B.shape[-2])
+    for a in range(0, len(out), size):
+        np.matmul(X[a : a + size].view(float), _real_form(B[a : a + size]), out=out[a : a + size].view(float))
+    return out
+
+
+def _real_path(B: np.ndarray) -> bool:
+    """Whether products by the complex stack B run on the real path: order N <= _REAL_N."""
+    return B.dtype == complex and B.shape[-2] <= _REAL_N
+
+
+def _chunk(N: int) -> int:
+    """Matrices of order N per call of a real-path kernel: _REAL_BYTES of real forms."""
+    return max(1, _REAL_BYTES // (32 * N * N))
+
+
+def _real_form(B: np.ndarray) -> np.ndarray:
+    """The real form R (..., 2N, 2P) of a complex stack B (..., N, P): X.view(float) @ R equals (X @ B).view(float).
+
+    Row 2j of R is row j of B and row 2j + 1 row j of i B, as (re, im)
+    pairs.  B may be any view, a transposed one included.
+    """
+    *lead, N, P = B.shape
+    R = np.empty((*lead, N, 2, 2 * P))
+    R[..., 0, :].view(complex)[...] = B
+    np.multiply(B, 1j, out=R[..., 1, :].view(complex))
+    return R.reshape(*lead, 2 * N, 2 * P)
+
+
+def _times(X: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """X B for a complex stack X and R = _real_form(B): one real matmul on X's float view."""
+    return (X.view(float) @ R).view(complex)
 
 
 def blockdiag(A: np.ndarray, B: np.ndarray) -> np.ndarray:

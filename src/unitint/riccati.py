@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hamiltonian import BlockedHamiltonian, SO5Coefficients, build_so5
-from .linalg import PAULI, _expm1, _running_product, dagger
+from .linalg import PAULI, _expm1, _matmul, _running_product, dagger
 
 DEFAULT_Z_MAX = 10.0
 # Restarts closer together than this many grid steps indicate the trajectory
@@ -129,7 +129,7 @@ def _omega(X: np.ndarray, idx: np.ndarray, dt: float, unit=-1j) -> np.ndarray:
     Omega.  A is anti-Hermitian for both kinds, so i A is Hermitian.
     """
     X_a, X_m, X_b = X[idx]
-    C = X_a @ X_b
+    C = _matmul(X_a, X_b)
     return (unit * dt) * ((X_a + 4.0 * X_m + X_b) / 6.0 + (unit * dt / 12.0) * (dagger(C) - C))
 
 
@@ -252,7 +252,7 @@ def _fold_search(op: np.ndarray, n: int, dt: float, Z_max: float, restarts=None)
     C, i, width = start, 1, _WINDOW  # C = op_s^H [0; I_n]
     while i < nodes:
         b = min(i + width, cut + 1, nodes)
-        V = op[i:b] @ C
+        V = (op[i:b].reshape(-1, M) @ C).reshape(b - i, M, n)  # one product for the window
         if b - 1 == cut:
             V[-1] = restarts[cut] @ C
         Wb = _project(V)

@@ -8,6 +8,7 @@ import pytest
 
 import unitint.bloch
 import unitint.cli
+import unitint.factorization
 import unitint.riccati
 from unitint.cli import (
     ScenarioError,
@@ -171,21 +172,50 @@ def _assert_same_result(result, alone):
 
 def test_run_scenario_reads_both_paths_from_one_integration(tmp_path, monkeypatch):
     # one integration gives each Riccati path the result of its standalone
-    # solver, field for field and bit for bit, and both results share one U
+    # solver, field for field and bit for bit, and both results share one U;
+    # est_error is estimated only under an est_error tolerance, else None
     solved = []
     solve = unitint.cli._solve
     monkeypatch.setattr(unitint.cli, "_solve", lambda *a, **kw: solved.append(solve(*a, **kw)) or solved[-1])
     for scenario in _both_paths_scenarios():
-        solved.clear()
-        run_scenario(scenario, tmp_path)
-        (factored, hier), = solved
-        parsed, h = parse_scenario(scenario)
-        args = (h, parsed["t_end"], parsed["steps"])
-        _assert_same_result(factored, solve_factored(*args, Z_max=parsed["Z_max"]))
-        _assert_same_result(hier, hierarchical_solve(*args, Z_max=parsed["Z_max"]))
-        assert hier.U_samples is factored.U_samples
-        if scenario["id"] == "folding":
-            assert factored.restarts and len(hier.level_restarts) > len(hier.restarts)
+        for tolerances in ({}, {"est_error": 1.0}):
+            solved.clear()
+            run_scenario({**scenario, "tolerances": tolerances}, tmp_path)
+            (factored, hier), = solved
+            parsed, h = parse_scenario(scenario)
+            args = (h, parsed["t_end"], parsed["steps"])
+            alone = solve_factored(*args, Z_max=parsed["Z_max"])
+            if not tolerances:
+                assert factored.est_error is None
+                factored = dataclasses.replace(factored, est_error=alone.est_error)
+            _assert_same_result(factored, alone)
+            _assert_same_result(hier, hierarchical_solve(*args, Z_max=parsed["Z_max"]))
+            assert hier.U_samples is factored.U_samples
+            if scenario["id"] == "folding":
+                assert factored.restarts and len(hier.level_restarts) > len(hier.restarts)
+
+
+def test_run_scenario_estimates_only_under_an_est_error_tolerance(tmp_path, monkeypatch):
+    # _est_error runs once per scenario with the tolerance and never without
+    # it; the CSV does not depend on it, nor the report apart from verdicts
+    calls = []
+    est_error = unitint.factorization._est_error
+    monkeypatch.setattr(unitint.factorization, "_est_error", lambda *a: calls.append(1) or est_error(*a))
+    scenario = _both_paths_scenarios()[3]
+    reports, csvs = [], set()
+    for tolerances in ({}, {"oracle_distance": 1.0}, {"est_error": 1.0}):
+        calls.clear()
+        out = tmp_path / str(len(reports))
+        reports.append(run_scenario({**scenario, "tolerances": tolerances}, out))
+        assert len(calls) == ("est_error" in tolerances)
+        csvs.add((out / "folding_trajectory.csv").read_bytes())
+    parsed, h = parse_scenario(scenario)
+    want = solve_factored(h, parsed["t_end"], parsed["steps"], Z_max=parsed["Z_max"]).est_error
+    assert reports[2]["verdicts"]["est_error"]["measured"] == want
+    assert len(csvs) == 1
+    for report in reports:
+        del report["verdicts"]
+    assert reports[0] == reports[1] == reports[2]
 
 
 def test_run_scenario_keeps_the_error_order(tmp_path, capsys):
@@ -265,6 +295,19 @@ def test_run_scenario_logs_each_level_fold(tmp_path):
     assert [t for t, level in hierarchical if level == 0] == factorized
     assert {level for _, level in hierarchical} == {0, 1, 2}
     assert [t for t, _ in hierarchical] == sorted(t for t, _ in hierarchical)
+
+
+def test_report_names_the_steps_near_the_pole(tmp_path):
+    # B = (1, 0, 0) turns U_NN = cos(t/2) through 0 at t = pi, inside step
+    # 250 of 501 to 2 pi: both paths name it, and a pole-free run names none
+    s = _spin_half_scenario(id="pole", params={"B": [1.0, 0.0, 0.0]}, t_end=2.0 * np.pi, steps=501,
+                            paths=["factorized", "hierarchical"], tolerances={})
+    assert main(["run", str(_write(tmp_path, "pole.json", s)), "--out", str(tmp_path)]) == 0
+    t = float(np.linspace(0.0, 2.0 * np.pi, 502)[250])
+    assert json.loads((tmp_path / "pole_report.json").read_text())["poles"] == [
+        {"path": path, "t": t, "step": 250, "level": 0} for path in ("factorized", "hierarchical")
+    ]
+    assert run_scenario(_spin_half_scenario(), tmp_path)["poles"] == []
 
 
 def test_run_scenario_so5_restart_logged(tmp_path):

@@ -908,7 +908,7 @@ def test_corner_phases_at_an_exactly_zero_corner():
     sx = np.array([[0.0, 1.0], [1.0, 0.0]])
     U = np.array([np.eye(2), 1j * sx, -np.eye(2)], dtype=complex)
     index = np.array([[0, 2], [1, 3], [2, 4]])
-    phases = factorization._level0_phases(U, index, np.array([0.0, 0.5, 1.0]))
+    phases = factorization._level0_phases(U, factorization._corner_phases(U, {}, index), np.array([0.0, 0.5, 1.0]))
     assert phases["poles"] == [(0.0, 0, 0), (0.5, 1, 0)]
     assert np.array_equal(phases["mu_total"], [0.0, 0.0, 0.0])
     assert np.array_equal(phases["imag_mu"], [-0.0, np.inf, -0.0])
@@ -1166,6 +1166,25 @@ def test_hierarchical_peels_each_distinct_node_once(monkeypatch):
     assert folds == [(67, 2), (88, 0), (189, 1), (236, 1)]
     for k in range(4):
         assert rows[4 - k] == steps + 1 + len([j for j, level in folds if level <= k])
+
+
+def test_solve_with_peel_reads_level0_once_and_no_empty_segment_end(monkeypatch):
+    # _solve(peel=True) reads level 0's corner phases once for both results,
+    # so _corner_phases runs once per level, N - 1 times.  A level with no
+    # segment end, its own or handed down, reads no segment-end fiber: no
+    # _fiber call has zero rows, fold-free or folding at every level
+    calls, rows = [], []
+    corner_phases, fiber = factorization._corner_phases, factorization._fiber
+    monkeypatch.setattr(factorization, "_corner_phases", lambda *a: calls.append(1) or corner_phases(*a))
+    monkeypatch.setattr(factorization, "_fiber", lambda z, V: rows.append(len(z)) or fiber(z, V))
+    for h, Z_max, folds in ((trig_random(4, seed=8), 10.0, 0), (_five_pieces(), 2.0, 4)):
+        calls.clear()
+        rows.clear()
+        factored, hier = factorization._solve(h, 3.0, 240, Z_max, peel=True)
+        assert len(hier.level_restarts) == folds
+        assert len(calls) == h.N - 1
+        # one _frames block per level and one for U2, and one segment-end call per level that has one
+        assert 0 not in rows and len(rows) == h.N + (h.N - 1 if folds else 0)
 
 
 @pytest.mark.parametrize("block", [7, 2048])

@@ -4,9 +4,11 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from unitint import riccati
+from unitint import linalg, riccati
 from unitint.linalg import (
     _expm1,
+    _matmul,
+    _running_product,
     _unitary_step,
     SIGMA_PLUS,
     SIGMA_X,
@@ -154,6 +156,43 @@ def test_expm1_squares_a_fully_scaled_stack_matrix_by_matrix(N):
         assert np.all(theta > 2 * 0.0896)
         for k in range(len(stack)):
             assert np.array_equal(_expm1(stack[k : k + 1])[0][0], E[k])
+
+
+@pytest.mark.parametrize("N", [2, linalg._REAL_N, linalg._REAL_N + 1])
+def test_real_path_kernels_equal_the_complex_products(N, monkeypatch):
+    # _matmul, _expm1 and _running_product (matrix and vector states) run
+    # their complex products as real ones at N <= _REAL_N only, equal
+    # numpy's complex matmul to roundoff, and do not depend on the chunks:
+    # chunks of 7 matrices give the one-chunk results bit for bit
+    built, real_form = [], linalg._real_form
+    monkeypatch.setattr(linalg, "_real_form", lambda B: built.append(B.shape) or real_form(B))
+    rng = np.random.default_rng(N)
+    K, u = 40, 2.0**-53
+    X = rng.standard_normal((K, N, N)) + 1j * rng.standard_normal((K, N, N))
+    B = rng.standard_normal((K, N, N)) + 1j * rng.standard_normal((K, N, N))
+    A = _anti_hermitian(rng, (K,), N, rng.uniform(0.01, 3.0, K))
+    v = np.empty((K + 1, N), dtype=complex)
+    v[0] = rng.standard_normal(N) + 1j * rng.standard_normal(N)
+    results = []
+    for chunk in (K + 1, 7):
+        monkeypatch.setattr(linalg, "_REAL_BYTES", 32 * N * N * chunk)
+        P = _expm1(A)[0] + np.eye(N)
+        results.append((_matmul(X, B), _matmul(dagger(X), dagger(B)), P, _running_product(P), _running_product(P, v.copy())))
+    assert bool(built) == (N <= linalg._REAL_N)
+    for one, chunked in zip(*results):
+        assert np.array_equal(one, chunked)
+    XB, XhBh, P, U, Uv = results[0]
+    # each entry within 8 N u (|X| |B|), twice the product's error bound
+    for got, left, right in ((XB, X, B), (XhBh, dagger(X), dagger(B))):
+        assert np.all(np.abs(got - left @ right) <= 8 * N * u * (np.abs(left) @ np.abs(right)))
+    monkeypatch.setattr(linalg, "_REAL_N", 0)  # the complex products
+    assert np.all(np.linalg.norm(P - (_expm1(A)[0] + np.eye(N)), axis=(-2, -1)) <= 1e-15 * np.maximum(_expm1(A)[1], 1.0))
+    want, want_v = np.empty_like(U), v.copy()
+    want[0] = np.eye(N)
+    for j in range(K):
+        want[j + 1], want_v[j + 1] = P[j] @ want[j], P[j] @ want_v[j]
+    # unitary steps: the chains part by at most 8 N u per step
+    assert np.abs(U - want).max() <= 8 * N * u * K and np.abs(Uv - want_v).max() <= 8 * N * u * K * np.abs(v[0]).max()
 
 
 def test_expm1_of_zero_is_exactly_zero():
